@@ -54,9 +54,8 @@ use pit_prefix::RadixPrefixIndex;
 use pit_swap::{plan_swap_out, PageDesc, RestoreQueue, SwapEngine};
 use pit_tensor::DType;
 use pit_trace::{
-    blame_spans, reduce_spans, BlameAggregate, BreakdownSummary, ExemplarReservoir, ExemplarSet,
-    MetricsHub, StepSample, TraceEvent, TraceRecord, TraceSink, WaitCause, DEVICE_LANE,
-    RESERVED_LANES,
+    blame_spans, ExemplarReservoir, ExemplarSet, MetricsHub, StepSample, TraceEvent, TraceRecord,
+    TraceSink, WaitCause, DEVICE_LANE, RESERVED_LANES,
 };
 use pit_workloads::DecodeTrace;
 use std::collections::{BTreeMap, VecDeque};
@@ -772,33 +771,22 @@ pub fn simulate_decode_trace(cfg: &DecodeServeConfig, trace: &DecodeTrace) -> De
 /// admission, prefill chunk, token, preemption, swap transfer and
 /// completion is recorded into `sink` on the virtual clock. When the sink
 /// is enabled, the report additionally carries the per-request
-/// queue/prefill/decode/stall breakdown reduced from the trace; a
-/// disabled sink makes this identical to the untraced entry point (each
-/// record is one branch).
+/// queue/prefill/decode/stall breakdown and causal blame reduced from the
+/// trace; a disabled sink makes this identical to the untraced entry
+/// point (each record is one branch).
 pub fn simulate_decode_trace_traced(
     cfg: &DecodeServeConfig,
     trace: &DecodeTrace,
     sink: &TraceSink,
 ) -> DecodeReport {
-    simulate_decode_trace_with_exemplars(cfg, trace, sink, 0).0
+    simulate_decode_trace_observed(cfg, trace, sink, 0, None).0
 }
 
-/// [`simulate_decode_trace_traced`] that additionally captures the `k`
-/// worst request timelines per tail metric (TTFT, max ITL, e2e). The
-/// exemplar buffers live outside the sink, so the tail is observable
-/// even with tracing disabled or head-sampled; `k == 0` captures
-/// nothing and reduces to the traced entry point.
-pub fn simulate_decode_trace_with_exemplars(
-    cfg: &DecodeServeConfig,
-    trace: &DecodeTrace,
-    sink: &TraceSink,
-    exemplar_k: usize,
-) -> (DecodeReport, ExemplarSet) {
-    simulate_decode_trace_observed(cfg, trace, sink, exemplar_k, None)
-}
-
-/// [`simulate_decode_trace_with_exemplars`] that additionally publishes
-/// live metrics into a [`MetricsHub`] as the replay runs — lifecycle
+/// [`simulate_decode_trace_traced`] with the full observer set. It
+/// captures the `exemplar_k` worst request timelines per tail metric
+/// (TTFT, max ITL, e2e) — buffered outside the sink, so the tail is
+/// observable even with tracing disabled or head-sampled; `0` captures
+/// nothing — and publishes live metrics into `hub`, if given: lifecycle
 /// events, per-step ledger charges and KV occupancy at step granularity,
 /// so a concurrently attached [`pit_trace::ScrapeServer`] observes the
 /// run mid-flight.
@@ -816,7 +804,7 @@ pub fn simulate_decode_trace_observed(
 ) -> (DecodeReport, ExemplarSet) {
     let cache = JitCache::with_capacity(cfg.cache_capacity.max(1));
     let mut kv = PagedKvCache::new(cfg.kv_config());
-    let mut metrics = DecodeMetrics::new();
+    let mut metrics = DecodeMetrics::observed_by(hub);
     let mut waiting: VecDeque<Seq> = trace
         .prompt_lens
         .iter()
@@ -888,12 +876,8 @@ pub fn simulate_decode_trace_observed(
         kv.check_invariants().expect("kv invariants at end of run");
     }
     if sink.is_enabled() {
-        let records = sink.snapshot();
-        let spans = reduce_spans(&records);
-        metrics.set_breakdown(BreakdownSummary::of(&spans));
-        let mut agg = BlameAggregate::new();
-        agg.fold_spans(&blame_spans(&records));
-        metrics.set_blame(agg.summary());
+        // One pass of the lifecycle fold yields both trace-derived blocks.
+        metrics.set_blame_spans(&blame_spans(&sink.snapshot()));
     }
     if let Some(h) = hub {
         h.finish();
@@ -927,36 +911,6 @@ impl<'a> Recorder<'a> {
             timelines: BTreeMap::new(),
             ord: 0,
             hub,
-        }
-    }
-
-    /// Charges one step's category split and the post-step KV occupancy
-    /// into the attached hub (no-op without one).
-    fn publish_step(&self, sample: &StepSample, occupancy: f64) {
-        if let Some(h) = self.hub {
-            h.charge_step(sample);
-            h.set_kv_occupancy(occupancy);
-        }
-    }
-
-    /// Charges idle virtual-clock seconds into the attached hub.
-    fn publish_idle(&self, seconds: f64) {
-        if let Some(h) = self.hub {
-            h.charge_idle(seconds);
-        }
-    }
-
-    /// Charges an eviction-DMA stall into the attached hub.
-    fn publish_d2h_stall(&self, seconds: f64) {
-        if let Some(h) = self.hub {
-            h.charge_d2h_stall(seconds);
-        }
-    }
-
-    /// Charges a restore-DMA stall into the attached hub.
-    fn publish_h2d_stall(&self, seconds: f64) {
-        if let Some(h) = self.hub {
-            h.charge_h2d_stall(seconds);
         }
     }
 
@@ -1105,11 +1059,9 @@ fn run_continuous(
                 // Ledger attribution: waiting out an in-flight restore is
                 // an h2d stall; waiting for a future arrival is idle.
                 if restore <= arrival {
-                    metrics.charge_h2d_stall(next - clock_s);
-                    rec.publish_h2d_stall(next - clock_s);
+                    metrics.charge(|l| l.charge_h2d_stall(next - clock_s));
                 } else {
-                    metrics.charge_idle(next - clock_s);
-                    rec.publish_idle(next - clock_s);
+                    metrics.charge(|l| l.charge_idle(next - clock_s));
                 }
                 clock_s = next;
             }
@@ -1405,8 +1357,7 @@ fn run_continuous(
             }
             if let Some(ready) = restoring.next_ready_s() {
                 if ready > clock_s {
-                    metrics.charge_h2d_stall(ready - clock_s);
-                    rec.publish_h2d_stall(ready - clock_s);
+                    metrics.charge(|l| l.charge_h2d_stall(ready - clock_s));
                     clock_s = ready;
                     // The whole scheduler waited out the transfer; pin
                     // the wait on the blocked head — a stalled prefill,
@@ -1494,7 +1445,7 @@ fn run_continuous(
         let sample = step_sample(cfg, &shape, shape.rows(), cache);
         let gpu_s = sample.gpu_s;
         clock_s += gpu_s;
-        metrics.charge_step(&sample);
+        metrics.charge(|l| l.charge_step(&sample));
         metrics.record_step(
             shape.chunk_tokens(),
             shape.decode_slots(),
@@ -1503,7 +1454,6 @@ fn run_continuous(
             kv.occupancy(),
             kv.fragmentation(),
         );
-        rec.publish_step(&sample, kv.occupancy());
         rec.record(
             clock_s,
             DEVICE_LANE,
@@ -1589,12 +1539,12 @@ fn run_continuous(
             }
             if s.generated == 0 {
                 metrics.record_ttft(clock_s - s.arrival_s, s.prefix_hit);
-                rec.record(clock_s, s.id, TraceEvent::FirstToken);
             } else {
                 // Re-admitted after preemption: the gap includes requeue
                 // and recompute — the honest preemption penalty.
                 metrics.record_itl(clock_s - s.last_token_s);
             }
+            rec.record(clock_s, s.id, TraceEvent::FirstToken);
             s.generated += 1;
             s.last_token_s = clock_s;
             if s.done() {
@@ -1748,8 +1698,7 @@ fn preempt_victim(
             *clock_s = eng.swap_out(*clock_s, plan.len());
             // The eviction DMA gates the reclaiming step: the clock
             // advance is a d2h stall on the ledger.
-            metrics.charge_d2h_stall(*clock_s - initiated_s);
-            rec.publish_d2h_stall(*clock_s - initiated_s);
+            metrics.charge(|l| l.charge_d2h_stall(*clock_s - initiated_s));
             metrics.record_swap_preempt(saved);
             rec.record(
                 initiated_s,
@@ -1807,8 +1756,7 @@ fn run_static(
     while !waiting.is_empty() {
         let arrival = waiting.front().expect("non-empty").arrival_s;
         if arrival > clock_s {
-            metrics.charge_idle(arrival - clock_s);
-            rec.publish_idle(arrival - clock_s);
+            metrics.charge(|l| l.charge_idle(arrival - clock_s));
             clock_s = arrival;
         }
         let mut batch: Vec<Seq> = Vec::new();
@@ -1880,7 +1828,7 @@ fn run_static(
         let sample = step_sample(cfg, &shape, real, cache);
         let gpu_s = sample.gpu_s;
         clock_s += gpu_s;
-        metrics.charge_step(&sample);
+        metrics.charge(|l| l.charge_step(&sample));
         metrics.record_step(
             real,
             0,
@@ -1889,7 +1837,6 @@ fn run_static(
             kv.occupancy(),
             kv.fragmentation(),
         );
-        rec.publish_step(&sample, kv.occupancy());
         rec.record(
             clock_s,
             DEVICE_LANE,
@@ -1925,9 +1872,8 @@ fn run_static(
             let sample = step_sample(cfg, &shape, live, cache);
             let gpu_s = sample.gpu_s;
             clock_s += gpu_s;
-            metrics.charge_step(&sample);
+            metrics.charge(|l| l.charge_step(&sample));
             metrics.record_step(0, live, b, gpu_s, kv.occupancy(), kv.fragmentation());
-            rec.publish_step(&sample, kv.occupancy());
             rec.record(
                 clock_s,
                 DEVICE_LANE,

@@ -11,9 +11,10 @@
 
 use crate::scheduler::FormedBatch;
 use pit_trace::{
-    BlameSummary, BreakdownSummary, DeviceLedger, Exposition, LatencySketch, StepSample,
-    Utilization,
+    BlameAggregate, BlameBreakdown, BlameSummary, BreakdownSummary, DeviceLedger, Exposition,
+    LatencySketch, MetricsHub, StepSample, Utilization,
 };
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -427,9 +428,12 @@ impl fmt::Display for ServingReport {
 ///
 /// Every latency distribution streams into a [`LatencySketch`]: the
 /// collector's footprint is O(latency dynamic range), not O(requests), so
-/// million-request replays don't accumulate sample vectors.
+/// million-request replays don't accumulate sample vectors. With a live
+/// [`MetricsHub`] attached, every ledger charge and the KV occupancy
+/// gauge reach the hub in the same call, so its ledger mirrors the
+/// report's.
 #[derive(Debug, Default)]
-pub struct DecodeMetrics {
+pub struct DecodeMetrics<'h> {
     ttft_s: LatencySketch,
     ttft_hit_s: LatencySketch,
     ttft_miss_s: LatencySketch,
@@ -464,12 +468,22 @@ pub struct DecodeMetrics {
     breakdown: Option<BreakdownSummary>,
     blame: Option<BlameSummary>,
     ledger: DeviceLedger,
+    /// Write-only: nothing the collector reports ever reads it.
+    hub: Option<&'h MetricsHub>,
 }
 
-impl DecodeMetrics {
+impl<'h> DecodeMetrics<'h> {
     /// An empty collector.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty collector mirroring its charges into `hub`, if any.
+    pub(crate) fn observed_by(hub: Option<&'h MetricsHub>) -> Self {
+        DecodeMetrics {
+            hub,
+            ..Self::default()
+        }
     }
 
     /// Records one executed iteration: its real/processed token rows
@@ -494,6 +508,9 @@ impl DecodeMetrics {
         self.occupancy_sum += kv_occupancy;
         self.occupancy_peak = self.occupancy_peak.max(kv_occupancy);
         self.fragmentation_sum += kv_fragmentation;
+        if let Some(h) = self.hub {
+            h.set_kv_occupancy(kv_occupancy);
+        }
     }
 
     /// Records one iteration's decode-attention footprint: the KV tokens
@@ -597,30 +614,15 @@ impl DecodeMetrics {
         self.swap = Some(stats);
     }
 
-    /// Charges one executed step's category split to the device-time
-    /// ledger (called next to `record_step`; kept separate because
-    /// `record_step` is also fed by paths that count tokens without an
-    /// engine tally).
-    pub fn charge_step(&mut self, sample: &StepSample) {
-        self.ledger.charge_step(sample);
-    }
-
-    /// Charges virtual-clock seconds the device sat idle (no arrivals,
-    /// nothing restorable in flight).
-    pub fn charge_idle(&mut self, seconds: f64) {
-        self.ledger.charge_idle(seconds);
-    }
-
-    /// Charges virtual-clock seconds the step loop stalled behind a
-    /// device-to-host swap transfer.
-    pub fn charge_d2h_stall(&mut self, seconds: f64) {
-        self.ledger.charge_d2h_stall(seconds);
-    }
-
-    /// Charges virtual-clock seconds the step loop stalled waiting for a
-    /// host-to-device restore to land.
-    pub fn charge_h2d_stall(&mut self, seconds: f64) {
-        self.ledger.charge_h2d_stall(seconds);
+    /// Books one virtual-clock charge — a step's category split (next to
+    /// `record_step`), an idle gap, or a swap d2h/h2d stall — into the
+    /// device-time ledger and, when a hub is attached, the hub's live
+    /// ledger, e.g. `metrics.charge(|l| l.charge_idle(seconds))`.
+    pub fn charge(&mut self, book: impl Fn(&mut DeviceLedger)) {
+        book(&mut self.ledger);
+        if let Some(h) = self.hub {
+            h.charge(&book);
+        }
     }
 
     /// Records one inter-token gap (seconds between consecutive tokens of
@@ -634,17 +636,15 @@ impl DecodeMetrics {
         self.e2e_s.record(seconds);
     }
 
-    /// Attaches the per-request phase breakdown reduced from a trace
-    /// (only available when the run recorded into an enabled `TraceSink`).
-    pub fn set_breakdown(&mut self, breakdown: BreakdownSummary) {
-        self.breakdown = Some(breakdown);
-    }
-
-    /// Attaches the causal blame digest aggregated from a trace's
-    /// per-request critical-path attribution (only available when the
-    /// run recorded into an enabled `TraceSink`).
-    pub fn set_blame(&mut self, blame: BlameSummary) {
-        self.blame = Some(blame);
+    /// Attaches the trace-derived blocks — the mean phase breakdown and
+    /// the causal blame digest — from one [`pit_trace::blame_spans`]
+    /// reduction (only available when the run recorded into an enabled
+    /// `TraceSink`).
+    pub fn set_blame_spans(&mut self, spans: &BTreeMap<u64, BlameBreakdown>) {
+        self.breakdown = Some(BreakdownSummary::of(spans));
+        let mut agg = BlameAggregate::new();
+        agg.fold_spans(spans);
+        self.blame = Some(agg.summary());
     }
 
     /// Freezes the collector into a report.
@@ -1309,21 +1309,23 @@ mod tests {
     #[test]
     fn decode_collector_ledger_conserves_and_exposes() {
         let mut m = DecodeMetrics::new();
-        m.charge_idle(0.010);
-        m.charge_step(&StepSample {
-            gpu_s: 0.5,
-            prefill_attention_s: 0.2,
-            decode_attention_s: 0.1,
-            sparse_conversion_s: 0.01,
-            jit_search_s: 0.001,
-            flops_useful: 8e12,
-            flops_executed: 10e12,
-            jit_searches: 1,
-            jit_search_measured_s: 0.0002,
+        m.charge(|l| l.charge_idle(0.010));
+        m.charge(|l| {
+            l.charge_step(&StepSample {
+                gpu_s: 0.5,
+                prefill_attention_s: 0.2,
+                decode_attention_s: 0.1,
+                sparse_conversion_s: 0.01,
+                jit_search_s: 0.001,
+                flops_useful: 8e12,
+                flops_executed: 10e12,
+                jit_searches: 1,
+                jit_search_measured_s: 0.0002,
+            })
         });
         m.record_step(0, 8, 8, 0.5, 0.4, 0.1);
-        m.charge_d2h_stall(0.002);
-        m.charge_h2d_stall(0.003);
+        m.charge(|l| l.charge_d2h_stall(0.002));
+        m.charge(|l| l.charge_h2d_stall(0.003));
         let eng = pit_swap::SwapEngine::new(&pit_gpusim::DeviceSpec::a100_80gb(), 1 << 20);
         m.set_swap(eng.stats());
         m.record_e2e(0.5);

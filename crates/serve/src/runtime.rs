@@ -28,7 +28,8 @@ use pit_models::{Engine, ModelConfig};
 use pit_sparse::Mask;
 use pit_tensor::DType;
 use pit_trace::{
-    BlameAggregate, BlameBreakdown, BlameCategory, MetricsHub, StepSample, TraceEvent, WindowSeries,
+    BlameAggregate, BlameBreakdown, BlameCategory, Latency, MetricsHub, StepSample, TraceEvent,
+    WindowSeries,
 };
 use pit_workloads::ArrivalTrace;
 use std::collections::VecDeque;
@@ -286,7 +287,7 @@ fn worker_loop(
         metrics.record_batch(&item.formed, sample.gpu_s);
         metrics.charge_step(&sample);
         if let Some(h) = hub {
-            h.charge_step(&sample);
+            h.charge(|l| l.charge_step(&sample));
             h.add("pit_hub_steps_total", 1.0);
             h.add("pit_hub_gpu_seconds_total", sample.gpu_s);
             h.add(
@@ -305,8 +306,8 @@ fn worker_loop(
                 // Whole-batch service: the first token lands at batch
                 // completion, so TTFT and e2e coincide (cf. `batch_blame`).
                 let t_s = started.elapsed().as_secs_f64();
-                h.observe_ttft(t_s, latency_s);
-                h.observe_e2e(t_s, latency_s);
+                h.observe(t_s, Latency::Ttft(latency_s));
+                h.observe(t_s, Latency::E2e(latency_s));
                 h.add("pit_hub_finished_total", 1.0);
             }
             let _ = r.done.send(());
@@ -464,21 +465,20 @@ pub fn simulate_trace(cfg: &ServeConfig, trace: &[usize]) -> ServingReport {
 /// before it arrived, or an idle-clock artifact) is queue delay — the
 /// three tiles telescope to `end - arrival` by construction.
 fn batch_blame(arrival_s: f64, end_s: f64, blocked_s: f64, execute_s: f64) -> BlameBreakdown {
-    let mut b = BlameBreakdown {
-        arrival_s,
-        first_token_s: Some(end_s),
-        end_s,
-        finished: true,
-        ttft_by_cause: [0.0; BlameCategory::COUNT],
-        e2e_by_cause: [0.0; BlameCategory::COUNT],
-    };
-    let e2e = end_s - arrival_s;
-    b.e2e_by_cause[BlameCategory::PrefillExecute.index()] = execute_s;
-    b.e2e_by_cause[BlameCategory::TokenBudgetFull.index()] = blocked_s;
-    b.e2e_by_cause[BlameCategory::QueueBehindAdmission.index()] = e2e - blocked_s - execute_s;
+    let mut b = BlameBreakdown::new(arrival_s);
+    b.first_token_s = Some(end_s);
+    b.end_s = end_s;
+    b.finished = true;
     // Whole-batch service emits the "first token" at completion: the
-    // TTFT and e2e critical paths coincide.
-    b.ttft_by_cause = b.e2e_by_cause;
+    // TTFT and e2e critical paths coincide, so every tile counts in both.
+    let e2e = end_s - arrival_s;
+    b.charge(BlameCategory::PrefillExecute, execute_s, true);
+    b.charge(BlameCategory::TokenBudgetFull, blocked_s, true);
+    b.charge(
+        BlameCategory::QueueBehindAdmission,
+        e2e - blocked_s - execute_s,
+        true,
+    );
     b
 }
 

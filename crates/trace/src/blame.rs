@@ -1,25 +1,24 @@
 //! Causal blame: per-request critical-path attribution.
 //!
-//! The lifecycle breakdown ([`crate::reduce_spans`]) says *where* a
-//! request's time went (queue / prefill / decode / stall); this module
-//! says *why*. The serving loops annotate every stall and deferral
-//! decision they already take with a typed [`WaitCause`]
-//! ([`crate::TraceEvent::Waiting`]), and [`blame_spans`] reduces the
-//! event stream into one [`BlameBreakdown`] per request whose causal
-//! categories **tile TTFT and end-to-end latency exactly** — the same
-//! discipline as the span reduction and the device-time ledger's
-//! conservation law.
+//! The serving loops annotate every stall and deferral decision they
+//! already take with a typed [`WaitCause`] ([`crate::TraceEvent::Waiting`]),
+//! and [`blame_spans`] reduces the event stream — through the
+//! [`crate::LifecycleFold`] — into one [`BlameBreakdown`] per request
+//! whose causal categories **tile TTFT and end-to-end latency exactly**,
+//! the same discipline as the device-time ledger's conservation law.
 //!
-//! The attribution rule is the span reduction's, refined: every
-//! inter-event gap on a request's lane belongs to the *later* event's
-//! blame category. A gap ending in `Waiting { cause }` belongs to that
-//! cause; a gap ending in a prefill chunk was prefill execution; one
-//! ending in a swap-out landed on the d2h link; and so on. Because the
-//! gaps tile the `[arrival, last event]` interval by construction, the
-//! per-category times sum to the end-to-end latency to floating-point
-//! accuracy, and the prefix of gaps up to the first token sums to TTFT
-//! the same way — the invariant `tests/blame_invariants.rs` pins at
-//! 1e-9 s across the sparsity × preemption × prefix-caching matrix.
+//! The attribution rule: every inter-event gap on a request's lane
+//! belongs to the *later* event's blame category. A gap ending in
+//! `Waiting { cause }` belongs to that cause; a gap ending in a prefill
+//! chunk was prefill execution; one ending in a swap-out landed on the
+//! d2h link; and so on. Because the gaps tile the `[arrival, last event]`
+//! interval by construction, the per-category times sum to the
+//! end-to-end latency to floating-point accuracy, and the prefix of gaps
+//! up to the first token sums to TTFT the same way — the invariant
+//! `tests/blame_invariants.rs` pins at 1e-9 s across the sparsity ×
+//! preemption × prefix-caching matrix. Each category also belongs to one
+//! coarse [`Phase`] (queue / prefill / decode / stall), accumulated in
+//! the same pass, so the phases tile the latency too.
 //!
 //! Fleet-level aggregation folds per-request breakdowns into a
 //! [`BlameAggregate`] (per-cause totals plus per-cause
@@ -27,9 +26,10 @@
 //! associatively — window aggregates compose — and freezes into the
 //! [`BlameSummary`] that `DecodeReport`/`ServingReport` and the
 //! Prometheus exposition carry, so "p99 TTFT is 71% KvPoolExhausted" is
-//! a one-line read.
+//! a one-line read; [`BreakdownSummary`] is the per-phase digest.
 
-use crate::sink::{TraceEvent, TraceRecord, RESERVED_LANES};
+use crate::lifecycle::LifecycleFold;
+use crate::sink::{TraceEvent, TraceRecord};
 use crate::sketch::LatencySketch;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -184,8 +184,20 @@ impl BlameCategory {
         }
     }
 
-    /// Which category a gap *ending* at `event` belongs to — the blame
-    /// refinement of the span reduction's phase attribution.
+    /// The coarse phase the category folds into: admission-side waits
+    /// are queue time, in-prefill waits are prefill time, memory and
+    /// link pressure is stall time.
+    pub fn phase(self) -> Phase {
+        use BlameCategory::*;
+        match self {
+            QueueBehindAdmission | MaxLiveCap | SchedulerIdle => Phase::Queue,
+            PrefillExecute | TokenBudgetFull | HeadOfLinePrefill => Phase::Prefill,
+            DecodeExecute => Phase::Decode,
+            KvPoolExhausted | SwapLinkD2h | SwapLinkH2d | RestoreInFlight => Phase::Stall,
+        }
+    }
+
+    /// Which category a gap *ending* at `event` belongs to.
     pub fn of_event(event: &TraceEvent) -> BlameCategory {
         match event {
             TraceEvent::Admitted { .. } | TraceEvent::PrefixHit { .. } | TraceEvent::Rejected => {
@@ -211,11 +223,31 @@ impl BlameCategory {
     }
 }
 
+/// The four coarse phases a request's time falls into — a pure
+/// function of its blame category ([`BlameCategory::phase`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Phase {
+    /// Waiting for admission (re-admission after recompute included).
+    Queue,
+    /// Chunked prefill, head-of-line and token-budget waits included.
+    Prefill,
+    /// Decoding, one token per step.
+    Decode,
+    /// Preemption, swap transfers, restore waits and KV-pool pressure.
+    Stall,
+}
+
+impl Phase {
+    /// Number of phases (array sizes in [`BlameBreakdown`]).
+    pub const COUNT: usize = 4;
+}
+
 /// One request's latency, tiled into causal categories.
 ///
 /// `e2e_by_cause` partitions `[arrival, last event]`; `ttft_by_cause`
-/// partitions the prefix up to the first token. Both tile exactly: the
-/// per-category times sum to `end_s - arrival_s` (respectively
+/// partitions the prefix up to the first token; `phase_s` is the same
+/// partition at phase granularity. All tile exactly: the per-category
+/// (and per-phase) times sum to `end_s - arrival_s` (respectively
 /// `first_token_s - arrival_s`) to floating-point accuracy, because
 /// every inter-event gap lands in exactly one category.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
@@ -233,9 +265,35 @@ pub struct BlameBreakdown {
     pub ttft_by_cause: [f64; BlameCategory::COUNT],
     /// Seconds of end-to-end latency attributed to each category.
     pub e2e_by_cause: [f64; BlameCategory::COUNT],
+    /// Seconds of end-to-end latency per phase (indexed by `Phase as
+    /// usize`), accumulated gap by gap alongside `e2e_by_cause`.
+    pub phase_s: [f64; Phase::COUNT],
 }
 
 impl BlameBreakdown {
+    /// An empty lifecycle anchored at `arrival_s`.
+    pub fn new(arrival_s: f64) -> Self {
+        BlameBreakdown {
+            arrival_s,
+            first_token_s: None,
+            end_s: arrival_s,
+            finished: false,
+            ttft_by_cause: [0.0; BlameCategory::COUNT],
+            e2e_by_cause: [0.0; BlameCategory::COUNT],
+            phase_s: [0.0; Phase::COUNT],
+        }
+    }
+
+    /// Attributes `seconds` to `category` (and its phase), counting them
+    /// toward TTFT too when `in_ttft`.
+    pub fn charge(&mut self, category: BlameCategory, seconds: f64, in_ttft: bool) {
+        self.e2e_by_cause[category.index()] += seconds;
+        if in_ttft {
+            self.ttft_by_cause[category.index()] += seconds;
+        }
+        self.phase_s[category.phase() as usize] += seconds;
+    }
+
     /// Sum of the TTFT categories — equals `first_token_s - arrival_s`
     /// exactly by construction (0 before the first token).
     pub fn ttft_total_s(&self) -> f64 {
@@ -261,53 +319,48 @@ impl BlameBreakdown {
 }
 
 /// Reduces a sorted record stream (as `TraceSink::drain`/`snapshot`
-/// return it) to one [`BlameBreakdown`] per sequence lane. Device and
-/// link lanes are skipped. Same gap-tiling discipline as
-/// [`crate::reduce_spans`]; the first `FirstToken` on a lane closes the
-/// TTFT prefix (later first tokens are re-admission resumes).
+/// return it) to one [`BlameBreakdown`] per sequence lane, in one pass of
+/// the [`LifecycleFold`]. Device and link lanes are skipped.
 pub fn blame_spans(records: &[TraceRecord]) -> BTreeMap<u64, BlameBreakdown> {
-    let mut spans: BTreeMap<u64, BlameBreakdown> = BTreeMap::new();
-    let mut prev_t: BTreeMap<u64, f64> = BTreeMap::new();
-    for r in records {
-        if r.lane >= RESERVED_LANES {
-            continue;
-        }
-        let span = spans.entry(r.lane).or_insert_with(|| {
-            // The first event anchors the lifecycle; `Admitted` and
-            // `Waiting` carry the true wait start, anything else starts
-            // the clock at itself.
-            let arrival = match r.event {
-                TraceEvent::Admitted { arrival_s } => arrival_s,
-                TraceEvent::Waiting { since_s, .. } => since_s,
-                _ => r.t_s,
-            };
-            prev_t.insert(r.lane, arrival);
-            BlameBreakdown {
-                arrival_s: arrival,
-                first_token_s: None,
-                end_s: arrival,
-                finished: false,
-                ttft_by_cause: [0.0; BlameCategory::COUNT],
-                e2e_by_cause: [0.0; BlameCategory::COUNT],
-            }
-        });
-        let prev = prev_t.get_mut(&r.lane).expect("inserted above");
-        let gap = (r.t_s - *prev).max(0.0);
-        let idx = BlameCategory::of_event(&r.event).index();
-        span.e2e_by_cause[idx] += gap;
-        if span.first_token_s.is_none() {
-            span.ttft_by_cause[idx] += gap;
-            if matches!(r.event, TraceEvent::FirstToken) {
-                span.first_token_s = Some(r.t_s);
-            }
-        }
-        *prev = prev.max(r.t_s);
-        span.end_s = span.end_s.max(r.t_s);
-        if matches!(r.event, TraceEvent::Finished) {
-            span.finished = true;
+    LifecycleFold::replay(records, |_, _| {})
+}
+
+/// Mean phase times across finished requests — the digest that lands in
+/// `DecodeReport`.
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+pub struct BreakdownSummary {
+    /// Requests whose lifecycle closed with `Finished`.
+    pub requests: usize,
+    /// Mean seconds queued per finished request.
+    pub mean_queue_s: f64,
+    /// Mean seconds in chunked prefill.
+    pub mean_prefill_s: f64,
+    /// Mean seconds decoding.
+    pub mean_decode_s: f64,
+    /// Mean seconds stalled (preemption, swap, restore).
+    pub mean_stall_s: f64,
+}
+
+impl BreakdownSummary {
+    /// Averages the phases of a [`blame_spans`] reduction's finished
+    /// requests.
+    pub fn of(spans: &BTreeMap<u64, BlameBreakdown>) -> Self {
+        let finished: Vec<&BlameBreakdown> = spans.values().filter(|s| s.finished).collect();
+        let n = finished.len().max(1) as f64;
+        let mean = |p: Phase| finished.iter().map(|s| s.phase_s[p as usize]).sum::<f64>() / n;
+        BreakdownSummary {
+            requests: finished.len(),
+            mean_queue_s: mean(Phase::Queue),
+            mean_prefill_s: mean(Phase::Prefill),
+            mean_decode_s: mean(Phase::Decode),
+            mean_stall_s: mean(Phase::Stall),
         }
     }
-    spans
+
+    /// Sum of the mean phase times — the mean end-to-end latency.
+    pub fn mean_total_s(&self) -> f64 {
+        self.mean_queue_s + self.mean_prefill_s + self.mean_decode_s + self.mean_stall_s
+    }
 }
 
 /// Fleet-level blame accumulator: per-category totals plus per-category
@@ -599,6 +652,69 @@ mod tests {
         // The preemption gap is page pressure; the requeue gap is queue.
         assert!((b.e2e_by_cause[BlameCategory::KvPoolExhausted.index()] - 0.5).abs() < 1e-12);
         assert!((b.e2e_by_cause[BlameCategory::QueueBehindAdmission.index()] - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn phases_tile_the_lifecycle_exactly() {
+        let sink = TraceSink::enabled();
+        // arrival 1.0, admitted 1.5 (queue 0.5), chunk 2.0 (prefill 0.5),
+        // first token 2.25 (prefill 0.25), preempted 2.5 (stall 0.25),
+        // re-admitted 3.0 (queue 0.5), chunk 3.5 (prefill 0.5),
+        // decode 4.0 (decode 0.5), finished 4.0.
+        sink.record(1.5, 9, TraceEvent::Admitted { arrival_s: 1.0 });
+        sink.record(2.0, 9, TraceEvent::PrefillChunk { tokens: 64 });
+        sink.record(2.25, 9, TraceEvent::FirstToken);
+        sink.record(
+            2.5,
+            9,
+            TraceEvent::Preempted {
+                policy: "recompute",
+            },
+        );
+        sink.record(3.0, 9, TraceEvent::Admitted { arrival_s: 1.0 });
+        sink.record(3.5, 9, TraceEvent::PrefillChunk { tokens: 64 });
+        sink.record(
+            4.0,
+            9,
+            TraceEvent::DecodeStep {
+                attended: 64,
+                cached: 64,
+            },
+        );
+        sink.record(4.0, 9, TraceEvent::Finished);
+        let b = blame_spans(&sink.drain())[&9];
+        assert!(b.finished);
+        let phase = |p: Phase| b.phase_s[p as usize];
+        assert!((phase(Phase::Queue) - 1.0).abs() < 1e-12);
+        assert!((phase(Phase::Prefill) - 1.25).abs() < 1e-12);
+        assert!((phase(Phase::Stall) - 0.25).abs() < 1e-12);
+        assert!((phase(Phase::Decode) - 0.5).abs() < 1e-12);
+        let total: f64 = b.phase_s.iter().sum();
+        assert!((total - (b.end_s - b.arrival_s)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn device_lane_is_skipped_and_summary_averages_finished_only() {
+        let sink = TraceSink::enabled();
+        sink.record(
+            1.0,
+            crate::sink::DEVICE_LANE,
+            TraceEvent::Step {
+                prefill_rows: 8,
+                decode_slots: 2,
+                gpu_s: 0.5,
+            },
+        );
+        sink.record(0.5, 0, TraceEvent::Admitted { arrival_s: 0.0 });
+        sink.record(1.0, 0, TraceEvent::FirstToken);
+        sink.record(1.5, 0, TraceEvent::Finished);
+        sink.record(0.5, 1, TraceEvent::Admitted { arrival_s: 0.0 });
+        let spans = blame_spans(&sink.drain());
+        assert_eq!(spans.len(), 2, "device lane excluded");
+        let sum = BreakdownSummary::of(&spans);
+        assert_eq!(sum.requests, 1, "unfinished request not averaged");
+        assert!((sum.mean_queue_s - 0.5).abs() < 1e-12);
+        assert!((sum.mean_total_s() - 1.5).abs() < 1e-12);
     }
 
     #[test]

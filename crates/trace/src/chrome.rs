@@ -6,9 +6,9 @@
 //! iteration), tids 1 and 2 are the PCIe link directions (one complete
 //! event per transfer, spanning initiation to landing), and each
 //! sequence gets its own tid carrying its phase spans
-//! (queue/prefill/decode/stall segments from the same gap attribution as
-//! [`crate::reduce_spans`]) plus instant markers for admissions, prefix
-//! hits, preemptions and sparsity evictions.
+//! (queue/prefill/decode/stall segments over the gaps the
+//! [`crate::LifecycleFold`] attributes) plus instant markers for
+//! admissions, prefix hits, preemptions and sparsity evictions.
 //!
 //! Timestamps and durations are microseconds (the format's unit); all
 //! events share pid 1. Event shapes are emitted by hand rather than
@@ -16,6 +16,7 @@
 //! args, and the vendored derive skips generic types.
 
 use crate::exemplar::ExemplarSet;
+use crate::lifecycle::LifecycleFold;
 use crate::sink::{TraceEvent, TraceRecord, DEVICE_LANE, RESERVED_LANES};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -92,9 +93,8 @@ fn write_args(out: &mut String, args: &[(&str, f64)]) {
     out.push('}');
 }
 
-/// Phase name of a sequence-lane gap; mirrors the breakdown attribution.
-/// Typed waits name their segment by cause, so causal stalls read
-/// directly off the timeline.
+/// Phase name of a sequence-lane gap. Typed waits name their segment by
+/// cause, so causal stalls read directly off the timeline.
 fn gap_name(event: &TraceEvent) -> Option<&'static str> {
     Some(match event {
         TraceEvent::Admitted { .. } => "queue",
@@ -108,89 +108,77 @@ fn gap_name(event: &TraceEvent) -> Option<&'static str> {
     })
 }
 
-/// The wait-start anchor a lane's first event implies.
-fn lane_anchor(event: &TraceEvent, t_s: f64) -> f64 {
-    match event {
-        TraceEvent::Admitted { arrival_s } => *arrival_s,
-        TraceEvent::Waiting { since_s, .. } => *since_s,
-        _ => t_s,
-    }
-}
-
-/// Replays one sequence lane's records as gap segments plus instant
-/// markers on `(pid, tid)` — the shared body of the main export's
-/// sequence lanes and the exemplar lanes. When `link_tids` is set, swap
-/// transfers also paint the pid-1 link lanes.
-fn render_seq_lane(
+/// Paints one sequence-lane record on `(pid, tid)`: the gap segment
+/// ending at it (starting at `since_s`, where the lifecycle fold says the
+/// gap began) plus its instant marker — the shared body of the main
+/// export's sequence lanes and the exemplar lanes. When `link_tids` is
+/// set, swap transfers also paint the pid-1 link lanes.
+fn render_seq_event(
     events: &mut Vec<String>,
-    records: impl Iterator<Item = (f64, TraceEvent)>,
+    r: &TraceRecord,
+    since_s: f64,
     pid: u64,
     tid: u64,
-    lane: u64,
-    prev: &mut Option<f64>,
     link_tids: bool,
 ) {
-    for (t_s, event) in records {
-        let mut buf = String::new();
-        let p = prev.get_or_insert_with(|| lane_anchor(&event, t_s));
-        if let Some(name) = gap_name(&event) {
-            if t_s > *p {
-                let mut seg = String::new();
-                complete(&mut seg, name, *p, t_s, pid, tid, &[]);
-                events.push(seg);
-            }
+    let (t_s, lane) = (r.t_s, r.lane);
+    if let Some(name) = gap_name(&r.event) {
+        if t_s > since_s {
+            let mut seg = String::new();
+            complete(&mut seg, name, since_s, t_s, pid, tid, &[]);
+            events.push(seg);
         }
-        *p = p.max(t_s);
-        match event {
-            // Link transfers also paint the link lanes.
-            TraceEvent::SwapOut {
-                pages, initiated_s, ..
-            } if link_tids => complete(
-                &mut buf,
-                "swap_out",
-                initiated_s,
-                t_s,
-                1,
-                TID_D2H,
-                &[("pages", pages as f64), ("seq", lane as f64)],
-            ),
-            TraceEvent::SwapIn {
-                pages, initiated_s, ..
-            } if link_tids => complete(
-                &mut buf,
-                "swap_in",
-                initiated_s,
-                t_s,
-                1,
-                TID_H2D,
-                &[("pages", pages as f64), ("seq", lane as f64)],
-            ),
-            TraceEvent::Admitted { .. }
-            | TraceEvent::FirstToken
-            | TraceEvent::Finished
-            | TraceEvent::Rejected
-            | TraceEvent::Preempted { .. } => instant(&mut buf, event.name(), t_s, pid, tid, &[]),
-            TraceEvent::PrefixHit { pages, tokens } => instant(
-                &mut buf,
-                "prefix_hit",
-                t_s,
-                pid,
-                tid,
-                &[("pages", pages as f64), ("tokens", tokens as f64)],
-            ),
-            TraceEvent::SparsityEvict { pages } => instant(
-                &mut buf,
-                "sparsity_evict",
-                t_s,
-                pid,
-                tid,
-                &[("pages", pages as f64)],
-            ),
-            _ => {}
-        }
-        if !buf.is_empty() {
-            events.push(buf);
-        }
+    }
+    let mut buf = String::new();
+    match r.event {
+        // Link transfers also paint the link lanes.
+        TraceEvent::SwapOut {
+            pages, initiated_s, ..
+        } if link_tids => complete(
+            &mut buf,
+            "swap_out",
+            initiated_s,
+            t_s,
+            1,
+            TID_D2H,
+            &[("pages", pages as f64), ("seq", lane as f64)],
+        ),
+        TraceEvent::SwapIn {
+            pages, initiated_s, ..
+        } if link_tids => complete(
+            &mut buf,
+            "swap_in",
+            initiated_s,
+            t_s,
+            1,
+            TID_H2D,
+            &[("pages", pages as f64), ("seq", lane as f64)],
+        ),
+        TraceEvent::Admitted { .. }
+        | TraceEvent::FirstToken
+        | TraceEvent::Finished
+        | TraceEvent::Rejected
+        | TraceEvent::Preempted { .. } => instant(&mut buf, r.event.name(), t_s, pid, tid, &[]),
+        TraceEvent::PrefixHit { pages, tokens } => instant(
+            &mut buf,
+            "prefix_hit",
+            t_s,
+            pid,
+            tid,
+            &[("pages", pages as f64), ("tokens", tokens as f64)],
+        ),
+        TraceEvent::SparsityEvict { pages } => instant(
+            &mut buf,
+            "sparsity_evict",
+            t_s,
+            pid,
+            tid,
+            &[("pages", pages as f64)],
+        ),
+        _ => {}
+    }
+    if !buf.is_empty() {
+        events.push(buf);
     }
 }
 
@@ -216,9 +204,7 @@ fn render_events(records: &[TraceRecord]) -> Vec<String> {
         thread_name(&mut events, &format!("seq {seq}"), 1, tid);
     }
 
-    // Per-sequence gap segmentation: last event time per lane.
-    let mut prev: BTreeMap<u64, Option<f64>> = BTreeMap::new();
-
+    let mut fold = LifecycleFold::new();
     for r in records {
         match (&r.event, r.lane) {
             (
@@ -244,18 +230,11 @@ fn render_events(records: &[TraceRecord]) -> Vec<String> {
                 );
                 events.push(buf);
             }
-            (_, lane) if lane >= RESERVED_LANES => {}
-            (event, lane) => {
-                let tid = seq_tids[&lane];
-                render_seq_lane(
-                    &mut events,
-                    std::iter::once((r.t_s, event.clone())),
-                    1,
-                    tid,
-                    lane,
-                    prev.entry(lane).or_insert(None),
-                    true,
-                );
+            _ => {
+                if let Some(step) = fold.observe(r.t_s, r.lane, &r.event) {
+                    let tid = seq_tids[&r.lane];
+                    render_seq_event(&mut events, r, step.since_s, 1, tid, true);
+                }
             }
         }
     }
@@ -304,16 +283,12 @@ pub fn chrome_trace_json_with_exemplars(
                 2,
                 tid,
             );
-            let mut prev = None;
-            render_seq_lane(
-                &mut events,
-                tl.records.iter().map(|r| (r.t_s, r.event.clone())),
-                2,
-                tid,
-                tl.lane,
-                &mut prev,
-                false,
-            );
+            let mut fold = LifecycleFold::new();
+            for r in &tl.records {
+                if let Some(step) = fold.observe(r.t_s, r.lane, &r.event) {
+                    render_seq_event(&mut events, r, step.since_s, 2, tid, false);
+                }
+            }
             tid += 1;
         }
     }

@@ -1,19 +1,19 @@
-//! Online drift detection: windowed sketches against a committed
+//! Online drift detection: latency sketches against a committed
 //! baseline.
 //!
-//! The [`LatencySketch`]'s bucket-wise merge is associative, so
-//! per-window sketches compose into any coarser window — a
-//! [`DriftDetector`] exploits exactly that: it folds observations into
-//! fixed windows, merges them on demand, and compares the merged
-//! quantiles (and the blame cause mix) against a [`DriftBaseline`]
-//! captured from a known-good run. A shift beyond tolerance raises a
-//! typed [`DriftAlarm`], surfaced through `SloReport` and the
-//! `trace_explain` CLI — the existing sketches become an online
-//! regression alarm without any new per-request state.
+//! A [`DriftDetector`] folds observations — a drained record stream, or
+//! the live hub's per-event [`Latency`] feed — into TTFT / ITL / e2e
+//! sketches and compares their quantiles (and the blame cause mix)
+//! against a [`DriftBaseline`] captured from a known-good run. A shift
+//! beyond tolerance raises a typed [`DriftAlarm`], surfaced through
+//! `SloReport` and the `trace_explain` CLI — the existing sketches become
+//! an online regression alarm without any new per-request state. Sketch
+//! merge is exact, so observations split across calls (or runs) alarm
+//! exactly as if they had been folded at once.
 
-use crate::blame::{blame_spans, BlameAggregate, BlameSummary};
-use crate::sink::{TraceEvent, TraceRecord, RESERVED_LANES};
-use crate::sketch::LatencySketch;
+use crate::blame::{BlameAggregate, BlameSummary};
+use crate::lifecycle::{Latency, LatencySketches, LifecycleFold};
+use crate::sink::TraceRecord;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -99,56 +99,35 @@ impl Default for DriftPolicy {
     }
 }
 
-/// Replays a record stream into per-request TTFT / ITL / e2e samples —
-/// the same lifecycle convention `SloMonitor::observe` uses (first
-/// token closes TTFT, later token gaps are ITLs, `Finished` closes
-/// e2e).
-fn fold_latencies(
-    records: &[TraceRecord],
-    ttft: &mut LatencySketch,
-    itl: &mut LatencySketch,
-    e2e: &mut LatencySketch,
-) {
-    let mut lanes: BTreeMap<u64, (f64, Option<f64>)> = BTreeMap::new();
-    for r in records {
-        if r.lane >= RESERVED_LANES {
-            continue;
+/// `(cause name, e2e share)` of a blame summary.
+fn cause_mix(summary: &BlameSummary) -> Vec<(String, f64)> {
+    summary
+        .causes
+        .iter()
+        .map(|c| (c.cause.clone(), c.e2e_share))
+        .collect()
+}
+
+/// A sorted record stream's latency sketches and blame cause mix, from
+/// one pass of the lifecycle fold.
+fn digest(records: &[TraceRecord]) -> (LatencySketches, Vec<(String, f64)>) {
+    let mut latency = LatencySketches::default();
+    let spans = LifecycleFold::replay(records, |_, step| {
+        if let Some(l) = step.latency {
+            latency.record(l);
         }
-        let entry = lanes.entry(r.lane).or_insert_with(|| {
-            let arrival = match r.event {
-                TraceEvent::Admitted { arrival_s } => arrival_s,
-                TraceEvent::Waiting { since_s, .. } => since_s,
-                _ => r.t_s,
-            };
-            (arrival, None)
-        });
-        if let TraceEvent::Admitted { arrival_s } = r.event {
-            entry.0 = entry.0.min(arrival_s);
-        }
-        match r.event {
-            TraceEvent::FirstToken | TraceEvent::DecodeStep { .. } => {
-                match entry.1 {
-                    None => ttft.record(r.t_s - entry.0),
-                    Some(prev) => itl.record((r.t_s - prev).max(0.0)),
-                }
-                entry.1 = Some(r.t_s);
-            }
-            TraceEvent::Finished => e2e.record(r.t_s - entry.0),
-            _ => {}
-        }
-    }
+    });
+    let mut agg = BlameAggregate::new();
+    agg.fold_spans(&spans);
+    (latency, cause_mix(&agg.summary()))
 }
 
 /// A committed reference distribution: latency sketches plus the blame
 /// cause mix of a known-good run.
 #[derive(Debug, Clone)]
 pub struct DriftBaseline {
-    /// TTFT distribution of the baseline run.
-    pub ttft: LatencySketch,
-    /// Inter-token-latency distribution.
-    pub itl: LatencySketch,
-    /// End-to-end distribution.
-    pub e2e: LatencySketch,
+    /// TTFT / ITL / e2e distributions of the baseline run.
+    pub latency: LatencySketches,
     /// `(cause name, e2e share)` of the baseline's blame summary.
     pub cause_share: Vec<(String, f64)>,
 }
@@ -156,177 +135,68 @@ pub struct DriftBaseline {
 impl DriftBaseline {
     /// Captures a baseline from a known-good run's sorted records.
     pub fn from_records(records: &[TraceRecord]) -> Self {
-        let mut ttft = LatencySketch::new();
-        let mut itl = LatencySketch::new();
-        let mut e2e = LatencySketch::new();
-        fold_latencies(records, &mut ttft, &mut itl, &mut e2e);
-        let mut agg = BlameAggregate::new();
-        agg.fold_spans(&blame_spans(records));
-        let cause_share = agg
-            .summary()
-            .causes
-            .iter()
-            .map(|c| (c.cause.clone(), c.e2e_share))
-            .collect();
+        let (latency, cause_share) = digest(records);
         DriftBaseline {
-            ttft,
-            itl,
-            e2e,
+            latency,
             cause_share,
         }
     }
 }
 
-/// One window's worth of observation sketches.
-#[derive(Debug, Clone)]
-struct WindowSketches {
-    ttft: LatencySketch,
-    itl: LatencySketch,
-    e2e: LatencySketch,
-}
-
-impl WindowSketches {
-    fn new() -> Self {
-        WindowSketches {
-            ttft: LatencySketch::new(),
-            itl: LatencySketch::new(),
-            e2e: LatencySketch::new(),
-        }
-    }
-}
-
-/// Folds observations into time windows and compares the merged
-/// distributions (and cause mix) against the baseline.
+/// Folds observations into one sketch per metric and compares them (and
+/// the cause mix) against the baseline.
 #[derive(Debug)]
 pub struct DriftDetector {
     baseline: DriftBaseline,
     policy: DriftPolicy,
-    window_s: f64,
-    windows: Vec<WindowSketches>,
+    observed: LatencySketches,
     observed_mix: Vec<(String, f64)>,
 }
 
 impl DriftDetector {
-    /// A detector comparing against `baseline` with `policy`
-    /// thresholds, windowing observations every `window_s` seconds.
-    pub fn new(baseline: DriftBaseline, policy: DriftPolicy, window_s: f64) -> Self {
-        assert!(
-            window_s.is_finite() && window_s > 0.0,
-            "window must be positive"
-        );
+    /// A detector comparing against `baseline` with `policy` thresholds.
+    pub fn new(baseline: DriftBaseline, policy: DriftPolicy) -> Self {
         DriftDetector {
             baseline,
             policy,
-            window_s,
-            windows: Vec::new(),
+            observed: LatencySketches::default(),
             observed_mix: Vec::new(),
         }
     }
 
-    /// Folds a sorted record stream into the detector's windows (by
-    /// each sample's completion time) and refreshes the observed cause
-    /// mix from the stream's blame reduction.
+    /// Folds a sorted record stream's latencies into the observed
+    /// sketches and replaces the observed cause mix with the stream's
+    /// blame reduction — both from one pass.
     pub fn observe(&mut self, records: &[TraceRecord]) {
-        // Window per sample completion: replay per window slice so each
-        // window's sketch only sees its own samples. Requests are
-        // assigned by their *arrival* window — windows then compose
-        // associatively regardless of where a lifecycle ends.
-        let mut by_window: BTreeMap<usize, Vec<TraceRecord>> = BTreeMap::new();
-        let mut lane_window: BTreeMap<u64, usize> = BTreeMap::new();
-        for r in records {
-            if r.lane >= RESERVED_LANES {
-                continue;
-            }
-            let w = *lane_window.entry(r.lane).or_insert_with(|| {
-                let arrival = match r.event {
-                    TraceEvent::Admitted { arrival_s } => arrival_s,
-                    TraceEvent::Waiting { since_s, .. } => since_s,
-                    _ => r.t_s,
-                };
-                (arrival / self.window_s).floor().max(0.0) as usize
-            });
-            by_window.entry(w).or_default().push(r.clone());
-        }
-        for (w, recs) in by_window {
-            while self.windows.len() <= w {
-                self.windows.push(WindowSketches::new());
-            }
-            let win = &mut self.windows[w];
-            fold_latencies(&recs, &mut win.ttft, &mut win.itl, &mut win.e2e);
-        }
-        let mut agg = BlameAggregate::new();
-        agg.fold_spans(&blame_spans(records));
-        self.observe_blame(&agg.summary());
+        let (latency, mix) = digest(records);
+        self.observed.merge(&latency);
+        self.observed_mix = mix;
     }
 
-    /// Records one time-to-first-token observation into the window at
-    /// `t_s` — the incremental feed the live [`crate::MetricsHub`] uses.
-    /// Merge associativity makes `alarms()` indifferent to which window
-    /// a sample lands in, so the incremental and batch (`observe`) paths
-    /// agree on the merged comparison.
-    pub fn record_ttft(&mut self, t_s: f64, v_s: f64) {
-        self.window_at(t_s).ttft.record(v_s);
-    }
-
-    /// Records one inter-token-latency observation at `t_s`.
-    pub fn record_itl(&mut self, t_s: f64, v_s: f64) {
-        self.window_at(t_s).itl.record(v_s);
-    }
-
-    /// Records one end-to-end completion observation at `t_s`.
-    pub fn record_e2e(&mut self, t_s: f64, v_s: f64) {
-        self.window_at(t_s).e2e.record(v_s);
-    }
-
-    fn window_at(&mut self, t_s: f64) -> &mut WindowSketches {
-        let idx = (t_s.max(0.0) / self.window_s) as usize;
-        while self.windows.len() <= idx {
-            self.windows.push(WindowSketches::new());
-        }
-        &mut self.windows[idx]
+    /// Records one latency observation — the incremental feed the live
+    /// [`crate::MetricsHub`] uses.
+    pub(crate) fn record(&mut self, latency: Latency) {
+        self.observed.record(latency);
     }
 
     /// Sets the observed cause mix from an already-computed blame
     /// summary (for callers that aggregated blame themselves).
     pub fn observe_blame(&mut self, summary: &BlameSummary) {
-        self.observed_mix = summary
-            .causes
-            .iter()
-            .map(|c| (c.cause.clone(), c.e2e_share))
-            .collect();
+        self.observed_mix = cause_mix(summary);
     }
 
-    /// Windows populated so far.
-    pub fn window_count(&self) -> usize {
-        self.windows.len()
-    }
-
-    /// Merges every window's sketches into one `(ttft, itl, e2e)`
-    /// triple — bucket-wise, so the result is identical to having
-    /// folded all samples into a single sketch (merge associativity).
-    pub fn merged(&self) -> (LatencySketch, LatencySketch, LatencySketch) {
-        let mut ttft = LatencySketch::new();
-        let mut itl = LatencySketch::new();
-        let mut e2e = LatencySketch::new();
-        for w in &self.windows {
-            ttft.merge(&w.ttft);
-            itl.merge(&w.itl);
-            e2e.merge(&w.e2e);
-        }
-        (ttft, itl, e2e)
-    }
-
-    /// Compares merged observations against the baseline; returned
-    /// alarms are in a deterministic order (metrics × quantiles, then
-    /// causes by name).
+    /// Compares the observations against the baseline; returned alarms
+    /// are in a deterministic order (metrics × quantiles, then causes by
+    /// name).
     pub fn alarms(&self) -> Vec<DriftAlarm> {
         let mut alarms = Vec::new();
-        let (ttft, itl, e2e) = self.merged();
-        for (name, base, obs) in [
-            ("ttft", &self.baseline.ttft, &ttft),
-            ("itl", &self.baseline.itl, &itl),
-            ("e2e", &self.baseline.e2e, &e2e),
-        ] {
+        for ((name, base), (_, obs)) in self
+            .baseline
+            .latency
+            .named()
+            .into_iter()
+            .zip(self.observed.named())
+        {
             if obs.count() < self.policy.min_count || base.count() == 0 {
                 continue;
             }
@@ -381,7 +251,7 @@ impl DriftDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::TraceSink;
+    use crate::sink::{TraceEvent, TraceSink};
 
     /// `n` requests, one per second, each with the given ttft and one
     /// decode gap.
@@ -407,16 +277,15 @@ mod tests {
     #[test]
     fn no_alarms_when_observation_matches_baseline() {
         let base = DriftBaseline::from_records(&run(30, 0.2, 0.05));
-        let mut det = DriftDetector::new(base, DriftPolicy::default(), 10.0);
+        let mut det = DriftDetector::new(base, DriftPolicy::default());
         det.observe(&run(30, 0.2, 0.05));
-        assert!(det.window_count() >= 3, "arrivals span several windows");
         assert_eq!(det.alarms(), Vec::new());
     }
 
     #[test]
     fn quantile_shift_beyond_tolerance_alarms() {
         let base = DriftBaseline::from_records(&run(30, 0.2, 0.05));
-        let mut det = DriftDetector::new(base, DriftPolicy::default(), 10.0);
+        let mut det = DriftDetector::new(base, DriftPolicy::default());
         det.observe(&run(30, 0.4, 0.05));
         let alarms = det.alarms();
         assert!(!alarms.is_empty());
@@ -431,31 +300,31 @@ mod tests {
     }
 
     #[test]
-    fn merged_windows_equal_single_sketch() {
-        let records = run(25, 0.3, 0.02);
-        let mut det = DriftDetector::new(
-            DriftBaseline::from_records(&records),
-            DriftPolicy::default(),
-            5.0,
-        );
-        det.observe(&records);
-        assert!(det.window_count() >= 4);
-        let (ttft, _, e2e) = det.merged();
-        let mut whole_ttft = LatencySketch::new();
-        let mut whole_itl = LatencySketch::new();
-        let mut whole_e2e = LatencySketch::new();
-        fold_latencies(&records, &mut whole_ttft, &mut whole_itl, &mut whole_e2e);
-        assert_eq!(ttft.count(), whole_ttft.count());
-        for q in [0.1, 0.5, 0.9, 0.99] {
-            assert_eq!(ttft.quantile(q), whole_ttft.quantile(q));
-            assert_eq!(e2e.quantile(q), whole_e2e.quantile(q));
-        }
+    fn split_observations_alarm_like_one_pass() {
+        // Sketch merge is exact: a stream observed in two halves (split
+        // at a lane boundary — each lane's four records are contiguous)
+        // raises exactly the alarms of one pass over the whole.
+        let base = DriftBaseline::from_records(&run(30, 0.2, 0.05));
+        let shifted = run(40, 0.4, 0.05);
+        let mut whole = DriftDetector::new(base.clone(), DriftPolicy::default());
+        whole.observe(&shifted);
+        let mut split = DriftDetector::new(base, DriftPolicy::default());
+        split.observe(&shifted[..80]);
+        split.observe(&shifted[80..]);
+        // The cause mix is replaced, not merged, per observation.
+        split.observe_blame(&{
+            let mut agg = BlameAggregate::new();
+            agg.fold_spans(&crate::blame::blame_spans(&shifted));
+            agg.summary()
+        });
+        assert!(!whole.alarms().is_empty());
+        assert_eq!(whole.alarms(), split.alarms());
     }
 
     #[test]
     fn cause_mix_shift_alarms() {
         let base = DriftBaseline::from_records(&run(30, 0.2, 0.05));
-        let mut det = DriftDetector::new(base, DriftPolicy::default(), 10.0);
+        let mut det = DriftDetector::new(base, DriftPolicy::default());
         // Same latencies, but now most of each request's time is a
         // typed kv-pool wait instead of prefill.
         let sink = TraceSink::enabled();

@@ -16,7 +16,8 @@
 //! asc)`, so two replays of the same trace capture byte-identical
 //! exemplar sets — the property `tests/blame_invariants.rs` pins.
 
-use crate::sink::{TraceEvent, TraceRecord};
+use crate::lifecycle::{Latency, LifecycleFold};
+use crate::sink::TraceRecord;
 
 /// One captured request lifecycle: the lane, the metric value that
 /// ranked it, and every event the request emitted.
@@ -64,15 +65,13 @@ impl ExemplarSet {
 /// Accumulates candidate timelines, keeping the top `k` per metric.
 #[derive(Debug)]
 pub struct ExemplarReservoir {
-    k: usize,
-    ttft: Vec<ExemplarTimeline>,
-    itl: Vec<ExemplarTimeline>,
-    e2e: Vec<ExemplarTimeline>,
+    set: ExemplarSet,
 }
 
 /// Inserts `(lane, value, records)` into a worst-first list bounded at
 /// `k`, ranked by `(value desc, lane asc)` — deterministic under
-/// replay. Returns without cloning when the candidate cannot rank.
+/// replay. Returns without cloning when the candidate cannot rank (or
+/// `k == 0`).
 fn insert_topk(
     list: &mut Vec<ExemplarTimeline>,
     k: usize,
@@ -80,9 +79,6 @@ fn insert_topk(
     value_s: f64,
     records: &[TraceRecord],
 ) {
-    if k == 0 {
-        return;
-    }
     let pos =
         list.partition_point(|t| t.value_s > value_s || (t.value_s == value_s && t.lane < lane));
     if pos >= k {
@@ -104,79 +100,56 @@ impl ExemplarReservoir {
     /// disables capture).
     pub fn new(k: usize) -> Self {
         ExemplarReservoir {
-            k,
-            ttft: Vec::new(),
-            itl: Vec::new(),
-            e2e: Vec::new(),
+            set: ExemplarSet {
+                k,
+                ..ExemplarSet::default()
+            },
         }
     }
 
     /// Whether offers can rank at all.
     pub fn is_enabled(&self) -> bool {
-        self.k > 0
+        self.set.k > 0
     }
 
     /// Offers one request's complete timeline. Only lifecycles closed by
     /// `Finished` rank (an unfinished lane's end is an artifact of where
-    /// the replay stopped); the metrics are computed from the records
-    /// themselves, so the reservoir needs no side channel.
+    /// the replay stopped); the metrics come from replaying the records
+    /// through the lifecycle fold, so the reservoir needs no side channel.
     pub fn offer(&mut self, lane: u64, records: &[TraceRecord]) {
-        if self.k == 0 || records.is_empty() {
+        let set = &mut self.set;
+        if set.k == 0 {
             return;
         }
-        let first = &records[0];
-        let arrival = match first.event {
-            TraceEvent::Admitted { arrival_s } => arrival_s,
-            TraceEvent::Waiting { since_s, .. } => since_s,
-            _ => first.t_s,
+        let (mut ttft, mut max_itl, mut e2e) = (None, 0.0_f64, None);
+        LifecycleFold::replay(records, |_, step| match step.latency {
+            Some(Latency::Ttft(v)) => ttft = Some(v),
+            Some(Latency::Itl(v)) => max_itl = max_itl.max(v),
+            Some(Latency::E2e(v)) => e2e = Some(v),
+            None => {}
+        });
+        let Some(e2e) = e2e else {
+            return;
         };
-        let mut finished = false;
-        let mut first_token: Option<f64> = None;
-        let mut last_token: Option<f64> = None;
-        let mut max_itl = 0.0_f64;
-        let mut end = arrival;
-        for r in records {
-            match r.event {
-                TraceEvent::FirstToken | TraceEvent::DecodeStep { .. } => {
-                    if first_token.is_none() {
-                        first_token = Some(r.t_s);
-                    }
-                    if let Some(prev) = last_token {
-                        max_itl = max_itl.max(r.t_s - prev);
-                    }
-                    last_token = Some(r.t_s);
-                }
-                TraceEvent::Finished => finished = true,
-                _ => {}
-            }
-            end = end.max(r.t_s);
-        }
-        if !finished {
-            return;
-        }
-        if let Some(ft) = first_token {
-            insert_topk(&mut self.ttft, self.k, lane, ft - arrival, records);
+        if let Some(ttft) = ttft {
+            insert_topk(&mut set.ttft, set.k, lane, ttft, records);
         }
         if max_itl > 0.0 {
-            insert_topk(&mut self.itl, self.k, lane, max_itl, records);
+            insert_topk(&mut set.itl, set.k, lane, max_itl, records);
         }
-        insert_topk(&mut self.e2e, self.k, lane, end - arrival, records);
+        insert_topk(&mut set.e2e, set.k, lane, e2e, records);
     }
 
     /// Freezes the reservoir into its final set.
     pub fn finish(self) -> ExemplarSet {
-        ExemplarSet {
-            k: self.k,
-            ttft: self.ttft,
-            itl: self.itl,
-            e2e: self.e2e,
-        }
+        self.set
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::TraceEvent;
 
     fn timeline(lane: u64, arrival: f64, ttft: f64, steps: &[f64]) -> Vec<TraceRecord> {
         let mut ord = 0;

@@ -23,19 +23,22 @@
 //!    publishing thread onto one of [`COUNTER_SHARDS`] independently
 //!    locked maps, so the threaded runtime's workers never contend with
 //!    each other — readers merge the shards on scrape.
-//! 3. **Windowed state evaluates inside the hub.** Each observation
-//!    lands in a fixed-width window on the publisher's clock; the
-//!    embedded [`SloMonitor`] and [`DriftDetector`] fold the same
-//!    observations, so attainment, burn rate and typed drift alarms are
-//!    current *mid-run* instead of materialising at the end.
+//! 3. **Windowed state evaluates inside the hub.** Lifecycle events run
+//!    through the same [`LifecycleFold`] every post-hoc consumer uses;
+//!    each latency it yields lands in a fixed-width window on the
+//!    publisher's clock, and the embedded [`SloMonitor`] and
+//!    [`DriftDetector`] fold the same observations, so attainment, burn
+//!    rate and typed drift alarms are current *mid-run* instead of
+//!    materialising at the end.
 
 use crate::drift::{DriftAlarm, DriftBaseline, DriftDetector, DriftPolicy};
 use crate::expo::{Exposition, MetricKind, Sample};
-use crate::ledger::{DeviceLedger, StepSample};
-use crate::sink::{TraceEvent, RESERVED_LANES};
-use crate::sketch::LatencySketch;
-use crate::slo::{SloMonitor, SloReport, SloTarget};
-use std::collections::{BTreeMap, VecDeque};
+use crate::ledger::DeviceLedger;
+use crate::lifecycle::{Latency, LatencySketches, LifecycleFold};
+use crate::sink::TraceEvent;
+use crate::slo::{Counts, SloMonitor, SloReport, SloTarget};
+use crate::windows::Windowed;
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 /// Number of independently locked counter/gauge shards; publishers hash
@@ -46,8 +49,8 @@ pub const COUNTER_SHARDS: usize = 8;
 /// How the hub windows, bounds and judges its live state.
 #[derive(Debug, Clone)]
 pub struct HubConfig {
-    /// Window width (publisher-clock seconds) for the series ring and
-    /// the embedded SLO/drift evaluation.
+    /// Window width (publisher-clock seconds) for the series ring, the
+    /// embedded SLO monitor and the drift-alarm refresh cadence.
     pub window_s: f64,
     /// Maximum windows retained in the series ring; older windows are
     /// dropped (and counted) when the run outlives the ring.
@@ -130,12 +133,9 @@ pub struct HubSeries {
 
 /// One window under construction (sketches kept so quantiles are exact
 /// snapshots, not frozen at seal time).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct HubWindow {
-    index: u64,
-    ttft: LatencySketch,
-    itl: LatencySketch,
-    e2e: LatencySketch,
+    latency: LatencySketches,
     steps: u64,
     gpu_s: f64,
     prefill_tokens: u64,
@@ -145,51 +145,17 @@ struct HubWindow {
     finished: u64,
     preemptions: u64,
     kv_occupancy_peak: f64,
-    ttft_ok: u64,
-    itl_ok: u64,
+    /// Attainment counts against the hub's SLO target, when it has one.
+    slo: Counts,
     waits_s: BTreeMap<String, f64>,
 }
 
 impl HubWindow {
-    fn new(index: u64) -> Self {
-        HubWindow {
-            index,
-            ttft: LatencySketch::new(),
-            itl: LatencySketch::new(),
-            e2e: LatencySketch::new(),
-            steps: 0,
-            gpu_s: 0.0,
-            prefill_tokens: 0,
-            decode_tokens: 0,
-            admitted: 0,
-            rejected: 0,
-            finished: 0,
-            preemptions: 0,
-            kv_occupancy_peak: 0.0,
-            ttft_ok: 0,
-            itl_ok: 0,
-            waits_s: BTreeMap::new(),
-        }
-    }
-
-    fn digest(&self, window_s: f64, slo: Option<&SloTarget>) -> HubSeriesWindow {
-        let burn_rate = slo
-            .map(|t| {
-                let att = |ok: u64, total: u64| {
-                    if total == 0 {
-                        1.0
-                    } else {
-                        ok as f64 / total as f64
-                    }
-                };
-                let worst =
-                    att(self.ttft_ok, self.ttft.count()).min(att(self.itl_ok, self.itl.count()));
-                (1.0 - worst) / (1.0 - t.objective)
-            })
-            .unwrap_or(0.0);
+    fn digest(&self, index: u64, window_s: f64, slo: Option<&SloTarget>) -> HubSeriesWindow {
+        let (ttft, itl) = (&self.latency.ttft, &self.latency.itl);
         HubSeriesWindow {
-            index: self.index,
-            start_s: self.index as f64 * window_s,
+            index,
+            start_s: index as f64 * window_s,
             steps: self.steps,
             gpu_s: self.gpu_s,
             prefill_tokens: self.prefill_tokens,
@@ -199,14 +165,14 @@ impl HubWindow {
             finished: self.finished,
             preemptions: self.preemptions,
             kv_occupancy_peak: self.kv_occupancy_peak,
-            ttft_count: self.ttft.count(),
-            ttft_p50_s: self.ttft.quantile(0.50),
-            ttft_p95_s: self.ttft.quantile(0.95),
-            itl_count: self.itl.count(),
-            itl_p50_s: self.itl.quantile(0.50),
-            itl_p95_s: self.itl.quantile(0.95),
-            e2e_p50_s: self.e2e.quantile(0.50),
-            burn_rate,
+            ttft_count: ttft.count(),
+            ttft_p50_s: ttft.quantile(0.50),
+            ttft_p95_s: ttft.quantile(0.95),
+            itl_count: itl.count(),
+            itl_p50_s: itl.quantile(0.50),
+            itl_p95_s: itl.quantile(0.95),
+            e2e_p50_s: self.latency.e2e.quantile(0.50),
+            burn_rate: slo.map_or(0.0, |t| self.slo.burn_rate(t.objective)),
             waits_s: self.waits_s.clone(),
         }
     }
@@ -218,23 +184,19 @@ impl HubWindow {
 /// fire far more often, live in the shards instead).
 #[derive(Debug)]
 struct HubState {
-    /// Per-lane lifecycle fold: (arrival, last token time) — the same
-    /// convention `SloMonitor::observe` replays post hoc.
-    lanes: BTreeMap<u64, (f64, Option<f64>)>,
+    /// The lifecycle fold; a lane's state lives while its request does.
+    fold: LifecycleFold,
     /// Whole-run latency sketches (the `/metrics` summaries).
-    ttft: LatencySketch,
-    itl: LatencySketch,
-    e2e: LatencySketch,
-    /// Window ring, oldest first, consecutive indices.
-    ring: VecDeque<HubWindow>,
-    dropped_windows: u64,
+    latency: LatencySketches,
+    /// Window ring, oldest first; stragglers land in the oldest window.
+    ring: Windowed<HubWindow>,
     slo: Option<SloMonitor>,
     drift: Option<DriftDetector>,
     /// Alarms refreshed at each window roll (and at `finish`).
     alarms: Vec<DriftAlarm>,
     /// Highest window index that has been rolled past (alarm cadence).
     alarmed_through: u64,
-    /// Live device-time ledger fed by `charge_step` / `charge_idle`.
+    /// Live device-time ledger fed by [`MetricsHub::charge`].
     ledger: DeviceLedger,
     /// Latest publisher timestamp seen.
     now_s: f64,
@@ -243,13 +205,18 @@ struct HubState {
     finished_run: bool,
 }
 
+impl HubState {
+    /// The window holding `t_s`, growing the ring as the clock advances.
+    fn window(&mut self, t_s: f64) -> &mut HubWindow {
+        self.ring.at(t_s, |_| HubWindow::default())
+    }
+}
+
 /// The live in-flight metrics registry. Construct one per run (or share
 /// across runs to aggregate), hand `&MetricsHub` to the serving loop and
 /// `Arc<MetricsHub>` to the scrape server.
 #[derive(Debug)]
 pub struct MetricsHub {
-    window_s: f64,
-    ring_capacity: usize,
     slo_target: Option<SloTarget>,
     counters: [Mutex<BTreeMap<String, f64>>; COUNTER_SHARDS],
     gauges: Mutex<BTreeMap<String, f64>>,
@@ -274,22 +241,15 @@ impl MetricsHub {
         );
         assert!(cfg.ring_capacity > 0, "ring capacity must be positive");
         let slo = cfg.slo.map(|t| SloMonitor::new(t, cfg.window_s));
-        let drift = cfg
-            .drift
-            .map(|(b, p)| DriftDetector::new(b, p, cfg.window_s));
+        let drift = cfg.drift.map(|(b, p)| DriftDetector::new(b, p));
         MetricsHub {
-            window_s: cfg.window_s,
-            ring_capacity: cfg.ring_capacity,
             slo_target: cfg.slo,
             counters: Default::default(),
             gauges: Mutex::new(BTreeMap::new()),
             state: Mutex::new(HubState {
-                lanes: BTreeMap::new(),
-                ttft: LatencySketch::new(),
-                itl: LatencySketch::new(),
-                e2e: LatencySketch::new(),
-                ring: VecDeque::new(),
-                dropped_windows: 0,
+                fold: LifecycleFold::new(),
+                latency: LatencySketches::default(),
+                ring: Windowed::ring(cfg.window_s, cfg.ring_capacity),
                 slo,
                 drift,
                 alarms: Vec::new(),
@@ -336,8 +296,9 @@ impl MetricsHub {
     }
 
     /// Publishes one lifecycle event at publisher-clock `t_s` on `lane`.
-    /// The fold mirrors `SloMonitor::observe`'s replay convention, so a
-    /// live hub and a post-hoc monitor agree on every observation.
+    /// Sequence-lane events run through the same [`LifecycleFold`] the
+    /// post-hoc consumers use, so a live hub and a post-hoc
+    /// `SloMonitor::observe` agree on every observation.
     pub fn on_record(&self, t_s: f64, lane: u64, event: &TraceEvent) {
         match *event {
             TraceEvent::Step {
@@ -351,7 +312,7 @@ impl MetricsHub {
                 self.add("pit_hub_decode_tokens_total", decode_slots as f64);
                 let mut st = self.state.lock().expect("hub state");
                 st.now_s = st.now_s.max(t_s);
-                let w = Self::window_mut(&mut st, t_s, self.window_s, self.ring_capacity);
+                let w = st.window(t_s);
                 w.steps += 1;
                 w.gpu_s += gpu_s;
                 w.prefill_tokens += prefill_rows as u64;
@@ -360,157 +321,90 @@ impl MetricsHub {
                 return;
             }
             TraceEvent::SwapOut { pages, .. } => {
-                self.add("pit_hub_swap_out_pages_total", pages as f64);
-                return;
+                self.add("pit_hub_swap_out_pages_total", pages as f64)
             }
             TraceEvent::SwapIn { pages, .. } => {
-                self.add("pit_hub_swap_in_pages_total", pages as f64);
-                return;
+                self.add("pit_hub_swap_in_pages_total", pages as f64)
+            }
+            TraceEvent::PrefillChunk { tokens } => {
+                self.add("pit_hub_prefill_chunk_tokens_total", tokens as f64)
+            }
+            TraceEvent::PrefixHit { tokens, .. } => {
+                self.add("pit_hub_prefix_hit_tokens_total", tokens as f64)
+            }
+            TraceEvent::SparsityEvict { pages } => {
+                self.add("pit_hub_sparsity_evicted_pages_total", pages as f64)
+            }
+            TraceEvent::Admitted { .. } => self.add("pit_hub_admitted_total", 1.0),
+            TraceEvent::Rejected => self.add("pit_hub_rejected_total", 1.0),
+            TraceEvent::Finished => self.add("pit_hub_finished_total", 1.0),
+            TraceEvent::Preempted { .. } => self.add("pit_hub_preemptions_total", 1.0),
+            TraceEvent::Waiting { cause, since_s } => self.add_labelled(
+                "pit_hub_wait_seconds_total",
+                cause.name(),
+                (t_s - since_s).max(0.0),
+            ),
+            TraceEvent::FirstToken | TraceEvent::DecodeStep { .. } => {}
+        }
+        let mut st = self.state.lock().expect("hub state");
+        let Some(step) = st.fold.observe(t_s, lane, event) else {
+            return; // device and link lanes carry no lifecycle
+        };
+        // Transfers and prefill bookkeeping only feed the fold: a restore
+        // is stamped at its future landing, so it must not move the clock.
+        if matches!(
+            event,
+            TraceEvent::SwapOut { .. }
+                | TraceEvent::SwapIn { .. }
+                | TraceEvent::PrefillChunk { .. }
+                | TraceEvent::PrefixHit { .. }
+                | TraceEvent::SparsityEvict { .. }
+        ) {
+            return;
+        }
+        st.now_s = st.now_s.max(t_s);
+        if let Some(latency) = step.latency {
+            self.observe_locked(&mut st, t_s, latency);
+        }
+        if let (TraceEvent::Rejected, Some(m)) = (event, st.slo.as_mut()) {
+            m.record_rejection(t_s);
+        }
+        let w = st.window(t_s);
+        match *event {
+            TraceEvent::Admitted { .. } => w.admitted += 1,
+            TraceEvent::Rejected => w.rejected += 1,
+            TraceEvent::Finished => w.finished += 1,
+            TraceEvent::Preempted { .. } => w.preemptions += 1,
+            TraceEvent::Waiting { cause, since_s } => {
+                *w.waits_s.entry(cause.name().to_string()).or_default() += (t_s - since_s).max(0.0)
             }
             _ => {}
         }
-        if lane >= RESERVED_LANES {
-            return;
-        }
-        match *event {
-            TraceEvent::Admitted { arrival_s } => {
-                self.add("pit_hub_admitted_total", 1.0);
-                let mut st = self.state.lock().expect("hub state");
-                st.now_s = st.now_s.max(t_s);
-                let e = st.lanes.entry(lane).or_insert((arrival_s, None));
-                e.0 = e.0.min(arrival_s);
-                let w = Self::window_mut(&mut st, t_s, self.window_s, self.ring_capacity);
-                w.admitted += 1;
-                self.roll_alarms(&mut st);
-            }
-            TraceEvent::Rejected => {
-                self.add("pit_hub_rejected_total", 1.0);
-                let mut st = self.state.lock().expect("hub state");
-                st.now_s = st.now_s.max(t_s);
-                if let Some(m) = st.slo.as_mut() {
-                    m.record_rejection(t_s);
-                }
-                let w = Self::window_mut(&mut st, t_s, self.window_s, self.ring_capacity);
-                w.rejected += 1;
-                self.roll_alarms(&mut st);
-            }
-            TraceEvent::FirstToken => {
-                let mut st = self.state.lock().expect("hub state");
-                st.now_s = st.now_s.max(t_s);
-                let (arrival, last) = *st.lanes.entry(lane).or_insert((t_s, None));
-                match last {
-                    // Re-admission after preemption: the request already
-                    // produced tokens, so the gap is an ITL.
-                    Some(prev) => Self::observe_itl_locked(self, &mut st, t_s, t_s - prev),
-                    None => Self::observe_ttft_locked(self, &mut st, t_s, t_s - arrival),
-                }
-                st.lanes.get_mut(&lane).expect("inserted above").1 = Some(t_s);
-                self.roll_alarms(&mut st);
-            }
-            TraceEvent::DecodeStep { .. } => {
-                let mut st = self.state.lock().expect("hub state");
-                st.now_s = st.now_s.max(t_s);
-                if let Some((_, last)) = st.lanes.get_mut(&lane) {
-                    if let Some(prev) = *last {
-                        *last = Some(t_s);
-                        Self::observe_itl_locked(self, &mut st, t_s, t_s - prev);
-                    } else {
-                        *last = Some(t_s);
-                    }
-                }
-                self.roll_alarms(&mut st);
-            }
-            TraceEvent::Finished => {
-                self.add("pit_hub_finished_total", 1.0);
-                let mut st = self.state.lock().expect("hub state");
-                st.now_s = st.now_s.max(t_s);
-                if let Some((arrival, _)) = st.lanes.remove(&lane) {
-                    Self::observe_e2e_locked(self, &mut st, t_s, t_s - arrival);
-                }
-                let w = Self::window_mut(&mut st, t_s, self.window_s, self.ring_capacity);
-                w.finished += 1;
-                self.roll_alarms(&mut st);
-            }
-            TraceEvent::Preempted { .. } => {
-                self.add("pit_hub_preemptions_total", 1.0);
-                let mut st = self.state.lock().expect("hub state");
-                st.now_s = st.now_s.max(t_s);
-                let w = Self::window_mut(&mut st, t_s, self.window_s, self.ring_capacity);
-                w.preemptions += 1;
-            }
-            TraceEvent::Waiting { cause, since_s } => {
-                let wait_s = (t_s - since_s).max(0.0);
-                let mut st = self.state.lock().expect("hub state");
-                st.now_s = st.now_s.max(t_s);
-                let w = Self::window_mut(&mut st, t_s, self.window_s, self.ring_capacity);
-                *w.waits_s.entry(cause.name().to_string()).or_default() += wait_s;
-                drop(st);
-                self.add_labelled("pit_hub_wait_seconds_total", cause.name(), wait_s);
-            }
-            TraceEvent::PrefillChunk { tokens } => {
-                self.add("pit_hub_prefill_chunk_tokens_total", tokens as f64);
-            }
-            TraceEvent::PrefixHit { tokens, .. } => {
-                self.add("pit_hub_prefix_hit_tokens_total", tokens as f64);
-            }
-            TraceEvent::SparsityEvict { pages } => {
-                self.add("pit_hub_sparsity_evicted_pages_total", pages as f64);
-            }
-            TraceEvent::Step { .. } | TraceEvent::SwapOut { .. } | TraceEvent::SwapIn { .. } => {
-                unreachable!("handled above")
-            }
+        if !matches!(
+            event,
+            TraceEvent::Preempted { .. } | TraceEvent::Waiting { .. }
+        ) {
+            self.roll_alarms(&mut st);
         }
     }
 
-    /// Records one time-to-first-token observation directly (for loops
-    /// that do not emit lifecycle events, e.g. the batch runtime).
-    pub fn observe_ttft(&self, t_s: f64, v_s: f64) {
+    /// Records one latency observation directly, for loops that do not
+    /// emit lifecycle events (e.g. the batch runtime); an end-to-end
+    /// latency also counts one completion.
+    pub fn observe(&self, t_s: f64, latency: Latency) {
         let mut st = self.state.lock().expect("hub state");
         st.now_s = st.now_s.max(t_s);
-        Self::observe_ttft_locked(self, &mut st, t_s, v_s);
+        self.observe_locked(&mut st, t_s, latency);
+        if let Latency::E2e(_) = latency {
+            st.window(t_s).finished += 1;
+        }
         self.roll_alarms(&mut st);
     }
 
-    /// Records one inter-token-latency observation directly.
-    pub fn observe_itl(&self, t_s: f64, v_s: f64) {
-        let mut st = self.state.lock().expect("hub state");
-        st.now_s = st.now_s.max(t_s);
-        Self::observe_itl_locked(self, &mut st, t_s, v_s);
-        self.roll_alarms(&mut st);
-    }
-
-    /// Records one end-to-end completion observation directly.
-    pub fn observe_e2e(&self, t_s: f64, v_s: f64) {
-        let mut st = self.state.lock().expect("hub state");
-        st.now_s = st.now_s.max(t_s);
-        Self::observe_e2e_locked(self, &mut st, t_s, v_s);
-        let w = Self::window_mut(&mut st, t_s, self.window_s, self.ring_capacity);
-        w.finished += 1;
-        self.roll_alarms(&mut st);
-    }
-
-    /// Charges one step's category split into the hub's live ledger.
-    pub fn charge_step(&self, sample: &StepSample) {
-        let mut st = self.state.lock().expect("hub state");
-        st.ledger.charge_step(sample);
-    }
-
-    /// Charges idle seconds into the hub's live ledger.
-    pub fn charge_idle(&self, seconds: f64) {
-        let mut st = self.state.lock().expect("hub state");
-        st.ledger.charge_idle(seconds);
-    }
-
-    /// Charges a device-to-host swap stall into the hub's live ledger.
-    pub fn charge_d2h_stall(&self, seconds: f64) {
-        let mut st = self.state.lock().expect("hub state");
-        st.ledger.charge_d2h_stall(seconds);
-    }
-
-    /// Charges a host-to-device restore stall into the hub's live ledger.
-    pub fn charge_h2d_stall(&self, seconds: f64) {
-        let mut st = self.state.lock().expect("hub state");
-        st.ledger.charge_h2d_stall(seconds);
+    /// Books one virtual-clock charge into the hub's live ledger, e.g.
+    /// `hub.charge(|l| l.charge_step(&sample))`.
+    pub fn charge(&self, book: impl FnOnce(&mut DeviceLedger)) {
+        book(&mut self.state.lock().expect("hub state").ledger);
     }
 
     /// Publishes the live KV occupancy gauge (also tracked per window).
@@ -519,7 +413,7 @@ impl MetricsHub {
         st.kv_occupancy = occupancy;
         st.kv_occupancy_peak = st.kv_occupancy_peak.max(occupancy);
         let t_s = st.now_s;
-        let w = Self::window_mut(&mut st, t_s, self.window_s, self.ring_capacity);
+        let w = st.window(t_s);
         w.kv_occupancy_peak = w.kv_occupancy_peak.max(occupancy);
     }
 
@@ -534,80 +428,26 @@ impl MetricsHub {
         }
     }
 
-    fn observe_ttft_locked(&self, st: &mut HubState, t_s: f64, v_s: f64) {
-        st.ttft.record(v_s);
+    fn observe_locked(&self, st: &mut HubState, t_s: f64, latency: Latency) {
+        st.latency.record(latency);
         if let Some(m) = st.slo.as_mut() {
-            m.record_ttft(t_s, v_s);
+            m.record(t_s, latency);
         }
         if let Some(d) = st.drift.as_mut() {
-            d.record_ttft(t_s, v_s);
+            d.record(latency);
         }
-        let ok = self.slo_target.is_some_and(|t| v_s <= t.ttft_s);
-        let w = Self::window_mut(st, t_s, self.window_s, self.ring_capacity);
-        w.ttft.record(v_s);
-        w.ttft_ok += u64::from(ok);
-    }
-
-    fn observe_itl_locked(&self, st: &mut HubState, t_s: f64, v_s: f64) {
-        let v_s = v_s.max(0.0);
-        st.itl.record(v_s);
-        if let Some(m) = st.slo.as_mut() {
-            m.record_itl(t_s, v_s);
+        let w = st.window(t_s);
+        w.latency.record(latency);
+        if let Some(t) = &self.slo_target {
+            w.slo.record(t, latency);
         }
-        if let Some(d) = st.drift.as_mut() {
-            d.record_itl(t_s, v_s);
-        }
-        let ok = self.slo_target.is_some_and(|t| v_s <= t.itl_s);
-        let w = Self::window_mut(st, t_s, self.window_s, self.ring_capacity);
-        w.itl.record(v_s);
-        w.itl_ok += u64::from(ok);
-    }
-
-    fn observe_e2e_locked(&self, st: &mut HubState, t_s: f64, v_s: f64) {
-        st.e2e.record(v_s);
-        if let Some(d) = st.drift.as_mut() {
-            d.record_e2e(t_s, v_s);
-        }
-        let w = Self::window_mut(st, t_s, self.window_s, self.ring_capacity);
-        w.e2e.record(v_s);
-    }
-
-    /// The window holding `t_s`, growing the ring forward (and evicting
-    /// the oldest windows past capacity) as the clock advances.
-    /// Straggler timestamps older than the ring land in the oldest
-    /// retained window rather than being dropped.
-    fn window_mut(
-        st: &mut HubState,
-        t_s: f64,
-        window_s: f64,
-        ring_capacity: usize,
-    ) -> &mut HubWindow {
-        let idx = (t_s.max(0.0) / window_s) as u64;
-        if st.ring.is_empty() {
-            st.ring.push_back(HubWindow::new(idx));
-        }
-        let hi = st.ring.back().expect("non-empty ring").index;
-        if idx > hi {
-            for i in (hi + 1)..=idx {
-                st.ring.push_back(HubWindow::new(i));
-                while st.ring.len() > ring_capacity {
-                    st.ring.pop_front();
-                    st.dropped_windows += 1;
-                }
-            }
-        }
-        let lo = st.ring.front().expect("non-empty ring").index;
-        let at = idx.max(lo) - lo;
-        let at = (at as usize).min(st.ring.len() - 1);
-        &mut st.ring[at]
     }
 
     /// Refreshes drift alarms once per newly entered window, so alarms
     /// fire mid-run at window cadence rather than on every sample.
     fn roll_alarms(&self, st: &mut HubState) {
-        let hi = match st.ring.back() {
-            Some(w) => w.index,
-            None => return,
+        let Some(hi) = st.ring.last_index() else {
+            return;
         };
         if hi > st.alarmed_through {
             st.alarmed_through = hi;
@@ -695,7 +535,7 @@ impl MetricsHub {
         out.gauge(
             "pit_hub_window_count",
             "Windows observed so far (ring + evicted)",
-            st.ring.len() as f64 + st.dropped_windows as f64,
+            st.ring.created() as f64,
         );
         out.gauge(
             "pit_hub_drift_alarms_active",
@@ -729,13 +569,17 @@ impl MetricsHub {
             (
                 "pit_hub_ttft_seconds",
                 "Live time-to-first-token (sketch-backed quantiles)",
-                &st.ttft,
+                &st.latency.ttft,
             ),
-            ("pit_hub_itl_seconds", "Live inter-token latency", &st.itl),
+            (
+                "pit_hub_itl_seconds",
+                "Live inter-token latency",
+                &st.latency.itl,
+            ),
             (
                 "pit_hub_e2e_seconds",
                 "Live end-to-end request latency",
-                &st.e2e,
+                &st.latency.e2e,
             ),
         ] {
             out.summary(name, help, sketch, &[0.50, 0.90, 0.95, 0.99]);
@@ -782,13 +626,14 @@ impl MetricsHub {
     /// The window ring digested oldest-first (the `GET /series` body).
     pub fn series(&self) -> HubSeries {
         let st = self.state.lock().expect("hub state");
+        let window_s = st.ring.width_s();
         HubSeries {
-            window_s: self.window_s,
-            dropped: st.dropped_windows,
+            window_s,
+            dropped: st.ring.dropped(),
             windows: st
                 .ring
                 .iter()
-                .map(|w| w.digest(self.window_s, self.slo_target.as_ref()))
+                .map(|(i, w)| w.digest(i, window_s, self.slo_target.as_ref()))
                 .collect(),
         }
     }

@@ -11,9 +11,10 @@
 //! - [`TraceSink`] / [`TraceEvent`] — an off-by-default (one branch when
 //!   disabled), shard-locked collector of typed request-lifecycle events
 //!   stamped on the virtual clock;
-//! - [`reduce_spans`] / [`BreakdownSummary`] — per-request span reduction
-//!   into a queue / prefill / decode / stall breakdown whose phases sum
-//!   to the end-to-end latency by construction;
+//! - [`LifecycleFold`] — the one per-lane lifecycle fold every stream
+//!   consumer below runs on: the arrival anchor, each inter-event gap's
+//!   [`BlameCategory`] tile and [`Phase`], and the TTFT / ITL / e2e
+//!   [`Latency`] observations;
 //! - [`chrome_trace_json`] — Chrome `trace_event` JSON export (device,
 //!   PCIe-link and per-sequence lanes), loadable in `chrome://tracing`
 //!   and Perfetto;
@@ -21,7 +22,8 @@
 //!   vendored serde only writes), used by `tools/bench_compare` and the
 //!   export validity tests;
 //! - [`WindowSeries`] — per-window admitted/rejected/queue-depth series
-//!   for open-loop bursty replays;
+//!   for open-loop bursty replays, on the same fixed-width windowing
+//!   primitive as the SLO monitor and the hub's ring;
 //! - [`DeviceLedger`] — the device-time ledger: every modelled
 //!   GPU-second attributed into a fixed category taxonomy with *exact*
 //!   (integer-picosecond) conservation — categories tile busy time,
@@ -33,27 +35,27 @@
 //! - [`SloMonitor`] — windowed TTFT/ITL SLO attainment and burn-rate
 //!   gauges folded from latency observations, the admission window
 //!   series and the ledger;
-//! - [`blame_spans`] / [`BlameSummary`] — causal critical-path
-//!   attribution: typed [`WaitCause`]s recorded at every scheduler
-//!   stall decision, reduced per request into categories that tile
-//!   TTFT and e2e exactly, aggregated into per-cause sketches;
+//! - [`blame_spans`] / [`BlameSummary`] / [`BreakdownSummary`] — causal
+//!   critical-path attribution: typed [`WaitCause`]s recorded at every
+//!   scheduler stall decision, reduced per request into categories (and
+//!   queue / prefill / decode / stall phases) that tile TTFT and e2e
+//!   exactly, aggregated into per-cause sketches;
 //! - [`ExemplarReservoir`] — bounded top-k capture of the worst
 //!   requests' full event timelines (by TTFT / max-ITL / e2e), exported
 //!   as highlighted Chrome-trace lanes even when global tracing is off;
-//! - [`DriftDetector`] — windowed sketches compared against a committed
-//!   [`DriftBaseline`], raising typed [`DriftAlarm`]s on quantile or
-//!   cause-mix shifts;
+//! - [`DriftDetector`] — observed latency sketches and blame cause mix
+//!   compared against a committed [`DriftBaseline`], raising typed
+//!   [`DriftAlarm`]s on quantile or cause-mix shifts;
 //! - [`MetricsHub`] — the *live* observability plane: a sharded,
 //!   thread-safe registry the serving loops publish into at step
 //!   granularity (counters, gauges, windowed sketch snapshots in a
 //!   bounded ring) with the SLO monitor and drift detector evaluating
-//!   per-window inside the hub, so alarms fire mid-run;
+//!   inside the hub, alarms refreshed per window, so they fire mid-run;
 //! - [`ScrapeServer`] — a std-only `TcpListener` endpoint serving
 //!   `GET /metrics` (Prometheus text), `/slo` and `/series` (JSON) from
 //!   a hub, with a graceful [`ShutdownHandle`].
 
 mod blame;
-mod breakdown;
 mod chrome;
 mod drift;
 mod exemplar;
@@ -62,6 +64,7 @@ pub mod http;
 pub mod hub;
 pub mod json;
 mod ledger;
+mod lifecycle;
 mod sink;
 mod sketch;
 mod slo;
@@ -69,9 +72,8 @@ mod windows;
 
 pub use blame::{
     blame_spans, BlameAggregate, BlameBreakdown, BlameCategory, BlameCauseStat, BlameSummary,
-    WaitCause,
+    BreakdownSummary, Phase, WaitCause,
 };
-pub use breakdown::{reduce_spans, BreakdownSummary, SpanBreakdown};
 pub use chrome::{chrome_trace_json, chrome_trace_json_with_exemplars};
 pub use drift::{DriftAlarm, DriftBaseline, DriftDetector, DriftKind, DriftPolicy};
 pub use exemplar::{ExemplarReservoir, ExemplarSet, ExemplarTimeline};
@@ -80,6 +82,7 @@ pub use http::{ScrapeServer, ShutdownHandle};
 pub use hub::{HubConfig, HubSeries, HubSeriesWindow, MetricsHub, COUNTER_SHARDS};
 pub use json::JsonValue;
 pub use ledger::{DeviceLedger, StepSample, Utilization};
+pub use lifecycle::{LaneStep, Latency, LatencySketches, LifecycleFold};
 pub use sink::{
     TraceEvent, TraceRecord, TraceSink, DEVICE_LANE, LINK_D2H_LANE, LINK_H2D_LANE, RESERVED_LANES,
 };

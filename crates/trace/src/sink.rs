@@ -47,7 +47,10 @@ pub enum TraceEvent {
         /// Context rows the chunk ran through the model.
         tokens: usize,
     },
-    /// The request emitted its first output token.
+    /// The request's prefill completed and emitted a token: its first,
+    /// or — after a recompute preemption — the token of its re-prefill,
+    /// which consumers read as a resume (an inter-token gap), not a new
+    /// time to first token.
     FirstToken,
     /// The scheduler observed this request stalled or deferred for a
     /// typed cause. `t_s` is when the wait was observed (the end of the

@@ -1,8 +1,9 @@
 //! Windowed SLO monitor: rolling TTFT/ITL attainment and burn rate.
 //!
 //! Folds per-request latency observations — recorded directly, replayed
-//! from a drained [`TraceRecord`] stream, or joined with the per-window
-//! admission series — into fixed-width windows, and reports per-window
+//! from a drained [`TraceRecord`] stream through the
+//! [`crate::LifecycleFold`], or joined with the per-window admission
+//! series — into fixed-width windows, and reports per-window
 //! and whole-run **SLO attainment** (fraction of observations within
 //! target) plus the **burn rate** familiar from SRE error budgets:
 //!
@@ -20,9 +21,9 @@
 
 use crate::drift::DriftAlarm;
 use crate::ledger::DeviceLedger;
-use crate::sink::{TraceEvent, TraceRecord, RESERVED_LANES};
-use crate::windows::WindowStat;
-use std::collections::BTreeMap;
+use crate::lifecycle::{Latency, LifecycleFold};
+use crate::sink::{TraceEvent, TraceRecord};
+use crate::windows::{WindowStat, Windowed};
 
 /// The service-level targets a run is held to.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
@@ -36,21 +37,40 @@ pub struct SloTarget {
     pub objective: f64,
 }
 
-/// Per-window observation counts (internal accumulator).
+/// Per-window observation counts, shared with the live hub's windows.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-struct Counts {
+pub(crate) struct Counts {
     ttft_total: u64,
     ttft_ok: u64,
     itl_total: u64,
     itl_ok: u64,
 }
 
+impl Counts {
+    /// Counts one observation against `target` (end-to-end latencies
+    /// carry no target).
+    pub(crate) fn record(&mut self, target: &SloTarget, latency: Latency) {
+        let (total, ok, hit) = match latency {
+            Latency::Ttft(v) => (&mut self.ttft_total, &mut self.ttft_ok, v <= target.ttft_s),
+            Latency::Itl(v) => (&mut self.itl_total, &mut self.itl_ok, v <= target.itl_s),
+            Latency::E2e(_) => return,
+        };
+        *total += 1;
+        *ok += u64::from(hit);
+    }
+
+    /// Burn rate of the worse of the two attainments against `objective`.
+    pub(crate) fn burn_rate(&self, objective: f64) -> f64 {
+        let ttft = attainment(self.ttft_ok, self.ttft_total);
+        (1.0 - ttft.min(attainment(self.itl_ok, self.itl_total))) / (1.0 - objective)
+    }
+}
+
 /// Accumulates TTFT/ITL observations into fixed-width windows.
 #[derive(Debug, Clone)]
 pub struct SloMonitor {
     target: SloTarget,
-    window_s: f64,
-    windows: Vec<Counts>,
+    windows: Windowed<Counts>,
 }
 
 /// One window's attainment digest.
@@ -124,83 +144,43 @@ impl SloMonitor {
         );
         SloMonitor {
             target,
-            window_s,
-            windows: Vec::new(),
+            windows: Windowed::new(window_s),
         }
     }
 
-    fn window_at(&mut self, t_s: f64) -> &mut Counts {
-        let idx = (t_s.max(0.0) / self.window_s) as usize;
-        if idx >= self.windows.len() {
-            self.windows.resize(idx + 1, Counts::default());
+    /// Records one TTFT or ITL observation at time `t_s` (end-to-end
+    /// latencies carry no target and are ignored).
+    pub fn record(&mut self, t_s: f64, latency: Latency) {
+        if !matches!(latency, Latency::E2e(_)) {
+            let target = self.target;
+            self.windows
+                .at(t_s, |_| Counts::default())
+                .record(&target, latency);
         }
-        &mut self.windows[idx]
-    }
-
-    /// Records one time-to-first-token observation at time `t_s`.
-    pub fn record_ttft(&mut self, t_s: f64, ttft_s: f64) {
-        let target = self.target.ttft_s;
-        let w = self.window_at(t_s);
-        w.ttft_total += 1;
-        w.ttft_ok += u64::from(ttft_s <= target);
-    }
-
-    /// Records one inter-token-latency observation at time `t_s`.
-    pub fn record_itl(&mut self, t_s: f64, itl_s: f64) {
-        let target = self.target.itl_s;
-        let w = self.window_at(t_s);
-        w.itl_total += 1;
-        w.itl_ok += u64::from(itl_s <= target);
     }
 
     /// Records a rejected admission: a TTFT miss (the request never got a
     /// first token).
     pub fn record_rejection(&mut self, t_s: f64) {
-        self.window_at(t_s).ttft_total += 1;
+        self.windows.at(t_s, |_| Counts::default()).ttft_total += 1;
     }
 
-    /// Replays a drained trace-sink stream: `FirstToken` yields a TTFT
-    /// observation against the earliest `Admitted` arrival on the lane,
-    /// `DecodeStep` gaps and re-admission first tokens yield ITL
-    /// observations, and `Rejected` lanes count as TTFT misses — the same
-    /// attribution the serving metrics use.
+    /// Replays a drained trace-sink stream through the lifecycle fold:
+    /// each lane's first token is a TTFT observation, later tokens
+    /// (re-admission first tokens included) are ITL observations, and
+    /// `Rejected` lanes count as TTFT misses — the same attribution the
+    /// serving metrics use.
     pub fn observe(&mut self, records: &[TraceRecord]) {
-        // Per lane: (arrival, time of last emitted token or None).
-        let mut lanes: BTreeMap<u64, (f64, Option<f64>)> = BTreeMap::new();
+        let mut fold = LifecycleFold::new();
         for r in records {
-            if r.lane >= RESERVED_LANES {
-                continue;
+            if matches!(r.event, TraceEvent::Rejected) {
+                self.record_rejection(r.t_s);
             }
-            match r.event {
-                TraceEvent::Admitted { arrival_s } => {
-                    lanes.entry(r.lane).or_insert((arrival_s, None));
-                }
-                TraceEvent::Rejected => {
-                    self.record_rejection(r.t_s);
-                }
-                TraceEvent::FirstToken => {
-                    let (arrival, last) = *lanes.entry(r.lane).or_insert((r.t_s, None));
-                    match last {
-                        // Re-admission after preemption: the request
-                        // already produced tokens, so the gap is an ITL.
-                        Some(prev) => self.record_itl(r.t_s, r.t_s - prev),
-                        None => self.record_ttft(r.t_s, r.t_s - arrival),
-                    }
-                    lanes.get_mut(&r.lane).expect("inserted above").1 = Some(r.t_s);
-                }
-                TraceEvent::DecodeStep { .. } => {
-                    if let Some((_, last)) = lanes.get_mut(&r.lane) {
-                        if let Some(prev) = *last {
-                            let gap = r.t_s - prev;
-                            let t = r.t_s;
-                            *last = Some(t);
-                            self.record_itl(t, gap);
-                        } else {
-                            *last = Some(r.t_s);
-                        }
-                    }
-                }
-                _ => {}
+            if let Some(latency) = fold
+                .observe(r.t_s, r.lane, &r.event)
+                .and_then(|s| s.latency)
+            {
+                self.record(r.t_s, latency);
             }
         }
     }
@@ -217,39 +197,38 @@ impl SloMonitor {
 
     /// Rolls the windows up, joining `ledger`'s busy fraction when given.
     pub fn report(&self, ledger: Option<&DeviceLedger>) -> SloReport {
-        let objective_miss = 1.0 - self.target.objective;
-        let burn = |att: f64| (1.0 - att) / objective_miss;
+        let objective = self.target.objective;
+        let window_s = self.windows.width_s();
         let windows: Vec<SloWindowReport> = self
             .windows
             .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                let ttft_att = attainment(c.ttft_ok, c.ttft_total);
-                let itl_att = attainment(c.itl_ok, c.itl_total);
-                SloWindowReport {
-                    start_s: i as f64 * self.window_s,
-                    ttft_total: c.ttft_total,
-                    ttft_ok: c.ttft_ok,
-                    itl_total: c.itl_total,
-                    itl_ok: c.itl_ok,
-                    ttft_attainment: ttft_att,
-                    itl_attainment: itl_att,
-                    burn_rate: burn(ttft_att.min(itl_att)),
-                }
+            .map(|(i, c)| SloWindowReport {
+                start_s: i as f64 * window_s,
+                ttft_total: c.ttft_total,
+                ttft_ok: c.ttft_ok,
+                itl_total: c.itl_total,
+                itl_ok: c.itl_ok,
+                ttft_attainment: attainment(c.ttft_ok, c.ttft_total),
+                itl_attainment: attainment(c.itl_ok, c.itl_total),
+                burn_rate: c.burn_rate(objective),
             })
             .collect();
-        let totals = self.windows.iter().fold(Counts::default(), |mut a, c| {
-            a.ttft_total += c.ttft_total;
-            a.ttft_ok += c.ttft_ok;
-            a.itl_total += c.itl_total;
-            a.itl_ok += c.itl_ok;
-            a
-        });
+        let totals = self
+            .windows
+            .iter()
+            .fold(Counts::default(), |mut a, (_, c)| {
+                a.ttft_total += c.ttft_total;
+                a.ttft_ok += c.ttft_ok;
+                a.itl_total += c.itl_total;
+                a.itl_ok += c.itl_ok;
+                a
+            });
         let ttft_attainment = attainment(totals.ttft_ok, totals.ttft_total);
         let itl_attainment = attainment(totals.itl_ok, totals.itl_total);
+        let burn = |att: f64| (1.0 - att) / (1.0 - objective);
         SloReport {
             target: self.target,
-            window_s: self.window_s,
+            window_s,
             ttft_attainment,
             itl_attainment,
             ttft_burn_rate: burn(ttft_attainment),
@@ -280,12 +259,12 @@ mod tests {
         let mut m = SloMonitor::new(target(), 10.0);
         // Window 0: 4 TTFT hits, 1 miss → 80% attainment, burn 2.0.
         for i in 0..4 {
-            m.record_ttft(i as f64, 0.2);
+            m.record(i as f64, Latency::Ttft(0.2));
         }
-        m.record_ttft(4.0, 1.5);
+        m.record(4.0, Latency::Ttft(1.5));
         // Window 1: all ITL within target.
         for i in 0..10 {
-            m.record_itl(10.5 + i as f64 * 0.1, 0.05);
+            m.record(10.5 + i as f64 * 0.1, Latency::Itl(0.05));
         }
         let r = m.report(None);
         assert_eq!(r.windows.len(), 2);
@@ -361,7 +340,7 @@ mod tests {
     #[test]
     fn window_series_and_ledger_join() {
         let mut m = SloMonitor::new(target(), 10.0);
-        m.record_ttft(1.0, 0.1);
+        m.record(1.0, Latency::Ttft(0.1));
         m.fold_windows(&[WindowStat {
             start_s: 0.0,
             admitted: 3,

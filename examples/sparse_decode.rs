@@ -128,7 +128,7 @@ fn main() {
     // Chrome `trace_event` timeline (load it at ui.perfetto.dev) with
     // the two worst request timelines per tail metric as exemplar lanes.
     let sink = pit::trace::TraceSink::enabled();
-    let (traced, exemplars) = pit::serve::decode::simulate_decode_trace_with_exemplars(
+    let (traced, exemplars) = pit::serve::decode::simulate_decode_trace_observed(
         &build(KvSparsityPolicy::HeavyHitter {
             recent: 128,
             heavy: 128,
@@ -136,6 +136,7 @@ fn main() {
         &trace,
         &sink,
         2,
+        None,
     );
     let b = traced
         .breakdown

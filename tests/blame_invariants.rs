@@ -10,6 +10,11 @@
 //! gap in the trace was attributed to nobody (or to two owners), and the
 //! percentile tables `trace_explain` prints would silently lie.
 //!
+//! The same lifecycle fold must also reproduce the report: the TTFT, ITL
+//! and e2e percentiles folded from the stream equal the ones the decode
+//! loop measured directly, and every finished request carries one token
+//! event per output token.
+//!
 //! The exemplar reservoir rides the same stream, so it is held to the
 //! same replay discipline here: two runs produce identical exemplar
 //! sets, the top-k bound holds, and collection survives a disabled or
@@ -18,12 +23,14 @@
 use pit::gpusim::DeviceSpec;
 use pit::models::ModelConfig;
 use pit::serve::decode::{
-    simulate_decode_trace, simulate_decode_trace_traced, simulate_decode_trace_with_exemplars,
+    simulate_decode_trace, simulate_decode_trace_observed, simulate_decode_trace_traced,
     DecodePolicy, DecodeServeConfig, DecodeServeConfigBuilder, KvSparsityPolicy, PreemptPolicy,
 };
-use pit::trace::{blame_spans, BlameBreakdown, TraceSink};
+use pit::serve::Percentiles;
+use pit::trace::{BlameBreakdown, LatencySketches, LifecycleFold, TraceEvent, TraceSink};
 use pit::workloads::{ArrivalTrace, DatasetSpec, DecodeSpec, DecodeTrace, SharedPrefixSpec};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// Tiles must close to well under a virtual-clock tick; 1e-9 s leaves
 /// room only for benign f64 summation error.
@@ -178,7 +185,18 @@ proptest! {
 
         let sink = TraceSink::enabled();
         let traced = simulate_decode_trace_traced(&cfg, &trace, &sink);
-        let spans = blame_spans(&sink.snapshot());
+        // One pass of the lifecycle fold: the blame spans, the latency
+        // sketches and each lane's token-event count.
+        let mut latency = LatencySketches::default();
+        let mut tokens: BTreeMap<u64, usize> = BTreeMap::new();
+        let spans = LifecycleFold::replay(&sink.snapshot(), |r, step| {
+            if let Some(l) = step.latency {
+                latency.record(l);
+            }
+            if matches!(r.event, TraceEvent::FirstToken | TraceEvent::DecodeStep { .. }) {
+                *tokens.entry(r.lane).or_default() += 1;
+            }
+        });
 
         // Every request got a lifecycle and finished it.
         prop_assert_eq!(spans.len(), trace.len(), "{:?}: one span per request", scenario);
@@ -190,7 +208,25 @@ proptest! {
                 "{:?}: lane {} finished without a first token", scenario, lane
             );
             assert_tiles(lane, b);
+            prop_assert_eq!(
+                tokens.get(&lane).copied().unwrap_or(0),
+                trace.output_lens[lane as usize].max(1),
+                "{:?}: lane {} token events vs output length", scenario, lane
+            );
             finished += 1;
+        }
+
+        // The stream reproduces the report's directly measured latencies.
+        for (name, folded, reported) in [
+            ("ttft", &latency.ttft, traced.ttft),
+            ("itl", &latency.itl, traced.itl),
+            ("e2e", &latency.e2e, traced.e2e),
+        ] {
+            prop_assert_eq!(
+                Percentiles::from_sketch(folded),
+                reported,
+                "{:?}: stream {} percentiles differ from the report", scenario, name
+            );
         }
 
         // The report's aggregate saw the same population and mass.
@@ -219,9 +255,9 @@ fn exemplar_reservoir_is_deterministic_and_bounded() {
     let k = 3usize;
 
     let sink_a = TraceSink::enabled();
-    let (report_a, ex_a) = simulate_decode_trace_with_exemplars(&cfg, &trace, &sink_a, k);
+    let (report_a, ex_a) = simulate_decode_trace_observed(&cfg, &trace, &sink_a, k, None);
     let sink_b = TraceSink::enabled();
-    let (report_b, ex_b) = simulate_decode_trace_with_exemplars(&cfg, &trace, &sink_b, k);
+    let (report_b, ex_b) = simulate_decode_trace_observed(&cfg, &trace, &sink_b, k, None);
 
     // Bit-deterministic replay: same reports, same exemplars, same
     // captured timelines (record for record).
@@ -259,14 +295,14 @@ fn exemplars_survive_disabled_and_sampled_sinks() {
     let k = 2usize;
 
     let full_sink = TraceSink::enabled();
-    let (full_report, full_ex) = simulate_decode_trace_with_exemplars(&cfg, &trace, &full_sink, k);
+    let (full_report, full_ex) = simulate_decode_trace_observed(&cfg, &trace, &full_sink, k, None);
 
     // The reservoir buffers timelines independently of the sink, so the
     // same exemplars come back when the sink drops records — whether
     // head-sampled (1-in-5 lanes) or fully disabled.
     let sampled_sink = TraceSink::enabled().with_sampling(5);
     let (sampled_report, sampled_ex) =
-        simulate_decode_trace_with_exemplars(&cfg, &trace, &sampled_sink, k);
+        simulate_decode_trace_observed(&cfg, &trace, &sampled_sink, k, None);
     assert_eq!(
         full_ex, sampled_ex,
         "head sampling must not starve exemplars"
@@ -274,7 +310,7 @@ fn exemplars_survive_disabled_and_sampled_sinks() {
 
     let disabled_sink = TraceSink::disabled();
     let (disabled_report, disabled_ex) =
-        simulate_decode_trace_with_exemplars(&cfg, &trace, &disabled_sink, k);
+        simulate_decode_trace_observed(&cfg, &trace, &disabled_sink, k, None);
     assert_eq!(
         full_ex, disabled_ex,
         "a disabled sink must not starve exemplars"
@@ -308,6 +344,6 @@ fn zero_k_disables_the_reservoir() {
     let trace = workload(Scenario::Dense, 16, 7);
     let cfg = config(Scenario::Dense);
     let sink = TraceSink::enabled();
-    let (_, ex) = simulate_decode_trace_with_exemplars(&cfg, &trace, &sink, 0);
+    let (_, ex) = simulate_decode_trace_observed(&cfg, &trace, &sink, 0, None);
     assert!(ex.ttft.is_empty() && ex.itl.is_empty() && ex.e2e.is_empty());
 }

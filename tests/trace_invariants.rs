@@ -4,8 +4,9 @@
 //! the breakdown exists to meter).
 //!
 //! The acceptance criteria pinned here:
-//! - per-request phase breakdowns (queue + prefill + decode + stall)
-//!   sum to the request's end-to-end latency within 1e-6 s;
+//! - per-request phase breakdowns (queue + prefill + decode + stall,
+//!   accumulated by the blame pass) sum to the request's end-to-end
+//!   latency within 1e-6 s;
 //! - the Chrome export parses as a valid `trace_event` JSON array;
 //! - a disabled sink is observationally free: the traced entry point
 //!   with tracing off produces a report identical to the untraced one.
@@ -16,7 +17,7 @@ use pit::serve::decode::{
     simulate_decode_trace, simulate_decode_trace_traced, DecodePolicy, DecodeServeConfig,
     PreemptPolicy,
 };
-use pit::trace::{chrome_trace_json, reduce_spans, JsonValue, TraceSink, RESERVED_LANES};
+use pit::trace::{blame_spans, chrome_trace_json, JsonValue, Phase, TraceSink, RESERVED_LANES};
 use pit::workloads::{DatasetSpec, DecodeSpec, DecodeTrace};
 
 /// A KV-pressured swap run: short prompts, heavy-tailed outputs, a pool
@@ -47,7 +48,7 @@ fn breakdown_phases_sum_to_end_to_end_latency() {
 
     let records = sink.snapshot();
     assert!(!records.is_empty(), "an enabled sink records the run");
-    let spans = reduce_spans(&records);
+    let spans = blame_spans(&records);
     assert_eq!(
         spans.values().filter(|s| s.finished).count(),
         report.requests,
@@ -55,18 +56,14 @@ fn breakdown_phases_sum_to_end_to_end_latency() {
     );
     for (seq, span) in &spans {
         let e2e = span.end_s - span.arrival_s;
+        let total: f64 = span.phase_s.iter().sum();
         assert!(
-            (span.total_s() - e2e).abs() < 1e-6,
-            "seq {seq}: phases sum to {} but e2e is {e2e}",
-            span.total_s()
+            (total - e2e).abs() < 1e-6,
+            "seq {seq}: phases sum to {total} but e2e is {e2e}"
         );
-        for (name, v) in [
-            ("queue", span.queue_s),
-            ("prefill", span.prefill_s),
-            ("decode", span.decode_s),
-            ("stall", span.stall_s),
-        ] {
-            assert!(v >= 0.0, "seq {seq}: negative {name} phase {v}");
+        for p in [Phase::Queue, Phase::Prefill, Phase::Decode, Phase::Stall] {
+            let v = span.phase_s[p as usize];
+            assert!(v >= 0.0, "seq {seq}: negative {p:?} phase {v}");
         }
     }
 
