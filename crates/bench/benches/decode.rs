@@ -1,6 +1,7 @@
 //! Decode-scheduler bench: the same decode trace served under continuous
 //! padding-free batching and the static padded rectangle through the
-//! virtual-clock decode runtime, plus a KV-allocator microbench.
+//! virtual-clock decode runtime, plus a KV-allocator microbench and the
+//! per-step pricing the runtime pays on every iteration.
 //!
 //! The wall-clock numbers measure scheduler + analytic-executor host
 //! cost; the served comparison (tokens per modelled GPU second, padding
@@ -8,8 +9,12 @@
 //! --bench decode` doubles as the decode-serving throughput table.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use pit_gpusim::DeviceSpec;
 use pit_kv::{KvConfig, PagedKvCache};
+use pit_models::decode::{run_step, DecodeSlot, StepShape};
+use pit_models::{Engine, Framework, ModelConfig};
 use pit_serve::decode::{simulate_decode_trace, DecodePolicy, DecodeServeConfig};
+use pit_tensor::DType;
 use pit_workloads::{DatasetSpec, DecodeSpec, DecodeTrace};
 
 fn policies() -> [DecodePolicy; 2] {
@@ -20,9 +25,9 @@ fn policies() -> [DecodePolicy; 2] {
 }
 
 fn cfg(policy: DecodePolicy) -> DecodeServeConfig {
-    let mut model = pit_models::ModelConfig::opt("1.3B");
+    let mut model = ModelConfig::opt("1.3B");
     model.layers = 8; // keep the per-step analytic pass bench-sized
-    DecodeServeConfig::builder(model, pit_gpusim::DeviceSpec::a100_80gb())
+    DecodeServeConfig::builder(model, DeviceSpec::a100_80gb())
         .policy(policy)
         .build()
         .expect("valid bench config")
@@ -88,6 +93,37 @@ fn bench_decode(c: &mut Criterion) {
         );
     }
     kv_group.finish();
+
+    // Step pricing as the decode runtime issues it once per iteration: a
+    // fresh engine, one step at full OPT-1.3B depth, the ledger read back.
+    let model = ModelConfig::opt("1.3B");
+    let shapes = [
+        (
+            "dense_decode_100",
+            StepShape::decode((0..100).map(|i| 128 + 7 * i).collect()),
+        ),
+        (
+            "chunk_sparse_decode",
+            StepShape {
+                prefill_lens: Vec::new(),
+                chunks: vec![(96, 480), (32, 1056)],
+                decode: (0..48)
+                    .map(|i| DecodeSlot::sparse(128 + 3 * i, 512 + 16 * i))
+                    .collect(),
+            },
+        ),
+    ];
+    let mut pricing = c.benchmark_group("step_pricing");
+    for (name, shape) in &shapes {
+        pricing.bench_with_input(BenchmarkId::new("opt_1.3b", name), shape, |bench, shape| {
+            bench.iter(|| {
+                let mut eng = Engine::new(DeviceSpec::a100_80gb(), DType::F16, Framework::Pit);
+                run_step(&mut eng, &model, shape);
+                black_box((eng.cost_tally(), eng.latency_ms()))
+            });
+        });
+    }
+    pricing.finish();
 }
 
 criterion_group!(benches, bench_decode);

@@ -26,7 +26,7 @@
 //! this module only prices it.
 
 use crate::configs::ModelConfig;
-use crate::engine::Engine;
+use crate::engine::{Engine, OpKind};
 
 /// Rows of the K/V micro-tile PIT packs sparse attention reads into: the
 /// `(32, 1)` micro-tile of the paper's Table 3 (see
@@ -224,12 +224,21 @@ impl StepShape {
 /// attention + FFN over the step's mixed prefill/decode shape, and the LM
 /// head — to `eng`.
 ///
+/// Every layer of a step sees the same shape, so the layer's twelve
+/// kernels are priced once and [`Engine::charge_layers`] folds them
+/// `cfg.layers` times into the engine's ledger, in the order a
+/// layer-by-layer pass would charge them: the step's modelled seconds,
+/// category tally and GEMM time are bit-identical to pricing each layer
+/// afresh. The charges are typed [`OpKind`]s; nothing is labelled or
+/// appended to the engine's record list.
+///
 /// Decode attention is priced per slot as two `1 × a` GEMV-like products
 /// (scores and context, `a` = the slot's attended extent) whose arithmetic
 /// is `2 · a · hidden` FLOPs each but whose latency is dominated by
-/// streaming the attended K and V rows from HBM; `gemm_flops`' memory
-/// bound models exactly that, which is why inter-token latency grows with
-/// (attended) context length even though per-token FLOPs are tiny.
+/// streaming the attended K and V rows from HBM; the raw-FLOP GEMM
+/// pricer's memory bound models exactly that, which is why inter-token
+/// latency grows with (attended) context length even though per-token
+/// FLOPs are tiny.
 ///
 /// The streamed decode volume depends on the engine's framework: a PIT
 /// variant gathers the attended rows micro-tile-packed
@@ -254,40 +263,39 @@ pub fn run_step(eng: &mut Engine, cfg: &ModelConfig, shape: &StepShape) {
     let prefill_sq: f64 = shape.prefill_lens.iter().map(|&l| (l * l) as f64).sum();
     let chunk_sc: f64 = shape.chunks.iter().map(|&(c, ctx)| (c * ctx) as f64).sum();
     let score_elems = prefill_sq + chunk_sc + decode_kv as f64;
-    eng.elementwise("embed", rows * cfg.hidden, 1);
-    for layer in 0..cfg.layers {
-        let p = format!("l{layer}");
-        eng.gemm(&format!("{p}.qkv"), rows, cfg.hidden, 3 * cfg.hidden);
-        // Scores + context: quadratic for prefill sequences, linear in the
-        // attended (PIT) or cached (padded) context for decode slots.
-        let score_flops = 2.0 * score_elems * cfg.hidden as f64;
-        // Prefill reads its score tile per head; decode additionally
-        // streams the K (scores) or V (context) cache rows it attends.
-        let score_bytes =
-            score_elems * cfg.heads as f64 * elem + (kv_tokens * cfg.hidden) as f64 * elem;
-        eng.gemm_flops(&format!("{p}.scores"), score_flops, score_bytes);
-        eng.softmax(
-            &format!("{p}.softmax"),
-            (score_elems * cfg.heads as f64 / 64.0).ceil() as usize,
-            64,
-        );
-        eng.gemm_flops(&format!("{p}.context"), score_flops, score_bytes);
-        eng.gemm(&format!("{p}.out"), rows, cfg.hidden, cfg.hidden);
-        eng.layernorm(&format!("{p}.attn_ln"), rows, cfg.hidden);
-        eng.gemm(&format!("{p}.fc1"), rows, cfg.hidden, cfg.ffn);
-        eng.elementwise(&format!("{p}.act"), rows * cfg.ffn, 1);
-        eng.gemm(&format!("{p}.fc2"), rows, cfg.ffn, cfg.hidden);
-        eng.layernorm(&format!("{p}.ffn_ln"), rows, cfg.hidden);
-        eng.elementwise(&format!("{p}.residual"), rows * cfg.hidden, 2);
+    let (hidden, ffn) = (cfg.hidden, cfg.ffn);
+    // Scores + context: quadratic for prefill sequences, linear in the
+    // attended (PIT) or cached (padded) context for decode slots.
+    let score_flops = 2.0 * score_elems * hidden as f64;
+    // Prefill reads its score tile per head; decode additionally streams
+    // the K (scores) or V (context) cache rows it attends.
+    let score_bytes = score_elems * cfg.heads as f64 * elem + (kv_tokens * hidden) as f64 * elem;
+    let attention = eng.price_gemm_flops(score_flops, score_bytes);
+    let softmax_rows = (score_elems * cfg.heads as f64 / 64.0).ceil() as usize;
+    let layer = [
+        (OpKind::Qkv, eng.price_gemm(rows, hidden, 3 * hidden)),
+        (OpKind::Scores, attention),
+        (OpKind::Softmax, eng.price_softmax(softmax_rows, 64)),
+        (OpKind::Context, attention),
+        (OpKind::Out, eng.price_gemm(rows, hidden, hidden)),
+        (OpKind::AttnLn, eng.price_layernorm(rows, hidden)),
+        (OpKind::Fc1, eng.price_gemm(rows, hidden, ffn)),
+        (OpKind::Act, eng.price_elementwise(rows * ffn, 1)),
+        (OpKind::Fc2, eng.price_gemm(rows, ffn, hidden)),
+        (OpKind::FfnLn, eng.price_layernorm(rows, hidden)),
+        (OpKind::Residual, eng.price_elementwise(rows * hidden, 2)),
         // Each decode slot appends this layer's new K/V row; prefills and
         // chunks write every landed token's rows.
-        eng.elementwise(
-            &format!("{p}.kv_append"),
-            shape.kv_write_tokens() * 2 * cfg.hidden,
-            1,
-        );
-    }
-    eng.gemm("head", rows, cfg.hidden, cfg.vocab.min(4096));
+        (
+            OpKind::KvAppend,
+            eng.price_elementwise(shape.kv_write_tokens() * 2 * hidden, 1),
+        ),
+    ];
+    let embed = eng.price_elementwise(rows * hidden, 1);
+    let head = eng.price_gemm(rows, hidden, cfg.vocab.min(4096));
+    eng.charge(OpKind::Embed, embed);
+    eng.charge_layers(&layer, cfg.layers);
+    eng.charge(OpKind::Head, head);
 }
 
 #[cfg(test)]

@@ -154,7 +154,7 @@ pub fn moe_ffn(
             .expect("non-empty candidate list");
             let index_cost =
                 eng.cost().index_append(tokens) + eng.cost().scan_pass((tokens * 4) as f64);
-            eng.ctx.record(
+            eng.record(
                 format!("{prefix}.pit_index"),
                 KernelStats {
                     latency_s: index_cost,
@@ -163,10 +163,10 @@ pub fn moe_ffn(
                 },
             );
             let fc1 = moe_gemm_cost(eng.cost(), &counts, hidden, ffn, tile, eng.dtype);
-            eng.ctx.record(format!("{prefix}.experts.fc1"), fc1);
+            eng.record(format!("{prefix}.experts.fc1"), fc1);
             eng.elementwise(&format!("{prefix}.experts.act"), tokens * ffn, 1);
             let fc2 = moe_gemm_cost(eng.cost(), &counts, ffn, hidden, tile, eng.dtype);
-            eng.ctx.record(format!("{prefix}.experts.fc2"), fc2);
+            eng.record(format!("{prefix}.experts.fc2"), fc2);
         }
         other => unreachable!("framework {:?} does not run MoE models", other),
     }
@@ -201,7 +201,7 @@ mod tests {
             skew: 0.8,
         };
         moe_ffn(&mut eng, "moe", tokens, 768, 3072, &moe, 42);
-        (eng.latency_ms(), eng.ctx.memory().peak_bytes())
+        (eng.latency_ms(), eng.ctx().memory().peak_bytes())
     }
 
     #[test]

@@ -710,14 +710,15 @@ impl Seq {
     }
 }
 
-/// Prices one iteration on a fresh engine through the shared JIT cache
-/// and classifies its record stream into a ledger [`StepSample`].
-/// `real_rows` is the number of non-padding rows (selection samples the
-/// step's token occupancy, and only cache misses pay the modelled
-/// Algorithm-1 search cost, as in the prefill runtime). The engine
-/// records one fused attention kernel per layer, so its attention total
-/// is split prefill-vs-decode by the shape's score weighting
-/// ([`StepShape::prefill_attention_fraction`]).
+/// Prices one iteration into a ledger [`StepSample`]. The engine's
+/// ledger holds exactly this step's typed charges: the shared JIT cache's
+/// selection charges, then [`run_step`]'s fold of one priced layer over
+/// the model's depth. `real_rows` is the number of non-padding rows
+/// (selection samples the step's token occupancy, and only cache misses
+/// pay the modelled Algorithm-1 search cost, as in the prefill runtime).
+/// The engine charges one fused attention kernel per layer, so its
+/// attention total is split prefill-vs-decode by the shape's score
+/// weighting ([`StepShape::prefill_attention_fraction`]).
 fn step_sample(
     cfg: &DecodeServeConfig,
     shape: &StepShape,

@@ -24,7 +24,7 @@ use crate::scheduler::{BatchPolicy, FormedBatch};
 use pit_core::jit::{JitCache, KernelKey};
 use pit_core::select_kernel;
 use pit_gpusim::DeviceSpec;
-use pit_models::{Engine, ModelConfig};
+use pit_models::{Engine, ModelConfig, OpKind};
 use pit_sparse::Mask;
 use pit_tensor::DType;
 use pit_trace::{
@@ -187,14 +187,14 @@ pub(crate) fn charge_shape_selection(
     });
     let mut annotation = (0u64, 0.0f64);
     if searched {
-        eng.host_overhead("jit.search", selection.modelled_search_s);
+        eng.charge_host(OpKind::JitSearch, selection.modelled_search_s);
         annotation = (1, selection.search_time.as_secs_f64());
     }
     if eng.framework.is_pit() {
         let index_s = eng.cost().index_append(padded_rows)
             + eng.cost().scan_pass((real_rows * 4) as f64)
             + eng.cost().index_append(extra_index_items);
-        eng.host_overhead("pit.index", index_s);
+        eng.charge_host(OpKind::PitIndex, index_s);
     }
     annotation
 }
@@ -211,9 +211,8 @@ pub fn batch_gpu_seconds(cfg: &ServeConfig, formed: &FormedBatch, cache: &JitCac
 
 /// [`batch_gpu_seconds`] plus the batch's ledger category split: GPU
 /// seconds, attention/conversion/search attribution and the FLOP
-/// counters, classified off the engine's record stream. A serving
-/// forward pass is all prefill, so its attention lands in
-/// `prefill_attention_s`.
+/// counters, read off the engine's ledger. A serving forward pass is all
+/// prefill, so its attention lands in `prefill_attention_s`.
 pub fn batch_step_sample(cfg: &ServeConfig, formed: &FormedBatch, cache: &JitCache) -> StepSample {
     let mut eng = Engine::new(cfg.device.clone(), cfg.dtype, cfg.policy.framework());
     let m = &cfg.model;
@@ -231,32 +230,33 @@ pub fn batch_step_sample(cfg: &ServeConfig, formed: &FormedBatch, cache: &JitCac
         0,
     );
 
-    let lens = &formed.effective_lens;
+    debug_assert_eq!(formed.effective_lens.iter().sum::<usize>(), tokens);
     let sum_sq: f64 = formed.sum_sq_effective() as f64;
     let elem = eng.elem() as f64;
-    eng.elementwise("embed", tokens * m.hidden, 1);
-    for layer in 0..m.layers {
-        let p = format!("l{layer}");
-        debug_assert_eq!(lens.iter().sum::<usize>(), tokens);
-        eng.gemm(&format!("{p}.qkv"), tokens, m.hidden, 3 * m.hidden);
-        let score_flops = 2.0 * sum_sq * m.hidden as f64;
-        let score_bytes = sum_sq * m.heads as f64 * elem;
-        eng.gemm_flops(&format!("{p}.scores"), score_flops, score_bytes);
-        eng.softmax(
-            &format!("{p}.softmax"),
-            (sum_sq * m.heads as f64 / 64.0).ceil() as usize,
-            64,
-        );
-        eng.gemm_flops(&format!("{p}.context"), score_flops, score_bytes);
-        eng.gemm(&format!("{p}.out"), tokens, m.hidden, m.hidden);
-        eng.layernorm(&format!("{p}.attn_ln"), tokens, m.hidden);
-        eng.gemm(&format!("{p}.fc1"), tokens, m.hidden, m.ffn);
-        eng.elementwise(&format!("{p}.act"), tokens * m.ffn, 1);
-        eng.gemm(&format!("{p}.fc2"), tokens, m.ffn, m.hidden);
-        eng.layernorm(&format!("{p}.ffn_ln"), tokens, m.hidden);
-        eng.elementwise(&format!("{p}.residual"), tokens * m.hidden, 2);
-    }
-    eng.gemm("head", tokens, m.hidden, m.vocab.min(4096));
+    let (hidden, ffn) = (m.hidden, m.ffn);
+    let score_flops = 2.0 * sum_sq * hidden as f64;
+    let score_bytes = sum_sq * m.heads as f64 * elem;
+    let attention = eng.price_gemm_flops(score_flops, score_bytes);
+    let softmax_rows = (sum_sq * m.heads as f64 / 64.0).ceil() as usize;
+    // Every layer sees the same batch: price it once, fold it per layer.
+    let layer = [
+        (OpKind::Qkv, eng.price_gemm(tokens, hidden, 3 * hidden)),
+        (OpKind::Scores, attention),
+        (OpKind::Softmax, eng.price_softmax(softmax_rows, 64)),
+        (OpKind::Context, attention),
+        (OpKind::Out, eng.price_gemm(tokens, hidden, hidden)),
+        (OpKind::AttnLn, eng.price_layernorm(tokens, hidden)),
+        (OpKind::Fc1, eng.price_gemm(tokens, hidden, ffn)),
+        (OpKind::Act, eng.price_elementwise(tokens * ffn, 1)),
+        (OpKind::Fc2, eng.price_gemm(tokens, ffn, hidden)),
+        (OpKind::FfnLn, eng.price_layernorm(tokens, hidden)),
+        (OpKind::Residual, eng.price_elementwise(tokens * hidden, 2)),
+    ];
+    let embed = eng.price_elementwise(tokens * hidden, 1);
+    let head = eng.price_gemm(tokens, hidden, m.vocab.min(4096));
+    eng.charge(OpKind::Embed, embed);
+    eng.charge_layers(&layer, m.layers);
+    eng.charge(OpKind::Head, head);
     let tally = eng.cost_tally();
     StepSample {
         gpu_s: eng.latency_ms() / 1e3,

@@ -1,7 +1,7 @@
 //! The device-time ledger: where every modelled GPU-second went.
 //!
-//! Every labeled cost record the analytic engine emits is attributed into
-//! a fixed category taxonomy — prefill attention, decode attention, dense
+//! Every typed charge the analytic engine folds is attributed into a
+//! fixed category taxonomy — prefill attention, decode attention, dense
 //! GEMM, sparse-format conversion, JIT search — plus the virtual-clock
 //! gaps the scheduler charges outside device work: swap d2h/h2d stalls
 //! and idle waits for future arrivals. Two conservation invariants hold
@@ -42,8 +42,8 @@ fn ps(seconds: f64) -> u64 {
 /// Per-step category split handed to [`DeviceLedger::charge_step`].
 ///
 /// `gpu_s` is the step's total modelled device time; the four named
-/// sub-category times were classified out of the engine's record stream
-/// and must sum to at most `gpu_s` (the ledger clamps and gives the
+/// sub-category times come from the engine's category tally and must sum
+/// to at most `gpu_s` (the ledger clamps and gives the
 /// dense-GEMM category the residual, so small float excess cannot break
 /// conservation). The remaining fields are annotations.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]

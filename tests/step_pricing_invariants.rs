@@ -1,0 +1,217 @@
+//! Property test: pricing a decode step's layer once and folding it over
+//! the model's depth is bit-identical to pricing every layer op by op.
+//!
+//! The oracle replays the per-layer, per-op loop `run_step` used to run
+//! through the engine's labelled recorders, then sums the record list in
+//! order, classifying labels by suffix the way the ledger used to. Every
+//! modelled number is compared by `to_bits()`: the fold must repeat each
+//! f64 addition in the same order, not merely agree within a tolerance.
+
+use pit::gpusim::DeviceSpec;
+use pit::models::decode::{run_step, DecodeSlot, StepShape, KV_MICROTILE_ROWS};
+use pit::models::{CostTally, Engine, Framework, ModelConfig, OpKind};
+use pit::tensor::DType;
+use proptest::prelude::*;
+
+/// SplitMix64: the shape generator's source of randomness.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `0..n`.
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// A random step: `parts` bit 0 adds whole prefills, bit 1 chunks with
+/// `ctx >= chunk`, bit 2 decode slots with `attended <= cached` (dense
+/// or sparse); `parts == 0` is the empty shape.
+fn random_shape(rng: &mut Rng, parts: u8) -> StepShape {
+    let mut shape = StepShape::default();
+    if parts & 1 != 0 {
+        for _ in 0..1 + rng.below(3) {
+            shape.prefill_lens.push(1 + rng.below(512));
+        }
+    }
+    if parts & 2 != 0 {
+        for _ in 0..1 + rng.below(3) {
+            let chunk = 1 + rng.below(256);
+            shape.chunks.push((chunk, chunk + rng.below(1024)));
+        }
+    }
+    if parts & 4 != 0 {
+        for _ in 0..1 + rng.below(64) {
+            let cached = rng.below(4096);
+            shape.decode.push(if rng.below(2) == 0 {
+                DecodeSlot::dense(cached)
+            } else {
+                DecodeSlot::sparse(rng.below(cached + 1), cached)
+            });
+        }
+    }
+    shape
+}
+
+fn model(name: &str) -> ModelConfig {
+    match name {
+        "bert_base/2" => {
+            let mut m = ModelConfig::bert_base();
+            m.layers = 2;
+            m
+        }
+        _ => ModelConfig::opt("1.3B"),
+    }
+}
+
+/// The per-op loop the layer fold replaced: every layer priced and
+/// recorded op by op under a formatted label.
+fn oracle_step(eng: &mut Engine, cfg: &ModelConfig, shape: &StepShape) {
+    let rows = shape.rows();
+    if rows == 0 {
+        return;
+    }
+    let elem = eng.elem() as f64;
+    let decode_kv = if eng.framework.is_pit() {
+        shape.packed_decode_tokens(KV_MICROTILE_ROWS)
+    } else {
+        shape.cached_tokens()
+    };
+    let chunk_reads: usize = shape.chunks.iter().map(|&(c, ctx)| ctx - c).sum();
+    let kv_tokens = decode_kv + chunk_reads;
+    let prefill_sq: f64 = shape.prefill_lens.iter().map(|&l| (l * l) as f64).sum();
+    let chunk_sc: f64 = shape.chunks.iter().map(|&(c, ctx)| (c * ctx) as f64).sum();
+    let score_elems = prefill_sq + chunk_sc + decode_kv as f64;
+    eng.elementwise("embed", rows * cfg.hidden, 1);
+    for layer in 0..cfg.layers {
+        let p = format!("l{layer}");
+        eng.gemm(&format!("{p}.qkv"), rows, cfg.hidden, 3 * cfg.hidden);
+        let score_flops = 2.0 * score_elems * cfg.hidden as f64;
+        let score_bytes =
+            score_elems * cfg.heads as f64 * elem + (kv_tokens * cfg.hidden) as f64 * elem;
+        eng.gemm_flops(&format!("{p}.scores"), score_flops, score_bytes);
+        eng.softmax(
+            &format!("{p}.softmax"),
+            (score_elems * cfg.heads as f64 / 64.0).ceil() as usize,
+            64,
+        );
+        eng.gemm_flops(&format!("{p}.context"), score_flops, score_bytes);
+        eng.gemm(&format!("{p}.out"), rows, cfg.hidden, cfg.hidden);
+        eng.layernorm(&format!("{p}.attn_ln"), rows, cfg.hidden);
+        eng.gemm(&format!("{p}.fc1"), rows, cfg.hidden, cfg.ffn);
+        eng.elementwise(&format!("{p}.act"), rows * cfg.ffn, 1);
+        eng.gemm(&format!("{p}.fc2"), rows, cfg.ffn, cfg.hidden);
+        eng.layernorm(&format!("{p}.ffn_ln"), rows, cfg.hidden);
+        eng.elementwise(&format!("{p}.residual"), rows * cfg.hidden, 2);
+        eng.elementwise(
+            &format!("{p}.kv_append"),
+            shape.kv_write_tokens() * 2 * cfg.hidden,
+            1,
+        );
+    }
+    eng.gemm("head", rows, cfg.hidden, cfg.vocab.min(4096));
+}
+
+/// Labels of the per-layer GEMM-class recorders (the LM head is `head`).
+const GEMM_SUFFIXES: [&str; 6] = [".qkv", ".scores", ".context", ".out", ".fc1", ".fc2"];
+
+/// Sums an engine's labelled records in order: total latency (ms) as
+/// `f64: Sum` gives it, GEMM-class seconds, and the category tally by
+/// label suffix.
+fn oracle_ledger(eng: &Engine) -> (f64, f64, CostTally) {
+    let records = eng.ctx().records();
+    let latency_ms = records.iter().map(|r| r.stats.latency_s).sum::<f64>() * 1e3;
+    let ends = |name: &str, suffixes: &[&str]| suffixes.iter().any(|s| name.ends_with(s));
+    let (mut gemm_s, mut t) = (0.0, CostTally::default());
+    for r in records {
+        let (name, s) = (r.name.as_str(), r.stats.latency_s);
+        if ends(name, &[".scores", ".softmax", ".context"]) {
+            t.attention_s += s;
+        } else if name.ends_with(".index") {
+            t.sparse_conversion_s += s;
+        } else if name == "jit.search" {
+            t.jit_search_s += s;
+        } else {
+            t.dense_s += s;
+        }
+        t.flops_useful += r.stats.flops_useful;
+        t.flops_executed += r.stats.flops_executed;
+        if name == "head" || ends(name, &GEMM_SUFFIXES) {
+            gemm_s += s;
+        }
+    }
+    (latency_ms, gemm_s, t)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// For any step shape, framework, precision, device count and model,
+    /// the fold's latency, GEMM time and every tally field equal the
+    /// per-op oracle bit for bit — across consecutive steps on one engine
+    /// and with the serving path's selection charges in front, as
+    /// `step_sample` issues them. The fold leaves no labelled records.
+    #[test]
+    fn layer_fold_matches_per_op_pricing_bit_for_bit(
+        seed in 0u64..u64::MAX,
+        parts in 0u8..8,
+        steps in 1usize..3,
+        selection in 0u8..4,
+        framework in vec![Framework::Pit, Framework::PyTorch, Framework::DeepSpeed],
+        dtype in vec![DType::F16, DType::F32],
+        devices in vec![1usize, 4],
+        model_name in vec!["bert_base/2", "opt-1.3B"],
+    ) {
+        let cfg = model(model_name);
+        let engine = || Engine::new(DeviceSpec::a100_80gb(), dtype, framework).with_devices(devices);
+        let (mut fold, mut oracle) = (engine(), engine());
+        let mut rng = Rng(seed);
+        for _ in 0..steps {
+            if selection & 1 != 0 {
+                let s = 1e-6 * (1 + rng.below(500)) as f64;
+                fold.charge_host(OpKind::JitSearch, s);
+                oracle.host_overhead("jit.search", s);
+            }
+            if selection & 2 != 0 {
+                let s = 1e-7 * (1 + rng.below(500)) as f64;
+                fold.charge_host(OpKind::PitIndex, s);
+                oracle.host_overhead("pit.index", s);
+            }
+            let shape = random_shape(&mut rng, parts);
+            run_step(&mut fold, &cfg, &shape);
+            oracle_step(&mut oracle, &cfg, &shape);
+        }
+        let (latency_ms, gemm_s, want) = oracle_ledger(&oracle);
+        let got = fold.cost_tally();
+        prop_assert_eq!(fold.latency_ms().to_bits(), latency_ms.to_bits());
+        prop_assert_eq!(fold.gemm_time_s.to_bits(), gemm_s.to_bits());
+        for (field, g, w) in [
+            ("attention_s", got.attention_s, want.attention_s),
+            ("sparse_conversion_s", got.sparse_conversion_s, want.sparse_conversion_s),
+            ("jit_search_s", got.jit_search_s, want.jit_search_s),
+            ("dense_s", got.dense_s, want.dense_s),
+            ("flops_useful", got.flops_useful, want.flops_useful),
+            ("flops_executed", got.flops_executed, want.flops_executed),
+        ] {
+            prop_assert_eq!(g.to_bits(), w.to_bits(), "{}: {} vs {}", field, g, w);
+        }
+        prop_assert!(fold.ctx().records().is_empty());
+    }
+}
+
+/// A step with no work leaves an engine's latency at −0.0, what summing
+/// an empty record list gives.
+#[test]
+fn empty_step_keeps_negative_zero_latency() {
+    let mut eng = Engine::new(DeviceSpec::a100_80gb(), DType::F16, Framework::Pit);
+    run_step(&mut eng, &ModelConfig::opt("1.3B"), &StepShape::default());
+    assert_eq!(eng.latency_ms().to_bits(), (-0.0f64).to_bits());
+    assert_eq!(eng.cost_tally(), CostTally::default());
+}
