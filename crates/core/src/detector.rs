@@ -2,25 +2,36 @@
 //!
 //! The detector builds the index of non-zero micro-tiles **on the fly**,
 //! in parallel, and — crucially — *unordered*: because the kernel will
-//! permute micro-tiles along a PIT-axis anyway, no thread needs to know
-//! where in the index its findings land. Each worker reserves slots in a
-//! pre-allocated index array with an atomic fetch-add (the paper's
-//! `atomicadd`) and writes its micro-tile coordinates there. The resulting
-//! order depends on thread scheduling, exactly as on a GPU.
+//! permute micro-tiles along a PIT-axis anyway, no worker needs to know
+//! where in the index its findings land. The resulting order depends on
+//! thread scheduling, exactly as on a GPU.
 //!
-//! The host-side implementation below is genuinely concurrent (std scoped
-//! threads + atomics); the *modelled GPU cost* of the same
-//! construction is one scan of the data plus block-aggregated atomic
-//! appends (see `pit_gpusim::cost`).
+//! The host scan reads the mask 64 bits at a time. For each strip of
+//! `micro.h` rows it ORs the rows' words together (the same strip OR that
+//! Algorithm 1's cover count uses) and then tests each micro-column at
+//! most once: a set bit marks its micro-column non-zero and the scan jumps
+//! to the next micro-column. Each worker scans a contiguous run of strips
+//! into a private buffer and appends the run to the index once — the
+//! block-aggregated form of the paper's `atomicadd` slot reservation, so
+//! a strip's micro-tiles stay in ascending column order. Small masks are
+//! scanned on the calling thread. The *modelled GPU cost* is one scan of
+//! the mask plus the appends (see `pit_gpusim::cost`).
+//!
+//! The index is all the SRead side of a kernel needs: the kernels in
+//! [`crate::kernels`] turn its coordinates into offsets into the
+//! operands' original buffers, with no conversion pass (zero-copy, §3.3).
 
 use crate::microtile::MicroTile;
 use pit_gpusim::{CostModel, KernelStats};
 use pit_sparse::Mask;
 use pit_tensor::Tensor;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::ops::Range;
+use std::sync::Mutex;
 
-/// Sentinel marking an unwritten index slot (no valid tile packs to this).
-const EMPTY_SLOT: u64 = u64::MAX;
+/// Masks of at least this many 64-bit words are scanned by up to
+/// `threads` workers; smaller ones on the calling thread, where spawning
+/// a worker would cost more than the whole scan.
+const PARALLEL_MIN_WORDS: usize = 1 << 14;
 
 /// The index of non-zero micro-tiles of one sparse tensor.
 ///
@@ -70,8 +81,10 @@ impl MicroTileIndex {
 /// Detects non-zero micro-tiles of a [`Mask`] in parallel and returns the
 /// unordered index, plus a modelled GPU cost of doing the same on device.
 ///
-/// `threads` controls host parallelism (use ≥2 to exercise the unordered
-/// construction; the result set is identical regardless).
+/// `threads` caps host parallelism: a mask of at least 2^14 words is split
+/// into up to `threads` contiguous runs of strips, one worker each; a
+/// smaller one is scanned on the calling thread. The result set is
+/// identical regardless, and within a grid row the columns ascend.
 pub fn detect_mask(
     cost: &CostModel,
     mask: &Mask,
@@ -80,41 +93,41 @@ pub fn detect_mask(
 ) -> MicroTileIndex {
     let grid_r = mask.rows().div_ceil(micro.h);
     let grid_c = mask.cols().div_ceil(micro.w);
-    let capacity = grid_r * grid_c;
-    // Pre-allocated index array + shared cursor, as in the paper: workers
-    // atomically reserve a slot, then write their coordinates into it.
-    let slots: Vec<AtomicU64> = (0..capacity).map(|_| AtomicU64::new(EMPTY_SLOT)).collect();
-    let cursor = AtomicUsize::new(0);
-    let threads = threads.max(1);
-    let rows_per_thread = grid_r.div_ceil(threads);
-    std::thread::scope(|s| {
-        for t in 0..threads {
-            let slots = &slots;
-            let cursor = &cursor;
-            let r0 = t * rows_per_thread;
-            let r1 = ((t + 1) * rows_per_thread).min(grid_r);
-            s.spawn(move || {
-                for tr in r0..r1 {
-                    for tc in 0..grid_c {
-                        if mask.block_any(tr * micro.h, tc * micro.w, micro.h, micro.w) {
-                            let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                            let packed = ((tr as u64) << 32) | tc as u64;
-                            slots[slot].store(packed, Ordering::Relaxed);
-                        }
-                    }
-                }
-            });
-        }
-    });
-    let n = cursor.load(Ordering::Relaxed);
-    let coords = slots[..n]
-        .iter()
-        .map(|s| {
-            let packed = s.load(Ordering::Relaxed);
-            debug_assert_ne!(packed, EMPTY_SLOT, "reserved slot left unwritten");
-            ((packed >> 32) as u32, packed as u32)
-        })
-        .collect();
+    let words = mask.rows() * mask.cols().div_ceil(64);
+    let workers = if words >= PARALLEL_MIN_WORDS {
+        threads.clamp(1, grid_r.max(1))
+    } else {
+        1
+    };
+    let coords = if workers == 1 {
+        let mut coords = Vec::new();
+        scan_strips(mask, micro, 0..grid_r, &mut coords);
+        coords
+    } else {
+        let index = Mutex::new(Vec::new());
+        let per_worker = grid_r.div_ceil(workers);
+        let scan_run = |w: usize| {
+            let mut found = Vec::new();
+            let run = w * per_worker..((w + 1) * per_worker).min(grid_r);
+            scan_strips(mask, micro, run, &mut found);
+            index
+                .lock()
+                .expect("a worker panicked while appending its run")
+                .extend(found);
+        };
+        // The calling thread scans the first run itself.
+        std::thread::scope(|s| {
+            for w in 1..workers {
+                let scan_run = &scan_run;
+                s.spawn(move || scan_run(w));
+            }
+            scan_run(0);
+        });
+        index
+            .into_inner()
+            .expect("a worker panicked while appending its run")
+    };
+    let n = coords.len();
     // Modelled GPU cost: one scan of the mask bits plus the appends.
     let scan_bytes = (mask.numel() / 8) as f64;
     let latency = cost.scan_pass(scan_bytes) + cost.index_append(n);
@@ -130,6 +143,39 @@ pub fn detect_mask(
             tiles_executed: 0,
             latency_s: latency,
         },
+    }
+}
+
+/// Appends the non-zero micro-tiles of grid rows `strips` to `out`,
+/// row-major: for each strip, the OR of its rows, then one bit-scan over
+/// those words that tests each micro-column at most once.
+pub(crate) fn scan_strips(
+    mask: &Mask,
+    micro: MicroTile,
+    strips: Range<usize>,
+    out: &mut Vec<(u32, u32)>,
+) {
+    let mut acc = Vec::new();
+    for s in strips {
+        let words = mask.strip_or(s * micro.h, micro.h, &mut acc);
+        // First column not yet covered by a found micro-tile.
+        let mut next = 0;
+        for (wi, &word) in words.iter().enumerate() {
+            let base = wi * 64;
+            if next >= base + 64 {
+                continue;
+            }
+            let mut bits = word & (u64::MAX << next.saturating_sub(base));
+            while bits != 0 {
+                let tc = (base + bits.trailing_zeros() as usize) / micro.w;
+                out.push((s as u32, tc as u32));
+                next = (tc + 1) * micro.w;
+                if next >= base + 64 {
+                    break;
+                }
+                bits &= u64::MAX << (next - base);
+            }
+        }
     }
 }
 
@@ -178,11 +224,13 @@ mod tests {
     #[test]
     fn single_and_multi_thread_agree() {
         let cost = cost();
-        let mask = generate::granular_random(128, 128, 1, 4, 0.9, 3);
+        // 2^14 words: large enough for the scan to fan out.
+        let mask = generate::granular_random(1024, 1024, 1, 4, 0.9, 3);
         let micro = MicroTile::new(1, 8);
         let one = detect_mask(&cost, &mask, micro, 1);
         let many = detect_mask(&cost, &mask, micro, 8);
         assert_eq!(one.sorted_coords(), many.sorted_coords());
+        assert_eq!(one.coords, one.sorted_coords());
     }
 
     #[test]

@@ -14,25 +14,36 @@
 //! Plus [`moe_gemm`], the fused multi-expert GEMM (an instance of the
 //! multi-axis `(b, m)` rule the paper sketches in §3.2 and uses for MoE):
 //! every expert's gathered tokens become row-merged tiles of one kernel
-//! launch.
+//! launch; and [`spmm_row_segments`], the `(1, w)` row-segment kernel.
 //!
-//! All kernels compute the real `f32` result via the same gather/tile/
-//! scatter structure the modelled GPU executes, and report modelled
-//! latency/waste in [`KernelStats`].
+//! Each kernel computes the real `f32` result in one pass over the
+//! operands' original buffers, as the modelled GPU does (zero-copy,
+//! §3.3): SRead is index arithmetic into `A` and `B` — a gathered row or
+//! k-column is an offset, never a packed copy — the dense tile is
+//! [`mac_row`], and SWrite writes the rows of `C` in place. Every output
+//! element accumulates its non-zero terms in ascending `k` (for
+//! [`spmm_k_axis`], in the index's within-strip order, which the detector
+//! emits ascending), so each kernel's output equals
+//! `pit_tensor::ops::matmul` on the same operands exactly. Modelled
+//! latency and waste are reported in [`KernelStats`].
 
-use crate::detector::MicroTileIndex;
-use crate::primitives::{sread_cols_strip, sread_rows, swrite_rows};
+use crate::detector::{scan_strips, MicroTileIndex};
+use crate::microtile::MicroTile;
 use pit_gpusim::cost::TileDims;
 use pit_gpusim::{CostModel, KernelStats};
-use pit_kernels::dense::matmul_tiled;
+use pit_kernels::dense::{mac_row, matmul_dims};
 use pit_kernels::KernelOutput;
 use pit_sparse::Mask;
 use pit_tensor::{DType, Tensor, TensorError};
 
-/// `C[M,N] = A[M,K]·B[K,N]` where only `rows` of `A` are non-zero: gathers
-/// those rows (SRead on the m-axis), runs dense tiles, scatters results
-/// back (SWrite). Rows may be in any order — permutation invariance of the
-/// spatial m-axis guarantees the result.
+/// `C[M,N] = A[M,K]·B[K,N]` where only `rows` of `A` are non-zero: each
+/// listed row of `A` (SRead on the m-axis) is multiplied through the dense
+/// tile and written to the same row of `C` (SWrite); unlisted rows of `C`
+/// are zero. Rows may be in any order — permutation invariance of the
+/// spatial m-axis guarantees the result — and a repeated row is written
+/// once.
+///
+/// Returns [`TensorError::IndexOutOfBounds`] for a row `≥ M`.
 pub fn spmm_m_axis(
     cost: &CostModel,
     a: &Tensor,
@@ -41,15 +52,33 @@ pub fn spmm_m_axis(
     tile: TileDims,
     dtype: DType,
 ) -> Result<KernelOutput, TensorError> {
-    let (m, _k) = (a.shape().dim(0), a.shape().dim(1));
-    let n = b.shape().dim(1);
-    let packed_a = sread_rows(a, rows);
-    let packed_c = matmul_tiled(cost, &packed_a, b, tile, dtype)?;
+    let (m, k, n) = matmul_dims(a, b)?;
+    let (ad, bd) = (a.data(), b.data());
     let mut out = Tensor::zeros([m, n]);
-    swrite_rows(&packed_c.tensor, rows, &mut out);
-    let nnz = a.data().iter().filter(|&&v| v != 0.0).count();
-    let stats = spmm_m_axis_cost(cost, rows.len(), a.shape().dim(1), n, nnz, tile, dtype);
+    let od = out.data_mut();
+    for &r in rows {
+        let r = bounded(r as usize, m, 0)?;
+        let orow = &mut od[r * n..(r + 1) * n];
+        orow.fill(0.0);
+        let arow = &ad[r * k..(r + 1) * k];
+        mac_row(orow, bd, n, arow.iter().copied().enumerate());
+    }
+    let nnz = a.nnz();
+    let stats = spmm_m_axis_cost(cost, rows.len(), k, n, nnz, tile, dtype);
     Ok(KernelOutput { tensor: out, stats })
+}
+
+/// `index` itself when it addresses one of `extent` positions of `axis`.
+fn bounded(index: usize, extent: usize, axis: usize) -> Result<usize, TensorError> {
+    if index < extent {
+        Ok(index)
+    } else {
+        Err(TensorError::IndexOutOfBounds {
+            index,
+            extent,
+            axis,
+        })
+    }
 }
 
 /// Analytic cost of [`spmm_m_axis`] with `r` gathered rows.
@@ -81,9 +110,12 @@ pub fn spmm_m_axis_cost(
 /// `C[M,N] = A[M,K]·B[K,N]` with `A` sparse at micro-tile granularity
 /// `(tile.m, 1)`: for every `tile.m`-row strip of `A`, the non-zero column
 /// micro-tiles are merged along the k-axis into dense tiles; the matching
-/// rows of `B` are gathered with them (Figure 4, second example).
+/// rows of `B` are read with them (Figure 4, second example).
 ///
-/// `index` must be a detection of `A` at micro-tile `(tile.m, 1)`.
+/// `index` must be a detection of `A` at micro-tile `(tile.m, 1)`; a
+/// coordinate outside `A`'s strips or columns is
+/// [`TensorError::IndexOutOfBounds`]. Each row of a strip accumulates the
+/// strip's columns in the index's order.
 pub fn spmm_k_axis(
     cost: &CostModel,
     a: &Tensor,
@@ -92,39 +124,32 @@ pub fn spmm_k_axis(
     tile: TileDims,
     dtype: DType,
 ) -> Result<KernelOutput, TensorError> {
-    let (m, k) = (a.shape().dim(0), a.shape().dim(1));
-    let (k2, n) = (b.shape().dim(0), b.shape().dim(1));
-    if k != k2 {
-        return Err(TensorError::ContractionMismatch {
-            lhs_inner: k,
-            rhs_inner: k2,
-        });
-    }
+    let (m, k, n) = matmul_dims(a, b)?;
     let strips = m.div_ceil(tile.m);
     // Group detected micro-tiles by strip, preserving the detector's
     // unordered within-strip order (legal by k-axis permutation
     // invariance).
-    let mut strip_cols: Vec<Vec<u32>> = vec![Vec::new(); strips];
+    let mut strip_cols: Vec<Vec<usize>> = vec![Vec::new(); strips];
     for &(s, c) in &index.coords {
-        strip_cols[s as usize].push(c);
+        let s = bounded(s as usize, strips, 0)?;
+        strip_cols[s].push(bounded(c as usize, k, 1)?);
     }
+    let (ad, bd) = (a.data(), b.data());
     let mut out = Tensor::zeros([m, n]);
+    let od = out.data_mut();
     let mut total_passes = 0usize;
     for (s, cols) in strip_cols.iter().enumerate() {
         if cols.is_empty() {
             continue;
         }
-        let strip_start = s * tile.m;
-        let strip_len = tile.m.min(m - strip_start);
-        let packed_a = sread_cols_strip(a, strip_start, strip_len, cols);
-        let packed_b = sread_rows(b, cols);
-        let packed_c = matmul_tiled(cost, &packed_a, &packed_b, tile, dtype)?;
-        // Strip rows are dense in C: direct write.
-        let rows: Vec<u32> = (strip_start as u32..(strip_start + strip_len) as u32).collect();
-        swrite_rows(&packed_c.tensor, &rows, &mut out);
+        for r in s * tile.m..((s + 1) * tile.m).min(m) {
+            let arow = &ad[r * k..(r + 1) * k];
+            let terms = cols.iter().map(|&c| (c, arow[c]));
+            mac_row(&mut od[r * n..(r + 1) * n], bd, n, terms);
+        }
         total_passes += cols.len().div_ceil(tile.k) * n.div_ceil(tile.n);
     }
-    let nnz = a.data().iter().filter(|&&v| v != 0.0).count();
+    let nnz = a.nnz();
     let stats = spmm_k_axis_cost_from_passes(
         cost,
         total_passes,
@@ -205,6 +230,8 @@ fn spmm_k_axis_cost_from_passes(
 /// `(1, tile.n)` covering non-zeros of `mask` are computed, merged along
 /// the m-axis within each `tile.n`-wide column strip. Fine-grained mask
 /// positions inside a covered micro-tile are zeroed by predicated SWrite.
+///
+/// Returns [`TensorError::ShapeMismatch`] unless `mask` is `M × N`.
 pub fn sdd_m_axis(
     cost: &CostModel,
     a: &Tensor,
@@ -213,46 +240,49 @@ pub fn sdd_m_axis(
     tile: TileDims,
     dtype: DType,
 ) -> Result<KernelOutput, TensorError> {
-    let (m, k) = (a.shape().dim(0), a.shape().dim(1));
-    let (k2, n) = (b.shape().dim(0), b.shape().dim(1));
-    if k != k2 {
-        return Err(TensorError::ContractionMismatch {
-            lhs_inner: k,
-            rhs_inner: k2,
+    let (m, k, n) = matmul_dims(a, b)?;
+    if (mask.rows(), mask.cols()) != (m, n) {
+        return Err(TensorError::ShapeMismatch {
+            lhs: vec![m, n],
+            rhs: vec![mask.rows(), mask.cols()],
         });
     }
-    assert_eq!(mask.rows(), m, "mask rows must match output");
-    assert_eq!(mask.cols(), n, "mask cols must match output");
-    let n_strips = n.div_ceil(tile.n);
+    // The covered output micro-tiles, row-major: (row, column strip).
+    let mut covered_tiles = Vec::new();
+    scan_strips(mask, MicroTile::new(1, tile.n), 0..m, &mut covered_tiles);
+    let (ad, bd) = (a.data(), b.data());
     let mut out = Tensor::zeros([m, n]);
-    let mut total_passes = 0usize;
-    let mut out_tiles = 0usize;
-    let mut covered = 0usize;
-    for j in 0..n_strips {
-        let c0 = j * tile.n;
-        let cw = tile.n.min(n - c0);
-        // Rows whose (1, tile.n) micro-tile in this strip is non-zero.
-        let rows: Vec<u32> = (0..m)
-            .filter(|&r| mask.block_any(r, c0, 1, cw))
-            .map(|r| r as u32)
-            .collect();
-        if rows.is_empty() {
-            continue;
+    let od = out.data_mut();
+    let mut strip_rows = vec![0usize; n.div_ceil(tile.n)];
+    let mut row_words = Vec::new();
+    // A run of adjacent covered strips on one row is one MAC pass over
+    // their columns: an element's sum does not depend on which other
+    // columns share its pass.
+    for run in covered_tiles.chunk_by(|x, y| (y.0, y.1) == (x.0, x.1 + 1)) {
+        let (r, j0) = (run[0].0 as usize, run[0].1 as usize);
+        let j1 = j0 + run.len();
+        for rows in &mut strip_rows[j0..j1] {
+            *rows += 1;
         }
-        covered += rows.len() * cw;
-        let packed_a = sread_rows(a, &rows);
-        let b_strip = col_slice(b, c0, cw);
-        let packed_c = matmul_tiled(cost, &packed_a, &b_strip, tile, dtype)?;
-        // Predicated SWrite: place values only where the fine mask is set.
-        for (i, &r) in rows.iter().enumerate() {
-            for c in 0..cw {
-                if mask.get(r as usize, c0 + c) {
-                    let v = packed_c.tensor.data()[i * cw + c];
-                    out.data_mut()[r as usize * n + c0 + c] = v;
-                }
+        let (c0, c1) = (j0 * tile.n, (j1 * tile.n).min(n));
+        let orow = &mut od[r * n + c0..r * n + c1];
+        let arow = &ad[r * k..(r + 1) * k];
+        mac_row(orow, &bd[c0..], n, arow.iter().copied().enumerate());
+        // Predicated SWrite: keep values only where the fine mask is set.
+        let words = mask.strip_or(r, 1, &mut row_words);
+        for (c, o) in (c0..c1).zip(orow) {
+            if words[c / 64] >> (c % 64) & 1 == 0 {
+                *o = 0.0;
             }
         }
-        let m_tiles = rows.len().div_ceil(tile.m);
+    }
+    let (mut total_passes, mut out_tiles, mut covered) = (0usize, 0usize, 0usize);
+    for (j, &rows) in strip_rows.iter().enumerate() {
+        if rows == 0 {
+            continue;
+        }
+        covered += rows * tile.n.min(n - j * tile.n);
+        let m_tiles = rows.div_ceil(tile.m);
         total_passes += m_tiles * k.div_ceil(tile.k);
         out_tiles += m_tiles;
     }
@@ -330,6 +360,14 @@ fn sdd_m_axis_cost_from_counts(
 /// row-merged gathered tokens of each expert (the `(b, m)` multi-axis PIT
 /// rule; paper §5.1 "PIT employs SRead to load the relevant tokens for
 /// each expert ... and writes the results directly ... using SWrite").
+/// A token listed under several experts keeps the last one's row.
+///
+/// Returns [`TensorError::ShapeMismatch`] when the expert and token-list
+/// counts differ or an expert's width differs from the first one's,
+/// [`TensorError::ContractionMismatch`] for an expert whose rows are not
+/// the token width, [`TensorError::RankMismatch`] for an operand that is
+/// not rank 2, and [`TensorError::IndexOutOfBounds`] for a token index
+/// past the last token.
 pub fn moe_gemm(
     cost: &CostModel,
     tokens: &Tensor,
@@ -338,31 +376,57 @@ pub fn moe_gemm(
     tile: TileDims,
     dtype: DType,
 ) -> Result<KernelOutput, TensorError> {
-    assert_eq!(
-        expert_weights.len(),
-        expert_tokens.len(),
-        "one token list per expert"
-    );
-    let t_total = tokens.shape().dim(0);
-    let h = tokens.shape().dim(1);
-    let f = expert_weights
-        .first()
-        .map(|w| w.shape().dim(1))
-        .unwrap_or(0);
+    let (t_total, h, f) = moe_dims(tokens, expert_weights, expert_tokens)?;
+    let td = tokens.data();
     let mut out = Tensor::zeros([t_total, f]);
-    let mut counts = Vec::with_capacity(expert_tokens.len());
-    for (w, toks) in expert_weights.iter().zip(expert_tokens.iter()) {
-        counts.push(toks.len());
-        if toks.is_empty() {
-            continue;
+    let od = out.data_mut();
+    for (w, toks) in expert_weights.iter().zip(expert_tokens) {
+        for &t in toks {
+            let orow = &mut od[t * f..(t + 1) * f];
+            orow.fill(0.0);
+            let trow = &td[t * h..(t + 1) * h];
+            mac_row(orow, w.data(), f, trow.iter().copied().enumerate());
         }
-        let rows: Vec<u32> = toks.iter().map(|&t| t as u32).collect();
-        let packed = sread_rows(tokens, &rows);
-        let prod = matmul_tiled(cost, &packed, w, tile, dtype)?;
-        swrite_rows(&prod.tensor, &rows, &mut out);
     }
+    let counts: Vec<usize> = expert_tokens.iter().map(Vec::len).collect();
     let stats = moe_gemm_cost(cost, &counts, h, f, tile, dtype);
     Ok(KernelOutput { tensor: out, stats })
+}
+
+/// The `(T, h, f)` of a [`moe_gemm`] call — `T` tokens of width `h`,
+/// experts `h → f` — or the error that makes the call malformed.
+pub(crate) fn moe_dims(
+    tokens: &Tensor,
+    expert_weights: &[Tensor],
+    expert_tokens: &[Vec<usize>],
+) -> Result<(usize, usize, usize), TensorError> {
+    if expert_weights.len() != expert_tokens.len() {
+        return Err(TensorError::ShapeMismatch {
+            lhs: vec![expert_weights.len()],
+            rhs: vec![expert_tokens.len()],
+        });
+    }
+    if tokens.rank() != 2 {
+        return Err(TensorError::RankMismatch {
+            expected: 2,
+            actual: tokens.rank(),
+        });
+    }
+    let (t_total, h) = (tokens.shape().dim(0), tokens.shape().dim(1));
+    let mut f = None;
+    for w in expert_weights {
+        let (_, _, wf) = matmul_dims(tokens, w)?;
+        if *f.get_or_insert(wf) != wf {
+            return Err(TensorError::ShapeMismatch {
+                lhs: expert_weights[0].shape().dims().to_vec(),
+                rhs: w.shape().dims().to_vec(),
+            });
+        }
+    }
+    for &t in expert_tokens.iter().flatten() {
+        bounded(t, t_total, 0)?;
+    }
+    Ok((t_total, h, f.unwrap_or(0)))
 }
 
 /// Analytic cost of [`moe_gemm`] given per-expert token counts.
@@ -407,6 +471,45 @@ pub fn moe_gemm_cost(
     }
 }
 
+/// The row-segment PIT kernel: `C[M,N] = A[M,K]·B[K,N]` with `A` sparse
+/// in horizontal runs, computed from `index`, a detection of `A` at a
+/// `(1, w)` micro-tile. Each row of `C` accumulates the `k`s of its
+/// detected segments in ascending order, so when every non-zero of `A` is
+/// covered the result equals `pit_tensor::ops::matmul` exactly. `nnz`,
+/// the non-zero count of `A`'s mask, sizes the modelled cost
+/// ([`spmm_segment_cost`]).
+///
+/// Returns [`TensorError::IndexOutOfBounds`] for a coordinate outside
+/// `A`.
+pub fn spmm_row_segments(
+    cost: &CostModel,
+    a: &Tensor,
+    b: &Tensor,
+    index: &MicroTileIndex,
+    nnz: usize,
+    dtype: DType,
+) -> Result<KernelOutput, TensorError> {
+    let (m, k, n) = matmul_dims(a, b)?;
+    let w = index.micro.w;
+    let segments = index.sorted_coords();
+    let (ad, bd) = (a.data(), b.data());
+    let mut out = Tensor::zeros([m, n]);
+    let od = out.data_mut();
+    for row in segments.chunk_by(|x, y| x.0 == y.0) {
+        let r = bounded(row[0].0 as usize, m, 0)?;
+        // Sorted, so the row's last segment is its largest.
+        bounded(row[row.len() - 1].1 as usize, k.div_ceil(w), 1)?;
+        let arow = &ad[r * k..(r + 1) * k];
+        let terms = row.iter().flat_map(|&(_, seg)| {
+            let p0 = seg as usize * w;
+            (p0..(p0 + w).min(k)).map(|p| (p, arow[p]))
+        });
+        mac_row(&mut od[r * n..(r + 1) * n], bd, n, terms);
+    }
+    let stats = spmm_segment_cost(cost, m, n, nnz, w as f64, dtype);
+    Ok(KernelOutput { tensor: out, stats })
+}
+
 /// Fraction of peak a row-segment kernel sustains per unit sqrt(segment
 /// length); longer runs give longer coalesced vector loads.
 pub const SEGMENT_BASE_EFFICIENCY: f64 = 0.08;
@@ -444,16 +547,6 @@ pub fn spmm_segment_cost(
     }
 }
 
-/// Copies columns `[c0, c0+w)` of a matrix into a fresh `[rows, w]` tensor.
-fn col_slice(t: &Tensor, c0: usize, w: usize) -> Tensor {
-    let (rows, cols) = (t.shape().dim(0), t.shape().dim(1));
-    let mut out = Vec::with_capacity(rows * w);
-    for r in 0..rows {
-        out.extend_from_slice(&t.data()[r * cols + c0..r * cols + c0 + w]);
-    }
-    Tensor::from_vec(out, [rows, w]).expect("sized by construction")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,6 +575,41 @@ mod tests {
         let out = spmm_m_axis(&cost, &a, &b, &rows, tile(), DType::F32).unwrap();
         let reference = ops::matmul(&a, &b).unwrap();
         assert!(out.tensor.allclose(&reference, 1e-4));
+    }
+
+    #[test]
+    fn permutation_invariance_of_gathered_gemm() {
+        // The heart of the paper: any permutation of the gathered rows
+        // yields the same C, with SWrite restoring every row's position
+        // (Figure 4); rows left out stay zero.
+        let cost = cost();
+        let a = Tensor::random([6, 4], 3);
+        let b = Tensor::random([4, 5], 4);
+        let reference = ops::matmul(&a, &b).unwrap();
+        for perm in [[2u32, 0, 4], [4, 2, 0], [0, 4, 2]] {
+            let c = spmm_m_axis(&cost, &a, &b, &perm, tile(), DType::F32).unwrap();
+            for r in 0..6 {
+                let want = if perm.contains(&(r as u32)) {
+                    reference.row(r).unwrap()
+                } else {
+                    vec![0.0; 5]
+                };
+                assert_eq!(c.tensor.row(r).unwrap(), want);
+            }
+        }
+    }
+
+    #[test]
+    fn row_segments_match_reference_exactly() {
+        let cost = cost();
+        let mask = generate::granular_random(40, 100, 1, 8, 0.8, 21);
+        let a = mask.apply(&Tensor::random([40, 100], 22));
+        let b = Tensor::random([100, 24], 23);
+        let index = detect_mask(&cost, &mask, MicroTile::new(1, 8), 2);
+        let out = spmm_row_segments(&cost, &a, &b, &index, mask.nnz(), DType::F32).unwrap();
+        assert_eq!(out.tensor, ops::matmul(&a, &b).unwrap());
+        let analytic = spmm_segment_cost(&cost, 40, 24, mask.nnz(), 8.0, DType::F32);
+        assert_eq!(out.stats, analytic);
     }
 
     #[test]

@@ -13,16 +13,19 @@
 //! 2. [`selection`]: Algorithm 1 — pick the rule with the lowest predicted
 //!    cost `num_covering_tiles × profiled_tile_cost`, with a seamless dense
 //!    fallback.
-//! 3. [`detector`]: online, *unordered* sparsity detection — a parallel
-//!    scan appends the coordinates of non-zero micro-tiles to an index via
-//!    atomic slot reservation. Permutation invariance is exactly what
-//!    makes the unordered (and therefore cheap) construction legal.
-//! 4. [`primitives`]: `SRead`/`SWrite` gather/scatter micro-tiles between
-//!    the original (dense-layout) buffers and dense computation tiles.
+//! 3. [`detector`]: online, *unordered* sparsity detection — a word-wide
+//!    scan of the mask, split into runs of strips across workers, each
+//!    run appended to the index once. Permutation invariance is exactly
+//!    what makes the unordered (and therefore cheap) construction legal.
+//! 4. `SRead`/`SWrite`: no separate pass and no copy (zero-copy, §3.3).
+//!    The kernels read the index's micro-tiles straight out of the
+//!    operands' original dense-layout buffers by index arithmetic, and
+//!    write result rows straight into the output.
 //! 5. [`kernels`]: the generated sparse kernels (Figure 7's template:
-//!    `SRead → DenseTileImpl → SWrite`) for the m-axis, k-axis and
-//!    output-sparse cases, each computing the real result and reporting
-//!    modelled latency.
+//!    `SRead → DenseTileImpl → SWrite`, one pass per kernel) for the
+//!    m-axis, k-axis, row-segment, output-sparse and MoE cases, each
+//!    computing the real result — equal to the dense reference product —
+//!    and reporting modelled latency.
 //! 6. [`ops`]: high-level operator API (sparse linear layers, SDD/DSD
 //!    attention products, MoE expert GEMM) used by the model layer, with a
 //!    [`jit`] cache standing in for the paper's kernel database.
@@ -32,7 +35,6 @@ pub mod jit;
 pub mod kernels;
 pub mod microtile;
 pub mod ops;
-pub mod primitives;
 pub mod selection;
 
 pub use detector::{detect_mask, detect_tensor, MicroTileIndex};

@@ -9,12 +9,13 @@
 
 use crate::detector::{detect_mask, MicroTileIndex};
 use crate::jit::{JitCache, KernelKey};
-use crate::kernels::{moe_gemm, sdd_m_axis, spmm_k_axis, spmm_m_axis};
+use crate::kernels::{moe_dims, moe_gemm, sdd_m_axis, spmm_k_axis, spmm_m_axis, spmm_row_segments};
 use crate::microtile::MatmulAxis;
 use crate::selection::{select_kernel, SelectedKernel};
 use pit_gpusim::cost::TileDims;
 use pit_gpusim::{CostModel, DeviceSpec, KernelStats};
 use pit_kernels::baselines::cublas;
+use pit_kernels::dense::matmul_dims;
 use pit_kernels::tiles::TileDb;
 use pit_kernels::KernelOutput;
 use pit_sparse::Mask;
@@ -99,6 +100,8 @@ impl Pit {
     /// (values of `A` at masked-out positions must be zero). Runs
     /// Algorithm-1 selection (cached by shape), online detection if the
     /// chosen rule needs an index, and the generated sparse kernel.
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] unless `mask` has `A`'s shape.
     pub fn matmul_masked(
         &self,
         a: &Tensor,
@@ -106,8 +109,13 @@ impl Pit {
         b: &Tensor,
         dtype: DType,
     ) -> Result<PitExecution, TensorError> {
-        let (m, k) = (a.shape().dim(0), a.shape().dim(1));
-        let n = b.shape().dim(1);
+        let (m, k, n) = matmul_dims(a, b)?;
+        if (mask.rows(), mask.cols()) != (m, k) {
+            return Err(TensorError::ShapeMismatch {
+                lhs: vec![m, k],
+                rhs: vec![mask.rows(), mask.cols()],
+            });
+        }
         let key = KernelKey {
             op: "spmm",
             dims: [m, k, n],
@@ -140,20 +148,11 @@ impl Pit {
                 }
                 MatmulAxis::K if rule.micro.h == 1 => {
                     // Row-segment kernel: (1, w) micro-tiles, per-row
-                    // vectorised MACs. Numerically this is the plain
-                    // masked product (no merging reorders anything).
+                    // vectorised MACs over each row's detected segments.
                     let index = detect_mask(&self.cost, mask, rule.micro, self.detect_threads);
-                    let tensor = pit_tensor::ops::matmul(a, b)?;
-                    let stats = crate::kernels::spmm_segment_cost(
-                        &self.cost,
-                        a.shape().dim(0),
-                        n,
-                        mask.nnz(),
-                        rule.micro.w as f64,
-                        dtype,
-                    );
+                    let output = spmm_row_segments(&self.cost, a, b, &index, mask.nnz(), dtype)?;
                     Ok(PitExecution {
-                        output: KernelOutput { tensor, stats },
+                        output,
                         detection: index.stats,
                         selection,
                     })
@@ -180,6 +179,7 @@ impl Pit {
         b: &Tensor,
         dtype: DType,
     ) -> Result<PitExecution, TensorError> {
+        matmul_dims(a, b)?;
         let mask = Mask::from_tensor(a);
         let mut exec = self.matmul_masked(a, &mask, b, dtype)?;
         // Detection scanned values, not mask bits: charge the value scan.
@@ -195,6 +195,8 @@ impl Pit {
     /// Row-sparse matmul with an explicit non-zero row list (dynamic
     /// sequence length: the row list comes from the batch's lengths, no
     /// detection pass needed).
+    ///
+    /// Returns [`TensorError::IndexOutOfBounds`] for a row past `A`'s last.
     pub fn matmul_rows(
         &self,
         a: &Tensor,
@@ -203,13 +205,13 @@ impl Pit {
         tile: Option<TileDims>,
         dtype: DType,
     ) -> Result<KernelOutput, TensorError> {
-        let n = b.shape().dim(1);
+        let (_, k, n) = matmul_dims(a, b)?;
         let tile = tile.unwrap_or_else(|| {
             self.db
                 .best_dense_tile(
                     &self.cost,
                     rows.len().max(1),
-                    a.shape().dim(1),
+                    k,
                     n,
                     dtype.tensor_core_eligible(),
                 )
@@ -220,6 +222,9 @@ impl Pit {
 
     /// Output-sparse matmul `C = (A·B) ⊙ mask` (dynamic sparse attention
     /// scores).
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] unless `mask` has the
+    /// output's shape.
     pub fn sdd(
         &self,
         a: &Tensor,
@@ -227,8 +232,7 @@ impl Pit {
         mask: &Mask,
         dtype: DType,
     ) -> Result<PitExecution, TensorError> {
-        let (m, k) = (a.shape().dim(0), a.shape().dim(1));
-        let n = b.shape().dim(1);
+        let (m, k, n) = matmul_dims(a, b)?;
         let tc = dtype.tensor_core_eligible();
         let tile = self
             .db
@@ -268,6 +272,9 @@ impl Pit {
     }
 
     /// Fused sparse MoE expert GEMM (one launch for all experts).
+    ///
+    /// Returns an error for a malformed call, as
+    /// [`moe_gemm`](crate::kernels::moe_gemm) does.
     pub fn moe_gemm(
         &self,
         tokens: &Tensor,
@@ -275,11 +282,7 @@ impl Pit {
         expert_tokens: &[Vec<usize>],
         dtype: DType,
     ) -> Result<KernelOutput, TensorError> {
-        let h = tokens.shape().dim(1);
-        let f = expert_weights
-            .first()
-            .map(|w| w.shape().dim(1))
-            .unwrap_or(0);
+        let (_, h, f) = moe_dims(tokens, expert_weights, expert_tokens)?;
         let max_cnt = expert_tokens.iter().map(Vec::len).max().unwrap_or(0);
         let tile = self
             .db
@@ -372,6 +375,16 @@ mod tests {
     }
 
     #[test]
+    fn dyn_sparse_rejects_a_that_is_not_a_matrix() {
+        let pit = engine();
+        let a = Tensor::random([64], 32);
+        let err = pit
+            .matmul_dyn_sparse(&a, &Tensor::random([64, 8], 33), DType::F32)
+            .unwrap_err();
+        assert!(matches!(err, TensorError::RankMismatch { .. }), "{err}");
+    }
+
+    #[test]
     fn selection_is_cached_across_calls() {
         let pit = engine();
         let mask = generate::granular_random(64, 64, 8, 1, 0.9, 11);
@@ -405,6 +418,103 @@ mod tests {
             .unwrap();
         assert_eq!(out.tensor.shape().dims(), &[48, 16]);
         assert!(out.stats.latency_s > 0.0);
+    }
+
+    #[test]
+    fn masked_matmul_rejects_mask_smaller_than_a() {
+        let pit = engine();
+        let a = Tensor::random([128, 64], 20);
+        let err = pit
+            .matmul_masked(
+                &a,
+                &Mask::ones(64, 64),
+                &Tensor::random([64, 32], 21),
+                DType::F32,
+            )
+            .unwrap_err();
+        assert!(matches!(err, TensorError::ShapeMismatch { .. }), "{err}");
+    }
+
+    #[test]
+    fn masked_matmul_rejects_mask_larger_than_a() {
+        let pit = engine();
+        let mask = generate::granular_random(128, 64, 8, 1, 0.9, 22);
+        let a = Tensor::random([64, 64], 23);
+        let err = pit
+            .matmul_masked(&a, &mask, &Tensor::random([64, 32], 24), DType::F32)
+            .unwrap_err();
+        assert!(matches!(err, TensorError::ShapeMismatch { .. }), "{err}");
+    }
+
+    #[test]
+    fn sdd_rejects_mask_not_shaped_like_output() {
+        let pit = engine();
+        let a = Tensor::random([64, 32], 25);
+        let b = Tensor::random([32, 48], 26);
+        let mask = generate::longformer_mask(64, 16, &[0]);
+        let err = pit.sdd(&a, &b, &mask, DType::F32).unwrap_err();
+        assert!(matches!(err, TensorError::ShapeMismatch { .. }), "{err}");
+    }
+
+    #[test]
+    fn moe_gemm_rejects_expert_and_list_count_mismatch() {
+        let pit = engine();
+        let tokens = Tensor::random([8, 16], 27);
+        let weights: Vec<Tensor> = (0..3).map(|e| Tensor::random([16, 8], 50 + e)).collect();
+        let lists = vec![vec![0, 1], vec![2, 3]];
+        let err = pit
+            .moe_gemm(&tokens, &weights, &lists, DType::F32)
+            .unwrap_err();
+        assert!(matches!(err, TensorError::ShapeMismatch { .. }), "{err}");
+    }
+
+    #[test]
+    fn moe_gemm_rejects_token_out_of_bounds() {
+        let pit = engine();
+        let tokens = Tensor::random([8, 16], 28);
+        let weights: Vec<Tensor> = (0..2).map(|e| Tensor::random([16, 8], 60 + e)).collect();
+        let lists = vec![vec![0, 7], vec![8]];
+        let err = pit
+            .moe_gemm(&tokens, &weights, &lists, DType::F32)
+            .unwrap_err();
+        let want = TensorError::IndexOutOfBounds {
+            index: 8,
+            extent: 8,
+            axis: 0,
+        };
+        assert_eq!(err, want);
+    }
+
+    #[test]
+    fn moe_gemm_keeps_contraction_error_for_expert_rows() {
+        let pit = engine();
+        let tokens = Tensor::random([8, 16], 29);
+        let weights = vec![Tensor::random([16, 8], 70), Tensor::random([12, 8], 71)];
+        let lists = vec![vec![0, 1], vec![2]];
+        let err = pit
+            .moe_gemm(&tokens, &weights, &lists, DType::F32)
+            .unwrap_err();
+        let want = TensorError::ContractionMismatch {
+            lhs_inner: 16,
+            rhs_inner: 12,
+        };
+        assert_eq!(err, want);
+    }
+
+    #[test]
+    fn matmul_rows_rejects_row_out_of_bounds() {
+        let pit = engine();
+        let a = Tensor::random([16, 8], 30);
+        let b = Tensor::random([8, 8], 31);
+        let err = pit
+            .matmul_rows(&a, &[3, 16], &b, None, DType::F32)
+            .unwrap_err();
+        let want = TensorError::IndexOutOfBounds {
+            index: 16,
+            extent: 16,
+            axis: 0,
+        };
+        assert_eq!(err, want);
     }
 
     #[test]

@@ -5,11 +5,13 @@ use pit_gpusim::cost::TileDims;
 use pit_gpusim::{CostModel, KernelStats};
 use pit_tensor::{ops, DType, Tensor, TensorError};
 
-/// Dense `[m,k]×[k,n]` GEMM executed tile-by-tile with the given tile shape.
+/// Dense `[m,k]×[k,n]` GEMM with the given tile shape: the real product
+/// on the host, the modelled latency of the tiled device kernel.
 ///
-/// The host-side loop nests mirror the modelled device execution (tile
-/// grid → k-passes), so the numeric result is exactly what the simulated
-/// kernel would produce, and the latency comes from the cost model.
+/// The host computes row by row with [`mac_row`]. Tiling never changed an
+/// element's accumulation order — every tile's k-passes visit `p` in
+/// ascending order — so the tile shape only enters the modelled
+/// statistics, and the result equals `pit_tensor::ops::matmul` exactly.
 pub fn matmul_tiled(
     cost: &CostModel,
     a: &Tensor,
@@ -19,44 +21,17 @@ pub fn matmul_tiled(
 ) -> Result<KernelOutput, TensorError> {
     let tensor_core = dtype.tensor_core_eligible();
     let elem = dtype.size_bytes();
-    if a.rank() != 2 || b.rank() != 2 {
-        return Err(TensorError::RankMismatch {
-            expected: 2,
-            actual: if a.rank() != 2 { a.rank() } else { b.rank() },
-        });
-    }
-    let (m, k) = (a.shape().dim(0), a.shape().dim(1));
-    let (k2, n) = (b.shape().dim(0), b.shape().dim(1));
-    if k != k2 {
-        return Err(TensorError::ContractionMismatch {
-            lhs_inner: k,
-            rhs_inner: k2,
-        });
-    }
+    let (m, k, n) = matmul_dims(a, b)?;
     let mut out = vec![0.0f32; m * n];
     let (ad, bd) = (a.data(), b.data());
-    // Tile grid over the output; each tile accumulates over k in passes.
-    for ti in (0..m).step_by(tile.m) {
-        let i_end = (ti + tile.m).min(m);
-        for tj in (0..n).step_by(tile.n) {
-            let j_end = (tj + tile.n).min(n);
-            for tp in (0..k).step_by(tile.k) {
-                let p_end = (tp + tile.k).min(k);
-                for i in ti..i_end {
-                    for p in tp..p_end {
-                        let av = ad[i * k + p];
-                        if av == 0.0 {
-                            continue;
-                        }
-                        let brow = &bd[p * n + tj..p * n + j_end];
-                        let orow = &mut out[i * n + tj..i * n + j_end];
-                        for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                            *o += av * bv;
-                        }
-                    }
-                }
-            }
-        }
+    for i in 0..m {
+        let arow = &ad[i * k..(i + 1) * k];
+        mac_row(
+            &mut out[i * n..(i + 1) * n],
+            bd,
+            n,
+            arow.iter().copied().enumerate(),
+        );
     }
     let tiles = m.div_ceil(tile.m) * n.div_ceil(tile.n);
     let latency = cost.tiled_gemm_latency(tiles, tile, k, elem, tensor_core);
@@ -73,6 +48,75 @@ pub fn matmul_tiled(
         tensor: Tensor::from_vec(out, [m, n])?,
         stats,
     })
+}
+
+/// The `(m, k, n)` of the product `A[m,k]·B[k,n]`, or why it is undefined:
+/// an operand that is not rank 2, or inner dimensions that differ.
+pub fn matmul_dims(a: &Tensor, b: &Tensor) -> Result<(usize, usize, usize), TensorError> {
+    if a.rank() != 2 || b.rank() != 2 {
+        return Err(TensorError::RankMismatch {
+            expected: 2,
+            actual: if a.rank() != 2 { a.rank() } else { b.rank() },
+        });
+    }
+    let (m, k) = (a.shape().dim(0), a.shape().dim(1));
+    let (k2, n) = (b.shape().dim(0), b.shape().dim(1));
+    if k != k2 {
+        return Err(TensorError::ContractionMismatch {
+            lhs_inner: k,
+            rhs_inner: k2,
+        });
+    }
+    Ok((m, k, n))
+}
+
+/// The dense tile's multiply-accumulate on one output row:
+/// `out[j] += a_p · b[p·ldb + j]` for every term `(p, a_p)`, in the order
+/// given, skipping `a_p == 0` as `pit_tensor::ops::matmul` does. `b` is
+/// read in place — row `p` of the B operand starts at `p·ldb`, so a column
+/// strip of B is passed as the slice starting at the strip's first column.
+///
+/// An element stays in a register across up to four terms, but each term
+/// is its own `+=`, applied in order: no reassociation and no fused
+/// multiply-add, so a row fed its terms in ascending `p` is bit-identical
+/// to the reference product's row.
+///
+/// # Panics
+///
+/// Panics if a term's B row does not fit in `b`.
+pub fn mac_row(
+    out: &mut [f32],
+    b: &[f32],
+    ldb: usize,
+    terms: impl IntoIterator<Item = (usize, f32)>,
+) {
+    let w = out.len();
+    let mut batch: [(f32, &[f32]); 4] = [(0.0, &[]); 4];
+    let mut len = 0;
+    for (p, av) in terms {
+        if av == 0.0 {
+            continue;
+        }
+        batch[len] = (av, &b[p * ldb..p * ldb + w]);
+        len += 1;
+        if len == batch.len() {
+            let [(a0, b0), (a1, b1), (a2, b2), (a3, b3)] = batch;
+            for ((((o, &x0), &x1), &x2), &x3) in out.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
+                let mut acc = *o;
+                acc += a0 * x0;
+                acc += a1 * x1;
+                acc += a2 * x2;
+                acc += a3 * x3;
+                *o = acc;
+            }
+            len = 0;
+        }
+    }
+    for &(av, brow) in &batch[..len] {
+        for (o, &x) in out.iter_mut().zip(brow) {
+            *o += av * x;
+        }
+    }
 }
 
 /// Analytic-only dense GEMM latency (no numeric result), for model-level
@@ -177,10 +221,7 @@ mod tests {
             TileDims::new(32, 64, 32),
         ] {
             let out = matmul_tiled(&cost, &a, &b, tile, DType::F32).unwrap();
-            assert!(
-                out.tensor.allclose(&reference, 1e-4),
-                "tile {tile} diverged"
-            );
+            assert_eq!(out.tensor, reference, "tile {tile} diverged");
         }
     }
 
@@ -192,8 +233,23 @@ mod tests {
         let b = Tensor::random([17, 41], 4);
         let reference = ops::matmul(&a, &b).unwrap();
         let out = matmul_tiled(&cost, &a, &b, TileDims::new(16, 16, 16), DType::F32).unwrap();
-        assert!(out.tensor.allclose(&reference, 1e-4));
+        assert_eq!(out.tensor, reference);
         assert_eq!(out.stats.tiles_executed, 3 * 3);
+    }
+
+    #[test]
+    fn mac_row_applies_terms_one_at_a_time_in_order() {
+        // In f32, ((((1e8 + 1) - 1e8) + 1) + 1) is 2, while any regrouping
+        // such as (1e8 - 1e8) + (1 + 1 + 1) gives 3. Five terms cover the
+        // four-term register batch and the tail.
+        let b = [1e8f32, 1.0, -1e8, 1.0, 1.0];
+        let mut out = [0.0f32];
+        mac_row(&mut out, &b, 1, (0..5).map(|p| (p, 1.0)));
+        assert_eq!(out, [2.0]);
+        // A zero coefficient is skipped, not multiplied: 0 · inf would be NaN.
+        let mut out = [0.0f32];
+        mac_row(&mut out, &[f32::INFINITY, 3.0], 1, [(0, 0.0), (1, 2.0)]);
+        assert_eq!(out, [6.0]);
     }
 
     #[test]

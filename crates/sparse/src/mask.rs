@@ -75,11 +75,13 @@ impl Mask {
         assert_eq!(t.rank(), 2, "Mask::from_tensor requires a rank-2 tensor");
         let (rows, cols) = (t.shape().dim(0), t.shape().dim(1));
         let mut m = Mask::zeros(rows, cols);
-        for r in 0..rows {
-            for c in 0..cols {
-                if t.data()[r * cols + c] != 0.0 {
-                    m.set(r, c, true);
-                }
+        if cols == 0 {
+            return m;
+        }
+        let words = m.bits.chunks_exact_mut(m.words_per_row);
+        for (row, words) in t.data().chunks_exact(cols).zip(words) {
+            for (values, word) in row.chunks(64).zip(words) {
+                *word = nonzero_word(values);
             }
         }
         m
@@ -224,24 +226,36 @@ impl Mask {
     /// with word-wide ORs (used by the hot path of Algorithm-1 selection).
     pub fn strip_col_counts(&self, strip_h: usize) -> Vec<usize> {
         assert!(strip_h > 0, "strip height must be positive");
-        let strips = self.rows.div_ceil(strip_h);
-        let mut counts = vec![0usize; strips];
-        let mut acc = vec![0u64; self.words_per_row];
-        for (s, count) in counts.iter_mut().enumerate() {
-            acc.iter_mut().for_each(|w| *w = 0);
-            let r1 = ((s + 1) * strip_h).min(self.rows);
-            for r in s * strip_h..r1 {
-                let base = r * self.words_per_row;
-                for (a, &w) in acc
-                    .iter_mut()
-                    .zip(&self.bits[base..base + self.words_per_row])
-                {
-                    *a |= w;
-                }
-            }
-            *count = acc.iter().map(|w| w.count_ones() as usize).sum();
+        let mut acc = Vec::new();
+        (0..self.rows.div_ceil(strip_h))
+            .map(|s| {
+                self.strip_or(s * strip_h, strip_h, &mut acc)
+                    .iter()
+                    .map(|w| w.count_ones() as usize)
+                    .sum()
+            })
+            .collect()
+    }
+
+    /// The column-occupancy words of the strip of rows `[r0, r0 + h)`
+    /// (clipped to the mask): bit `c % 64` of word `c / 64` is set when
+    /// column `c` has a set bit in any row of the strip. Bits past the last
+    /// column are zero. A one-row strip borrows that row's words; a taller
+    /// one is ORed together in `acc`.
+    pub fn strip_or<'a>(&'a self, r0: usize, h: usize, acc: &'a mut Vec<u64>) -> &'a [u64] {
+        let wpr = self.words_per_row;
+        let r1 = r0.saturating_add(h).min(self.rows);
+        if r1 == r0 + 1 {
+            return &self.bits[r0 * wpr..r1 * wpr];
         }
-        counts
+        acc.clear();
+        acc.resize(wpr, 0);
+        for r in r0..r1 {
+            for (a, &w) in acc.iter_mut().zip(&self.bits[r * wpr..(r + 1) * wpr]) {
+                *a |= w;
+            }
+        }
+        acc
     }
 
     /// Indices of columns that contain at least one set bit.
@@ -402,6 +416,25 @@ impl Mask {
     }
 }
 
+/// Bit `i` set when `values[i]` is not zero (-0.0 reads as zero, NaN as
+/// non-zero), for up to 64 values. The flags are first laid out one per
+/// byte, a loop the compiler vectorises; then each 8 flag bytes `x`
+/// become one byte of the word: in `x · 0x0102040810204080` byte `j` of
+/// `x` (0 or 1) lands on bit `56 + j` and nothing else reaches bits 56–63.
+fn nonzero_word(values: &[f32]) -> u64 {
+    let mut flags = [0u8; 64];
+    for (f, &v) in flags.iter_mut().zip(values) {
+        *f = u8::from(v != 0.0);
+    }
+    flags
+        .chunks_exact(8)
+        .enumerate()
+        .fold(0, |word, (i, eight)| {
+            let x = u64::from_le_bytes(eight.try_into().expect("chunks of eight"));
+            word | (x.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * i)
+        })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,6 +474,21 @@ mod tests {
         m.set(4, 0, true);
         assert_eq!(m.nonzero_rows(), vec![1, 4]);
         assert_eq!(m.nonzero_cols(), vec![0, 3]);
+    }
+
+    #[test]
+    fn strip_or_unions_the_strip_rows() {
+        let mut m = Mask::zeros(5, 70);
+        m.set(0, 1, true);
+        m.set(1, 66, true);
+        m.set(4, 3, true);
+        let mut acc = Vec::new();
+        assert_eq!(m.strip_or(0, 2, &mut acc), &[1 << 1, 1 << 2]);
+        assert_eq!(m.strip_or(1, 1, &mut acc), &[0, 1 << 2]);
+        // Clipped at the last row; a strip past the end is empty.
+        assert_eq!(m.strip_or(3, 4, &mut acc), &[1 << 3, 0]);
+        assert_eq!(m.strip_or(5, 2, &mut acc), &[0, 0]);
+        assert_eq!(m.strip_col_counts(2), vec![2, 0, 1]);
     }
 
     #[test]

@@ -244,8 +244,18 @@ impl Tensor {
         if self.data.is_empty() {
             return 0.0;
         }
-        let zeros = self.data.iter().filter(|&&v| v == 0.0).count();
+        let zeros = self.data.len() - self.nnz();
         zeros as f64 / self.data.len() as f64
+    }
+
+    /// Number of non-zero elements: -0.0 counts as zero, NaN as non-zero.
+    pub fn nnz(&self) -> usize {
+        // Per-chunk `u32` counts vectorise where one `usize` count does
+        // not; a chunk is short enough that its count cannot overflow.
+        self.data
+            .chunks(1 << 20)
+            .map(|c| c.iter().map(|&v| u32::from(v != 0.0)).sum::<u32>() as usize)
+            .sum()
     }
 }
 
@@ -286,6 +296,9 @@ mod tests {
     #[test]
     fn sparsity_counts_exact_zeros() {
         let t = Tensor::from_vec(vec![0.0, 1.0, 0.0, 2.0], [4]).unwrap();
+        assert_eq!(t.sparsity(), 0.5);
+        let t = Tensor::from_vec(vec![-0.0, f32::NAN, 0.0, 2.0], [4]).unwrap();
+        assert_eq!(t.nnz(), 2);
         assert_eq!(t.sparsity(), 0.5);
     }
 

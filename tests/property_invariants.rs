@@ -1,10 +1,12 @@
 //! Property-based tests (proptest) for the core PIT invariants:
-//! permutation invariance, coverage accounting and detector completeness.
+//! permutation invariance, exactness against the dense oracle, coverage
+//! accounting and detector completeness.
 
 use pit::core::detector::detect_mask;
+use pit::core::kernels::spmm_m_axis;
 use pit::core::microtile::MicroTile;
 use pit::core::ops::Pit;
-use pit::core::primitives::{sread_rows, swrite_rows};
+use pit::gpusim::cost::TileDims;
 use pit::gpusim::{CostModel, DeviceSpec};
 use pit::sparse::{cover_count, generate, Mask};
 use pit::tensor::{ops, DType, Tensor};
@@ -17,9 +19,9 @@ fn cost() -> CostModel {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Theorem 1 in action: gathering any permutation of rows, multiplying
-    /// densely and scattering back reproduces the dense product on those
-    /// rows (m-axis permutation invariance).
+    /// Theorem 1 in action: reading any permutation of rows through the
+    /// m-axis kernel reproduces the dense product on exactly those rows
+    /// and leaves the others zero (m-axis permutation invariance).
     #[test]
     fn m_axis_permutation_invariance(
         rows in 4usize..24,
@@ -45,38 +47,59 @@ proptest! {
             let j = ((perm_seed as usize).wrapping_mul(i * 31 + 7)) % (i + 1);
             selected.swap(i, j);
         }
-        let packed = sread_rows(&a, &selected);
-        let prod = ops::matmul(&packed, &b).unwrap();
-        let mut out = Tensor::zeros([rows, n]);
-        swrite_rows(&prod, &selected, &mut out);
-        for &r in &selected {
-            let got = out.row(r as usize).unwrap();
-            let want = reference.row(r as usize).unwrap();
-            for (g, w) in got.iter().zip(want.iter()) {
-                prop_assert!((g - w).abs() < 1e-3);
-            }
+        let tile = TileDims::new(16, 16, 16);
+        let out = spmm_m_axis(&cost(), &a, &b, &selected, tile, DType::F32).unwrap();
+        for r in 0..rows {
+            let want = if selected.contains(&(r as u32)) {
+                reference.row(r).unwrap()
+            } else {
+                vec![0.0; n]
+            };
+            prop_assert_eq!(out.tensor.row(r).unwrap(), want);
         }
     }
 
-    /// The full pipeline equals the dense oracle for random granular masks.
+    /// Every `Pit` entry point equals the dense oracle element for element
+    /// on random granular masks, whatever kernel Algorithm 1 picks and
+    /// however many threads the detector may use.
     #[test]
     fn pipeline_matches_oracle(
         gh in 1usize..9,
         gw in 1usize..9,
         sparsity in 0.0f64..1.0,
         seed in 0u64..1000,
+        threads in vec![1usize, 2, 8],
     ) {
-        let pit = Pit::new(DeviceSpec::a100_80gb());
+        let pit = Pit::new(DeviceSpec::a100_80gb()).with_detect_threads(threads);
         let mask = generate::granular_random(96, 64, gh, gw, sparsity, seed);
         let a = mask.apply(&Tensor::random([96, 64], seed ^ 1));
         let b = Tensor::random([64, 48], seed ^ 2);
-        let exec = pit.matmul_masked(&a, &mask, &b, DType::F32).unwrap();
         let reference = ops::matmul(&a, &b).unwrap();
-        prop_assert!(exec.output.tensor.allclose(&reference, 1e-3));
+        let exec = pit.matmul_masked(&a, &mask, &b, DType::F32).unwrap();
+        prop_assert_eq!(&exec.output.tensor, &reference);
+        let exec = pit.matmul_dyn_sparse(&a, &b, DType::F32).unwrap();
+        prop_assert_eq!(&exec.output.tensor, &reference);
+        let rows: Vec<u32> = mask.nonzero_rows().iter().map(|&r| r as u32).collect();
+        let out = pit.matmul_rows(&a, &rows, &b, None, DType::F32).unwrap();
+        prop_assert_eq!(&out.tensor, &reference);
+        let out_mask = generate::granular_random(96, 48, gh, gw, sparsity, seed ^ 3);
+        let exec = pit.sdd(&a, &b, &out_mask, DType::F32).unwrap();
+        prop_assert_eq!(exec.output.tensor, out_mask.apply(&reference));
+        let experts: Vec<Tensor> = (0..4).map(|e| Tensor::random([64, 48], seed ^ (4 + e))).collect();
+        let routing = generate::RoutingPlan::sample(96, 4, 1.0, seed).expert_token_lists();
+        let out = pit.moe_gemm(&a, &experts, &routing, DType::F32).unwrap();
+        for (w, toks) in experts.iter().zip(&routing) {
+            let want = ops::matmul(&ops::gather_rows(&a, toks).unwrap(), w).unwrap();
+            for (i, &t) in toks.iter().enumerate() {
+                prop_assert_eq!(out.tensor.row(t).unwrap(), want.row(i).unwrap());
+            }
+        }
     }
 
     /// The unordered detector finds exactly the non-zero micro-tiles, for
-    /// any micro-tile shape and thread count.
+    /// any micro-tile shape and thread count, each grid row's in ascending
+    /// column order. A quarter of the masks are 1024², large enough for the
+    /// scan to fan out over several workers.
     #[test]
     fn detector_is_complete_and_sound(
         mh in 1usize..9,
@@ -84,8 +107,9 @@ proptest! {
         threads in 1usize..7,
         sparsity in 0.0f64..1.0,
         seed in 0u64..1000,
+        side in vec![64usize, 64, 64, 1024],
     ) {
-        let mask = generate::granular_random(64, 64, 2, 2, sparsity, seed);
+        let mask = generate::granular_random(side, side, 2, 2, sparsity, seed);
         let idx = detect_mask(&cost(), &mask, MicroTile::new(mh, mw), threads);
         let reference = pit::sparse::cover::nonzero_tiles(&mask, mh, mw);
         let got = idx.sorted_coords();
@@ -93,6 +117,12 @@ proptest! {
         for ((gr, gc), (rr, rc)) in got.iter().zip(reference.iter()) {
             prop_assert_eq!(*gr as usize, *rr);
             prop_assert_eq!(*gc as usize, *rc);
+        }
+        let mut last_col = vec![None; idx.grid.0];
+        for &(r, c) in &idx.coords {
+            let last = &mut last_col[r as usize];
+            prop_assert!(last.is_none_or(|l| l < c), "grid row {} not ascending at {}", r, c);
+            *last = Some(c);
         }
     }
 
@@ -113,13 +143,27 @@ proptest! {
         prop_assert!(fine.after_cover_sparsity() < 1e-9);
     }
 
-    /// Masks round-trip through apply/from_tensor.
+    /// Masks round-trip through apply/from_tensor, on widths that are
+    /// mostly not multiples of 64; `from_tensor` marks exactly the values
+    /// that are not zero (-0.0 reads as zero, NaN as non-zero).
     #[test]
-    fn mask_apply_roundtrip(sparsity in 0.0f64..1.0, seed in 0u64..1000) {
-        let mask = generate::granular_random(32, 48, 1, 1, sparsity, seed);
-        let t = mask.apply(&Tensor::full([32, 48], 1.5));
+    fn mask_apply_roundtrip(cols in 1usize..200, sparsity in 0.0f64..1.0, seed in 0u64..1000) {
+        let mask = generate::granular_random(32, cols, 1, 1, sparsity, seed);
+        let t = mask.apply(&Tensor::full([32, cols], 1.5));
         let back = Mask::from_tensor(&t);
         prop_assert_eq!(back.nnz(), mask.nnz());
+        prop_assert_eq!(&back, &mask);
         prop_assert!((t.sparsity() - mask.sparsity()).abs() < 1e-9);
+        let mut odd = Tensor::random([32, cols], seed);
+        for (i, v) in odd.data_mut().iter_mut().enumerate() {
+            match (i + seed as usize) % 5 {
+                0 => *v = 0.0,
+                1 => *v = -0.0,
+                2 => *v = f32::NAN,
+                _ => {}
+            }
+        }
+        let want = Mask::from_fn(32, cols, |r, c| odd.data()[r * cols + c] != 0.0);
+        prop_assert_eq!(Mask::from_tensor(&odd), want);
     }
 }
