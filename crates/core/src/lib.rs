@@ -35,6 +35,8 @@ pub mod jit;
 pub mod kernels;
 pub mod microtile;
 pub mod ops;
+#[cfg(test)]
+mod primitives;
 pub mod selection;
 
 pub use detector::{detect_mask, detect_tensor, MicroTileIndex};

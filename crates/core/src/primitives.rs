@@ -1,167 +1,65 @@
-//! `SRead` and `SWrite` — PIT's data-rearrangement primitives (§3.1).
+//! Tests of `SRead` and `SWrite`, PIT's data-rearrangement primitives
+//! (§3.1).
 //!
-//! `SRead` gathers sparsely-located micro-tiles from a tensor's original
-//! dense-layout buffer into the packed staging buffer of a dense
-//! computation tile; `SWrite` scatters tile results back. On the modelled
-//! GPU this rearrangement piggybacks on the global→shared memory movement
-//! every GEMM performs anyway, so its only cost is the small
-//! `GATHER_INEFFICIENCY` factor in the cost model — there is no separate
-//! "conversion" pass and no format change (zero-copy, §3.3).
-//!
-//! The host implementations below are the semantics those primitives
-//! execute, used by the sparse kernels for real arithmetic.
+//! The primitives have no code of their own: the kernels in
+//! [`crate::kernels`] read the listed rows of `A` by index arithmetic
+//! (`SRead`) and write each result row into its own position of `C`
+//! (`SWrite`), in one pass. So their semantics are checked here through
+//! [`crate::kernels::spmm_m_axis`].
 
-use pit_tensor::Tensor;
-
-/// `SRead` over rows: packs `rows[i]` of `src` (a row-major `[?, cols]`
-/// buffer) into row `i` of the returned `[rows.len(), cols]` buffer.
-///
-/// # Panics
-///
-/// Panics if any row index is out of bounds.
-pub fn sread_rows(src: &Tensor, rows: &[u32]) -> Tensor {
-    let cols = src.shape().dim(1);
-    let nrows = src.shape().dim(0);
-    let mut out = Vec::with_capacity(rows.len() * cols);
-    for &r in rows {
-        let r = r as usize;
-        assert!(r < nrows, "SRead row {r} out of bounds ({nrows})");
-        out.extend_from_slice(&src.data()[r * cols..(r + 1) * cols]);
-    }
-    Tensor::from_vec(out, [rows.len(), cols]).expect("sized by construction")
-}
-
-/// `SRead` over columns within a row strip: packs column `cols[j]` of
-/// `src[strip_start..strip_end, :]` into column `j` of the returned
-/// `[strip_len, cols.len()]` buffer.
-///
-/// # Panics
-///
-/// Panics if the strip or a column index is out of bounds.
-pub fn sread_cols_strip(
-    src: &Tensor,
-    strip_start: usize,
-    strip_len: usize,
-    cols: &[u32],
-) -> Tensor {
-    let (nrows, ncols) = (src.shape().dim(0), src.shape().dim(1));
-    assert!(strip_start + strip_len <= nrows, "strip out of bounds");
-    let mut out = vec![0.0f32; strip_len * cols.len()];
-    for (j, &c) in cols.iter().enumerate() {
-        let c = c as usize;
-        assert!(c < ncols, "SRead column {c} out of bounds ({ncols})");
-        for i in 0..strip_len {
-            out[i * cols.len() + j] = src.data()[(strip_start + i) * ncols + c];
-        }
-    }
-    Tensor::from_vec(out, [strip_len, cols.len()]).expect("sized by construction")
-}
-
-/// `SWrite` over rows: scatters row `i` of `tile` into row `rows[i]` of
-/// `dst` (overwriting).
-///
-/// # Panics
-///
-/// Panics if shapes are inconsistent or a row index is out of bounds.
-pub fn swrite_rows(tile: &Tensor, rows: &[u32], dst: &mut Tensor) {
-    let cols = tile.shape().dim(1);
-    assert_eq!(dst.shape().dim(1), cols, "column mismatch in SWrite");
-    assert_eq!(tile.shape().dim(0), rows.len(), "row-count mismatch");
-    let nrows = dst.shape().dim(0);
-    for (i, &r) in rows.iter().enumerate() {
-        let r = r as usize;
-        assert!(r < nrows, "SWrite row {r} out of bounds ({nrows})");
-        let src_row = &tile.data()[i * cols..(i + 1) * cols];
-        dst.data_mut()[r * cols..(r + 1) * cols].copy_from_slice(src_row);
-    }
-}
-
-/// `SWrite` over rows with accumulation (`+=`), used when a PIT kernel
-/// contributes partial sums (k-axis merging writes each strip once, but
-/// MoE-style fused kernels may accumulate).
-pub fn swrite_rows_accumulate(tile: &Tensor, rows: &[u32], dst: &mut Tensor) {
-    let cols = tile.shape().dim(1);
-    assert_eq!(dst.shape().dim(1), cols, "column mismatch in SWrite");
-    assert_eq!(tile.shape().dim(0), rows.len(), "row-count mismatch");
-    for (i, &r) in rows.iter().enumerate() {
-        let r = r as usize;
-        let src_row = &tile.data()[i * cols..(i + 1) * cols];
-        let dst_row = &mut dst.data_mut()[r * cols..(r + 1) * cols];
-        for (d, &s) in dst_row.iter_mut().zip(src_row.iter()) {
-            *d += s;
-        }
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use pit_tensor::ops;
+    use crate::kernels::spmm_m_axis;
+    use pit_gpusim::cost::TileDims;
+    use pit_gpusim::{CostModel, DeviceSpec};
+    use pit_tensor::{ops, DType, Tensor};
 
-    #[test]
-    fn sread_rows_matches_reference_gather() {
-        let t = Tensor::random([8, 5], 1);
-        let rows = [6u32, 0, 3];
-        let got = sread_rows(&t, &rows);
-        let want = ops::gather_rows(&t, &[6, 0, 3]).unwrap();
-        assert!(got.allclose(&want, 0.0));
+    fn cost() -> CostModel {
+        CostModel::new(DeviceSpec::a100_80gb())
+    }
+
+    fn tile() -> TileDims {
+        TileDims::new(16, 16, 16)
     }
 
     #[test]
     fn sread_swrite_round_trip() {
-        let t = Tensor::random([10, 4], 2);
-        let rows = [9u32, 2, 5, 1];
-        let packed = sread_rows(&t, &rows);
-        let mut dst = Tensor::zeros([10, 4]);
-        swrite_rows(&packed, &rows, &mut dst);
-        for &r in &rows {
-            assert_eq!(dst.row(r as usize).unwrap(), t.row(r as usize).unwrap());
+        // With B the identity, the dense tile passes the gathered rows
+        // through unchanged, so SWrite must put back exactly the rows
+        // SRead took and leave every other row zero.
+        let a = Tensor::random([10, 4], 2);
+        let mut eye = Tensor::zeros([4, 4]);
+        for i in 0..4 {
+            eye.set(&[i, i], 1.0).unwrap();
         }
-        assert_eq!(dst.row(0).unwrap(), vec![0.0; 4]);
-    }
-
-    #[test]
-    fn sread_cols_strip_extracts_columns() {
-        let t = Tensor::from_vec((0..12).map(|v| v as f32).collect(), [3, 4]).unwrap();
-        // Strip = rows 1..3, columns [3, 0].
-        let got = sread_cols_strip(&t, 1, 2, &[3, 0]);
-        assert_eq!(got.data(), &[7.0, 4.0, 11.0, 8.0]);
-    }
-
-    #[test]
-    fn swrite_accumulate_adds() {
-        let tile = Tensor::full([2, 3], 1.0);
-        let mut dst = Tensor::full([4, 3], 0.5);
-        swrite_rows_accumulate(&tile, &[0, 2], &mut dst);
-        assert_eq!(dst.row(0).unwrap(), vec![1.5; 3]);
-        assert_eq!(dst.row(1).unwrap(), vec![0.5; 3]);
-        assert_eq!(dst.row(2).unwrap(), vec![1.5; 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn sread_rows_bounds_checked() {
-        let t = Tensor::zeros([2, 2]);
-        sread_rows(&t, &[5]);
+        let rows = [9u32, 2, 5, 1];
+        let c = spmm_m_axis(&cost(), &a, &eye, &rows, tile(), DType::F32).unwrap();
+        for &r in &rows {
+            assert_eq!(
+                c.tensor.row(r as usize).unwrap(),
+                a.row(r as usize).unwrap()
+            );
+        }
+        assert_eq!(c.tensor.row(0).unwrap(), vec![0.0; 4]);
     }
 
     #[test]
     fn permutation_invariance_of_gathered_gemm() {
-        // The heart of the paper: any permutation of gathered rows yields
-        // the same final C after SWrite restores positions (Figure 4).
+        // The heart of the paper: any permutation of the gathered rows
+        // yields the same C, with SWrite restoring every row's position
+        // (Figure 4); rows left out stay zero.
+        let cost = cost();
         let a = Tensor::random([6, 4], 3);
         let b = Tensor::random([4, 5], 4);
         let reference = ops::matmul(&a, &b).unwrap();
         for perm in [[2u32, 0, 4], [4, 2, 0], [0, 4, 2]] {
-            let packed = sread_rows(&a, &perm);
-            let c_packed = ops::matmul(&packed, &b).unwrap();
-            let mut c = Tensor::zeros([6, 5]);
-            swrite_rows(&c_packed, &perm, &mut c);
-            for &r in &perm {
-                assert_eq!(
-                    c.row(r as usize).unwrap(),
-                    reference.row(r as usize).unwrap()
-                );
+            let c = spmm_m_axis(&cost, &a, &b, &perm, tile(), DType::F32).unwrap();
+            for r in 0..6 {
+                let want = if perm.contains(&(r as u32)) {
+                    reference.row(r).unwrap()
+                } else {
+                    vec![0.0; 5]
+                };
+                assert_eq!(c.tensor.row(r).unwrap(), want);
             }
         }
     }
