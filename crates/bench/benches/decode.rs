@@ -1,7 +1,7 @@
 //! Decode-scheduler bench: the same decode trace served under continuous
 //! padding-free batching and the static padded rectangle through the
 //! virtual-clock decode runtime, plus a KV-allocator microbench and the
-//! per-step pricing the runtime pays on every iteration.
+//! per-step pricing, on a fresh engine and on the runtime's reused one.
 //!
 //! The wall-clock numbers measure scheduler + analytic-executor host
 //! cost; the served comparison (tokens per modelled GPU second, padding
@@ -94,8 +94,11 @@ fn bench_decode(c: &mut Criterion) {
     }
     kv_group.finish();
 
-    // Step pricing as the decode runtime issues it once per iteration: a
-    // fresh engine, one step at full OPT-1.3B depth, the ledger read back.
+    // Step pricing at full OPT-1.3B depth, two ways. `fresh` builds an
+    // engine per step and reads its ledger back — what the host benchmark's
+    // `models.step_price_us_*` times. `reused` is what the decode runtime
+    // pays each iteration: one engine for the whole replay, its ledger
+    // taken (read and reset) after every step.
     let model = ModelConfig::opt("1.3B");
     let shapes = [
         (
@@ -122,6 +125,17 @@ fn bench_decode(c: &mut Criterion) {
                 black_box((eng.cost_tally(), eng.latency_ms()))
             });
         });
+        let mut eng = Engine::new(DeviceSpec::a100_80gb(), DType::F16, Framework::Pit);
+        pricing.bench_with_input(
+            BenchmarkId::new("opt_1.3b_reused", name),
+            shape,
+            |bench, shape| {
+                bench.iter(|| {
+                    run_step(&mut eng, &model, shape);
+                    black_box(eng.take_ledger())
+                });
+            },
+        );
     }
     pricing.finish();
 }

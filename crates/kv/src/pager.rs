@@ -26,9 +26,38 @@
 use crate::config::KvConfig;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifier the caller assigns to one sequence (request).
 pub type SeqId = u64;
+
+/// Hashes a [`SeqId`] with one multiply (Fibonacci hashing), folding the
+/// well-mixed high half into the low bits the table indexes by. Decode
+/// looks a sequence up several times per slot per step, where SipHash
+/// costs more than the work it guards; ids are caller-chosen, not
+/// adversarial, and nothing depends on the table's iteration order.
+#[derive(Default)]
+struct SeqIdHasher(u64);
+
+impl Hasher for SeqIdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        let h = id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The sequence table's map type.
+type SeqMap = HashMap<SeqId, SeqPages, BuildHasherDefault<SeqIdHasher>>;
 
 /// Physical page identifier inside one pool.
 pub type PageId = u32;
@@ -121,6 +150,9 @@ struct SeqPages {
     used_tokens: usize,
     /// Token slots reserved (`>= used_tokens`; pages cover this).
     reserved_tokens: usize,
+    /// Pages of `pages` resident on the host tier (0 = decodable), so
+    /// residency checks never scan the page table.
+    host_pages: usize,
 }
 
 /// A paged KV cache: fixed-size token pages handed out from a free list,
@@ -141,7 +173,7 @@ pub struct PagedKvCache {
     /// the cache-friendly order).
     free: Vec<PageId>,
     /// Live sequences and their page tables.
-    seqs: HashMap<SeqId, SeqPages>,
+    seqs: SeqMap,
     /// Total references per page: occurrences in sequence page tables plus
     /// external retains. 0 = on the free list.
     refs: Vec<u32>,
@@ -174,6 +206,38 @@ pub struct PagedKvCache {
     sparsity_evicted: u64,
 }
 
+/// Raises `p`'s written extent to `extent` slots (monotone — a sharer can
+/// never shrink another sharer's written slots), keeping `used_tokens` the
+/// page sum. This and [`mark_range`] take the two fields rather than the
+/// pool, so a caller holding a sequence's page table can mark it in place.
+fn note_written(written: &mut [u32], used_tokens: &mut usize, p: PageId, extent: usize) {
+    let w = &mut written[p as usize];
+    if extent as u32 > *w {
+        *used_tokens += extent - *w as usize;
+        *w = extent as u32;
+    }
+}
+
+/// Marks token range `[from, to)` of a page table with `ps`-slot pages as
+/// written.
+fn mark_range(
+    written: &mut [u32],
+    used_tokens: &mut usize,
+    pages: &[PageId],
+    ps: usize,
+    from: usize,
+    to: usize,
+) {
+    if to <= from {
+        return;
+    }
+    let (first, last) = (from / ps, (to - 1) / ps);
+    for (i, &p) in pages[first..=last].iter().enumerate() {
+        let extent = (to - (first + i) * ps).min(ps);
+        note_written(written, used_tokens, p, extent);
+    }
+}
+
 impl PagedKvCache {
     /// An empty pool with every page free. With a host tier configured,
     /// page *ids* outnumber device frames by `host_pages` — ids are
@@ -183,7 +247,7 @@ impl PagedKvCache {
         PagedKvCache {
             cfg,
             free: (0..ids as PageId).rev().collect(),
-            seqs: HashMap::new(),
+            seqs: SeqMap::default(),
             refs: vec![0; ids],
             ext_refs: vec![0; ids],
             written: vec![0; ids],
@@ -261,29 +325,6 @@ impl PagedKvCache {
         }
     }
 
-    /// Raises `p`'s written extent to `extent` slots (monotone — a sharer
-    /// can never shrink another sharer's written slots).
-    fn note_written(&mut self, p: PageId, extent: usize) {
-        let w = &mut self.written[p as usize];
-        if extent as u32 > *w {
-            self.used_tokens += extent - *w as usize;
-            *w = extent as u32;
-        }
-    }
-
-    /// Marks token range `[from, to)` of a page table as written.
-    fn mark_range(&mut self, pages: &[PageId], from: usize, to: usize) {
-        let ps = self.cfg.page_size;
-        if to <= from {
-            return;
-        }
-        let (first, last) = (from / ps, (to - 1) / ps);
-        for (i, &p) in pages[first..=last].iter().enumerate() {
-            let extent = (to - (first + i) * ps).min(ps);
-            self.note_written(p, extent);
-        }
-    }
-
     /// Allocates pages for a new sequence holding `tokens` written slots.
     /// Returns the number of pages taken.
     pub fn alloc(&mut self, seq: SeqId, tokens: usize) -> Result<usize, KvError> {
@@ -312,7 +353,15 @@ impl PagedKvCache {
             });
         }
         let pages: Vec<PageId> = (0..needed).map(|_| self.take_page()).collect();
-        self.mark_range(&pages, 0, used_tokens);
+        let ps = self.cfg.page_size;
+        mark_range(
+            &mut self.written,
+            &mut self.used_tokens,
+            &pages,
+            ps,
+            0,
+            used_tokens,
+        );
         self.reserved_tokens += reserved_tokens;
         self.peak_live_pages = self.peak_live_pages.max(self.live_pages);
         self.seqs.insert(
@@ -321,6 +370,7 @@ impl PagedKvCache {
                 pages,
                 used_tokens,
                 reserved_tokens,
+                host_pages: 0,
             },
         );
         Ok(needed)
@@ -373,6 +423,7 @@ impl PagedKvCache {
                 pages,
                 used_tokens: prefix_tokens,
                 reserved_tokens: prefix_tokens,
+                host_pages: 0,
             },
         );
         Ok(shared.len())
@@ -427,33 +478,31 @@ impl PagedKvCache {
     /// the pages newly taken (usually 0 — decode allocates one page every
     /// `page_size` steps; a copy-on-write of a shared boundary page counts
     /// as one taken page). Fails atomically on page exhaustion.
+    ///
+    /// One table lookup, no allocation and no page-table scan unless a
+    /// page is taken: residency is the sequence's host-page count, and
+    /// the written extents of the touched pages are raised in place.
     pub fn extend(&mut self, seq: SeqId, new_tokens: usize) -> Result<usize, KvError> {
         let free_len = self.device_free();
         let ps = self.cfg.page_size;
-        let (used, reserved, held, shared_boundary) = {
-            let s = self.seqs.get(&seq).ok_or(KvError::UnknownSeq(seq))?;
-            if s.pages
-                .iter()
-                .any(|&p| self.location[p as usize] == PageLocation::Host)
-            {
-                // Swapped-out KV is storage, not cache: restore first.
-                return Err(KvError::SwappedOut(seq));
-            }
-            let boundary = if s.used_tokens % ps != 0 {
-                let bi = s.used_tokens / ps;
-                let bp = s.pages[bi];
-                (self.refs[bp as usize] > 1).then_some((bi, bp))
-            } else {
-                None
-            };
-            (s.used_tokens, s.reserved_tokens, s.pages.len(), boundary)
-        };
+        let s = self.seqs.get_mut(&seq).ok_or(KvError::UnknownSeq(seq))?;
+        if s.host_pages > 0 {
+            // Swapped-out KV is storage, not cache: restore first.
+            return Err(KvError::SwappedOut(seq));
+        }
         if new_tokens == 0 {
             return Ok(0);
         }
+        let used = s.used_tokens;
+        let shared_boundary = (used % ps != 0)
+            .then_some(used / ps)
+            .filter(|&bi| self.refs[s.pages[bi] as usize] > 1);
         let target_used = used + new_tokens;
-        let target_reserved = reserved.max(target_used);
-        let extra = self.cfg.pages_for(target_reserved).saturating_sub(held);
+        let target_reserved = s.reserved_tokens.max(target_used);
+        let extra = self
+            .cfg
+            .pages_for(target_reserved)
+            .saturating_sub(s.pages.len());
         let cow = usize::from(shared_boundary.is_some());
         if extra + cow > free_len {
             self.alloc_failures += 1;
@@ -462,30 +511,45 @@ impl PagedKvCache {
                 free: free_len,
             });
         }
+        self.reserved_tokens += target_reserved - s.reserved_tokens;
+        s.used_tokens = target_used;
+        s.reserved_tokens = target_reserved;
+        if extra + cow == 0 {
+            mark_range(
+                &mut self.written,
+                &mut self.used_tokens,
+                &s.pages,
+                ps,
+                used,
+                target_used,
+            );
+            return Ok(0);
+        }
+        // Taking pages needs the whole pool, so the table is lifted out of
+        // the map for the duration and put back once.
+        let mut pages = std::mem::take(&mut s.pages);
         // Copy-on-write: the sequence is about to write into a partially
         // filled page other holders also reference, so it gets a private
         // copy of its prefix slots first. The shared page is untouched.
-        if let Some((bi, old)) = shared_boundary {
+        if let Some(bi) = shared_boundary {
             let fresh = self.take_page();
-            self.note_written(fresh, used % ps);
-            self.refs[old as usize] -= 1; // other sharers keep it live
+            note_written(&mut self.written, &mut self.used_tokens, fresh, used % ps);
+            self.refs[pages[bi] as usize] -= 1; // other sharers keep it live
             self.cow_copies += 1;
-            self.seqs.get_mut(&seq).expect("checked above").pages[bi] = fresh;
+            pages[bi] = fresh;
         }
-        let fresh: Vec<PageId> = (0..extra).map(|_| self.take_page()).collect();
-        let first = used / ps;
-        let affected: Vec<PageId> = {
-            let s = self.seqs.get_mut(&seq).expect("checked above");
-            s.pages.extend(fresh);
-            s.used_tokens = target_used;
-            s.reserved_tokens = target_reserved;
-            s.pages[first..=(target_used - 1) / ps].to_vec()
-        };
-        for (j, &p) in affected.iter().enumerate() {
-            let extent = (target_used - (first + j) * ps).min(ps);
-            self.note_written(p, extent);
+        for _ in 0..extra {
+            pages.push(self.take_page());
         }
-        self.reserved_tokens += target_reserved - reserved;
+        mark_range(
+            &mut self.written,
+            &mut self.used_tokens,
+            &pages,
+            ps,
+            used,
+            target_used,
+        );
+        self.seqs.get_mut(&seq).expect("checked above").pages = pages;
         self.peak_live_pages = self.peak_live_pages.max(self.live_pages);
         Ok(extra + cow)
     }
@@ -501,35 +565,47 @@ impl PagedKvCache {
     /// prefix-pinned page's other holders still read it every iteration;
     /// the swap planner (`pit_swap::plan_swap_out`) never offers those.
     pub fn swap_out(&mut self, seq: SeqId, pages: &[PageId]) -> Result<(), KvError> {
-        let s = self.seqs.get(&seq).ok_or(KvError::UnknownSeq(seq))?;
-        // One pass marks the sequence's pages, a second consumes the
-        // marks — O(seq pages + plan), with duplicate and foreign pages
-        // both caught by the consumed mark.
-        let mut held = vec![false; self.cfg.total_ids()];
-        for &p in &s.pages {
-            held[p as usize] = true;
-        }
+        let s = self.seqs.get_mut(&seq).ok_or(KvError::UnknownSeq(seq))?;
+        // Each legal page flips to `Host` as it is checked, so a duplicate
+        // fails the residency test; one pass over the page table then
+        // counts the flips, and a foreign page is flipped but not counted.
+        // O(seq pages + plan), nothing allocated; a refusal flips back.
+        let mut flipped = 0;
         for &p in pages {
             let i = p as usize;
-            if i >= self.cfg.total_ids()
-                || !held[i]
+            if i >= self.location.len()
                 || self.refs[i] != 1
                 || self.location[i] != PageLocation::Device
             {
-                return Err(KvError::InvalidSwap);
+                break;
             }
-            held[i] = false;
+            self.location[i] = PageLocation::Host;
+            flipped += 1;
         }
+        let legal = flipped == pages.len()
+            && s.pages
+                .iter()
+                .filter(|&&p| self.location[p as usize] == PageLocation::Host)
+                .count()
+                == s.host_pages + pages.len();
         let free_host = self.cfg.host_pages - self.host_live;
-        if pages.len() > free_host {
-            return Err(KvError::OutOfHostPages {
+        let refusal = if !legal {
+            Some(KvError::InvalidSwap)
+        } else if pages.len() > free_host {
+            Some(KvError::OutOfHostPages {
                 needed: pages.len(),
                 free: free_host,
-            });
+            })
+        } else {
+            None
+        };
+        if let Some(err) = refusal {
+            for &p in &pages[..flipped] {
+                self.location[p as usize] = PageLocation::Device;
+            }
+            return Err(err);
         }
-        for &p in pages {
-            self.location[p as usize] = PageLocation::Host;
-        }
+        s.host_pages += pages.len();
         self.device_live -= pages.len();
         self.host_live += pages.len();
         self.peak_host_live = self.peak_host_live.max(self.host_live);
@@ -542,30 +618,27 @@ impl PagedKvCache {
     /// when the sequence was fully resident). Fails atomically with
     /// [`KvError::OutOfPages`] when the device tier lacks the frames.
     pub fn swap_in(&mut self, seq: SeqId) -> Result<usize, KvError> {
-        let s = self.seqs.get(&seq).ok_or(KvError::UnknownSeq(seq))?;
-        let host: Vec<PageId> = s
-            .pages
-            .iter()
-            .copied()
-            .filter(|&p| self.location[p as usize] == PageLocation::Host)
-            .collect();
-        if host.is_empty() {
+        let free = self.device_free();
+        let s = self.seqs.get_mut(&seq).ok_or(KvError::UnknownSeq(seq))?;
+        let moved = s.host_pages;
+        if moved == 0 {
             return Ok(0);
         }
-        if host.len() > self.device_free() {
+        if moved > free {
             self.alloc_failures += 1;
             return Err(KvError::OutOfPages {
-                needed: host.len(),
-                free: self.device_free(),
+                needed: moved,
+                free,
             });
         }
-        for &p in &host {
+        for &p in &s.pages {
             self.location[p as usize] = PageLocation::Device;
         }
-        self.host_live -= host.len();
-        self.device_live += host.len();
-        self.swapped_in_total += host.len() as u64;
-        Ok(host.len())
+        s.host_pages = 0;
+        self.host_live -= moved;
+        self.device_live += moved;
+        self.swapped_in_total += moved as u64;
+        Ok(moved)
     }
 
     /// Drops `seq`'s references to `pages` — a KV-sparsity policy
@@ -693,22 +766,13 @@ impl PagedKvCache {
 
     /// Host-resident pages a live sequence holds (0 = fully resident).
     pub fn seq_host_pages(&self, seq: SeqId) -> usize {
-        self.seqs.get(&seq).map_or(0, |s| {
-            s.pages
-                .iter()
-                .filter(|&&p| self.location[p as usize] == PageLocation::Host)
-                .count()
-        })
+        self.seqs.get(&seq).map_or(0, |s| s.host_pages)
     }
 
     /// Whether every page of a live sequence is device-resident — the
     /// precondition for it to appear in a decode step.
     pub fn seq_resident(&self, seq: SeqId) -> Option<bool> {
-        self.seqs.get(&seq).map(|s| {
-            s.pages
-                .iter()
-                .all(|&p| self.location[p as usize] == PageLocation::Device)
-        })
+        self.seqs.get(&seq).map(|s| s.host_pages == 0)
     }
 
     /// Live pages resident on the host tier.
@@ -898,12 +962,20 @@ impl PagedKvCache {
             if s.used_tokens > s.reserved_tokens {
                 return Err(format!("seq {id} used > reserved"));
             }
+            let mut host = 0;
             for &p in &s.pages {
                 let i = p as usize;
                 if i >= self.cfg.total_ids() {
                     return Err(format!("page id {i} out of range"));
                 }
                 counted[i] += 1;
+                host += usize::from(self.location[i] == PageLocation::Host);
+            }
+            if host != s.host_pages {
+                return Err(format!(
+                    "seq {id} counts {} host pages, its page table holds {host}",
+                    s.host_pages
+                ));
             }
         }
         for (i, &e) in self.ext_refs.iter().enumerate() {
@@ -1526,6 +1598,94 @@ mod tests {
             Err(KvError::OutOfHostPages { needed: 1, free: 0 })
         );
         assert!(!flat.stats().to_string().contains("host tier"));
+    }
+
+    /// `seq_host_pages` and `seq_resident` as a page-table scan computes
+    /// them — the oracle for the per-sequence host-page count.
+    fn scanned_residency(kv: &PagedKvCache, seq: SeqId) -> (usize, Option<bool>) {
+        kv.seq_pages(seq).map_or((0, None), |pages| {
+            let host = pages
+                .iter()
+                .filter(|&&p| kv.page_location(p) == PageLocation::Host)
+                .count();
+            (host, Some(host == 0))
+        })
+    }
+
+    #[test]
+    fn host_page_count_tracks_the_page_table() {
+        let mut kv = tiered(16, 8, 8);
+        kv.alloc(1, 64).unwrap(); // 4 full pages
+        kv.alloc(2, 20).unwrap();
+        let pages = kv.seq_pages(1).unwrap().to_vec();
+        let check = |kv: &PagedKvCache| {
+            for seq in [1, 2, 3] {
+                assert_eq!(
+                    (kv.seq_host_pages(seq), kv.seq_resident(seq)),
+                    scanned_residency(kv, seq),
+                    "seq {seq}"
+                );
+            }
+            kv.check_invariants().unwrap();
+        };
+        check(&kv);
+        // Partly swapped: the count follows, and decode growth is refused
+        // without touching the sequence.
+        kv.swap_out(1, &[pages[3], pages[1]]).unwrap();
+        check(&kv);
+        assert_eq!(kv.seq_host_pages(1), 2);
+        assert_eq!(kv.extend(1, 1), Err(KvError::SwappedOut(1)));
+        assert_eq!(kv.extend(1, 0), Err(KvError::SwappedOut(1)));
+        assert_eq!(kv.seq_tokens(1), Some(64));
+        // A refused swap (a page already on the host) changes no count.
+        assert_eq!(
+            kv.swap_out(1, &[pages[2], pages[1]]),
+            Err(KvError::InvalidSwap)
+        );
+        check(&kv);
+        // A device-resident interior page of a partly swapped sequence
+        // can still be sparsity-released; the host count is unchanged.
+        assert_eq!(kv.release_seq_pages(1, &[pages[2]]).unwrap(), 1);
+        check(&kv);
+        assert_eq!(kv.seq_host_pages(1), 2);
+        assert_eq!(kv.swap_in(1).unwrap(), 2);
+        check(&kv);
+        assert_eq!(kv.extend(1, 1).unwrap(), 1);
+        kv.swap_out(1, &[pages[0]]).unwrap();
+        check(&kv);
+        kv.free(1).unwrap();
+        check(&kv);
+        assert_eq!(kv.seq_host_pages(1), 0);
+        assert_eq!(kv.seq_resident(1), None);
+        kv.free(2).unwrap();
+        check(&kv);
+        assert!(kv.stats().conserved());
+    }
+
+    #[test]
+    fn refused_swaps_leave_every_page_where_it_was() {
+        let mut kv = tiered(16, 8, 2);
+        kv.alloc(1, 48).unwrap();
+        kv.alloc(2, 16).unwrap();
+        let pages = kv.seq_pages(1).unwrap().to_vec();
+        let foreign = kv.seq_pages(2).unwrap()[0];
+        let free = (0..kv.config().total_ids() as PageId)
+            .find(|&p| kv.page_refs(p) == 0)
+            .unwrap();
+        for plan in [
+            vec![pages[0], foreign],
+            vec![pages[0], free],
+            vec![pages[1], pages[0], pages[1]],
+            vec![pages[0], 9_999],
+            pages.clone(), // three pages, two host frames
+        ] {
+            assert!(kv.swap_out(1, &plan).is_err(), "{plan:?}");
+            for p in 0..kv.config().total_ids() as PageId {
+                assert_eq!(kv.page_location(p), PageLocation::Device, "{plan:?}");
+            }
+            assert_eq!(kv.seq_host_pages(1), 0);
+            kv.check_invariants().unwrap();
+        }
     }
 
     #[test]

@@ -245,6 +245,11 @@ impl StepShape {
 /// ([`StepShape::packed_decode_tokens`] — cost scales with *attended*
 /// tokens, slack ≤ 31 rows per slot), while a padded layout has no gather
 /// and must stream each slot's whole *cached* context.
+///
+/// The charges add to whatever `eng`'s ledger already holds. The decode
+/// runtime prices every step of a replay on one engine and takes the
+/// ledger after each ([`Engine::take_ledger`]), so each step reads as it
+/// would on a fresh engine.
 pub fn run_step(eng: &mut Engine, cfg: &ModelConfig, shape: &StepShape) {
     let rows = shape.rows();
     if rows == 0 {

@@ -186,6 +186,26 @@ pub struct CostTally {
     pub flops_executed: f64,
 }
 
+/// An engine's ledger as [`Engine::take_ledger`] hands it over: every
+/// charge since the engine was built or the ledger was last taken.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ChargeTotals {
+    /// Seconds of every charge, summed in charge order (−0.0 when there
+    /// were none, like `f64: Sum` over nothing).
+    pub total_s: f64,
+    /// Category totals of the charges.
+    pub tally: CostTally,
+    /// Seconds of the GEMM-class charges.
+    pub gemm_time_s: f64,
+}
+
+impl ChargeTotals {
+    /// Total modelled latency (ms), as [`Engine::latency_ms`] reports it.
+    pub fn latency_ms(&self) -> f64 {
+        self.total_s * 1e3
+    }
+}
+
 /// Host-side time PyTorch spends per expert in the sequential MoE loop
 /// (Python iteration, `index_select`, activation and two GEMM launches —
 /// roughly seven launches plus eager-mode Python dispatch per expert; order
@@ -200,6 +220,12 @@ pub const PYTORCH_PER_EXPERT_HOST_S: f64 = 0.25e-3;
 /// charge through the labelled recorders ([`Engine::gemm`] and friends),
 /// which also append to the context's record list so the figures can
 /// split out e.g. conversion time by label substring.
+///
+/// A serving replay prices all of its steps on one engine, because
+/// building one profiles the tile database and searches a 2048³
+/// reference tile. [`Engine::take_ledger`] closes a step, leaving the
+/// ledger as a fresh engine's, so every step's charges equal a fresh
+/// engine's bit for bit.
 #[derive(Debug)]
 pub struct Engine {
     /// Simulation context: the labelled record list and the memory
@@ -530,6 +556,19 @@ impl Engine {
     pub fn cost_tally(&self) -> CostTally {
         self.tally
     }
+
+    /// Hands over the ledger and resets it to a fresh engine's: the −0.0
+    /// total seed, an empty tally and no GEMM time. Reading and resetting
+    /// are one call, so no charge can fall between them and leak into the
+    /// next step. The labelled record list and the memory tracker are not
+    /// part of the ledger and are left as they are.
+    pub fn take_ledger(&mut self) -> ChargeTotals {
+        ChargeTotals {
+            total_s: std::mem::replace(&mut self.total_s, -0.0),
+            tally: std::mem::take(&mut self.tally),
+            gemm_time_s: std::mem::replace(&mut self.gemm_time_s, 0.0),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -662,6 +701,24 @@ mod tests {
         assert_eq!(e.gemm_time_s, t.attention_s + t.dense_s);
         assert_eq!(e.ctx().records().len(), 1);
         assert_eq!(e.ctx().latency_of_s("scores"), t.dense_s);
+    }
+
+    #[test]
+    fn take_ledger_resets_to_a_fresh_engine() {
+        let mut e = engine(Framework::Pit);
+        e.charge(OpKind::Qkv, e.price_gemm(64, 1024, 3072));
+        e.charge(OpKind::Softmax, e.price_softmax(64, 64));
+        let (total_ms, tally, gemm_s) = (e.latency_ms(), e.cost_tally(), e.gemm_time_s);
+        let taken = e.take_ledger();
+        assert_eq!(taken.latency_ms().to_bits(), total_ms.to_bits());
+        assert_eq!(taken.tally, tally);
+        assert_eq!(taken.gemm_time_s.to_bits(), gemm_s.to_bits());
+        // Reset to the −0.0 seed: an empty step reads as a fresh engine.
+        assert_eq!(e.latency_ms().to_bits(), (-0.0f64).to_bits());
+        assert_eq!(e.cost_tally(), CostTally::default());
+        assert_eq!(e.gemm_time_s.to_bits(), 0.0f64.to_bits());
+        let empty = e.take_ledger();
+        assert_eq!(empty.total_s.to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]

@@ -31,5 +31,5 @@ pub mod training;
 
 pub use configs::{AttnKind, ModelConfig, MoeConfig};
 pub use decode::{run_step, DecodeSlot, StepShape, KV_MICROTILE_ROWS};
-pub use engine::{CostCategory, CostTally, Engine, Framework, OpKind};
+pub use engine::{ChargeTotals, CostCategory, CostTally, Engine, Framework, OpKind};
 pub use inference::{run_inference, RunResult};

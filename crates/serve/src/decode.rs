@@ -188,7 +188,8 @@ impl KvSparsityPolicy {
 
     /// Page-table positions of a `len`-token cache this policy evicts:
     /// fully-written pages past the sink that neither overlap the recent
-    /// window nor survive as heavy hitters. Empty under [`Dense`].
+    /// window nor survive as heavy hitters, ascending. Empty (and
+    /// unallocated) when nothing is evicted, as under [`Dense`].
     ///
     /// [`Dense`]: KvSparsityPolicy::Dense
     pub fn evict_positions(&self, len: usize, page_size: usize) -> Vec<usize> {
@@ -202,25 +203,27 @@ impl KvSparsityPolicy {
         // tokens [p*ps, (p+1)*ps), all written iff (p+1)*ps <= len).
         let full = len / ps;
         // First page overlapping the recent window; pages at or past it
-        // are retained.
-        let window_start = (len - recent.min(len)) / ps;
-        let hi = window_start.min(full);
-        if hi <= 1 {
-            return Vec::new(); // nothing strictly between sink and window
+        // are retained. The middle is positions 1..hi, strictly between
+        // the sink and the window.
+        let hi = ((len - recent.min(len)) / ps).min(full);
+        let middle = hi.saturating_sub(1);
+        // Heavy hitters: keep ceil(heavy/ps) middle pages, evenly spaced —
+        // middle index j·middle/hh for j < hh, strictly increasing in j
+        // because hh <= middle.
+        let hh = heavy.div_ceil(ps).min(middle);
+        if hh == middle {
+            return Vec::new();
         }
-        let middle: Vec<usize> = (1..hi).collect();
-        // Heavy hitters: keep ceil(heavy/ps) middle pages, evenly spaced.
-        let hh = heavy.div_ceil(ps).min(middle.len());
-        let mut keep = vec![false; middle.len()];
-        for j in 0..hh {
-            keep[j * middle.len() / hh] = true;
+        let mut evict = Vec::with_capacity(middle - hh);
+        let mut kept = 0;
+        for i in 0..middle {
+            if kept < hh && i == kept * middle / hh {
+                kept += 1;
+            } else {
+                evict.push(i + 1);
+            }
         }
-        middle
-            .into_iter()
-            .zip(keep)
-            .filter(|&(_, kept)| !kept)
-            .map(|(pos, _)| pos)
-            .collect()
+        evict
     }
 }
 
@@ -710,16 +713,20 @@ impl Seq {
     }
 }
 
-/// Prices one iteration into a ledger [`StepSample`]. The engine's
-/// ledger holds exactly this step's typed charges: the shared JIT cache's
-/// selection charges, then [`run_step`]'s fold of one priced layer over
-/// the model's depth. `real_rows` is the number of non-padding rows
+/// Prices one iteration into a ledger [`StepSample`] on the replay's one
+/// engine, whose ledger is empty on entry and on return.
+/// The step's charges are the shared JIT cache's selection charges, then
+/// [`run_step`]'s fold of one priced layer over the model's depth;
+/// [`Engine::take_ledger`] reads them and resets the ledger in one call,
+/// so each step prices exactly as on a fresh engine without paying for
+/// building one. `real_rows` is the number of non-padding rows
 /// (selection samples the step's token occupancy, and only cache misses
 /// pay the modelled Algorithm-1 search cost, as in the prefill runtime).
 /// The engine charges one fused attention kernel per layer, so its
 /// attention total is split prefill-vs-decode by the shape's score
 /// weighting ([`StepShape::prefill_attention_fraction`]).
 fn step_sample(
+    eng: &mut Engine,
     cfg: &DecodeServeConfig,
     shape: &StepShape,
     real_rows: usize,
@@ -729,13 +736,12 @@ fn step_sample(
     if rows == 0 {
         return StepSample::default();
     }
-    let mut eng = Engine::new(cfg.device.clone(), cfg.dtype, cfg.policy.framework());
     let m = &cfg.model;
     // Shared miss-cost policy with the prefill executor; the extra index
     // items are the page-table gather PIT's SRead performs over the paged
     // KV cache.
     let (jit_searches, jit_search_measured_s) = charge_shape_selection(
-        &mut eng,
+        eng,
         cache,
         "serve.decode_step",
         m,
@@ -743,11 +749,12 @@ fn step_sample(
         rows,
         shape.decode_slots(),
     );
-    run_step(&mut eng, m, shape);
-    let tally = eng.cost_tally();
+    run_step(eng, m, shape);
+    let ledger = eng.take_ledger();
+    let tally = ledger.tally;
     let prefill_frac = shape.prefill_attention_fraction(eng.framework.is_pit());
     StepSample {
-        gpu_s: eng.latency_ms() / 1e3,
+        gpu_s: ledger.latency_ms() / 1e3,
         prefill_attention_s: tally.attention_s * prefill_frac,
         decode_attention_s: tally.attention_s * (1.0 - prefill_frac),
         sparse_conversion_s: tally.sparse_conversion_s,
@@ -941,6 +948,31 @@ impl<'a> Recorder<'a> {
     }
 }
 
+/// Consecutive equal inter-token gaps, recorded as one run: the decode
+/// slots of a step mostly share one gap, the step's duration. A run ends
+/// wherever the gap's bits change, so the sketch sees the same samples in
+/// the same order as recording each token's gap on its own.
+#[derive(Default)]
+struct ItlRun {
+    gap_s: f64,
+    n: u64,
+}
+
+impl ItlRun {
+    fn push(&mut self, gap_s: f64, metrics: &mut DecodeMetrics) {
+        if self.n > 0 && gap_s.to_bits() != self.gap_s.to_bits() {
+            self.flush(metrics);
+        }
+        self.gap_s = gap_s;
+        self.n += 1;
+    }
+
+    fn flush(&mut self, metrics: &mut DecodeMetrics) {
+        metrics.record_itl(self.gap_s, self.n);
+        self.n = 0;
+    }
+}
+
 /// The continuous-batching loop with chunked prefill:
 ///
 /// 1. admit arrived requests into the prefilling queue (KV admission
@@ -963,6 +995,10 @@ impl<'a> Recorder<'a> {
 /// arrivals), then their restore transfer streams on the h2d link while
 /// the scheduler keeps batching — they rejoin only when the transfer
 /// lands, context intact, nothing re-prefilled.
+///
+/// Every step is priced on one engine built when the replay starts
+/// ([`step_sample`] takes its ledger after each step), so no step pays
+/// for building one.
 #[allow(clippy::too_many_arguments)]
 fn run_continuous(
     cfg: &DecodeServeConfig,
@@ -992,6 +1028,8 @@ fn run_continuous(
     let mut swapped: VecDeque<(Seq, bool)> = VecDeque::new();
     let mut restoring: RestoreQueue<(Seq, bool)> = RestoreQueue::new();
     let mut clock_s = 0.0_f64;
+    // Every step of the replay is priced on this one engine.
+    let mut eng = Engine::new(cfg.device.clone(), cfg.dtype, cfg.policy.framework());
 
     while !waiting.is_empty()
         || !prefilling.is_empty()
@@ -1443,7 +1481,7 @@ fn run_continuous(
                 );
             }
         }
-        let sample = step_sample(cfg, &shape, shape.rows(), cache);
+        let sample = step_sample(&mut eng, cfg, &shape, shape.rows(), cache);
         let gpu_s = sample.gpu_s;
         clock_s += gpu_s;
         metrics.charge(|l| l.charge_step(&sample));
@@ -1489,9 +1527,10 @@ fn run_continuous(
         }
 
         // Decode slots each emitted one token.
+        let mut itl = ItlRun::default();
         let mut still_running: Vec<Seq> = Vec::with_capacity(running.len() + prefilling.len());
         for (slot, mut s) in shape.decode.iter().zip(running.drain(..)) {
-            metrics.record_itl(clock_s - s.last_token_s);
+            itl.push(clock_s - s.last_token_s, metrics);
             rec.record(
                 clock_s,
                 s.id,
@@ -1543,7 +1582,7 @@ fn run_continuous(
             } else {
                 // Re-admitted after preemption: the gap includes requeue
                 // and recompute — the honest preemption penalty.
-                metrics.record_itl(clock_s - s.last_token_s);
+                itl.push(clock_s - s.last_token_s, metrics);
             }
             rec.record(clock_s, s.id, TraceEvent::FirstToken);
             s.generated += 1;
@@ -1557,6 +1596,7 @@ fn run_continuous(
                 still_running.push(s);
             }
         }
+        itl.flush(metrics);
         running = still_running;
         prefilling = still_prefilling;
 
@@ -1741,7 +1781,8 @@ fn preempt_victim(
 }
 
 /// The static padded loop: batch once, reserve worst-case KV, prefill the
-/// rectangle, decode until the longest output completes.
+/// rectangle, decode until the longest output completes. Like
+/// [`run_continuous`], it prices every step on one engine.
 fn run_static(
     cfg: &DecodeServeConfig,
     max_batch: usize,
@@ -1753,6 +1794,8 @@ fn run_static(
 ) {
     let max_batch = max_batch.max(1);
     let mut clock_s = 0.0_f64;
+    // Every step of the replay is priced on this one engine.
+    let mut eng = Engine::new(cfg.device.clone(), cfg.dtype, cfg.policy.framework());
 
     while !waiting.is_empty() {
         let arrival = waiting.front().expect("non-empty").arrival_s;
@@ -1826,7 +1869,7 @@ fn run_static(
         // Prefill the rectangle: every slot processes max_p rows.
         let shape = StepShape::prefill(vec![max_p; b]);
         let real: usize = batch.iter().map(|s| s.prompt).sum();
-        let sample = step_sample(cfg, &shape, real, cache);
+        let sample = step_sample(&mut eng, cfg, &shape, real, cache);
         let gpu_s = sample.gpu_s;
         clock_s += gpu_s;
         metrics.charge(|l| l.charge_step(&sample));
@@ -1870,7 +1913,7 @@ fn run_static(
         for t in 2..=max_o {
             let shape = StepShape::decode(vec![ctx_pad; b]);
             let live = batch.iter().filter(|s| s.target >= t).count();
-            let sample = step_sample(cfg, &shape, live, cache);
+            let sample = step_sample(&mut eng, cfg, &shape, live, cache);
             let gpu_s = sample.gpu_s;
             clock_s += gpu_s;
             metrics.charge(|l| l.charge_step(&sample));
@@ -1887,8 +1930,9 @@ fn run_static(
             // Fixed-shape kernels attend the full reservation every step:
             // attended == cached == the padded context, per slot.
             metrics.record_attention(shape.attended_tokens(), shape.cached_tokens());
+            let mut itl = ItlRun::default();
             for s in batch.iter_mut().filter(|s| s.target >= t) {
-                metrics.record_itl(clock_s - s.last_token_s);
+                itl.push(clock_s - s.last_token_s, metrics);
                 rec.record(
                     clock_s,
                     s.id,
@@ -1905,6 +1949,7 @@ fn run_static(
                     rec.record(clock_s, s.id, TraceEvent::Finished);
                 }
             }
+            itl.flush(metrics);
         }
 
         // The rectangle completes as one unit; only now do its pages free.

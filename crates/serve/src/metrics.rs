@@ -625,10 +625,11 @@ impl<'h> DecodeMetrics<'h> {
         }
     }
 
-    /// Records one inter-token gap (seconds between consecutive tokens of
-    /// the same request).
-    pub fn record_itl(&mut self, seconds: f64) {
-        self.itl_s.record(seconds);
+    /// Records `n` equal inter-token gaps (seconds between consecutive
+    /// tokens of the same request) with one sketch update, bit-identical
+    /// to recording each gap on its own.
+    pub fn record_itl(&mut self, seconds: f64, n: u64) {
+        self.itl_s.record_n(seconds, n);
     }
 
     /// Records one request's end-to-end latency (arrival to last token).
@@ -1149,8 +1150,8 @@ mod tests {
         m.record_step(100, 0, 160, 0.5, 0.2, 0.1); // prefill iteration
         m.record_step(0, 8, 16, 0.25, 0.4, 0.3); // decode iteration
         m.record_ttft(0.010, false);
-        m.record_itl(0.002);
-        m.record_itl(0.004);
+        m.record_itl(0.002, 1);
+        m.record_itl(0.004, 1);
         m.record_e2e(0.050);
         let kv = pit_kv::PagedKvCache::new(pit_kv::KvConfig::new(16, 8)).stats();
         let cache = CacheStats {

@@ -86,18 +86,32 @@ impl LatencySketch {
     /// caller fed a poisoned latency) and release builds drop the sample
     /// instead of poisoning every later quantile.
     pub fn record(&mut self, v: f64) {
+        self.record_n(v, 1);
+    }
+
+    /// Records `n` copies of `v` — a run of equal samples, such as the
+    /// inter-token gaps of one decode step's slots — with one bucket
+    /// update. The sketch ends bit-identical to `n` calls of
+    /// [`LatencySketch::record`]: `sum` still adds `v` once per copy, in
+    /// order. `n == 0` records nothing, NaN included.
+    pub fn record_n(&mut self, v: f64, n: u64) {
+        if n == 0 {
+            return;
+        }
         debug_assert!(!v.is_nan(), "NaN latency recorded into sketch");
         if v.is_nan() {
             return;
         }
-        self.count += 1;
-        self.sum += v;
+        self.count += n;
+        for _ in 0..n {
+            self.sum += v;
+        }
         self.min = self.min.min(v);
         self.max = self.max.max(v);
         if v <= MIN_TRACKED {
-            self.zeros += 1;
+            self.zeros += n;
         } else {
-            *self.buckets.entry(self.bucket_index(v)).or_insert(0) += 1;
+            *self.buckets.entry(self.bucket_index(v)).or_insert(0) += n;
         }
     }
 
@@ -287,6 +301,82 @@ mod tests {
         // Release builds drop the sample instead of panicking.
         assert_eq!(s.count(), 0);
         assert_eq!(s.quantile(0.5), 0.0);
+    }
+
+    /// Every observable of the sketch, bit for bit: count, the zero
+    /// bucket, each bucket, min, max, sum and a spread of quantiles.
+    fn assert_bit_identical(a: &LatencySketch, b: &LatencySketch) {
+        assert_eq!(a.count, b.count);
+        assert_eq!(a.zeros, b.zeros);
+        assert_eq!(a.buckets, b.buckets);
+        assert_eq!(a.min.to_bits(), b.min.to_bits());
+        assert_eq!(a.max.to_bits(), b.max.to_bits());
+        assert_eq!(a.sum().to_bits(), b.sum().to_bits());
+        for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
+            assert_eq!(a.quantile(q).to_bits(), b.quantile(q).to_bits(), "q={q}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Runs of equal samples recorded with `record_n` leave the sketch
+        /// exactly as recording each sample does — including empty runs
+        /// and values in the zero bucket — between ordinary records.
+        #[test]
+        fn record_n_equals_n_records(
+            seed in 0u64..u64::MAX,
+            runs in 1usize..12,
+            zero_every in 2u64..6,
+        ) {
+            let mut x = seed | 1;
+            let mut next = || {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                x >> 11
+            };
+            let (mut batched, mut single) = (LatencySketch::new(), LatencySketch::new());
+            for _ in 0..runs {
+                let r = next();
+                let v = match r % zero_every {
+                    // At or below the zero bucket's edge, negatives too.
+                    0 => [0.0, -0.0, MIN_TRACKED, MIN_TRACKED * 0.5, -1e-3][(r % 5) as usize],
+                    _ => (r % 100_000) as f64 * 1e-7 + 1e-6,
+                };
+                let n = next() % 70; // 0 included
+                batched.record_n(v, n);
+                for _ in 0..n {
+                    single.record(v);
+                }
+                // An ordinary sample between runs.
+                let w = (next() % 1000) as f64 * 1e-4;
+                batched.record(w);
+                single.record(w);
+                assert_bit_identical(&batched, &single);
+            }
+        }
+    }
+
+    #[test]
+    fn record_n_of_nothing_is_a_no_op_even_for_nan() {
+        let mut s = LatencySketch::new();
+        s.record(0.25);
+        let before = s.clone();
+        s.record_n(0.5, 0);
+        s.record_n(f64::NAN, 0);
+        assert_bit_identical(&s, &before);
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "NaN latency"))]
+    fn record_n_drops_nan_runs() {
+        let mut s = LatencySketch::new();
+        s.record(0.25);
+        let before = s.clone();
+        s.record_n(f64::NAN, 7);
+        // Release builds drop the run, as `record` drops one NaN.
+        assert_bit_identical(&s, &before);
     }
 
     #[test]

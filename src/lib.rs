@@ -26,9 +26,10 @@
 //! - [`serve`] — concurrent serving runtime: bounded admission,
 //!   padding-free continuous batching (prefill and decode phase), worker
 //!   pool, serving metrics.
-//! - [`trace`] — observability: request-lifecycle trace sink and span
-//!   reduction, streaming percentile sketches, arrival-window series and
-//!   Chrome `trace_event` export.
+//! - [`trace`] — observability: request-lifecycle trace sink and the
+//!   lifecycle fold with causal blame, streaming percentile sketches,
+//!   the device-time ledger, arrival-window series and Chrome
+//!   `trace_event` export.
 //!
 //! See `README.md` for a quickstart, the workspace layout and the crate
 //! dependency graph.

@@ -2,9 +2,38 @@
 //! invariants: padding accounting, token conservation under splitting,
 //! and the continuous-batching packer's budget/ordering guarantees.
 
-use pit::serve::BatchPolicy;
+use pit::serve::{BatchPolicy, KvSparsityPolicy};
 use pit::workloads::{Batch, DatasetSpec};
 use proptest::prelude::*;
+
+/// The KV-sparsity eviction plan as first written — every middle page
+/// collected, heavy hitters marked in a scratch vector, the rest kept —
+/// the oracle for the allocation-free `evict_positions`.
+fn evict_positions_oracle(policy: KvSparsityPolicy, len: usize, ps: usize) -> Vec<usize> {
+    let (recent, heavy) = match policy {
+        KvSparsityPolicy::Dense => return Vec::new(),
+        KvSparsityPolicy::SlidingWindow { recent } => (recent, 0),
+        KvSparsityPolicy::HeavyHitter { recent, heavy } => (recent, heavy),
+    };
+    let full = len / ps;
+    let window_start = (len - recent.min(len)) / ps;
+    let hi = window_start.min(full);
+    if hi <= 1 {
+        return Vec::new();
+    }
+    let middle: Vec<usize> = (1..hi).collect();
+    let hh = heavy.div_ceil(ps).min(middle.len());
+    let mut keep = vec![false; middle.len()];
+    for j in 0..hh {
+        keep[j * middle.len() / hh] = true;
+    }
+    middle
+        .into_iter()
+        .zip(keep)
+        .filter(|&(_, kept)| !kept)
+        .map(|(pos, _)| pos)
+        .collect()
+}
 
 /// Pseudo-random pending lengths derived from a seed (1..=max_len each).
 fn lens_from_seed(n: usize, max_len: usize, seed: u64) -> Vec<usize> {
@@ -133,5 +162,32 @@ proptest! {
         prop_assert_eq!(free.padding_waste(), 0.0);
         prop_assert!(bucketed.padded_tokens <= padded.padded_tokens);
         prop_assert!(free.padded_tokens <= bucketed.padded_tokens);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// The eviction plan equals the oracle for every policy and geometry,
+    /// including windows and heavy-hitter budgets wider than the cache,
+    /// and an empty plan holds no allocation.
+    #[test]
+    fn evict_positions_match_the_scratch_vector_oracle(
+        len in 0usize..5000,
+        page_size in 1usize..64,
+        recent in 1usize..2048,
+        heavy in 1usize..2048,
+        which in 0u8..3,
+    ) {
+        let policy = match which {
+            0 => KvSparsityPolicy::Dense,
+            1 => KvSparsityPolicy::SlidingWindow { recent },
+            _ => KvSparsityPolicy::HeavyHitter { recent, heavy },
+        };
+        let got = policy.evict_positions(len, page_size);
+        prop_assert_eq!(&got, &evict_positions_oracle(policy, len, page_size));
+        if got.is_empty() {
+            prop_assert_eq!(got.capacity(), 0);
+        }
     }
 }

@@ -1,11 +1,13 @@
-//! Property test: pricing a decode step's layer once and folding it over
-//! the model's depth is bit-identical to pricing every layer op by op.
+//! Property tests: pricing a decode step's layer once and folding it over
+//! the model's depth is bit-identical to pricing every layer op by op,
+//! and a replay's one reused engine prices every step like a fresh one.
 //!
-//! The oracle replays the per-layer, per-op loop `run_step` used to run
-//! through the engine's labelled recorders, then sums the record list in
-//! order, classifying labels by suffix the way the ledger used to. Every
-//! modelled number is compared by `to_bits()`: the fold must repeat each
-//! f64 addition in the same order, not merely agree within a tolerance.
+//! The first oracle replays the per-layer, per-op loop `run_step` used to
+//! run through the engine's labelled recorders, then sums the record list
+//! in order, classifying labels by suffix the way the ledger used to. The
+//! second is a fresh `Engine::new` per step. Every modelled number is
+//! compared by `to_bits()`: the fold must repeat each f64 addition in the
+//! same order, not merely agree within a tolerance.
 
 use pit::gpusim::DeviceSpec;
 use pit::models::decode::{run_step, DecodeSlot, StepShape, KV_MICROTILE_ROWS};
@@ -206,6 +208,72 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A replay prices all of its steps on one engine, taking the ledger
+    /// after each; every step must read exactly as it does on a fresh
+    /// `Engine::new`. Shapes repeat from a small pool, and some steps are
+    /// empty.
+    #[test]
+    fn reused_engine_prices_each_step_like_a_fresh_one(
+        seed in 0u64..u64::MAX,
+        steps in 1usize..12,
+        selection in 0u8..4,
+        framework in vec![Framework::Pit, Framework::PyTorch, Framework::DeepSpeed],
+        dtype in vec![DType::F16, DType::F32],
+        devices in vec![1usize, 4],
+        model_name in vec!["bert_base/2", "opt-1.3B"],
+    ) {
+        let cfg = model(model_name);
+        let engine = || Engine::new(DeviceSpec::a100_80gb(), dtype, framework).with_devices(devices);
+        let mut rng = Rng(seed);
+        let pool: Vec<StepShape> = (0..3)
+            .map(|_| {
+                let parts = rng.below(8) as u8;
+                random_shape(&mut rng, parts)
+            })
+            .collect();
+        let mut reused = engine();
+        for step in 0..steps {
+            let shape = &pool[rng.below(pool.len())];
+            let search_s = 1e-6 * (1 + rng.below(500)) as f64;
+            let index_s = 1e-7 * (1 + rng.below(500)) as f64;
+            let price = |eng: &mut Engine| {
+                if selection & 1 != 0 {
+                    eng.charge_host(OpKind::JitSearch, search_s);
+                }
+                if selection & 2 != 0 {
+                    eng.charge_host(OpKind::PitIndex, index_s);
+                }
+                run_step(eng, &cfg, shape);
+            };
+            price(&mut reused);
+            let got = reused.take_ledger();
+            let mut fresh = engine();
+            price(&mut fresh);
+            let want = fresh.cost_tally();
+            // `gpu_s` as `step_sample` derives it from each ledger.
+            for (field, g, w) in [
+                ("gpu_s", got.latency_ms() / 1e3, fresh.latency_ms() / 1e3),
+                ("gemm_time_s", got.gemm_time_s, fresh.gemm_time_s),
+                ("attention_s", got.tally.attention_s, want.attention_s),
+                ("sparse_conversion_s", got.tally.sparse_conversion_s, want.sparse_conversion_s),
+                ("jit_search_s", got.tally.jit_search_s, want.jit_search_s),
+                ("dense_s", got.tally.dense_s, want.dense_s),
+                ("flops_useful", got.tally.flops_useful, want.flops_useful),
+                ("flops_executed", got.tally.flops_executed, want.flops_executed),
+            ] {
+                prop_assert_eq!(g.to_bits(), w.to_bits(), "step {}: {}: {} vs {}", step, field, g, w);
+            }
+            // The reset leaves the reused engine reading as a fresh one.
+            prop_assert_eq!(reused.latency_ms().to_bits(), (-0.0f64).to_bits());
+            prop_assert_eq!(reused.cost_tally(), CostTally::default());
+            prop_assert_eq!(reused.gemm_time_s.to_bits(), 0.0f64.to_bits());
+        }
+    }
+}
+
 /// A step with no work leaves an engine's latency at −0.0, what summing
 /// an empty record list gives.
 #[test]
@@ -214,4 +282,21 @@ fn empty_step_keeps_negative_zero_latency() {
     run_step(&mut eng, &ModelConfig::opt("1.3B"), &StepShape::default());
     assert_eq!(eng.latency_ms().to_bits(), (-0.0f64).to_bits());
     assert_eq!(eng.cost_tally(), CostTally::default());
+}
+
+/// The same holds on a reused engine: after a priced step's ledger is
+/// taken, an empty step reads −0.0 and an empty tally again.
+#[test]
+fn empty_step_on_a_reused_engine_keeps_negative_zero_latency() {
+    let cfg = ModelConfig::opt("1.3B");
+    let mut eng = Engine::new(DeviceSpec::a100_80gb(), DType::F16, Framework::Pit);
+    run_step(&mut eng, &cfg, &StepShape::decode(vec![300; 8]));
+    assert!(eng.take_ledger().total_s > 0.0);
+    run_step(&mut eng, &cfg, &StepShape::default());
+    assert_eq!(eng.latency_ms().to_bits(), (-0.0f64).to_bits());
+    assert_eq!(eng.cost_tally(), CostTally::default());
+    let empty = eng.take_ledger();
+    assert_eq!(empty.latency_ms().to_bits(), (-0.0f64).to_bits());
+    assert_eq!(empty.gemm_time_s.to_bits(), 0.0f64.to_bits());
+    assert_eq!(empty.tally, CostTally::default());
 }
