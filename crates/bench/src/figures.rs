@@ -337,7 +337,7 @@ pub fn fig14() -> String {
             Framework::DeepSpeed,
             Framework::Pit,
         ] {
-            let r = run_training_step(&cfg, &lens, DeviceSpec::a100_80gb(), DType::F32, fw, 31);
+            let r = run_training_step(&cfg, &lens, DeviceSpec::a100_80gb(), DType::F32, fw);
             t.row(vec![
                 cfg.name.clone(),
                 r.framework.clone(),

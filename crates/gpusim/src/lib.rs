@@ -21,17 +21,14 @@
 //! structural choice (see [`cost`]); nothing is fitted per-experiment.
 //!
 //! The crate also provides [`MemoryTracker`] (peak-footprint accounting with
-//! out-of-memory detection, for the paper's GPU-memory plots) and
-//! [`SimContext`] (a per-run ledger of operator latencies).
+//! out-of-memory detection, for the paper's GPU-memory plots).
 
 pub mod cost;
 pub mod device;
 pub mod memory;
-pub mod sim;
 pub mod stats;
 
 pub use cost::CostModel;
 pub use device::DeviceSpec;
 pub use memory::MemoryTracker;
-pub use sim::{OpRecord, SimContext};
 pub use stats::KernelStats;

@@ -229,8 +229,7 @@ impl StepShape {
 /// `cfg.layers` times into the engine's ledger, in the order a
 /// layer-by-layer pass would charge them: the step's modelled seconds,
 /// category tally and GEMM time are bit-identical to pricing each layer
-/// afresh. The charges are typed [`OpKind`]s; nothing is labelled or
-/// appended to the engine's record list.
+/// afresh. The charges are typed [`OpKind`]s.
 ///
 /// Decode attention is priced per slot as two `1 × a` GEMV-like products
 /// (scores and context, `a` = the slot's attended extent) whose arithmetic

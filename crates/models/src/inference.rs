@@ -1,9 +1,9 @@
 //! End-to-end inference simulation (Figures 8–13, 19).
 
 use crate::configs::{AttnKind, ModelConfig};
-use crate::engine::{Engine, Framework};
-use crate::moe::{moe_ffn, moe_weight_bytes};
-use pit_gpusim::{DeviceSpec, KernelStats};
+use crate::engine::{Engine, Framework, OpKind};
+use crate::moe::moe_ffn;
+use pit_gpusim::DeviceSpec;
 use pit_kernels::baselines::blocksparse;
 use pit_tensor::DType;
 use pit_workloads::Batch;
@@ -15,16 +15,30 @@ pub struct RunResult {
     pub framework: String,
     /// Model name.
     pub model: String,
-    /// End-to-end latency per batch (ms). `f64::NAN` when the run OOMs on
-    /// frameworks that crash (reported as OOM in the figures).
+    /// End-to-end latency per batch (ms).
     pub latency_ms: f64,
-    /// Portion spent building sparse indices/formats (ms) — the "Convert"
-    /// bars of Figures 8–13 and 19.
+    /// Portion spent building sparse indices/formats (ms): the ledger's
+    /// sparse-conversion total, the "Convert" bars of Figures 8–13 and 19.
     pub convert_ms: f64,
     /// Peak GPU memory, aggregated over all devices (GiB).
     pub peak_gib: f64,
     /// Whether the run exceeded device memory.
     pub oom: bool,
+}
+
+impl RunResult {
+    /// The figures' metrics of the run charged to `eng`.
+    pub(crate) fn from_engine(eng: &Engine, model: String) -> Self {
+        let peak = eng.memory().peak_bytes() as f64 * eng.devices as f64;
+        RunResult {
+            framework: eng.framework.name().to_string(),
+            model,
+            latency_ms: eng.latency_ms(),
+            convert_ms: eng.cost_tally().sparse_conversion_s * 1e3,
+            peak_gib: peak / (1u64 << 30) as f64,
+            oom: eng.memory().oom(),
+        }
+    }
 }
 
 /// Effective per-sequence lengths a framework processes.
@@ -101,17 +115,10 @@ fn needs_attn_conversion(kind: AttnKind, framework: Framework) -> bool {
 }
 
 /// One attention block over the batch's effective lengths.
-fn attention(
-    eng: &mut Engine,
-    prefix: &str,
-    lens: &[usize],
-    hidden: usize,
-    heads: usize,
-    kind: AttnKind,
-) {
+fn attention(eng: &mut Engine, lens: &[usize], hidden: usize, heads: usize, kind: AttnKind) {
     let tokens: usize = lens.iter().sum();
     let elem = eng.elem();
-    eng.gemm(&format!("{prefix}.qkv"), tokens, hidden, 3 * hidden);
+    eng.charge(OpKind::Qkv, eng.price_gemm(tokens, hidden, 3 * hidden));
     // Scores + context per sequence: 2 * frac * l^2 * hidden FLOPs each.
     let covered: f64 = lens
         .iter()
@@ -119,33 +126,31 @@ fn attention(
         .sum();
     let score_flops = 2.0 * covered * hidden as f64;
     let score_bytes = covered * heads as f64 * elem as f64;
-    eng.gemm_flops(&format!("{prefix}.scores"), score_flops, score_bytes);
-    eng.softmax(
-        &format!("{prefix}.softmax"),
-        (covered * heads as f64 / 64.0).ceil() as usize,
-        64,
-    );
-    eng.gemm_flops(&format!("{prefix}.context"), score_flops, score_bytes);
-    eng.gemm(&format!("{prefix}.out"), tokens, hidden, hidden);
-    eng.layernorm(&format!("{prefix}.ln"), tokens, hidden);
-    eng.elementwise(&format!("{prefix}.residual"), tokens * hidden, 2);
+    let scores = eng.price_gemm_flops(score_flops, score_bytes);
+    let softmax_rows = (covered * heads as f64 / 64.0).ceil() as usize;
+    eng.charge(OpKind::Scores, scores);
+    eng.charge(OpKind::Softmax, eng.price_softmax(softmax_rows, 64));
+    eng.charge(OpKind::Context, scores);
+    eng.charge(OpKind::Out, eng.price_gemm(tokens, hidden, hidden));
+    eng.charge(OpKind::AttnLn, eng.price_layernorm(tokens, hidden));
+    eng.charge(OpKind::Residual, eng.price_elementwise(tokens * hidden, 2));
     // Score/probability buffers are the dominant transient (2 copies).
     eng.transient_peak((2.0 * covered * heads as f64) as usize * elem);
-    // Longformer-S materialises rearranged band tensors.
+    // Longformer-S materialises rearranged band tensors and restores them.
     if eng.framework == Framework::LongformerS {
-        eng.elementwise(&format!("{prefix}.rearrange"), tokens * hidden, 2);
-        eng.elementwise(&format!("{prefix}.restore"), tokens * hidden, 2);
+        let pass = eng.price_elementwise(tokens * hidden, 2);
+        eng.charge(OpKind::Rearrange, pass);
+        eng.charge(OpKind::Rearrange, pass);
         eng.alloc_retained(tokens * hidden * elem);
     }
 }
 
 /// One dense FFN block, with the OPT ReLU-sparsity optimisation on the
 /// full PIT path.
-fn ffn(eng: &mut Engine, prefix: &str, tokens: usize, hidden: usize, ffn_dim: usize, relu: bool) {
-    eng.gemm(&format!("{prefix}.fc1"), tokens, hidden, ffn_dim);
-    eng.elementwise(&format!("{prefix}.act"), tokens * ffn_dim, 1);
-    let exploit_relu = relu && eng.framework == Framework::Pit;
-    if exploit_relu {
+fn ffn(eng: &mut Engine, tokens: usize, hidden: usize, ffn_dim: usize, relu: bool) {
+    eng.charge(OpKind::Fc1, eng.price_gemm(tokens, hidden, ffn_dim));
+    eng.charge(OpKind::Act, eng.price_elementwise(tokens * ffn_dim, 1));
+    let fc2 = if relu && eng.framework == Framework::Pit {
         // ReLU output is ~99% zero at 1x1 granularity (§5.1); PIT's k-axis
         // merging with a (32,1) micro-tile covers 1-(1-d)^32 of the
         // reduction columns.
@@ -154,19 +159,14 @@ fn ffn(eng: &mut Engine, prefix: &str, tokens: usize, hidden: usize, ffn_dim: us
         // Online detection over the activation values.
         let scan = eng.cost().scan_pass((tokens * ffn_dim * eng.elem()) as f64)
             + eng.cost().index_append(tokens * ffn_dim / 100 / 32);
-        eng.record(
-            format!("{prefix}.pit_detect"),
-            KernelStats {
-                latency_s: scan,
-                ..Default::default()
-            },
-        );
-        eng.gemm_k_covered(&format!("{prefix}.fc2"), tokens, ffn_dim, hidden, k_frac);
+        eng.charge_host(OpKind::PitDetect, scan);
+        eng.price_gemm_k_covered(tokens, ffn_dim, hidden, k_frac)
     } else {
-        eng.gemm(&format!("{prefix}.fc2"), tokens, ffn_dim, hidden);
-    }
-    eng.layernorm(&format!("{prefix}.ln"), tokens, hidden);
-    eng.elementwise(&format!("{prefix}.residual"), tokens * hidden, 2);
+        eng.price_gemm(tokens, ffn_dim, hidden)
+    };
+    eng.charge(OpKind::Fc2, fc2);
+    eng.charge(OpKind::FfnLn, eng.price_layernorm(tokens, hidden));
+    eng.charge(OpKind::Residual, eng.price_elementwise(tokens * hidden, 2));
 }
 
 /// Runs one inference batch of `cfg` under `framework` and returns the
@@ -190,7 +190,7 @@ pub fn run_inference(
     // Weights are persistent for the whole run.
     eng.alloc_persistent(cfg.num_params() * elem);
     // Embedding lookup + input activations.
-    eng.elementwise("embed", tokens * cfg.hidden, 1);
+    eng.charge(OpKind::Embed, eng.price_elementwise(tokens * cfg.hidden, 1));
     eng.transient_peak(4 * tokens * cfg.hidden * elem);
 
     // Per-batch attention layout conversion for block-sparse backends.
@@ -199,7 +199,7 @@ pub fn run_inference(
         let frac = attention_coverage(cfg.attention, l, framework);
         let blocks = ((l / 32).max(1) * (l / 32).max(1)) as f64 * frac;
         let cost = blocksparse::layout_cost(eng.cost(), l, l, 32, blocks as usize, dtype);
-        eng.host_overhead("attn.convert", cost);
+        eng.charge_host(OpKind::Convert, cost);
     }
 
     // PIT builds the token-row micro-tile index once per batch per layer
@@ -210,41 +210,22 @@ pub fn run_inference(
         0.0
     };
     for layer in 0..cfg.layers {
-        let p = format!("l{layer}");
         if pit_layer_index_s > 0.0 {
-            eng.host_overhead(&format!("{p}.pit_index"), pit_layer_index_s);
+            eng.charge_host(OpKind::PitIndex, pit_layer_index_s);
         }
-        attention(
-            &mut eng,
-            &format!("{p}.attn"),
-            &eff_lens,
-            cfg.hidden,
-            cfg.heads,
-            cfg.attention,
-        );
+        attention(&mut eng, &eff_lens, cfg.hidden, cfg.heads, cfg.attention);
         match cfg.moe {
-            Some(moe) if layer % moe.every == moe.every - 1 => {
-                moe_ffn(
-                    &mut eng,
-                    &format!("{p}.moe"),
-                    tokens,
-                    cfg.hidden,
-                    cfg.ffn,
-                    &moe,
-                    seed.wrapping_add(layer as u64),
-                );
-                // Expert weights counted in num_params already; transient
-                // activations handled inside moe_ffn. Track nothing extra.
-                let _ = moe_weight_bytes(cfg.hidden, cfg.ffn, &moe, elem);
-            }
-            _ => ffn(
+            // Expert weights are counted in `num_params`; `moe_ffn` tracks
+            // its transient activations.
+            Some(moe) if layer % moe.every == moe.every - 1 => moe_ffn(
                 &mut eng,
-                &format!("{p}.ffn"),
                 tokens,
                 cfg.hidden,
                 cfg.ffn,
-                cfg.relu_ffn,
+                &moe,
+                seed.wrapping_add(layer as u64),
             ),
+            _ => ffn(&mut eng, tokens, cfg.hidden, cfg.ffn, cfg.relu_ffn),
         }
         // Per-layer activation working set.
         let alpha = if framework.fused_elementwise() { 2 } else { 4 };
@@ -255,27 +236,15 @@ pub fn run_inference(
             let rows = batch.padded_tokens();
             let blocks = rows.div_ceil(32);
             let cost = blocksparse::layout_cost(eng.cost(), rows, cfg.hidden, 32, blocks, dtype);
-            eng.host_overhead(&format!("{p}.convert"), cost);
+            eng.charge_host(OpKind::Convert, cost);
         }
     }
     // LM head / classifier.
-    eng.gemm("lm_head", tokens, cfg.hidden, cfg.vocab.min(4096));
-
-    let latency_ms = eng.latency_ms();
-    let convert_ms = ((eng.ctx().latency_of_s("convert")
-        + eng.ctx().latency_of_s("pit_index")
-        + eng.ctx().latency_of_s("pit_detect"))
-        * 1e3)
-        .max(0.0);
-    let peak = eng.ctx().memory().peak_bytes() as f64 * eng.devices as f64;
-    RunResult {
-        framework: framework.name().to_string(),
-        model: cfg.name.clone(),
-        latency_ms,
-        convert_ms,
-        peak_gib: peak / (1u64 << 30) as f64,
-        oom: eng.ctx().memory().oom(),
-    }
+    eng.charge(
+        OpKind::Head,
+        eng.price_gemm(tokens, cfg.hidden, cfg.vocab.min(4096)),
+    );
+    RunResult::from_engine(&eng, cfg.name.clone())
 }
 
 #[cfg(test)]

@@ -2,11 +2,17 @@
 //! (Figure 8/9's subject).
 
 use crate::configs::MoeConfig;
-use crate::engine::{Engine, Framework, PYTORCH_PER_EXPERT_HOST_S};
+use crate::engine::{Engine, Framework, OpKind};
 use pit_core::kernels::moe_gemm_cost;
 use pit_gpusim::cost::TileDims;
 use pit_gpusim::KernelStats;
 use pit_sparse::generate::RoutingPlan;
+
+/// Host-side time PyTorch spends per expert in the sequential MoE loop
+/// (Python iteration, `index_select`, activation and two GEMM launches —
+/// roughly seven launches plus eager-mode Python dispatch per expert; order
+/// of magnitude from profiling reports of naive MoE loops).
+const PYTORCH_PER_EXPERT_HOST_S: f64 = 0.25e-3;
 
 /// Host-side cost of one per-expert sparse-library call in PyTorch-S
 /// (index construction: two host synchronisations, a compaction kernel and
@@ -17,13 +23,29 @@ const PYTORCH_S_PER_EXPERT_CONVERT_S: f64 = 80.0e-6;
 /// whole 128-row blocks (the block shape its grouped kernels use).
 const MEGABLOCKS_BLOCK: usize = 128;
 
+/// Merge-tile candidates of PIT's fused MoE kernel.
+const PIT_MOE_TILES: [TileDims; 5] = [
+    TileDims::new(8, 32, 128),
+    TileDims::new(16, 32, 128),
+    TileDims::new(32, 32, 64),
+    TileDims::new(64, 32, 64),
+    TileDims::new(128, 32, 128),
+];
+
+/// Charges one expert FFN over `rows` token rows: FC1, activation, FC2.
+/// An expert with no rows charges nothing.
+fn expert_ffn(eng: &mut Engine, rows: usize, hidden: usize, ffn: usize) {
+    eng.charge(OpKind::Fc1, eng.price_gemm(rows, hidden, ffn));
+    eng.charge(OpKind::Act, eng.price_elementwise(rows * ffn, 1));
+    eng.charge(OpKind::Fc2, eng.price_gemm(rows, ffn, hidden));
+}
+
 /// Runs one MoE FFN layer over `tokens` routed tokens.
 ///
 /// `tokens` must already reflect the framework's padding behaviour (padded
 /// token count for padding frameworks, real token count for PIT variants).
 pub fn moe_ffn(
     eng: &mut Engine,
-    prefix: &str,
     tokens: usize,
     hidden: usize,
     ffn: usize,
@@ -33,63 +55,44 @@ pub fn moe_ffn(
     let plan = RoutingPlan::sample(tokens, moe.num_experts, moe.skew, seed);
     let counts = plan.expert_counts();
     let elem = eng.elem();
+    // GShard-style capacity without token dropping: every expert pads to
+    // the hottest expert's load.
+    let padded = moe.num_experts * plan.capacity(1.0, false);
 
     // Router: logits GEMM + softmax + top-1 (all frameworks).
-    eng.gemm(&format!("{prefix}.router"), tokens, hidden, moe.num_experts);
-    eng.softmax(&format!("{prefix}.router.softmax"), tokens, moe.num_experts);
+    eng.charge(
+        OpKind::Router,
+        eng.price_gemm(tokens, hidden, moe.num_experts),
+    );
+    eng.charge(
+        OpKind::RouterSoftmax,
+        eng.price_softmax(tokens, moe.num_experts),
+    );
 
     match eng.framework {
-        Framework::PyTorch | Framework::PitNoSparseMoe => {
+        Framework::PyTorch | Framework::PitNoSparseMoe | Framework::PyTorchS => {
             // Sequential expert loop: Python + index_select + two GEMMs
             // per expert; launch-bound at MoE expert sizes.
-            eng.host_overhead(
-                &format!("{prefix}.loop_host"),
-                moe.num_experts as f64 * PYTORCH_PER_EXPERT_HOST_S,
-            );
-            for (e, &cnt) in counts.iter().enumerate() {
-                if cnt == 0 {
-                    continue;
-                }
-                eng.gemm(&format!("{prefix}.e{e}.fc1"), cnt, hidden, ffn);
-                eng.elementwise(&format!("{prefix}.e{e}.act"), cnt * ffn, 1);
-                eng.gemm(&format!("{prefix}.e{e}.fc2"), cnt, ffn, hidden);
+            let experts = moe.num_experts as f64;
+            eng.charge_host(OpKind::ExpertLoop, experts * PYTORCH_PER_EXPERT_HOST_S);
+            if eng.framework == Framework::PyTorchS {
+                // Each expert's masked matmul goes through a sparse library
+                // that must build its index per call ("PyTorch-S Convert");
+                // computation is mildly faster than the tiny dense GEMMs,
+                // conversions neutralise the gain (§5.1).
+                eng.charge_host(OpKind::Convert, experts * PYTORCH_S_PER_EXPERT_CONVERT_S);
             }
-        }
-        Framework::PyTorchS => {
-            // Same loop, but each expert's masked matmul goes through a
-            // sparse library that must build its index per call ("PyTorch-S
-            // Convert"); computation is mildly faster than the tiny dense
-            // GEMMs, conversions neutralise the gain (§5.1).
-            eng.host_overhead(
-                &format!("{prefix}.loop_host"),
-                moe.num_experts as f64 * PYTORCH_PER_EXPERT_HOST_S,
-            );
-            eng.host_overhead(
-                &format!("{prefix}.convert"),
-                moe.num_experts as f64 * PYTORCH_S_PER_EXPERT_CONVERT_S,
-            );
-            for (e, &cnt) in counts.iter().enumerate() {
-                if cnt == 0 {
-                    continue;
-                }
-                eng.gemm(&format!("{prefix}.e{e}.fc1"), cnt, hidden, ffn);
-                eng.elementwise(&format!("{prefix}.e{e}.act"), cnt * ffn, 1);
-                eng.gemm(&format!("{prefix}.e{e}.fc2"), cnt, ffn, hidden);
+            for &cnt in &counts {
+                expert_ffn(eng, cnt, hidden, ffn);
             }
         }
         Framework::Tutel => {
-            // GShard-lineage einsum execution without token dropping: every
-            // expert is padded to the capacity of the *hottest* expert, and
-            // dispatch/combine are one-hot einsum GEMMs over [T, E*C]. The
-            // excessive padding is what Figure 8 blames for Tutel's latency
-            // and OOM behaviour.
-            let cap = plan.capacity(1.0, false);
-            let padded = moe.num_experts * cap;
-            eng.gemm(&format!("{prefix}.dispatch_einsum"), padded, tokens, hidden);
-            eng.gemm(&format!("{prefix}.experts.fc1"), padded, hidden, ffn);
-            eng.elementwise(&format!("{prefix}.experts.act"), padded * ffn, 1);
-            eng.gemm(&format!("{prefix}.experts.fc2"), padded, ffn, hidden);
-            eng.gemm(&format!("{prefix}.combine_einsum"), tokens, padded, hidden);
+            // GShard-lineage einsum execution: dispatch/combine are one-hot
+            // einsum GEMMs over [T, E*C]. The excessive padding is what
+            // Figure 8 blames for Tutel's latency and OOM behaviour.
+            eng.charge(OpKind::Dispatch, eng.price_gemm(padded, tokens, hidden));
+            expert_ffn(eng, padded, hidden, ffn);
+            eng.charge(OpKind::Combine, eng.price_gemm(tokens, padded, hidden));
             // Caching-allocator-retained workspaces: one-hot dispatch mask
             // plus dispatched/intermediate buffers; layer shapes differ, so
             // the allocator cannot reuse blocks across layers.
@@ -101,16 +104,11 @@ pub fn moe_ffn(
         }
         Framework::DeepSpeed => {
             // DeepSpeed-MoE inference: fused scatter dispatch (no einsum),
-            // but still GShard-style capacity padding without token
-            // dropping — every expert pads to the hottest expert's load,
-            // the "excessive padding" Figure 8 attributes to it.
-            let cap = plan.capacity(1.0, false);
-            let padded = moe.num_experts * cap;
-            eng.elementwise(&format!("{prefix}.dispatch_scatter"), padded * hidden, 1);
-            eng.gemm(&format!("{prefix}.experts.fc1"), padded, hidden, ffn);
-            eng.elementwise(&format!("{prefix}.experts.act"), padded * ffn, 1);
-            eng.gemm(&format!("{prefix}.experts.fc2"), padded, ffn, hidden);
-            eng.elementwise(&format!("{prefix}.combine_gather"), tokens * hidden, 2);
+            // but the same capacity padding — the "excessive padding"
+            // Figure 8 attributes to it.
+            eng.charge(OpKind::Scatter, eng.price_elementwise(padded * hidden, 1));
+            expert_ffn(eng, padded, hidden, ffn);
+            eng.charge(OpKind::Gather, eng.price_elementwise(tokens * hidden, 2));
             eng.alloc_retained(padded * hidden * elem);
             eng.alloc_retained(padded * ffn * elem);
         }
@@ -118,17 +116,16 @@ pub fn moe_ffn(
             // Block-sparse grouped GEMM: pad each expert to whole blocks,
             // regroup tokens in memory first (the data-reorganisation cost
             // PIT's SRead avoids, §5.1).
-            let padded: usize = counts
+            let blocked: usize = counts
                 .iter()
                 .map(|&c| c.div_ceil(MEGABLOCKS_BLOCK) * MEGABLOCKS_BLOCK)
                 .sum();
-            eng.elementwise(&format!("{prefix}.regroup"), tokens * hidden, 2);
-            eng.host_overhead(&format!("{prefix}.block_index"), 50.0e-6);
-            eng.gemm(&format!("{prefix}.experts.fc1"), padded, hidden, ffn);
-            eng.elementwise(&format!("{prefix}.experts.act"), padded * ffn, 1);
-            eng.gemm(&format!("{prefix}.experts.fc2"), padded, ffn, hidden);
-            eng.elementwise(&format!("{prefix}.ungroup"), tokens * hidden, 2);
-            eng.alloc_retained(padded * hidden * elem);
+            let regroup = eng.price_elementwise(tokens * hidden, 2);
+            eng.charge(OpKind::Scatter, regroup);
+            eng.charge_host(OpKind::BlockIndex, 50.0e-6);
+            expert_ffn(eng, blocked, hidden, ffn);
+            eng.charge(OpKind::Gather, regroup);
+            eng.alloc_retained(blocked * hidden * elem);
         }
         Framework::Pit | Framework::PitNoActivation => {
             // Fused sparse MoE: one launch, SRead gathers each expert's
@@ -137,36 +134,26 @@ pub fn moe_ffn(
             // Pick the merge tile by predicted cost over the actual expert
             // loads (Algorithm 1 applied to the fused MoE kernel): larger
             // tiles amortise weight streaming, smaller tiles waste less
-            // padding per expert.
-            let tile = [
-                TileDims::new(8, 32, 128),
-                TileDims::new(16, 32, 128),
-                TileDims::new(32, 32, 64),
-                TileDims::new(64, 32, 64),
-                TileDims::new(128, 32, 128),
-            ]
-            .into_iter()
-            .min_by(|&a, &b| {
-                let la = moe_gemm_cost(eng.cost(), &counts, hidden, ffn, a, eng.dtype).latency_s;
-                let lb = moe_gemm_cost(eng.cost(), &counts, hidden, ffn, b, eng.dtype).latency_s;
-                la.partial_cmp(&lb).expect("finite")
-            })
-            .expect("non-empty candidate list");
-            let index_cost =
-                eng.cost().index_append(tokens) + eng.cost().scan_pass((tokens * 4) as f64);
-            eng.record(
-                format!("{prefix}.pit_index"),
-                KernelStats {
-                    latency_s: index_cost,
-                    bytes_read: (tokens * 4) as f64,
-                    ..Default::default()
-                },
-            );
-            let fc1 = moe_gemm_cost(eng.cost(), &counts, hidden, ffn, tile, eng.dtype);
-            eng.record(format!("{prefix}.experts.fc1"), fc1);
-            eng.elementwise(&format!("{prefix}.experts.act"), tokens * ffn, 1);
+            // padding per expert. Ties keep the first candidate.
+            let (tile, fc1) = PIT_MOE_TILES
+                .into_iter()
+                .map(|tile| {
+                    let fc1 = moe_gemm_cost(eng.cost(), &counts, hidden, ffn, tile, eng.dtype);
+                    (tile, fc1)
+                })
+                .min_by(|(_, a), (_, b)| a.latency_s.total_cmp(&b.latency_s))
+                .expect("non-empty candidate list");
+            let index = KernelStats {
+                latency_s: eng.cost().index_append(tokens)
+                    + eng.cost().scan_pass((tokens * 4) as f64),
+                bytes_read: (tokens * 4) as f64,
+                ..Default::default()
+            };
+            eng.charge(OpKind::PitIndex, Some(index));
+            eng.charge(OpKind::Fc1, Some(fc1));
+            eng.charge(OpKind::Act, eng.price_elementwise(tokens * ffn, 1));
             let fc2 = moe_gemm_cost(eng.cost(), &counts, ffn, hidden, tile, eng.dtype);
-            eng.record(format!("{prefix}.experts.fc2"), fc2);
+            eng.charge(OpKind::Fc2, Some(fc2));
         }
         other => unreachable!("framework {:?} does not run MoE models", other),
     }
@@ -174,17 +161,10 @@ pub fn moe_ffn(
     // Transient activation peak common to all strategies: expert
     // intermediate activations.
     let widest = match eng.framework {
-        Framework::Tutel => moe.num_experts * plan.capacity(1.0, false) * ffn,
-        Framework::DeepSpeed => moe.num_experts * plan.capacity(1.0, false) * ffn,
+        Framework::Tutel | Framework::DeepSpeed => padded * ffn,
         _ => tokens * ffn,
     };
     eng.transient_peak(widest * elem);
-}
-
-/// Per-layer MoE expert weights in bytes (all frameworks store the same
-/// dense expert weights).
-pub fn moe_weight_bytes(hidden: usize, ffn: usize, moe: &MoeConfig, elem: usize) -> usize {
-    moe.num_experts * 2 * hidden * ffn * elem
 }
 
 #[cfg(test)]
@@ -200,8 +180,8 @@ mod tests {
             every: 2,
             skew: 0.8,
         };
-        moe_ffn(&mut eng, "moe", tokens, 768, 3072, &moe, 42);
-        (eng.latency_ms(), eng.ctx().memory().peak_bytes())
+        moe_ffn(&mut eng, tokens, 768, 3072, &moe, 42);
+        (eng.latency_ms(), eng.memory().peak_bytes())
     }
 
     #[test]

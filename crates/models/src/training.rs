@@ -2,9 +2,9 @@
 //! sparse training (Figure 15).
 
 use crate::configs::ModelConfig;
-use crate::engine::{Engine, Framework};
+use crate::engine::{Engine, Framework, OpKind};
 use crate::inference::RunResult;
-use pit_gpusim::{DeviceSpec, KernelStats};
+use pit_gpusim::DeviceSpec;
 use pit_kernels::baselines::blocksparse;
 use pit_tensor::DType;
 use pit_workloads::Batch;
@@ -32,7 +32,6 @@ pub fn run_training_step(
     device: DeviceSpec,
     dtype: DType,
     framework: Framework,
-    _seed: u64,
 ) -> RunResult {
     let mut eng = Engine::new(device, dtype, framework);
     let elem = eng.elem();
@@ -59,37 +58,8 @@ pub fn run_training_step(
     let act_per_layer = 6 * tokens * cfg.hidden * elem;
     eng.alloc_retained(act_per_layer * cfg.layers);
 
-    // Backward: dgrad + wgrad GEMMs (2x forward GEMM time) + one
-    // elementwise sweep over activations.
-    let bwd = 2.0 * eng.gemm_time_s;
-    eng.record(
-        "backward.gemms",
-        KernelStats {
-            latency_s: bwd,
-            ..Default::default()
-        },
-    );
-    eng.elementwise("backward.elementwise", cfg.layers * tokens * cfg.hidden, 2);
-
-    // PyTorch-S rebuilds sparse indices for every layer in backward too.
-    if framework == Framework::PyTorchS {
-        let convert = eng.ctx().latency_of_s("convert");
-        eng.host_overhead("backward.convert", convert);
-    }
-
-    // Optimizer step: reads grads + m + v, writes weights + m + v.
-    eng.elementwise("adam", params, 3);
-
-    let latency_ms = eng.latency_ms();
-    let convert_ms = (eng.ctx().latency_of_s("convert") * 1e3).max(0.0);
-    RunResult {
-        framework: framework.name().to_string(),
-        model: cfg.name.clone(),
-        latency_ms,
-        convert_ms,
-        peak_gib: eng.ctx().memory().peak_bytes() as f64 / (1u64 << 30) as f64,
-        oom: eng.ctx().memory().oom(),
-    }
+    backward_and_step(&mut eng, cfg.layers * tokens * cfg.hidden, params);
+    RunResult::from_engine(&eng, cfg.name.clone())
 }
 
 /// The forward layers shared by the training step (dense FFN path).
@@ -100,47 +70,52 @@ fn forward_layers(eng: &mut Engine, cfg: &ModelConfig, tokens: usize, batch: &Ba
     } else {
         batch.sum_sq_padded() as f64
     };
-    eng.elementwise("embed", tokens * cfg.hidden, 1);
-    for layer in 0..cfg.layers {
-        let p = format!("l{layer}");
-        eng.gemm(&format!("{p}.attn.qkv"), tokens, cfg.hidden, 3 * cfg.hidden);
-        let score_flops = 2.0 * sum_sq * cfg.hidden as f64;
-        eng.gemm_flops(
-            &format!("{p}.attn.scores"),
-            score_flops,
-            sum_sq * cfg.heads as f64 * elem as f64,
-        );
-        eng.softmax(
-            &format!("{p}.attn.softmax"),
-            (sum_sq * cfg.heads as f64 / 64.0) as usize,
-            64,
-        );
-        eng.gemm_flops(
-            &format!("{p}.attn.context"),
-            score_flops,
-            sum_sq * cfg.heads as f64 * elem as f64,
-        );
-        eng.gemm(&format!("{p}.attn.out"), tokens, cfg.hidden, cfg.hidden);
-        eng.layernorm(&format!("{p}.ln1"), tokens, cfg.hidden);
-        eng.gemm(&format!("{p}.ffn.fc1"), tokens, cfg.hidden, cfg.ffn);
-        eng.elementwise(&format!("{p}.ffn.act"), tokens * cfg.ffn, 1);
-        eng.gemm(&format!("{p}.ffn.fc2"), tokens, cfg.ffn, cfg.hidden);
-        eng.layernorm(&format!("{p}.ln2"), tokens, cfg.hidden);
+    let (hidden, ffn) = (cfg.hidden, cfg.ffn);
+    eng.charge(OpKind::Embed, eng.price_elementwise(tokens * hidden, 1));
+    for _ in 0..cfg.layers {
+        eng.charge(OpKind::Qkv, eng.price_gemm(tokens, hidden, 3 * hidden));
+        let score_flops = 2.0 * sum_sq * hidden as f64;
+        let scores = eng.price_gemm_flops(score_flops, sum_sq * cfg.heads as f64 * elem as f64);
+        let softmax_rows = (sum_sq * cfg.heads as f64 / 64.0) as usize;
+        eng.charge(OpKind::Scores, scores);
+        eng.charge(OpKind::Softmax, eng.price_softmax(softmax_rows, 64));
+        eng.charge(OpKind::Context, scores);
+        eng.charge(OpKind::Out, eng.price_gemm(tokens, hidden, hidden));
+        eng.charge(OpKind::AttnLn, eng.price_layernorm(tokens, hidden));
+        eng.charge(OpKind::Fc1, eng.price_gemm(tokens, hidden, ffn));
+        eng.charge(OpKind::Act, eng.price_elementwise(tokens * ffn, 1));
+        eng.charge(OpKind::Fc2, eng.price_gemm(tokens, ffn, hidden));
+        eng.charge(OpKind::FfnLn, eng.price_layernorm(tokens, hidden));
         // PyTorch-S pays per-layer sparse-format construction.
         if eng.framework == Framework::PyTorchS {
             let rows = batch.padded_tokens();
             let cost = blocksparse::layout_cost(
                 eng.cost(),
                 rows,
-                cfg.hidden,
+                hidden,
                 32,
                 rows.div_ceil(32),
                 eng.dtype,
             );
-            eng.host_overhead(&format!("{p}.convert"), cost);
+            eng.charge_host(OpKind::Convert, cost);
         }
-        eng.transient_peak(2.0_f64.mul_add(sum_sq, 0.0) as usize * eng.elem());
+        eng.transient_peak((2.0 * sum_sq) as usize * elem);
     }
+}
+
+/// Charges the end of a training step: the backward GEMMs at 2× the
+/// forward GEMM time, an elementwise sweep over `sweep` activation
+/// elements (none when 0), PyTorch-S's rebuild of every sparse index
+/// again in backward, and the Adam step over `params` (reads grads + m +
+/// v, writes weights + m + v).
+fn backward_and_step(eng: &mut Engine, sweep: usize, params: usize) {
+    eng.charge_host(OpKind::Backward, 2.0 * eng.gemm_time_s);
+    eng.charge(OpKind::Backward, eng.price_elementwise(sweep, 2));
+    if eng.framework == Framework::PyTorchS {
+        // The forward pass's conversions are all the ledger holds so far.
+        eng.charge_host(OpKind::Convert, eng.cost_tally().sparse_conversion_s);
+    }
+    eng.charge(OpKind::Optimizer, eng.price_elementwise(params, 3));
 }
 
 /// One iterative-pruning training step (Figure 15): BERT whose six weight
@@ -185,83 +160,53 @@ pub fn run_pruning_step(
     } else {
         batch.sum_sq_padded() as f64
     };
-    eng.elementwise("embed", tokens * cfg.hidden, 1);
-    for layer in 0..cfg.layers {
-        let p = format!("l{layer}");
+    let (hidden, ffn) = (cfg.hidden, cfg.ffn);
+    eng.charge(OpKind::Embed, eng.price_elementwise(tokens * hidden, 1));
+    for _ in 0..cfg.layers {
         // Mask regeneration (magnitude threshold) once per step per layer.
-        eng.elementwise(&format!("{p}.mask_calc"), cfg.hidden * cfg.ffn, 1);
+        eng.charge(OpKind::MaskCalc, eng.price_elementwise(hidden * ffn, 1));
         // Six masked weight GEMMs: qkv (3), out, fc1, fc2.
-        for (name, k, n) in [
-            ("qkv", cfg.hidden, 3 * cfg.hidden),
-            ("out", cfg.hidden, cfg.hidden),
-            ("fc1", cfg.hidden, cfg.ffn),
-            ("fc2", cfg.ffn, cfg.hidden),
+        for (kind, k, n) in [
+            (OpKind::Qkv, hidden, 3 * hidden),
+            (OpKind::Out, hidden, hidden),
+            (OpKind::Fc1, hidden, ffn),
+            (OpKind::Fc2, ffn, hidden),
         ] {
-            eng.gemm_k_covered(&format!("{p}.{name}"), tokens, k, n, work_frac);
+            eng.charge(kind, eng.price_gemm_k_covered(tokens, k, n, work_frac));
         }
-        eng.gemm_flops(
-            &format!("{p}.attn.scores"),
-            4.0 * sum_sq * cfg.hidden as f64,
-            sum_sq * cfg.heads as f64 * elem as f64,
-        );
-        eng.softmax(
-            &format!("{p}.softmax"),
-            (sum_sq * cfg.heads as f64 / 64.0) as usize,
-            64,
-        );
-        eng.layernorm(&format!("{p}.ln"), tokens, cfg.hidden);
+        let score_bytes = sum_sq * cfg.heads as f64 * elem as f64;
+        let softmax_rows = (sum_sq * cfg.heads as f64 / 64.0) as usize;
+        let scores = eng.price_gemm_flops(4.0 * sum_sq * hidden as f64, score_bytes);
+        eng.charge(OpKind::Scores, scores);
+        eng.charge(OpKind::Softmax, eng.price_softmax(softmax_rows, 64));
+        eng.charge(OpKind::AttnLn, eng.price_layernorm(tokens, hidden));
         // Index/format construction per layer, every step (the mask moved):
         match framework {
             Framework::PyTorchS => {
-                let cost = blocksparse::layout_cost(
-                    eng.cost(),
-                    cfg.hidden,
-                    cfg.ffn,
-                    32,
-                    ((cfg.hidden / 32) * (cfg.ffn / 32)) / 2,
-                    dtype,
-                );
+                let blocks = ((hidden / 32) * (ffn / 32)) / 2;
+                let cost = blocksparse::layout_cost(eng.cost(), hidden, ffn, 32, blocks, dtype);
                 // One layout rebuild per masked weight matrix.
-                eng.host_overhead(&format!("{p}.convert"), 4.0 * cost);
+                eng.charge_host(OpKind::Convert, 4.0 * cost);
             }
             f if f.is_pit() => {
-                let scan = eng.cost().scan_pass((cfg.hidden * cfg.ffn / 8) as f64)
-                    + eng.cost().index_append(cfg.hidden * cfg.ffn / 32);
-                eng.host_overhead(&format!("{p}.pit_index"), 4.0 * scan);
+                let scan = eng.cost().scan_pass((hidden * ffn / 8) as f64)
+                    + eng.cost().index_append(hidden * ffn / 32);
+                eng.charge_host(OpKind::PitIndex, 4.0 * scan);
             }
             _ => {}
         }
     }
-    // Stored activations + backward at 2x forward GEMM time.
-    eng.alloc_retained(4 * tokens * cfg.hidden * elem * cfg.layers);
-    let bwd = 2.0 * eng.gemm_time_s;
-    eng.record(
-        "backward.gemms",
-        KernelStats {
-            latency_s: bwd,
-            ..Default::default()
-        },
-    );
-    if framework == Framework::PyTorchS {
-        let convert = eng.ctx().latency_of_s("convert");
-        eng.host_overhead("backward.convert", convert);
-    }
-    eng.elementwise("adam", params, 3);
-
-    let ctx = eng.ctx();
-    RunResult {
-        framework: framework.name().to_string(),
-        model: format!("BERT-prune-{}x{}", gran.0, gran.1),
-        latency_ms: eng.latency_ms(),
-        convert_ms: ((ctx.latency_of_s("convert") + ctx.latency_of_s("pit_index")) * 1e3).max(0.0),
-        peak_gib: ctx.memory().peak_bytes() as f64 / (1u64 << 30) as f64,
-        oom: ctx.memory().oom(),
-    }
+    // Stored activations + backward at 2x forward GEMM time (no
+    // elementwise sweep in this model).
+    eng.alloc_retained(4 * tokens * hidden * elem * cfg.layers);
+    backward_and_step(&mut eng, 0, params);
+    RunResult::from_engine(&eng, format!("BERT-prune-{}x{}", gran.0, gran.1))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pit_gpusim::CostModel;
     use pit_workloads::DatasetSpec;
 
     #[test]
@@ -280,7 +225,7 @@ mod tests {
     fn opt_training_ordering_matches_figure14() {
         let cfg = ModelConfig::opt("350M");
         let lens = DatasetSpec::alpaca().sample_lengths(8, 1);
-        let run = |fw| run_training_step(&cfg, &lens, DeviceSpec::a100_80gb(), DType::F32, fw, 1);
+        let run = |fw| run_training_step(&cfg, &lens, DeviceSpec::a100_80gb(), DType::F32, fw);
         let pit = run(Framework::Pit);
         let pts = run(Framework::PyTorchS);
         let pt = run(Framework::PyTorch);
@@ -304,7 +249,6 @@ mod tests {
             DeviceSpec::a100_80gb(),
             DType::F32,
             Framework::Pit,
-            2,
         );
         let pt = run_training_step(
             &cfg,
@@ -312,9 +256,31 @@ mod tests {
             DeviceSpec::a100_80gb(),
             DType::F32,
             Framework::PyTorch,
-            2,
         );
         assert!(pit.peak_gib < pt.peak_gib);
+    }
+
+    #[test]
+    fn pytorch_s_backward_repeats_the_forward_conversion() {
+        // The one mid-run ledger read: PyTorch-S's backward rebuilds every
+        // forward conversion, so its conversion total is exactly twice the
+        // forward layers' (x + x == 2x in floating point).
+        let cfg = ModelConfig::opt("125M");
+        let lens = DatasetSpec::alpaca().sample_lengths(8, 2);
+        let run = |fw| run_training_step(&cfg, &lens, DeviceSpec::a100_80gb(), DType::F32, fw);
+        let cost = CostModel::new(DeviceSpec::a100_80gb());
+        let rows = Batch::padded_to_longest(lens.clone()).padded_tokens();
+        let layer =
+            blocksparse::layout_cost(&cost, rows, cfg.hidden, 32, rows.div_ceil(32), DType::F32);
+        // Summed in layer order, as the ledger sums the forward charges.
+        let forward = (0..cfg.layers).fold(0.0, |sum, _| sum + layer);
+        let pytorch_s = run(Framework::PyTorchS).convert_ms;
+        assert!(forward > 0.0);
+        assert_eq!(pytorch_s.to_bits(), (2.0 * forward * 1e3).to_bits());
+        assert_eq!(
+            run(Framework::PyTorch).convert_ms.to_bits(),
+            0.0f64.to_bits()
+        );
     }
 
     #[test]

@@ -3,13 +3,14 @@
 //! and a replay's one reused engine prices every step like a fresh one.
 //!
 //! The first oracle replays the per-layer, per-op loop `run_step` used to
-//! run through the engine's labelled recorders, then sums the record list
-//! in order, classifying labels by suffix the way the ledger used to. The
-//! second is a fresh `Engine::new` per step. Every modelled number is
+//! run, pricing every op through the engine's `price_*` methods into a
+//! local labelled record list, then sums the list in order, classifying
+//! labels by suffix the way the ledger used to. The second is a fresh
+//! `Engine::new` per step. Every modelled number is
 //! compared by `to_bits()`: the fold must repeat each f64 addition in the
 //! same order, not merely agree within a tolerance.
 
-use pit::gpusim::DeviceSpec;
+use pit::gpusim::{DeviceSpec, KernelStats};
 use pit::models::decode::{run_step, DecodeSlot, StepShape, KV_MICROTILE_ROWS};
 use pit::models::{CostTally, Engine, Framework, ModelConfig, OpKind};
 use pit::tensor::DType;
@@ -73,9 +74,29 @@ fn model(name: &str) -> ModelConfig {
     }
 }
 
-/// The per-op loop the layer fold replaced: every layer priced and
-/// recorded op by op under a formatted label.
-fn oracle_step(eng: &mut Engine, cfg: &ModelConfig, shape: &StepShape) {
+/// The oracle's record list: every op's label and priced stats, in the
+/// order they were charged.
+type Records = Vec<(String, KernelStats)>;
+
+/// Appends a priced op under `label`; an empty op (`None`) records
+/// nothing, as the labelled recorders did.
+fn record(records: &mut Records, label: impl Into<String>, stats: Option<KernelStats>) {
+    if let Some(stats) = stats {
+        records.push((label.into(), stats));
+    }
+}
+
+/// A host-side charge: latency only.
+fn host(seconds: f64) -> Option<KernelStats> {
+    Some(KernelStats {
+        latency_s: seconds,
+        ..Default::default()
+    })
+}
+
+/// The per-op loop the layer fold replaced: every layer priced op by op
+/// and recorded under a formatted label.
+fn oracle_step(eng: &Engine, records: &mut Records, cfg: &ModelConfig, shape: &StepShape) {
     let rows = shape.rows();
     if rows == 0 {
         return;
@@ -91,49 +112,48 @@ fn oracle_step(eng: &mut Engine, cfg: &ModelConfig, shape: &StepShape) {
     let prefill_sq: f64 = shape.prefill_lens.iter().map(|&l| (l * l) as f64).sum();
     let chunk_sc: f64 = shape.chunks.iter().map(|&(c, ctx)| (c * ctx) as f64).sum();
     let score_elems = prefill_sq + chunk_sc + decode_kv as f64;
-    eng.elementwise("embed", rows * cfg.hidden, 1);
+    let (h, f) = (cfg.hidden, cfg.ffn);
+    let score_flops = 2.0 * score_elems * h as f64;
+    let score_bytes = score_elems * cfg.heads as f64 * elem + (kv_tokens * h) as f64 * elem;
+    let softmax_rows = (score_elems * cfg.heads as f64 / 64.0).ceil() as usize;
+    let kv_append = shape.kv_write_tokens() * 2 * h;
+    record(records, "embed", eng.price_elementwise(rows * h, 1));
     for layer in 0..cfg.layers {
-        let p = format!("l{layer}");
-        eng.gemm(&format!("{p}.qkv"), rows, cfg.hidden, 3 * cfg.hidden);
-        let score_flops = 2.0 * score_elems * cfg.hidden as f64;
-        let score_bytes =
-            score_elems * cfg.heads as f64 * elem + (kv_tokens * cfg.hidden) as f64 * elem;
-        eng.gemm_flops(&format!("{p}.scores"), score_flops, score_bytes);
-        eng.softmax(
-            &format!("{p}.softmax"),
-            (score_elems * cfg.heads as f64 / 64.0).ceil() as usize,
-            64,
-        );
-        eng.gemm_flops(&format!("{p}.context"), score_flops, score_bytes);
-        eng.gemm(&format!("{p}.out"), rows, cfg.hidden, cfg.hidden);
-        eng.layernorm(&format!("{p}.attn_ln"), rows, cfg.hidden);
-        eng.gemm(&format!("{p}.fc1"), rows, cfg.hidden, cfg.ffn);
-        eng.elementwise(&format!("{p}.act"), rows * cfg.ffn, 1);
-        eng.gemm(&format!("{p}.fc2"), rows, cfg.ffn, cfg.hidden);
-        eng.layernorm(&format!("{p}.ffn_ln"), rows, cfg.hidden);
-        eng.elementwise(&format!("{p}.residual"), rows * cfg.hidden, 2);
-        eng.elementwise(
-            &format!("{p}.kv_append"),
-            shape.kv_write_tokens() * 2 * cfg.hidden,
-            1,
-        );
+        for (op, stats) in [
+            ("qkv", eng.price_gemm(rows, h, 3 * h)),
+            ("scores", eng.price_gemm_flops(score_flops, score_bytes)),
+            ("softmax", eng.price_softmax(softmax_rows, 64)),
+            ("context", eng.price_gemm_flops(score_flops, score_bytes)),
+            ("out", eng.price_gemm(rows, h, h)),
+            ("attn_ln", eng.price_layernorm(rows, h)),
+            ("fc1", eng.price_gemm(rows, h, f)),
+            ("act", eng.price_elementwise(rows * f, 1)),
+            ("fc2", eng.price_gemm(rows, f, h)),
+            ("ffn_ln", eng.price_layernorm(rows, h)),
+            ("residual", eng.price_elementwise(rows * h, 2)),
+            ("kv_append", eng.price_elementwise(kv_append, 1)),
+        ] {
+            record(records, format!("l{layer}.{op}"), stats);
+        }
     }
-    eng.gemm("head", rows, cfg.hidden, cfg.vocab.min(4096));
+    record(
+        records,
+        "head",
+        eng.price_gemm(rows, h, cfg.vocab.min(4096)),
+    );
 }
 
 /// Labels of the per-layer GEMM-class recorders (the LM head is `head`).
 const GEMM_SUFFIXES: [&str; 6] = [".qkv", ".scores", ".context", ".out", ".fc1", ".fc2"];
 
-/// Sums an engine's labelled records in order: total latency (ms) as
-/// `f64: Sum` gives it, GEMM-class seconds, and the category tally by
-/// label suffix.
-fn oracle_ledger(eng: &Engine) -> (f64, f64, CostTally) {
-    let records = eng.ctx().records();
-    let latency_ms = records.iter().map(|r| r.stats.latency_s).sum::<f64>() * 1e3;
+/// Sums the labelled records in order: total latency (ms) as `f64: Sum`
+/// gives it, GEMM-class seconds, and the category tally by label suffix.
+fn oracle_ledger(records: &Records) -> (f64, f64, CostTally) {
+    let latency_ms = records.iter().map(|(_, s)| s.latency_s).sum::<f64>() * 1e3;
     let ends = |name: &str, suffixes: &[&str]| suffixes.iter().any(|s| name.ends_with(s));
     let (mut gemm_s, mut t) = (0.0, CostTally::default());
-    for r in records {
-        let (name, s) = (r.name.as_str(), r.stats.latency_s);
+    for (name, stats) in records {
+        let (name, s) = (name.as_str(), stats.latency_s);
         if ends(name, &[".scores", ".softmax", ".context"]) {
             t.attention_s += s;
         } else if name.ends_with(".index") {
@@ -143,8 +163,8 @@ fn oracle_ledger(eng: &Engine) -> (f64, f64, CostTally) {
         } else {
             t.dense_s += s;
         }
-        t.flops_useful += r.stats.flops_useful;
-        t.flops_executed += r.stats.flops_executed;
+        t.flops_useful += stats.flops_useful;
+        t.flops_executed += stats.flops_executed;
         if name == "head" || ends(name, &GEMM_SUFFIXES) {
             gemm_s += s;
         }
@@ -159,7 +179,7 @@ proptest! {
     /// the fold's latency, GEMM time and every tally field equal the
     /// per-op oracle bit for bit — across consecutive steps on one engine
     /// and with the serving path's selection charges in front, as
-    /// `step_sample` issues them. The fold leaves no labelled records.
+    /// `step_sample` issues them.
     #[test]
     fn layer_fold_matches_per_op_pricing_bit_for_bit(
         seed in 0u64..u64::MAX,
@@ -173,24 +193,25 @@ proptest! {
     ) {
         let cfg = model(model_name);
         let engine = || Engine::new(DeviceSpec::a100_80gb(), dtype, framework).with_devices(devices);
-        let (mut fold, mut oracle) = (engine(), engine());
+        let (mut fold, pricer) = (engine(), engine());
+        let mut records = Records::new();
         let mut rng = Rng(seed);
         for _ in 0..steps {
             if selection & 1 != 0 {
                 let s = 1e-6 * (1 + rng.below(500)) as f64;
                 fold.charge_host(OpKind::JitSearch, s);
-                oracle.host_overhead("jit.search", s);
+                record(&mut records, "jit.search", host(s));
             }
             if selection & 2 != 0 {
                 let s = 1e-7 * (1 + rng.below(500)) as f64;
                 fold.charge_host(OpKind::PitIndex, s);
-                oracle.host_overhead("pit.index", s);
+                record(&mut records, "pit.index", host(s));
             }
             let shape = random_shape(&mut rng, parts);
             run_step(&mut fold, &cfg, &shape);
-            oracle_step(&mut oracle, &cfg, &shape);
+            oracle_step(&pricer, &mut records, &cfg, &shape);
         }
-        let (latency_ms, gemm_s, want) = oracle_ledger(&oracle);
+        let (latency_ms, gemm_s, want) = oracle_ledger(&records);
         let got = fold.cost_tally();
         prop_assert_eq!(fold.latency_ms().to_bits(), latency_ms.to_bits());
         prop_assert_eq!(fold.gemm_time_s.to_bits(), gemm_s.to_bits());
@@ -204,7 +225,6 @@ proptest! {
         ] {
             prop_assert_eq!(g.to_bits(), w.to_bits(), "{}: {} vs {}", field, g, w);
         }
-        prop_assert!(fold.ctx().records().is_empty());
     }
 }
 
