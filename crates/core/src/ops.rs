@@ -273,8 +273,7 @@ impl Pit {
 
     /// Fused sparse MoE expert GEMM (one launch for all experts).
     ///
-    /// Returns an error for a malformed call, as
-    /// [`moe_gemm`](crate::kernels::moe_gemm) does.
+    /// Returns an error for a malformed call, as [`moe_gemm`] does.
     pub fn moe_gemm(
         &self,
         tokens: &Tensor,

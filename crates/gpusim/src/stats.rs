@@ -33,17 +33,6 @@ impl KernelStats {
         ((self.flops_executed - self.flops_useful) / self.flops_executed).max(0.0)
     }
 
-    /// Accumulates another kernel's statistics into this one, summing
-    /// latencies (sequential execution).
-    pub fn merge_seq(&mut self, other: &KernelStats) {
-        self.flops_useful += other.flops_useful;
-        self.flops_executed += other.flops_executed;
-        self.bytes_read += other.bytes_read;
-        self.bytes_written += other.bytes_written;
-        self.tiles_executed += other.tiles_executed;
-        self.latency_s += other.latency_s;
-    }
-
     /// Returns the modelled latency in milliseconds.
     pub fn latency_ms(&self) -> f64 {
         self.latency_s * 1e3
@@ -79,22 +68,5 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(s2.wasted_fraction(), 0.0);
-    }
-
-    #[test]
-    fn merge_seq_sums_latency() {
-        let mut a = KernelStats {
-            latency_s: 1.0,
-            tiles_executed: 3,
-            ..Default::default()
-        };
-        let b = KernelStats {
-            latency_s: 0.5,
-            tiles_executed: 2,
-            ..Default::default()
-        };
-        a.merge_seq(&b);
-        assert_eq!(a.latency_s, 1.5);
-        assert_eq!(a.tiles_executed, 5);
     }
 }

@@ -67,9 +67,10 @@ pub enum DecodePolicy {
     /// prefills and all live decode tokens into one padding-free batch
     /// under `token_budget` rows; batch membership churns per iteration.
     ContinuousPaddingFree {
-        /// Maximum rows (prefill tokens + decode slots) per iteration. A
-        /// single longer prompt still prefills alone — requests are never
-        /// split.
+        /// Maximum rows (prefill tokens + decode slots) per iteration.
+        /// Prompts prefill in chunks of up to 64 tokens that fill what the
+        /// decode slots leave. Only a head-of-line chunk larger than the
+        /// whole budget runs alone, when nothing is decoding.
         token_budget: usize,
     },
     /// Baseline: up to `max_batch` requests are batched once, prompts
@@ -232,14 +233,9 @@ impl KvSparsityPolicy {
 /// panicking mid-run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
-    /// `kv_pages` and `kv_mem_fraction` were both set explicitly — the
-    /// pool would have two conflicting sizes.
-    KvPagesConflict,
     /// `host_pages` was set under [`PreemptPolicy::Recompute`], which
     /// never touches a host tier.
     HostPagesWithoutSwap,
-    /// `kv_mem_fraction` outside (0, 1].
-    InvalidMemFraction,
     /// `page_size` of zero.
     ZeroPageSize,
     /// Explicit `kv_pages` of zero.
@@ -250,10 +246,6 @@ pub enum ConfigError {
     ZeroTokenBudget,
     /// Static policy with a zero batch bound.
     ZeroMaxBatch,
-    /// Zero live-set bound.
-    ZeroMaxLive,
-    /// Zero JIT-cache capacity.
-    ZeroCacheCapacity,
     /// Prefix caching under the static policy.
     StaticPaddedPrefixCaching,
     /// Swap preemption under the static policy.
@@ -268,15 +260,10 @@ pub enum ConfigError {
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let msg = match self {
-            ConfigError::KvPagesConflict => {
-                "kv_pages and kv_mem_fraction are both set; the KV pool cannot \
-                 have two sizes — set one"
-            }
             ConfigError::HostPagesWithoutSwap => {
                 "host_pages is set but preemption is recompute, which never \
                  uses a host tier; set preempt(PreemptPolicy::SwapToHost)"
             }
-            ConfigError::InvalidMemFraction => "kv_mem_fraction must lie in (0, 1]",
             ConfigError::ZeroPageSize => "page_size must be at least 1 token",
             ConfigError::ZeroKvPages => "kv_pages must be at least 1 page",
             ConfigError::ZeroHostPages => {
@@ -285,8 +272,6 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::ZeroTokenBudget => "the continuous token_budget must be at least 1 row",
             ConfigError::ZeroMaxBatch => "the static max_batch must be at least 1 request",
-            ConfigError::ZeroMaxLive => "max_live must be at least 1 request",
-            ConfigError::ZeroCacheCapacity => "cache_capacity must be at least 1 entry",
             ConfigError::StaticPaddedPrefixCaching => {
                 "prefix caching applies to the continuous policy only (the \
                  static rectangle reserves KV per slot, nothing is shared)"
@@ -310,24 +295,35 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
+/// Precision of every decode replay: fp16, LLM-serving precision (decode
+/// steps are memory-bound, so K/V streaming is first-order).
+const DTYPE: DType = DType::F16;
+/// Entries of the replay's shared per-shape JIT cache.
+const CACHE_CAPACITY: usize = 256;
+/// Fraction of device memory the KV pool gets unless `kv_pages` is set.
+const KV_MEM_FRACTION: f64 = 0.25;
+/// Chunked-prefill cap: prompt tokens one request prefills per step.
+const PREFILL_CHUNK: usize = 64;
+/// Live-set bound (vLLM's `max_num_seqs`): requests prefilling, decoding
+/// or restoring at once.
+const MAX_LIVE: usize = 64;
+
 /// Configuration of one decode serving run.
 ///
 /// Constructed exclusively through [`DecodeServeConfig::builder`], which
 /// validates every combination at build time ([`ConfigError`]) — the
 /// fields are private, so an inconsistent run cannot be assembled by
-/// hand. [`Default`] is the OPT-1.3B / A100-80GB fp16 preset.
+/// hand. [`Default`] is the OPT-1.3B / A100-80GB preset. Every run is
+/// fp16, shares one 256-entry JIT cache, prefills in 64-token chunks and
+/// keeps at most 64 requests live; unless `kv_pages` is set, the KV pool
+/// gets 25% of device memory.
 #[derive(Debug, Clone)]
 pub struct DecodeServeConfig {
     policy: DecodePolicy,
     model: ModelConfig,
     device: DeviceSpec,
-    dtype: DType,
-    cache_capacity: usize,
     page_size: usize,
     kv_pages: Option<usize>,
-    kv_mem_fraction: f64,
-    prefill_chunk: usize,
-    max_live: usize,
     prefix_caching: bool,
     preempt: PreemptPolicy,
     host_pages: Option<usize>,
@@ -337,12 +333,9 @@ pub struct DecodeServeConfig {
 
 impl Default for DecodeServeConfig {
     /// The reference decode setup: OPT-1.3B (an actual decoder —
-    /// autoregressive serving is its workload) in fp16 (LLM-serving
-    /// precision: decode steps are memory-bound, so K/V streaming is
-    /// first-order) on an A100, continuous batching under a 128-row
-    /// budget, 16-token pages over 25% of device memory, 64-token
-    /// prefill chunks, 64 live requests, recompute preemption, dense
-    /// attention.
+    /// autoregressive serving is its workload) on an A100, continuous
+    /// batching under a 128-row budget, 16-token pages over 25% of device
+    /// memory, recompute preemption, dense attention.
     fn default() -> Self {
         DecodeServeConfig::builder(ModelConfig::opt("1.3B"), DeviceSpec::a100_80gb())
             .build()
@@ -356,21 +349,18 @@ impl DecodeServeConfig {
     /// and finish with [`DecodeServeConfigBuilder::build`].
     pub fn builder(model: ModelConfig, device: DeviceSpec) -> DecodeServeConfigBuilder {
         DecodeServeConfigBuilder {
-            policy: DecodePolicy::ContinuousPaddingFree { token_budget: 128 },
-            model,
-            device,
-            dtype: DType::F16,
-            cache_capacity: 256,
-            page_size: 16,
-            kv_pages: None,
-            kv_mem_fraction: None,
-            prefill_chunk: 64,
-            max_live: 64,
-            prefix_caching: false,
-            preempt: PreemptPolicy::Recompute,
-            host_pages: None,
-            kv_sparsity: KvSparsityPolicy::Dense,
-            verify_invariants: false,
+            cfg: DecodeServeConfig {
+                policy: DecodePolicy::ContinuousPaddingFree { token_budget: 128 },
+                model,
+                device,
+                page_size: 16,
+                kv_pages: None,
+                prefix_caching: false,
+                preempt: PreemptPolicy::Recompute,
+                host_pages: None,
+                kv_sparsity: KvSparsityPolicy::Dense,
+                verify_invariants: false,
+            },
         }
     }
 
@@ -389,14 +379,9 @@ impl DecodeServeConfig {
         &self.device
     }
 
-    /// Precision.
+    /// Precision (always fp16).
     pub fn dtype(&self) -> DType {
-        self.dtype
-    }
-
-    /// Shared JIT-cache bound (entries).
-    pub fn cache_capacity(&self) -> usize {
-        self.cache_capacity
+        DTYPE
     }
 
     /// Token slots per KV page.
@@ -404,26 +389,9 @@ impl DecodeServeConfig {
         self.page_size
     }
 
-    /// Explicit KV pool size in pages (`None` = derived from
-    /// [`Self::kv_mem_fraction`]).
+    /// Explicit KV pool size in pages (`None` = 25% of device memory).
     pub fn kv_pages(&self) -> Option<usize> {
         self.kv_pages
-    }
-
-    /// Fraction of device memory granted to the KV pool when no explicit
-    /// page count is set.
-    pub fn kv_mem_fraction(&self) -> f64 {
-        self.kv_mem_fraction
-    }
-
-    /// Chunked-prefill cap (0 = unchunked whole-prompt prefills).
-    pub fn prefill_chunk(&self) -> usize {
-        self.prefill_chunk
-    }
-
-    /// Live-set bound (vLLM's `max_num_seqs`).
-    pub fn max_live(&self) -> usize {
-        self.max_live
     }
 
     /// Whether prompt-prefix caching is on.
@@ -460,18 +428,14 @@ impl DecodeServeConfig {
     pub fn kv_config(&self) -> KvConfig {
         let base = match self.kv_pages {
             Some(pages) => KvConfig::new(self.page_size, pages).with_page_bytes(
-                self.page_size
-                    * self.model.layers
-                    * 2
-                    * self.model.hidden
-                    * self.dtype.size_bytes(),
+                self.page_size * self.model.layers * 2 * self.model.hidden * DTYPE.size_bytes(),
             ),
             None => KvConfig::for_budget(
-                (self.device.global_mem_bytes as f64 * self.kv_mem_fraction) as usize,
+                (self.device.global_mem_bytes as f64 * KV_MEM_FRACTION) as usize,
                 self.page_size,
                 self.model.layers,
                 self.model.hidden,
-                self.dtype.size_bytes(),
+                DTYPE.size_bytes(),
             ),
         };
         let host = match self.preempt {
@@ -480,6 +444,25 @@ impl DecodeServeConfig {
         };
         base.with_host_pages(host)
     }
+
+    /// The policy name a report carries: the batching policy, or which
+    /// of prefix caching and swap the continuous policy runs with, plus
+    /// any KV-sparsity policy (the builder allows neither for the static
+    /// policy).
+    fn report_name(&self) -> String {
+        let mut name = match (self.prefix_caching, self.preempt) {
+            (false, PreemptPolicy::Recompute) => self.policy.name(),
+            (true, PreemptPolicy::Recompute) => "continuous-prefix-cached",
+            (false, PreemptPolicy::SwapToHost) => "continuous-swap-to-host",
+            (true, PreemptPolicy::SwapToHost) => "continuous-prefix-cached-swap",
+        }
+        .to_string();
+        if !self.kv_sparsity.is_dense() {
+            name.push('+');
+            name.push_str(self.kv_sparsity.name());
+        }
+        name
+    }
 }
 
 /// Builder for [`DecodeServeConfig`]; see [`DecodeServeConfig::builder`].
@@ -487,106 +470,60 @@ impl DecodeServeConfig {
 /// and is the only way to obtain a config.
 #[derive(Debug, Clone)]
 pub struct DecodeServeConfigBuilder {
-    policy: DecodePolicy,
-    model: ModelConfig,
-    device: DeviceSpec,
-    dtype: DType,
-    cache_capacity: usize,
-    page_size: usize,
-    kv_pages: Option<usize>,
-    kv_mem_fraction: Option<f64>,
-    prefill_chunk: usize,
-    max_live: usize,
-    prefix_caching: bool,
-    preempt: PreemptPolicy,
-    host_pages: Option<usize>,
-    kv_sparsity: KvSparsityPolicy,
-    verify_invariants: bool,
+    cfg: DecodeServeConfig,
 }
 
 impl DecodeServeConfigBuilder {
     /// Sets the batch-formation policy (default: continuous, 128-row
     /// token budget).
     pub fn policy(mut self, policy: DecodePolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Sets the precision (default fp16).
-    pub fn dtype(mut self, dtype: DType) -> Self {
-        self.dtype = dtype;
-        self
-    }
-
-    /// Sets the shared JIT-cache bound in entries (default 256).
-    pub fn cache_capacity(mut self, entries: usize) -> Self {
-        self.cache_capacity = entries;
+        self.cfg.policy = policy;
         self
     }
 
     /// Sets the KV page size in token slots (default 16).
     pub fn page_size(mut self, tokens: usize) -> Self {
-        self.page_size = tokens;
+        self.cfg.page_size = tokens;
         self
     }
 
-    /// Sets an explicit KV pool size in pages. Mutually exclusive with
-    /// [`Self::kv_mem_fraction`].
+    /// Sets an explicit KV pool size in pages (default: 25% of device
+    /// memory).
     pub fn kv_pages(mut self, pages: usize) -> Self {
-        self.kv_pages = Some(pages);
-        self
-    }
-
-    /// Sets the fraction of device memory granted to the KV pool
-    /// (default 0.25). Mutually exclusive with [`Self::kv_pages`].
-    pub fn kv_mem_fraction(mut self, fraction: f64) -> Self {
-        self.kv_mem_fraction = Some(fraction);
-        self
-    }
-
-    /// Sets the chunked-prefill cap in tokens; 0 means unchunked
-    /// whole-prompt prefills (default 64).
-    pub fn prefill_chunk(mut self, tokens: usize) -> Self {
-        self.prefill_chunk = tokens;
-        self
-    }
-
-    /// Sets the live-set bound (default 64).
-    pub fn max_live(mut self, requests: usize) -> Self {
-        self.max_live = requests;
+        self.cfg.kv_pages = Some(pages);
         self
     }
 
     /// Enables or disables prompt-prefix caching (continuous policy
     /// only; requires the trace to carry `prompt_ids`).
     pub fn prefix_caching(mut self, on: bool) -> Self {
-        self.prefix_caching = on;
+        self.cfg.prefix_caching = on;
         self
     }
 
     /// Sets the preemption policy (default recompute).
     pub fn preempt(mut self, preempt: PreemptPolicy) -> Self {
-        self.preempt = preempt;
+        self.cfg.preempt = preempt;
         self
     }
 
     /// Sets the host staging-pool size in pages (swap preemption only;
     /// the default without this call is twice the device pool).
     pub fn host_pages(mut self, pages: usize) -> Self {
-        self.host_pages = Some(pages);
+        self.cfg.host_pages = Some(pages);
         self
     }
 
     /// Sets the per-sequence KV-sparsity policy (continuous policy only;
     /// default dense).
     pub fn kv_sparsity(mut self, policy: KvSparsityPolicy) -> Self {
-        self.kv_sparsity = policy;
+        self.cfg.kv_sparsity = policy;
         self
     }
 
     /// Enables or disables per-iteration invariant checking.
     pub fn verify_invariants(mut self, on: bool) -> Self {
-        self.verify_invariants = on;
+        self.cfg.verify_invariants = on;
         self
     }
 
@@ -594,7 +531,8 @@ impl DecodeServeConfigBuilder {
     /// inconsistency is a [`ConfigError`] here instead of a panic
     /// mid-run.
     pub fn build(self) -> Result<DecodeServeConfig, ConfigError> {
-        match self.policy {
+        let cfg = self.cfg;
+        match cfg.policy {
             DecodePolicy::ContinuousPaddingFree { token_budget: 0 } => {
                 return Err(ConfigError::ZeroTokenBudget);
             }
@@ -602,45 +540,31 @@ impl DecodeServeConfigBuilder {
                 return Err(ConfigError::ZeroMaxBatch);
             }
             DecodePolicy::StaticPadded { .. } => {
-                if self.prefix_caching {
+                if cfg.prefix_caching {
                     return Err(ConfigError::StaticPaddedPrefixCaching);
                 }
-                if matches!(self.preempt, PreemptPolicy::SwapToHost) {
+                if matches!(cfg.preempt, PreemptPolicy::SwapToHost) {
                     return Err(ConfigError::StaticPaddedSwap);
                 }
-                if !self.kv_sparsity.is_dense() {
+                if !cfg.kv_sparsity.is_dense() {
                     return Err(ConfigError::StaticPaddedSparsity);
                 }
             }
             DecodePolicy::ContinuousPaddingFree { .. } => {}
         }
-        if self.page_size == 0 {
+        if cfg.page_size == 0 {
             return Err(ConfigError::ZeroPageSize);
         }
-        if self.cache_capacity == 0 {
-            return Err(ConfigError::ZeroCacheCapacity);
-        }
-        if self.max_live == 0 {
-            return Err(ConfigError::ZeroMaxLive);
-        }
-        if self.kv_pages == Some(0) {
+        if cfg.kv_pages == Some(0) {
             return Err(ConfigError::ZeroKvPages);
         }
-        if self.host_pages == Some(0) {
+        if cfg.host_pages == Some(0) {
             return Err(ConfigError::ZeroHostPages);
         }
-        if self.kv_pages.is_some() && self.kv_mem_fraction.is_some() {
-            return Err(ConfigError::KvPagesConflict);
-        }
-        if let Some(f) = self.kv_mem_fraction {
-            if !(f > 0.0 && f <= 1.0) {
-                return Err(ConfigError::InvalidMemFraction);
-            }
-        }
-        if self.host_pages.is_some() && matches!(self.preempt, PreemptPolicy::Recompute) {
+        if cfg.host_pages.is_some() && matches!(cfg.preempt, PreemptPolicy::Recompute) {
             return Err(ConfigError::HostPagesWithoutSwap);
         }
-        match self.kv_sparsity {
+        match cfg.kv_sparsity {
             KvSparsityPolicy::Dense => {}
             KvSparsityPolicy::SlidingWindow { recent } => {
                 if recent == 0 {
@@ -653,23 +577,7 @@ impl DecodeServeConfigBuilder {
                 }
             }
         }
-        Ok(DecodeServeConfig {
-            policy: self.policy,
-            model: self.model,
-            device: self.device,
-            dtype: self.dtype,
-            cache_capacity: self.cache_capacity,
-            page_size: self.page_size,
-            kv_pages: self.kv_pages,
-            kv_mem_fraction: self.kv_mem_fraction.unwrap_or(0.25),
-            prefill_chunk: self.prefill_chunk,
-            max_live: self.max_live,
-            prefix_caching: self.prefix_caching,
-            preempt: self.preempt,
-            host_pages: self.host_pages,
-            kv_sparsity: self.kv_sparsity,
-            verify_invariants: self.verify_invariants,
-        })
+        Ok(cfg)
     }
 }
 
@@ -810,10 +718,7 @@ pub fn simulate_decode_trace_observed(
     exemplar_k: usize,
     hub: Option<&MetricsHub>,
 ) -> (DecodeReport, ExemplarSet) {
-    let cache = JitCache::with_capacity(cfg.cache_capacity.max(1));
-    let mut kv = PagedKvCache::new(cfg.kv_config());
-    let mut metrics = DecodeMetrics::observed_by(hub);
-    let mut waiting: VecDeque<Seq> = trace
+    let waiting: VecDeque<Seq> = trace
         .prompt_lens
         .iter()
         .zip(&trace.output_lens)
@@ -831,10 +736,15 @@ pub fn simulate_decode_trace_observed(
             prefix_hit: false,
         })
         .collect();
-    let mut rec = Recorder::new(sink, exemplar_k, hub);
-
-    let swap = matches!(cfg.preempt, PreemptPolicy::SwapToHost);
-    let mut name = cfg.policy.name().to_string();
+    let mut r = Replay {
+        cfg,
+        cache: JitCache::with_capacity(CACHE_CAPACITY),
+        eng: Engine::new(cfg.device.clone(), DTYPE, cfg.policy.framework()),
+        kv: PagedKvCache::new(cfg.kv_config()),
+        metrics: DecodeMetrics::observed_by(hub),
+        rec: Recorder::new(sink, exemplar_k, hub),
+        clock_s: 0.0,
+    };
     match cfg.policy {
         DecodePolicy::ContinuousPaddingFree { token_budget } => {
             if cfg.prefix_caching {
@@ -845,54 +755,25 @@ pub fn simulate_decode_trace_observed(
                      (build the trace with SharedPrefixSpec::decode_trace)"
                 );
             }
-            name = match (cfg.prefix_caching, swap) {
-                (false, false) => name,
-                (true, false) => "continuous-prefix-cached".to_string(),
-                (false, true) => "continuous-swap-to-host".to_string(),
-                (true, true) => "continuous-prefix-cached-swap".to_string(),
-            };
-            if !cfg.kv_sparsity.is_dense() {
-                name.push('+');
-                name.push_str(cfg.kv_sparsity.name());
-            }
-            run_continuous(
-                cfg,
-                token_budget,
-                &mut waiting,
-                &trace.prompt_ids,
-                &mut kv,
-                &cache,
-                &mut metrics,
-                &mut rec,
-            );
+            Continuous::new(&mut r, token_budget, waiting, &trace.prompt_ids).run();
         }
-        // The builder rejected prefix caching, swap preemption and KV
-        // sparsity for this policy, so no combination checks remain here.
-        DecodePolicy::StaticPadded { max_batch } => {
-            run_static(
-                cfg,
-                max_batch,
-                &mut waiting,
-                &mut kv,
-                &cache,
-                &mut metrics,
-                &mut rec,
-            );
-        }
+        DecodePolicy::StaticPadded { max_batch } => r.run_static(max_batch, waiting),
     }
     if cfg.verify_invariants {
-        kv.check_invariants().expect("kv invariants at end of run");
+        r.kv.check_invariants()
+            .expect("kv invariants at end of run");
     }
     if sink.is_enabled() {
         // One pass of the lifecycle fold yields both trace-derived blocks.
-        metrics.set_blame_spans(&blame_spans(&sink.snapshot()));
+        r.metrics.set_blame_spans(&blame_spans(&sink.snapshot()));
     }
     if let Some(h) = hub {
         h.finish();
     }
+    let cache = CacheStats::of(&r.cache);
     (
-        metrics.report(&name, kv.stats(), CacheStats::of(&cache)),
-        rec.finish(),
+        r.metrics.report(&cfg.report_name(), r.kv.stats(), cache),
+        r.rec.finish(),
     )
 }
 
@@ -973,274 +854,534 @@ impl ItlRun {
     }
 }
 
-/// The continuous-batching loop with chunked prefill:
+/// The state both decode loops replay on: the configuration, the shared
+/// JIT cache, the one engine every step is priced on, the KV pool, the
+/// metrics collector, the observers and the virtual clock. Booking a
+/// step, emitting a token and jumping the clock each live here once.
+struct Replay<'a> {
+    cfg: &'a DecodeServeConfig,
+    cache: JitCache,
+    /// Every step of the replay is priced on this one engine.
+    eng: Engine,
+    kv: PagedKvCache,
+    metrics: DecodeMetrics<'a>,
+    rec: Recorder<'a>,
+    clock_s: f64,
+}
+
+impl Replay<'_> {
+    /// Runs one step: prices `shape` ([`step_sample`]), advances the clock
+    /// by its GPU time, charges the ledger, records the step with its
+    /// `prefill_real` prompt rows and `decode_real` decode rows (the rest
+    /// of the shape's rows are padding) and puts a `Step` on the device
+    /// lane. The lane's `prefill_rows` are the shape's, padding included.
+    fn step(&mut self, shape: &StepShape, prefill_real: usize, decode_real: usize) {
+        let real_rows = prefill_real + decode_real;
+        let sample = step_sample(&mut self.eng, self.cfg, shape, real_rows, &self.cache);
+        let gpu_s = sample.gpu_s;
+        self.clock_s += gpu_s;
+        self.metrics.charge(|l| l.charge_step(&sample));
+        self.metrics.record_step(
+            prefill_real,
+            decode_real,
+            shape.rows(),
+            gpu_s,
+            self.kv.occupancy(),
+            self.kv.fragmentation(),
+        );
+        self.rec.record(
+            self.clock_s,
+            DEVICE_LANE,
+            TraceEvent::Step {
+                prefill_rows: shape.prefill_tokens() + shape.chunk_tokens(),
+                decode_slots: decode_real,
+                gpu_s,
+            },
+        );
+    }
+
+    /// Emits one token of `s` at the current clock: a first token records
+    /// TTFT, any later one (a re-admitted request's first token after
+    /// preemption included — its gap holds the requeue and recompute) an
+    /// inter-token gap. Then `event` marks the token. Returns whether the
+    /// request is done, in which case its e2e latency and `Finished` are
+    /// recorded too; its KV pages are the caller's to settle.
+    fn emit(&mut self, s: &mut Seq, itl: &mut ItlRun, event: TraceEvent) -> bool {
+        if s.generated == 0 {
+            self.metrics
+                .record_ttft(self.clock_s - s.arrival_s, s.prefix_hit);
+        } else {
+            itl.push(self.clock_s - s.last_token_s, &mut self.metrics);
+        }
+        self.rec.record(self.clock_s, s.id, event);
+        s.generated += 1;
+        s.last_token_s = self.clock_s;
+        if !s.done() {
+            return false;
+        }
+        self.metrics.record_e2e(self.clock_s - s.arrival_s);
+        self.rec.record(self.clock_s, s.id, TraceEvent::Finished);
+        true
+    }
+
+    /// Jumps the clock forward to `t_s`, charging the gap to the ledger as
+    /// an h2d stall when the replay waits out a `restore`, as idle time
+    /// otherwise. Returns whether the clock moved (never for a past or
+    /// infinite `t_s`).
+    fn wait_until(&mut self, t_s: f64, restore: bool) -> bool {
+        if !(t_s.is_finite() && t_s > self.clock_s) {
+            return false;
+        }
+        let gap_s = t_s - self.clock_s;
+        if restore {
+            self.metrics.charge(|l| l.charge_h2d_stall(gap_s));
+        } else {
+            self.metrics.charge(|l| l.charge_idle(gap_s));
+        }
+        self.clock_s = t_s;
+        true
+    }
+
+    /// The static padded loop: batch once, reserve worst-case KV, prefill
+    /// the rectangle, decode until the longest output completes.
+    fn run_static(&mut self, max_batch: usize, mut waiting: VecDeque<Seq>) {
+        while let Some(head) = waiting.front() {
+            self.wait_until(head.arrival_s, false);
+            let mut batch: Vec<Seq> = Vec::new();
+            while batch.len() < max_batch {
+                match waiting.front() {
+                    Some(w) if w.arrival_s <= self.clock_s => {
+                        let w = waiting.pop_front().expect("front checked");
+                        self.rec.record(
+                            self.clock_s,
+                            w.id,
+                            TraceEvent::Admitted {
+                                arrival_s: w.arrival_s,
+                            },
+                        );
+                        batch.push(w)
+                    }
+                    _ => break,
+                }
+            }
+            self.reserve_rectangle(&mut batch, &mut waiting);
+
+            let b = batch.len();
+            let max_p = batch.iter().map(|s| s.prompt).max().expect("non-empty");
+            let max_o = batch.iter().map(|s| s.target).max().expect("non-empty");
+
+            // Prefill the rectangle: every slot processes max_p rows.
+            let real: usize = batch.iter().map(|s| s.prompt).sum();
+            self.step(&StepShape::prefill(vec![max_p; b]), real, 0);
+            let mut itl = ItlRun::default();
+            for s in batch.iter_mut() {
+                self.emit(s, &mut itl, TraceEvent::FirstToken);
+                self.kv.extend(s.id, 1).expect("inside reservation");
+            }
+
+            // Decode the rectangle to the longest output. Finished slots
+            // stay in the batch as padding rows, and — as in fixed-shape
+            // inference engines, whose compiled attention kernels span
+            // the preallocated buffer with masking — every step attends
+            // the full reserved `max prompt + max output` context, not
+            // just the tokens written so far. That is the padded
+            // rectangle extended to the time axis, and it is what the
+            // worst-case KV reservation buys.
+            let ctx_pad = max_p + max_o - 1;
+            for t in 2..=max_o {
+                let shape = StepShape::decode(vec![ctx_pad; b]);
+                let live = batch.iter().filter(|s| s.target >= t).count();
+                self.step(&shape, 0, live);
+                // Fixed-shape kernels attend the full reservation every
+                // step: attended == cached == the padded context, per slot.
+                self.metrics
+                    .record_attention(shape.attended_tokens(), shape.cached_tokens());
+                for s in batch.iter_mut().filter(|s| s.target >= t) {
+                    let event = TraceEvent::DecodeStep {
+                        attended: ctx_pad,
+                        cached: ctx_pad,
+                    };
+                    self.emit(s, &mut itl, event);
+                    self.kv.extend(s.id, 1).expect("inside reservation");
+                }
+                itl.flush(&mut self.metrics);
+            }
+
+            // The rectangle completes as one unit; only now do its pages
+            // free.
+            for s in &batch {
+                self.kv.free(s.id).expect("batch held pages");
+            }
+        }
+    }
+
+    /// Worst-case contiguous reservation per slot of a static batch: max
+    /// prompt + max output. If the pool cannot hold the whole batch, it
+    /// shrinks from the back (those requests return to the queue head).
+    fn reserve_rectangle(&mut self, batch: &mut Vec<Seq>, waiting: &mut VecDeque<Seq>) {
+        loop {
+            let max_p = batch
+                .iter()
+                .map(|s| s.prompt)
+                .max()
+                .expect("batch non-empty");
+            let max_o = batch
+                .iter()
+                .map(|s| s.target)
+                .max()
+                .expect("batch non-empty");
+            let Some(i) = batch.iter().position(|s| {
+                self.kv
+                    .alloc_reserved(s.id, s.prompt, max_p + max_o)
+                    .is_err()
+            }) else {
+                return;
+            };
+            for s in &batch[..i] {
+                self.kv.free(s.id).expect("allocated above");
+            }
+            assert!(
+                i > 0,
+                "KV pool ({} pages) cannot fit one worst-case reservation \
+                 of {} tokens; enlarge kv_pages",
+                self.kv.config().num_pages,
+                max_p + max_o
+            );
+            while batch.len() > i {
+                waiting.push_front(batch.pop().expect("len checked"));
+            }
+        }
+    }
+}
+
+/// The continuous-batching scheduler with chunked prefill. It owns the
+/// request queues, the prefix index, the swap engine and the deferral
+/// notebook, and runs each iteration as phases over the [`Replay`]:
 ///
-/// 1. admit arrived requests into the prefilling queue (KV admission
-///    signal), matching each prompt against the prefix index first when
-///    prefix caching is on — matched pages are shared, not re-prefilled;
-/// 2. reserve decode headroom, evicting prefix-index LRU leaves and then
+/// 1. [`start_restores`](Self::start_restores),
+///    [`wake`](Self::wake) and [`rejoin`](Self::rejoin): swapped
+///    sequences wait FIFO for free device frames (ahead of new arrivals),
+///    then their restore transfer streams on the h2d link while the
+///    scheduler keeps batching — they rejoin only when the transfer
+///    lands, context intact, nothing re-prefilled;
+/// 2. [`compact`](Self::compact): KV sparsity trims each decoding
+///    sequence to its retained pages;
+/// 3. [`admit`](Self::admit): arrived requests join the prefilling queue
+///    (KV admission signal), matching each prompt against the prefix
+///    index first when prefix caching is on — matched pages are shared,
+///    not re-prefilled;
+/// 4. [`decode_headroom`](Self::decode_headroom): reserve the pages
+///    decode growth needs, evicting prefix-index LRU leaves and then
 ///    preempting latest-arrival requests (partial prefills first —
-///    cheapest to recompute) when pages run out; under
-///    [`PreemptPolicy::SwapToHost`] a victim's exclusively-held pages
-///    move to the host tier instead (eviction DMA gates the reclaiming
-///    step), with per-victim recompute fallback;
-/// 3. plan this iteration's prefill chunks FIFO under the token budget
-///    and the remaining free pages;
-/// 4. run one mixed step; every decode slot emits a token, every chunk
-///    advances its prompt, completed prefills publish their whole-page
-///    prompt pages to the index, emit their first token and join the
-///    decode set.
-///
-/// Swapped sequences wait FIFO for free device frames (ahead of new
-/// arrivals), then their restore transfer streams on the h2d link while
-/// the scheduler keeps batching — they rejoin only when the transfer
-/// lands, context intact, nothing re-prefilled.
-///
-/// Every step is priced on one engine built when the replay starts
-/// ([`step_sample`] takes its ledger after each step), so no step pays
-/// for building one.
-#[allow(clippy::too_many_arguments)]
-fn run_continuous(
-    cfg: &DecodeServeConfig,
+///    cheapest to recompute); under [`PreemptPolicy::SwapToHost`] a
+///    victim's exclusively-held pages move to the host tier instead
+///    (eviction DMA gates the reclaiming step), with per-victim
+///    recompute fallback;
+/// 5. [`plan_chunks`](Self::plan_chunks): this iteration's prefill
+///    chunks, FIFO under the token budget and the remaining free pages;
+/// 6. [`unstall`](Self::unstall) when nothing can run, or else
+///    [`execute`](Self::execute): one mixed step; every decode slot emits
+///    a token, every chunk advances its prompt, completed prefills
+///    publish their whole-page prompt pages to the index, emit their
+///    first token and join the decode set.
+struct Continuous<'r, 'a> {
+    r: &'r mut Replay<'a>,
+    prompts: &'r [Vec<u32>],
     token_budget: usize,
-    waiting: &mut VecDeque<Seq>,
-    prompts: &[Vec<u32>],
-    kv: &mut PagedKvCache,
-    cache: &JitCache,
-    metrics: &mut DecodeMetrics,
-    rec: &mut Recorder,
-) {
-    let token_budget = token_budget.max(1);
-    let page = kv.config().page_size;
-    let chunk_cap = if cfg.prefill_chunk == 0 {
-        usize::MAX
-    } else {
-        cfg.prefill_chunk
-    };
-    let mut index = cfg.prefix_caching.then(|| RadixPrefixIndex::new(page));
-    let mut swap = matches!(cfg.preempt, PreemptPolicy::SwapToHost)
-        .then(|| SwapEngine::new(&cfg.device, kv.config().page_bytes.max(1)));
-    let mut prefilling: VecDeque<Seq> = VecDeque::new();
-    let mut running: Vec<Seq> = Vec::new();
-    // Swapped-out victims waiting for device frames (`bool` = was it
-    // decoding, i.e. does it rejoin `running` rather than `prefilling`),
-    // and restores whose transfer is still on the wire.
-    let mut swapped: VecDeque<(Seq, bool)> = VecDeque::new();
-    let mut restoring: RestoreQueue<(Seq, bool)> = RestoreQueue::new();
-    let mut clock_s = 0.0_f64;
-    // Every step of the replay is priced on this one engine.
-    let mut eng = Engine::new(cfg.device.clone(), cfg.dtype, cfg.policy.framework());
+    waiting: VecDeque<Seq>,
+    prefilling: VecDeque<Seq>,
+    running: Vec<Seq>,
+    /// Swapped-out victims waiting for device frames (`bool` = was it
+    /// decoding, i.e. does it rejoin `running` rather than `prefilling`).
+    swapped: VecDeque<(Seq, bool)>,
+    /// Restores whose transfer is still on the wire.
+    restoring: RestoreQueue<(Seq, bool)>,
+    index: Option<RadixPrefixIndex>,
+    swap: Option<SwapEngine>,
+    /// Deferral notebook: requests the scheduler looked at this iteration
+    /// and could not advance, with the typed cause. Flushed as `Waiting`
+    /// events at the step boundary (the instant the wait they explain
+    /// ends); an iteration that re-plans without stepping drops them and
+    /// re-observes next time around.
+    deferrals: Vec<(u64, WaitCause, f64)>,
+}
 
-    while !waiting.is_empty()
-        || !prefilling.is_empty()
-        || !running.is_empty()
-        || !swapped.is_empty()
-        || !restoring.is_empty()
-    {
-        // Deferral notebook: requests the scheduler looked at this
-        // iteration and could not advance, with the typed cause. Flushed
-        // as `Waiting` events at the step boundary (the instant the wait
-        // they explain ends); an iteration that re-plans without
-        // stepping drops them and re-observes next time around.
-        let mut deferrals: Vec<(u64, WaitCause, f64)> = Vec::new();
+impl<'r, 'a> Continuous<'r, 'a> {
+    fn new(
+        r: &'r mut Replay<'a>,
+        token_budget: usize,
+        waiting: VecDeque<Seq>,
+        prompts: &'r [Vec<u32>],
+    ) -> Self {
+        let cfg = r.cfg;
+        Continuous {
+            index: cfg
+                .prefix_caching
+                .then(|| RadixPrefixIndex::new(cfg.page_size)),
+            swap: matches!(cfg.preempt, PreemptPolicy::SwapToHost)
+                .then(|| SwapEngine::new(&cfg.device, r.kv.config().page_bytes.max(1))),
+            r,
+            prompts,
+            token_budget,
+            waiting,
+            prefilling: VecDeque::new(),
+            running: Vec::new(),
+            swapped: VecDeque::new(),
+            restoring: RestoreQueue::new(),
+            deferrals: Vec::new(),
+        }
+    }
 
-        // Restore-on-readmission: swapped sequences have priority over
-        // new arrivals for free frames (their context is paid for — the
-        // sooner it is back, the less the host pool holds). One spare
-        // frame beyond the swapped pages lets the restored sequence take
-        // at least one decode step before any further preemption.
-        // Initiation runs BEFORE the idle clock jump so that a drained
-        // batch starts its restores on the idle link immediately instead
-        // of deferring them behind an unrelated future arrival.
-        if let Some(eng) = swap.as_mut() {
-            while let Some((head, _)) = swapped.front() {
-                if running.len() + prefilling.len() + restoring.len() >= cfg.max_live.max(1) {
-                    deferrals.push((head.id, WaitCause::MaxLiveCap, head.arrival_s));
-                    break;
-                }
-                let need = kv.seq_host_pages(head.id) + 1;
-                assert!(
-                    need <= kv.config().num_pages,
-                    "KV pool ({} pages of {page} tokens) cannot hold one swapped \
-                     context plus headroom; enlarge kv_pages/kv_mem_fraction",
-                    kv.config().num_pages
-                );
-                if kv.free_pages() < need {
-                    let want = need - kv.free_pages();
-                    evict_index_pages(kv, index.as_mut(), want);
-                }
-                if kv.free_pages() < need {
-                    deferrals.push((head.id, WaitCause::KvPoolExhausted, head.arrival_s));
-                    break;
-                }
-                let (s, was_decoding) = swapped.pop_front().expect("front checked");
-                let moved = kv.swap_in(s.id).expect("frames checked above");
-                let done = eng.swap_in(clock_s, moved);
-                metrics.record_restore(done - clock_s);
-                rec.record(
-                    done,
-                    s.id,
-                    TraceEvent::SwapIn {
-                        pages: moved,
-                        initiated_s: clock_s,
-                        link_busy_until_s: eng.h2d_busy_until_s(),
-                    },
-                );
-                restoring.push((s, was_decoding), done);
+    /// Iterates the phases until every request has finished.
+    fn run(mut self) {
+        while !(self.waiting.is_empty()
+            && self.prefilling.is_empty()
+            && self.running.is_empty()
+            && self.swapped.is_empty()
+            && self.restoring.is_empty())
+        {
+            self.deferrals.clear();
+            self.start_restores();
+            self.wake();
+            self.rejoin();
+            self.compact();
+            self.admit();
+            let headroom = self.decode_headroom();
+            let planned = self.plan_chunks(headroom);
+            if self.running.is_empty() && planned.iter().all(|&c| c == 0) {
+                self.unstall();
+            } else {
+                self.execute(planned);
             }
         }
+        self.finish();
+    }
 
-        if prefilling.is_empty() && running.is_empty() {
-            let arrival = waiting.front().map_or(f64::INFINITY, |w| w.arrival_s);
-            let restore = restoring.next_ready_s().unwrap_or(f64::INFINITY);
-            let next = arrival.min(restore);
-            if next.is_finite() && next > clock_s {
-                // Ledger attribution: waiting out an in-flight restore is
-                // an h2d stall; waiting for a future arrival is idle.
-                if restore <= arrival {
-                    metrics.charge(|l| l.charge_h2d_stall(next - clock_s));
-                } else {
-                    metrics.charge(|l| l.charge_idle(next - clock_s));
-                }
-                clock_s = next;
+    /// Restore-on-readmission: swapped sequences have priority over new
+    /// arrivals for free frames (their context is paid for — the sooner
+    /// it is back, the less the host pool holds). One spare frame beyond
+    /// the swapped pages lets the restored sequence take at least one
+    /// decode step before any further preemption. This runs BEFORE the
+    /// idle clock jump so that a drained batch starts its restores on the
+    /// idle link immediately instead of deferring them behind an
+    /// unrelated future arrival.
+    fn start_restores(&mut self) {
+        let Some(link) = self.swap.as_mut() else {
+            return;
+        };
+        while let Some((head, _)) = self.swapped.front() {
+            if self.running.len() + self.prefilling.len() + self.restoring.len() >= MAX_LIVE {
+                self.deferrals
+                    .push((head.id, WaitCause::MaxLiveCap, head.arrival_s));
+                break;
             }
+            let kv = &mut self.r.kv;
+            let need = kv.seq_host_pages(head.id) + 1;
+            assert!(
+                need <= kv.config().num_pages,
+                "KV pool ({} pages of {} tokens) cannot hold one swapped \
+                 context plus headroom; enlarge kv_pages",
+                kv.config().num_pages,
+                kv.config().page_size
+            );
+            if kv.free_pages() < need {
+                let want = need - kv.free_pages();
+                evict_index_pages(kv, self.index.as_mut(), want);
+            }
+            if kv.free_pages() < need {
+                self.deferrals
+                    .push((head.id, WaitCause::KvPoolExhausted, head.arrival_s));
+                break;
+            }
+            let (s, was_decoding) = self.swapped.pop_front().expect("front checked");
+            let moved = kv.swap_in(s.id).expect("frames checked above");
+            let r = &mut *self.r;
+            let done = link.swap_in(r.clock_s, moved);
+            r.metrics.record_restore(done - r.clock_s);
+            r.rec.record(
+                done,
+                s.id,
+                TraceEvent::SwapIn {
+                    pages: moved,
+                    initiated_s: r.clock_s,
+                    link_busy_until_s: link.h2d_busy_until_s(),
+                },
+            );
+            self.restoring.push((s, was_decoding), done);
         }
+    }
 
-        // Restores whose transfer has landed rejoin the batch: decoding
-        // victims slot back into `running` in arrival order, mid-prefill
-        // victims resume at the head of the prefill queue (they are the
-        // oldest work there).
-        for (s, was_decoding) in restoring.pop_ready(clock_s) {
+    /// With nothing prefilling or decoding, jumps the clock to the next
+    /// arrival or restore landing: waiting out an in-flight restore is an
+    /// h2d stall on the ledger, waiting for a future arrival is idle.
+    fn wake(&mut self) {
+        if !(self.prefilling.is_empty() && self.running.is_empty()) {
+            return;
+        }
+        let arrival = self.waiting.front().map_or(f64::INFINITY, |w| w.arrival_s);
+        let restore = self.restoring.next_ready_s().unwrap_or(f64::INFINITY);
+        self.r.wait_until(arrival.min(restore), restore <= arrival);
+    }
+
+    /// Restores whose transfer has landed rejoin the batch: decoding
+    /// victims slot back into `running` in arrival order, mid-prefill
+    /// victims resume at the head of the prefill queue (they are the
+    /// oldest work there).
+    fn rejoin(&mut self) {
+        for (s, was_decoding) in self.restoring.pop_ready(self.r.clock_s) {
             if was_decoding {
-                let pos = running
+                let pos = self
+                    .running
                     .iter()
                     .position(|r| r.arrival_s > s.arrival_s)
-                    .unwrap_or(running.len());
-                running.insert(pos, s);
+                    .unwrap_or(self.running.len());
+                self.running.insert(pos, s);
             } else {
-                prefilling.push_front(s);
+                self.prefilling.push_front(s);
             }
         }
+    }
 
-        // 1a. KV sparsity: compact every decoding sequence's cache to its
-        // policy-retained page set before admission, so the freed frames
-        // are in the admission gate's supply. Running sequences are fully
-        // device-resident (restores rejoin only after their transfer
-        // lands), and only fully-written interior pages are selected, so
-        // the release cannot fail. Shared or prefix-pinned pages leave
-        // this sequence's table but stay resident for their other
-        // holders — `freed` counts frames actually returned to the pool.
-        if !cfg.kv_sparsity.is_dense() {
-            for s in &running {
-                let len = kv.seq_tokens(s.id).expect("running seq holds pages");
-                let evict = cfg.kv_sparsity.evict_positions(len, page);
-                if evict.is_empty() {
-                    continue;
-                }
-                let pages: Vec<pit_kv::PageId> = {
-                    let table = kv.seq_pages(s.id).expect("running seq holds pages");
-                    evict.iter().map(|&pos| table[pos]).collect()
-                };
-                let freed = kv
-                    .release_seq_pages(s.id, &pages)
+    /// KV sparsity: compacts every decoding sequence's cache to its
+    /// policy-retained page set before admission, so the freed frames are
+    /// in the admission gate's supply. Running sequences are fully
+    /// device-resident (restores rejoin only after their transfer lands),
+    /// and only fully-written interior pages are selected, so the release
+    /// cannot fail. Shared or prefix-pinned pages leave this sequence's
+    /// table but stay resident for their other holders — `freed` counts
+    /// frames actually returned to the pool.
+    fn compact(&mut self) {
+        let r = &mut *self.r;
+        let sparsity = r.cfg.kv_sparsity;
+        if sparsity.is_dense() {
+            return;
+        }
+        for s in &self.running {
+            let len = r.kv.seq_tokens(s.id).expect("running seq holds pages");
+            let evict = sparsity.evict_positions(len, r.cfg.page_size);
+            if evict.is_empty() {
+                continue;
+            }
+            let pages: Vec<pit_kv::PageId> = {
+                let table = r.kv.seq_pages(s.id).expect("running seq holds pages");
+                evict.iter().map(|&pos| table[pos]).collect()
+            };
+            let freed =
+                r.kv.release_seq_pages(s.id, &pages)
                     .expect("retained-set eviction picks legal pages");
-                metrics.record_sparsity_eviction(pages.len(), freed);
-                rec.record(
-                    clock_s,
-                    s.id,
-                    TraceEvent::SparsityEvict { pages: pages.len() },
-                );
-            }
+            r.metrics.record_sparsity_eviction(pages.len(), freed);
+            r.rec.record(
+                r.clock_s,
+                s.id,
+                TraceEvent::SparsityEvict { pages: pages.len() },
+            );
         }
+    }
 
-        // 1. Admission: FIFO prefix of arrived requests, capped by the
-        // live-set bound; the KV pool's free-page signal (first chunk +
-        // one decode slot) is the other admission gate. The prefix index
-        // is the marginal page supply: its cold leaves are evicted before
-        // an admission is refused.
-        while let Some(w) = waiting.front() {
-            if w.arrival_s > clock_s {
+    /// Admission: FIFO prefix of arrived requests, capped by the live-set
+    /// bound; the KV pool's free-page signal (first chunk + one decode
+    /// slot) is the other admission gate. The prefix index is the
+    /// marginal page supply: its cold leaves are evicted before an
+    /// admission is refused.
+    fn admit(&mut self) {
+        while let Some(w) = self.waiting.front() {
+            if w.arrival_s > self.r.clock_s {
                 break;
             }
-            if running.len() + prefilling.len() + restoring.len() >= cfg.max_live.max(1) {
-                deferrals.push((w.id, WaitCause::MaxLiveCap, w.arrival_s));
+            if self.running.len() + self.prefilling.len() + self.restoring.len() >= MAX_LIVE {
+                self.deferrals
+                    .push((w.id, WaitCause::MaxLiveCap, w.arrival_s));
                 break;
             }
-            let first = w.ctx().max(1).min(chunk_cap);
+            let first = w.ctx().clamp(1, PREFILL_CHUNK);
+            let kv = &mut self.r.kv;
             if !kv.can_admit(first + 1) {
                 let want = kv
                     .config()
                     .pages_for(first + 1)
                     .saturating_sub(kv.free_pages());
-                evict_index_pages(kv, index.as_mut(), want);
+                evict_index_pages(kv, self.index.as_mut(), want);
             }
             if !kv.can_admit(first + 1) {
                 assert!(
-                    !(prefilling.is_empty()
-                        && running.is_empty()
-                        && swapped.is_empty()
-                        && restoring.is_empty()
-                        && index.as_ref().is_none_or(RadixPrefixIndex::is_empty)),
-                    "KV pool ({} pages of {page} tokens) cannot fit a single \
-                     {first}-token prefill chunk; enlarge kv_pages/kv_mem_fraction",
-                    kv.config().num_pages
+                    !(self.prefilling.is_empty()
+                        && self.running.is_empty()
+                        && self.swapped.is_empty()
+                        && self.restoring.is_empty()
+                        && self.index.as_ref().is_none_or(RadixPrefixIndex::is_empty)),
+                    "KV pool ({} pages of {} tokens) cannot fit a single \
+                     {first}-token prefill chunk; enlarge kv_pages",
+                    kv.config().num_pages,
+                    kv.config().page_size
                 );
-                deferrals.push((w.id, WaitCause::KvPoolExhausted, w.arrival_s));
+                self.deferrals
+                    .push((w.id, WaitCause::KvPoolExhausted, w.arrival_s));
                 break;
             }
-            let mut w = waiting.pop_front().expect("front checked");
-            rec.record(
-                clock_s,
+            let mut w = self.waiting.pop_front().expect("front checked");
+            self.r.rec.record(
+                self.r.clock_s,
                 w.id,
                 TraceEvent::Admitted {
                     arrival_s: w.arrival_s,
                 },
             );
-            if let Some(ix) = index.as_mut() {
-                // Match the prompt (never past its second-to-last token —
-                // even a fully cached prompt must prefill something to
-                // produce first-token logits), page-granularly.
-                let m = ix.match_prefix(&prompts[w.id as usize]);
-                let matched = m.tokens.min(w.prompt.saturating_sub(1) / page * page);
-                if matched > 0 {
-                    kv.alloc_shared(w.id, &m.pages[..matched / page], matched)
-                        .expect("matched pages are live in the pool");
-                    w.prefilled = matched;
-                    // Cache-served rows are never re-run through the
-                    // model, so they come off any recompute debt.
-                    w.rework = w.rework.saturating_sub(matched);
-                    w.prefix_hit = true;
-                } else {
-                    w.prefix_hit = false;
-                }
-                metrics.record_prefix_admission(matched, w.prefix_hit);
-                if w.prefix_hit {
-                    rec.record(
-                        clock_s,
-                        w.id,
-                        TraceEvent::PrefixHit {
-                            pages: matched / page,
-                            tokens: matched,
-                        },
-                    );
-                }
-            }
-            prefilling.push_back(w);
+            self.share_prefix(&mut w);
+            self.prefilling.push_back(w);
         }
+    }
 
-        // 2. Decode headroom: every decode slot continuing past this step
-        // whose context sits on a page boundary needs one fresh page.
-        // Evict prefix-index leaves, then preempt (recompute on
-        // re-admission) until the pool can honour the step: partial
-        // prefills first, then the latest-arrival decoding request —
-        // cached-but-cold prefixes are always cheaper to give up than
-        // live progress.
-        let decode_headroom = loop {
+    /// With prefix caching on, matches an admitted prompt against the
+    /// prefix index (never past its second-to-last token — even a fully
+    /// cached prompt must prefill something to produce first-token
+    /// logits), page-granularly, and shares the matched pages instead of
+    /// prefilling them.
+    fn share_prefix(&mut self, w: &mut Seq) {
+        let Some(ix) = self.index.as_mut() else {
+            return;
+        };
+        let r = &mut *self.r;
+        let page = r.cfg.page_size;
+        let m = ix.match_prefix(&self.prompts[w.id as usize]);
+        let matched = m.tokens.min(w.prompt.saturating_sub(1) / page * page);
+        w.prefix_hit = matched > 0;
+        if w.prefix_hit {
+            r.kv.alloc_shared(w.id, &m.pages[..matched / page], matched)
+                .expect("matched pages are live in the pool");
+            w.prefilled = matched;
+            // Cache-served rows are never re-run through the model, so
+            // they come off any recompute debt.
+            w.rework = w.rework.saturating_sub(matched);
+        }
+        r.metrics.record_prefix_admission(matched, w.prefix_hit);
+        if w.prefix_hit {
+            r.rec.record(
+                r.clock_s,
+                w.id,
+                TraceEvent::PrefixHit {
+                    pages: matched / page,
+                    tokens: matched,
+                },
+            );
+        }
+    }
+
+    /// Decode headroom: every decode slot continuing past this step whose
+    /// context sits on a page boundary needs one fresh page. Evicts
+    /// prefix-index leaves, then preempts until the pool can honour the
+    /// step: partial prefills first, then the latest-arrival decoding
+    /// request — cached-but-cold prefixes are always cheaper to give up
+    /// than live progress. Returns the pages reserved.
+    fn decode_headroom(&mut self) -> usize {
+        loop {
             // Page-boundary test on the *cached* length (what the pool
             // holds after sparsity eviction), not the logical context —
             // eviction shrinks the cache page-aligned, so the cadence is
             // the same, but the cached length is what `extend` sees.
-            let needed = running
+            let kv = &mut self.r.kv;
+            let page = kv.config().page_size;
+            let needed = self
+                .running
                 .iter()
                 .filter(|s| {
                     !will_finish(s)
@@ -1251,67 +1392,53 @@ fn run_continuous(
                 })
                 .count();
             if needed <= kv.free_pages() {
-                break needed;
+                return needed;
             }
-            if evict_index_pages(kv, index.as_mut(), needed - kv.free_pages()) {
+            if evict_index_pages(kv, self.index.as_mut(), needed - kv.free_pages()) {
                 continue;
             }
-            if let Some(pos) = (0..prefilling.len())
+            if let Some(pos) = (0..self.prefilling.len())
                 .rev()
-                .find(|&i| prefilling[i].prefilled > 0)
+                .find(|&i| self.prefilling[i].prefilled > 0)
             {
-                let victim = prefilling.remove(pos).expect("position found");
-                preempt_victim(
-                    victim,
-                    false,
-                    kv,
-                    waiting,
-                    &mut swapped,
-                    swap.as_mut(),
-                    metrics,
-                    rec,
-                    &mut clock_s,
-                );
-            } else if let Some(victim) = running.pop() {
-                preempt_victim(
-                    victim,
-                    true,
-                    kv,
-                    waiting,
-                    &mut swapped,
-                    swap.as_mut(),
-                    metrics,
-                    rec,
-                    &mut clock_s,
-                );
+                let victim = self.prefilling.remove(pos).expect("position found");
+                self.preempt(victim, false);
+            } else if let Some(victim) = self.running.pop() {
+                self.preempt(victim, true);
             } else {
                 unreachable!("headroom is only needed by running requests");
             }
-        };
+        }
+    }
 
-        // 3. Chunk planning: head-of-line prefills take the budget left
-        // after the committed decode slots, page-checked against the free
-        // pages not reserved as decode headroom. A chunk that completes a
-        // prompt also reserves the page its first generated token may
-        // need. Chunks shrink to what the pages allow; the head of the
-        // queue stalls rather than being overtaken (FIFO fairness).
+    /// Chunk planning: head-of-line prefills take the budget left after
+    /// the committed decode slots, page-checked against the free pages
+    /// not reserved as decode headroom. A chunk that completes a prompt
+    /// also reserves the page its first generated token may need. Chunks
+    /// shrink to what the pages allow; the head of the queue stalls
+    /// rather than being overtaken (FIFO fairness). Returns each prefilling
+    /// request's planned chunk (0 = none), its pages already allocated.
+    fn plan_chunks(&mut self, decode_headroom: usize) -> Vec<usize> {
+        let kv = &mut self.r.kv;
+        let page = kv.config().page_size;
         let mut virtual_free = kv.free_pages() - decode_headroom;
-        let mut rows = running.len();
-        let mut planned: Vec<usize> = vec![0; prefilling.len()];
-        for (i, s) in prefilling.iter().enumerate() {
-            if rows >= token_budget && !(running.is_empty() && i == 0) {
-                deferrals.push((s.id, WaitCause::TokenBudgetFull, s.arrival_s));
+        let mut rows = self.running.len();
+        let mut planned: Vec<usize> = vec![0; self.prefilling.len()];
+        for (i, s) in self.prefilling.iter().enumerate() {
+            // Never stall the whole system on a budget smaller than one
+            // chunk: an oversized head chunk runs alone.
+            let alone = self.running.is_empty() && i == 0;
+            if rows >= self.token_budget && !alone {
+                self.deferrals
+                    .push((s.id, WaitCause::TokenBudgetFull, s.arrival_s));
                 break;
             }
             let remaining = s.ctx().max(1) - s.prefilled;
-            let budget_room = if running.is_empty() && i == 0 {
-                // Never stall the whole system on a budget smaller than
-                // one chunk: an oversized head chunk runs alone.
-                remaining.min(chunk_cap)
+            let mut c = if alone {
+                remaining.min(PREFILL_CHUNK)
             } else {
-                remaining.min(chunk_cap).min(token_budget - rows)
+                remaining.min(PREFILL_CHUNK).min(self.token_budget - rows)
             };
-            let mut c = budget_room;
             let held = kv.config().pages_for(s.prefilled);
             while c > 0 {
                 let completes = c == remaining;
@@ -1338,180 +1465,152 @@ fn run_continuous(
                 // Head-of-line stall: wait for pages, keep FIFO. The head
                 // itself is starved of frames; anything behind it is
                 // blocked by the head, not by the pool.
-                deferrals.push((
-                    s.id,
-                    if i == 0 {
-                        WaitCause::KvPoolExhausted
-                    } else {
-                        WaitCause::HeadOfLinePrefill
-                    },
-                    s.arrival_s,
-                ));
+                let cause = if i == 0 {
+                    WaitCause::KvPoolExhausted
+                } else {
+                    WaitCause::HeadOfLinePrefill
+                };
+                self.deferrals.push((s.id, cause, s.arrival_s));
                 break;
             }
         }
+        planned
+    }
 
-        // Stalled with no decode work: reclaim prefix-cache pages, then
-        // free a later partial prefill so the head can make progress next
-        // iteration. With restores in flight the frames are merely in
-        // transit — jump to the transfer's completion instead. Waiting on
-        // *time* (a future arrival, an in-flight restore) is the only
-        // reason to idle; anything else blocked here is blocked on
-        // frames and must reclaim some, down to demoting a swapped
-        // victim whose still-shared device pages hold the pool open —
-        // otherwise a run left with only swapped sequences and too few
-        // free frames to restore would spin forever.
-        if running.is_empty() && rows == 0 {
-            // Deferring to the top-of-loop wake-up is only sound when
-            // that jump actually advances the clock: a *future* arrival
-            // qualifies, but an in-flight restore does not if the head
-            // of `waiting` already arrived — min(arrival, restore) then
-            // clamps to the past arrival and the loop would spin. That
-            // case falls through to the explicit restore-completion jump
-            // below instead.
-            let future_arrival = waiting.front().is_some_and(|w| w.arrival_s > clock_s);
-            if prefilling.is_empty() && future_arrival {
-                continue; // idle: next loop jumps to the next wake-up
-            }
-            if evict_index_pages(kv, index.as_mut(), 1) {
-                continue;
-            }
-            if let Some(pos) = (1..prefilling.len())
-                .rev()
-                .find(|&i| prefilling[i].prefilled > 0)
-            {
-                let victim = prefilling.remove(pos).expect("position found");
-                preempt_victim(
-                    victim,
-                    false,
-                    kv,
-                    waiting,
-                    &mut swapped,
-                    swap.as_mut(),
-                    metrics,
-                    rec,
-                    &mut clock_s,
-                );
-                continue;
-            }
-            if let Some(ready) = restoring.next_ready_s() {
-                if ready > clock_s {
-                    metrics.charge(|l| l.charge_h2d_stall(ready - clock_s));
-                    clock_s = ready;
-                    // The whole scheduler waited out the transfer; pin
-                    // the wait on the blocked head — a stalled prefill,
-                    // or an arrived request the pool kept out.
-                    let head = prefilling.front().map(|s| (s.id, s.arrival_s)).or_else(|| {
-                        waiting
-                            .front()
-                            .filter(|w| w.arrival_s <= clock_s)
-                            .map(|w| (w.id, w.arrival_s))
-                    });
-                    if let Some((lane, since_s)) = head {
-                        rec.record(
-                            clock_s,
-                            lane,
-                            TraceEvent::Waiting {
-                                cause: WaitCause::RestoreInFlight,
-                                since_s,
-                            },
-                        );
-                    }
-                }
-                continue;
-            }
-            if let Some((victim, was_decoding)) = swapped.pop_back() {
-                // Last resort: demote the youngest swapped victim to
-                // recompute so its host pages stop holding the books
-                // open (its shared device pages free with it). Its
-                // preserved context will be re-prefilled after all, so
-                // the savings recorded at swap time are handed back.
-                let preserved = host_written_tokens(kv, victim.id);
-                metrics.record_swap_demotion(preserved);
-                rec.record(
-                    clock_s,
-                    victim.id,
-                    TraceEvent::Preempted {
-                        policy: "swap-demotion",
-                    },
-                );
-                preempt_to_waiting(victim, was_decoding, kv, waiting);
-                continue;
-            }
-            panic!(
-                "KV pool ({} pages of {page} tokens) cannot fit one prefill chunk; \
-                 enlarge kv_pages/kv_mem_fraction",
-                kv.config().num_pages
-            );
+    /// Stalled with no decode work: reclaims prefix-cache pages, then
+    /// frees a later partial prefill so the head can make progress next
+    /// iteration. With restores in flight the frames are merely in
+    /// transit — it jumps to the transfer's completion instead. Waiting on
+    /// *time* (a future arrival, an in-flight restore) is the only reason
+    /// to idle; anything else blocked here is blocked on frames and must
+    /// reclaim some, down to demoting a swapped victim whose still-shared
+    /// device pages hold the pool open — otherwise a run left with only
+    /// swapped sequences and too few free frames to restore would spin
+    /// forever. Each call takes one of these actions and returns.
+    fn unstall(&mut self) {
+        // Deferring to the next iteration's wake-up is only sound when
+        // that jump actually advances the clock: a *future* arrival
+        // qualifies, but an in-flight restore does not if the head of
+        // `waiting` already arrived — min(arrival, restore) then clamps
+        // to the past arrival and the loop would spin. That case falls
+        // through to the explicit restore-completion jump below instead.
+        let clock_s = self.r.clock_s;
+        let future_arrival = self.waiting.front().is_some_and(|w| w.arrival_s > clock_s);
+        if self.prefilling.is_empty() && future_arrival {
+            return; // idle: the next iteration jumps to the next wake-up
         }
+        if evict_index_pages(&mut self.r.kv, self.index.as_mut(), 1) {
+            return;
+        }
+        if let Some(pos) = (1..self.prefilling.len())
+            .rev()
+            .find(|&i| self.prefilling[i].prefilled > 0)
+        {
+            let victim = self.prefilling.remove(pos).expect("position found");
+            self.preempt(victim, false);
+            return;
+        }
+        if let Some(ready) = self.restoring.next_ready_s() {
+            if self.r.wait_until(ready, true) {
+                // The whole scheduler waited out the transfer; pin the
+                // wait on the blocked head — a stalled prefill, or an
+                // arrived request the pool kept out.
+                let head = self
+                    .prefilling
+                    .front()
+                    .or_else(|| self.waiting.front().filter(|w| w.arrival_s <= ready));
+                if let Some(h) = head {
+                    let event = TraceEvent::Waiting {
+                        cause: WaitCause::RestoreInFlight,
+                        since_s: h.arrival_s,
+                    };
+                    self.r.rec.record(ready, h.id, event);
+                }
+            }
+            return;
+        }
+        if let Some((victim, was_decoding)) = self.swapped.pop_back() {
+            // Last resort: demote the youngest swapped victim to
+            // recompute so its host pages stop holding the books open
+            // (its shared device pages free with it). Its preserved
+            // context will be re-prefilled after all, so the savings
+            // recorded at swap time are handed back.
+            let r = &mut *self.r;
+            let preserved = host_written_tokens(&r.kv, victim.id);
+            r.metrics.record_swap_demotion(preserved);
+            r.rec.record(
+                r.clock_s,
+                victim.id,
+                TraceEvent::Preempted {
+                    policy: "swap-demotion",
+                },
+            );
+            self.requeue(victim, was_decoding);
+            return;
+        }
+        let kv = self.r.kv.config();
+        panic!(
+            "KV pool ({} pages of {} tokens) cannot fit one prefill chunk; \
+             enlarge kv_pages",
+            kv.num_pages, kv.page_size
+        );
+    }
 
-        // 4. One mixed iteration: padding-free, so processed == real
-        // rows. Each decode slot carries (attended, cached): under a
-        // sparse policy the attention read set is the retained pages
-        // only, micro-tile packed by the engine, so the step's cost
-        // scales with attended rather than cached tokens.
+    /// One mixed iteration: padding-free, so processed == real rows. Each
+    /// decode slot carries (attended, cached): under a sparse policy the
+    /// attention read set is the retained pages only, micro-tile packed
+    /// by the engine, so the step's cost scales with attended rather than
+    /// cached tokens. Then every decode slot emits a token and every
+    /// planned chunk lands.
+    fn execute(&mut self, planned: Vec<usize>) {
+        let r = &mut *self.r;
+        let page = r.cfg.page_size;
         let shape = StepShape {
             prefill_lens: Vec::new(),
-            chunks: prefilling
+            chunks: self
+                .prefilling
                 .iter()
                 .zip(&planned)
                 .filter(|&(_, &c)| c > 0)
                 .map(|(s, &c)| (c, s.prefilled + c))
                 .collect(),
-            decode: running
+            decode: self
+                .running
                 .iter()
                 .map(|s| {
-                    let cached = kv.seq_tokens(s.id).expect("running seq holds pages");
+                    let cached = r.kv.seq_tokens(s.id).expect("running seq holds pages");
                     DecodeSlot {
-                        attended: cfg.kv_sparsity.attended(cached, page),
+                        attended: r.cfg.kv_sparsity.attended(cached, page),
                         cached,
                     }
                 })
                 .collect(),
         };
-        if cfg.verify_invariants {
-            // The ISSUE-level safety property of tiering: a decode step
-            // must never read KV that currently lives across the link.
-            for s in &running {
+        if r.cfg.verify_invariants {
+            // The safety property of tiering: a decode step must never
+            // read KV that currently lives across the link.
+            for s in &self.running {
                 assert_eq!(
-                    kv.seq_resident(s.id),
+                    r.kv.seq_resident(s.id),
                     Some(true),
                     "decode step would read a host-resident page of seq {}",
                     s.id
                 );
             }
         }
-        let sample = step_sample(&mut eng, cfg, &shape, shape.rows(), cache);
-        let gpu_s = sample.gpu_s;
-        clock_s += gpu_s;
-        metrics.charge(|l| l.charge_step(&sample));
-        metrics.record_step(
-            shape.chunk_tokens(),
-            shape.decode_slots(),
-            shape.rows(),
-            gpu_s,
-            kv.occupancy(),
-            kv.fragmentation(),
-        );
-        rec.record(
-            clock_s,
-            DEVICE_LANE,
-            TraceEvent::Step {
-                prefill_rows: shape.chunk_tokens(),
-                decode_slots: shape.decode_slots(),
-                gpu_s,
-            },
-        );
+        r.step(&shape, shape.chunk_tokens(), shape.decode_slots());
         // The waits observed while planning this step end at its boundary:
         // flush them here so the gap each one explains telescopes exactly
         // into the blame tiling.
-        for (lane, cause, since_s) in deferrals.drain(..) {
-            rec.record(clock_s, lane, TraceEvent::Waiting { cause, since_s });
+        for (lane, cause, since_s) in self.deferrals.drain(..) {
+            r.rec
+                .record(r.clock_s, lane, TraceEvent::Waiting { cause, since_s });
         }
         // Prefill rows re-deriving KV discarded at a recompute
         // preemption pay their debt here: they cost GPU time and count
         // in `prefill_tokens`, but not in the served-token goodput.
-        let rework_rows: usize = prefilling
+        let rework_rows: usize = self
+            .prefilling
             .iter_mut()
             .zip(&planned)
             .map(|(s, &c)| {
@@ -1520,33 +1619,26 @@ fn run_continuous(
                 re
             })
             .sum();
-        metrics.record_recompute_rework(rework_rows);
-        metrics.record_attention(shape.attended_tokens(), shape.cached_tokens());
-        if swap.is_some() {
-            metrics.record_host_occupancy(kv.host_occupancy());
+        r.metrics.record_recompute_rework(rework_rows);
+        r.metrics
+            .record_attention(shape.attended_tokens(), shape.cached_tokens());
+        if self.swap.is_some() {
+            r.metrics.record_host_occupancy(r.kv.host_occupancy());
         }
 
         // Decode slots each emitted one token.
         let mut itl = ItlRun::default();
-        let mut still_running: Vec<Seq> = Vec::with_capacity(running.len() + prefilling.len());
-        for (slot, mut s) in shape.decode.iter().zip(running.drain(..)) {
-            itl.push(clock_s - s.last_token_s, metrics);
-            rec.record(
-                clock_s,
-                s.id,
-                TraceEvent::DecodeStep {
-                    attended: slot.attended,
-                    cached: slot.cached,
-                },
-            );
-            s.generated += 1;
-            s.last_token_s = clock_s;
-            if s.done() {
-                kv.free(s.id).expect("completed request held pages");
-                metrics.record_e2e(clock_s - s.arrival_s);
-                rec.record(clock_s, s.id, TraceEvent::Finished);
+        let mut still_running: Vec<Seq> =
+            Vec::with_capacity(self.running.len() + self.prefilling.len());
+        for (slot, mut s) in shape.decode.iter().zip(self.running.drain(..)) {
+            let event = TraceEvent::DecodeStep {
+                attended: slot.attended,
+                cached: slot.cached,
+            };
+            if r.emit(&mut s, &mut itl, event) {
+                r.kv.free(s.id).expect("completed request held pages");
             } else {
-                kv.extend(s.id, 1).expect("headroom reserved before step");
+                r.kv.extend(s.id, 1).expect("headroom reserved before step");
                 still_running.push(s);
             }
         }
@@ -1555,71 +1647,154 @@ fn run_continuous(
         // pages outlive the request via the index's retains), emit their
         // first token and join the decode set (in FIFO order, after the
         // older survivors).
-        let mut still_prefilling: VecDeque<Seq> = VecDeque::with_capacity(prefilling.len());
-        for (mut s, c) in prefilling.drain(..).zip(planned) {
+        let mut still_prefilling: VecDeque<Seq> = VecDeque::with_capacity(self.prefilling.len());
+        for (mut s, c) in self.prefilling.drain(..).zip(planned) {
             if c > 0 {
-                rec.record(clock_s, s.id, TraceEvent::PrefillChunk { tokens: c });
+                r.rec
+                    .record(r.clock_s, s.id, TraceEvent::PrefillChunk { tokens: c });
             }
             s.prefilled += c;
             if s.prefilled < s.ctx().max(1) {
                 still_prefilling.push_back(s);
                 continue;
             }
-            if let Some(ix) = index.as_mut() {
+            if let Some(ix) = self.index.as_mut() {
                 let full = s.prompt / page;
                 if full > 0 {
                     let pages =
-                        kv.seq_pages(s.id).expect("prefilled seq holds pages")[..full].to_vec();
-                    let ids = &prompts[s.id as usize];
+                        r.kv.seq_pages(s.id).expect("prefilled seq holds pages")[..full].to_vec();
+                    let ids = &self.prompts[s.id as usize];
                     let adopted = ix.insert(&ids[..full * page], &pages);
                     if !adopted.is_empty() {
-                        kv.retain_pages(&adopted).expect("published pages are live");
+                        r.kv.retain_pages(&adopted)
+                            .expect("published pages are live");
                     }
                 }
             }
-            if s.generated == 0 {
-                metrics.record_ttft(clock_s - s.arrival_s, s.prefix_hit);
+            if r.emit(&mut s, &mut itl, TraceEvent::FirstToken) {
+                r.kv.free(s.id).expect("completed request held pages");
             } else {
-                // Re-admitted after preemption: the gap includes requeue
-                // and recompute — the honest preemption penalty.
-                itl.push(clock_s - s.last_token_s, metrics);
-            }
-            rec.record(clock_s, s.id, TraceEvent::FirstToken);
-            s.generated += 1;
-            s.last_token_s = clock_s;
-            if s.done() {
-                kv.free(s.id).expect("completed request held pages");
-                metrics.record_e2e(clock_s - s.arrival_s);
-                rec.record(clock_s, s.id, TraceEvent::Finished);
-            } else {
-                kv.extend(s.id, 1).expect("carry page reserved at planning");
+                r.kv.extend(s.id, 1)
+                    .expect("carry page reserved at planning");
                 still_running.push(s);
             }
         }
-        itl.flush(metrics);
-        running = still_running;
-        prefilling = still_prefilling;
+        itl.flush(&mut r.metrics);
+        self.running = still_running;
+        self.prefilling = still_prefilling;
 
-        if cfg.verify_invariants {
-            kv.check_invariants()
+        if r.cfg.verify_invariants {
+            r.kv.check_invariants()
                 .expect("kv invariants after iteration");
-            if let Some(ix) = index.as_ref() {
+            if let Some(ix) = self.index.as_ref() {
                 ix.check_invariants()
                     .expect("prefix invariants after iteration");
             }
         }
     }
 
-    // End of run: snapshot the transfer counters and the index's, then
-    // release the index's page pins so the pool drains leak-free.
-    if let Some(eng) = swap {
-        metrics.set_swap(eng.stats());
+    /// Preempts one victim under the configured policy. With a swap
+    /// engine, its exclusively-held pages move to the host tier
+    /// (decode-adjacent first; shared and prefix-pinned pages stay for
+    /// their other holders) — the eviction DMA's completion gates the
+    /// virtual clock because the freed frames are rewritten by the very
+    /// step this preemption makes room for. A victim with nothing
+    /// swappable, or one the host pool cannot hold, falls back to
+    /// recompute.
+    fn preempt(&mut self, victim: Seq, was_decoding: bool) {
+        let r = &mut *self.r;
+        let policy = match self.swap.as_mut() {
+            None => "recompute",
+            Some(link) => {
+                let descs: Vec<PageDesc> =
+                    r.kv.seq_pages(victim.id)
+                        .expect("victim held pages")
+                        .iter()
+                        .map(|&p| PageDesc {
+                            page: p,
+                            refs: r.kv.page_refs(p),
+                            ext_refs: r.kv.page_ext_refs(p),
+                        })
+                        .collect();
+                let plan = plan_swap_out(&descs);
+                if !plan.is_empty() && plan.len() <= r.kv.host_free_pages() {
+                    // Savings = written slots on the pages actually moved:
+                    // the KV recompute would have to re-derive. Shared
+                    // prefix pages stay resident either way, so they are
+                    // not counted.
+                    let saved: usize = plan.iter().map(|&p| r.kv.page_written(p)).sum();
+                    let initiated_s = r.clock_s;
+                    r.kv.swap_out(victim.id, &plan).expect("plan is legal");
+                    r.clock_s = link.swap_out(initiated_s, plan.len());
+                    // The eviction DMA gates the reclaiming step: the
+                    // clock advance is a d2h stall on the ledger.
+                    let stall_s = r.clock_s - initiated_s;
+                    r.metrics.charge(|l| l.charge_d2h_stall(stall_s));
+                    r.metrics.record_swap_preempt(saved);
+                    r.rec.record(
+                        initiated_s,
+                        victim.id,
+                        TraceEvent::Preempted {
+                            policy: "swap-to-host",
+                        },
+                    );
+                    r.rec.record(
+                        r.clock_s,
+                        victim.id,
+                        TraceEvent::SwapOut {
+                            pages: plan.len(),
+                            initiated_s,
+                            link_busy_until_s: link.d2h_busy_until_s(),
+                        },
+                    );
+                    self.swapped.push_back((victim, was_decoding));
+                    return;
+                }
+                r.metrics.record_swap_fallback();
+                "swap-fallback"
+            }
+        };
+        r.rec
+            .record(r.clock_s, victim.id, TraceEvent::Preempted { policy });
+        self.requeue(victim, was_decoding);
     }
-    if let Some(mut ix) = index {
-        metrics.set_prefix(ix.stats());
-        let held = ix.drain_all();
-        if !held.is_empty() {
-            kv.release_pages(&held).expect("index pages were retained");
+
+    /// The recompute-preemption protocol: frees the victim's pages, resets
+    /// its chunked-prefill progress (re-admission re-prefills `prompt +
+    /// generated` from scratch) and returns it to the head of the waiting
+    /// queue so earlier arrivals re-admit first. Every context row the
+    /// system had already run through the model — the full context for a
+    /// decoding victim, the prefill progress otherwise — becomes rework
+    /// debt, so the re-derivation is metered as overhead rather than
+    /// served work.
+    fn requeue(&mut self, mut victim: Seq, was_decoding: bool) {
+        self.r.kv.preempt(victim.id).expect("victim held pages");
+        victim.rework += if was_decoding {
+            // The final re-prefill row doubles as the next decode step —
+            // its logits emit a fresh token — so it stays served work.
+            victim.ctx().saturating_sub(1)
+        } else {
+            victim.prefilled
+        };
+        victim.prefilled = 0;
+        self.waiting.push_front(victim);
+    }
+
+    /// End of run: snapshots the transfer counters and the index's, then
+    /// releases the index's page pins so the pool drains leak-free.
+    fn finish(self) {
+        if let Some(link) = self.swap {
+            self.r.metrics.set_swap(link.stats());
+        }
+        if let Some(mut ix) = self.index {
+            self.r.metrics.set_prefix(ix.stats());
+            let held = ix.drain_all();
+            if !held.is_empty() {
+                self.r
+                    .kv
+                    .release_pages(&held)
+                    .expect("index pages were retained");
+            }
         }
     }
 }
@@ -1671,292 +1846,6 @@ fn host_written_tokens(kv: &PagedKvCache, seq: u64) -> usize {
             .map(|&p| kv.page_written(p))
             .sum()
     })
-}
-
-/// The recompute-preemption protocol: frees the victim's pages, resets its
-/// chunked-prefill progress (re-admission re-prefills `prompt + generated`
-/// from scratch) and returns it to the head of the waiting queue so
-/// earlier arrivals re-admit first. Every context row the system had
-/// already run through the model — the full context for a decoding
-/// victim, the prefill progress otherwise — becomes rework debt, so the
-/// re-derivation is metered as overhead rather than served work.
-fn preempt_to_waiting(
-    mut victim: Seq,
-    was_decoding: bool,
-    kv: &mut PagedKvCache,
-    waiting: &mut VecDeque<Seq>,
-) {
-    kv.preempt(victim.id).expect("victim held pages");
-    victim.rework += if was_decoding {
-        // The final re-prefill row doubles as the next decode step — its
-        // logits emit a fresh token — so it stays served work.
-        victim.ctx().saturating_sub(1)
-    } else {
-        victim.prefilled
-    };
-    victim.prefilled = 0;
-    waiting.push_front(victim);
-}
-
-/// Preempts one victim under the configured policy. With a swap engine,
-/// its exclusively-held pages move to the host tier (decode-adjacent
-/// first; shared and prefix-pinned pages stay for their other holders) —
-/// the eviction DMA's completion gates the virtual clock because the
-/// freed frames are rewritten by the very step this preemption makes
-/// room for. A victim with nothing swappable, or one the host pool
-/// cannot hold, falls back to recompute.
-#[allow(clippy::too_many_arguments)]
-fn preempt_victim(
-    victim: Seq,
-    was_decoding: bool,
-    kv: &mut PagedKvCache,
-    waiting: &mut VecDeque<Seq>,
-    swapped: &mut VecDeque<(Seq, bool)>,
-    swap: Option<&mut SwapEngine>,
-    metrics: &mut DecodeMetrics,
-    rec: &mut Recorder,
-    clock_s: &mut f64,
-) {
-    if let Some(eng) = swap {
-        let descs: Vec<PageDesc> = kv
-            .seq_pages(victim.id)
-            .expect("victim held pages")
-            .iter()
-            .map(|&p| PageDesc {
-                page: p,
-                refs: kv.page_refs(p),
-                ext_refs: kv.page_ext_refs(p),
-            })
-            .collect();
-        let plan = plan_swap_out(&descs);
-        if !plan.is_empty() && plan.len() <= kv.host_free_pages() {
-            // Savings = written slots on the pages actually moved: the KV
-            // recompute would have to re-derive. Shared prefix pages stay
-            // resident either way, so they are not counted.
-            let saved: usize = plan.iter().map(|&p| kv.page_written(p)).sum();
-            let initiated_s = *clock_s;
-            kv.swap_out(victim.id, &plan).expect("plan is legal");
-            *clock_s = eng.swap_out(*clock_s, plan.len());
-            // The eviction DMA gates the reclaiming step: the clock
-            // advance is a d2h stall on the ledger.
-            metrics.charge(|l| l.charge_d2h_stall(*clock_s - initiated_s));
-            metrics.record_swap_preempt(saved);
-            rec.record(
-                initiated_s,
-                victim.id,
-                TraceEvent::Preempted {
-                    policy: "swap-to-host",
-                },
-            );
-            rec.record(
-                *clock_s,
-                victim.id,
-                TraceEvent::SwapOut {
-                    pages: plan.len(),
-                    initiated_s,
-                    link_busy_until_s: eng.d2h_busy_until_s(),
-                },
-            );
-            swapped.push_back((victim, was_decoding));
-            return;
-        }
-        metrics.record_swap_fallback();
-        rec.record(
-            *clock_s,
-            victim.id,
-            TraceEvent::Preempted {
-                policy: "swap-fallback",
-            },
-        );
-    } else {
-        rec.record(
-            *clock_s,
-            victim.id,
-            TraceEvent::Preempted {
-                policy: "recompute",
-            },
-        );
-    }
-    preempt_to_waiting(victim, was_decoding, kv, waiting);
-}
-
-/// The static padded loop: batch once, reserve worst-case KV, prefill the
-/// rectangle, decode until the longest output completes. Like
-/// [`run_continuous`], it prices every step on one engine.
-fn run_static(
-    cfg: &DecodeServeConfig,
-    max_batch: usize,
-    waiting: &mut VecDeque<Seq>,
-    kv: &mut PagedKvCache,
-    cache: &JitCache,
-    metrics: &mut DecodeMetrics,
-    rec: &mut Recorder,
-) {
-    let max_batch = max_batch.max(1);
-    let mut clock_s = 0.0_f64;
-    // Every step of the replay is priced on this one engine.
-    let mut eng = Engine::new(cfg.device.clone(), cfg.dtype, cfg.policy.framework());
-
-    while !waiting.is_empty() {
-        let arrival = waiting.front().expect("non-empty").arrival_s;
-        if arrival > clock_s {
-            metrics.charge(|l| l.charge_idle(arrival - clock_s));
-            clock_s = arrival;
-        }
-        let mut batch: Vec<Seq> = Vec::new();
-        while batch.len() < max_batch {
-            match waiting.front() {
-                Some(w) if w.arrival_s <= clock_s => {
-                    let w = waiting.pop_front().expect("front checked");
-                    rec.record(
-                        clock_s,
-                        w.id,
-                        TraceEvent::Admitted {
-                            arrival_s: w.arrival_s,
-                        },
-                    );
-                    batch.push(w)
-                }
-                _ => break,
-            }
-        }
-
-        // Worst-case contiguous reservation per slot: max prompt + max
-        // output. If the pool cannot hold the whole batch, shrink it from
-        // the back (those requests return to the queue head).
-        loop {
-            let max_p = batch
-                .iter()
-                .map(|s| s.prompt)
-                .max()
-                .expect("batch non-empty");
-            let max_o = batch
-                .iter()
-                .map(|s| s.target)
-                .max()
-                .expect("batch non-empty");
-            let mut failed_at = None;
-            for (i, s) in batch.iter().enumerate() {
-                if kv.alloc_reserved(s.id, s.prompt, max_p + max_o).is_err() {
-                    failed_at = Some(i);
-                    break;
-                }
-            }
-            match failed_at {
-                None => break,
-                Some(i) => {
-                    for s in &batch[..i] {
-                        kv.free(s.id).expect("allocated above");
-                    }
-                    assert!(
-                        i > 0,
-                        "KV pool ({} pages) cannot fit one worst-case reservation \
-                         of {} tokens; enlarge kv_pages/kv_mem_fraction",
-                        kv.config().num_pages,
-                        max_p + max_o
-                    );
-                    while batch.len() > i {
-                        waiting.push_front(batch.pop().expect("len checked"));
-                    }
-                }
-            }
-        }
-
-        let b = batch.len();
-        let max_p = batch.iter().map(|s| s.prompt).max().expect("non-empty");
-        let max_o = batch.iter().map(|s| s.target).max().expect("non-empty");
-
-        // Prefill the rectangle: every slot processes max_p rows.
-        let shape = StepShape::prefill(vec![max_p; b]);
-        let real: usize = batch.iter().map(|s| s.prompt).sum();
-        let sample = step_sample(&mut eng, cfg, &shape, real, cache);
-        let gpu_s = sample.gpu_s;
-        clock_s += gpu_s;
-        metrics.charge(|l| l.charge_step(&sample));
-        metrics.record_step(
-            real,
-            0,
-            shape.rows(),
-            gpu_s,
-            kv.occupancy(),
-            kv.fragmentation(),
-        );
-        rec.record(
-            clock_s,
-            DEVICE_LANE,
-            TraceEvent::Step {
-                prefill_rows: shape.rows(),
-                decode_slots: 0,
-                gpu_s,
-            },
-        );
-        for s in batch.iter_mut() {
-            metrics.record_ttft(clock_s - s.arrival_s, false);
-            rec.record(clock_s, s.id, TraceEvent::FirstToken);
-            s.generated = 1;
-            s.last_token_s = clock_s;
-            kv.extend(s.id, 1).expect("inside reservation");
-            if s.done() {
-                metrics.record_e2e(clock_s - s.arrival_s);
-                rec.record(clock_s, s.id, TraceEvent::Finished);
-            }
-        }
-
-        // Decode the rectangle to the longest output. Finished slots stay
-        // in the batch as padding rows, and — as in fixed-shape inference
-        // engines, whose compiled attention kernels span the preallocated
-        // buffer with masking — every step attends the full reserved
-        // `max prompt + max output` context, not just the tokens written
-        // so far. That is the padded rectangle extended to the time axis,
-        // and it is what the worst-case KV reservation buys.
-        let ctx_pad = max_p + max_o - 1;
-        for t in 2..=max_o {
-            let shape = StepShape::decode(vec![ctx_pad; b]);
-            let live = batch.iter().filter(|s| s.target >= t).count();
-            let sample = step_sample(&mut eng, cfg, &shape, live, cache);
-            let gpu_s = sample.gpu_s;
-            clock_s += gpu_s;
-            metrics.charge(|l| l.charge_step(&sample));
-            metrics.record_step(0, live, b, gpu_s, kv.occupancy(), kv.fragmentation());
-            rec.record(
-                clock_s,
-                DEVICE_LANE,
-                TraceEvent::Step {
-                    prefill_rows: 0,
-                    decode_slots: live,
-                    gpu_s,
-                },
-            );
-            // Fixed-shape kernels attend the full reservation every step:
-            // attended == cached == the padded context, per slot.
-            metrics.record_attention(shape.attended_tokens(), shape.cached_tokens());
-            let mut itl = ItlRun::default();
-            for s in batch.iter_mut().filter(|s| s.target >= t) {
-                itl.push(clock_s - s.last_token_s, metrics);
-                rec.record(
-                    clock_s,
-                    s.id,
-                    TraceEvent::DecodeStep {
-                        attended: ctx_pad,
-                        cached: ctx_pad,
-                    },
-                );
-                s.generated = t;
-                s.last_token_s = clock_s;
-                kv.extend(s.id, 1).expect("inside reservation");
-                if s.done() {
-                    metrics.record_e2e(clock_s - s.arrival_s);
-                    rec.record(clock_s, s.id, TraceEvent::Finished);
-                }
-            }
-            itl.flush(metrics);
-        }
-
-        // The rectangle completes as one unit; only now do its pages free.
-        for s in &batch {
-            kv.free(s.id).expect("batch held pages");
-        }
-    }
 }
 
 #[cfg(test)]
@@ -2405,24 +2294,8 @@ mod tests {
     #[test]
     fn builder_rejects_inconsistent_and_degenerate_knobs() {
         assert_eq!(
-            builder()
-                .kv_pages(64)
-                .kv_mem_fraction(0.5)
-                .build()
-                .unwrap_err(),
-            ConfigError::KvPagesConflict
-        );
-        assert_eq!(
             builder().host_pages(8).build().unwrap_err(),
             ConfigError::HostPagesWithoutSwap
-        );
-        assert_eq!(
-            builder().kv_mem_fraction(0.0).build().unwrap_err(),
-            ConfigError::InvalidMemFraction
-        );
-        assert_eq!(
-            builder().kv_mem_fraction(1.5).build().unwrap_err(),
-            ConfigError::InvalidMemFraction
         );
         assert_eq!(
             builder().page_size(0).build().unwrap_err(),
@@ -2455,14 +2328,6 @@ mod tests {
             ConfigError::ZeroMaxBatch
         );
         assert_eq!(
-            builder().max_live(0).build().unwrap_err(),
-            ConfigError::ZeroMaxLive
-        );
-        assert_eq!(
-            builder().cache_capacity(0).build().unwrap_err(),
-            ConfigError::ZeroCacheCapacity
-        );
-        assert_eq!(
             builder()
                 .kv_sparsity(KvSparsityPolicy::SlidingWindow { recent: 0 })
                 .build()
@@ -2480,7 +2345,7 @@ mod tests {
             ConfigError::InvalidSparsity
         );
         // ConfigError is a real std error with a message per variant.
-        let e: &dyn std::error::Error = &ConfigError::KvPagesConflict;
+        let e: &dyn std::error::Error = &ConfigError::ZeroKvPages;
         assert!(e.to_string().contains("kv_pages"));
     }
 
@@ -2495,10 +2360,6 @@ mod tests {
         assert_eq!(cfg.dtype(), DType::F16);
         assert_eq!(cfg.page_size(), 16);
         assert_eq!(cfg.kv_pages(), None);
-        assert!((cfg.kv_mem_fraction() - 0.25).abs() < 1e-12);
-        assert_eq!(cfg.prefill_chunk(), 64);
-        assert_eq!(cfg.max_live(), 64);
-        assert_eq!(cfg.cache_capacity(), 256);
         assert!(!cfg.prefix_caching());
         assert_eq!(cfg.preempt(), PreemptPolicy::Recompute);
         assert_eq!(cfg.host_pages(), None);

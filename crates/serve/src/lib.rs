@@ -17,11 +17,12 @@
 //! - [`scheduler`] — [`BatchPolicy`]: padding-free token-budget packing
 //!   vs. padded-to-longest vs. TurboTransformers-style bucketing, plus the
 //!   [`FormedBatch`] accounting both the metrics and the executor consume.
-//! - [`runtime`] — the threaded closed-loop runtime ([`serve_trace`]), its
-//!   deterministic synchronous twin ([`simulate_trace`]), and the
-//!   open-loop replays ([`serve_trace_arrivals`], [`simulate_trace_arrivals`])
-//!   that admit requests at their `ArrivalTrace` timestamps; workers
-//!   drive `pit_models::engine` per batch and share one `JitCache`.
+//! - [`runtime`] — the threaded closed-loop runtime ([`serve_trace`]), the
+//!   threaded open-loop replay ([`serve_trace_arrivals`]) that admits
+//!   requests at their `ArrivalTrace` timestamps, and its deterministic
+//!   virtual-clock twin ([`simulate_trace_arrivals`]; arrivals all at time
+//!   zero replay the closed-loop drain); workers drive
+//!   `pit_models::engine` per batch and share one `JitCache`.
 //! - [`decode`] — decode-phase continuous batching over `pit_kv`'s paged
 //!   KV cache: requests prefill once then rejoin the batch every
 //!   iteration, scheduled under a token budget *and* a KV-page budget,
@@ -82,8 +83,7 @@ pub use decode::{
 pub use metrics::{CacheStats, DecodeMetrics, DecodeReport, Metrics, Percentiles, ServingReport};
 pub use queue::BoundedQueue;
 pub use runtime::{
-    batch_gpu_seconds, batch_step_sample, serve_trace, serve_trace_arrivals,
-    serve_trace_arrivals_observed, simulate_trace, simulate_trace_arrivals, AdmissionMode,
-    ServeConfig,
+    batch_step_sample, serve_trace, serve_trace_arrivals, serve_trace_arrivals_observed,
+    simulate_trace_arrivals, AdmissionMode, ServeConfig,
 };
 pub use scheduler::{BatchPolicy, FormedBatch};

@@ -16,7 +16,7 @@ use pit_trace::{
 };
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// p50/p95/p99 of a latency sample (seconds).
@@ -117,7 +117,6 @@ pub struct Metrics {
     real_tokens: AtomicUsize,
     padded_tokens: AtomicUsize,
     batches: AtomicUsize,
-    gpu_nanos: AtomicU64,
     rejected: AtomicUsize,
     ledger: Mutex<DeviceLedger>,
 }
@@ -128,15 +127,18 @@ impl Metrics {
         Self::default()
     }
 
-    /// Records one executed batch and its modelled GPU time.
-    pub fn record_batch(&self, batch: &FormedBatch, gpu_s: f64) {
+    /// Records one executed batch and charges its modelled GPU time,
+    /// split by category, to the device-time ledger.
+    pub fn record_batch(&self, batch: &FormedBatch, sample: &StepSample) {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.real_tokens
             .fetch_add(batch.real_tokens, Ordering::Relaxed);
         self.padded_tokens
             .fetch_add(batch.padded_tokens, Ordering::Relaxed);
-        self.gpu_nanos
-            .fetch_add((gpu_s * 1e9) as u64, Ordering::Relaxed);
+        self.ledger
+            .lock()
+            .expect("metrics poisoned")
+            .charge_step(sample);
     }
 
     /// Records one request's end-to-end latency (seconds).
@@ -151,15 +153,6 @@ impl Metrics {
     /// backpressure instead of blocking).
     pub fn record_rejected(&self) {
         self.rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Charges one executed batch's category split to the device-time
-    /// ledger (workers call this next to `record_batch`).
-    pub fn charge_step(&self, sample: &StepSample) {
-        self.ledger
-            .lock()
-            .expect("metrics poisoned")
-            .charge_step(sample);
     }
 
     /// Charges virtual-clock seconds the modelled device sat idle
@@ -188,7 +181,7 @@ impl Metrics {
             batches: self.batches.load(Ordering::Relaxed),
             real_tokens: self.real_tokens.load(Ordering::Relaxed),
             padded_tokens: self.padded_tokens.load(Ordering::Relaxed),
-            gpu_time_s: self.gpu_nanos.load(Ordering::Relaxed) as f64 / 1e9,
+            gpu_time_s: ledger.busy_s(),
             wall_time_s,
             latency: Percentiles::from_sketch(&latencies),
             queue_high_water,
@@ -489,7 +482,6 @@ impl<'h> DecodeMetrics<'h> {
     /// Records one executed iteration: its real/processed token rows
     /// (split into prefill and decode), modelled GPU seconds, and the KV
     /// pool's occupancy/fragmentation *during* the step.
-    #[allow(clippy::too_many_arguments)]
     pub fn record_step(
         &mut self,
         prefill_real: usize,
@@ -1367,11 +1359,15 @@ mod tests {
     fn serving_collector_ledger_reaches_the_report() {
         let m = Metrics::new();
         m.charge_idle(0.25);
-        m.charge_step(&StepSample {
-            gpu_s: 0.75,
-            prefill_attention_s: 0.5,
-            ..Default::default()
-        });
+        let batch = BatchPolicy::PaddingFree { token_budget: 64 }.form(vec![10, 20]);
+        m.record_batch(
+            &batch,
+            &StepSample {
+                gpu_s: 0.75,
+                prefill_attention_s: 0.5,
+                ..Default::default()
+            },
+        );
         let cache = CacheStats {
             hits: 0,
             misses: 0,
@@ -1397,8 +1393,13 @@ mod tests {
         let m = Metrics::new();
         let policy = BatchPolicy::PaddedToLongest { max_batch: 4 };
         let b = policy.form(vec![10, 20]);
-        m.record_batch(&b, 0.5);
-        m.record_batch(&b, 0.25);
+        for gpu_s in [0.5, 0.25] {
+            let sample = StepSample {
+                gpu_s,
+                ..Default::default()
+            };
+            m.record_batch(&b, &sample);
+        }
         m.record_latency(0.010);
         m.record_latency(0.020);
         let cache = CacheStats {

@@ -14,9 +14,11 @@
 //!   are searched once and reused across workers (§5.6: shapes repeat,
 //!   patterns don't).
 //!
-//! [`serve_trace`] runs that threaded runtime; [`simulate_trace`] runs the
-//! same scheduler and executor synchronously on a virtual clock for
-//! deterministic comparisons (benches, tests).
+//! [`serve_trace`] runs that threaded runtime and [`serve_trace_arrivals`]
+//! its open-loop variant; [`simulate_trace_arrivals`] runs the same
+//! scheduler and executor synchronously on a virtual clock for
+//! deterministic comparisons (benches, tests). A trace whose requests all
+//! arrive at time zero replays the closed-loop drain.
 
 use crate::metrics::{CacheStats, Metrics, ServingReport};
 use crate::queue::{BoundedQueue, PopResult, TryPushError};
@@ -200,19 +202,15 @@ pub(crate) fn charge_shape_selection(
 }
 
 /// Executes one formed batch on the analytic engine and returns its
-/// modelled GPU time (seconds). This is the serving forward pass: a
+/// modelled GPU time (seconds) with the ledger category split:
+/// attention/conversion/search attribution and the FLOP counters, read
+/// off the engine's ledger. This is the serving forward pass: a
 /// transformer stack over the batch's *effective* lengths, so a padded
 /// batch pays for every padded token while a padding-free batch pays only
 /// for real ones. The shared JIT cache memoises the per-shape kernel
-/// selection; a miss charges the modelled search cost to the batch.
-pub fn batch_gpu_seconds(cfg: &ServeConfig, formed: &FormedBatch, cache: &JitCache) -> f64 {
-    batch_step_sample(cfg, formed, cache).gpu_s
-}
-
-/// [`batch_gpu_seconds`] plus the batch's ledger category split: GPU
-/// seconds, attention/conversion/search attribution and the FLOP
-/// counters, read off the engine's ledger. A serving forward pass is all
-/// prefill, so its attention lands in `prefill_attention_s`.
+/// selection; a miss charges the modelled search cost to the batch. A
+/// serving forward pass is all prefill, so its attention lands in
+/// `prefill_attention_s`.
 pub fn batch_step_sample(cfg: &ServeConfig, formed: &FormedBatch, cache: &JitCache) -> StepSample {
     let mut eng = Engine::new(cfg.device.clone(), cfg.dtype, cfg.policy.framework());
     let m = &cfg.model;
@@ -284,8 +282,7 @@ fn worker_loop(
 ) {
     while let Some(item) = batches.pop() {
         let sample = batch_step_sample(cfg, &item.formed, cache);
-        metrics.record_batch(&item.formed, sample.gpu_s);
-        metrics.charge_step(&sample);
+        metrics.record_batch(&item.formed, &sample);
         if let Some(h) = hub {
             h.charge(|l| l.charge_step(&sample));
             h.add("pit_hub_steps_total", 1.0);
@@ -412,51 +409,6 @@ pub fn serve_trace(cfg: &ServeConfig, trace: &[usize]) -> ServingReport {
         admission.high_water(),
         CacheStats::of(&cache),
     )
-}
-
-/// Deterministic single-threaded counterpart of [`serve_trace`]: the whole
-/// trace is queued at time zero and drained FIFO through the same policy
-/// and executor on one modelled device. Request "latency" is the virtual
-/// time at which its batch finishes — the right clock for comparing
-/// policies head-to-head, free of host-scheduling noise.
-pub fn simulate_trace(cfg: &ServeConfig, trace: &[usize]) -> ServingReport {
-    let cache = JitCache::with_capacity(cfg.cache_capacity.max(1));
-    let metrics = Metrics::new();
-    let started = Instant::now();
-    // `blocked_s` per queued request: modelled seconds it sat in the
-    // queue while the device ran batches that left it behind — the
-    // batch-policy analogue of a full token budget.
-    let mut pending: VecDeque<(usize, f64)> = trace.iter().map(|&l| (l, 0.0)).collect();
-    let high_water = pending.len();
-    let mut blame = BlameAggregate::new();
-    let mut virtual_now_s = 0.0;
-    while !pending.is_empty() {
-        let lens_all: Vec<usize> = pending.iter().map(|&(l, _)| l).collect();
-        let take = cfg.policy.take_count(&lens_all);
-        let taken: Vec<(usize, f64)> = pending.drain(..take).collect();
-        let formed = cfg.policy.form(lens_all[..take].to_vec());
-        let sample = batch_step_sample(cfg, &formed, &cache);
-        virtual_now_s += sample.gpu_s;
-        metrics.record_batch(&formed, sample.gpu_s);
-        metrics.charge_step(&sample);
-        for (_, blocked_s) in taken {
-            metrics.record_latency(virtual_now_s);
-            blame.fold(&batch_blame(0.0, virtual_now_s, blocked_s, sample.gpu_s));
-        }
-        for (_, blocked_s) in pending.iter_mut() {
-            *blocked_s += sample.gpu_s;
-        }
-    }
-    let mut report = metrics.report(
-        cfg.policy.name(),
-        started.elapsed().as_secs_f64(),
-        high_water,
-        CacheStats::of(&cache),
-    );
-    if blame.requests() > 0 {
-        report.blame = Some(blame.summary());
-    }
-    report
 }
 
 /// Exact causal tiling of one batch-served request's latency: its own
@@ -610,7 +562,10 @@ pub fn serve_trace_arrivals_observed(
 /// trace's arrival timestamps drive a virtual clock — each batch is formed
 /// from exactly the requests that have arrived by the time the single
 /// modelled device frees up, and a request's latency is its completion
-/// time minus its arrival time (queueing + service, no host noise).
+/// time minus its arrival time (queueing + service, no host noise). A
+/// trace whose requests all arrive at time zero queues everything up
+/// front and drains it FIFO: the deterministic counterpart of
+/// [`serve_trace`].
 pub fn simulate_trace_arrivals(cfg: &ServeConfig, trace: &ArrivalTrace) -> ServingReport {
     let cache = JitCache::with_capacity(cfg.cache_capacity.max(1));
     let metrics = Metrics::new();
@@ -663,8 +618,7 @@ pub fn simulate_trace_arrivals(cfg: &ServeConfig, trace: &ArrivalTrace) -> Servi
         let formed = cfg.policy.form(lens[..take].to_vec());
         let sample = batch_step_sample(cfg, &formed, &cache);
         clock_s += sample.gpu_s;
-        metrics.record_batch(&formed, sample.gpu_s);
-        metrics.charge_step(&sample);
+        metrics.record_batch(&formed, &sample);
         for (_, arrival, blocked_s) in taken {
             metrics.record_latency(clock_s - arrival);
             blame.fold(&batch_blame(arrival, clock_s, blocked_s, sample.gpu_s));
@@ -702,6 +656,15 @@ mod tests {
         DatasetSpec::mnli().sample_lengths(96, 42)
     }
 
+    /// The closed-loop drain: every request of `lens` queued at time zero.
+    fn drain(cfg: &ServeConfig, lens: &[usize]) -> ServingReport {
+        let trace = ArrivalTrace {
+            lens: lens.to_vec(),
+            arrival_s: vec![0.0; lens.len()],
+        };
+        simulate_trace_arrivals(cfg, &trace)
+    }
+
     #[test]
     fn threaded_runtime_completes_every_request() {
         let cfg = small_cfg(BatchPolicy::PaddingFree { token_budget: 1024 });
@@ -731,15 +694,15 @@ mod tests {
     #[test]
     fn padding_free_beats_padded_on_waste_and_throughput() {
         let t = trace();
-        let free = simulate_trace(
+        let free = drain(
             &small_cfg(BatchPolicy::PaddingFree { token_budget: 2048 }),
             &t,
         );
-        let padded = simulate_trace(
+        let padded = drain(
             &small_cfg(BatchPolicy::PaddedToLongest { max_batch: 16 }),
             &t,
         );
-        let bucketed = simulate_trace(
+        let bucketed = drain(
             &small_cfg(BatchPolicy::Bucketed {
                 max_batch: 16,
                 buckets: 4,
@@ -759,24 +722,16 @@ mod tests {
     fn simulate_trace_is_deterministic() {
         let cfg = small_cfg(BatchPolicy::PaddingFree { token_budget: 1024 });
         let t = trace();
-        let a = simulate_trace(&cfg, &t);
-        let mut b = simulate_trace(&cfg, &t);
+        let a = drain(&cfg, &t);
+        let mut b = drain(&cfg, &t);
         // Cache misses charge the *modelled* Algorithm-1 search cost, so
         // GPU time — and with it the whole report — repeats bit-for-bit.
         // The host wall clock is the one measured quantity left.
         b.wall_time_s = a.wall_time_s;
         assert_eq!(a, b);
         assert!(a.ledger.conserved());
-        // The ledger's busy time is the same clock gpu_time_s sums, but
-        // the atomic counter truncates each batch at nanosecond
-        // granularity while the ledger rounds at picoseconds.
-        let tol = a.batches as f64 * 1e-9 + 1e-12;
-        assert!(
-            (a.ledger.busy_s() - a.gpu_time_s).abs() <= tol,
-            "busy {} vs gpu_time {}",
-            a.ledger.busy_s(),
-            a.gpu_time_s
-        );
+        // GPU time is the ledger's busy time: one accumulator.
+        assert_eq!(a.gpu_time_s, a.ledger.busy_s());
         // No arrivals in the closed drain: the virtual clock never idles.
         assert_eq!(a.ledger.idle_ps, 0);
     }
@@ -784,7 +739,7 @@ mod tests {
     #[test]
     fn shape_classes_keep_the_jit_cache_hot() {
         let cfg = small_cfg(BatchPolicy::PaddingFree { token_budget: 2048 });
-        let report = simulate_trace(&cfg, &trace());
+        let report = drain(&cfg, &trace());
         let lookups = report.cache.hits + report.cache.misses;
         assert_eq!(lookups, report.batches as u64);
         // Budget-packed batches land in few 32-token shape classes, so
@@ -799,7 +754,7 @@ mod tests {
         cfg.cache_capacity = 1;
         // Wildly varying lengths force a new padded shape class per batch.
         let t: Vec<usize> = (1..=24).map(|i| i * 37).collect();
-        let report = simulate_trace(&cfg, &t);
+        let report = drain(&cfg, &t);
         assert!(report.cache.evictions > 0);
     }
 

@@ -9,7 +9,9 @@
 //!   latency within 1e-6 s;
 //! - the Chrome export parses as a valid `trace_event` JSON array;
 //! - a disabled sink is observationally free: the traced entry point
-//!   with tracing off produces a report identical to the untraced one.
+//!   with tracing off produces a report identical to the untraced one;
+//! - the device lane's `Step` events reproduce the report's iteration
+//!   count, GPU time and row totals.
 
 use pit::gpusim::DeviceSpec;
 use pit::models::ModelConfig;
@@ -17,7 +19,10 @@ use pit::serve::decode::{
     simulate_decode_trace, simulate_decode_trace_traced, DecodePolicy, DecodeServeConfig,
     PreemptPolicy,
 };
-use pit::trace::{blame_spans, chrome_trace_json, JsonValue, Phase, TraceSink, RESERVED_LANES};
+use pit::trace::{
+    blame_spans, chrome_trace_json, JsonValue, Phase, TraceEvent, TraceSink, DEVICE_LANE,
+    RESERVED_LANES,
+};
 use pit::workloads::{DatasetSpec, DecodeSpec, DecodeTrace};
 
 /// A KV-pressured swap run: short prompts, heavy-tailed outputs, a pool
@@ -176,4 +181,64 @@ fn disabled_sink_is_observationally_free() {
         .snapshot()
         .iter()
         .all(|r| r.lane < RESERVED_LANES || r.lane == pit::trace::DEVICE_LANE));
+}
+
+/// Totals over the device lane's `Step` events, in step order: the step
+/// count, Σ `gpu_s`, Σ `prefill_rows` and Σ `decode_slots`.
+fn device_lane_totals(sink: &TraceSink) -> (usize, f64, usize, usize) {
+    let mut totals = (0, 0.0, 0, 0);
+    for r in sink.snapshot() {
+        if let TraceEvent::Step {
+            prefill_rows,
+            decode_slots,
+            gpu_s,
+        } = r.event
+        {
+            assert_eq!(r.lane, DEVICE_LANE, "steps run on the device lane");
+            totals.0 += 1;
+            totals.1 += gpu_s;
+            totals.2 += prefill_rows;
+            totals.3 += decode_slots;
+        }
+    }
+    totals
+}
+
+#[test]
+fn device_lane_reproduces_the_report() {
+    let trace = pressured_trace();
+    let static_padded =
+        DecodeServeConfig::builder(ModelConfig::opt("1.3B"), DeviceSpec::a100_80gb())
+            .policy(DecodePolicy::StaticPadded { max_batch: 8 })
+            .build()
+            .expect("valid static config");
+    for (cfg, padded) in [(pressured_config(), false), (static_padded, true)] {
+        let sink = TraceSink::enabled();
+        let report = simulate_decode_trace_traced(&cfg, &trace, &sink);
+        let (steps, gpu_s, prefill_rows, decode_slots) = device_lane_totals(&sink);
+        let policy = &report.policy;
+        assert_eq!(steps, report.iterations, "{policy}: one Step per iteration");
+        // Summed in step order from 0.0, as the report sums them.
+        assert_eq!(
+            gpu_s.to_bits(),
+            report.gpu_time_s.to_bits(),
+            "{policy}: steps sum to {gpu_s} s, the report to {} s",
+            report.gpu_time_s
+        );
+        assert_eq!(decode_slots, report.decode_tokens, "{policy}: decode slots");
+        if padded {
+            // The lane shows the rectangle's padded prefill rows; the
+            // report counts the real prompt rows only.
+            assert!(
+                prefill_rows > report.prefill_tokens,
+                "{policy}: {prefill_rows} lane rows vs {} real",
+                report.prefill_tokens
+            );
+        } else {
+            assert_eq!(
+                prefill_rows, report.prefill_tokens,
+                "{policy}: prefill rows"
+            );
+        }
+    }
 }
