@@ -98,8 +98,7 @@ pub fn select_kernel(
     let (m, k) = (samples[0].rows(), samples[0].cols());
 
     // Dense fallback: best dense tile for the full GEMM.
-    let dense_tile = db.best_dense_tile(cost, m, k, n, tc).dims;
-    let dense_cost = cost.dense_gemm_latency(m, k, n, dense_tile, dtype.size_bytes(), tc);
+    let (_, dense_cost) = db.best_dense_gemm(cost, m, k, n, tc);
 
     let mut best_rule: Option<PitRule> = None;
     let mut best_cost = dense_cost;

@@ -3,15 +3,19 @@
 //! Latency of a tiled kernel is modelled as
 //!
 //! ```text
-//! latency = waves(num_tiles) * tile_cost + kernel_launch
-//! tile_cost = k_passes * max(compute_pass, memory_pass) + writeback + sched
+//! latency  = (passes * pass + out_tiles * out_tile) / min(num_sms, out_tiles)
+//!            + kernel_launch
+//! pass     = max(compute_pass, memory_pass)
+//! out_tile = writeback + sched
 //! ```
 //!
-//! where `compute_pass` is a roofline over the per-SM FLOP rate degraded by
-//! a *tile-shape efficiency* (small tiles under-utilise the SM: fewer
-//! accumulators in flight, shallower MAC pipelines). This efficiency is what
-//! creates the paper's central dilemma (Figure 3a): small tiles waste less
-//! coverage on sparse data but execute far less efficiently.
+//! ([`CostModel::tile_latency`], the one place this sum is written), where
+//! `passes` counts every tile's k-passes and `compute_pass` is a roofline
+//! over the per-SM FLOP rate degraded by a *tile-shape efficiency* (small
+//! tiles under-utilise the SM: fewer accumulators in flight, shallower MAC
+//! pipelines). This efficiency is what creates the paper's central dilemma
+//! (Figure 3a): small tiles waste less coverage on sparse data but execute
+//! far less efficiently.
 //!
 //! ## Structural constants
 //!
@@ -86,6 +90,19 @@ impl TileDims {
         self.m * self.n * self.k
     }
 
+    /// Output tiles covering an `[m, n]` output.
+    #[inline]
+    pub const fn tiles_over(&self, m: usize, n: usize) -> usize {
+        m.div_ceil(self.m) * n.div_ceil(self.n)
+    }
+
+    /// k-passes one tile makes over a reduction of depth `k_total`: at
+    /// least one, so an empty reduction still writes its tile back.
+    #[inline]
+    pub fn passes_over(&self, k_total: usize) -> usize {
+        k_total.div_ceil(self.k).max(1)
+    }
+
     /// Shared-memory bytes needed to stage one pass of both inputs plus the
     /// output accumulator.
     pub const fn smem_bytes(&self, elem_bytes: usize) -> usize {
@@ -141,20 +158,37 @@ impl CostModel {
         compute.max(memory)
     }
 
-    /// Full cost of one output tile accumulated over a reduction of depth
-    /// `k_total` (seconds), including output write-back and scheduling.
-    pub fn tile_cost(
+    /// Cost of one output tile beyond its k-passes (seconds): the
+    /// write-back of the tile's outputs plus [`TILE_SCHED_S`].
+    pub fn out_tile_cost(&self, tile: TileDims, elem_bytes: usize) -> f64 {
+        (tile.area() * elem_bytes) as f64 / self.device.bw_per_sm() + TILE_SCHED_S
+    }
+
+    /// The tiled-kernel latency formula (seconds): `total_passes` k-passes
+    /// of `pass_s` each plus `out_tiles` output tiles of `out_tile_s` each,
+    /// spread over the SMs the kernel fills, plus one launch. An empty
+    /// kernel costs one launch.
+    ///
+    /// The tiled kernels are priced through here. Their per-tile constants
+    /// come from [`CostModel::tile_pass_cost`] and
+    /// [`CostModel::out_tile_cost`], or from a profiled tile table that
+    /// stored them once, so both price a tile bit for bit alike.
+    #[inline]
+    pub fn tile_latency(
         &self,
-        tile: TileDims,
-        k_total: usize,
-        elem_bytes: usize,
-        tensor_core: bool,
+        total_passes: usize,
+        out_tiles: usize,
+        pass_s: f64,
+        out_tile_s: f64,
     ) -> f64 {
-        let passes = k_total.div_ceil(tile.k).max(1);
-        let writeback = (tile.area() * elem_bytes) as f64 / self.device.bw_per_sm();
-        passes as f64 * self.tile_pass_cost(tile, elem_bytes, tensor_core)
-            + writeback
-            + TILE_SCHED_S
+        if total_passes == 0 && out_tiles == 0 {
+            return self.device.kernel_launch_s;
+        }
+        // Parallelism is bounded by the number of thread blocks: a kernel
+        // with fewer output tiles than SMs cannot use every SM.
+        let effective_sms = self.device.num_sms.min(out_tiles.max(1)) as f64;
+        (total_passes as f64 * pass_s + out_tiles as f64 * out_tile_s) / effective_sms
+            + self.device.kernel_launch_s
     }
 
     /// Latency of an *irregular* tiled kernel described by its total
@@ -171,16 +205,12 @@ impl CostModel {
         tensor_core: bool,
         gather_factor: f64,
     ) -> f64 {
-        if total_passes == 0 && out_tiles == 0 {
-            return self.device.kernel_launch_s;
-        }
-        let pass = self.tile_pass_cost(tile, elem_bytes, tensor_core) * gather_factor;
-        let writeback = (tile.area() * elem_bytes) as f64 / self.device.bw_per_sm();
-        // Parallelism is bounded by the number of thread blocks: a kernel
-        // with fewer output tiles than SMs cannot use every SM.
-        let effective_sms = self.device.num_sms.min(out_tiles.max(1)) as f64;
-        (total_passes as f64 * pass + out_tiles as f64 * (writeback + TILE_SCHED_S)) / effective_sms
-            + self.device.kernel_launch_s
+        self.tile_latency(
+            total_passes,
+            out_tiles,
+            self.tile_pass_cost(tile, elem_bytes, tensor_core) * gather_factor,
+            self.out_tile_cost(tile, elem_bytes),
+        )
     }
 
     /// Latency of a kernel that executes `num_tiles` thread blocks of the
@@ -193,17 +223,11 @@ impl CostModel {
         elem_bytes: usize,
         tensor_core: bool,
     ) -> f64 {
-        if num_tiles == 0 {
-            return self.device.kernel_launch_s;
-        }
-        let k_passes = k_total.div_ceil(tile.k).max(1);
-        self.pass_based_latency(
-            num_tiles * k_passes,
+        self.tile_latency(
+            num_tiles * tile.passes_over(k_total),
             num_tiles,
-            tile,
-            elem_bytes,
-            tensor_core,
-            1.0,
+            self.tile_pass_cost(tile, elem_bytes, tensor_core),
+            self.out_tile_cost(tile, elem_bytes),
         )
     }
 
@@ -217,8 +241,7 @@ impl CostModel {
         elem_bytes: usize,
         tensor_core: bool,
     ) -> f64 {
-        let tiles = m.div_ceil(tile.m) * n.div_ceil(tile.n);
-        self.tiled_gemm_latency(tiles, tile, k, elem_bytes, tensor_core)
+        self.tiled_gemm_latency(tile.tiles_over(m, n), tile, k, elem_bytes, tensor_core)
     }
 
     /// Latency of one full pass over `bytes` of global memory (seconds),

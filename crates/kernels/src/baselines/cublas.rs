@@ -22,7 +22,9 @@ pub fn gemm(
     dense::matmul_tiled(cost, a, b, tile, dtype)
 }
 
-/// Analytic-only variant for model-level simulation.
+/// Analytic-only variant for model-level simulation: the statistics
+/// [`dense::matmul_cost_only`] reports for the library's best tile, at
+/// the latency the tile table priced it at.
 pub fn gemm_cost_only(
     cost: &CostModel,
     db: &TileDb,
@@ -31,10 +33,8 @@ pub fn gemm_cost_only(
     n: usize,
     dtype: DType,
 ) -> KernelStats {
-    let tile = db
-        .best_dense_tile(cost, m, k, n, dtype.tensor_core_eligible())
-        .dims;
-    dense::matmul_cost_only(cost, m, k, n, tile, dtype)
+    let (tile, latency) = db.best_dense_gemm(cost, m, k, n, dtype.tensor_core_eligible());
+    dense::gemm_stats(m, k, n, tile.dims, dtype, latency)
 }
 
 #[cfg(test)]

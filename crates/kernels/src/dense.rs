@@ -19,8 +19,6 @@ pub fn matmul_tiled(
     tile: TileDims,
     dtype: DType,
 ) -> Result<KernelOutput, TensorError> {
-    let tensor_core = dtype.tensor_core_eligible();
-    let elem = dtype.size_bytes();
     let (m, k, n) = matmul_dims(a, b)?;
     let mut out = vec![0.0f32; m * n];
     let (ad, bd) = (a.data(), b.data());
@@ -33,20 +31,9 @@ pub fn matmul_tiled(
             arow.iter().copied().enumerate(),
         );
     }
-    let tiles = m.div_ceil(tile.m) * n.div_ceil(tile.n);
-    let latency = cost.tiled_gemm_latency(tiles, tile, k, elem, tensor_core);
-    let flops = 2.0 * (m * k * n) as f64;
-    let stats = KernelStats {
-        flops_useful: flops,
-        flops_executed: flops,
-        bytes_read: ((m * k + k * n) * elem) as f64,
-        bytes_written: (m * n * elem) as f64,
-        tiles_executed: tiles,
-        latency_s: latency,
-    };
     Ok(KernelOutput {
         tensor: Tensor::from_vec(out, [m, n])?,
-        stats,
+        stats: matmul_cost_only(cost, m, k, n, tile, dtype),
     })
 }
 
@@ -129,17 +116,36 @@ pub fn matmul_cost_only(
     tile: TileDims,
     dtype: DType,
 ) -> KernelStats {
-    let tensor_core = dtype.tensor_core_eligible();
+    let latency = cost.dense_gemm_latency(
+        m,
+        k,
+        n,
+        tile,
+        dtype.size_bytes(),
+        dtype.tensor_core_eligible(),
+    );
+    gemm_stats(m, k, n, tile, dtype, latency)
+}
+
+/// The statistics of a dense `[m,k]×[k,n]` GEMM run with `tile`, at a
+/// modelled latency the caller already has.
+pub(crate) fn gemm_stats(
+    m: usize,
+    k: usize,
+    n: usize,
+    tile: TileDims,
+    dtype: DType,
+    latency_s: f64,
+) -> KernelStats {
     let elem = dtype.size_bytes();
-    let tiles = m.div_ceil(tile.m) * n.div_ceil(tile.n);
     let flops = 2.0 * (m * k * n) as f64;
     KernelStats {
         flops_useful: flops,
         flops_executed: flops,
         bytes_read: ((m * k + k * n) * elem) as f64,
         bytes_written: (m * n * elem) as f64,
-        tiles_executed: tiles,
-        latency_s: cost.tiled_gemm_latency(tiles, tile, k, elem, tensor_core),
+        tiles_executed: tile.tiles_over(m, n),
+        latency_s,
     }
 }
 

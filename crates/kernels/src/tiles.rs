@@ -3,10 +3,19 @@
 //! The paper's implementation generates ~1,500 sparse kernels from over 500
 //! dense computation kernels and stores their profiled performance in a
 //! look-up table used by the online micro-tile selector (§4). This module is
-//! that database: a fixed set of dense tile shapes per device, each with a
-//! per-pass cost "profiled" once from the analytical cost model (playing the
-//! role of the paper's offline profiling run, which is model- and
-//! sparsity-agnostic by design, §3.2).
+//! that database: a fixed set of dense tile shapes per device, each with
+//! the two constants the cost model charges per tile, "profiled" once from
+//! the analytical cost model (playing the role of the paper's offline
+//! profiling run, which is model- and sparsity-agnostic by design, §3.2):
+//!
+//! - the cost of one k-pass ([`CostModel::tile_pass_cost`]), and
+//! - the cost of one output tile beyond its passes, write-back plus
+//!   scheduling ([`CostModel::out_tile_cost`]).
+//!
+//! Selection reads these constants instead of deriving them again: a dense
+//! GEMM's latency with a tile is the cost model's one formula,
+//! [`CostModel::tile_latency`], over the tile's stored constants, and
+//! equals [`CostModel::dense_gemm_latency`] bit for bit.
 
 use pit_gpusim::cost::TileDims;
 use pit_gpusim::CostModel;
@@ -18,25 +27,38 @@ pub struct ProfiledTile {
     pub dims: TileDims,
     /// Whether the tile runs on the Tensor-Core path (fp16).
     pub tensor_core: bool,
-    /// Profiled cost of one k-pass of one tile on one SM (seconds).
+    /// Cost of one k-pass of one tile on one SM (seconds): exactly
+    /// [`CostModel::tile_pass_cost`] at the path's element size.
     pub pass_cost_s: f64,
-    /// Profiled fixed cost per tile (write-back of a unit-depth reduction
-    /// plus scheduling), in seconds.
-    pub fixed_cost_s: f64,
+    /// Cost of one output tile beyond its k-passes (seconds): exactly
+    /// [`CostModel::out_tile_cost`], the write-back of the tile's outputs
+    /// plus thread-block scheduling, at the path's element size.
+    pub out_tile_cost_s: f64,
 }
 
 impl ProfiledTile {
-    /// Profiled cost of one tile reducing over `k_total` (seconds).
-    pub fn tile_cost(&self, k_total: usize) -> f64 {
-        let passes = k_total.div_ceil(self.dims.k).max(1);
-        passes as f64 * self.pass_cost_s + self.fixed_cost_s
+    /// Modelled latency of a dense `[m,k]×[k,n]` GEMM run with this tile
+    /// (seconds), priced from the stored constants. Bit-identical to
+    /// [`CostModel::dense_gemm_latency`] with this tile at its path's
+    /// element size.
+    pub fn dense_gemm_latency(&self, cost: &CostModel, m: usize, k: usize, n: usize) -> f64 {
+        let tiles = self.dims.tiles_over(m, n);
+        cost.tile_latency(
+            tiles * self.dims.passes_over(k),
+            tiles,
+            self.pass_cost_s,
+            self.out_tile_cost_s,
+        )
     }
 }
 
 /// The per-device tile database.
 #[derive(Debug, Clone)]
 pub struct TileDb {
+    /// The CUDA-core tiles, then the Tensor-Core tiles.
     tiles: Vec<ProfiledTile>,
+    /// How many of `tiles` are CUDA-core tiles.
+    cuda_core: usize,
 }
 
 /// Dense CUDA-core tile shapes shipped in the database. The set spans the
@@ -78,35 +100,43 @@ pub const WMMA_TILES: &[TileDims] = &[
 ];
 
 impl TileDb {
-    /// Builds ("profiles") the database for one device.
+    /// Builds ("profiles") the database for one device. CUDA-core tiles
+    /// are profiled at 4-byte (fp32) elements, Tensor-Core tiles at
+    /// 2-byte (fp16) ones.
     pub fn profile(cost: &CostModel) -> Self {
-        let mut tiles = Vec::new();
-        for &dims in CUDA_CORE_TILES {
-            tiles.push(ProfiledTile {
+        let entry = |dims: TileDims, tensor_core: bool| {
+            let elem = if tensor_core { 2 } else { 4 };
+            ProfiledTile {
                 dims,
-                tensor_core: false,
-                pass_cost_s: cost.tile_pass_cost(dims, 4, false),
-                fixed_cost_s: cost.tile_cost(dims, dims.k, 4, false)
-                    - cost.tile_pass_cost(dims, 4, false),
-            });
+                tensor_core,
+                pass_cost_s: cost.tile_pass_cost(dims, elem, tensor_core),
+                out_tile_cost_s: cost.out_tile_cost(dims, elem),
+            }
+        };
+        let tiles: Vec<ProfiledTile> = CUDA_CORE_TILES
+            .iter()
+            .map(|&dims| entry(dims, false))
+            .chain(WMMA_TILES.iter().map(|&dims| entry(dims, true)))
+            .collect();
+        TileDb {
+            tiles,
+            cuda_core: CUDA_CORE_TILES.len(),
         }
-        for &dims in WMMA_TILES {
-            tiles.push(ProfiledTile {
-                dims,
-                tensor_core: true,
-                pass_cost_s: cost.tile_pass_cost(dims, 2, true),
-                fixed_cost_s: cost.tile_cost(dims, dims.k, 2, true)
-                    - cost.tile_pass_cost(dims, 2, true),
-            });
+    }
+
+    /// The tiles of one execution path, in database order.
+    fn path(&self, tensor_core: bool) -> &[ProfiledTile] {
+        let (cuda_core, wmma) = self.tiles.split_at(self.cuda_core);
+        if tensor_core {
+            wmma
+        } else {
+            cuda_core
         }
-        TileDb { tiles }
     }
 
     /// All tiles for the given execution path.
     pub fn tiles(&self, tensor_core: bool) -> impl Iterator<Item = &ProfiledTile> {
-        self.tiles
-            .iter()
-            .filter(move |t| t.tensor_core == tensor_core)
+        self.path(tensor_core).iter()
     }
 
     /// All tiles regardless of path.
@@ -116,9 +146,7 @@ impl TileDb {
 
     /// The profiled tile with the given dims, if present.
     pub fn get(&self, dims: TileDims, tensor_core: bool) -> Option<&ProfiledTile> {
-        self.tiles
-            .iter()
-            .find(|t| t.dims == dims && t.tensor_core == tensor_core)
+        self.tiles(tensor_core).find(|t| t.dims == dims)
     }
 
     /// The tile minimising full-GEMM latency for a dense `[m,k]×[k,n]`
@@ -131,14 +159,33 @@ impl TileDb {
         n: usize,
         tensor_core: bool,
     ) -> &ProfiledTile {
-        let elem = if tensor_core { 2 } else { 4 };
-        self.tiles(tensor_core)
-            .min_by(|a, b| {
-                let la = cost.dense_gemm_latency(m, k, n, a.dims, elem, tensor_core);
-                let lb = cost.dense_gemm_latency(m, k, n, b.dims, elem, tensor_core);
-                la.partial_cmp(&lb).expect("finite latencies")
-            })
-            .expect("tile database is never empty")
+        self.best_dense_gemm(cost, m, k, n, tensor_core).0
+    }
+
+    /// [`TileDb::best_dense_tile`] together with the GEMM's latency on it
+    /// (seconds). Each tile of the path is priced once, by
+    /// [`ProfiledTile::dense_gemm_latency`]; of equally fast tiles the
+    /// first in database order wins.
+    pub fn best_dense_gemm(
+        &self,
+        cost: &CostModel,
+        m: usize,
+        k: usize,
+        n: usize,
+        tensor_core: bool,
+    ) -> (&ProfiledTile, f64) {
+        let (first, rest) = self
+            .path(tensor_core)
+            .split_first()
+            .expect("tile database is never empty");
+        let mut best = (first, first.dense_gemm_latency(cost, m, k, n));
+        for tile in rest {
+            let latency = tile.dense_gemm_latency(cost, m, k, n);
+            if latency < best.1 {
+                best = (tile, latency);
+            }
+        }
+        best
     }
 }
 
@@ -186,14 +233,6 @@ mod tests {
         // A 32-row GEMM cannot fill 128-row tiles.
         let best = db.best_dense_tile(&cost, 32, 4096, 4096, false);
         assert!(best.dims.m <= 64, "picked {:?}", best.dims);
-    }
-
-    #[test]
-    fn tile_cost_monotone_in_k() {
-        let (db, _) = db();
-        let t = db.get(TileDims::new(32, 32, 32), false).unwrap();
-        assert!(t.tile_cost(4096) > t.tile_cost(32));
-        assert_eq!(t.tile_cost(0), t.tile_cost(1));
     }
 
     #[test]

@@ -6,6 +6,61 @@
 //! export. This is a small recursive-descent parser over the JSON the
 //! workspace itself emits (plus standard escapes); objects preserve key
 //! order as a `Vec<(String, JsonValue)>`.
+//!
+//! The tools also run it on HTTP bodies from whatever endpoint they are
+//! pointed at, so any input yields a value or a [`JsonError`], never a
+//! panic: nesting deeper than [`MAX_DEPTH`] is rejected before the
+//! recursion can exhaust the stack.
+
+use std::fmt;
+
+/// Deepest nesting of arrays and objects [`JsonValue::parse`] accepts.
+/// The deepest document the workspace writes has 5 levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// Why a document did not parse, and where.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JsonError {
+    /// Byte offset into the document at which parsing stopped.
+    pub offset: usize,
+    /// What was wrong there.
+    pub kind: JsonErrorKind,
+}
+
+/// The kinds of [`JsonError`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum JsonErrorKind {
+    /// An array or object opens more than [`MAX_DEPTH`] levels deep.
+    TooDeep,
+    /// Malformed JSON; the message says what was wrong.
+    Syntax(String),
+}
+
+impl fmt::Display for JsonError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.kind {
+            JsonErrorKind::TooDeep => write!(f, "nesting deeper than {MAX_DEPTH} levels")?,
+            JsonErrorKind::Syntax(message) => f.write_str(message)?,
+        }
+        write!(f, " at byte {}", self.offset)
+    }
+}
+
+impl std::error::Error for JsonError {}
+
+/// A syntax error at `offset`.
+fn syntax(offset: usize, message: impl Into<String>) -> JsonError {
+    JsonError {
+        offset,
+        kind: JsonErrorKind::Syntax(message.into()),
+    }
+}
+
+/// A syntax error at `pos` naming what was expected there and what was found.
+fn unexpected(b: &[u8], pos: usize, expected: &str) -> JsonError {
+    let found = b.get(pos).map(|&x| x as char);
+    syntax(pos, format!("expected {expected}, found {found:?}"))
+}
 
 /// A parsed JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,14 +81,14 @@ pub enum JsonValue {
 
 impl JsonValue {
     /// Parses one JSON document (surrounding whitespace allowed).
-    pub fn parse(text: &str) -> Result<JsonValue, String> {
+    pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
         skip_ws(bytes, &mut pos);
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
+            return Err(syntax(pos, "trailing garbage"));
         }
         Ok(v)
     }
@@ -85,24 +140,27 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
+fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), JsonError> {
     if *pos < b.len() && b[*pos] == c {
         *pos += 1;
         Ok(())
     } else {
-        Err(format!(
-            "expected {:?} at byte {} (found {:?})",
-            c as char,
-            *pos,
-            b.get(*pos).map(|&x| x as char)
-        ))
+        Err(unexpected(b, *pos, &format!("{:?}", c as char)))
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Parses the value at `pos`, which sits inside `depth` open arrays and
+/// objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, JsonError> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'{' | b'[')) && depth == MAX_DEPTH {
+        return Err(JsonError {
+            offset: *pos,
+            kind: JsonErrorKind::TooDeep,
+        });
+    }
     match b.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
+        None => Err(syntax(*pos, "unexpected end of input")),
         Some(b'{') => {
             *pos += 1;
             let mut entries = Vec::new();
@@ -116,7 +174,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, b':')?;
-                let val = parse_value(b, pos)?;
+                let val = parse_value(b, pos, depth + 1)?;
                 entries.push((key, val));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -125,7 +183,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
                         *pos += 1;
                         return Ok(JsonValue::Obj(entries));
                     }
-                    other => return Err(format!("expected ',' or '}}', found {other:?}")),
+                    _ => return Err(unexpected(b, *pos, "',' or '}'")),
                 }
             }
         }
@@ -138,7 +196,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
                 return Ok(JsonValue::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -146,7 +204,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
                         *pos += 1;
                         return Ok(JsonValue::Arr(items));
                     }
-                    other => return Err(format!("expected ',' or ']', found {other:?}")),
+                    _ => return Err(unexpected(b, *pos, "',' or ']'")),
                 }
             }
         }
@@ -158,21 +216,26 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn keyword(b: &[u8], pos: &mut usize, word: &str, value: JsonValue) -> Result<JsonValue, String> {
+fn keyword(
+    b: &[u8],
+    pos: &mut usize,
+    word: &str,
+    value: JsonValue,
+) -> Result<JsonValue, JsonError> {
     if b[*pos..].starts_with(word.as_bytes()) {
         *pos += word.len();
         Ok(value)
     } else {
-        Err(format!("invalid literal at byte {pos}", pos = *pos))
+        Err(syntax(*pos, "invalid literal"))
     }
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     expect(b, pos, b'"')?;
     let mut s = String::new();
     loop {
         match b.get(*pos) {
-            None => return Err("unterminated string".to_string()),
+            None => return Err(syntax(*pos, "unterminated string")),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(s);
@@ -189,18 +252,18 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => s.push('\u{8}'),
                     Some(b'f') => s.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = b
+                        let code = b
                             .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape".to_string())?;
-                        let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
+                            .and_then(|hex| std::str::from_utf8(hex).ok())
+                            .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                            .ok_or_else(|| syntax(*pos, "bad \\u escape"))?;
                         // Surrogate pairs are not emitted by the vendored
                         // writer; map lone surrogates to the replacement
                         // character rather than failing the document.
                         s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         *pos += 4;
                     }
-                    other => return Err(format!("bad escape {other:?}")),
+                    _ => return Err(unexpected(b, *pos, "an escape")),
                 }
                 *pos += 1;
             }
@@ -223,7 +286,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                         .chars()
                         .next()
                         .expect("non-empty"),
-                    Err(e) => return Err(e.to_string()),
+                    Err(e) => return Err(syntax(*pos, e.to_string())),
                 };
                 s.push(c);
                 *pos += c.len_utf8();
@@ -232,19 +295,19 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_number(b: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
     let start = *pos;
     while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
         *pos += 1;
     }
     if start == *pos {
-        return Err(format!("expected a value at byte {start}"));
+        return Err(syntax(start, "expected a value"));
     }
     std::str::from_utf8(&b[start..*pos])
-        .map_err(|e| e.to_string())?
+        .map_err(|e| syntax(start, e.to_string()))?
         .parse::<f64>()
         .map(JsonValue::Num)
-        .map_err(|e| format!("bad number at byte {start}: {e}"))
+        .map_err(|e| syntax(start, format!("bad number: {e}")))
 }
 
 #[cfg(test)]
@@ -293,6 +356,32 @@ mod tests {
         assert!(JsonValue::parse("[1,]").is_err());
         assert!(JsonValue::parse("{\"a\":1} x").is_err());
         assert!(JsonValue::parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_the_offending_offset() {
+        let arrays = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(JsonValue::parse(&arrays(MAX_DEPTH)).is_ok());
+        let err = JsonValue::parse(&arrays(MAX_DEPTH + 1)).expect_err("too deep");
+        assert_eq!(err.kind, JsonErrorKind::TooDeep);
+        assert_eq!(err.offset, MAX_DEPTH);
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        let err = JsonValue::parse(&objects).expect_err("too deep");
+        assert_eq!(err.kind, JsonErrorKind::TooDeep);
+        assert_eq!(err.offset, 5 * MAX_DEPTH);
+        assert!(err
+            .to_string()
+            .contains(&format!("at byte {}", 5 * MAX_DEPTH)));
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_an_abort() {
+        // Without the cap each of these overflows the stack, which aborts
+        // the process; the default test-thread stack is the tight case.
+        for doc in ["[".repeat(1_000_000), "{\"a\":".repeat(100_000)] {
+            let err = JsonValue::parse(&doc).expect_err("too deep");
+            assert_eq!(err.kind, JsonErrorKind::TooDeep);
+        }
     }
 
     #[test]

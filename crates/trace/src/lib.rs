@@ -80,7 +80,7 @@ pub use exemplar::{ExemplarReservoir, ExemplarSet, ExemplarTimeline};
 pub use expo::{parse_exposition, Exposition, MetricFamily, MetricKind, Sample};
 pub use http::{ScrapeServer, ShutdownHandle};
 pub use hub::{HubConfig, HubSeries, HubSeriesWindow, MetricsHub, COUNTER_SHARDS};
-pub use json::JsonValue;
+pub use json::{JsonError, JsonErrorKind, JsonValue};
 pub use ledger::{DeviceLedger, StepSample, Utilization};
 pub use lifecycle::{LaneStep, Latency, LatencySketches, LifecycleFold};
 pub use sink::{
