@@ -26,12 +26,20 @@ use pit_gpusim::{CostModel, KernelStats};
 use pit_sparse::Mask;
 use pit_tensor::Tensor;
 use std::ops::Range;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Masks of at least this many 64-bit words are scanned by up to
 /// `threads` workers; smaller ones on the calling thread, where spawning
 /// a worker would cost more than the whole scan.
 const PARALLEL_MIN_WORDS: usize = 1 << 14;
+
+/// The most workers a scan uses: the host's available parallelism, read
+/// once per process. More workers than cores only queue behind each other
+/// (on 2 cores, 4 workers lose to 1 on a 2048² mask).
+fn max_workers() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
 
 /// The index of non-zero micro-tiles of one sparse tensor.
 ///
@@ -82,7 +90,8 @@ impl MicroTileIndex {
 /// unordered index, plus a modelled GPU cost of doing the same on device.
 ///
 /// `threads` caps host parallelism: a mask of at least 2^14 words is split
-/// into up to `threads` contiguous runs of strips, one worker each; a
+/// into contiguous runs of strips, one worker each, with at most `threads`
+/// workers and never more than the host's available parallelism; a
 /// smaller one is scanned on the calling thread. The result set is
 /// identical regardless, and within a grid row the columns ascend.
 pub fn detect_mask(
@@ -95,7 +104,7 @@ pub fn detect_mask(
     let grid_c = mask.cols().div_ceil(micro.w);
     let words = mask.rows() * mask.cols().div_ceil(64);
     let workers = if words >= PARALLEL_MIN_WORDS {
-        threads.clamp(1, grid_r.max(1))
+        threads.min(max_workers()).clamp(1, grid_r.max(1))
     } else {
         1
     };

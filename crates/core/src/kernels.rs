@@ -20,18 +20,29 @@
 //! operands' original buffers, as the modelled GPU does (zero-copy,
 //! §3.3): SRead is index arithmetic into `A` and `B` — a gathered row or
 //! k-column is an offset, never a packed copy — the dense tile is
-//! [`mac_row`], and SWrite writes the rows of `C` in place. Every output
-//! element accumulates its non-zero terms in ascending `k` (for
-//! [`spmm_k_axis`], in the index's within-strip order, which the detector
-//! emits ascending), so each kernel's output equals
-//! `pit_tensor::ops::matmul` on the same operands exactly. Modelled
-//! latency and waste are reported in [`KernelStats`].
+//! [`mac_rows`], and SWrite writes the rows of `C` in place.
+//!
+//! The dense tile reuses each loaded element of `B` across up to four
+//! rows of `C` that share a term list: a k-strip's rows (its gathered
+//! columns), the listed rows of [`spmm_m_axis`] and one expert's tokens
+//! of [`moe_gemm`] (both over the full `k`), through
+//! [`pit_kernels::dense::gemm_rows`]. Rows left over from a group of
+//! four, and a group that repeats a row, go one at a time, as do the
+//! rows of [`spmm_row_segments`] and [`sdd_m_axis`], whose term lists
+//! differ from row to row. Blocking never changes an element's sum: each
+//! output element still accumulates its non-zero terms one `+=` at a
+//! time in ascending `k` (for [`spmm_k_axis`], in the index's
+//! within-strip order, which the detector emits ascending), with no
+//! fused multiply-add, and the AVX2 instance of the MAC that x86 CPUs run
+//! performs the same operations as the portable one. So each kernel's
+//! output equals `pit_tensor::ops::matmul` on the same operands exactly.
+//! Modelled latency and waste are reported in [`KernelStats`].
 
 use crate::detector::{scan_strips, MicroTileIndex};
 use crate::microtile::MicroTile;
 use pit_gpusim::cost::TileDims;
 use pit_gpusim::{CostModel, KernelStats};
-use pit_kernels::dense::{mac_row, matmul_dims};
+use pit_kernels::dense::{gemm_rows, mac_rows, matmul_dims};
 use pit_kernels::KernelOutput;
 use pit_sparse::Mask;
 use pit_tensor::{DType, Tensor, TensorError};
@@ -53,19 +64,37 @@ pub fn spmm_m_axis(
     dtype: DType,
 ) -> Result<KernelOutput, TensorError> {
     let (m, k, n) = matmul_dims(a, b)?;
-    let (ad, bd) = (a.data(), b.data());
+    let listed = rows
+        .iter()
+        .map(|&r| bounded(r as usize, m, 0))
+        .collect::<Result<Vec<_>, _>>()?;
     let mut out = Tensor::zeros([m, n]);
-    let od = out.data_mut();
-    for &r in rows {
-        let r = bounded(r as usize, m, 0)?;
-        let orow = &mut od[r * n..(r + 1) * n];
-        orow.fill(0.0);
-        let arow = &ad[r * k..(r + 1) * k];
-        mac_row(orow, bd, n, arow.iter().copied().enumerate());
-    }
+    gemm_rows(out.data_mut(), a.data(), b.data(), (k, n), listed, 0..k);
     let nnz = a.nnz();
     let stats = spmm_m_axis_cost(cost, rows.len(), k, n, nnz, tile, dtype);
     Ok(KernelOutput { tensor: out, stats })
+}
+
+/// `Ok` when `index` was detected at micro-tile `micro` over an operand
+/// whose micro-tile grid is `grid`, else [`TensorError::ShapeMismatch`]
+/// (expected, then found): a kernel handed any other index would read the
+/// wrong rows or columns of `A` and still return a product.
+fn built_at(
+    index: &MicroTileIndex,
+    micro: MicroTile,
+    grid: (usize, usize),
+) -> Result<(), TensorError> {
+    let mismatch = |lhs: (usize, usize), rhs: (usize, usize)| TensorError::ShapeMismatch {
+        lhs: vec![lhs.0, lhs.1],
+        rhs: vec![rhs.0, rhs.1],
+    };
+    if index.micro != micro {
+        Err(mismatch((micro.h, micro.w), (index.micro.h, index.micro.w)))
+    } else if index.grid != grid {
+        Err(mismatch(grid, index.grid))
+    } else {
+        Ok(())
+    }
 }
 
 /// `index` itself when it addresses one of `extent` positions of `axis`.
@@ -112,10 +141,11 @@ pub fn spmm_m_axis_cost(
 /// micro-tiles are merged along the k-axis into dense tiles; the matching
 /// rows of `B` are read with them (Figure 4, second example).
 ///
-/// `index` must be a detection of `A` at micro-tile `(tile.m, 1)`; a
-/// coordinate outside `A`'s strips or columns is
-/// [`TensorError::IndexOutOfBounds`]. Each row of a strip accumulates the
-/// strip's columns in the index's order.
+/// `index` must be a detection of `A` at micro-tile `(tile.m, 1)`: one at
+/// another micro-tile, or over another grid than `A`'s at that micro-tile,
+/// is [`TensorError::ShapeMismatch`], and a coordinate outside `A`'s
+/// strips or columns is [`TensorError::IndexOutOfBounds`]. Each row of a
+/// strip accumulates the strip's columns in the index's order.
 pub fn spmm_k_axis(
     cost: &CostModel,
     a: &Tensor,
@@ -126,6 +156,7 @@ pub fn spmm_k_axis(
 ) -> Result<KernelOutput, TensorError> {
     let (m, k, n) = matmul_dims(a, b)?;
     let strips = m.div_ceil(tile.m);
+    built_at(index, MicroTile::new(tile.m, 1), (strips, k))?;
     // Group detected micro-tiles by strip, preserving the detector's
     // unordered within-strip order (legal by k-axis permutation
     // invariance).
@@ -134,7 +165,6 @@ pub fn spmm_k_axis(
         let s = bounded(s as usize, strips, 0)?;
         strip_cols[s].push(bounded(c as usize, k, 1)?);
     }
-    let (ad, bd) = (a.data(), b.data());
     let mut out = Tensor::zeros([m, n]);
     let od = out.data_mut();
     let mut total_passes = 0usize;
@@ -142,11 +172,8 @@ pub fn spmm_k_axis(
         if cols.is_empty() {
             continue;
         }
-        for r in s * tile.m..((s + 1) * tile.m).min(m) {
-            let arow = &ad[r * k..(r + 1) * k];
-            let terms = cols.iter().map(|&c| (c, arow[c]));
-            mac_row(&mut od[r * n..(r + 1) * n], bd, n, terms);
-        }
+        let rows = s * tile.m..((s + 1) * tile.m).min(m);
+        gemm_rows(od, a.data(), b.data(), (k, n), rows, cols.iter().copied());
         total_passes += cols.len().div_ceil(tile.k) * n.div_ceil(tile.n);
     }
     let nnz = a.nnz();
@@ -267,7 +294,12 @@ pub fn sdd_m_axis(
         let (c0, c1) = (j0 * tile.n, (j1 * tile.n).min(n));
         let orow = &mut od[r * n + c0..r * n + c1];
         let arow = &ad[r * k..(r + 1) * k];
-        mac_row(orow, &bd[c0..], n, arow.iter().copied().enumerate());
+        mac_rows(
+            [&mut *orow],
+            &bd[c0..],
+            n,
+            arow.iter().map(|&a| [a]).enumerate(),
+        );
         // Predicated SWrite: keep values only where the fine mask is set.
         let words = mask.strip_or(r, 1, &mut row_words);
         for (c, o) in (c0..c1).zip(orow) {
@@ -377,16 +409,10 @@ pub fn moe_gemm(
     dtype: DType,
 ) -> Result<KernelOutput, TensorError> {
     let (t_total, h, f) = moe_dims(tokens, expert_weights, expert_tokens)?;
-    let td = tokens.data();
     let mut out = Tensor::zeros([t_total, f]);
-    let od = out.data_mut();
     for (w, toks) in expert_weights.iter().zip(expert_tokens) {
-        for &t in toks {
-            let orow = &mut od[t * f..(t + 1) * f];
-            orow.fill(0.0);
-            let trow = &td[t * h..(t + 1) * h];
-            mac_row(orow, w.data(), f, trow.iter().copied().enumerate());
-        }
+        let rows = toks.iter().copied();
+        gemm_rows(out.data_mut(), tokens.data(), w.data(), (h, f), rows, 0..h);
     }
     let counts: Vec<usize> = expert_tokens.iter().map(Vec::len).collect();
     let stats = moe_gemm_cost(cost, &counts, h, f, tile, dtype);
@@ -479,8 +505,9 @@ pub fn moe_gemm_cost(
 /// the non-zero count of `A`'s mask, sizes the modelled cost
 /// ([`spmm_segment_cost`]).
 ///
-/// Returns [`TensorError::IndexOutOfBounds`] for a coordinate outside
-/// `A`.
+/// Returns [`TensorError::ShapeMismatch`] for an index whose micro-tile is
+/// more than one row high or whose grid is not `A`'s at its micro-tile,
+/// and [`TensorError::IndexOutOfBounds`] for a coordinate outside `A`.
 pub fn spmm_row_segments(
     cost: &CostModel,
     a: &Tensor,
@@ -491,6 +518,7 @@ pub fn spmm_row_segments(
 ) -> Result<KernelOutput, TensorError> {
     let (m, k, n) = matmul_dims(a, b)?;
     let w = index.micro.w;
+    built_at(index, MicroTile::new(1, w), (m, k.div_ceil(w)))?;
     let segments = index.sorted_coords();
     let (ad, bd) = (a.data(), b.data());
     let mut out = Tensor::zeros([m, n]);
@@ -502,9 +530,9 @@ pub fn spmm_row_segments(
         let arow = &ad[r * k..(r + 1) * k];
         let terms = row.iter().flat_map(|&(_, seg)| {
             let p0 = seg as usize * w;
-            (p0..(p0 + w).min(k)).map(|p| (p, arow[p]))
+            (p0..(p0 + w).min(k)).map(|p| (p, [arow[p]]))
         });
-        mac_row(&mut od[r * n..(r + 1) * n], bd, n, terms);
+        mac_rows([&mut od[r * n..(r + 1) * n]], bd, n, terms);
     }
     let stats = spmm_segment_cost(cost, m, n, nnz, w as f64, dtype);
     Ok(KernelOutput { tensor: out, stats })
@@ -634,6 +662,58 @@ mod tests {
         let index = detect_mask(&cost, &Mask::zeros(32, 32), MicroTile::new(16, 1), 2);
         let out = spmm_k_axis(&cost, &a, &b, &index, tile(), DType::F32).unwrap();
         assert_eq!(out.tensor.data().iter().filter(|&&v| v != 0.0).count(), 0);
+    }
+
+    /// A `[64, 64]·[64, 16]` product whose `A` follows `mask`, and the
+    /// error a kernel returns for `index` on it.
+    fn misbuilt(index: MicroTileIndex, segments: bool) -> TensorError {
+        let cost = cost();
+        let mask = generate::granular_random(64, 64, 1, 1, 0.7, 40);
+        let a = mask.apply(&Tensor::random([64, 64], 41));
+        let b = Tensor::random([64, 16], 42);
+        let tile = TileDims::new(8, 8, 16);
+        let out = if segments {
+            spmm_row_segments(&cost, &a, &b, &index, mask.nnz(), DType::F32)
+        } else {
+            spmm_k_axis(&cost, &a, &b, &index, tile, DType::F32)
+        };
+        out.unwrap_err()
+    }
+
+    fn index_at(rows: usize, micro: MicroTile) -> MicroTileIndex {
+        let mask = generate::granular_random(rows, 64, 1, 1, 0.7, 40);
+        detect_mask(&cost(), &mask, micro, 1)
+    }
+
+    #[test]
+    fn k_axis_rejects_index_of_micro_wider_than_one_column() {
+        let err = misbuilt(index_at(64, MicroTile::new(8, 4)), false);
+        assert!(matches!(err, TensorError::ShapeMismatch { .. }), "{err}");
+    }
+
+    #[test]
+    fn k_axis_rejects_index_of_micro_taller_than_the_tile() {
+        // Strips 0..4 of 16 rows are all in range of the 8 strips of 8.
+        let err = misbuilt(index_at(64, MicroTile::new(16, 1)), false);
+        assert!(matches!(err, TensorError::ShapeMismatch { .. }), "{err}");
+    }
+
+    #[test]
+    fn k_axis_rejects_index_over_another_grid() {
+        let err = misbuilt(index_at(32, MicroTile::new(8, 1)), false);
+        assert!(matches!(err, TensorError::ShapeMismatch { .. }), "{err}");
+    }
+
+    #[test]
+    fn row_segments_reject_index_of_micro_taller_than_one_row() {
+        let err = misbuilt(index_at(64, MicroTile::new(8, 4)), true);
+        assert!(matches!(err, TensorError::ShapeMismatch { .. }), "{err}");
+    }
+
+    #[test]
+    fn row_segments_reject_index_over_another_grid() {
+        let err = misbuilt(index_at(32, MicroTile::new(1, 8)), true);
+        assert!(matches!(err, TensorError::ShapeMismatch { .. }), "{err}");
     }
 
     #[test]

@@ -79,7 +79,10 @@ impl Pit {
         &self.cache
     }
 
-    /// Sets the number of host threads the online detector uses.
+    /// Sets the most host threads the online detector uses (at least 1).
+    /// A scan never uses more than the host's available parallelism, and
+    /// masks under 2^14 words are scanned on the calling thread (see
+    /// [`detect_mask`]).
     pub fn with_detect_threads(mut self, threads: usize) -> Self {
         self.detect_threads = threads.max(1);
         self

@@ -1,4 +1,11 @@
 //! Dense tiled kernels: real host arithmetic + modelled device latency.
+//!
+//! [`mac_rows`] is the one host multiply-accumulate every kernel's dense
+//! tile runs, here and in `pit_core`'s sparse kernels: up to four output
+//! rows that share a term list at once, each element still summing its
+//! terms one `+=` at a time in order, so results stay bit-identical to
+//! `pit_tensor::ops::matmul`. x86 CPUs with AVX2 run the same body
+//! compiled for AVX2, chosen at run time.
 
 use crate::KernelOutput;
 use pit_gpusim::cost::TileDims;
@@ -8,10 +15,11 @@ use pit_tensor::{ops, DType, Tensor, TensorError};
 /// Dense `[m,k]×[k,n]` GEMM with the given tile shape: the real product
 /// on the host, the modelled latency of the tiled device kernel.
 ///
-/// The host computes row by row with [`mac_row`]. Tiling never changed an
-/// element's accumulation order — every tile's k-passes visit `p` in
-/// ascending order — so the tile shape only enters the modelled
-/// statistics, and the result equals `pit_tensor::ops::matmul` exactly.
+/// The host computes the rows four at a time with [`gemm_rows`]. Tiling
+/// never changed an element's accumulation order — every tile's k-passes
+/// visit `p` in ascending order — so the tile shape only enters the
+/// modelled statistics, and the result equals `pit_tensor::ops::matmul`
+/// exactly.
 pub fn matmul_tiled(
     cost: &CostModel,
     a: &Tensor,
@@ -21,16 +29,7 @@ pub fn matmul_tiled(
 ) -> Result<KernelOutput, TensorError> {
     let (m, k, n) = matmul_dims(a, b)?;
     let mut out = vec![0.0f32; m * n];
-    let (ad, bd) = (a.data(), b.data());
-    for i in 0..m {
-        let arow = &ad[i * k..(i + 1) * k];
-        mac_row(
-            &mut out[i * n..(i + 1) * n],
-            bd,
-            n,
-            arow.iter().copied().enumerate(),
-        );
-    }
+    gemm_rows(&mut out, a.data(), b.data(), (k, n), 0..m, 0..k);
     Ok(KernelOutput {
         tensor: Tensor::from_vec(out, [m, n])?,
         stats: matmul_cost_only(cost, m, k, n, tile, dtype),
@@ -57,51 +56,238 @@ pub fn matmul_dims(a: &Tensor, b: &Tensor) -> Result<(usize, usize, usize), Tens
     Ok((m, k, n))
 }
 
-/// The dense tile's multiply-accumulate on one output row:
-/// `out[j] += a_p · b[p·ldb + j]` for every term `(p, a_p)`, in the order
-/// given, skipping `a_p == 0` as `pit_tensor::ops::matmul` does. `b` is
-/// read in place — row `p` of the B operand starts at `p·ldb`, so a column
-/// strip of B is passed as the slice starting at the strip's first column.
+/// Sets each listed row `r` of `C[_, n]` to `Σ_p A[r,p]·B[p,..]` over the
+/// terms `p` of `cols`, in `cols`'s order, for the row-major buffers of
+/// `A[_, k]` and `B[k, n]`: the dense tile of a kernel whose rows share
+/// one term list (the whole `0..k`, or one strip's gathered columns).
 ///
-/// An element stays in a register across up to four terms, but each term
-/// is its own `+=`, applied in order: no reassociation and no fused
-/// multiply-add, so a row fed its terms in ascending `p` is bit-identical
-/// to the reference product's row.
+/// Rows go through [`mac_rows`] four at a time, so each loaded element of
+/// B serves four rows. A group of four that repeats a row, and the last
+/// rows of the list, take one row at a time; a repeated row is computed
+/// again from zero, so it ends up written once.
 ///
 /// # Panics
 ///
-/// Panics if a term's B row does not fit in `b`.
-pub fn mac_row(
-    out: &mut [f32],
+/// Panics if a row or term is outside its operand.
+pub fn gemm_rows(
+    c: &mut [f32],
+    a: &[f32],
     b: &[f32],
-    ldb: usize,
-    terms: impl IntoIterator<Item = (usize, f32)>,
+    (k, n): (usize, usize),
+    rows: impl IntoIterator<Item = usize>,
+    cols: impl Iterator<Item = usize> + Clone,
 ) {
-    let w = out.len();
-    let mut batch: [(f32, &[f32]); 4] = [(0.0, &[]); 4];
-    let mut len = 0;
-    for (p, av) in terms {
-        if av == 0.0 {
-            continue;
+    let mut rows = rows.into_iter();
+    loop {
+        let mut group = [0usize; 4];
+        let mut len = 0;
+        for (slot, r) in group.iter_mut().zip(&mut rows) {
+            *slot = r;
+            len += 1;
         }
-        batch[len] = (av, &b[p * ldb..p * ldb + w]);
-        len += 1;
-        if len == batch.len() {
-            let [(a0, b0), (a1, b1), (a2, b2), (a3, b3)] = batch;
-            for ((((o, &x0), &x1), &x2), &x3) in out.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
-                let mut acc = *o;
-                acc += a0 * x0;
-                acc += a1 * x1;
-                acc += a2 * x2;
-                acc += a3 * x3;
-                *o = acc;
+        if len == group.len() {
+            if let Ok(mut out) = c.get_disjoint_mut(group.map(|r| r * n..(r + 1) * n)) {
+                out.iter_mut().for_each(|o| o.fill(0.0));
+                let arows = group.map(|r| &a[r * k..(r + 1) * k]);
+                mac_rows(out, b, n, cols.clone().map(|p| (p, arows.map(|ar| ar[p]))));
+                continue;
             }
-            len = 0;
+        }
+        for &r in &group[..len] {
+            let out = &mut c[r * n..(r + 1) * n];
+            out.fill(0.0);
+            let ar = &a[r * k..(r + 1) * k];
+            mac_rows([out], b, n, cols.clone().map(|p| (p, [ar[p]])));
+        }
+        if len < group.len() {
+            return;
         }
     }
-    for &(av, brow) in &batch[..len] {
-        for (o, &x) in out.iter_mut().zip(brow) {
-            *o += av * x;
+}
+
+/// The dense tile's multiply-accumulate on `R` output rows that share a
+/// term list: `out[r][j] += a_p[r] · b[p·ldb + j]` for every term
+/// `(p, a_p)`, in the order given, skipping the rows where `a_p[r] == 0`
+/// as `pit_tensor::ops::matmul` does. `b` is read in place — row `p` of
+/// the B operand starts at `p·ldb`, so a column strip of B is passed as
+/// the slice starting at the strip's first column. `R = 1` is the
+/// single-row case.
+///
+/// Terms are applied in groups of four. Each element of a group's four
+/// B rows is loaded once and stays in a register across all `R` rows,
+/// which is where the blocking saves memory traffic. A term that is zero
+/// in only some rows cannot join a group: it and the group's pending
+/// terms go to each row's own batch of four, applied before the next
+/// group; a term that is zero in every row is skipped. Either way, each
+/// element sees its own non-zero terms as separate `+=`s in the given
+/// order, with no reassociation and no fused multiply-add, so rows fed
+/// their terms in ascending `p` are bit-identical to the reference
+/// product's rows.
+///
+/// On x86 CPUs with AVX2 the same body runs compiled a second time with
+/// AVX2 enabled (chosen at run time): wider vectors over independent
+/// elements, the same operations on each element, so the results are
+/// bit-identical to the portable instance.
+///
+/// `R` is 1 to 32, checked at compile time.
+///
+/// # Panics
+///
+/// Panics if the rows differ in width, or if a term's B row does not fit
+/// in `b`.
+pub fn mac_rows<const R: usize>(
+    out: [&mut [f32]; R],
+    b: &[f32],
+    ldb: usize,
+    terms: impl IntoIterator<Item = (usize, [f32; R])>,
+) {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the running CPU supports AVX2, checked just above.
+        return unsafe { mac_rows_avx2(out, b, ldb, terms) };
+    }
+    mac_rows_body(out, b, ldb, terms)
+}
+
+/// [`mac_rows`] compiled with AVX2 enabled.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+fn mac_rows_avx2<const R: usize>(
+    out: [&mut [f32]; R],
+    b: &[f32],
+    ldb: usize,
+    terms: impl IntoIterator<Item = (usize, [f32; R])>,
+) {
+    mac_rows_body(out, b, ldb, terms)
+}
+
+/// The body of [`mac_rows`]; it and its helpers are always inlined, so
+/// each caller compiles all of it with its own target features: the
+/// build's baseline in [`mac_rows`], AVX2 in `mac_rows_avx2`.
+#[inline(always)]
+fn mac_rows_body<'b, const R: usize>(
+    mut out: [&mut [f32]; R],
+    b: &'b [f32],
+    ldb: usize,
+    terms: impl IntoIterator<Item = (usize, [f32; R])>,
+) {
+    const { assert!(R >= 1 && R <= 32, "mac_rows takes 1 to 32 rows") };
+    let w = out[0].len();
+    assert!(
+        out.iter().all(|o| o.len() == w),
+        "mac_rows: rows differ in width"
+    );
+    // Terms non-zero in every row, not applied yet.
+    let mut group: [(&'b [f32], [f32; R]); 4] = [(&[], [0.0; R]); 4];
+    let mut grouped = 0;
+    // Each row's own terms: earlier than the group's, not applied yet.
+    let mut own: [[(&'b [f32], [f32; 1]); 4]; R] = [[(&[], [0.0]); 4]; R];
+    let mut owned = [0usize; R];
+    let every_row = (1u32 << R) - 1;
+    for (p, coefs) in terms {
+        // Bit `r` set when the term applies to row `r`.
+        let rows = (0..R).fold(0u32, |m, r| m | u32::from(coefs[r] != 0.0) << r);
+        if rows == 0 {
+            continue;
+        }
+        let brow = &b[p * ldb..p * ldb + w];
+        if rows == every_row {
+            group[grouped] = (brow, coefs);
+            grouped += 1;
+            if grouped == group.len() {
+                for (r, row) in out.iter_mut().enumerate() {
+                    add_terms(row, &own[r][..owned[r]]);
+                    owned[r] = 0;
+                }
+                mac_block(&mut out, &group);
+                grouped = 0;
+            }
+            continue;
+        }
+        // Zero in some rows only: the group's pending terms join each
+        // row's own batch, then this term joins the batches of the rows
+        // it applies to.
+        for (r, row) in out.iter_mut().enumerate() {
+            for &(x, a) in &group[..grouped] {
+                push_own(row, &mut own[r], &mut owned[r], (x, a[r]));
+            }
+        }
+        grouped = 0;
+        let mut rest = rows;
+        while rest != 0 {
+            let r = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            push_own(out[r], &mut own[r], &mut owned[r], (brow, coefs[r]));
+        }
+    }
+    for (r, row) in out.iter_mut().enumerate() {
+        add_terms(row, &own[r][..owned[r]]);
+        for &(x, a) in &group[..grouped] {
+            add_terms(row, &[(x, [a[r]])]);
+        }
+    }
+}
+
+/// Appends a term to one row's own batch of `len` terms, applying the
+/// batch once it holds four.
+#[inline(always)]
+fn push_own<'b>(
+    row: &mut [f32],
+    batch: &mut [(&'b [f32], [f32; 1]); 4],
+    len: &mut usize,
+    (x, a): (&'b [f32], f32),
+) {
+    batch[*len] = (x, [a]);
+    *len += 1;
+    if *len == batch.len() {
+        mac_block(&mut [row], batch);
+        *len = 0;
+    }
+}
+
+/// Applies fewer than four terms to one row, one pass per term.
+#[inline(always)]
+fn add_terms(row: &mut [f32], terms: &[(&[f32], [f32; 1])]) {
+    for &(x, [a]) in terms {
+        for (o, &x) in row.iter_mut().zip(x) {
+            *o += a * x;
+        }
+    }
+}
+
+/// Applies four terms to `R` rows: `row[r][j] += a[r]·x[j]` for each term
+/// `(x, a)` in order. Elements go in register-sized chunks; a chunk of
+/// each term's `x` is loaded once and used for every row.
+#[inline(always)]
+fn mac_block<const R: usize>(out: &mut [&mut [f32]; R], terms: &[(&[f32], [f32; R]); 4]) {
+    const LANES: usize = 8;
+    let w = out[0].len();
+    let [(x0, a0), (x1, a1), (x2, a2), (x3, a3)] = *terms;
+    let (x0, x1, x2, x3) = (&x0[..w], &x1[..w], &x2[..w], &x3[..w]);
+    let chunks = w / LANES * LANES;
+    for j in (0..chunks).step_by(LANES) {
+        let x: [[f32; LANES]; 4] =
+            [x0, x1, x2, x3].map(|x| x[j..j + LANES].try_into().expect("one chunk"));
+        for (r, row) in out.iter_mut().enumerate() {
+            let o: &mut [f32; LANES] = (&mut row[j..j + LANES]).try_into().expect("one chunk");
+            for l in 0..LANES {
+                let mut acc = o[l];
+                acc += a0[r] * x[0][l];
+                acc += a1[r] * x[1][l];
+                acc += a2[r] * x[2][l];
+                acc += a3[r] * x[3][l];
+                o[l] = acc;
+            }
+        }
+    }
+    for j in chunks..w {
+        for (r, row) in out.iter_mut().enumerate() {
+            let mut acc = row[j];
+            acc += a0[r] * x0[j];
+            acc += a1[r] * x1[j];
+            acc += a2[r] * x2[j];
+            acc += a3[r] * x3[j];
+            row[j] = acc;
         }
     }
 }
@@ -247,15 +433,75 @@ mod tests {
     fn mac_row_applies_terms_one_at_a_time_in_order() {
         // In f32, ((((1e8 + 1) - 1e8) + 1) + 1) is 2, while any regrouping
         // such as (1e8 - 1e8) + (1 + 1 + 1) gives 3. Five terms cover the
-        // four-term register batch and the tail.
+        // four-term group and the tail.
         let b = [1e8f32, 1.0, -1e8, 1.0, 1.0];
         let mut out = [0.0f32];
-        mac_row(&mut out, &b, 1, (0..5).map(|p| (p, 1.0)));
+        mac_rows([&mut out], &b, 1, (0..5).map(|p| (p, [1.0])));
         assert_eq!(out, [2.0]);
         // A zero coefficient is skipped, not multiplied: 0 · inf would be NaN.
         let mut out = [0.0f32];
-        mac_row(&mut out, &[f32::INFINITY, 3.0], 1, [(0, 0.0), (1, 2.0)]);
+        mac_rows(
+            [&mut out],
+            &[f32::INFINITY, 3.0],
+            1,
+            [(0, [0.0]), (1, [2.0])],
+        );
         assert_eq!(out, [6.0]);
+        // The same per row when a term is zero in one row only: row 1
+        // skips term 0 and applies the rest in order, from its own batch.
+        let (mut r0, mut r1) = ([0.0f32], [0.0f32]);
+        let b = [f32::INFINITY, 1e8, 1.0, -1e8, 1.0, 1.0];
+        let terms = [(0, [1.0, 0.0])]
+            .into_iter()
+            .chain((1..6).map(|p| (p, [0.0, 1.0])));
+        mac_rows([&mut r0, &mut r1], &b, 1, terms);
+        assert_eq!((r0, r1), ([f32::INFINITY], [2.0]));
+    }
+
+    /// Pseudo-random values in [-2, 2), a tenth of them zero and one in
+    /// fifty `-0.0`.
+    fn values(len: usize, seed: u64) -> Vec<f32> {
+        let mut t = Tensor::random([len.max(1)], seed).data()[..len].to_vec();
+        for (i, v) in t.iter_mut().enumerate() {
+            *v *= 2.0;
+            match (i as u64 ^ seed) % 50 {
+                0..=4 => *v = 0.0,
+                5 => *v = -0.0,
+                _ => {}
+            }
+        }
+        t
+    }
+
+    /// `v` split into four rows of equal width.
+    fn four_rows(v: &mut [f32]) -> [&mut [f32]; 4] {
+        let mut rows = v.chunks_exact_mut(v.len() / 4);
+        std::array::from_fn(|_| rows.next().expect("four rows"))
+    }
+
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    #[test]
+    fn avx2_instance_is_bit_identical_to_portable() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            return;
+        }
+        // Widths around the 8-lane chunk; terms in a shuffled order, with
+        // zero coefficients in some rows only.
+        let (k, ldb) = (37, 43);
+        let b = values(k * ldb, 7);
+        for w in [1, 7, 8, 9, 24, 43] {
+            let order: Vec<usize> = (0..k).map(|i| (i * 17 + 5) % k).collect();
+            let a = values(4 * k, w as u64);
+            let coef = |p: usize| std::array::from_fn::<f32, 4, _>(|r| a[r * k + p]);
+            let start = values(4 * w, 99);
+            let (mut portable, mut avx2) = (start.clone(), start);
+            let terms = order.iter().map(|&p| (p, coef(p)));
+            mac_rows_body(four_rows(&mut portable), &b, ldb, terms.clone());
+            // SAFETY: the CPU supports AVX2, checked above.
+            unsafe { mac_rows_avx2(four_rows(&mut avx2), &b, ldb, terms) };
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&portable), bits(&avx2), "width {w}");
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property-based tests (proptest) for the core PIT invariants:
-//! permutation invariance, exactness against the dense oracle, coverage
-//! accounting and detector completeness.
+//! permutation invariance, exactness against the dense oracle (down to
+//! the multi-row MAC every kernel's dense tile runs), coverage accounting
+//! and detector completeness.
 
 use pit::core::detector::detect_mask;
 use pit::core::kernels::spmm_m_axis;
@@ -8,12 +9,92 @@ use pit::core::microtile::MicroTile;
 use pit::core::ops::Pit;
 use pit::gpusim::cost::TileDims;
 use pit::gpusim::{CostModel, DeviceSpec};
+use pit::kernels::dense::mac_rows;
 use pit::sparse::{cover_count, generate, Mask};
 use pit::tensor::{ops, DType, Tensor};
 use proptest::prelude::*;
 
 fn cost() -> CostModel {
     CostModel::new(DeviceSpec::v100_32gb())
+}
+
+/// SplitMix64: the MAC inputs' own seeded stream.
+struct Stream(u64);
+
+impl Stream {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    /// Uniform in `[-2, 2)`.
+    fn value(&mut self) -> f32 {
+        (self.next() >> 40) as f32 / (1u64 << 22) as f32 - 2.0
+    }
+}
+
+/// Drives `mac_rows::<R>` on `R` rows of width `w` over a B of `k` rows
+/// (row stride `w + pad`) with `n_terms` terms in a random order (a B row
+/// may repeat), and compares every element by its bits with the scalar
+/// definition: each row, term by term, `out += a·b` unless the row's
+/// coefficient is zero. A third of the terms apply to every row; the rest
+/// hold `0.0` or `-0.0` in some rows, or in all. B holds `±inf` and NaN,
+/// so a skipped zero shows (`0·inf` is NaN) and so does any regrouping of
+/// the sums. Any NaN equals any other: IEEE 754 leaves the payload of an
+/// operation on two NaNs open, and the compiler may commute an addition's
+/// operands.
+fn check_mac_rows<const R: usize>(w: usize, pad: usize, k: usize, n_terms: usize, seed: u64) {
+    let mut s = Stream(seed);
+    let ldb = w + pad;
+    let b: Vec<f32> = (0..k * ldb)
+        .map(|_| match s.below(16) {
+            0 => f32::INFINITY,
+            1 => f32::NEG_INFINITY,
+            2 => f32::NAN,
+            _ => s.value(),
+        })
+        .collect();
+    let terms: Vec<(usize, [f32; R])> = (0..n_terms)
+        .map(|_| {
+            let p = s.below(k);
+            let every_row = s.below(3) == 0;
+            let coefs = std::array::from_fn(|_| match (every_row, s.below(4)) {
+                (false, 0) => 0.0,
+                (false, 1) => -0.0,
+                _ => s.value(),
+            });
+            (p, coefs)
+        })
+        .collect();
+    let start: Vec<f32> = (0..R * w).map(|_| s.value()).collect();
+    let mut got = start.clone();
+    let mut rows = got.chunks_exact_mut(w);
+    let out: [&mut [f32]; R] = std::array::from_fn(|_| rows.next().expect("R rows"));
+    mac_rows(out, &b, ldb, terms.iter().copied());
+    let mut want = start;
+    for (r, row) in want.chunks_exact_mut(w).enumerate() {
+        for &(p, a) in &terms {
+            if a[r] == 0.0 {
+                continue;
+            }
+            for (o, &x) in row.iter_mut().zip(&b[p * ldb..]) {
+                *o += a[r] * x;
+            }
+        }
+    }
+    let bits = |v: &[f32]| -> Vec<u32> {
+        v.iter()
+            .map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() })
+            .collect()
+    };
+    assert_eq!(bits(&got), bits(&want), "R = {R}");
 }
 
 proptest! {
@@ -82,11 +163,23 @@ proptest! {
         let rows: Vec<u32> = mask.nonzero_rows().iter().map(|&r| r as u32).collect();
         let out = pit.matmul_rows(&a, &rows, &b, None, DType::F32).unwrap();
         prop_assert_eq!(&out.tensor, &reference);
+        // A row listed twice in one group of four, and once more at the end.
+        let mut repeated = rows.clone();
+        if let Some(&first) = rows.first() {
+            repeated.insert(1, first);
+            repeated.push(first);
+        }
+        let out = pit.matmul_rows(&a, &repeated, &b, None, DType::F32).unwrap();
+        prop_assert_eq!(&out.tensor, &reference);
         let out_mask = generate::granular_random(96, 48, gh, gw, sparsity, seed ^ 3);
         let exec = pit.sdd(&a, &b, &out_mask, DType::F32).unwrap();
         prop_assert_eq!(exec.output.tensor, out_mask.apply(&reference));
         let experts: Vec<Tensor> = (0..4).map(|e| Tensor::random([64, 48], seed ^ (4 + e))).collect();
-        let routing = generate::RoutingPlan::sample(96, 4, 1.0, seed).expert_token_lists();
+        let mut routing = generate::RoutingPlan::sample(96, 4, 1.0, seed).expert_token_lists();
+        // One expert gets its first token twice, within one group of four.
+        if let Some(list) = routing.iter_mut().find(|l| !l.is_empty()) {
+            list.insert(1, list[0]);
+        }
         let out = pit.moe_gemm(&a, &experts, &routing, DType::F32).unwrap();
         for (w, toks) in experts.iter().zip(&routing) {
             let want = ops::matmul(&ops::gather_rows(&a, toks).unwrap(), w).unwrap();
@@ -94,6 +187,22 @@ proptest! {
                 prop_assert_eq!(out.tensor.row(t).unwrap(), want.row(i).unwrap());
             }
         }
+    }
+
+    /// The multi-row MAC applies each row's non-zero terms one `+=` at a
+    /// time in the given order, for every row count it is built for.
+    #[test]
+    fn mac_rows_matches_scalar_oracle(
+        w in 1usize..40,
+        pad in 0usize..5,
+        k in 1usize..12,
+        n_terms in 0usize..40,
+        seed in 0u64..1_000_000,
+    ) {
+        check_mac_rows::<1>(w, pad, k, n_terms, seed);
+        check_mac_rows::<2>(w, pad, k, n_terms, seed ^ 2);
+        check_mac_rows::<3>(w, pad, k, n_terms, seed ^ 3);
+        check_mac_rows::<4>(w, pad, k, n_terms, seed ^ 4);
     }
 
     /// The unordered detector finds exactly the non-zero micro-tiles, for
