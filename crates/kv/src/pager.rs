@@ -143,7 +143,9 @@ pub enum PageLocation {
 #[derive(Debug, Clone)]
 struct SeqPages {
     /// Physical page ids, in token order (the page table). Prefix pages
-    /// may be shared with other sequences or with an external index.
+    /// may be shared with other sequences or with an external index. No
+    /// page appears twice: new pages come off the free list, and
+    /// `alloc_shared` refuses a list that repeats one.
     pages: Vec<PageId>,
     /// Token slots this sequence considers written (cached context
     /// length), including any shared prefix.
@@ -236,6 +238,38 @@ fn mark_range(
         let extent = (to - (first + i) * ps).min(ps);
         note_written(written, used_tokens, p, extent);
     }
+}
+
+/// The positions of `pages` in `table`, ascending, or `None` when a page
+/// is not in the table or is listed twice. Pages listed in table order,
+/// as sparsity compaction lists them, are found by one merge walk; any
+/// other order is looked up in the table sorted by page. A table holds
+/// each page at most once, so a page has one position.
+fn table_positions(table: &[PageId], pages: &[PageId]) -> Option<Vec<usize>> {
+    let mut at = Vec::with_capacity(pages.len());
+    let mut from = 0;
+    for &p in pages {
+        let Some(i) = table[from..].iter().position(|&q| q == p) else {
+            break;
+        };
+        at.push(from + i);
+        from += i + 1;
+    }
+    if at.len() == pages.len() {
+        return Some(at);
+    }
+    let mut by_page: Vec<(PageId, usize)> = table.iter().copied().zip(0..).collect();
+    by_page.sort_unstable();
+    at.clear();
+    for &p in pages {
+        let k = by_page.binary_search_by_key(&p, |&(q, _)| q).ok()?;
+        at.push(by_page[k].1);
+    }
+    at.sort_unstable();
+    if at.windows(2).any(|w| w[0] == w[1]) {
+        return None;
+    }
+    Some(at)
 }
 
 impl PagedKvCache {
@@ -384,9 +418,10 @@ impl PagedKvCache {
     ///
     /// `shared` must cover exactly `prefix_tokens` slots
     /// (`pages_for(prefix_tokens) == shared.len()`), every page must be
-    /// live, and every page's *written* extent must actually cover its
-    /// share of the prefix — a sequence can only adopt KV that was
-    /// computed; otherwise [`KvError::InvalidShare`]. The sequence grows
+    /// live and listed once (one page cannot hold two positions' KV), and
+    /// every page's *written* extent must actually cover its share of the
+    /// prefix — a sequence can only adopt KV that was computed; otherwise
+    /// [`KvError::InvalidShare`]. The sequence grows
     /// past the prefix with [`PagedKvCache::extend`] as usual — growth
     /// into a partially written shared page copies it first
     /// (copy-on-write).
@@ -400,7 +435,11 @@ impl PagedKvCache {
             return Err(KvError::AlreadyAllocated(seq));
         }
         let ps = self.cfg.page_size;
+        let mut pages = shared.to_vec();
+        pages.sort_unstable();
+        let repeated = pages.windows(2).any(|w| w[0] == w[1]);
         if prefix_tokens == 0
+            || repeated
             || self.cfg.pages_for(prefix_tokens) != shared.len()
             || shared.iter().enumerate().any(|(i, &p)| {
                 (p as usize) >= self.cfg.total_ids()
@@ -414,7 +453,7 @@ impl PagedKvCache {
         for &p in shared {
             self.refs[p as usize] += 1;
         }
-        let pages = shared.to_vec();
+        pages.copy_from_slice(shared);
         self.reserved_tokens += prefix_tokens;
         self.shared_admits += 1;
         self.seqs.insert(
@@ -453,19 +492,22 @@ impl PagedKvCache {
     /// the number of pages physically freed. Fails atomically with
     /// [`KvError::InvalidShare`] if any page lacks an external reference.
     pub fn release_pages(&mut self, pages: &[PageId]) -> Result<usize, KvError> {
-        let mut need: HashMap<PageId, u32> = HashMap::new();
-        for &p in pages {
-            if (p as usize) >= self.cfg.total_ids() {
-                return Err(KvError::InvalidShare);
+        // Each listed page gives up one pin as it is checked, so a page
+        // listed more often than it is pinned runs out of pins; the first
+        // page without one puts the pins taken so far back.
+        for (i, &p) in pages.iter().enumerate() {
+            match self.ext_refs.get_mut(p as usize) {
+                Some(pins) if *pins > 0 => *pins -= 1,
+                _ => {
+                    for &q in &pages[..i] {
+                        self.ext_refs[q as usize] += 1;
+                    }
+                    return Err(KvError::InvalidShare);
+                }
             }
-            *need.entry(p).or_insert(0) += 1;
-        }
-        if need.iter().any(|(&p, &c)| self.ext_refs[p as usize] < c) {
-            return Err(KvError::InvalidShare);
         }
         let mut freed = 0;
         for &p in pages {
-            self.ext_refs[p as usize] -= 1;
             if self.drop_ref(p) {
                 freed += 1;
             }
@@ -661,54 +703,35 @@ impl PagedKvCache {
             return Ok(0);
         }
         let ps = self.cfg.page_size;
-        let drop_at: Vec<bool> = {
-            let s = self.seqs.get(&seq).ok_or(KvError::UnknownSeq(seq))?;
-            let mut position: HashMap<PageId, usize> = HashMap::with_capacity(s.pages.len());
-            for (i, &p) in s.pages.iter().enumerate() {
-                position.insert(p, i);
-            }
-            let mut drop_at = vec![false; s.pages.len()];
-            for &p in pages {
-                let Some(&pos) = position.get(&p) else {
-                    return Err(KvError::InvalidEvict);
-                };
-                if drop_at[pos]
-                    || (pos + 1) * ps > s.used_tokens
-                    || self.location[p as usize] != PageLocation::Device
-                {
-                    return Err(KvError::InvalidEvict);
-                }
-                drop_at[pos] = true;
-            }
-            drop_at
-        };
-        let evicted = pages.len();
-        let dropped: Vec<PageId> = {
-            let s = self.seqs.get_mut(&seq).expect("checked above");
-            let mut kept = Vec::with_capacity(s.pages.len() - evicted);
-            let mut dropped = Vec::with_capacity(evicted);
-            for (i, &p) in s.pages.iter().enumerate() {
-                if drop_at[i] {
-                    dropped.push(p);
-                } else {
-                    kept.push(p);
-                }
-            }
-            s.pages = kept;
-            // Each evicted page held exactly `page_size` of the sequence's
-            // cached (and reserved) slots, so both extents shrink page-
-            // aligned and the tail page's partial fill is untouched.
-            s.used_tokens -= evicted * ps;
-            s.reserved_tokens -= evicted * ps;
-            dropped
-        };
-        self.reserved_tokens -= evicted * ps;
-        let mut freed = 0;
-        for &p in &dropped {
-            if self.drop_ref(p) {
-                freed += 1;
-            }
+        let s = self.seqs.get_mut(&seq).ok_or(KvError::UnknownSeq(seq))?;
+        let at = table_positions(&s.pages, pages).ok_or(KvError::InvalidEvict)?;
+        if at.iter().any(|&i| {
+            (i + 1) * ps > s.used_tokens
+                || self.location[s.pages[i] as usize] != PageLocation::Device
+        }) {
+            return Err(KvError::InvalidEvict);
         }
+        let evicted = pages.len();
+        // Each evicted page held exactly `page_size` of the sequence's
+        // cached (and reserved) slots, so both extents shrink page-aligned
+        // and the tail page's partial fill is untouched.
+        s.used_tokens -= evicted * ps;
+        s.reserved_tokens -= evicted * ps;
+        self.reserved_tokens -= evicted * ps;
+        // The table leaves the map while its evicted pages drop their
+        // references (in table order), and goes back compacted.
+        let mut table = std::mem::take(&mut s.pages);
+        let (mut pos, mut next, mut freed) = (0, 0, 0);
+        table.retain(|&p| {
+            let evict = at.get(next) == Some(&pos);
+            pos += 1;
+            if evict {
+                next += 1;
+                freed += usize::from(self.drop_ref(p));
+            }
+            !evict
+        });
+        self.seqs.get_mut(&seq).expect("checked above").pages = table;
         self.sparsity_evicted += evicted as u64;
         Ok(freed)
     }
@@ -1391,6 +1414,15 @@ mod tests {
             kv.alloc_shared(1, &[page], 16),
             Err(KvError::AlreadyAllocated(1))
         );
+        // One page cannot hold two positions of a prefix.
+        kv.alloc(3, 32).unwrap();
+        let full = kv.seq_pages(3).unwrap()[0];
+        let before = kv.stats();
+        assert_eq!(
+            kv.alloc_shared(2, &[full, full], 32),
+            Err(KvError::InvalidShare)
+        );
+        assert_eq!(kv.stats(), before, "a refused share changes nothing");
         kv.check_invariants().unwrap();
         // A claimed prefix beyond the donor's written extent is rejected:
         // only KV that was actually computed can be adopted.

@@ -54,8 +54,8 @@ use pit_prefix::RadixPrefixIndex;
 use pit_swap::{plan_swap_out, PageDesc, RestoreQueue, SwapEngine};
 use pit_tensor::DType;
 use pit_trace::{
-    blame_spans, ExemplarReservoir, ExemplarSet, MetricsHub, StepSample, TraceEvent, TraceRecord,
-    TraceSink, WaitCause, DEVICE_LANE, RESERVED_LANES,
+    BlameBreakdown, ExemplarReservoir, ExemplarSet, LaneSpans, MetricsHub, StepSample, TraceEvent,
+    TraceRecord, TraceSink, WaitCause, DEVICE_LANE, RESERVED_LANES,
 };
 use pit_workloads::DecodeTrace;
 use std::collections::{BTreeMap, VecDeque};
@@ -685,11 +685,14 @@ pub fn simulate_decode_trace(cfg: &DecodeServeConfig, trace: &DecodeTrace) -> De
 
 /// [`simulate_decode_trace`] with request-lifecycle tracing: every
 /// admission, prefill chunk, token, preemption, swap transfer and
-/// completion is recorded into `sink` on the virtual clock. When the sink
-/// is enabled, the report additionally carries the per-request
-/// queue/prefill/decode/stall breakdown and causal blame reduced from the
-/// trace; a disabled sink makes this identical to the untraced entry
-/// point (each record is one branch).
+/// completion is recorded on the virtual clock and lands in `sink` in one
+/// batch when the replay ends (or unwinds from a panic). When the sink is
+/// enabled, the report additionally carries the per-request
+/// queue/prefill/decode/stall breakdown and causal blame, folded over the
+/// lanes the sink keeps as each event is recorded — equal to reducing the
+/// sink's records with [`pit_trace::blame_spans`] after the run. A
+/// disabled sink makes this identical to the untraced entry point (each
+/// record is one branch).
 pub fn simulate_decode_trace_traced(
     cfg: &DecodeServeConfig,
     trace: &DecodeTrace,
@@ -698,7 +701,10 @@ pub fn simulate_decode_trace_traced(
     simulate_decode_trace_observed(cfg, trace, sink, 0, None).0
 }
 
-/// [`simulate_decode_trace_traced`] with the full observer set. It
+/// [`simulate_decode_trace_traced`] with the full observer set. Every
+/// observer sees each event once, as it is recorded: the sink's batch and
+/// online blame fold, the exemplar reservoir and the hub; nothing passes
+/// over the records again at the end of the run. It
 /// captures the `exemplar_k` worst request timelines per tail metric
 /// (TTFT, max ITL, e2e) — buffered outside the sink, so the tail is
 /// observable even with tracing disabled or head-sampled; `0` captures
@@ -763,9 +769,10 @@ pub fn simulate_decode_trace_observed(
         r.kv.check_invariants()
             .expect("kv invariants at end of run");
     }
+    let (exemplars, spans) = r.rec.finish();
     if sink.is_enabled() {
-        // One pass of the lifecycle fold yields both trace-derived blocks.
-        r.metrics.set_blame_spans(&blame_spans(&sink.snapshot()));
+        // The recorder folded every kept lane as it recorded it.
+        r.metrics.set_blame_spans(&spans);
     }
     if let Some(h) = hub {
         h.finish();
@@ -773,17 +780,38 @@ pub fn simulate_decode_trace_observed(
     let cache = CacheStats::of(&r.cache);
     (
         r.metrics.report(&cfg.report_name(), r.kv.stats(), cache),
-        r.rec.finish(),
+        exemplars,
     )
 }
 
-/// Forwards lifecycle events to the trace sink while keeping each live
-/// lane's full timeline for the tail-exemplar reservoir. The timelines
-/// are buffered independently of the sink, so exemplars survive a
-/// disabled or head-sampled sink; with `k == 0` every `record` is a
-/// plain forward and the loop costs one extra branch.
-struct Recorder<'a> {
+/// The replay's own trace records, in emission order (`ord` = position),
+/// handed to the sink in one [`TraceSink::append`] when dropped: at the
+/// end of the run, or while a panicking replay unwinds, so the sink still
+/// gets every record emitted before the panic. The hot loop takes no
+/// lock.
+struct SinkBatch<'a> {
     sink: &'a TraceSink,
+    records: Vec<TraceRecord>,
+}
+
+impl Drop for SinkBatch<'_> {
+    fn drop(&mut self) {
+        self.sink.append(std::mem::take(&mut self.records));
+    }
+}
+
+/// Records lifecycle events for the trace sink, folds blame over the
+/// lanes the sink keeps as it records them, and keeps each live lane's
+/// full timeline for the tail-exemplar reservoir. The timelines are
+/// buffered independently of the sink, so exemplars survive a disabled or
+/// head-sampled sink; with a disabled sink and `k == 0` every `record` is
+/// a few branches.
+struct Recorder<'a> {
+    batch: SinkBatch<'a>,
+    /// Blame over the kept sequence lanes, folded online: the same spans
+    /// [`blame_spans`](pit_trace::blame_spans) would reduce from the
+    /// sink's records after the run.
+    spans: LaneSpans,
     reservoir: ExemplarReservoir,
     timelines: BTreeMap<u64, Vec<TraceRecord>>,
     ord: u64,
@@ -795,7 +823,11 @@ struct Recorder<'a> {
 impl<'a> Recorder<'a> {
     fn new(sink: &'a TraceSink, exemplar_k: usize, hub: Option<&'a MetricsHub>) -> Self {
         Recorder {
-            sink,
+            batch: SinkBatch {
+                sink,
+                records: Vec::new(),
+            },
+            spans: LaneSpans::new(),
             reservoir: ExemplarReservoir::new(exemplar_k),
             timelines: BTreeMap::new(),
             ord: 0,
@@ -821,11 +853,23 @@ impl<'a> Recorder<'a> {
                 self.reservoir.offer(lane, &timeline);
             }
         }
-        self.sink.record(t_s, lane, event);
+        if self.batch.sink.keeps(lane) {
+            self.spans.observe(t_s, lane, &event);
+            let records = &mut self.batch.records;
+            records.push(TraceRecord {
+                ord: records.len() as u64,
+                t_s,
+                lane,
+                event,
+            });
+        }
     }
 
-    fn finish(self) -> ExemplarSet {
-        self.reservoir.finish()
+    /// Hands the records to the sink and returns the exemplars and every
+    /// kept lane's blame breakdown.
+    fn finish(self) -> (ExemplarSet, BTreeMap<u64, BlameBreakdown>) {
+        drop(self.batch);
+        (self.reservoir.finish(), self.spans.finish())
     }
 }
 

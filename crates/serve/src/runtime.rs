@@ -143,7 +143,9 @@ pub(crate) fn occupancy_mask(real_tokens: usize, padded_tokens: usize) -> Mask {
     let scale = padded_tokens.div_ceil(1024).max(1);
     let rows = (padded_tokens / scale).max(1);
     let real_rows = (real_tokens / scale).min(rows);
-    Mask::from_fn(rows, 64, |r, _| r < real_rows)
+    let mut m = Mask::zeros(rows, 64);
+    m.fill_rows(0..real_rows);
+    m
 }
 
 /// Charges the shared per-shape Algorithm-1 selection (§5.6) for a step
@@ -891,5 +893,23 @@ mod tests {
         let big = occupancy_mask(4096, 8192);
         assert!(big.rows() <= 1024);
         assert!((big.density() - 0.5).abs() < 0.01);
+    }
+
+    #[test]
+    fn occupancy_mask_equals_the_per_bit_mask() {
+        // Below and above the 1024-row cap, where rows are scaled down.
+        for (real, padded) in [
+            (0, 1),
+            (1, 1),
+            (500, 1000),
+            (1000, 1000),
+            (700, 3000),
+            (4097, 8193),
+        ] {
+            let m = occupancy_mask(real, padded);
+            let scale = padded.div_ceil(1024).max(1);
+            let real_rows = (real / scale).min(m.rows());
+            assert_eq!(m, Mask::from_fn(m.rows(), 64, |r, _| r < real_rows));
+        }
     }
 }

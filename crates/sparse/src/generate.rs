@@ -71,12 +71,8 @@ pub fn seq_padding_mask(lens: &[usize], max_len: usize) -> Mask {
 pub fn token_row_mask(lens: &[usize], max_len: usize, hidden: usize) -> Mask {
     let mut m = Mask::zeros(lens.len() * max_len, hidden);
     for (i, &len) in lens.iter().enumerate() {
-        for t in 0..len.min(max_len) {
-            let row = i * max_len + t;
-            for c in 0..hidden {
-                m.set(row, c, true);
-            }
-        }
+        let first = i * max_len;
+        m.fill_rows(first..first + len.min(max_len));
     }
     m
 }
@@ -288,6 +284,19 @@ mod tests {
         assert_eq!(m.row_nnz(0), 3);
         assert_eq!(m.row_nnz(1), 1);
         assert_eq!(m.row_nnz(2), 0);
+    }
+
+    #[test]
+    fn token_row_mask_equals_the_per_bit_mask() {
+        // Widths below, at and across a word boundary.
+        for hidden in [1, 63, 64, 65, 128, 130] {
+            let (lens, max_len) = ([0, 3, 7, 5], 5);
+            let m = token_row_mask(&lens, max_len, hidden);
+            let per_bit = Mask::from_fn(lens.len() * max_len, hidden, |r, _| {
+                r % max_len < lens[r / max_len]
+            });
+            assert_eq!(m, per_bit, "hidden {hidden}");
+        }
     }
 
     #[test]

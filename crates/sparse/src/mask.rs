@@ -1,6 +1,7 @@
 //! 2-D bitset masks.
 
 use pit_tensor::Tensor;
+use std::ops::Range;
 
 /// A dense 2-D bitset marking the non-zero positions of a tensor.
 ///
@@ -39,18 +40,30 @@ impl Mask {
     /// Creates an all-one (fully dense) mask.
     pub fn ones(rows: usize, cols: usize) -> Self {
         let mut m = Mask::zeros(rows, cols);
-        for r in 0..rows {
-            for w in 0..m.words_per_row {
-                let base = w * 64;
-                let valid = cols.saturating_sub(base).min(64);
-                if valid == 64 {
-                    m.bits[r * m.words_per_row + w] = u64::MAX;
-                } else if valid > 0 {
-                    m.bits[r * m.words_per_row + w] = (1u64 << valid) - 1;
-                }
-            }
-        }
+        m.fill_rows(0..rows);
         m
+    }
+
+    /// Sets every bit of the rows in `rows`, a word at a time; the bits
+    /// of each row's last word past `cols` stay clear.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` reaches past the last row.
+    pub fn fill_rows(&mut self, rows: Range<usize>) {
+        assert!(rows.end <= self.rows, "mask row range out of bounds");
+        let wpr = self.words_per_row;
+        if wpr == 0 {
+            return;
+        }
+        let tail = match self.cols % 64 {
+            0 => u64::MAX,
+            valid => (1u64 << valid) - 1,
+        };
+        for row in self.bits[rows.start * wpr..rows.end * wpr].chunks_exact_mut(wpr) {
+            row.fill(u64::MAX);
+            row[wpr - 1] = tail;
+        }
     }
 
     /// Builds a mask from a predicate over `(row, col)`.
@@ -445,6 +458,21 @@ mod tests {
         assert_eq!(m.nnz(), 490);
         assert_eq!(m.sparsity(), 0.0);
         assert!(m.get(6, 69));
+    }
+
+    #[test]
+    fn fill_rows_equals_setting_each_bit() {
+        for cols in [0, 1, 63, 64, 65, 127, 128, 200] {
+            let mut m = Mask::zeros(6, cols);
+            m.fill_rows(1..4);
+            m.fill_rows(5..5);
+            assert_eq!(
+                m,
+                Mask::from_fn(6, cols, |r, _| (1..4).contains(&r)),
+                "cols {cols}"
+            );
+            assert_eq!(Mask::ones(6, cols), Mask::from_fn(6, cols, |_, _| true));
+        }
     }
 
     #[test]

@@ -9,12 +9,14 @@
 //!   sketch with a bounded relative error, replacing unbounded latency
 //!   sample vectors so million-request replays run in O(1) metric memory;
 //! - [`TraceSink`] / [`TraceEvent`] — an off-by-default (one branch when
-//!   disabled), shard-locked collector of typed request-lifecycle events
-//!   stamped on the virtual clock;
+//!   disabled) collector of typed request-lifecycle events stamped on the
+//!   virtual clock: one locked buffer, fed a record at a time or a whole
+//!   replay's batch at once;
 //! - [`LifecycleFold`] — the one per-lane lifecycle fold every stream
 //!   consumer below runs on: the arrival anchor, each inter-event gap's
 //!   [`BlameCategory`] tile and [`Phase`], and the TTFT / ITL / e2e
-//!   [`Latency`] observations;
+//!   [`Latency`] observations; [`LaneSpans`] keeps each lane's breakdown
+//!   as it closes, which the decode replay folds online;
 //! - [`chrome_trace_json`] — Chrome `trace_event` JSON export (device,
 //!   PCIe-link and per-sequence lanes), loadable in `chrome://tracing`
 //!   and Perfetto;
@@ -82,7 +84,7 @@ pub use http::{ScrapeServer, ShutdownHandle};
 pub use hub::{HubConfig, HubSeries, HubSeriesWindow, MetricsHub, COUNTER_SHARDS};
 pub use json::{JsonError, JsonErrorKind, JsonValue};
 pub use ledger::{DeviceLedger, StepSample, Utilization};
-pub use lifecycle::{LaneStep, Latency, LatencySketches, LifecycleFold};
+pub use lifecycle::{LaneSpans, LaneStep, Latency, LatencySketches, LifecycleFold};
 pub use sink::{
     TraceEvent, TraceRecord, TraceSink, DEVICE_LANE, LINK_D2H_LANE, LINK_H2D_LANE, RESERVED_LANES,
 };

@@ -16,6 +16,12 @@
 //!   inter-token gap, and `Finished` closes the end-to-end latency;
 //! - `Finished` and `Rejected` end the lane and release its state, so a
 //!   live fold holds only requests in flight.
+//!
+//! [`LaneSpans`] keeps each lane's breakdown as it closes. The decode
+//! replay folds online through it, event by event as it records them, so
+//! a traced run's blame and phase breakdown need no pass over the sink at
+//! the end; [`LifecycleFold::replay`] folds a recorded stream through the
+//! same collector after the fact.
 
 use crate::blame::{BlameBreakdown, BlameCategory};
 use crate::sink::{TraceEvent, TraceRecord, RESERVED_LANES};
@@ -165,17 +171,58 @@ impl LifecycleFold {
         records: &[TraceRecord],
         mut each: impl FnMut(&TraceRecord, &LaneStep),
     ) -> BTreeMap<u64, BlameBreakdown> {
-        let mut fold = LifecycleFold::new();
-        let mut spans = BTreeMap::new();
+        let mut spans = LaneSpans::new();
         for r in records {
-            if let Some(step) = fold.observe(r.t_s, r.lane, &r.event) {
+            if let Some(step) = spans.observe(r.t_s, r.lane, &r.event) {
                 each(r, &step);
-                if let Some(b) = step.closed {
-                    spans.insert(r.lane, b);
-                }
             }
         }
-        spans.extend(fold.lanes.into_iter().map(|(lane, st)| (lane, st.span)));
+        spans.finish()
+    }
+}
+
+/// A [`LifecycleFold`] that keeps every lane's [`BlameBreakdown`]: a
+/// lane's final breakdown is stored when `Finished` or `Rejected` closes
+/// it, and [`LaneSpans::finish`] adds the lanes still open. The one
+/// closed-lane collector: [`LifecycleFold::replay`] runs on it after a
+/// run, and the decode replay feeds it each event as it records it.
+///
+/// The fold keeps separate state per lane, so feeding events in emission
+/// order yields the same spans as feeding the time-sorted stream whenever
+/// each lane's times never decrease in emission order — true of the
+/// decode replay's lanes, and pinned by `tests/blame_invariants.rs`.
+#[derive(Debug, Clone, Default)]
+pub struct LaneSpans {
+    fold: LifecycleFold,
+    closed: BTreeMap<u64, BlameBreakdown>,
+}
+
+impl LaneSpans {
+    /// An empty collector.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Folds one event ([`LifecycleFold::observe`]), storing the lane's
+    /// breakdown if the event closed it.
+    pub fn observe(&mut self, t_s: f64, lane: u64, event: &TraceEvent) -> Option<LaneStep> {
+        let step = self.fold.observe(t_s, lane, event)?;
+        if let Some(b) = step.closed {
+            self.closed.insert(lane, b);
+        }
+        Some(step)
+    }
+
+    /// Every lane's breakdown, by lane: the closed ones and those still
+    /// open.
+    pub fn finish(self) -> BTreeMap<u64, BlameBreakdown> {
+        let mut spans = self.closed;
+        spans.extend(
+            self.fold
+                .lanes
+                .into_iter()
+                .map(|(lane, st)| (lane, st.span)),
+        );
         spans
     }
 }

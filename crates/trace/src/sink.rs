@@ -3,9 +3,13 @@
 //! [`TraceSink`] collects typed [`TraceEvent`]s stamped with virtual-clock
 //! times. It is off by default — a disabled sink's [`TraceSink::record`]
 //! is a single branch, so the decode hot loop pays nothing when nobody is
-//! looking — and sharded when enabled: records land in
-//! `lane % shards` under independent mutexes, with one global atomic
-//! ordinal tying the shards back into a total order at drain time.
+//! looking. When enabled it keeps one locked buffer in emission order and
+//! numbers each kept record with an ordinal that breaks ties between
+//! equal times at drain time. Single events go through
+//! [`TraceSink::record`]; the decode replay buffers its own records and
+//! hands them over once, through [`TraceSink::append`], so its hot loop
+//! takes no lock. [`TraceSink::keeps`] is the one head-sampling predicate
+//! both paths apply.
 //!
 //! Times are seconds on the emitting runtime's virtual clock. Each
 //! record's `t_s` is the instant the event *took effect* (a transfer's
@@ -14,8 +18,7 @@
 //! without guessing.
 
 use crate::blame::WaitCause;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Lane id of the modelled device's execution track.
 pub const DEVICE_LANE: u64 = u64::MAX;
@@ -137,11 +140,12 @@ impl TraceEvent {
     }
 }
 
-/// One recorded event: which lane, when, what, and a global ordinal that
-/// restores a total order across shards.
+/// One recorded event: which lane, when, what, and the sink's emission
+/// ordinal, which orders records that share a `t_s`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceRecord {
-    /// Global emission ordinal (atomic across shards).
+    /// Emission ordinal: the record's position among everything the sink
+    /// has kept.
     pub ord: u64,
     /// Virtual-clock time the event took effect (seconds).
     pub t_s: f64,
@@ -151,12 +155,19 @@ pub struct TraceRecord {
     pub event: TraceEvent,
 }
 
-/// Sharded, off-by-default collector of [`TraceRecord`]s.
+/// The enabled sink's state: the kept records in emission order and the
+/// next ordinal to hand out (it keeps counting across drains).
+#[derive(Debug, Default)]
+struct Buffer {
+    records: Vec<TraceRecord>,
+    next_ord: u64,
+}
+
+/// Off-by-default collector of [`TraceRecord`]s in one locked buffer.
 #[derive(Debug)]
 pub struct TraceSink {
-    /// Empty when disabled — `record` then returns after one branch.
-    shards: Vec<Mutex<Vec<TraceRecord>>>,
-    next_ord: AtomicU64,
+    /// `None` when disabled — `record` then returns after one branch.
+    buffer: Option<Mutex<Buffer>>,
     /// Head-sampling stride: keep sequence lanes with
     /// `lane % sample_every == 0` (1 = keep everything). Deterministic
     /// by request id, so two replays sample the same heads; reserved
@@ -168,22 +179,15 @@ impl TraceSink {
     /// A disabled sink: recording is a no-op costing one branch.
     pub fn disabled() -> Self {
         TraceSink {
-            shards: Vec::new(),
-            next_ord: AtomicU64::new(0),
+            buffer: None,
             sample_every: 1,
         }
     }
 
-    /// An enabled sink with a default shard count.
+    /// An enabled sink that keeps every lane.
     pub fn enabled() -> Self {
-        Self::with_shards(8)
-    }
-
-    /// An enabled sink with `shards` independently-locked shards.
-    pub fn with_shards(shards: usize) -> Self {
         TraceSink {
-            shards: (0..shards.max(1)).map(|_| Mutex::new(Vec::new())).collect(),
-            next_ord: AtomicU64::new(0),
+            buffer: Some(Mutex::default()),
             sample_every: 1,
         }
     }
@@ -203,37 +207,69 @@ impl TraceSink {
 
     /// Whether records are being kept.
     pub fn is_enabled(&self) -> bool {
-        !self.shards.is_empty()
+        self.buffer.is_some()
     }
 
-    /// Records one event at `t_s` on `lane`. No-op on a disabled sink.
+    /// Whether this sink keeps events on `lane`: it is enabled, and the
+    /// lane is a reserved device/link lane or a sampled sequence lane.
+    /// The one head-sampling predicate — [`TraceSink::record`] and
+    /// [`TraceSink::append`] drop exactly the lanes it refuses.
+    #[inline]
+    pub fn keeps(&self, lane: u64) -> bool {
+        self.buffer.is_some() && (lane >= RESERVED_LANES || lane.is_multiple_of(self.sample_every))
+    }
+
+    /// The buffer, for an enabled sink. A panic never leaves a record
+    /// half-written under the lock, so a poisoned lock is taken as is:
+    /// no method panics on it (the decode replay appends from `Drop`).
+    fn buffer(&self) -> Option<MutexGuard<'_, Buffer>> {
+        self.buffer
+            .as_ref()
+            .map(|m| m.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// Records one event at `t_s` on `lane`. No-op on a disabled sink or
+    /// a sampled-out lane.
     pub fn record(&self, t_s: f64, lane: u64, event: TraceEvent) {
-        if self.shards.is_empty() {
+        if !self.keeps(lane) {
             return;
         }
-        if self.sample_every > 1 && lane < RESERVED_LANES && !lane.is_multiple_of(self.sample_every)
-        {
-            return;
-        }
-        let ord = self.next_ord.fetch_add(1, Ordering::Relaxed);
-        let shard = (lane % self.shards.len() as u64) as usize;
-        self.shards[shard]
-            .lock()
-            .expect("trace shard poisoned")
-            .push(TraceRecord {
+        if let Some(mut buf) = self.buffer() {
+            let ord = buf.next_ord;
+            buf.next_ord += 1;
+            buf.records.push(TraceRecord {
                 ord,
                 t_s,
                 lane,
                 event,
             });
+        }
+    }
+
+    /// Records a batch in slice order, as if each were
+    /// [`TraceSink::record`]ed in turn: sampled-out lanes are dropped and
+    /// the kept records get the sink's next ordinals, so a batch numbered
+    /// from 0 by position keeps its numbering, shifted by what the sink
+    /// already holds. Into an empty sink the batch's buffer moves as is.
+    pub fn append(&self, mut records: Vec<TraceRecord>) {
+        let Some(mut buf) = self.buffer() else {
+            return;
+        };
+        records.retain(|r| self.keeps(r.lane));
+        for r in &mut records {
+            r.ord = buf.next_ord;
+            buf.next_ord += 1;
+        }
+        if buf.records.is_empty() {
+            buf.records = records;
+        } else {
+            buf.records.append(&mut records);
+        }
     }
 
     /// Records recorded so far.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("trace shard poisoned").len())
-            .sum()
+        self.buffer().map_or(0, |buf| buf.records.len())
     }
 
     /// True when nothing has been recorded (or the sink is disabled).
@@ -241,28 +277,34 @@ impl TraceSink {
         self.len() == 0
     }
 
-    /// Copies every record out, merged across shards and sorted by
-    /// `(t_s, ord)`, leaving the sink intact (a run can be exported to
-    /// Chrome *and* reduced to breakdowns from the same sink).
+    /// Copies every record out, sorted by `(t_s, ord)`, leaving the sink
+    /// intact (a run can be exported to Chrome *and* reduced to
+    /// breakdowns from the same sink).
     pub fn snapshot(&self) -> Vec<TraceRecord> {
-        let mut all: Vec<TraceRecord> = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            all.extend(shard.lock().expect("trace shard poisoned").iter().cloned());
-        }
-        all.sort_by(|a, b| a.t_s.total_cmp(&b.t_s).then(a.ord.cmp(&b.ord)));
+        let mut all = self
+            .buffer()
+            .map_or_else(Vec::new, |buf| buf.records.clone());
+        sort_by_time(&mut all);
         all
     }
 
-    /// Moves every record out (merged and sorted as in
-    /// [`TraceSink::snapshot`]), emptying the sink.
+    /// Moves every record out, sorted as in [`TraceSink::snapshot`],
+    /// emptying the sink. The buffer itself moves and is sorted in place,
+    /// so draining copies no record.
     pub fn drain(&self) -> Vec<TraceRecord> {
-        let mut all: Vec<TraceRecord> = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            all.append(&mut shard.lock().expect("trace shard poisoned"));
-        }
-        all.sort_by(|a, b| a.t_s.total_cmp(&b.t_s).then(a.ord.cmp(&b.ord)));
+        let mut all = self
+            .buffer()
+            .map_or_else(Vec::new, |mut buf| std::mem::take(&mut buf.records));
+        sort_by_time(&mut all);
         all
     }
+}
+
+/// Sorts records time-major, ordinal-minor. Ordinals are unique within a
+/// sink, so the unstable sort gives the one order, and it allocates
+/// nothing: a stable sort's scratch buffer is as large as the records.
+fn sort_by_time(records: &mut [TraceRecord]) {
+    records.sort_unstable_by(|a, b| a.t_s.total_cmp(&b.t_s).then(a.ord.cmp(&b.ord)));
 }
 
 #[cfg(test)]
@@ -279,8 +321,8 @@ mod tests {
     }
 
     #[test]
-    fn records_merge_across_shards_in_time_order() {
-        let sink = TraceSink::with_shards(4);
+    fn records_drain_in_time_then_emission_order() {
+        let sink = TraceSink::enabled();
         sink.record(2.0, 1, TraceEvent::Finished);
         sink.record(1.0, 2, TraceEvent::FirstToken);
         sink.record(1.0, 3, TraceEvent::Admitted { arrival_s: 0.5 });
@@ -332,16 +374,83 @@ mod tests {
     }
 
     #[test]
-    fn shard_choice_is_stable_per_lane() {
-        let sink = TraceSink::with_shards(2);
+    fn drain_orders_interleaved_lanes_by_time() {
+        let sink = TraceSink::enabled();
         for i in 0..100u64 {
-            sink.record(i as f64, i % 5, TraceEvent::FirstToken);
+            // Emitted out of time order, five lanes interleaved.
+            sink.record(((i * 37) % 100) as f64, i % 5, TraceEvent::FirstToken);
         }
         let drained = sink.drain();
         assert_eq!(drained.len(), 100);
-        // Total order restored regardless of shard layout.
         for w in drained.windows(2) {
             assert!(w[0].t_s <= w[1].t_s);
         }
+    }
+
+    fn batch(events: &[(f64, u64)]) -> Vec<TraceRecord> {
+        events
+            .iter()
+            .enumerate()
+            .map(|(i, &(t_s, lane))| TraceRecord {
+                ord: i as u64,
+                t_s,
+                lane,
+                event: TraceEvent::FirstToken,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn append_continues_the_ordinals() {
+        let sink = TraceSink::enabled();
+        sink.append(batch(&[(0.5, 1), (0.25, 2)]));
+        sink.record(0.75, 3, TraceEvent::Finished);
+        sink.append(batch(&[(0.25, 4), (1.0, 5)]));
+        let ords: Vec<(u64, u64)> = sink.snapshot().iter().map(|r| (r.lane, r.ord)).collect();
+        // Time-major; the ordinals follow emission across both batches
+        // and the single record between them.
+        assert_eq!(ords, vec![(2, 1), (4, 3), (1, 0), (3, 2), (5, 4)]);
+        // A drain does not reset the count.
+        sink.drain();
+        sink.append(batch(&[(0.0, 6)]));
+        assert_eq!(sink.drain()[0].ord, 5);
+    }
+
+    #[test]
+    fn append_samples_exactly_as_record_does() {
+        let events: Vec<(f64, u64)> = (0..12u64)
+            .map(|lane| (lane as f64, lane))
+            .chain([(3.5, DEVICE_LANE), (4.5, LINK_H2D_LANE)])
+            .collect();
+        let recorded = TraceSink::enabled().with_sampling(3);
+        for &(t_s, lane) in &events {
+            recorded.record(t_s, lane, TraceEvent::FirstToken);
+        }
+        let appended = TraceSink::enabled().with_sampling(3);
+        appended.append(batch(&events));
+        let kept = appended.drain();
+        assert_eq!(kept, recorded.drain());
+        let lanes: Vec<u64> = kept.iter().map(|r| r.lane).collect();
+        assert_eq!(lanes, vec![0, 3, DEVICE_LANE, LINK_H2D_LANE, 6, 9]);
+        assert!(events.iter().all(|&(_, lane)| {
+            appended.keeps(lane) == (lane >= RESERVED_LANES || lane % 3 == 0)
+        }));
+
+        let disabled = TraceSink::disabled();
+        disabled.append(batch(&events));
+        assert!(disabled.is_empty() && !disabled.keeps(DEVICE_LANE));
+    }
+
+    #[test]
+    fn drain_sorts_an_appended_batch_and_empties_the_sink() {
+        let sink = TraceSink::enabled();
+        sink.append(batch(&[(3.0, 1), (1.0, 2), (2.0, 1), (1.0, 3), (0.5, 2)]));
+        let drained = sink.drain();
+        let order: Vec<(f64, u64)> = drained.iter().map(|r| (r.t_s, r.ord)).collect();
+        assert_eq!(
+            order,
+            vec![(0.5, 4), (1.0, 1), (1.0, 3), (2.0, 2), (3.0, 0)]
+        );
+        assert!(sink.is_empty() && sink.drain().is_empty());
     }
 }

@@ -26,8 +26,11 @@ use pit::serve::decode::{
     simulate_decode_trace, simulate_decode_trace_observed, simulate_decode_trace_traced,
     DecodePolicy, DecodeServeConfig, DecodeServeConfigBuilder, KvSparsityPolicy, PreemptPolicy,
 };
-use pit::serve::Percentiles;
-use pit::trace::{BlameBreakdown, LatencySketches, LifecycleFold, TraceEvent, TraceSink};
+use pit::serve::{DecodeReport, Percentiles};
+use pit::trace::{
+    blame_spans, BlameAggregate, BlameBreakdown, BlameSummary, BreakdownSummary, LatencySketches,
+    LifecycleFold, MetricsHub, TraceEvent, TraceSink, RESERVED_LANES,
+};
 use pit::workloads::{ArrivalTrace, DatasetSpec, DecodeSpec, DecodeTrace, SharedPrefixSpec};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -167,6 +170,86 @@ fn assert_tiles(lane: u64, b: &BlameBreakdown) {
     );
 }
 
+/// One cause's name, request count and the bits of its seven f64s.
+type CauseBits = (String, u64, [u64; 7]);
+
+/// Every f64 of a blame summary as bits, with its counts and names.
+fn summary_bits(s: &BlameSummary) -> (u64, [u64; 2], Vec<CauseBits>) {
+    let causes = s
+        .causes
+        .iter()
+        .map(|c| {
+            let f = [
+                c.ttft_s,
+                c.ttft_share,
+                c.e2e_s,
+                c.e2e_share,
+                c.p50_s,
+                c.p95_s,
+                c.p99_s,
+            ];
+            (c.cause.clone(), c.requests, f.map(f64::to_bits))
+        })
+        .collect();
+    (
+        s.requests,
+        [s.ttft_total_s, s.e2e_total_s].map(f64::to_bits),
+        causes,
+    )
+}
+
+/// Every f64 of a phase breakdown as bits, with its request count.
+fn breakdown_bits(b: &BreakdownSummary) -> (usize, [u64; 4]) {
+    let means = [
+        b.mean_queue_s,
+        b.mean_prefill_s,
+        b.mean_decode_s,
+        b.mean_stall_s,
+    ];
+    (b.requests, means.map(f64::to_bits))
+}
+
+/// The replay folds blame online, in emission order, over the lanes the
+/// sink keeps. That equals folding the sink's time-sorted records after
+/// the run when no sequence lane's time ever decreases in emission
+/// (`ord`) order — asserted here — and the report must carry exactly the
+/// after-the-run fold's blame and breakdown, bit for bit.
+fn assert_online_fold_is_the_replay_fold(what: &str, report: &DecodeReport, sink: &TraceSink) {
+    let records = sink.snapshot();
+    let mut by_ord: Vec<_> = records.iter().collect();
+    by_ord.sort_by_key(|r| r.ord);
+    let mut last_s: BTreeMap<u64, f64> = BTreeMap::new();
+    for r in by_ord.into_iter().filter(|r| r.lane < RESERVED_LANES) {
+        if let Some(prev) = last_s.insert(r.lane, r.t_s) {
+            assert!(
+                r.t_s >= prev,
+                "{what}: lane {} steps back from {prev} to {} at ord {}",
+                r.lane,
+                r.t_s,
+                r.ord
+            );
+        }
+    }
+    let spans = blame_spans(&records);
+    let mut aggregate = BlameAggregate::new();
+    aggregate.fold_spans(&spans);
+    let blame = report.blame.as_ref().expect("traced run carries blame");
+    assert_eq!(
+        summary_bits(blame),
+        summary_bits(&aggregate.summary()),
+        "{what}: report blame differs from the after-the-run fold"
+    );
+    let breakdown = report
+        .breakdown
+        .as_ref()
+        .expect("traced run carries a breakdown");
+    assert_eq!(
+        breakdown_bits(breakdown),
+        breakdown_bits(&BreakdownSummary::of(&spans)),
+        "{what}: report breakdown differs from the after-the-run fold"
+    );
+}
+
 proptest! {
     // Each case runs a full (small) simulation; keep the budget modest.
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -237,6 +320,9 @@ proptest! {
             (blame.e2e_total_s - span_e2e).abs() < 1e-6,
             "{:?}: aggregate e2e {} != span sum {}", scenario, blame.e2e_total_s, span_e2e
         );
+
+        // The online fold is the after-the-run fold.
+        assert_online_fold_is_the_replay_fold(&format!("{scenario:?}"), &traced, &sink);
 
         // Observation is free: the traced report minus the trace-derived
         // blocks is the untraced report, bit for bit.
@@ -346,4 +432,40 @@ fn zero_k_disables_the_reservoir() {
     let sink = TraceSink::enabled();
     let (_, ex) = simulate_decode_trace_observed(&cfg, &trace, &sink, 0, None);
     assert!(ex.ttft.is_empty() && ex.itl.is_empty() && ex.e2e.is_empty());
+}
+
+#[test]
+fn online_fold_matches_under_head_sampling_and_with_a_hub() {
+    for (i, scenario) in SCENARIOS.into_iter().enumerate() {
+        let cfg = config(scenario);
+        let trace = workload(scenario, 24, 40 + i as u64);
+        let full_sink = TraceSink::enabled();
+        let full = simulate_decode_trace_traced(&cfg, &trace, &full_sink);
+
+        // Head-sampled: the fold sees only the kept lanes, as the sink does.
+        let sampled_sink = TraceSink::enabled().with_sampling(3);
+        let sampled = simulate_decode_trace_traced(&cfg, &trace, &sampled_sink);
+        assert_online_fold_is_the_replay_fold(
+            &format!("{scenario:?}, 1-in-3 lanes"),
+            &sampled,
+            &sampled_sink,
+        );
+        let blame = sampled.blame.as_ref().expect("sampled run carries blame");
+        assert!(
+            blame.requests < full.blame.as_ref().unwrap().requests,
+            "{scenario:?}: sampling folded every lane"
+        );
+
+        // With a hub attached the report does not move by one bit.
+        let hub = MetricsHub::with_defaults();
+        let hub_sink = TraceSink::enabled();
+        let (hubbed, _) = simulate_decode_trace_observed(&cfg, &trace, &hub_sink, 2, Some(&hub));
+        assert_online_fold_is_the_replay_fold(&format!("{scenario:?}, hub"), &hubbed, &hub_sink);
+        assert_eq!(
+            hubbed.to_json(),
+            full.to_json(),
+            "{scenario:?}: the hub moved the report"
+        );
+        assert_eq!(hub_sink.snapshot(), full_sink.snapshot());
+    }
 }

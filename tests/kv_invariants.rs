@@ -682,3 +682,264 @@ proptest! {
         }
     }
 }
+
+/// A small pool holding every kind of page the two release paths must
+/// tell apart. Sequence 1 is the subject: full pages, a partially
+/// written tail (unless its length is page-aligned), a prefix shared
+/// with sequence 3, pages pinned by an external index (some twice) and
+/// pages swapped to the host. Sequence 2's pages are foreign to it; the
+/// remaining ids are free. Deterministic per seed, so every call under
+/// test starts from the same state.
+fn release_fixture(seed: u64) -> PagedKvCache {
+    let ps = 4;
+    let mut kv = PagedKvCache::new(KvConfig::new(ps, 16).with_host_pages(4));
+    let mut h = seed | 1;
+    let mut next = move || {
+        h ^= h << 13;
+        h ^= h >> 7;
+        h ^= h << 17;
+        h.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 11
+    };
+    let full = 3 + (next() % 6) as usize;
+    let tail = (next() % ps as u64) as usize;
+    kv.alloc(1, full * ps + tail).unwrap();
+    kv.alloc(2, 2 * ps).unwrap();
+    let table = kv.seq_pages(1).unwrap().to_vec();
+    let shared = (next() % 3) as usize;
+    if shared > 0 {
+        kv.alloc_shared(3, &table[..shared], shared * ps).unwrap();
+    }
+    for &p in &table[..full] {
+        match next() % 4 {
+            0 => kv.retain_pages(&[p]).unwrap(),
+            1 => kv.retain_pages(&[p, p]).unwrap(),
+            _ => {}
+        }
+    }
+    let to_host: Vec<u32> = table
+        .iter()
+        .copied()
+        .filter(|&p| kv.page_refs(p) == 1 && next() % 3 == 0)
+        .take(4)
+        .collect();
+    if !to_host.is_empty() {
+        kv.swap_out(1, &to_host).unwrap();
+    }
+    kv.check_invariants().unwrap();
+    kv
+}
+
+/// Everything the release paths may touch: the pool counters, each
+/// sequence's table and cached length, and every page's references,
+/// pins, tier and written slots.
+type PoolState = (
+    pit::kv::KvStats,
+    Vec<(Option<Vec<u32>>, Option<usize>)>,
+    Vec<(u32, u32, PageLocation, usize)>,
+);
+
+fn pool_state(kv: &PagedKvCache) -> PoolState {
+    let seqs = (1..=3u64)
+        .map(|s| (kv.seq_pages(s).map(<[u32]>::to_vec), kv.seq_tokens(s)))
+        .collect();
+    let pages = (0..kv.config().total_ids() as u32)
+        .map(|p| {
+            (
+                kv.page_refs(p),
+                kv.page_ext_refs(p),
+                kv.page_location(p),
+                kv.page_written(p),
+            )
+        })
+        .collect();
+    (kv.stats(), seqs, pages)
+}
+
+/// `release_seq_pages` as its doc comment states it: every listed page
+/// in the sequence's table, device-resident, listed once and a fully
+/// written page (not the partial tail); the result is the pages whose
+/// last reference this sequence held.
+fn documented_evict(kv: &PagedKvCache, seq: u64, pages: &[u32]) -> Result<usize, KvError> {
+    if pages.is_empty() {
+        return Ok(0);
+    }
+    let table = kv.seq_pages(seq).ok_or(KvError::UnknownSeq(seq))?;
+    let used = kv.seq_tokens(seq).unwrap();
+    let ps = kv.config().page_size;
+    for (i, &p) in pages.iter().enumerate() {
+        let Some(pos) = table.iter().position(|&q| q == p) else {
+            return Err(KvError::InvalidEvict);
+        };
+        if pages[..i].contains(&p)
+            || (pos + 1) * ps > used
+            || kv.page_location(p) != PageLocation::Device
+        {
+            return Err(KvError::InvalidEvict);
+        }
+    }
+    Ok(pages.iter().filter(|&&p| kv.page_refs(p) == 1).count())
+}
+
+/// `release_pages` as its doc comment states it: one external reference
+/// dropped per listed page, so a page listed `n` times needs `n` pins;
+/// the result is the pages whose last reference dropped.
+fn documented_release(kv: &PagedKvCache, pages: &[u32]) -> Result<usize, KvError> {
+    let ids = kv.config().total_ids() as u32;
+    let count = |p: u32| pages.iter().filter(|&&q| q == p).count() as u32;
+    if pages
+        .iter()
+        .any(|&p| p >= ids || kv.page_ext_refs(p) < count(p))
+    {
+        return Err(KvError::InvalidShare);
+    }
+    let mut distinct = pages.to_vec();
+    distinct.sort_unstable();
+    distinct.dedup();
+    Ok(distinct
+        .iter()
+        .filter(|&&p| kv.page_refs(p) == count(p))
+        .count())
+}
+
+/// Runs `op` on a fresh fixture and checks it against `expect` (computed
+/// on the same state first): equal results; an `Err` leaves the pool
+/// exactly as it was; either way the invariants hold.
+fn check_release(
+    seed: u64,
+    what: &str,
+    expect: impl Fn(&PagedKvCache) -> Result<usize, KvError>,
+    op: impl FnOnce(&mut PagedKvCache) -> Result<usize, KvError>,
+) -> PoolState {
+    let mut kv = release_fixture(seed);
+    let want = expect(&kv);
+    let before = pool_state(&kv);
+    let got = op(&mut kv);
+    assert_eq!(got, want, "{what}");
+    kv.check_invariants()
+        .unwrap_or_else(|e| panic!("{what}: {e}"));
+    if got.is_err() {
+        assert_eq!(
+            pool_state(&kv),
+            before,
+            "{what}: a refused release changed the pool"
+        );
+    }
+    pool_state(&kv)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The sparsity and index release paths keep their documented rules
+    /// for page lists in table order, reversed, rotated, repeated, with
+    /// foreign, free, out-of-range, tail, host-resident and unpinned
+    /// pages: the same `Ok(freed)` or `KvError` as the rules give, the
+    /// survivors' table order on success, and no change at all on
+    /// failure.
+    #[test]
+    fn release_paths_keep_the_documented_rules(seed in 1u64..=1_000_000, pick in 0u64..=u64::MAX) {
+        let kv = release_fixture(seed);
+        let table = kv.seq_pages(1).unwrap().to_vec();
+        let foreign = kv.seq_pages(2).unwrap()[0];
+        let ids = kv.config().total_ids() as u32;
+        let free = (0..ids).find(|&p| kv.page_refs(p) == 0).expect("a free id");
+        let host: Vec<u32> = table
+            .iter()
+            .copied()
+            .filter(|&p| kv.page_location(p) == PageLocation::Host)
+            .collect();
+        let subset: Vec<u32> = table
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| pick >> (i % 64) & 1 == 1)
+            .map(|(_, &p)| p)
+            .collect();
+        let legal: Vec<u32> = table
+            .iter()
+            .enumerate()
+            .filter(|&(i, &p)| {
+                (i + 1) * kv.config().page_size <= kv.seq_tokens(1).unwrap()
+                    && kv.page_location(p) == PageLocation::Device
+            })
+            .map(|(_, &p)| p)
+            .collect();
+        let with = |extra: &[u32], at: usize| {
+            let mut l = subset.clone();
+            let at = at.min(l.len());
+            l.splice(at..at, extra.iter().copied());
+            l
+        };
+        let mut rotated = subset.clone();
+        if !rotated.is_empty() {
+            let k = (pick % rotated.len() as u64) as usize;
+            rotated.rotate_left(k);
+        }
+        let evictions: Vec<(&str, Vec<u32>)> = vec![
+            ("table order", subset.clone()),
+            ("reversed", subset.iter().rev().copied().collect()),
+            ("rotated", rotated),
+            ("repeated", with(subset.first().map_or(&[][..], std::slice::from_ref), subset.len())),
+            ("foreign", with(&[foreign], subset.len() / 2)),
+            ("free", with(&[free], 0)),
+            ("out of range", with(&[ids + 3], subset.len())),
+            ("tail", with(&[*table.last().unwrap()], subset.len())),
+            ("host", with(&host, subset.len() / 2)),
+            ("whole table", table.clone()),
+            ("every legal page", legal.clone()),
+            ("legal reversed", legal.iter().rev().copied().collect()),
+        ];
+        for (what, list) in &evictions {
+            let what = format!("release_seq_pages, {what}: {list:?} of {table:?}");
+            let after = check_release(
+                seed,
+                &what,
+                |kv| documented_evict(kv, 1, list),
+                |kv| kv.release_seq_pages(1, list),
+            );
+            if documented_evict(&kv, 1, list).is_ok() {
+                let survivors: Vec<u32> =
+                    table.iter().copied().filter(|p| !list.contains(p)).collect();
+                prop_assert_eq!(after.1[0].0.as_deref(), Some(&survivors[..]), "{}", what);
+            }
+        }
+        prop_assert_eq!(
+            check_release(seed, "unknown sequence", |_| Err(KvError::UnknownSeq(9)), |kv| {
+                kv.release_seq_pages(9, &table)
+            })
+            .0,
+            kv.stats()
+        );
+
+        let pinned: Vec<u32> = table.iter().copied().filter(|&p| kv.page_ext_refs(p) > 0).collect();
+        let every_pin: Vec<u32> = pinned
+            .iter()
+            .flat_map(|&p| std::iter::repeat_n(p, kv.page_ext_refs(p) as usize))
+            .collect();
+        let unpinned = table
+            .iter()
+            .copied()
+            .find(|&p| kv.page_ext_refs(p) == 0 && kv.page_refs(p) > 0)
+            .unwrap_or(foreign);
+        let mut over = every_pin.clone();
+        over.extend(pinned.first());
+        let releases: Vec<(&str, Vec<u32>)> = vec![
+            ("each pinned page once", pinned.clone()),
+            ("every pin", every_pin.clone()),
+            ("every pin reversed", every_pin.iter().rev().copied().collect()),
+            ("one pin too many", over),
+            ("pins then an unpinned page", [&every_pin[..], &[unpinned]].concat()),
+            ("free", vec![free]),
+            ("out of range", [&pinned[..], &[ids]].concat()),
+            ("host", host.clone()),
+        ];
+        for (what, list) in &releases {
+            let what = format!("release_pages, {what}: {list:?}");
+            check_release(
+                seed,
+                &what,
+                |kv| documented_release(kv, list),
+                |kv| kv.release_pages(list),
+            );
+        }
+    }
+}

@@ -242,3 +242,58 @@ fn device_lane_reproduces_the_report() {
         }
     }
 }
+
+/// A replay that panics still hands the sink every record it emitted
+/// before the panic: the replay buffers its records and flushes them
+/// while it unwinds. Six small requests fit a 4-page pool; a seventh,
+/// arriving after they finish, cannot fit one prefill chunk and aborts
+/// the run. Its sink must hold the six-request run's records, ordinals
+/// included, followed only by what the seventh request emitted.
+#[test]
+fn a_panicking_replay_leaves_its_records_in_the_sink() {
+    let mut model = ModelConfig::opt("1.3B");
+    model.layers = 2;
+    let cfg = DecodeServeConfig::builder(model, DeviceSpec::a100_80gb())
+        .policy(DecodePolicy::ContinuousPaddingFree { token_budget: 128 })
+        .page_size(16)
+        .kv_pages(4)
+        .build()
+        .expect("valid tiny-pool config");
+    let small = DecodeTrace {
+        prompt_lens: vec![8; 6],
+        output_lens: vec![4; 6],
+        arrival_s: (0..6).map(|i| i as f64 * 1e-3).collect(),
+        prompt_ids: Vec::new(),
+    };
+    let mut doomed = small.clone();
+    doomed.prompt_lens.push(200);
+    doomed.output_lens.push(4);
+    doomed.arrival_s.push(50.0);
+
+    let whole = TraceSink::enabled();
+    let report = simulate_decode_trace_traced(&cfg, &small, &whole);
+    assert_eq!(report.requests, small.len());
+
+    let sink = TraceSink::enabled();
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        simulate_decode_trace_traced(&cfg, &doomed, &sink)
+    }));
+    assert!(
+        run.is_err(),
+        "a request larger than the pool aborts the run"
+    );
+
+    let by_ord = |sink: &TraceSink| {
+        let mut records = sink.snapshot();
+        records.sort_by_key(|r| r.ord);
+        records
+    };
+    let (want, got) = (by_ord(&whole), by_ord(&sink));
+    assert!(!want.is_empty());
+    assert!(got.len() >= want.len(), "records were lost in the panic");
+    assert_eq!(got[..want.len()], want[..]);
+    assert!(
+        got[want.len()..].iter().all(|r| r.lane == 6),
+        "only the doomed request emitted after the others finished"
+    );
+}
