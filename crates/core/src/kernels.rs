@@ -331,31 +331,6 @@ pub fn sdd_m_axis(
     Ok(KernelOutput { tensor: out, stats })
 }
 
-/// Analytic cost of [`sdd_m_axis`] given the per-column-strip covered row
-/// counts.
-pub fn sdd_m_axis_cost(
-    cost: &CostModel,
-    strip_rows: &[usize],
-    k: usize,
-    out_nnz: usize,
-    tile: TileDims,
-    dtype: DType,
-) -> KernelStats {
-    let total_m_tiles: usize = strip_rows.iter().map(|&r| r.div_ceil(tile.m)).sum();
-    let total_passes = total_m_tiles * k.div_ceil(tile.k);
-    let covered: usize = strip_rows.iter().map(|&r| r * tile.n).sum();
-    sdd_m_axis_cost_from_counts(
-        cost,
-        total_passes,
-        total_m_tiles,
-        k,
-        out_nnz,
-        covered,
-        tile,
-        dtype,
-    )
-}
-
 #[allow(clippy::too_many_arguments)]
 fn sdd_m_axis_cost_from_counts(
     cost: &CostModel,

@@ -34,13 +34,6 @@ pub struct PitExecution {
     pub selection: SelectedKernel,
 }
 
-impl PitExecution {
-    /// End-to-end latency: detection + kernel (seconds).
-    pub fn total_latency_s(&self) -> f64 {
-        self.output.stats.latency_s + self.detection.latency_s
-    }
-}
-
 /// The PIT engine: tile database + JIT cache bound to one device.
 #[derive(Debug)]
 pub struct Pit {

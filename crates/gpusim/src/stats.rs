@@ -37,11 +37,6 @@ impl KernelStats {
     pub fn latency_ms(&self) -> f64 {
         self.latency_s * 1e3
     }
-
-    /// Returns the modelled latency in microseconds.
-    pub fn latency_us(&self) -> f64 {
-        self.latency_s * 1e6
-    }
 }
 
 #[cfg(test)]

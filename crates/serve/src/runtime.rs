@@ -19,9 +19,12 @@
 //! scheduler and executor synchronously on a virtual clock for
 //! deterministic comparisons (benches, tests). A trace whose requests all
 //! arrive at time zero replays the closed-loop drain.
+//! [`serve_trace_arrivals_observed`] publishes the open-loop run into a
+//! live `MetricsHub` as lifecycle events only, all on one clock: wall
+//! seconds since the run started.
 
 use crate::metrics::{CacheStats, Metrics, ServingReport};
-use crate::queue::{BoundedQueue, PopResult, TryPushError};
+use crate::queue::{BoundedQueue, PopResult};
 use crate::scheduler::{BatchPolicy, FormedBatch};
 use pit_core::jit::{JitCache, KernelKey};
 use pit_core::select_kernel;
@@ -30,8 +33,8 @@ use pit_models::{Engine, ModelConfig, OpKind};
 use pit_sparse::Mask;
 use pit_tensor::DType;
 use pit_trace::{
-    BlameAggregate, BlameBreakdown, BlameCategory, Latency, MetricsHub, StepSample, TraceEvent,
-    WindowSeries,
+    BlameAggregate, BlameBreakdown, BlameCategory, MetricsHub, StepSample, TraceEvent,
+    WindowSeries, DEVICE_LANE,
 };
 use pit_workloads::ArrivalTrace;
 use std::collections::VecDeque;
@@ -116,6 +119,8 @@ impl ServeConfig {
 
 /// One admitted request travelling through the runtime.
 struct Request {
+    /// The request's index in its trace: its lifecycle lane.
+    lane: u64,
     len: usize,
     submitted: Instant,
     done: mpsc::Sender<()>,
@@ -286,29 +291,31 @@ fn worker_loop(
         let sample = batch_step_sample(cfg, &item.formed, cache);
         metrics.record_batch(&item.formed, &sample);
         if let Some(h) = hub {
+            let t_s = started.elapsed().as_secs_f64();
             h.charge(|l| l.charge_step(&sample));
-            h.add("pit_hub_steps_total", 1.0);
-            h.add("pit_hub_gpu_seconds_total", sample.gpu_s);
-            h.add(
-                "pit_hub_batch_real_tokens_total",
-                item.formed.real_tokens as f64,
+            h.on_record(
+                t_s,
+                DEVICE_LANE,
+                &TraceEvent::Step {
+                    prefill_rows: item.formed.padded_tokens,
+                    decode_slots: 0,
+                    gpu_s: sample.gpu_s,
+                },
             );
-            h.add(
-                "pit_hub_batch_padded_tokens_total",
-                item.formed.padded_tokens as f64,
-            );
+            // Whole-batch service: every request's prompt runs and its
+            // first (and last) token lands at completion (cf. `batch_blame`).
+            for r in &item.requests {
+                for event in [
+                    TraceEvent::PrefillChunk { tokens: r.len },
+                    TraceEvent::FirstToken,
+                    TraceEvent::Finished,
+                ] {
+                    h.on_record(t_s, r.lane, &event);
+                }
+            }
         }
         for r in item.requests {
-            let latency_s = r.submitted.elapsed().as_secs_f64();
-            metrics.record_latency(latency_s);
-            if let Some(h) = hub {
-                // Whole-batch service: the first token lands at batch
-                // completion, so TTFT and e2e coincide (cf. `batch_blame`).
-                let t_s = started.elapsed().as_secs_f64();
-                h.observe(t_s, Latency::Ttft(latency_s));
-                h.observe(t_s, Latency::E2e(latency_s));
-                h.add("pit_hub_finished_total", 1.0);
-            }
+            metrics.record_latency(r.submitted.elapsed().as_secs_f64());
             let _ = r.done.send(());
         }
     }
@@ -386,6 +393,7 @@ pub fn serve_trace(cfg: &ServeConfig, trace: &[usize]) -> ServingReport {
                     let Some(&len) = trace.get(i) else { break };
                     let (done, done_rx) = mpsc::channel();
                     let request = Request {
+                        lane: i as u64,
                         len,
                         submitted: Instant::now(),
                         done,
@@ -451,19 +459,24 @@ pub fn serve_trace_arrivals(cfg: &ServeConfig, trace: &ArrivalTrace) -> ServingR
 }
 
 /// [`serve_trace_arrivals`] that additionally publishes live metrics into
-/// a [`MetricsHub`] while the threaded replay runs: the submitter
-/// publishes admissions, rejections and the live queue-depth gauge on the
-/// trace clock; workers publish per-batch ledger charges, token counters
-/// and per-request TTFT/e2e observations on the wall clock since run
-/// start (the two clocks coincide while the submitter keeps schedule).
-/// The hub is write-only for every thread — no publisher reads it — so a
-/// concurrent scraper never perturbs scheduling decisions.
+/// a [`MetricsHub`] while the threaded replay runs, as lifecycle events on
+/// one clock, wall seconds since the run started, with each request's
+/// trace index as its lane. The submitter publishes `Admitted` at the
+/// instant it submits a request (or `Rejected` at the instant it sheds
+/// one) and the queue depth; at batch completion a worker publishes the
+/// batch's ledger charge, a device `Step`, and each request's
+/// `PrefillChunk`, `FirstToken` and `Finished`. So the hub's TTFT and
+/// e2e are submission to completion, as the report measures them, and
+/// every admitted request's lane closes. The hub is write-only for every
+/// thread — no publisher reads it — so a concurrent scraper never
+/// perturbs scheduling decisions.
 pub fn serve_trace_arrivals_observed(
     cfg: &ServeConfig,
     trace: &ArrivalTrace,
     hub: Option<&MetricsHub>,
 ) -> ServingReport {
-    let admission: BoundedQueue<Request> = BoundedQueue::new(cfg.queue_capacity.max(1));
+    let capacity = cfg.queue_capacity.max(1);
+    let admission: BoundedQueue<Request> = BoundedQueue::new(capacity);
     let batches: BoundedQueue<WorkItem> = BoundedQueue::new(cfg.workers.max(1) * 2);
     let cache = JitCache::with_capacity(cfg.cache_capacity.max(1));
     let metrics = Metrics::new();
@@ -489,55 +502,40 @@ pub fn serve_trace_arrivals_observed(
                 }
                 let (done, _done_rx) = mpsc::channel();
                 let request = Request {
+                    lane: i as u64,
                     len,
                     submitted: Instant::now(),
                     done,
                 };
-                match cfg.admission {
-                    AdmissionMode::Block => {
-                        if admission.push(request).is_err() {
-                            break;
-                        }
-                        if let Some(w) = windows.as_mut() {
-                            w.admitted(arrival);
-                        }
-                        if let Some(h) = hub {
-                            h.on_record(
-                                arrival,
-                                i as u64,
-                                &TraceEvent::Admitted { arrival_s: arrival },
-                            );
-                            h.set_gauge("pit_hub_admission_queue_depth", admission.len() as f64);
-                        }
+                // This thread is the queue's only producer and closes it
+                // only after the loop, so room seen here is still there at
+                // the push below.
+                let admit = cfg.admission == AdmissionMode::Block || admission.len() < capacity;
+                if let Some(h) = hub {
+                    // Published before the push: once queued, a worker may
+                    // finish the request at any moment.
+                    let s = request.submitted.duration_since(started).as_secs_f64();
+                    let event = if admit {
+                        TraceEvent::Admitted { arrival_s: s }
+                    } else {
+                        TraceEvent::Rejected
+                    };
+                    h.on_record(s, request.lane, &event);
+                }
+                if !admit {
+                    metrics.record_rejected();
+                } else if admission.push(request).is_err() {
+                    break;
+                }
+                if let Some(w) = windows.as_mut() {
+                    if admit {
+                        w.admitted(arrival);
+                    } else {
+                        w.rejected(arrival);
                     }
-                    AdmissionMode::RejectWhenFull => match admission.try_push(request) {
-                        Ok(()) => {
-                            if let Some(w) = windows.as_mut() {
-                                w.admitted(arrival);
-                            }
-                            if let Some(h) = hub {
-                                h.on_record(
-                                    arrival,
-                                    i as u64,
-                                    &TraceEvent::Admitted { arrival_s: arrival },
-                                );
-                                h.set_gauge(
-                                    "pit_hub_admission_queue_depth",
-                                    admission.len() as f64,
-                                );
-                            }
-                        }
-                        Err(TryPushError::Full) => {
-                            metrics.record_rejected();
-                            if let Some(w) = windows.as_mut() {
-                                w.rejected(arrival);
-                            }
-                            if let Some(h) = hub {
-                                h.on_record(arrival, i as u64, &TraceEvent::Rejected);
-                            }
-                        }
-                        Err(TryPushError::ClosedQueue) => break,
-                    },
+                }
+                if let Some(h) = hub {
+                    h.set_queue_depth(admission.len());
                 }
             }
             windows
@@ -592,7 +590,8 @@ pub fn simulate_trace_arrivals(cfg: &ServeConfig, trace: &ArrivalTrace) -> Servi
         }
         while next < trace.len() && trace.arrival_s[next] <= clock_s {
             // Reject-when-full sheds arrivals beyond the queue bound at
-            // their arrival instant (the deterministic twin of try_push);
+            // their arrival instant (the deterministic twin of the
+            // threaded submitter's check);
             // blocking mode queues without bound, as a stalled submitter
             // eventually admits everything.
             if cfg.admission == AdmissionMode::RejectWhenFull

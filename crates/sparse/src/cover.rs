@@ -34,14 +34,6 @@ impl CoverStats {
         }
         1.0 - self.nnz as f64 / self.covered_elems as f64
     }
-
-    /// Fraction of the tile grid that is non-zero.
-    pub fn tile_density(&self) -> f64 {
-        if self.total_tiles == 0 {
-            return 0.0;
-        }
-        self.nonzero_tiles as f64 / self.total_tiles as f64
-    }
 }
 
 /// Runs `CoverAlgo`: counts the micro-tiles of shape `tile_h × tile_w`

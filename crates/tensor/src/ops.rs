@@ -92,21 +92,9 @@ pub fn add(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
     zip_elementwise(a, b, |x, y| x + y)
 }
 
-/// Elementwise multiplication (Hadamard product).
-pub fn mul(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
-    zip_elementwise(a, b, |x, y| x * y)
-}
-
 /// Applies the rectified linear unit elementwise.
 pub fn relu(a: &Tensor) -> Tensor {
     map(a, |x| x.max(0.0))
-}
-
-/// Applies the tanh-approximated GELU elementwise.
-pub fn gelu(a: &Tensor) -> Tensor {
-    map(a, |x| {
-        0.5 * x * (1.0 + (0.797_884_6 * (x + 0.044_715 * x * x * x)).tanh())
-    })
 }
 
 /// Row-wise softmax of a rank-2 tensor.

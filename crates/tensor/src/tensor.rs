@@ -147,11 +147,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning the flat buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Reads one element by multi-dimensional index.
     pub fn get(&self, idx: &[usize]) -> Result<f32, TensorError> {
         Ok(self.data[self.shape.linearize(idx)?])
@@ -162,19 +157,6 @@ impl Tensor {
         let off = self.shape.linearize(idx)?;
         self.data[off] = value;
         Ok(())
-    }
-
-    /// Reinterprets the buffer under a new shape with the same element count.
-    pub fn reshape(mut self, shape: impl Into<Shape>) -> Result<Self, TensorError> {
-        let shape = shape.into();
-        if shape.numel() != self.data.len() {
-            return Err(TensorError::ShapeDataMismatch {
-                expected: shape.numel(),
-                actual: self.data.len(),
-            });
-        }
-        self.shape = shape;
-        Ok(self)
     }
 
     /// Returns a transposed copy of a rank-2 tensor.

@@ -1,18 +1,19 @@
 //! Online drift detection: latency sketches against a committed
 //! baseline.
 //!
-//! A [`DriftDetector`] folds observations — a drained record stream, or
-//! the live hub's per-event [`Latency`] feed — into TTFT / ITL / e2e
-//! sketches and compares their quantiles (and the blame cause mix)
+//! A [`DriftDetector`] folds drained record streams into TTFT / ITL /
+//! e2e sketches and compares their quantiles (and the blame cause mix)
 //! against a [`DriftBaseline`] captured from a known-good run. A shift
 //! beyond tolerance raises a typed [`DriftAlarm`], surfaced through
-//! `SloReport` and the `trace_explain` CLI — the existing sketches become
-//! an online regression alarm without any new per-request state. Sketch
-//! merge is exact, so observations split across calls (or runs) alarm
-//! exactly as if they had been folded at once.
+//! `SloReport` and the `trace_explain` CLI. The live
+//! [`crate::MetricsHub`] applies the same latency comparison to its own
+//! whole-run sketches, so the existing sketches become an online
+//! regression alarm without any new per-request state. Sketch merge is
+//! exact, so observations split across calls (or runs) alarm exactly as
+//! if they had been folded at once.
 
 use crate::blame::{BlameAggregate, BlameSummary};
-use crate::lifecycle::{Latency, LatencySketches, LifecycleFold};
+use crate::lifecycle::{LatencySketches, LifecycleFold};
 use crate::sink::TraceRecord;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -141,6 +142,38 @@ impl DriftBaseline {
             cause_share,
         }
     }
+
+    /// Quantile-shift alarms of `observed` against the baseline's
+    /// latencies under `policy`, in metric × quantile order.
+    pub(crate) fn latency_alarms(
+        &self,
+        policy: &DriftPolicy,
+        observed: &LatencySketches,
+    ) -> Vec<DriftAlarm> {
+        let mut alarms = Vec::new();
+        for ((name, base), (_, obs)) in self.latency.named().into_iter().zip(observed.named()) {
+            if obs.count() < policy.min_count || base.count() == 0 {
+                continue;
+            }
+            for &q in &policy.quantiles {
+                let b = base.quantile(q);
+                let o = obs.quantile(q);
+                let abs = (o - b).abs();
+                let rel = if b > 0.0 { (o - b) / b } else { f64::INFINITY };
+                if abs > policy.abs_tolerance_s && rel.abs() > policy.rel_tolerance {
+                    alarms.push(DriftAlarm {
+                        kind: DriftKind::QuantileShift,
+                        metric: name.to_string(),
+                        quantile: q,
+                        baseline: b,
+                        observed: o,
+                        rel_change: rel,
+                    });
+                }
+            }
+        }
+        alarms
+    }
 }
 
 /// Folds observations into one sketch per metric and compares them (and
@@ -173,12 +206,6 @@ impl DriftDetector {
         self.observed_mix = mix;
     }
 
-    /// Records one latency observation — the incremental feed the live
-    /// [`crate::MetricsHub`] uses.
-    pub(crate) fn record(&mut self, latency: Latency) {
-        self.observed.record(latency);
-    }
-
     /// Sets the observed cause mix from an already-computed blame
     /// summary (for callers that aggregated blame themselves).
     pub fn observe_blame(&mut self, summary: &BlameSummary) {
@@ -189,39 +216,12 @@ impl DriftDetector {
     /// are in a deterministic order (metrics × quantiles, then causes by
     /// name).
     pub fn alarms(&self) -> Vec<DriftAlarm> {
-        let mut alarms = Vec::new();
-        for ((name, base), (_, obs)) in self
-            .baseline
-            .latency
-            .named()
-            .into_iter()
-            .zip(self.observed.named())
-        {
-            if obs.count() < self.policy.min_count || base.count() == 0 {
-                continue;
-            }
-            for &q in &self.policy.quantiles {
-                let b = base.quantile(q);
-                let o = obs.quantile(q);
-                let abs = (o - b).abs();
-                let rel = if b > 0.0 { (o - b) / b } else { f64::INFINITY };
-                if abs > self.policy.abs_tolerance_s && rel.abs() > self.policy.rel_tolerance {
-                    alarms.push(DriftAlarm {
-                        kind: DriftKind::QuantileShift,
-                        metric: name.to_string(),
-                        quantile: q,
-                        baseline: b,
-                        observed: o,
-                        rel_change: rel,
-                    });
-                }
-            }
-        }
+        let mut alarms = self.baseline.latency_alarms(&self.policy, &self.observed);
         // Cause-mix shifts: union of baseline and observed causes, by
         // name, so dropped and newly-appearing causes both alarm. An
-        // empty observed mix means no blame reduction has been fed yet
-        // (the incremental latency feed carries no causes) — that is
-        // "not measured", not "measured zero", so it raises nothing.
+        // empty observed mix means no blame reduction has been fed yet —
+        // that is "not measured", not "measured zero", so it raises
+        // nothing.
         if self.observed_mix.is_empty() {
             return alarms;
         }

@@ -28,10 +28,11 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// Per-connection socket timeout: a stalled scraper cannot wedge the
-/// accept loop for longer than this.
+/// Deadline for reading a whole request head (and the timeout of each
+/// write): a stalled or trickling scraper cannot hold the accept loop for
+/// longer than this.
 const IO_TIMEOUT: Duration = Duration::from_millis(2000);
 /// Maximum request head read before answering 431.
 const MAX_REQUEST_BYTES: usize = 8 * 1024;
@@ -122,14 +123,41 @@ fn accept_loop(listener: &TcpListener, hub: &MetricsHub, stop: &AtomicBool) -> u
     served
 }
 
-/// Reads the request head (bounded), routes it and writes one response.
+/// Reads the request head (bounded in size and by one deadline), routes
+/// it and writes one response.
 fn handle_connection(mut stream: TcpStream, hub: &MetricsHub) -> io::Result<()> {
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
+    let deadline = Instant::now() + IO_TIMEOUT;
     let mut head = Vec::with_capacity(512);
     let mut buf = [0u8; 512];
     loop {
-        let n = stream.read(&mut buf)?;
+        // Each read may wait only for what is left of the deadline, so a
+        // client sending a byte at a time cannot stretch it.
+        let left = deadline.saturating_duration_since(Instant::now());
+        let read = if left.is_zero() {
+            Err(io::ErrorKind::TimedOut.into())
+        } else {
+            stream
+                .set_read_timeout(Some(left))
+                .and_then(|()| stream.read(&mut buf))
+        };
+        let n = match read {
+            Ok(n) => n,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                return respond(
+                    &mut stream,
+                    "408 Request Timeout",
+                    "text/plain; charset=utf-8",
+                    "request head not received in time\n",
+                );
+            }
+            Err(e) => return Err(e),
+        };
         if n == 0 {
             break;
         }
@@ -247,6 +275,100 @@ mod tests {
 
         let served = server.shutdown();
         assert!(served >= 5, "all requests counted, got {served}");
+    }
+
+    /// Sends `raw` on a fresh connection and reads the whole response.
+    fn send_raw(addr: SocketAddr, raw: &[u8]) -> String {
+        let mut s = TcpStream::connect(addr).expect("connect");
+        s.write_all(raw).expect("write");
+        let mut out = Vec::new();
+        s.read_to_end(&mut out).expect("read");
+        String::from_utf8_lossy(&out).into_owned()
+    }
+
+    fn bind() -> ScrapeServer {
+        ScrapeServer::bind(Arc::new(MetricsHub::with_defaults()), "127.0.0.1:0").expect("bind")
+    }
+
+    #[test]
+    fn a_trickling_client_holds_the_server_no_longer_than_the_deadline() {
+        let server = bind();
+        let addr = server.local_addr();
+        let answered = AtomicBool::new(false);
+        // Connected first, so the accept loop takes it before `/healthz`.
+        let mut trickler = TcpStream::connect(addr).expect("connect");
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                // A head that never ends, one byte every half second, for
+                // at most three deadlines.
+                let give_up = Instant::now() + 3 * IO_TIMEOUT;
+                for b in b"GET /metrics HTTP/1.1\r\nX: y".iter().cycle() {
+                    if answered.load(Ordering::SeqCst)
+                        || Instant::now() > give_up
+                        || trickler.write_all(&[*b]).is_err()
+                    {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(500));
+                }
+            });
+            let asked = Instant::now();
+            let (head, body) = get(addr, "/healthz");
+            let waited = asked.elapsed();
+            answered.store(true, Ordering::SeqCst);
+            assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+            assert_eq!(body, "ok\n");
+            assert!(
+                waited < IO_TIMEOUT + Duration::from_millis(1500),
+                "/healthz waited {waited:?} behind a trickling client"
+            );
+        });
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_silent_client_gets_408_at_the_deadline() {
+        let server = bind();
+        let addr = server.local_addr();
+        let mut silent = TcpStream::connect(addr).expect("connect");
+        let mut out = String::new();
+        silent.read_to_string(&mut out).expect("read");
+        assert!(out.starts_with("HTTP/1.1 408"), "{out}");
+        let (head, _) = get(addr, "/healthz");
+        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn oversized_heads_get_431() {
+        let server = bind();
+        // Exactly one byte over the cap, so the server reads it all.
+        let out = send_raw(server.local_addr(), &[b'a'; MAX_REQUEST_BYTES + 1]);
+        assert!(out.starts_with("HTTP/1.1 431"), "{out}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn garbage_request_lines_get_404_or_405() {
+        let server = bind();
+        let addr = server.local_addr();
+        for (raw, status) in [
+            (&b"\xff\xfe\xfd garbage\r\n\r\n"[..], "405"),
+            (b"GET \xff\xfe HTTP/1.1\r\n\r\n", "404"),
+            (b"GET\r\n\r\n", "404"),
+            (b"\r\n\r\n", "405"),
+            (b"\x00\x01\x02\n\n", "405"),
+        ] {
+            let out = send_raw(addr, raw);
+            assert!(
+                out.starts_with(&format!("HTTP/1.1 {status}")),
+                "{raw:?}: {out}"
+            );
+        }
+        let (head, _) = get(addr, "/healthz");
+        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+        // A panicked accept thread would fail the join here.
+        assert_eq!(server.shutdown(), 6);
     }
 
     #[test]

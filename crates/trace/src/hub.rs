@@ -1,65 +1,59 @@
 //! The live metrics hub: an in-flight, thread-safe registry the serving
 //! loops publish into while they run.
 //!
-//! PRs 7–9 made every signal (sketches, ledger, blame, SLO burn, drift
-//! alarms) available *post hoc*, in end-of-run reports. The
-//! [`MetricsHub`] moves the same machinery online: publishers (the
-//! decode loop, the threaded runtime's workers and submitter) stream
-//! lifecycle events, step samples and gauges into the hub at step
-//! granularity, and readers (the [`crate::http`] scrape server, tests,
-//! `pit_top`) take consistent snapshots at any moment — an
-//! [`Exposition`] for `GET /metrics`, an [`SloReport`] with live drift
-//! alarms for `GET /slo`, and a bounded ring of per-window digests for
-//! `GET /series`.
+//! The [`MetricsHub`] keeps the post-hoc reports' signals (sketches,
+//! ledger, SLO burn, drift alarms) current mid-run. Publishers (the
+//! decode replay, the threaded runtime's submitter and workers) stream
+//! lifecycle events into [`MetricsHub::on_record`], device-time charges
+//! into [`MetricsHub::charge`] and gauges into typed setters; readers
+//! (the [`crate::http`] scrape server, tests, `pit_top`) take consistent
+//! snapshots at any moment — an [`Exposition`] for `GET /metrics`, an
+//! [`SloReport`] with live drift alarms for `GET /slo`, and a bounded
+//! ring of per-window digests for `GET /series`.
 //!
-//! Three design rules keep observation from perturbing the run:
+//! Two design rules keep observation cheap and from perturbing the run:
 //!
 //! 1. **The hub is write-only for publishers.** Nothing the simulation
 //!    computes ever depends on hub state, so a hub-attached replay's
 //!    report is byte-identical to a hub-free one (asserted in the
 //!    integration tests, same discipline as the trace sink's
 //!    "tracing perturbs nothing" checks).
-//! 2. **Hot counters are sharded.** Counter/gauge increments hash the
-//!    publishing thread onto one of [`COUNTER_SHARDS`] independently
-//!    locked maps, so the threaded runtime's workers never contend with
-//!    each other — readers merge the shards on scrape.
-//! 3. **Windowed state evaluates inside the hub.** Lifecycle events run
-//!    through the same [`LifecycleFold`] every post-hoc consumer uses;
-//!    each latency it yields lands in a fixed-width window on the
-//!    publisher's clock, and the embedded [`SloMonitor`] and
-//!    [`DriftDetector`] fold the same observations, so attainment, burn
-//!    rate and typed drift alarms are current *mid-run* instead of
-//!    materialising at the end.
+//! 2. **Each signal is kept once, in typed fields behind one lock, in
+//!    memory the window ring bounds.** An event takes the lock once and
+//!    runs through the same [`LifecycleFold`] every post-hoc consumer
+//!    uses, which releases a lane when `Finished` or `Rejected` ends it.
+//!    Counters, latency sketches and SLO attainment counts are kept for
+//!    the whole run and per window, in a ring of the newest 240 windows
+//!    on the publisher's clock; `/slo` shares [`crate::SloMonitor`]'s
+//!    report and the alarms [`crate::DriftDetector`]'s comparison,
+//!    refreshed as each window opens.
 
-use crate::drift::{DriftAlarm, DriftBaseline, DriftDetector, DriftPolicy};
+use crate::blame::WaitCause;
+use crate::drift::{DriftAlarm, DriftBaseline, DriftPolicy};
 use crate::expo::{Exposition, MetricKind, Sample};
 use crate::ledger::DeviceLedger;
 use crate::lifecycle::{Latency, LatencySketches, LifecycleFold};
-use crate::sink::TraceEvent;
-use crate::slo::{Counts, SloMonitor, SloReport, SloTarget};
+use crate::sink::{TraceEvent, RESERVED_LANES};
+use crate::slo::{self, Counts, SloReport, SloTarget};
 use crate::windows::Windowed;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-/// Number of independently locked counter/gauge shards; publishers hash
-/// their thread id to pick one, so same-thread publishes never contend
-/// across threads.
-pub const COUNTER_SHARDS: usize = 8;
+/// Windows the series ring retains; older windows are dropped (and
+/// counted) when the run outlives the ring.
+const RING_WINDOWS: usize = 240;
 
-/// How the hub windows, bounds and judges its live state.
+/// How the hub windows and judges its live state.
 #[derive(Debug, Clone)]
 pub struct HubConfig {
-    /// Window width (publisher-clock seconds) for the series ring, the
-    /// embedded SLO monitor and the drift-alarm refresh cadence.
+    /// Window width (publisher-clock seconds) for the series ring (the
+    /// newest 240 windows), the SLO windows and the drift-alarm refresh
+    /// cadence.
     pub window_s: f64,
-    /// Maximum windows retained in the series ring; older windows are
-    /// dropped (and counted) when the run outlives the ring.
-    pub ring_capacity: usize,
-    /// Targets for the embedded [`SloMonitor`]; `None` disables the
-    /// `/slo` attainment report (drift alarms still work).
+    /// SLO targets; `None` disables the `/slo` attainment report (drift
+    /// alarms still work).
     pub slo: Option<SloTarget>,
-    /// Baseline + policy for the embedded [`DriftDetector`]; `None`
-    /// disables live drift alarms.
+    /// Baseline + policy for live drift alarms; `None` disables them.
     pub drift: Option<(DriftBaseline, DriftPolicy)>,
 }
 
@@ -67,7 +61,6 @@ impl Default for HubConfig {
     fn default() -> Self {
         HubConfig {
             window_s: 1.0,
-            ring_capacity: 240,
             slo: None,
             drift: None,
         }
@@ -115,7 +108,8 @@ pub struct HubSeriesWindow {
     pub e2e_p50_s: f64,
     /// Window burn rate against the configured SLO (0 without one).
     pub burn_rate: f64,
-    /// Wait seconds attributed per typed cause in the window.
+    /// Wait seconds attributed per typed cause in the window (causes
+    /// that waited).
     pub waits_s: BTreeMap<String, f64>,
 }
 
@@ -131,39 +125,159 @@ pub struct HubSeries {
     pub windows: Vec<HubSeriesWindow>,
 }
 
-/// One window under construction (sketches kept so quantiles are exact
-/// snapshots, not frozen at seal time).
-#[derive(Debug, Clone, Default)]
-struct HubWindow {
-    latency: LatencySketches,
-    steps: u64,
-    gpu_s: f64,
-    prefill_tokens: u64,
-    decode_tokens: u64,
-    admitted: u64,
-    rejected: u64,
-    finished: u64,
-    preemptions: u64,
-    kv_occupancy_peak: f64,
-    /// Attainment counts against the hub's SLO target, when it has one.
-    slo: Counts,
-    waits_s: BTreeMap<String, f64>,
+/// Wait seconds per cause, indexed by the cause's blame-category index.
+type WaitSeconds = [f64; WaitCause::ALL.len()];
+
+/// The causes that waited, in taxonomy order, with their seconds.
+fn waits_by_cause(waits: &WaitSeconds) -> impl Iterator<Item = (WaitCause, f64)> + '_ {
+    WaitCause::ALL
+        .into_iter()
+        .map(|c| (c, waits[c.category().index()]))
+        .filter(|&(_, s)| s != 0.0)
 }
 
-impl HubWindow {
+/// The hub's monotone counters: one field per `pit_hub_*_total` family.
+#[derive(Debug, Clone, Copy, Default)]
+struct Counters {
+    admitted: u64,
+    decode_tokens: u64,
+    finished: u64,
+    gpu_s: f64,
+    preemptions: u64,
+    prefill_chunk_tokens: u64,
+    prefill_tokens: u64,
+    prefix_hit_tokens: u64,
+    rejected: u64,
+    sparsity_evicted_pages: u64,
+    steps: u64,
+    swap_in_pages: u64,
+    swap_out_pages: u64,
+    wait_s: WaitSeconds,
+}
+
+impl Counters {
+    /// Counts one event published at `t_s`.
+    fn count(&mut self, t_s: f64, event: &TraceEvent) {
+        match *event {
+            TraceEvent::Step {
+                prefill_rows,
+                decode_slots,
+                gpu_s,
+            } => {
+                self.steps += 1;
+                self.gpu_s += gpu_s;
+                self.prefill_tokens += prefill_rows as u64;
+                self.decode_tokens += decode_slots as u64;
+            }
+            TraceEvent::SwapOut { pages, .. } => self.swap_out_pages += pages as u64,
+            TraceEvent::SwapIn { pages, .. } => self.swap_in_pages += pages as u64,
+            TraceEvent::PrefillChunk { tokens } => self.prefill_chunk_tokens += tokens as u64,
+            TraceEvent::PrefixHit { tokens, .. } => self.prefix_hit_tokens += tokens as u64,
+            TraceEvent::SparsityEvict { pages } => self.sparsity_evicted_pages += pages as u64,
+            TraceEvent::Admitted { .. } => self.admitted += 1,
+            TraceEvent::Rejected => self.rejected += 1,
+            TraceEvent::Finished => self.finished += 1,
+            TraceEvent::Preempted { .. } => self.preemptions += 1,
+            TraceEvent::Waiting { cause, since_s } => {
+                self.wait_s[cause.category().index()] += (t_s - since_s).max(0.0)
+            }
+            TraceEvent::FirstToken | TraceEvent::DecodeStep { .. } => {}
+        }
+    }
+
+    /// Renders every counter family, in name order, into `out`.
+    fn exposition_into(&self, out: &mut Exposition) {
+        for (name, value) in [
+            ("pit_hub_admitted_total", self.admitted as f64),
+            ("pit_hub_decode_tokens_total", self.decode_tokens as f64),
+            ("pit_hub_finished_total", self.finished as f64),
+            ("pit_hub_gpu_seconds_total", self.gpu_s),
+            ("pit_hub_preemptions_total", self.preemptions as f64),
+            (
+                "pit_hub_prefill_chunk_tokens_total",
+                self.prefill_chunk_tokens as f64,
+            ),
+            ("pit_hub_prefill_tokens_total", self.prefill_tokens as f64),
+            (
+                "pit_hub_prefix_hit_tokens_total",
+                self.prefix_hit_tokens as f64,
+            ),
+            ("pit_hub_rejected_total", self.rejected as f64),
+            (
+                "pit_hub_sparsity_evicted_pages_total",
+                self.sparsity_evicted_pages as f64,
+            ),
+            ("pit_hub_steps_total", self.steps as f64),
+            ("pit_hub_swap_in_pages_total", self.swap_in_pages as f64),
+            ("pit_hub_swap_out_pages_total", self.swap_out_pages as f64),
+        ] {
+            out.counter(name, "Live hub counter", value);
+        }
+        let waits: Vec<Sample> = waits_by_cause(&self.wait_s)
+            .map(|(cause, value)| Sample {
+                suffix: String::new(),
+                labels: vec![("cause".to_string(), cause.name().to_string())],
+                value,
+            })
+            .collect();
+        if !waits.is_empty() {
+            out.family(
+                "pit_hub_wait_seconds_total",
+                "Live hub counter by cause",
+                MetricKind::Counter,
+                waits,
+            );
+        }
+    }
+}
+
+/// What the hub accumulates, kept once for the whole run and once per
+/// window of the ring.
+#[derive(Debug, Clone, Default)]
+struct Signals {
+    counters: Counters,
+    latency: LatencySketches,
+    /// Attainment counts against the hub's SLO target (rejections count
+    /// without one).
+    slo: Counts,
+    kv_occupancy_peak: f64,
+}
+
+impl Signals {
+    /// Counts one windowed event and judges the latency it closed.
+    fn record(
+        &mut self,
+        t_s: f64,
+        event: &TraceEvent,
+        latency: Option<Latency>,
+        target: Option<&SloTarget>,
+    ) {
+        self.counters.count(t_s, event);
+        if let Some(latency) = latency {
+            self.latency.record(latency);
+            if let Some(t) = target {
+                self.slo.record(t, latency);
+            }
+        }
+        if matches!(event, TraceEvent::Rejected) {
+            self.slo.record_rejection();
+        }
+    }
+
     fn digest(&self, index: u64, window_s: f64, slo: Option<&SloTarget>) -> HubSeriesWindow {
         let (ttft, itl) = (&self.latency.ttft, &self.latency.itl);
+        let c = &self.counters;
         HubSeriesWindow {
             index,
             start_s: index as f64 * window_s,
-            steps: self.steps,
-            gpu_s: self.gpu_s,
-            prefill_tokens: self.prefill_tokens,
-            decode_tokens: self.decode_tokens,
-            admitted: self.admitted,
-            rejected: self.rejected,
-            finished: self.finished,
-            preemptions: self.preemptions,
+            steps: c.steps,
+            gpu_s: c.gpu_s,
+            prefill_tokens: c.prefill_tokens,
+            decode_tokens: c.decode_tokens,
+            admitted: c.admitted,
+            rejected: c.rejected,
+            finished: c.finished,
+            preemptions: c.preemptions,
             kv_occupancy_peak: self.kv_occupancy_peak,
             ttft_count: ttft.count(),
             ttft_p50_s: ttft.quantile(0.50),
@@ -173,25 +287,23 @@ impl HubWindow {
             itl_p95_s: itl.quantile(0.95),
             e2e_p50_s: self.latency.e2e.quantile(0.50),
             burn_rate: slo.map_or(0.0, |t| self.slo.burn_rate(t.objective)),
-            waits_s: self.waits_s.clone(),
+            waits_s: waits_by_cause(&c.wait_s)
+                .map(|(cause, s)| (cause.name().to_string(), s))
+                .collect(),
         }
     }
 }
 
-/// Windowed state behind one mutex: the publisher clock orders these
-/// updates, so they share a critical section (publishers are the hot
-/// serving loop and readers are occasional scrapes — the counters, which
-/// fire far more often, live in the shards instead).
+/// Everything behind the hub's one lock.
 #[derive(Debug)]
 struct HubState {
     /// The lifecycle fold; a lane's state lives while its request does.
     fold: LifecycleFold,
-    /// Whole-run latency sketches (the `/metrics` summaries).
-    latency: LatencySketches,
+    /// Whole-run signals: every counter, the `/metrics` latency
+    /// summaries and the drift comparison's sketches.
+    run: Signals,
     /// Window ring, oldest first; stragglers land in the oldest window.
-    ring: Windowed<HubWindow>,
-    slo: Option<SloMonitor>,
-    drift: Option<DriftDetector>,
+    ring: Windowed<Signals>,
     /// Alarms refreshed at each window roll (and at `finish`).
     alarms: Vec<DriftAlarm>,
     /// Highest window index that has been rolled past (alarm cadence).
@@ -200,16 +312,9 @@ struct HubState {
     ledger: DeviceLedger,
     /// Latest publisher timestamp seen.
     now_s: f64,
+    queue_depth: usize,
     kv_occupancy: f64,
-    kv_occupancy_peak: f64,
     finished_run: bool,
-}
-
-impl HubState {
-    /// The window holding `t_s`, growing the ring as the clock advances.
-    fn window(&mut self, t_s: f64) -> &mut HubWindow {
-        self.ring.at(t_s, |_| HubWindow::default())
-    }
 }
 
 /// The live in-flight metrics registry. Construct one per run (or share
@@ -217,54 +322,39 @@ impl HubState {
 /// `Arc<MetricsHub>` to the scrape server.
 #[derive(Debug)]
 pub struct MetricsHub {
-    slo_target: Option<SloTarget>,
-    counters: [Mutex<BTreeMap<String, f64>>; COUNTER_SHARDS],
-    gauges: Mutex<BTreeMap<String, f64>>,
+    cfg: HubConfig,
     state: Mutex<HubState>,
 }
 
-fn shard_index() -> usize {
-    // Thread ids are unique and cheap to hash; the exact distribution
-    // does not matter, only that one thread always hits one shard.
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    std::thread::current().id().hash(&mut h);
-    (h.finish() as usize) % COUNTER_SHARDS
-}
-
 impl MetricsHub {
-    /// A hub with the given windowing, ring bound and judges.
+    /// A hub with the given windowing and judges.
     pub fn new(cfg: HubConfig) -> Self {
         assert!(
             cfg.window_s.is_finite() && cfg.window_s > 0.0,
             "hub window must be positive"
         );
-        assert!(cfg.ring_capacity > 0, "ring capacity must be positive");
-        let slo = cfg.slo.map(|t| SloMonitor::new(t, cfg.window_s));
-        let drift = cfg.drift.map(|(b, p)| DriftDetector::new(b, p));
+        if let Some(t) = &cfg.slo {
+            t.validate();
+        }
         MetricsHub {
-            slo_target: cfg.slo,
-            counters: Default::default(),
-            gauges: Mutex::new(BTreeMap::new()),
             state: Mutex::new(HubState {
                 fold: LifecycleFold::new(),
-                latency: LatencySketches::default(),
-                ring: Windowed::ring(cfg.window_s, cfg.ring_capacity),
-                slo,
-                drift,
+                run: Signals::default(),
+                ring: Windowed::ring(cfg.window_s, RING_WINDOWS),
                 alarms: Vec::new(),
                 alarmed_through: 0,
                 ledger: DeviceLedger::new(),
                 now_s: 0.0,
+                queue_depth: 0,
                 kv_occupancy: 0.0,
-                kv_occupancy_peak: 0.0,
                 finished_run: false,
             }),
+            cfg,
         }
     }
 
-    /// A hub with the default config (1 s windows, 240-window ring, no
-    /// SLO targets, no drift baseline).
+    /// A hub with the default config (1 s windows, no SLO targets, no
+    /// drift baseline).
     pub fn with_defaults() -> Self {
         Self::new(HubConfig::default())
     }
@@ -273,132 +363,49 @@ impl MetricsHub {
     // Publisher side
     // ------------------------------------------------------------------
 
-    /// Adds `v` to the named monotone counter (sharded; lock-cheap).
-    pub fn add(&self, name: &str, v: f64) {
-        let mut shard = self.counters[shard_index()].lock().expect("hub shard");
-        match shard.get_mut(name) {
-            Some(e) => *e += v,
-            None => {
-                shard.insert(name.to_string(), v);
-            }
-        }
-    }
-
-    /// Sets the named gauge to `v`.
-    pub fn set_gauge(&self, name: &str, v: f64) {
-        let mut g = self.gauges.lock().expect("hub gauges");
-        match g.get_mut(name) {
-            Some(e) => *e = v,
-            None => {
-                g.insert(name.to_string(), v);
-            }
-        }
-    }
-
-    /// Publishes one lifecycle event at publisher-clock `t_s` on `lane`.
+    /// Publishes one event at publisher-clock `t_s` on `lane`.
     /// Sequence-lane events run through the same [`LifecycleFold`] the
     /// post-hoc consumers use, so a live hub and a post-hoc
     /// `SloMonitor::observe` agree on every observation.
     pub fn on_record(&self, t_s: f64, lane: u64, event: &TraceEvent) {
-        match *event {
-            TraceEvent::Step {
-                prefill_rows,
-                decode_slots,
-                gpu_s,
-            } => {
-                self.add("pit_hub_steps_total", 1.0);
-                self.add("pit_hub_gpu_seconds_total", gpu_s);
-                self.add("pit_hub_prefill_tokens_total", prefill_rows as f64);
-                self.add("pit_hub_decode_tokens_total", decode_slots as f64);
-                let mut st = self.state.lock().expect("hub state");
-                st.now_s = st.now_s.max(t_s);
-                let w = st.window(t_s);
-                w.steps += 1;
-                w.gpu_s += gpu_s;
-                w.prefill_tokens += prefill_rows as u64;
-                w.decode_tokens += decode_slots as u64;
-                self.roll_alarms(&mut st);
-                return;
-            }
-            TraceEvent::SwapOut { pages, .. } => {
-                self.add("pit_hub_swap_out_pages_total", pages as f64)
-            }
-            TraceEvent::SwapIn { pages, .. } => {
-                self.add("pit_hub_swap_in_pages_total", pages as f64)
-            }
-            TraceEvent::PrefillChunk { tokens } => {
-                self.add("pit_hub_prefill_chunk_tokens_total", tokens as f64)
-            }
-            TraceEvent::PrefixHit { tokens, .. } => {
-                self.add("pit_hub_prefix_hit_tokens_total", tokens as f64)
-            }
-            TraceEvent::SparsityEvict { pages } => {
-                self.add("pit_hub_sparsity_evicted_pages_total", pages as f64)
-            }
-            TraceEvent::Admitted { .. } => self.add("pit_hub_admitted_total", 1.0),
-            TraceEvent::Rejected => self.add("pit_hub_rejected_total", 1.0),
-            TraceEvent::Finished => self.add("pit_hub_finished_total", 1.0),
-            TraceEvent::Preempted { .. } => self.add("pit_hub_preemptions_total", 1.0),
-            TraceEvent::Waiting { cause, since_s } => self.add_labelled(
-                "pit_hub_wait_seconds_total",
-                cause.name(),
-                (t_s - since_s).max(0.0),
-            ),
-            TraceEvent::FirstToken | TraceEvent::DecodeStep { .. } => {}
-        }
-        let mut st = self.state.lock().expect("hub state");
-        let Some(step) = st.fold.observe(t_s, lane, event) else {
-            return; // device and link lanes carry no lifecycle
+        let mut guard = self.state.lock().expect("hub state");
+        let st = &mut *guard;
+        let latency = match event {
+            TraceEvent::Step { .. } => None,
+            _ => st
+                .fold
+                .observe(t_s, lane, event)
+                .and_then(|step| step.latency),
         };
-        // Transfers and prefill bookkeeping only feed the fold: a restore
-        // is stamped at its future landing, so it must not move the clock.
-        if matches!(
-            event,
+        // Device steps and sequence-lane lifecycle events land in a
+        // window. Link-lane events, transfers and prefill bookkeeping only
+        // count: a restore is stamped at its future landing, so it must
+        // not move the clock.
+        let windowed = match event {
+            TraceEvent::Step { .. } => true,
             TraceEvent::SwapOut { .. }
-                | TraceEvent::SwapIn { .. }
-                | TraceEvent::PrefillChunk { .. }
-                | TraceEvent::PrefixHit { .. }
-                | TraceEvent::SparsityEvict { .. }
-        ) {
+            | TraceEvent::SwapIn { .. }
+            | TraceEvent::PrefillChunk { .. }
+            | TraceEvent::PrefixHit { .. }
+            | TraceEvent::SparsityEvict { .. } => false,
+            _ => lane < RESERVED_LANES,
+        };
+        if !windowed {
+            st.run.counters.count(t_s, event);
             return;
         }
         st.now_s = st.now_s.max(t_s);
-        if let Some(latency) = step.latency {
-            self.observe_locked(&mut st, t_s, latency);
-        }
-        if let (TraceEvent::Rejected, Some(m)) = (event, st.slo.as_mut()) {
-            m.record_rejection(t_s);
-        }
-        let w = st.window(t_s);
-        match *event {
-            TraceEvent::Admitted { .. } => w.admitted += 1,
-            TraceEvent::Rejected => w.rejected += 1,
-            TraceEvent::Finished => w.finished += 1,
-            TraceEvent::Preempted { .. } => w.preemptions += 1,
-            TraceEvent::Waiting { cause, since_s } => {
-                *w.waits_s.entry(cause.name().to_string()).or_default() += (t_s - since_s).max(0.0)
-            }
-            _ => {}
-        }
+        let target = self.cfg.slo.as_ref();
+        st.run.record(t_s, event, latency, target);
+        st.ring
+            .at(t_s, |_| Signals::default())
+            .record(t_s, event, latency, target);
         if !matches!(
             event,
             TraceEvent::Preempted { .. } | TraceEvent::Waiting { .. }
         ) {
-            self.roll_alarms(&mut st);
+            self.roll_alarms(st);
         }
-    }
-
-    /// Records one latency observation directly, for loops that do not
-    /// emit lifecycle events (e.g. the batch runtime); an end-to-end
-    /// latency also counts one completion.
-    pub fn observe(&self, t_s: f64, latency: Latency) {
-        let mut st = self.state.lock().expect("hub state");
-        st.now_s = st.now_s.max(t_s);
-        self.observe_locked(&mut st, t_s, latency);
-        if let Latency::E2e(_) = latency {
-            st.window(t_s).finished += 1;
-        }
-        self.roll_alarms(&mut st);
     }
 
     /// Books one virtual-clock charge into the hub's live ledger, e.g.
@@ -409,12 +416,17 @@ impl MetricsHub {
 
     /// Publishes the live KV occupancy gauge (also tracked per window).
     pub fn set_kv_occupancy(&self, occupancy: f64) {
-        let mut st = self.state.lock().expect("hub state");
+        let mut guard = self.state.lock().expect("hub state");
+        let st = &mut *guard;
         st.kv_occupancy = occupancy;
-        st.kv_occupancy_peak = st.kv_occupancy_peak.max(occupancy);
-        let t_s = st.now_s;
-        let w = st.window(t_s);
+        st.run.kv_occupancy_peak = st.run.kv_occupancy_peak.max(occupancy);
+        let w = st.ring.at(st.now_s, |_| Signals::default());
         w.kv_occupancy_peak = w.kv_occupancy_peak.max(occupancy);
+    }
+
+    /// Publishes the admission queue's depth.
+    pub fn set_queue_depth(&self, depth: usize) {
+        self.state.lock().expect("hub state").queue_depth = depth;
     }
 
     /// Marks the run complete: seals the open window into the alarm
@@ -423,24 +435,18 @@ impl MetricsHub {
     pub fn finish(&self) {
         let mut st = self.state.lock().expect("hub state");
         st.finished_run = true;
-        if let Some(d) = st.drift.as_ref() {
-            st.alarms = d.alarms();
-        }
+        st.alarms = self.alarms_of(&st.run.latency);
     }
 
-    fn observe_locked(&self, st: &mut HubState, t_s: f64, latency: Latency) {
-        st.latency.record(latency);
-        if let Some(m) = st.slo.as_mut() {
-            m.record(t_s, latency);
-        }
-        if let Some(d) = st.drift.as_mut() {
-            d.record(latency);
-        }
-        let w = st.window(t_s);
-        w.latency.record(latency);
-        if let Some(t) = &self.slo_target {
-            w.slo.record(t, latency);
-        }
+    /// Drift alarms of the whole-run sketches `latency` (none without a
+    /// baseline).
+    fn alarms_of(&self, latency: &LatencySketches) -> Vec<DriftAlarm> {
+        self.cfg
+            .drift
+            .as_ref()
+            .map_or_else(Vec::new, |(baseline, policy)| {
+                baseline.latency_alarms(policy, latency)
+            })
     }
 
     /// Refreshes drift alarms once per newly entered window, so alarms
@@ -451,72 +457,27 @@ impl MetricsHub {
         };
         if hi > st.alarmed_through {
             st.alarmed_through = hi;
-            if let Some(d) = st.drift.as_ref() {
-                st.alarms = d.alarms();
-            }
+            st.alarms = self.alarms_of(&st.run.latency);
         }
-    }
-
-    fn add_labelled(&self, family: &str, label: &str, v: f64) {
-        // Encoded as "family\u{1}label" in the shard map; the exposition
-        // renderer splits it back into a labelled sample.
-        self.add(&format!("{family}\u{1}{label}"), v);
     }
 
     // ------------------------------------------------------------------
     // Reader side
     // ------------------------------------------------------------------
 
-    /// Merges the counter shards into one sorted map. Each shard only
-    /// ever grows, so consecutive merges are monotone per key.
-    fn merged_counters(&self) -> BTreeMap<String, f64> {
-        let mut merged: BTreeMap<String, f64> = BTreeMap::new();
-        for shard in &self.counters {
-            for (k, v) in shard.lock().expect("hub shard").iter() {
-                *merged.entry(k.clone()).or_default() += *v;
-            }
-        }
-        merged
-    }
-
     /// A consistent snapshot of the hub as a Prometheus exposition:
-    /// merged counters, gauges, the whole-run latency summaries, the
-    /// live ledger families and the SLO/drift digest. `parse_exposition`
-    /// round-trips the rendered document.
+    /// counters, gauges, the whole-run latency summaries, the live ledger
+    /// families and the SLO/drift digest. `parse_exposition` round-trips
+    /// the rendered document.
     pub fn exposition(&self) -> Exposition {
         let mut out = Exposition::new();
-        // Plain counters first, then labelled families, sorted by name —
-        // deterministic output for a given state.
-        let merged = self.merged_counters();
-        let mut labelled: BTreeMap<String, Vec<(String, f64)>> = BTreeMap::new();
-        for (k, v) in &merged {
-            match k.split_once('\u{1}') {
-                Some((family, label)) => labelled
-                    .entry(family.to_string())
-                    .or_default()
-                    .push((label.to_string(), *v)),
-                None => out.counter(k, "Live hub counter", *v),
-            }
-        }
-        for (family, samples) in labelled {
-            out.family(
-                &family,
-                "Live hub counter by cause",
-                MetricKind::Counter,
-                samples
-                    .into_iter()
-                    .map(|(label, value)| Sample {
-                        suffix: String::new(),
-                        labels: vec![("cause".to_string(), label)],
-                        value,
-                    })
-                    .collect(),
-            );
-        }
-        for (k, v) in self.gauges.lock().expect("hub gauges").iter() {
-            out.gauge(k, "Live hub gauge", *v);
-        }
         let st = self.state.lock().expect("hub state");
+        st.run.counters.exposition_into(&mut out);
+        out.gauge(
+            "pit_hub_admission_queue_depth",
+            "Live hub gauge",
+            st.queue_depth as f64,
+        );
         out.gauge(
             "pit_hub_clock_seconds",
             "Latest publisher-clock timestamp seen",
@@ -530,7 +491,7 @@ impl MetricsHub {
         out.gauge(
             "pit_hub_kv_occupancy_peak",
             "Peak KV pool occupancy seen",
-            st.kv_occupancy_peak,
+            st.run.kv_occupancy_peak,
         );
         out.gauge(
             "pit_hub_window_count",
@@ -547,8 +508,7 @@ impl MetricsHub {
             "1 once the publisher marked the run finished",
             f64::from(u8::from(st.finished_run)),
         );
-        if let Some(m) = st.slo.as_ref() {
-            let r = m.report(Some(&st.ledger));
+        if let Some(r) = self.slo_report_locked(&st) {
             out.gauge(
                 "pit_hub_ttft_attainment",
                 "Whole-run TTFT attainment against the hub SLO",
@@ -561,7 +521,7 @@ impl MetricsHub {
             );
             out.gauge(
                 "pit_hub_worst_window_burn_rate",
-                "Hottest window's SLO burn rate so far",
+                "Hottest retained window's SLO burn rate",
                 r.worst_window_burn_rate,
             );
         }
@@ -569,17 +529,17 @@ impl MetricsHub {
             (
                 "pit_hub_ttft_seconds",
                 "Live time-to-first-token (sketch-backed quantiles)",
-                &st.latency.ttft,
+                &st.run.latency.ttft,
             ),
             (
                 "pit_hub_itl_seconds",
                 "Live inter-token latency",
-                &st.latency.itl,
+                &st.run.latency.itl,
             ),
             (
                 "pit_hub_e2e_seconds",
                 "Live end-to-end request latency",
-                &st.latency.e2e,
+                &st.run.latency.e2e,
             ),
         ] {
             out.summary(name, help, sketch, &[0.50, 0.90, 0.95, 0.99]);
@@ -593,28 +553,34 @@ impl MetricsHub {
         self.exposition().render()
     }
 
-    /// The live SLO report (attainment, burn rates, per-window digests)
-    /// with the current drift alarms attached, or `None` when the hub
-    /// was built without SLO targets.
+    /// The live SLO report (whole-run attainment and burn rates, the
+    /// retained windows' digests) with the current drift alarms
+    /// attached, or `None` when the hub was built without SLO targets.
     pub fn slo_report(&self) -> Option<SloReport> {
-        let st = self.state.lock().expect("hub state");
-        st.slo.as_ref().map(|m| {
-            let mut r = m.report(Some(&st.ledger));
-            r.drift = st.alarms.clone();
-            r
-        })
+        self.slo_report_locked(&self.state.lock().expect("hub state"))
+    }
+
+    fn slo_report_locked(&self, st: &HubState) -> Option<SloReport> {
+        let target = self.cfg.slo?;
+        let mut r = slo::report(
+            target,
+            st.ring.width_s(),
+            &st.run.slo,
+            st.ring.iter().map(|(i, w)| (i, &w.slo)),
+            Some(&st.ledger),
+        );
+        r.drift = st.alarms.clone();
+        Some(r)
     }
 
     /// The `GET /slo` document: the [`SloReport`] as JSON, or a stub
     /// carrying just the alarms when no SLO target is configured.
     pub fn slo_json(&self) -> String {
         use serde::Serialize;
-        match self.slo_report() {
+        let st = self.state.lock().expect("hub state");
+        match self.slo_report_locked(&st) {
             Some(r) => r.to_json(),
-            None => {
-                let st = self.state.lock().expect("hub state");
-                format!("{{\"target\":null,\"drift\":{}}}", st.alarms.to_json())
-            }
+            None => format!("{{\"target\":null,\"drift\":{}}}", st.alarms.to_json()),
         }
     }
 
@@ -633,7 +599,7 @@ impl MetricsHub {
             windows: st
                 .ring
                 .iter()
-                .map(|(i, w)| w.digest(i, window_s, self.slo_target.as_ref()))
+                .map(|(i, w)| w.digest(i, window_s, self.cfg.slo.as_ref()))
                 .collect(),
         }
     }
@@ -648,12 +614,12 @@ impl MetricsHub {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blame::WaitCause;
+    use crate::sink::DEVICE_LANE;
 
     fn step(hub: &MetricsHub, t_s: f64, gpu_s: f64) {
         hub.on_record(
             t_s,
-            crate::sink::DEVICE_LANE,
+            DEVICE_LANE,
             &TraceEvent::Step {
                 prefill_rows: 64,
                 decode_slots: 8,
@@ -662,18 +628,32 @@ mod tests {
         );
     }
 
-    #[test]
-    fn lifecycle_fold_matches_slo_monitor_convention() {
-        let hub = MetricsHub::new(HubConfig {
+    fn slo_hub() -> MetricsHub {
+        MetricsHub::new(HubConfig {
             window_s: 1.0,
-            ring_capacity: 16,
             slo: Some(SloTarget {
                 ttft_s: 0.5,
                 itl_s: 0.1,
                 objective: 0.9,
             }),
             drift: None,
-        });
+        })
+    }
+
+    /// One counter sample of the hub's exposition.
+    fn counter(hub: &MetricsHub, name: &str) -> f64 {
+        let expo = hub.exposition();
+        let fam = expo
+            .families()
+            .iter()
+            .find(|f| f.name == name)
+            .unwrap_or_else(|| panic!("{name} rendered"));
+        fam.samples[0].value
+    }
+
+    #[test]
+    fn lifecycle_fold_matches_slo_monitor_convention() {
+        let hub = slo_hub();
         hub.on_record(0.1, 3, &TraceEvent::Admitted { arrival_s: 0.0 });
         hub.on_record(0.4, 3, &TraceEvent::FirstToken);
         hub.on_record(
@@ -703,20 +683,17 @@ mod tests {
 
     #[test]
     fn ring_is_bounded_and_counts_evictions() {
-        let hub = MetricsHub::new(HubConfig {
-            window_s: 1.0,
-            ring_capacity: 4,
-            slo: None,
-            drift: None,
-        });
-        for i in 0..10 {
+        let hub = MetricsHub::with_defaults();
+        let windows = RING_WINDOWS as u64 + 10;
+        for i in 0..windows {
             step(&hub, i as f64 + 0.5, 0.01);
         }
         let s = hub.series();
-        assert_eq!(s.windows.len(), 4);
-        assert_eq!(s.dropped, 6);
-        assert_eq!(s.windows.first().expect("windows").index, 6);
-        assert_eq!(s.windows.last().expect("windows").index, 9);
+        assert_eq!(s.windows.len(), RING_WINDOWS);
+        assert_eq!(s.dropped, 10);
+        assert_eq!(s.windows.first().expect("windows").index, 10);
+        assert_eq!(s.windows.last().expect("windows").index, windows - 1);
+        assert_eq!(counter(&hub, "pit_hub_steps_total"), windows as f64);
     }
 
     #[test]
@@ -736,6 +713,11 @@ mod tests {
             "labelled wait counter rendered: {rendered}"
         );
         crate::expo::parse_exposition(&rendered).expect("labelled family parses");
+        let series = hub.series();
+        assert_eq!(
+            series.windows[0].waits_s,
+            BTreeMap::from([("kv_pool_exhausted".to_string(), 0.5)])
+        );
     }
 
     #[test]
@@ -752,7 +734,6 @@ mod tests {
         let baseline = DriftBaseline::from_records(&sink.drain());
         let hub = MetricsHub::new(HubConfig {
             window_s: 1.0,
-            ring_capacity: 64,
             slo: None,
             drift: Some((baseline, DriftPolicy::default())),
         });
@@ -775,15 +756,93 @@ mod tests {
     fn counters_are_monotone_across_concurrent_publishers() {
         let hub = MetricsHub::with_defaults();
         std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..1000 {
-                        hub.add("pit_hub_steps_total", 1.0);
+            for p in 0..4 {
+                let hub = &hub;
+                s.spawn(move || {
+                    for i in 0..1000 {
+                        step(hub, p as f64 + i as f64 * 1e-3, 0.5);
                     }
                 });
             }
         });
-        let merged = hub.merged_counters();
-        assert_eq!(merged["pit_hub_steps_total"], 4000.0);
+        assert_eq!(counter(&hub, "pit_hub_steps_total"), 4000.0);
+        assert_eq!(counter(&hub, "pit_hub_gpu_seconds_total"), 2000.0);
+        assert_eq!(counter(&hub, "pit_hub_prefill_tokens_total"), 4000.0 * 64.0);
+        let windowed: u64 = hub.series().windows.iter().map(|w| w.steps).sum();
+        assert_eq!(windowed, 4000, "every step landed in a window");
+    }
+
+    #[test]
+    fn series_and_slo_burn_agree_on_a_window_with_rejections() {
+        // Four first tokens within target and two rejections: TTFT
+        // attainment 4/6, so both readers must report burn (1/3) / 0.1.
+        let hub = slo_hub();
+        for lane in 0..4u64 {
+            hub.on_record(0.1, lane, &TraceEvent::Admitted { arrival_s: 0.1 });
+            hub.on_record(0.3, lane, &TraceEvent::FirstToken);
+        }
+        for lane in 4..6u64 {
+            hub.on_record(0.2, lane, &TraceEvent::Rejected);
+        }
+        let series = hub.series();
+        let slo = hub.slo_report().expect("slo configured");
+        assert_eq!((series.windows.len(), slo.windows.len()), (1, 1));
+        let burn = series.windows[0].burn_rate;
+        assert_eq!(burn.to_bits(), slo.windows[0].burn_rate.to_bits());
+        assert!((burn - 10.0 / 3.0).abs() < 1e-9, "burn {burn}");
+        assert_eq!(slo.windows[0].ttft_total, 6);
+        assert_eq!(series.windows[0].rejected, 2);
+        assert_eq!(
+            (
+                counter(&hub, "pit_hub_rejected_total"),
+                counter(&hub, "pit_hub_admitted_total"),
+            ),
+            (2.0, 4.0)
+        );
+    }
+
+    #[test]
+    fn every_lane_closes_and_the_ring_bounds_memory() {
+        // The threaded runtime's per-request sequence, 20k requests over
+        // 250 one-second windows: the fold must end every lane and the
+        // windowed readers must stop at the ring.
+        let hub = slo_hub();
+        let n = 20_000u64;
+        for lane in 0..n {
+            let s = lane as f64 * 0.0125;
+            let done = s + 0.02;
+            hub.on_record(s, lane, &TraceEvent::Admitted { arrival_s: s });
+            hub.on_record(
+                done,
+                DEVICE_LANE,
+                &TraceEvent::Step {
+                    prefill_rows: 48,
+                    decode_slots: 0,
+                    gpu_s: 0.01,
+                },
+            );
+            hub.on_record(done, lane, &TraceEvent::PrefillChunk { tokens: 40 });
+            hub.on_record(done, lane, &TraceEvent::FirstToken);
+            hub.on_record(done, lane, &TraceEvent::Finished);
+        }
+        hub.finish();
+        assert_eq!(hub.state.lock().expect("hub state").fold.open_lanes(), 0);
+        let series = hub.series();
+        assert_eq!(series.windows.len(), RING_WINDOWS);
+        assert!(series.dropped > 0, "the run outlived the ring");
+        let slo = hub.slo_report().expect("slo configured");
+        assert_eq!(slo.windows.len(), RING_WINDOWS);
+        assert_eq!(slo.ttft_attainment, 1.0);
+        for name in ["pit_hub_admitted_total", "pit_hub_finished_total"] {
+            assert_eq!(counter(&hub, name), n as f64, "{name}");
+        }
+        assert_eq!(
+            counter(&hub, "pit_hub_prefill_chunk_tokens_total"),
+            40.0 * n as f64
+        );
+        assert_eq!(
+            counter(&hub, "pit_hub_prefill_tokens_total"),
+            48.0 * n as f64
+        );
     }
 }

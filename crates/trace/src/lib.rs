@@ -48,11 +48,13 @@
 //! - [`DriftDetector`] — observed latency sketches and blame cause mix
 //!   compared against a committed [`DriftBaseline`], raising typed
 //!   [`DriftAlarm`]s on quantile or cause-mix shifts;
-//! - [`MetricsHub`] — the *live* observability plane: a sharded,
-//!   thread-safe registry the serving loops publish into at step
-//!   granularity (counters, gauges, windowed sketch snapshots in a
-//!   bounded ring) with the SLO monitor and drift detector evaluating
-//!   inside the hub, alarms refreshed per window, so they fire mid-run;
+//! - [`MetricsHub`] — the *live* observability plane: a thread-safe
+//!   fold of the serving loops' lifecycle events, ledger charges and
+//!   gauges into typed counters, whole-run and windowed latency sketches
+//!   and SLO attainment counts behind one lock, in memory bounded by a
+//!   ring of windows; `/slo` shares the SLO monitor's report and its
+//!   drift alarms the drift detector's comparison, refreshed per window,
+//!   so they fire mid-run;
 //! - [`ScrapeServer`] — a std-only `TcpListener` endpoint serving
 //!   `GET /metrics` (Prometheus text), `/slo` and `/series` (JSON) from
 //!   a hub, with a graceful [`ShutdownHandle`].
@@ -81,7 +83,7 @@ pub use drift::{DriftAlarm, DriftBaseline, DriftDetector, DriftKind, DriftPolicy
 pub use exemplar::{ExemplarReservoir, ExemplarSet, ExemplarTimeline};
 pub use expo::{parse_exposition, Exposition, MetricFamily, MetricKind, Sample};
 pub use http::{ScrapeServer, ShutdownHandle};
-pub use hub::{HubConfig, HubSeries, HubSeriesWindow, MetricsHub, COUNTER_SHARDS};
+pub use hub::{HubConfig, HubSeries, HubSeriesWindow, MetricsHub};
 pub use json::{JsonError, JsonErrorKind, JsonValue};
 pub use ledger::{DeviceLedger, StepSample, Utilization};
 pub use lifecycle::{LaneSpans, LaneStep, Latency, LatencySketches, LifecycleFold};

@@ -163,6 +163,12 @@ impl LifecycleFold {
         })
     }
 
+    /// Lanes opened and not yet ended by `Finished` or `Rejected`.
+    #[cfg(test)]
+    pub(crate) fn open_lanes(&self) -> usize {
+        self.lanes.len()
+    }
+
     /// Folds a sorted record stream (as `TraceSink::drain`/`snapshot`
     /// return it) in one pass, handing every sequence-lane step to `each`,
     /// and returns each lane's breakdown — the ones the stream ended and
@@ -276,7 +282,7 @@ mod tests {
                 Latency::E2e(2.5),
             ]
         );
-        assert!(fold.lanes.is_empty(), "a finished lane holds no state");
+        assert_eq!(fold.open_lanes(), 0, "a finished lane holds no state");
     }
 
     #[test]

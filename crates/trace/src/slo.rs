@@ -37,7 +37,8 @@ pub struct SloTarget {
     pub objective: f64,
 }
 
-/// Per-window observation counts, shared with the live hub's windows.
+/// Attainment counts for one window or a whole run, shared with the live
+/// hub.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct Counts {
     ttft_total: u64,
@@ -59,6 +60,12 @@ impl Counts {
         *ok += u64::from(hit);
     }
 
+    /// Counts a rejected admission: a TTFT miss (the request never got a
+    /// first token).
+    pub(crate) fn record_rejection(&mut self) {
+        self.ttft_total += 1;
+    }
+
     /// Burn rate of the worse of the two attainments against `objective`.
     pub(crate) fn burn_rate(&self, objective: f64) -> f64 {
         let ttft = attainment(self.ttft_ok, self.ttft_total);
@@ -71,6 +78,7 @@ impl Counts {
 pub struct SloMonitor {
     target: SloTarget,
     windows: Windowed<Counts>,
+    totals: Counts,
 }
 
 /// One window's attainment digest.
@@ -109,7 +117,8 @@ pub struct SloReport {
     pub ttft_burn_rate: f64,
     /// Whole-run ITL burn rate.
     pub itl_burn_rate: f64,
-    /// The hottest single window's burn rate.
+    /// The hottest window's burn rate (of the windows the live hub's
+    /// ring still holds, for a hub's report).
     pub worst_window_burn_rate: f64,
     /// Device busy fraction from the joined ledger (`None` without one).
     pub busy_fraction: Option<f64>,
@@ -117,7 +126,7 @@ pub struct SloReport {
     /// [`crate::DriftDetector`] was attached; callers running one set
     /// this from its `alarms()`).
     pub drift: Vec<DriftAlarm>,
-    /// Per-window digests.
+    /// Per-window digests, oldest first.
     pub windows: Vec<SloWindowReport>,
 }
 
@@ -129,22 +138,31 @@ fn attainment(ok: u64, total: u64) -> f64 {
     }
 }
 
+impl SloTarget {
+    /// Panics unless the objective lies in (0, 1) and both latency
+    /// targets are positive.
+    pub(crate) fn validate(&self) {
+        assert!(
+            self.objective > 0.0 && self.objective < 1.0,
+            "objective must be in (0, 1), got {}",
+            self.objective
+        );
+        assert!(
+            self.ttft_s > 0.0 && self.itl_s > 0.0,
+            "latency targets must be positive"
+        );
+    }
+}
+
 impl SloMonitor {
     /// A monitor holding runs to `target` over `window_s`-wide windows.
     pub fn new(target: SloTarget, window_s: f64) -> Self {
         assert!(window_s > 0.0, "window width must be positive");
-        assert!(
-            target.objective > 0.0 && target.objective < 1.0,
-            "objective must be in (0, 1), got {}",
-            target.objective
-        );
-        assert!(
-            target.ttft_s > 0.0 && target.itl_s > 0.0,
-            "latency targets must be positive"
-        );
+        target.validate();
         SloMonitor {
             target,
             windows: Windowed::new(window_s),
+            totals: Counts::default(),
         }
     }
 
@@ -156,13 +174,17 @@ impl SloMonitor {
             self.windows
                 .at(t_s, |_| Counts::default())
                 .record(&target, latency);
+            self.totals.record(&target, latency);
         }
     }
 
     /// Records a rejected admission: a TTFT miss (the request never got a
     /// first token).
     pub fn record_rejection(&mut self, t_s: f64) {
-        self.windows.at(t_s, |_| Counts::default()).ttft_total += 1;
+        self.windows
+            .at(t_s, |_| Counts::default())
+            .record_rejection();
+        self.totals.record_rejection();
     }
 
     /// Replays a drained trace-sink stream through the lifecycle fold:
@@ -197,47 +219,56 @@ impl SloMonitor {
 
     /// Rolls the windows up, joining `ledger`'s busy fraction when given.
     pub fn report(&self, ledger: Option<&DeviceLedger>) -> SloReport {
-        let objective = self.target.objective;
         let window_s = self.windows.width_s();
-        let windows: Vec<SloWindowReport> = self
-            .windows
-            .iter()
-            .map(|(i, c)| SloWindowReport {
-                start_s: i as f64 * window_s,
-                ttft_total: c.ttft_total,
-                ttft_ok: c.ttft_ok,
-                itl_total: c.itl_total,
-                itl_ok: c.itl_ok,
-                ttft_attainment: attainment(c.ttft_ok, c.ttft_total),
-                itl_attainment: attainment(c.itl_ok, c.itl_total),
-                burn_rate: c.burn_rate(objective),
-            })
-            .collect();
-        let totals = self
-            .windows
-            .iter()
-            .fold(Counts::default(), |mut a, (_, c)| {
-                a.ttft_total += c.ttft_total;
-                a.ttft_ok += c.ttft_ok;
-                a.itl_total += c.itl_total;
-                a.itl_ok += c.itl_ok;
-                a
-            });
-        let ttft_attainment = attainment(totals.ttft_ok, totals.ttft_total);
-        let itl_attainment = attainment(totals.itl_ok, totals.itl_total);
-        let burn = |att: f64| (1.0 - att) / (1.0 - objective);
-        SloReport {
-            target: self.target,
+        report(
+            self.target,
             window_s,
-            ttft_attainment,
-            itl_attainment,
-            ttft_burn_rate: burn(ttft_attainment),
-            itl_burn_rate: burn(itl_attainment),
-            worst_window_burn_rate: windows.iter().map(|w| w.burn_rate).fold(0.0, f64::max),
-            busy_fraction: ledger.map(|l| l.utilization().busy_fraction),
-            drift: Vec::new(),
-            windows,
-        }
+            &self.totals,
+            self.windows.iter(),
+            ledger,
+        )
+    }
+}
+
+/// The report over `windows` (indexed, oldest first) of `window_s`
+/// seconds each: whole-run attainment and burn from `totals`, the hottest
+/// of `windows` as the worst window, and `ledger`'s busy fraction when
+/// given. [`SloMonitor::report`] and the live hub's `/slo` both build
+/// their reports here.
+pub(crate) fn report<'a>(
+    target: SloTarget,
+    window_s: f64,
+    totals: &Counts,
+    windows: impl Iterator<Item = (u64, &'a Counts)>,
+    ledger: Option<&DeviceLedger>,
+) -> SloReport {
+    let objective = target.objective;
+    let windows: Vec<SloWindowReport> = windows
+        .map(|(i, c)| SloWindowReport {
+            start_s: i as f64 * window_s,
+            ttft_total: c.ttft_total,
+            ttft_ok: c.ttft_ok,
+            itl_total: c.itl_total,
+            itl_ok: c.itl_ok,
+            ttft_attainment: attainment(c.ttft_ok, c.ttft_total),
+            itl_attainment: attainment(c.itl_ok, c.itl_total),
+            burn_rate: c.burn_rate(objective),
+        })
+        .collect();
+    let ttft_attainment = attainment(totals.ttft_ok, totals.ttft_total);
+    let itl_attainment = attainment(totals.itl_ok, totals.itl_total);
+    let burn = |att: f64| (1.0 - att) / (1.0 - objective);
+    SloReport {
+        target,
+        window_s,
+        ttft_attainment,
+        itl_attainment,
+        ttft_burn_rate: burn(ttft_attainment),
+        itl_burn_rate: burn(itl_attainment),
+        worst_window_burn_rate: windows.iter().map(|w| w.burn_rate).fold(0.0, f64::max),
+        busy_fraction: ledger.map(|l| l.utilization().busy_fraction),
+        drift: Vec::new(),
+        windows,
     }
 }
 

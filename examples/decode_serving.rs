@@ -294,7 +294,6 @@ fn main() {
     if let Some(port) = serve_port {
         let hub = Arc::new(MetricsHub::new(HubConfig {
             window_s: 1.0,
-            ring_capacity: 240,
             slo: Some(SloTarget {
                 ttft_s: 0.5,
                 itl_s: 0.05,

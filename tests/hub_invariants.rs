@@ -14,7 +14,8 @@ use pit::serve::decode::{
 };
 use pit::serve::{serve_trace_arrivals_observed, AdmissionMode, BatchPolicy, ServeConfig};
 use pit::trace::{
-    parse_exposition, HubConfig, JsonValue, MetricsHub, ScrapeServer, SloTarget, TraceSink,
+    parse_exposition, DriftAlarm, DriftBaseline, DriftDetector, DriftKind, DriftPolicy, HubConfig,
+    JsonValue, MetricsHub, ScrapeServer, SloMonitor, SloReport, SloTarget, TraceSink,
 };
 use pit::workloads::{ArrivalTrace, DatasetSpec, DecodeSpec, DecodeTrace};
 use std::collections::BTreeMap;
@@ -34,14 +35,25 @@ fn small_decode_cfg(token_budget: usize) -> DecodeServeConfig {
 }
 
 fn decode_trace(n: usize) -> DecodeTrace {
+    seeded_decode_trace(n, 31)
+}
+
+fn seeded_decode_trace(n: usize, seed: u64) -> DecodeTrace {
     DecodeTrace::poisson(
         &DatasetSpec::mnli(),
         &DecodeSpec::geometric(24.0, 1, 96),
         n,
         400.0,
-        31,
+        seed,
     )
 }
+
+/// The SLO the hubbed decode replays are held to.
+const TARGET: SloTarget = SloTarget {
+    ttft_s: 0.5,
+    itl_s: 0.05,
+    objective: 0.99,
+};
 
 fn get(addr: SocketAddr, path: &str) -> String {
     let mut s = TcpStream::connect(addr).expect("connect scrape endpoint");
@@ -90,12 +102,7 @@ fn hub_and_concurrent_scrapers_leave_the_report_byte_identical() {
     // for the whole duration of the replay.
     let hub = Arc::new(MetricsHub::new(HubConfig {
         window_s: 0.25,
-        ring_capacity: 64,
-        slo: Some(SloTarget {
-            ttft_s: 0.5,
-            itl_s: 0.05,
-            objective: 0.99,
-        }),
+        slo: Some(TARGET),
         drift: None,
     }));
     let server = ScrapeServer::bind(hub.clone(), "127.0.0.1:0").expect("bind");
@@ -203,39 +210,153 @@ fn scrapes_round_trip_and_counters_never_decrease() {
 
 #[test]
 fn threaded_runtime_publishes_consistent_hub_totals() {
-    let mut cfg = ServeConfig::new(BatchPolicy::PaddingFree { token_budget: 1024 });
-    cfg.model.layers = 2;
-    cfg.admission = AdmissionMode::Block;
-    // High rate so the replay finishes quickly in CI.
-    let trace = ArrivalTrace::poisson(&DatasetSpec::mnli(), 48, 2000.0, 29);
-    let hub = Arc::new(MetricsHub::with_defaults());
-    let report = serve_trace_arrivals_observed(&cfg, &trace, Some(&hub));
-    assert_eq!(report.requests, trace.len());
+    // Blocking admission with padded batches (prefill rows exceed prompt
+    // tokens), and load shedding over a 2-deep queue.
+    for (admission, policy, queue_capacity) in [
+        (
+            AdmissionMode::Block,
+            BatchPolicy::PaddedToLongest { max_batch: 8 },
+            64,
+        ),
+        (
+            AdmissionMode::RejectWhenFull,
+            BatchPolicy::PaddingFree { token_budget: 1024 },
+            2,
+        ),
+    ] {
+        let mut cfg = ServeConfig::new(policy);
+        cfg.model.layers = 2;
+        cfg.admission = admission;
+        cfg.queue_capacity = queue_capacity;
+        // High rate so the replay finishes quickly in CI.
+        let trace = ArrivalTrace::poisson(&DatasetSpec::mnli(), 48, 5000.0, 29);
+        let hub = Arc::new(MetricsHub::with_defaults());
+        let report = serve_trace_arrivals_observed(&cfg, &trace, Some(&hub));
+        assert_eq!(report.requests + report.rejected, trace.len());
 
-    let body = hub.render();
-    let expo = parse_exposition(&body).expect("hub renders a valid exposition");
-    assert_eq!(expo.render(), body);
-    let counters = counter_values(&body);
-    assert_eq!(
-        counters.get("pit_hub_admitted_total{}").copied(),
-        Some(trace.len() as f64),
-        "submitter published every admission"
-    );
-    assert_eq!(
-        counters.get("pit_hub_finished_total{}").copied(),
-        Some(report.requests as f64),
-        "workers published every completion"
-    );
-    assert_eq!(
-        counters.get("pit_hub_batch_real_tokens_total{}").copied(),
-        Some(report.real_tokens as f64),
-        "hub token counter agrees with the report"
-    );
-    assert_eq!(counters.get("pit_hub_rejected_total{}").copied(), None);
-    // The whole-run gauge block marks the run complete (sample line,
-    // not the HELP line).
+        let body = hub.render();
+        let expo = parse_exposition(&body).expect("hub renders a valid exposition");
+        assert_eq!(expo.render(), body);
+        let counters = counter_values(&body);
+        let counter = |k: &str| counters[&format!("{k}{{}}")];
+        assert_eq!(
+            counter("pit_hub_admitted_total") + counter("pit_hub_rejected_total"),
+            trace.len() as f64,
+            "{admission:?}: the submitter published every arrival"
+        );
+        assert_eq!(counter("pit_hub_rejected_total"), report.rejected as f64);
+        assert_eq!(
+            counter("pit_hub_finished_total"),
+            report.requests as f64,
+            "{admission:?}: workers published every completion"
+        );
+        let e2e_count = expo
+            .families()
+            .iter()
+            .find(|f| f.name == "pit_hub_e2e_seconds")
+            .and_then(|f| f.samples.iter().find(|s| s.suffix == "_count"))
+            .expect("e2e summary rendered")
+            .value;
+        assert_eq!(e2e_count, report.requests as f64, "every lane closed");
+        assert_eq!(
+            counter("pit_hub_prefill_chunk_tokens_total"),
+            report.real_tokens as f64,
+            "{admission:?}: prompt tokens agree with the report"
+        );
+        assert_eq!(
+            counter("pit_hub_prefill_tokens_total"),
+            report.padded_tokens as f64,
+            "{admission:?}: prefill rows agree with the report"
+        );
+        assert_eq!(counter("pit_hub_steps_total"), report.batches as f64);
+        // The whole-run gauge block marks the run complete (sample line,
+        // not the HELP line).
+        assert!(
+            body.contains("\npit_hub_run_complete 1\n"),
+            "finish() sealed the run"
+        );
+    }
+}
+
+/// Every number of an SLO report, as bits.
+fn slo_bits(r: &SloReport) -> Vec<u64> {
+    let mut bits: Vec<u64> = [
+        r.target.ttft_s,
+        r.target.itl_s,
+        r.target.objective,
+        r.window_s,
+        r.ttft_attainment,
+        r.itl_attainment,
+        r.ttft_burn_rate,
+        r.itl_burn_rate,
+        r.worst_window_burn_rate,
+        r.busy_fraction.expect("ledger joined"),
+    ]
+    .iter()
+    .map(|v| v.to_bits())
+    .collect();
+    for w in &r.windows {
+        bits.extend([w.ttft_total, w.ttft_ok, w.itl_total, w.itl_ok]);
+        bits.extend(
+            [w.start_s, w.ttft_attainment, w.itl_attainment, w.burn_rate].map(f64::to_bits),
+        );
+    }
+    bits.extend(alarm_bits(&r.drift));
+    bits
+}
+
+fn alarm_bits(alarms: &[DriftAlarm]) -> Vec<u64> {
+    let mut bits = Vec::new();
+    for a in alarms {
+        assert_eq!(a.kind, DriftKind::QuantileShift);
+        bits.push(a.metric.len() as u64);
+        bits.extend(a.metric.bytes().map(u64::from));
+        bits.extend([a.quantile, a.baseline, a.observed, a.rel_change].map(f64::to_bits));
+    }
+    bits
+}
+
+#[test]
+fn live_slo_and_drift_equal_the_post_hoc_readers_bit_for_bit() {
+    // Tight enough that some first tokens and some gaps miss.
+    const TIGHT: SloTarget = SloTarget {
+        ttft_s: 0.001,
+        itl_s: 0.0005,
+        objective: 0.9,
+    };
+    let cfg = small_decode_cfg(128);
+    // A baseline from another seed's traffic.
+    let base_sink = TraceSink::enabled();
+    simulate_decode_trace_traced(&cfg, &seeded_decode_trace(48, 7), &base_sink);
+    let baseline = DriftBaseline::from_records(&base_sink.drain());
+
+    let hub = MetricsHub::new(HubConfig {
+        window_s: 0.02,
+        slo: Some(TIGHT),
+        drift: Some((baseline.clone(), DriftPolicy::default())),
+    });
+    let sink = TraceSink::enabled();
+    let (report, _) = simulate_decode_trace_observed(&cfg, &decode_trace(48), &sink, 0, Some(&hub));
+    let records = sink.drain();
+
+    let mut monitor = SloMonitor::new(TIGHT, 0.02);
+    monitor.observe(&records);
+    let mut expected = monitor.report(Some(&report.ledger));
+    let mut detector = DriftDetector::new(baseline, DriftPolicy::default());
+    detector.observe(&records);
+    expected.drift = detector
+        .alarms()
+        .into_iter()
+        .filter(|a| a.kind == DriftKind::QuantileShift)
+        .collect();
+    assert!(!expected.drift.is_empty(), "the seeds' latencies differ");
+
+    let live = hub.slo_report().expect("slo configured");
+    assert!(live.windows.len() > 1, "the replay spans several windows");
     assert!(
-        body.contains("\npit_hub_run_complete 1\n"),
-        "finish() sealed the run"
+        live.ttft_attainment < 1.0 && live.itl_attainment < 1.0,
+        "the target is tight enough to miss"
     );
+    assert_eq!(slo_bits(&live), slo_bits(&expected));
+    assert_eq!(alarm_bits(&hub.alarms()), alarm_bits(&expected.drift));
 }

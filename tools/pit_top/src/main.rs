@@ -220,17 +220,18 @@ fn alarm_lines(slo: &JsonValue) -> Vec<String> {
 }
 
 /// Token throughput between two scrapes: Δtokens / Δhub-clock, falling
-/// back to whole-run totals when the clock has not advanced.
+/// back to whole-run totals when the clock has not advanced. Tokens are
+/// decode tokens, or prompt tokens for a run that decoded nothing (the
+/// prefill-only threaded runtime).
 fn throughput(prev: Option<&Snapshot>, cur: &Snapshot) -> f64 {
     let tokens = |s: &Snapshot| {
-        s.counters
-            .get("pit_hub_decode_tokens_total")
-            .copied()
-            .unwrap_or(0.0)
-            + s.counters
-                .get("pit_hub_batch_real_tokens_total")
-                .copied()
-                .unwrap_or(0.0)
+        let counter = |k: &str| s.counters.get(k).copied().unwrap_or(0.0);
+        let decoded = counter("pit_hub_decode_tokens_total");
+        if decoded > 0.0 {
+            decoded
+        } else {
+            counter("pit_hub_prefill_chunk_tokens_total")
+        }
     };
     let clock = |s: &Snapshot| {
         s.gauges
