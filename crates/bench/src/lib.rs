@@ -2,8 +2,9 @@
 //!
 //! Every function in [`figures`] recomputes the rows/series of one figure
 //! or table from the paper's evaluation (§5) and renders them as a text
-//! table. The binaries in `src/bin/` are thin wrappers (`fig03a` …
-//! `table3`, plus `run_all` which writes everything under `results/`).
+//! table. The `run_all` binary runs them and writes each under
+//! `results/`: all of them, or only those it is given by name
+//! (`cargo run --release -p pit_bench --bin run_all -- fig08`).
 //!
 //! Absolute numbers come from the analytical device model (`DESIGN.md` §2)
 //! — the reproduction targets the *shape* of each result: orderings,

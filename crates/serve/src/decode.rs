@@ -236,8 +236,6 @@ pub enum ConfigError {
     /// `host_pages` was set under [`PreemptPolicy::Recompute`], which
     /// never touches a host tier.
     HostPagesWithoutSwap,
-    /// `page_size` of zero.
-    ZeroPageSize,
     /// Explicit `kv_pages` of zero.
     ZeroKvPages,
     /// Explicit `host_pages` of zero (omit it for the default tier size).
@@ -264,7 +262,6 @@ impl std::fmt::Display for ConfigError {
                 "host_pages is set but preemption is recompute, which never \
                  uses a host tier; set preempt(PreemptPolicy::SwapToHost)"
             }
-            ConfigError::ZeroPageSize => "page_size must be at least 1 token",
             ConfigError::ZeroKvPages => "kv_pages must be at least 1 page",
             ConfigError::ZeroHostPages => {
                 "host_pages must be at least 1 page (omit it for the default \
@@ -304,6 +301,8 @@ const CACHE_CAPACITY: usize = 256;
 const KV_MEM_FRACTION: f64 = 0.25;
 /// Chunked-prefill cap: prompt tokens one request prefills per step.
 const PREFILL_CHUNK: usize = 64;
+/// Token slots per KV page.
+const PAGE_SIZE: usize = 16;
 /// Live-set bound (vLLM's `max_num_seqs`): requests prefilling, decoding
 /// or restoring at once.
 const MAX_LIVE: usize = 64;
@@ -314,15 +313,14 @@ const MAX_LIVE: usize = 64;
 /// validates every combination at build time ([`ConfigError`]) — the
 /// fields are private, so an inconsistent run cannot be assembled by
 /// hand. [`Default`] is the OPT-1.3B / A100-80GB preset. Every run is
-/// fp16, shares one 256-entry JIT cache, prefills in 64-token chunks and
-/// keeps at most 64 requests live; unless `kv_pages` is set, the KV pool
-/// gets 25% of device memory.
+/// fp16, pages KV in 16-token pages, shares one 256-entry JIT cache,
+/// prefills in 64-token chunks and keeps at most 64 requests live; unless
+/// `kv_pages` is set, the KV pool gets 25% of device memory.
 #[derive(Debug, Clone)]
 pub struct DecodeServeConfig {
     policy: DecodePolicy,
     model: ModelConfig,
     device: DeviceSpec,
-    page_size: usize,
     kv_pages: Option<usize>,
     prefix_caching: bool,
     preempt: PreemptPolicy,
@@ -353,7 +351,6 @@ impl DecodeServeConfig {
                 policy: DecodePolicy::ContinuousPaddingFree { token_budget: 128 },
                 model,
                 device,
-                page_size: 16,
                 kv_pages: None,
                 prefix_caching: false,
                 preempt: PreemptPolicy::Recompute,
@@ -384,9 +381,9 @@ impl DecodeServeConfig {
         DTYPE
     }
 
-    /// Token slots per KV page.
+    /// Token slots per KV page (always 16).
     pub fn page_size(&self) -> usize {
-        self.page_size
+        PAGE_SIZE
     }
 
     /// Explicit KV pool size in pages (`None` = 25% of device memory).
@@ -427,12 +424,12 @@ impl DecodeServeConfig {
     /// its host staging tier.
     pub fn kv_config(&self) -> KvConfig {
         let base = match self.kv_pages {
-            Some(pages) => KvConfig::new(self.page_size, pages).with_page_bytes(
-                self.page_size * self.model.layers * 2 * self.model.hidden * DTYPE.size_bytes(),
+            Some(pages) => KvConfig::new(PAGE_SIZE, pages).with_page_bytes(
+                PAGE_SIZE * self.model.layers * 2 * self.model.hidden * DTYPE.size_bytes(),
             ),
             None => KvConfig::for_budget(
                 (self.device.global_mem_bytes as f64 * KV_MEM_FRACTION) as usize,
-                self.page_size,
+                PAGE_SIZE,
                 self.model.layers,
                 self.model.hidden,
                 DTYPE.size_bytes(),
@@ -478,12 +475,6 @@ impl DecodeServeConfigBuilder {
     /// token budget).
     pub fn policy(mut self, policy: DecodePolicy) -> Self {
         self.cfg.policy = policy;
-        self
-    }
-
-    /// Sets the KV page size in token slots (default 16).
-    pub fn page_size(mut self, tokens: usize) -> Self {
-        self.cfg.page_size = tokens;
         self
     }
 
@@ -551,9 +542,6 @@ impl DecodeServeConfigBuilder {
                 }
             }
             DecodePolicy::ContinuousPaddingFree { .. } => {}
-        }
-        if cfg.page_size == 0 {
-            return Err(ConfigError::ZeroPageSize);
         }
         if cfg.kv_pages == Some(0) {
             return Err(ConfigError::ZeroKvPages);
@@ -1159,9 +1147,7 @@ impl<'r, 'a> Continuous<'r, 'a> {
     ) -> Self {
         let cfg = r.cfg;
         Continuous {
-            index: cfg
-                .prefix_caching
-                .then(|| RadixPrefixIndex::new(cfg.page_size)),
+            index: cfg.prefix_caching.then(|| RadixPrefixIndex::new(PAGE_SIZE)),
             swap: matches!(cfg.preempt, PreemptPolicy::SwapToHost)
                 .then(|| SwapEngine::new(&cfg.device, r.kv.config().page_bytes.max(1))),
             r,
@@ -1302,7 +1288,7 @@ impl<'r, 'a> Continuous<'r, 'a> {
         }
         for s in &self.running {
             let len = r.kv.seq_tokens(s.id).expect("running seq holds pages");
-            let evict = sparsity.evict_positions(len, r.cfg.page_size);
+            let evict = sparsity.evict_positions(len, PAGE_SIZE);
             if evict.is_empty() {
                 continue;
             }
@@ -1385,7 +1371,7 @@ impl<'r, 'a> Continuous<'r, 'a> {
             return;
         };
         let r = &mut *self.r;
-        let page = r.cfg.page_size;
+        let page = PAGE_SIZE;
         let m = ix.match_prefix(&self.prompts[w.id as usize]);
         let matched = m.tokens.min(w.prompt.saturating_sub(1) / page * page);
         w.prefix_hit = matched > 0;
@@ -1608,7 +1594,7 @@ impl<'r, 'a> Continuous<'r, 'a> {
     /// planned chunk lands.
     fn execute(&mut self, planned: Vec<usize>) {
         let r = &mut *self.r;
-        let page = r.cfg.page_size;
+        let page = PAGE_SIZE;
         let shape = StepShape {
             prefill_lens: Vec::new(),
             chunks: self
@@ -2340,10 +2326,6 @@ mod tests {
         assert_eq!(
             builder().host_pages(8).build().unwrap_err(),
             ConfigError::HostPagesWithoutSwap
-        );
-        assert_eq!(
-            builder().page_size(0).build().unwrap_err(),
-            ConfigError::ZeroPageSize
         );
         assert_eq!(
             builder().kv_pages(0).build().unwrap_err(),

@@ -324,12 +324,12 @@ impl ServingReport {
 fn blame_exposition(out: &mut Exposition, blame: &BlameSummary) {
     for c in &blame.causes {
         out.counter(
-            &format!("pit_blame_{}_seconds_total", c.cause),
+            &format!("pit_blame_{}_seconds_total", c.cause.name()),
             "End-to-end seconds attributed to this cause",
             c.e2e_s,
         );
         out.summary_quantiles(
-            &format!("pit_blame_{}_per_request_seconds", c.cause),
+            &format!("pit_blame_{}_per_request_seconds", c.cause.name()),
             "Per-request seconds this cause contributed (sketch-backed)",
             &[(0.50, c.p50_s), (0.95, c.p95_s), (0.99, c.p99_s)],
             Some(c.e2e_s),

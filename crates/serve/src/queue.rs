@@ -14,15 +14,6 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Closed;
 
-/// Error returned by [`BoundedQueue::try_push`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TryPushError {
-    /// The queue is at capacity; blocking `push` would wait.
-    Full,
-    /// The queue was closed; no further items are accepted.
-    ClosedQueue,
-}
-
 /// Outcome of a [`BoundedQueue::pop_timeout`].
 #[derive(Debug)]
 pub enum PopResult<T> {
@@ -79,21 +70,6 @@ impl<T> BoundedQueue<T> {
         }
         if s.closed {
             return Err(Closed);
-        }
-        s.items.push_back(item);
-        s.high_water = s.high_water.max(s.items.len());
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Enqueues `item` without blocking.
-    pub fn try_push(&self, item: T) -> Result<(), TryPushError> {
-        let mut s = self.lock();
-        if s.closed {
-            return Err(TryPushError::ClosedQueue);
-        }
-        if s.items.len() >= self.capacity {
-            return Err(TryPushError::Full);
         }
         s.items.push_back(item);
         s.high_water = s.high_water.max(s.items.len());
@@ -209,16 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn try_push_reports_full_then_succeeds_after_pop() {
-        let q = BoundedQueue::new(2);
-        q.push(1).unwrap();
-        q.push(2).unwrap();
-        assert_eq!(q.try_push(3), Err(TryPushError::Full));
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.try_push(3), Ok(()));
-    }
-
-    #[test]
     fn close_unblocks_consumers_and_rejects_producers() {
         let q = Arc::new(BoundedQueue::<u32>::new(4));
         let q2 = q.clone();
@@ -227,7 +193,6 @@ mod tests {
         q.close();
         assert_eq!(h.join().unwrap(), None);
         assert_eq!(q.push(7), Err(Closed));
-        assert_eq!(q.try_push(7), Err(TryPushError::ClosedQueue));
     }
 
     #[test]

@@ -2,23 +2,26 @@
 //!
 //! Three kinds of threads cooperate inside one `std::thread::scope`:
 //!
-//! - **clients** (closed-loop load generators) pull the next request off
+//! - 8 **clients** (closed-loop load generators) pull the next request off
 //!   the shared trace, push it into the bounded admission queue (blocking
-//!   on backpressure) and wait for its completion before submitting again;
-//! - one **scheduler** drains the admission queue, waits up to a short
-//!   batching window for the queue to fill, and forms batches under the
+//!   on backpressure) and wait on their own completion channel before
+//!   submitting again;
+//! - one **scheduler** drains the admission queue, waits up to 2 ms per
+//!   missing request for a batch of 8, and forms batches under the
 //!   configured [`BatchPolicy`];
-//! - **workers** pop formed batches and drive `pit_models::engine` through
-//!   a transformer forward pass over the batch's effective lengths,
-//!   sharing one bounded [`JitCache`] so per-shape Algorithm-1 selections
-//!   are searched once and reused across workers (§5.6: shapes repeat,
-//!   patterns don't).
+//! - 2 **workers** pop formed batches and drive `pit_models::engine`
+//!   through a transformer forward pass over the batch's effective
+//!   lengths, sharing one bounded [`JitCache`] so per-shape Algorithm-1
+//!   selections are searched once and reused across workers (§5.6: shapes
+//!   repeat, patterns don't).
 //!
 //! [`serve_trace`] runs that threaded runtime and [`serve_trace_arrivals`]
-//! its open-loop variant; [`simulate_trace_arrivals`] runs the same
-//! scheduler and executor synchronously on a virtual clock for
-//! deterministic comparisons (benches, tests). A trace whose requests all
-//! arrive at time zero replays the closed-loop drain.
+//! its open-loop variant, whose one submitter never waits for a
+//! completion, so its requests carry no channel;
+//! [`simulate_trace_arrivals`] runs the same scheduler and executor
+//! synchronously on a virtual clock for deterministic comparisons
+//! (benches, tests). A trace whose requests all arrive at time zero
+//! replays the closed-loop drain.
 //! [`serve_trace_arrivals_observed`] publishes the open-loop run into a
 //! live `MetricsHub` as lifecycle events only, all on one clock: wall
 //! seconds since the run started.
@@ -60,31 +63,36 @@ pub enum AdmissionMode {
     RejectWhenFull,
 }
 
+/// Worker threads executing batches.
+const WORKERS: usize = 2;
+/// Closed-loop client threads generating load in [`serve_trace`].
+const CLIENTS: usize = 8;
+/// Target batch fill: the scheduler waits up to [`BATCH_WINDOW`] per
+/// missing request for the pending set to reach this size. At most
+/// [`CLIENTS`], or the closed loop's window would expire on every batch.
+const MIN_FILL: usize = 8;
+const _: () = assert!(MIN_FILL <= CLIENTS);
+/// How long the scheduler waits for more arrivals before forming a
+/// smaller batch.
+const BATCH_WINDOW: Duration = Duration::from_millis(2);
+/// Precision of every prefill run.
+const DTYPE: DType = DType::F32;
+
 /// Configuration of one serving run.
+///
+/// Every run serves on the modelled A100-80GB in fp32 with 2 workers;
+/// the scheduler waits up to 2 ms per missing request for a batch of 8,
+/// and the closed loop ([`serve_trace`]) runs 8 clients.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Batch-formation policy.
     pub policy: BatchPolicy,
     /// Full-queue behaviour of the open-loop front end.
     pub admission: AdmissionMode,
-    /// Worker threads executing batches.
-    pub workers: usize,
-    /// Closed-loop client threads generating load.
-    pub clients: usize,
     /// Admission-queue capacity (backpressure bound).
     pub queue_capacity: usize,
-    /// Target batch fill: the scheduler waits up to `batch_window` per
-    /// missing request for the pending set to reach this size.
-    pub min_fill: usize,
-    /// How long the scheduler waits for more arrivals before forming a
-    /// smaller batch.
-    pub batch_window: Duration,
     /// The model every request runs through.
     pub model: ModelConfig,
-    /// Modelled device.
-    pub device: DeviceSpec,
-    /// Precision.
-    pub dtype: DType,
     /// Shared JIT-cache bound (entries); keeps a long-running server's
     /// selection cache from growing without limit.
     pub cache_capacity: usize,
@@ -97,20 +105,16 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// A reasonable default serving setup for `policy`: BERT-base on an
-    /// A100, 2 workers, 8 closed-loop clients.
+    /// A default serving setup for `policy`: BERT-base, blocking admission
+    /// behind a 64-request queue, a 256-entry JIT cache, no arrival
+    /// windows. Fixed for every run: the A100-80GB, fp32, 2 workers, 8
+    /// clients and a batch fill of 8 within 2 ms per missing request.
     pub fn new(policy: BatchPolicy) -> Self {
         ServeConfig {
             policy,
             admission: AdmissionMode::Block,
-            workers: 2,
-            clients: 8,
             queue_capacity: 64,
-            min_fill: 8,
-            batch_window: Duration::from_millis(2),
             model: ModelConfig::bert_base(),
-            device: DeviceSpec::a100_80gb(),
-            dtype: DType::F32,
             cache_capacity: 256,
             arrival_window_s: None,
         }
@@ -123,7 +127,9 @@ struct Request {
     lane: u64,
     len: usize,
     submitted: Instant,
-    done: mpsc::Sender<()>,
+    /// Where a closed-loop client waits for the request to complete;
+    /// `None` in the open loop, where nobody waits.
+    done: Option<mpsc::Sender<()>>,
 }
 
 /// One batch handed from the scheduler to a worker.
@@ -219,7 +225,7 @@ pub(crate) fn charge_shape_selection(
 /// serving forward pass is all prefill, so its attention lands in
 /// `prefill_attention_s`.
 pub fn batch_step_sample(cfg: &ServeConfig, formed: &FormedBatch, cache: &JitCache) -> StepSample {
-    let mut eng = Engine::new(cfg.device.clone(), cfg.dtype, cfg.policy.framework());
+    let mut eng = Engine::new(DeviceSpec::a100_80gb(), DTYPE, cfg.policy.framework());
     let m = &cfg.model;
     let tokens = formed.padded_tokens;
     if tokens == 0 {
@@ -316,20 +322,21 @@ fn worker_loop(
         }
         for r in item.requests {
             metrics.record_latency(r.submitted.elapsed().as_secs_f64());
-            let _ = r.done.send(());
+            if let Some(done) = r.done {
+                let _ = done.send(());
+            }
         }
     }
 }
 
 /// Scheduler-thread body shared by the closed- and open-loop runtimes:
 /// drains the admission queue (waiting up to the batching window for
-/// `min_fill` requests), forms batches under the policy, and closes the
+/// [`MIN_FILL`] requests), forms batches under the policy, and closes the
 /// batch queue once admission closes and drains.
 fn scheduler_loop(
     cfg: &ServeConfig,
     admission: &BoundedQueue<Request>,
     batches: &BoundedQueue<WorkItem>,
-    min_fill: usize,
 ) {
     let mut pending: VecDeque<Request> = VecDeque::new();
     'serve: loop {
@@ -339,8 +346,8 @@ fn scheduler_loop(
                 None => break 'serve,
             }
         }
-        while pending.len() < min_fill {
-            match admission.pop_timeout(cfg.batch_window) {
+        while pending.len() < MIN_FILL {
+            match admission.pop_timeout(BATCH_WINDOW) {
                 PopResult::Item(r) => pending.push_back(r),
                 PopResult::TimedOut | PopResult::ClosedEmpty => break,
             }
@@ -356,7 +363,7 @@ fn scheduler_loop(
             }
             // Under load, keep packing what is already pending; otherwise
             // go wait for new arrivals.
-            if pending.len() < min_fill {
+            if pending.len() < MIN_FILL {
                 break;
             }
         }
@@ -365,44 +372,43 @@ fn scheduler_loop(
 }
 
 /// Serves `trace` (request lengths, FIFO) through the threaded runtime:
-/// `cfg.clients` closed-loop generators, one scheduler, `cfg.workers`
-/// workers, one shared bounded JIT cache. Latency percentiles are wall
-/// clock; GPU time and throughput come from the analytic cost model.
+/// 8 closed-loop generators, one scheduler, 2 workers, one shared bounded
+/// JIT cache. Latency percentiles are wall clock; GPU time and throughput
+/// come from the analytic cost model.
 pub fn serve_trace(cfg: &ServeConfig, trace: &[usize]) -> ServingReport {
     let admission: BoundedQueue<Request> = BoundedQueue::new(cfg.queue_capacity.max(1));
     // Workers apply backpressure to the scheduler through a short queue.
-    let batches: BoundedQueue<WorkItem> = BoundedQueue::new(cfg.workers.max(1) * 2);
+    let batches: BoundedQueue<WorkItem> = BoundedQueue::new(WORKERS * 2);
     let cache = JitCache::with_capacity(cfg.cache_capacity.max(1));
     let metrics = Metrics::new();
     let next = AtomicUsize::new(0);
-    // Never wait for more concurrent requests than the clients can have
-    // outstanding, or the batching window would expire on every batch.
-    let min_fill = cfg.min_fill.clamp(1, cfg.clients.max(1));
     let started = Instant::now();
 
     thread::scope(|s| {
-        for _ in 0..cfg.workers.max(1) {
+        for _ in 0..WORKERS {
             s.spawn(|| worker_loop(cfg, &batches, &cache, &metrics, None, started));
         }
-        s.spawn(|| scheduler_loop(cfg, &admission, &batches, min_fill));
+        s.spawn(|| scheduler_loop(cfg, &admission, &batches));
 
-        let clients: Vec<_> = (0..cfg.clients.max(1))
+        let clients: Vec<_> = (0..CLIENTS)
             .map(|_| {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&len) = trace.get(i) else { break };
+                s.spawn(|| {
+                    // One channel per client: it has one request in flight.
                     let (done, done_rx) = mpsc::channel();
-                    let request = Request {
-                        lane: i as u64,
-                        len,
-                        submitted: Instant::now(),
-                        done,
-                    };
-                    if admission.push(request).is_err() {
-                        break;
-                    }
-                    if done_rx.recv().is_err() {
-                        break;
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&len) = trace.get(i) else { break };
+                        let request = Request {
+                            lane: i as u64,
+                            len,
+                            submitted: Instant::now(),
+                            done: Some(done.clone()),
+                        };
+                        if admission.push(request).is_err() {
+                            break;
+                        }
+                        // Waits for the worker's signal (`done` keeps it open).
+                        let _ = done_rx.recv();
                     }
                 })
             })
@@ -477,17 +483,16 @@ pub fn serve_trace_arrivals_observed(
 ) -> ServingReport {
     let capacity = cfg.queue_capacity.max(1);
     let admission: BoundedQueue<Request> = BoundedQueue::new(capacity);
-    let batches: BoundedQueue<WorkItem> = BoundedQueue::new(cfg.workers.max(1) * 2);
+    let batches: BoundedQueue<WorkItem> = BoundedQueue::new(WORKERS * 2);
     let cache = JitCache::with_capacity(cfg.cache_capacity.max(1));
     let metrics = Metrics::new();
-    let min_fill = cfg.min_fill.max(1);
     let started = Instant::now();
 
     let windows = thread::scope(|s| {
-        for _ in 0..cfg.workers.max(1) {
+        for _ in 0..WORKERS {
             s.spawn(|| worker_loop(cfg, &batches, &cache, &metrics, hub, started));
         }
-        s.spawn(|| scheduler_loop(cfg, &admission, &batches, min_fill));
+        s.spawn(|| scheduler_loop(cfg, &admission, &batches));
 
         // Open-loop submitter: sleep to each arrival timestamp, then admit
         // — blocking on backpressure or shedding the request, per the
@@ -500,12 +505,11 @@ pub fn serve_trace_arrivals_observed(
                 if let Some(wait) = target.checked_duration_since(Instant::now()) {
                     thread::sleep(wait);
                 }
-                let (done, _done_rx) = mpsc::channel();
                 let request = Request {
                     lane: i as u64,
                     len,
                     submitted: Instant::now(),
-                    done,
+                    done: None,
                 };
                 // This thread is the queue's only producer and closes it
                 // only after the loop, so room seen here is still there at

@@ -1,4 +1,4 @@
-//! Classic sparse formats (CSR/CSC/COO/BCSR) and their conversion costs.
+//! The baselines' sparse formats (CSR and BCSR) and their conversion costs.
 //!
 //! PIT itself never converts tensors into these formats — that is the point
 //! of the paper (§3.3: index construction *without changing the storage
@@ -71,121 +71,6 @@ impl Csr {
         for r in 0..self.rows {
             for i in self.indptr[r]..self.indptr[r + 1] {
                 out.data_mut()[r * self.cols + self.indices[i]] = self.values[i];
-            }
-        }
-        out
-    }
-}
-
-/// Coordinate format (row, col, value triplets in row-major order).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Coo {
-    /// Number of rows.
-    pub rows: usize,
-    /// Number of columns.
-    pub cols: usize,
-    /// (row, col) coordinates of non-zeros.
-    pub coords: Vec<(usize, usize)>,
-    /// Values parallel to `coords`.
-    pub values: Vec<f32>,
-}
-
-impl Coo {
-    /// Builds a COO matrix from a dense tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is not rank 2.
-    pub fn from_dense(t: &Tensor) -> Self {
-        assert_eq!(t.rank(), 2, "COO requires a matrix");
-        let (rows, cols) = (t.shape().dim(0), t.shape().dim(1));
-        let mut coords = Vec::new();
-        let mut values = Vec::new();
-        for r in 0..rows {
-            for c in 0..cols {
-                let v = t.data()[r * cols + c];
-                if v != 0.0 {
-                    coords.push((r, c));
-                    values.push(v);
-                }
-            }
-        }
-        Coo {
-            rows,
-            cols,
-            coords,
-            values,
-        }
-    }
-
-    /// Expands back to a dense tensor.
-    pub fn to_dense(&self) -> Tensor {
-        let mut out = Tensor::zeros([self.rows, self.cols]);
-        for (&(r, c), &v) in self.coords.iter().zip(self.values.iter()) {
-            out.data_mut()[r * self.cols + c] = v;
-        }
-        out
-    }
-}
-
-/// Compressed Sparse Column.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Csc {
-    /// Number of rows.
-    pub rows: usize,
-    /// Number of columns.
-    pub cols: usize,
-    /// Column pointers, length `cols + 1`.
-    pub indptr: Vec<usize>,
-    /// Row indices of non-zeros, ordered within each column.
-    pub indices: Vec<usize>,
-    /// Non-zero values, parallel to `indices`.
-    pub values: Vec<f32>,
-}
-
-impl Csc {
-    /// Builds a CSC matrix from a dense tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is not rank 2.
-    pub fn from_dense(t: &Tensor) -> Self {
-        assert_eq!(t.rank(), 2, "CSC requires a matrix");
-        let (rows, cols) = (t.shape().dim(0), t.shape().dim(1));
-        let mut indptr = Vec::with_capacity(cols + 1);
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        indptr.push(0);
-        for c in 0..cols {
-            for r in 0..rows {
-                let v = t.data()[r * cols + c];
-                if v != 0.0 {
-                    indices.push(r);
-                    values.push(v);
-                }
-            }
-            indptr.push(indices.len());
-        }
-        Csc {
-            rows,
-            cols,
-            indptr,
-            indices,
-            values,
-        }
-    }
-
-    /// Number of stored non-zeros.
-    pub fn nnz(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Expands back to a dense tensor.
-    pub fn to_dense(&self) -> Tensor {
-        let mut out = Tensor::zeros([self.rows, self.cols]);
-        for c in 0..self.cols {
-            for i in self.indptr[c]..self.indptr[c + 1] {
-                out.data_mut()[self.indices[i] * self.cols + c] = self.values[i];
             }
         }
         out
@@ -378,22 +263,6 @@ mod tests {
         let csr = Csr::from_dense(&t);
         assert_eq!(csr.nnz(), 4);
         assert!(csr.to_dense().allclose(&t, 0.0));
-    }
-
-    #[test]
-    fn csc_round_trip() {
-        let t = sample();
-        let csc = Csc::from_dense(&t);
-        assert_eq!(csc.nnz(), 4);
-        assert!(csc.to_dense().allclose(&t, 0.0));
-    }
-
-    #[test]
-    fn coo_round_trip() {
-        let t = sample();
-        let coo = Coo::from_dense(&t);
-        assert_eq!(coo.coords.len(), 4);
-        assert!(coo.to_dense().allclose(&t, 0.0));
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!
 //! A [`Mask`] is a bitset over a 2-D tensor; sparse *values* always stay in
 //! their original dense buffer (this is what lets PIT's `SRead`/`SWrite`
-//! operate zero-copy, §3.3 of the paper). The classic formats the baselines
-//! need (CSR/CSC/COO/BCSR) are in [`formats`] together with their modelled
+//! operate zero-copy, §3.3 of the paper). The formats the baselines read
+//! (CSR and BCSR) are in [`formats`] together with their modelled
 //! conversion costs, and [`cover`] implements the paper's `CoverAlgo`
 //! (Algorithm 1, line 8).
 

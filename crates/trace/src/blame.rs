@@ -223,6 +223,14 @@ impl BlameCategory {
     }
 }
 
+/// Serialized as its [`BlameCategory::name`], the string reports and
+/// expositions key causes by.
+impl serde::Serialize for BlameCategory {
+    fn json(&self, out: &mut String) {
+        serde::write_json_str(out, self.name());
+    }
+}
+
 /// The four coarse phases a request's time falls into — a pure
 /// function of its blame category ([`BlameCategory::phase`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -456,7 +464,7 @@ impl BlameAggregate {
                 let i = c.index();
                 let sk = &self.e2e_sketch[i];
                 BlameCauseStat {
-                    cause: c.name().to_string(),
+                    cause: c,
                     requests: sk.count(),
                     ttft_s: self.ttft_total_s[i],
                     ttft_share: share(self.ttft_total_s[i], ttft_total),
@@ -481,8 +489,8 @@ impl BlameAggregate {
 /// contribution quantiles read off the aggregate's sketch.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct BlameCauseStat {
-    /// Category name ([`BlameCategory::name`]).
-    pub cause: String,
+    /// The category (serialized as its [`BlameCategory::name`]).
+    pub cause: BlameCategory,
     /// Finished requests this category contributed time to.
     pub requests: u64,
     /// Total TTFT seconds attributed to the category.
@@ -529,9 +537,9 @@ impl BlameSummary {
             .max_by(|a, b| a.e2e_s.total_cmp(&b.e2e_s))
     }
 
-    /// Looks a category up by name.
-    pub fn cause(&self, name: &str) -> Option<&BlameCauseStat> {
-        self.causes.iter().find(|c| c.cause == name)
+    /// The stats of `category`, if it contributed time.
+    pub fn cause(&self, category: BlameCategory) -> Option<&BlameCauseStat> {
+        self.causes.iter().find(|c| c.cause == category)
     }
 }
 
@@ -543,9 +551,9 @@ impl fmt::Display for BlameSummary {
                 f,
                 " ttft {:.0}% {} / e2e {:.0}% {} (p95 contribution {:.2} ms)",
                 t.ttft_share * 100.0,
-                t.cause,
+                t.cause.name(),
                 e.e2e_share * 100.0,
-                e.cause,
+                e.cause.name(),
                 e.p95_s * 1e3,
             ),
             _ => write!(f, " no attributed time"),
@@ -748,7 +756,7 @@ mod tests {
         assert_eq!(sum.requests, 6);
         assert_eq!(
             sum.top_e2e_cause().expect("has causes").cause,
-            "queue_behind_admission",
+            BlameCategory::QueueBehindAdmission,
         );
         assert!(sum.to_string().contains("queue_behind_admission"));
     }
@@ -773,7 +781,10 @@ mod tests {
         let sum = agg.summary();
         let total_share: f64 = sum.causes.iter().map(|c| c.e2e_share).sum();
         assert!((total_share - 1.0).abs() < 1e-12);
-        assert!(sum.cause("swap_link_h2d").is_some());
-        assert!(sum.cause("scheduler_idle").is_none(), "zero causes omitted");
+        assert!(sum.cause(BlameCategory::SwapLinkH2d).is_some());
+        assert!(
+            sum.cause(BlameCategory::SchedulerIdle).is_none(),
+            "zero causes omitted"
+        );
     }
 }

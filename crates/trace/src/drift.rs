@@ -12,10 +12,9 @@
 //! exact, so observations split across calls (or runs) alarm exactly as
 //! if they had been folded at once.
 
-use crate::blame::{BlameAggregate, BlameSummary};
+use crate::blame::{BlameAggregate, BlameCategory, BlameSummary};
 use crate::lifecycle::{LatencySketches, LifecycleFold};
 use crate::sink::TraceRecord;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// What kind of shift an alarm reports. (Fieldless on purpose: the
@@ -72,46 +71,37 @@ impl fmt::Display for DriftAlarm {
     }
 }
 
-/// Detection thresholds.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DriftPolicy {
-    /// Quantiles compared per metric.
-    pub quantiles: Vec<f64>,
-    /// Minimum relative quantile change to alarm on.
-    pub rel_tolerance: f64,
-    /// Minimum absolute quantile change (seconds) — suppresses alarms
-    /// on microscopic latencies where relative change is meaningless.
-    pub abs_tolerance_s: f64,
-    /// Minimum absolute change in a cause's e2e share (fraction).
-    pub mix_tolerance: f64,
-    /// Minimum observed sample count before quantiles are trusted.
-    pub min_count: u64,
-}
+/// Quantiles compared per latency metric.
+const QUANTILES: [f64; 3] = [0.50, 0.95, 0.99];
+/// Minimum relative quantile change to alarm on.
+const REL_TOLERANCE: f64 = 0.25;
+/// Minimum absolute quantile change (seconds): suppresses alarms on
+/// microscopic latencies where relative change is meaningless.
+const ABS_TOLERANCE_S: f64 = 1e-3;
+/// Minimum absolute change in a cause's e2e share (fraction).
+const MIX_TOLERANCE: f64 = 0.15;
+/// Minimum observed sample count before quantiles are trusted.
+const MIN_COUNT: u64 = 20;
 
-impl Default for DriftPolicy {
-    fn default() -> Self {
-        DriftPolicy {
-            quantiles: vec![0.50, 0.95, 0.99],
-            rel_tolerance: 0.25,
-            abs_tolerance_s: 1e-3,
-            mix_tolerance: 0.15,
-            min_count: 20,
-        }
+/// E2e share per blame category, indexed by [`BlameCategory::index`].
+type CauseShares = [f64; BlameCategory::COUNT];
+
+/// The e2e share of each category of a blame summary, or `None` when the
+/// summary attributed no time (nothing to compare).
+fn cause_mix(summary: &BlameSummary) -> Option<CauseShares> {
+    if summary.causes.is_empty() {
+        return None;
     }
-}
-
-/// `(cause name, e2e share)` of a blame summary.
-fn cause_mix(summary: &BlameSummary) -> Vec<(String, f64)> {
-    summary
-        .causes
-        .iter()
-        .map(|c| (c.cause.clone(), c.e2e_share))
-        .collect()
+    let mut shares = [0.0; BlameCategory::COUNT];
+    for c in &summary.causes {
+        shares[c.cause.index()] = c.e2e_share;
+    }
+    Some(shares)
 }
 
 /// A sorted record stream's latency sketches and blame cause mix, from
 /// one pass of the lifecycle fold.
-fn digest(records: &[TraceRecord]) -> (LatencySketches, Vec<(String, f64)>) {
+fn digest(records: &[TraceRecord]) -> (LatencySketches, Option<CauseShares>) {
     let mut latency = LatencySketches::default();
     let spans = LifecycleFold::replay(records, |_, step| {
         if let Some(l) = step.latency {
@@ -129,8 +119,10 @@ fn digest(records: &[TraceRecord]) -> (LatencySketches, Vec<(String, f64)>) {
 pub struct DriftBaseline {
     /// TTFT / ITL / e2e distributions of the baseline run.
     pub latency: LatencySketches,
-    /// `(cause name, e2e share)` of the baseline's blame summary.
-    pub cause_share: Vec<(String, f64)>,
+    /// E2e share of each blame category in the baseline's blame summary
+    /// (indexed by [`BlameCategory::index`]; all 0 when it attributed no
+    /// time).
+    pub cause_share: [f64; BlameCategory::COUNT],
 }
 
 impl DriftBaseline {
@@ -139,28 +131,24 @@ impl DriftBaseline {
         let (latency, cause_share) = digest(records);
         DriftBaseline {
             latency,
-            cause_share,
+            cause_share: cause_share.unwrap_or([0.0; BlameCategory::COUNT]),
         }
     }
 
     /// Quantile-shift alarms of `observed` against the baseline's
-    /// latencies under `policy`, in metric × quantile order.
-    pub(crate) fn latency_alarms(
-        &self,
-        policy: &DriftPolicy,
-        observed: &LatencySketches,
-    ) -> Vec<DriftAlarm> {
+    /// latencies, in metric × quantile order.
+    pub(crate) fn latency_alarms(&self, observed: &LatencySketches) -> Vec<DriftAlarm> {
         let mut alarms = Vec::new();
         for ((name, base), (_, obs)) in self.latency.named().into_iter().zip(observed.named()) {
-            if obs.count() < policy.min_count || base.count() == 0 {
+            if obs.count() < MIN_COUNT || base.count() == 0 {
                 continue;
             }
-            for &q in &policy.quantiles {
+            for q in QUANTILES {
                 let b = base.quantile(q);
                 let o = obs.quantile(q);
                 let abs = (o - b).abs();
                 let rel = if b > 0.0 { (o - b) / b } else { f64::INFINITY };
-                if abs > policy.abs_tolerance_s && rel.abs() > policy.rel_tolerance {
+                if abs > ABS_TOLERANCE_S && rel.abs() > REL_TOLERANCE {
                     alarms.push(DriftAlarm {
                         kind: DriftKind::QuantileShift,
                         metric: name.to_string(),
@@ -178,22 +166,25 @@ impl DriftBaseline {
 
 /// Folds observations into one sketch per metric and compares them (and
 /// the cause mix) against the baseline.
+///
+/// A quantile alarms when it moves by more than 25% and more than 1 ms,
+/// compared at p50, p95 and p99 once the metric holds 20 observations; a
+/// cause alarms when its e2e share moves by more than 15 points.
 #[derive(Debug)]
 pub struct DriftDetector {
     baseline: DriftBaseline,
-    policy: DriftPolicy,
     observed: LatencySketches,
-    observed_mix: Vec<(String, f64)>,
+    /// `None` until a blame reduction with attributed time is observed.
+    observed_mix: Option<CauseShares>,
 }
 
 impl DriftDetector {
-    /// A detector comparing against `baseline` with `policy` thresholds.
-    pub fn new(baseline: DriftBaseline, policy: DriftPolicy) -> Self {
+    /// A detector comparing against `baseline`.
+    pub fn new(baseline: DriftBaseline) -> Self {
         DriftDetector {
             baseline,
-            policy,
             observed: LatencySketches::default(),
-            observed_mix: Vec::new(),
+            observed_mix: None,
         }
     }
 
@@ -213,30 +204,23 @@ impl DriftDetector {
     }
 
     /// Compares the observations against the baseline; returned alarms
-    /// are in a deterministic order (metrics × quantiles, then causes by
-    /// name).
+    /// are in a deterministic order: metrics × quantiles, then causes in
+    /// taxonomy order ([`BlameCategory::ALL`]).
     pub fn alarms(&self) -> Vec<DriftAlarm> {
-        let mut alarms = self.baseline.latency_alarms(&self.policy, &self.observed);
-        // Cause-mix shifts: union of baseline and observed causes, by
-        // name, so dropped and newly-appearing causes both alarm. An
-        // empty observed mix means no blame reduction has been fed yet —
-        // that is "not measured", not "measured zero", so it raises
-        // nothing.
-        if self.observed_mix.is_empty() {
+        let mut alarms = self.baseline.latency_alarms(&self.observed);
+        // Cause-mix shifts over every category, so dropped and
+        // newly-appearing causes both alarm. No observed mix means no
+        // blame reduction has been fed yet — that is "not measured", not
+        // "measured zero", so it raises nothing.
+        let Some(observed) = &self.observed_mix else {
             return alarms;
-        }
-        let mut shares: BTreeMap<&str, (f64, f64)> = BTreeMap::new();
-        for (name, s) in &self.baseline.cause_share {
-            shares.entry(name).or_insert((0.0, 0.0)).0 = *s;
-        }
-        for (name, s) in &self.observed_mix {
-            shares.entry(name).or_insert((0.0, 0.0)).1 = *s;
-        }
-        for (name, (b, o)) in shares {
-            if (o - b).abs() > self.policy.mix_tolerance {
+        };
+        for c in BlameCategory::ALL {
+            let (b, o) = (self.baseline.cause_share[c.index()], observed[c.index()]);
+            if (o - b).abs() > MIX_TOLERANCE {
                 alarms.push(DriftAlarm {
                     kind: DriftKind::CauseMixShift,
-                    metric: name.to_string(),
+                    metric: c.name().to_string(),
                     quantile: 0.0,
                     baseline: b,
                     observed: o,
@@ -277,7 +261,7 @@ mod tests {
     #[test]
     fn no_alarms_when_observation_matches_baseline() {
         let base = DriftBaseline::from_records(&run(30, 0.2, 0.05));
-        let mut det = DriftDetector::new(base, DriftPolicy::default());
+        let mut det = DriftDetector::new(base);
         det.observe(&run(30, 0.2, 0.05));
         assert_eq!(det.alarms(), Vec::new());
     }
@@ -285,7 +269,7 @@ mod tests {
     #[test]
     fn quantile_shift_beyond_tolerance_alarms() {
         let base = DriftBaseline::from_records(&run(30, 0.2, 0.05));
-        let mut det = DriftDetector::new(base, DriftPolicy::default());
+        let mut det = DriftDetector::new(base);
         det.observe(&run(30, 0.4, 0.05));
         let alarms = det.alarms();
         assert!(!alarms.is_empty());
@@ -306,9 +290,9 @@ mod tests {
         // raises exactly the alarms of one pass over the whole.
         let base = DriftBaseline::from_records(&run(30, 0.2, 0.05));
         let shifted = run(40, 0.4, 0.05);
-        let mut whole = DriftDetector::new(base.clone(), DriftPolicy::default());
+        let mut whole = DriftDetector::new(base.clone());
         whole.observe(&shifted);
-        let mut split = DriftDetector::new(base, DriftPolicy::default());
+        let mut split = DriftDetector::new(base);
         split.observe(&shifted[..80]);
         split.observe(&shifted[80..]);
         // The cause mix is replaced, not merged, per observation.
@@ -324,7 +308,7 @@ mod tests {
     #[test]
     fn cause_mix_shift_alarms() {
         let base = DriftBaseline::from_records(&run(30, 0.2, 0.05));
-        let mut det = DriftDetector::new(base, DriftPolicy::default());
+        let mut det = DriftDetector::new(base);
         // Same latencies, but now most of each request's time is a
         // typed kv-pool wait instead of prefill.
         let sink = TraceSink::enabled();
@@ -355,5 +339,13 @@ mod tests {
             mix.iter().any(|a| a.rel_change < 0.0),
             "displaced cause alarms too"
         );
+        // Causes alarm in taxonomy order.
+        let names: Vec<&str> = mix.iter().map(|a| a.metric.as_str()).collect();
+        let taxonomy: Vec<&str> = BlameCategory::ALL
+            .iter()
+            .map(|c| c.name())
+            .filter(|n| names.contains(n))
+            .collect();
+        assert_eq!(names, taxonomy);
     }
 }

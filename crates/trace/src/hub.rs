@@ -29,7 +29,7 @@
 //!    refreshed as each window opens.
 
 use crate::blame::WaitCause;
-use crate::drift::{DriftAlarm, DriftBaseline, DriftPolicy};
+use crate::drift::{DriftAlarm, DriftBaseline};
 use crate::expo::{Exposition, MetricKind, Sample};
 use crate::ledger::DeviceLedger;
 use crate::lifecycle::{Latency, LatencySketches, LifecycleFold};
@@ -53,8 +53,8 @@ pub struct HubConfig {
     /// SLO targets; `None` disables the `/slo` attainment report (drift
     /// alarms still work).
     pub slo: Option<SloTarget>,
-    /// Baseline + policy for live drift alarms; `None` disables them.
-    pub drift: Option<(DriftBaseline, DriftPolicy)>,
+    /// Baseline for live drift alarms; `None` disables them.
+    pub drift: Option<DriftBaseline>,
 }
 
 impl Default for HubConfig {
@@ -444,9 +444,7 @@ impl MetricsHub {
         self.cfg
             .drift
             .as_ref()
-            .map_or_else(Vec::new, |(baseline, policy)| {
-                baseline.latency_alarms(policy, latency)
-            })
+            .map_or_else(Vec::new, |baseline| baseline.latency_alarms(latency))
     }
 
     /// Refreshes drift alarms once per newly entered window, so alarms
@@ -735,7 +733,7 @@ mod tests {
         let hub = MetricsHub::new(HubConfig {
             window_s: 1.0,
             slo: None,
-            drift: Some((baseline, DriftPolicy::default())),
+            drift: Some(baseline),
         });
         for lane in 0..40u64 {
             let a = lane as f64;

@@ -35,8 +35,8 @@
 //!   exposition writer (counters, gauges, sketch-backed summaries) and
 //!   the line-format parser that round-trips it;
 //! - [`SloMonitor`] — windowed TTFT/ITL SLO attainment and burn-rate
-//!   gauges folded from latency observations, the admission window
-//!   series and the ledger;
+//!   gauges folded from latency observations and rejections, joined with
+//!   the ledger;
 //! - [`blame_spans`] / [`BlameSummary`] / [`BreakdownSummary`] — causal
 //!   critical-path attribution: typed [`WaitCause`]s recorded at every
 //!   scheduler stall decision, reduced per request into categories (and
@@ -79,7 +79,7 @@ pub use blame::{
     BreakdownSummary, Phase, WaitCause,
 };
 pub use chrome::{chrome_trace_json, chrome_trace_json_with_exemplars};
-pub use drift::{DriftAlarm, DriftBaseline, DriftDetector, DriftKind, DriftPolicy};
+pub use drift::{DriftAlarm, DriftBaseline, DriftDetector, DriftKind};
 pub use exemplar::{ExemplarReservoir, ExemplarSet, ExemplarTimeline};
 pub use expo::{parse_exposition, Exposition, MetricFamily, MetricKind, Sample};
 pub use http::{ScrapeServer, ShutdownHandle};

@@ -20,8 +20,11 @@
 
 use std::collections::BTreeMap;
 
-/// Default relative-error bound (1%).
+/// Relative-error bound of every sketch (1%).
 pub const DEFAULT_SKETCH_ERROR: f64 = 0.01;
+
+/// Bucket growth factor `γ = (1+α)/(1-α)` for `α = DEFAULT_SKETCH_ERROR`.
+const GAMMA: f64 = (1.0 + DEFAULT_SKETCH_ERROR) / (1.0 - DEFAULT_SKETCH_ERROR);
 
 /// Samples at or below this magnitude (seconds) collapse into the zero
 /// bucket: the sketch's relative-error contract is meaningless below the
@@ -32,8 +35,7 @@ const MIN_TRACKED: f64 = 1e-9;
 /// (latencies in seconds).
 #[derive(Debug, Clone)]
 pub struct LatencySketch {
-    alpha: f64,
-    /// `ln γ` with `γ = (1+α)/(1-α)`, precomputed.
+    /// `ln γ`, precomputed.
     ln_gamma: f64,
     /// Samples in `(-∞, MIN_TRACKED]` (zeros, denormals; negatives are
     /// clamped here too rather than inventing a negative latency scale).
@@ -53,21 +55,11 @@ impl Default for LatencySketch {
 }
 
 impl LatencySketch {
-    /// A sketch with the default 1% relative-error bound.
+    /// An empty sketch guaranteeing `|quantile − exact| ≤ α · exact`
+    /// with `α` = [`DEFAULT_SKETCH_ERROR`].
     pub fn new() -> Self {
-        Self::with_error(DEFAULT_SKETCH_ERROR)
-    }
-
-    /// A sketch guaranteeing `|quantile − exact| ≤ alpha · exact`.
-    pub fn with_error(alpha: f64) -> Self {
-        assert!(
-            alpha > 0.0 && alpha < 1.0,
-            "relative error must be in (0, 1), got {alpha}"
-        );
-        let gamma = (1.0 + alpha) / (1.0 - alpha);
         LatencySketch {
-            alpha,
-            ln_gamma: gamma.ln(),
+            ln_gamma: GAMMA.ln(),
             zeros: 0,
             buckets: BTreeMap::new(),
             count: 0,
@@ -79,7 +71,7 @@ impl LatencySketch {
 
     /// The advertised relative-error bound.
     pub fn error_bound(&self) -> f64 {
-        self.alpha
+        DEFAULT_SKETCH_ERROR
     }
 
     /// Records one sample. NaN is rejected: a debug assertion fires (the
@@ -120,12 +112,11 @@ impl LatencySketch {
     }
 
     /// Midpoint representative of bucket `i`: bucket `i` spans
-    /// `(γ^(i-1), γ^i]`, and `2γ^i/(1+γ)` is within `alpha` of every
+    /// `(γ^(i-1), γ^i]`, and `2γ^i/(1+γ)` is within `α` of every
     /// point in that interval.
     fn bucket_value(&self, i: i32) -> f64 {
-        let gamma = (1.0 + self.alpha) / (1.0 - self.alpha);
         let gamma_i = (i as f64 * self.ln_gamma).exp();
-        2.0 * gamma_i / (1.0 + gamma)
+        2.0 * gamma_i / (1.0 + GAMMA)
     }
 
     /// Samples recorded.
@@ -171,7 +162,7 @@ impl LatencySketch {
     }
 
     /// Occupied buckets — the sketch's actual memory footprint, bounded
-    /// by the dynamic range and `alpha`, never by the sample count.
+    /// by the dynamic range and `α`, never by the sample count.
     pub fn bucket_count(&self) -> usize {
         self.buckets.len() + usize::from(self.zeros > 0)
     }
@@ -202,7 +193,7 @@ impl LatencySketch {
             seen += n;
             if seen >= rank {
                 // Clamp into the observed range: the representative of the
-                // min/max sample's bucket may stick out by < alpha.
+                // min/max sample's bucket may stick out by < α.
                 return self.bucket_value(i).clamp(self.min, self.max);
             }
         }
@@ -212,14 +203,7 @@ impl LatencySketch {
     /// Folds another sketch into this one. Counts add bucket-wise, so
     /// merging is associative and commutative on every quantile (the
     /// floating-point `sum` alone is order-sensitive in its last ulp).
-    /// Panics if the sketches were built with different error bounds.
     pub fn merge(&mut self, other: &LatencySketch) {
-        assert!(
-            (self.alpha - other.alpha).abs() < 1e-12,
-            "cannot merge sketches with different error bounds ({} vs {})",
-            self.alpha,
-            other.alpha
-        );
         self.zeros += other.zeros;
         self.count += other.count;
         self.sum += other.sum;

@@ -1,9 +1,8 @@
 //! Windowed SLO monitor: rolling TTFT/ITL attainment and burn rate.
 //!
-//! Folds per-request latency observations — recorded directly, replayed
-//! from a drained [`TraceRecord`] stream through the
-//! [`crate::LifecycleFold`], or joined with the per-window admission
-//! series — into fixed-width windows, and reports per-window
+//! Folds per-request latency observations — recorded directly or
+//! replayed from a drained [`TraceRecord`] stream through the
+//! [`crate::LifecycleFold`] — into fixed-width windows, and reports per-window
 //! and whole-run **SLO attainment** (fraction of observations within
 //! target) plus the **burn rate** familiar from SRE error budgets:
 //!
@@ -23,7 +22,7 @@ use crate::drift::DriftAlarm;
 use crate::ledger::DeviceLedger;
 use crate::lifecycle::{Latency, LifecycleFold};
 use crate::sink::{TraceEvent, TraceRecord};
-use crate::windows::{WindowStat, Windowed};
+use crate::windows::Windowed;
 
 /// The service-level targets a run is held to.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
@@ -207,16 +206,6 @@ impl SloMonitor {
         }
     }
 
-    /// Joins a per-window admission series: each window's rejections
-    /// become TTFT misses at that window's start time.
-    pub fn fold_windows(&mut self, stats: &[WindowStat]) {
-        for w in stats {
-            for _ in 0..w.rejected {
-                self.record_rejection(w.start_s);
-            }
-        }
-    }
-
     /// Rolls the windows up, joining `ledger`'s busy fraction when given.
     pub fn report(&self, ledger: Option<&DeviceLedger>) -> SloReport {
         let window_s = self.windows.width_s();
@@ -372,12 +361,6 @@ mod tests {
     fn window_series_and_ledger_join() {
         let mut m = SloMonitor::new(target(), 10.0);
         m.record(1.0, Latency::Ttft(0.1));
-        m.fold_windows(&[WindowStat {
-            start_s: 0.0,
-            admitted: 3,
-            rejected: 2,
-            peak_queue_depth: 4,
-        }]);
         let mut ledger = DeviceLedger::new();
         ledger.charge_step(&crate::ledger::StepSample {
             gpu_s: 3.0,
@@ -385,7 +368,7 @@ mod tests {
         });
         ledger.charge_idle(1.0);
         let r = m.report(Some(&ledger));
-        assert_eq!(r.windows[0].ttft_total, 3, "2 rejections joined");
+        assert_eq!(r.windows[0].ttft_total, 1);
         assert_eq!(r.windows[0].ttft_ok, 1);
         assert!((r.busy_fraction.expect("ledger joined") - 0.75).abs() < 1e-12);
     }

@@ -19,87 +19,11 @@ pub struct Batch {
     pub max_len: usize,
 }
 
-/// The result of padding to a fixed length: the batch that fits plus the
-/// token overflow that did not. Earlier versions silently truncated
-/// over-long sequences; a serving queue must never drop real tokens, so the
-/// remainder is returned explicitly and can be re-batched as follow-up
-/// (continuation) sequences.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SplitBatch {
-    /// The batch holding the first `max_len` tokens of every sequence.
-    pub batch: Batch,
-    /// Leftover lengths, one entry per input sequence that exceeded
-    /// `max_len`, in input order. Entries may themselves still exceed
-    /// `max_len` (e.g. a `3×max_len` input leaves `2×max_len` here);
-    /// [`Batch::split_to`] resolves them fully.
-    pub overflow: Vec<usize>,
-}
-
-impl SplitBatch {
-    /// Tokens that did not fit the batch (zero means nothing was cut).
-    pub fn overflow_tokens(&self) -> usize {
-        self.overflow.iter().sum()
-    }
-
-    /// True when every input sequence fit within `max_len`.
-    pub fn is_complete(&self) -> bool {
-        self.overflow.is_empty()
-    }
-
-    /// The overflow re-padded to the same truncation length, or `None`
-    /// when nothing overflowed.
-    pub fn follow_up(&self) -> Option<SplitBatch> {
-        if self.overflow.is_empty() {
-            None
-        } else {
-            Some(Batch::padded_to(self.overflow.clone(), self.batch.max_len))
-        }
-    }
-}
-
 impl Batch {
     /// Builds a batch padded to the longest sequence in it.
     pub fn padded_to_longest(lens: Vec<usize>) -> Self {
         let max_len = lens.iter().copied().max().unwrap_or(0);
         Batch { lens, max_len }
-    }
-
-    /// Builds a batch padded to a fixed truncation length, returning the
-    /// overflow of sequences longer than `max_len` instead of silently
-    /// dropping their tokens.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_len` is zero (no tokens could ever fit).
-    pub fn padded_to(lens: Vec<usize>, max_len: usize) -> SplitBatch {
-        assert!(max_len > 0, "cannot pad to a zero-length batch");
-        let overflow: Vec<usize> = lens
-            .iter()
-            .filter(|&&l| l > max_len)
-            .map(|&l| l - max_len)
-            .collect();
-        let batch = Batch {
-            lens: lens.into_iter().map(|l| l.min(max_len)).collect(),
-            max_len,
-        };
-        SplitBatch { batch, overflow }
-    }
-
-    /// Splits sequences into as many `max_len`-padded batches as needed so
-    /// every real token lands in exactly one batch, in order: batch `i+1`
-    /// holds the continuations of batch `i`'s over-long sequences.
-    pub fn split_to(lens: Vec<usize>, max_len: usize) -> Vec<Batch> {
-        let mut out = Vec::new();
-        let mut split = Batch::padded_to(lens, max_len);
-        loop {
-            let next = split.follow_up();
-            out.push(split.batch);
-            match next {
-                Some(s) => split = s,
-                None => break,
-            }
-        }
-        out
     }
 
     /// Number of sequences.
@@ -155,7 +79,10 @@ mod tests {
 
     #[test]
     fn padding_waste_basic() {
-        let b = Batch::padded_to(vec![10, 20, 30], 40).batch;
+        let b = Batch {
+            lens: vec![10, 20, 30],
+            max_len: 40,
+        };
         assert_eq!(b.padded_tokens(), 120);
         assert_eq!(b.real_tokens(), 60);
         assert!((b.padding_waste() - 0.5).abs() < 1e-12);
@@ -166,43 +93,6 @@ mod tests {
         let b = Batch::padded_to_longest(vec![5, 17, 9]);
         assert_eq!(b.max_len, 17);
         assert_eq!(b.padded_tokens(), 51);
-    }
-
-    #[test]
-    fn padded_to_reports_overflow_instead_of_dropping() {
-        let split = Batch::padded_to(vec![10, 50, 130], 40);
-        assert_eq!(split.batch.lens, vec![10, 40, 40]);
-        assert_eq!(split.overflow, vec![10, 90]);
-        assert_eq!(split.overflow_tokens(), 100);
-        assert!(!split.is_complete());
-        // Every real token is accounted for: batch + overflow == input.
-        assert_eq!(split.batch.real_tokens() + split.overflow_tokens(), 190);
-    }
-
-    #[test]
-    fn padded_to_within_limit_is_complete() {
-        let split = Batch::padded_to(vec![10, 20, 30], 40);
-        assert!(split.is_complete());
-        assert!(split.follow_up().is_none());
-        assert_eq!(split.overflow_tokens(), 0);
-    }
-
-    #[test]
-    fn split_to_conserves_tokens_across_follow_ups() {
-        let lens = vec![10, 130, 50, 90];
-        let total: usize = lens.iter().sum();
-        let batches = Batch::split_to(lens, 40);
-        // 130 needs ceil(130/40) = 4 batches.
-        assert_eq!(batches.len(), 4);
-        let real: usize = batches.iter().map(Batch::real_tokens).sum();
-        assert_eq!(real, total);
-        assert!(batches
-            .iter()
-            .all(|b| b.lens.iter().all(|&l| l <= b.max_len)));
-        // Follow-up batches shrink: only over-long sequences continue.
-        assert_eq!(batches[1].batch_size(), 3); // 130, 50 and 90 continue
-        assert_eq!(batches[2].batch_size(), 2); // 130 and 90 continue
-        assert_eq!(batches[3].batch_size(), 1); // only 130 continues
     }
 
     #[test]
@@ -218,7 +108,10 @@ mod tests {
 
     #[test]
     fn attention_work_relation() {
-        let b = Batch::padded_to(vec![16, 64], 128).batch;
+        let b = Batch {
+            lens: vec![16, 64],
+            max_len: 128,
+        };
         assert!(b.sum_sq_real() < b.sum_sq_padded());
         assert_eq!(b.sum_sq_real(), 16 * 16 + 64 * 64);
     }

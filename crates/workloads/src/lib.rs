@@ -11,6 +11,6 @@ pub mod batching;
 pub mod datasets;
 pub mod patterns;
 
-pub use batching::{padding_waste, Batch, SplitBatch};
+pub use batching::{padding_waste, Batch};
 pub use datasets::DatasetSpec;
 pub use patterns::{ArrivalTrace, DecodeSpec, DecodeTrace, SharedPrefixSpec};

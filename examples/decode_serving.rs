@@ -45,8 +45,8 @@ use pit::serve::decode::{
     DecodePolicy, DecodeServeConfig,
 };
 use pit::trace::{
-    DriftBaseline, DriftDetector, DriftPolicy, HubConfig, MetricsHub, ScrapeServer, SloMonitor,
-    SloTarget, TraceSink,
+    DriftBaseline, DriftDetector, HubConfig, MetricsHub, ScrapeServer, SloMonitor, SloTarget,
+    TraceSink,
 };
 use pit::workloads::{DatasetSpec, DecodeSpec, DecodeTrace};
 use std::sync::Arc;
@@ -193,7 +193,7 @@ fn main() {
     // typed quantile-shift alarms — surfaced through the SLO report.
     let baseline = DriftBaseline::from_records(&records);
     let hub_baseline = baseline.clone();
-    let mut healthy = DriftDetector::new(baseline.clone(), DriftPolicy::default());
+    let mut healthy = DriftDetector::new(baseline.clone());
     healthy.observe(&records);
     slo.drift = healthy.alarms();
     assert!(
@@ -210,7 +210,7 @@ fn main() {
         &trace,
         &throttled_sink,
     );
-    let mut detector = DriftDetector::new(baseline, DriftPolicy::default());
+    let mut detector = DriftDetector::new(baseline);
     detector.observe(&throttled_sink.drain());
     if let Some(b) = throttled.blame.as_ref() {
         detector.observe_blame(b);
@@ -299,7 +299,7 @@ fn main() {
                 itl_s: 0.05,
                 objective: 0.99,
             }),
-            drift: Some((hub_baseline, DriftPolicy::default())),
+            drift: Some(hub_baseline),
         }));
         let server = ScrapeServer::bind(hub.clone(), &format!("127.0.0.1:{port}"))
             .expect("bind scrape endpoint");

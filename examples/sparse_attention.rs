@@ -30,10 +30,11 @@ fn main() {
         mask.density() * 100.0
     );
 
-    // Scores: only covered micro-tiles are computed (SDD).
+    // Scores: only covered micro-tiles are computed (SDD), and they equal
+    // the masked reference product exactly.
     let scores = engine.sdd(&q, &k_t, &mask, DType::F32).expect("sdd");
     let reference = mask.apply(&ops::matmul(&q, &k_t).expect("ref"));
-    assert!(scores.output.tensor.allclose(&reference, 1e-3));
+    assert_eq!(scores.output.tensor.data(), reference.data());
 
     println!(
         "PIT SDD: {:.3} ms modelled vs {:.3} ms dense ({}x saved), verified ✓",
@@ -51,7 +52,7 @@ fn main() {
         .matmul_masked(&probs, &mask, &v, DType::F32)
         .expect("dsd");
     let ctx_ref = ops::matmul(&probs, &v).expect("ref");
-    assert!(ctx.output.tensor.allclose(&ctx_ref, 1e-3));
+    assert_eq!(ctx.output.tensor.data(), ctx_ref.data());
     println!(
         "PIT DSD: {:.3} ms modelled, context verified ✓",
         ctx.output.stats.latency_s * 1e3

@@ -20,7 +20,7 @@ fn main() {
     let engine = Pit::new(DeviceSpec::v100_32gb());
     let x = Tensor::random([256, 512], 1);
     let mut w = Tensor::random([512, 256], 2);
-    println!("step  sparsity%  kernel      modelled ms  max|err|");
+    println!("step  sparsity%  kernel      modelled ms");
     for step in 0..5 {
         // The schedule prunes more each step; the mask *moves* every step
         // (different magnitudes after simulated updates).
@@ -32,13 +32,13 @@ fn main() {
             .matmul_masked(&masked_t, &mask_t, &x.transpose2d().unwrap(), DType::F32)
             .expect("masked gemm");
         let reference = ops::matmul(&masked_t, &x.transpose2d().unwrap()).unwrap();
-        let err = exec.output.tensor.max_abs_diff(&reference).unwrap();
+        assert_eq!(exec.output.tensor.data(), reference.data(), "step {step}");
         let kernel = match exec.selection.rule {
             Some(r) => format!("{}-axis", r.axis.name()),
             None => "dense".to_string(),
         };
         println!(
-            "{step:>4}  {:>9.0}  {kernel:<10}  {:>11.3}  {err:.2e}",
+            "{step:>4}  {:>9.0}  {kernel:<10}  {:>11.3}",
             sparsity * 100.0,
             exec.output.stats.latency_s * 1e3,
         );
@@ -47,6 +47,7 @@ fn main() {
             *v *= 0.99;
         }
     }
+    println!("every step equals the dense reference product exactly ✓");
 
     // --- Part 2: full training-step comparison (Figure 15's subject). ---
     println!("\nBERT iterative pruning, 32x1 granularity, batch 32 (V100):");

@@ -28,8 +28,8 @@ use pit::serve::decode::{
 };
 use pit::serve::{DecodeReport, Percentiles};
 use pit::trace::{
-    blame_spans, BlameAggregate, BlameBreakdown, BlameSummary, BreakdownSummary, LatencySketches,
-    LifecycleFold, MetricsHub, TraceEvent, TraceSink, RESERVED_LANES,
+    blame_spans, BlameAggregate, BlameBreakdown, BlameCategory, BlameSummary, BreakdownSummary,
+    LatencySketches, LifecycleFold, MetricsHub, TraceEvent, TraceSink, RESERVED_LANES,
 };
 use pit::workloads::{ArrivalTrace, DatasetSpec, DecodeSpec, DecodeTrace, SharedPrefixSpec};
 use proptest::prelude::*;
@@ -170,10 +170,10 @@ fn assert_tiles(lane: u64, b: &BlameBreakdown) {
     );
 }
 
-/// One cause's name, request count and the bits of its seven f64s.
-type CauseBits = (String, u64, [u64; 7]);
+/// One cause, its request count and the bits of its seven f64s.
+type CauseBits = (BlameCategory, u64, [u64; 7]);
 
-/// Every f64 of a blame summary as bits, with its counts and names.
+/// Every f64 of a blame summary as bits, with its counts and causes.
 fn summary_bits(s: &BlameSummary) -> (u64, [u64; 2], Vec<CauseBits>) {
     let causes = s
         .causes
@@ -188,7 +188,7 @@ fn summary_bits(s: &BlameSummary) -> (u64, [u64; 2], Vec<CauseBits>) {
                 c.p95_s,
                 c.p99_s,
             ];
-            (c.cause.clone(), c.requests, f.map(f64::to_bits))
+            (c.cause, c.requests, f.map(f64::to_bits))
         })
         .collect();
     (

@@ -14,8 +14,8 @@ use pit::serve::decode::{
 };
 use pit::serve::{serve_trace_arrivals_observed, AdmissionMode, BatchPolicy, ServeConfig};
 use pit::trace::{
-    parse_exposition, DriftAlarm, DriftBaseline, DriftDetector, DriftKind, DriftPolicy, HubConfig,
-    JsonValue, MetricsHub, ScrapeServer, SloMonitor, SloReport, SloTarget, TraceSink,
+    parse_exposition, DriftAlarm, DriftBaseline, DriftDetector, DriftKind, HubConfig, JsonValue,
+    MetricsHub, ScrapeServer, SloMonitor, SloReport, SloTarget, TraceSink,
 };
 use pit::workloads::{ArrivalTrace, DatasetSpec, DecodeSpec, DecodeTrace};
 use std::collections::BTreeMap;
@@ -333,7 +333,7 @@ fn live_slo_and_drift_equal_the_post_hoc_readers_bit_for_bit() {
     let hub = MetricsHub::new(HubConfig {
         window_s: 0.02,
         slo: Some(TIGHT),
-        drift: Some((baseline.clone(), DriftPolicy::default())),
+        drift: Some(baseline.clone()),
     });
     let sink = TraceSink::enabled();
     let (report, _) = simulate_decode_trace_observed(&cfg, &decode_trace(48), &sink, 0, Some(&hub));
@@ -342,7 +342,7 @@ fn live_slo_and_drift_equal_the_post_hoc_readers_bit_for_bit() {
     let mut monitor = SloMonitor::new(TIGHT, 0.02);
     monitor.observe(&records);
     let mut expected = monitor.report(Some(&report.ledger));
-    let mut detector = DriftDetector::new(baseline, DriftPolicy::default());
+    let mut detector = DriftDetector::new(baseline);
     detector.observe(&records);
     expected.drift = detector
         .alarms()

@@ -17,8 +17,8 @@ use pit::serve::decode::{
 use pit::workloads::{ArrivalTrace, DatasetSpec, DecodeSpec, DecodeTrace, SharedPrefixSpec};
 use proptest::prelude::*;
 
-/// The decode-runtime page size every end-to-end proptest pins, so pool
-/// sizes computed in tokens stay page-accurate.
+/// The decode runtime's page size (`DecodeServeConfig::page_size`), so
+/// pool sizes computed in tokens stay page-accurate.
 const PAGE_SIZE: usize = 16;
 
 /// Builder seeded like the proptests' old flat configs: depth-1 OPT-1.3B
@@ -29,7 +29,6 @@ fn proptest_builder(policy: DecodePolicy) -> pit::serve::decode::DecodeServeConf
     model.layers = 1;
     DecodeServeConfig::builder(model, DeviceSpec::a100_80gb())
         .policy(policy)
-        .page_size(PAGE_SIZE)
         .verify_invariants(true)
 }
 

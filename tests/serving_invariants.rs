@@ -1,6 +1,6 @@
 //! Property-based tests (proptest) for the batching and serving
-//! invariants: padding accounting, token conservation under splitting,
-//! and the continuous-batching packer's budget/ordering guarantees.
+//! invariants: padding accounting and the continuous-batching packer's
+//! budget/ordering guarantees.
 
 use pit::serve::{BatchPolicy, KvSparsityPolicy};
 use pit::workloads::{Batch, DatasetSpec};
@@ -58,32 +58,9 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let lens = lens_from_seed(n, max_len, seed);
-        let longest = Batch::padded_to_longest(lens.clone());
+        let longest = Batch::padded_to_longest(lens);
         prop_assert!(longest.real_tokens() <= longest.padded_tokens());
         prop_assert!((0.0..=1.0).contains(&longest.padding_waste()));
-        let split = Batch::padded_to(lens, max_len);
-        prop_assert!(split.batch.real_tokens() <= split.batch.padded_tokens());
-        prop_assert!((0.0..=1.0).contains(&split.batch.padding_waste()));
-    }
-
-    /// `padded_to` never drops tokens: batch + overflow account for every
-    /// input token, and `split_to` reassembles them all across follow-ups.
-    #[test]
-    fn truncation_conserves_tokens(
-        n in 1usize..48,
-        max_len in 1usize..128,
-        scale in 1usize..6,
-        seed in 0u64..10_000,
-    ) {
-        let lens = lens_from_seed(n, max_len * scale, seed);
-        let total: usize = lens.iter().sum();
-        let split = Batch::padded_to(lens.clone(), max_len);
-        prop_assert_eq!(split.batch.real_tokens() + split.overflow_tokens(), total);
-        prop_assert!(split.batch.lens.iter().all(|&l| l <= max_len));
-        let batches = Batch::split_to(lens, max_len);
-        let reassembled: usize = batches.iter().map(Batch::real_tokens).sum();
-        prop_assert_eq!(reassembled, total);
-        prop_assert!(batches.iter().all(|b| b.max_len <= max_len));
     }
 
     /// The padding-free packer never exceeds its token budget (except for

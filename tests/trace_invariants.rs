@@ -255,7 +255,6 @@ fn a_panicking_replay_leaves_its_records_in_the_sink() {
     model.layers = 2;
     let cfg = DecodeServeConfig::builder(model, DeviceSpec::a100_80gb())
         .policy(DecodePolicy::ContinuousPaddingFree { token_budget: 128 })
-        .page_size(16)
         .kv_pages(4)
         .build()
         .expect("valid tiny-pool config");
