@@ -70,7 +70,7 @@ fn bench_serving(c: &mut Criterion) {
             BenchmarkId::new("take_count", policy.name()),
             &pending,
             |bench, lens| {
-                bench.iter(|| black_box(policy.take_count(black_box(lens))));
+                bench.iter(|| black_box(policy.take_count(black_box(lens).iter().copied())));
             },
         );
     }

@@ -79,15 +79,6 @@ pub const CUDA_CORE_TILES: &[TileDims] = &[
     TileDims::new(128, 32, 128),
 ];
 
-/// Tensor-Core (wmma) fragment shapes supported in half precision — the
-/// hardware constraint quoted in §5.3: `[16,16]×[16,16]`, `[32,8]×[8,16]`
-/// and `[8,32]×[32,16]`.
-pub const WMMA_FRAGMENTS: &[TileDims] = &[
-    TileDims::new(16, 16, 16),
-    TileDims::new(32, 8, 16),
-    TileDims::new(8, 32, 16),
-];
-
 /// Tensor-Core *tiles* built by a kernel from wmma fragments (a thread
 /// block composes several fragments; shapes follow common wmma GEMMs).
 pub const WMMA_TILES: &[TileDims] = &[

@@ -1,59 +1,17 @@
-//! Tensor-Core (`wmma`) tile kernels and the Sparse-Tensor-Core extension.
+//! Tensor-Core (`wmma`) tile kernels.
 //!
 //! Hardware MMA units only accept fixed fragment shapes — in half precision
 //! `[16,16]×[16,16]`, `[32,8]×[8,16]` and `[8,32]×[32,16]` (§5.3) — which
 //! makes them "unsuitable for a 32×1 sparsity granularity" until PIT's
 //! transformation regroups micro-tiles into full fragments (Figure 17).
-//!
-//! The [`sparse_tensor_core_cost`] function models the paper's *future
-//! work* idea (§6): combining SRead/SWrite with the `mma.sp` 2:4 Sparse
-//! Tensor Core instruction so that all-zero 1×4 groups are skipped entirely
-//! and only true 2:4 groups are fed to the unit.
+//! The Tensor-Core tiles a kernel composes from those fragments are
+//! [`WMMA_TILES`].
 
 use crate::dense;
-use crate::tiles::{WMMA_FRAGMENTS, WMMA_TILES};
-use crate::KernelOutput;
+use crate::tiles::WMMA_TILES;
 use pit_gpusim::cost::TileDims;
 use pit_gpusim::{CostModel, KernelStats};
-use pit_sparse::Mask;
-use pit_tensor::{DType, Tensor, TensorError};
-
-/// Whether a fragment shape is natively supported by the MMA unit.
-pub fn fragment_supported(frag: TileDims) -> bool {
-    WMMA_FRAGMENTS.contains(&frag)
-}
-
-/// Whether a computation tile can be assembled from supported fragments
-/// (dimensions divisible by some fragment).
-pub fn tile_supported(tile: TileDims) -> bool {
-    WMMA_FRAGMENTS.iter().any(|f| {
-        tile.m.is_multiple_of(f.m) && tile.k.is_multiple_of(f.k) && tile.n.is_multiple_of(f.n)
-    })
-}
-
-/// Dense fp16 GEMM on Tensor Cores with the given composed tile.
-///
-/// Returns an error if the dtype is not fp16-eligible or the tile cannot be
-/// assembled from supported fragments.
-pub fn gemm_tc(
-    cost: &CostModel,
-    a: &Tensor,
-    b: &Tensor,
-    tile: TileDims,
-    dtype: DType,
-) -> Result<KernelOutput, TensorError> {
-    if !dtype.tensor_core_eligible() {
-        return Err(TensorError::BadEinsum(
-            "tensor-core GEMM requires fp16".to_string(),
-        ));
-    }
-    if !tile_supported(tile) {
-        return Err(TensorError::BadEinsum(format!(
-            "tile {tile} is not composable from wmma fragments"
-        )));
-    }
-    dense::matmul_tiled(cost, a, b, tile, dtype)
-}
+use pit_tensor::DType;
 
 /// Analytic-only Tensor-Core GEMM cost.
 pub fn gemm_tc_cost_only(
@@ -71,105 +29,29 @@ pub fn default_tile() -> TileDims {
     WMMA_TILES[WMMA_TILES.len() - 1]
 }
 
-/// Checks that every 1×4 group of the mask has at most 2 non-zeros — the
-/// strict 2-in-4 pattern Sparse Tensor Cores require.
-pub fn is_two_in_four(mask: &Mask) -> bool {
-    for r in 0..mask.rows() {
-        for c0 in (0..mask.cols()).step_by(4) {
-            if mask.block_nnz(r, c0, 1, 4) > 2 {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-/// Cost model of the PIT + `mma.sp` extension: micro-tiles route the
-/// `frac_fed` fraction of 1×4 groups that are genuinely 2:4-sparse to the
-/// Sparse Tensor Core (2× MMA throughput) and skip all-zero groups
-/// entirely. `frac_fed` is the fraction of 1×4 groups with 1–2 non-zeros.
-pub fn sparse_tensor_core_cost(
-    cost: &CostModel,
-    m: usize,
-    k: usize,
-    n: usize,
-    tile: TileDims,
-    frac_fed: f64,
-) -> KernelStats {
-    let dense = gemm_tc_cost_only(cost, m, k, n, tile);
-    // The k-reduction shrinks to the fed fraction, and the MMA throughput
-    // doubles on what remains.
-    let effective_k = ((k as f64 * frac_fed).ceil() as usize).max(tile.k);
-    let half = dense::matmul_cost_only(cost, m, effective_k, n, tile, DType::F16);
-    KernelStats {
-        latency_s: half.latency_s * 0.5 + cost.device().kernel_launch_s * 0.0,
-        flops_useful: dense.flops_useful * frac_fed * 0.5,
-        flops_executed: dense.flops_executed * frac_fed * 0.5,
-        ..half
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pit_gpusim::DeviceSpec;
-    use pit_tensor::ops;
-
-    fn cost() -> CostModel {
-        CostModel::new(DeviceSpec::a100_80gb())
-    }
-
-    #[test]
-    fn fragments_match_paper_list() {
-        assert!(fragment_supported(TileDims::new(16, 16, 16)));
-        assert!(fragment_supported(TileDims::new(32, 8, 16)));
-        assert!(fragment_supported(TileDims::new(8, 32, 16)));
-        assert!(!fragment_supported(TileDims::new(32, 1, 16)));
-    }
 
     #[test]
     fn tile_composability() {
-        assert!(tile_supported(TileDims::new(64, 32, 64)));
+        // The half-precision fragments of §5.3.
+        let fragments = [
+            TileDims::new(16, 16, 16),
+            TileDims::new(32, 8, 16),
+            TileDims::new(8, 32, 16),
+        ];
+        let composable = |tile: TileDims| {
+            fragments.iter().any(|f| {
+                tile.m.is_multiple_of(f.m)
+                    && tile.k.is_multiple_of(f.k)
+                    && tile.n.is_multiple_of(f.n)
+            })
+        };
+        assert!(WMMA_TILES.iter().all(|&t| composable(t)));
+        assert!(composable(default_tile()));
         // A 32x1 tile cannot be assembled from any fragment — the §5.3
         // constraint PIT loosens.
-        assert!(!tile_supported(TileDims::new(32, 1, 16)));
-    }
-
-    #[test]
-    fn gemm_tc_matches_reference() {
-        let cost = cost();
-        let a = Tensor::random([64, 32], 1).with_dtype(DType::F16);
-        let b = Tensor::random([32, 64], 2).with_dtype(DType::F16);
-        let out = gemm_tc(&cost, &a, &b, TileDims::new(32, 16, 32), DType::F16).unwrap();
-        assert!(out.tensor.allclose(&ops::matmul(&a, &b).unwrap(), 1e-4));
-    }
-
-    #[test]
-    fn gemm_tc_rejects_fp32_and_bad_tiles() {
-        let cost = cost();
-        let a = Tensor::random([32, 32], 1);
-        let b = Tensor::random([32, 32], 2);
-        assert!(gemm_tc(&cost, &a, &b, TileDims::new(32, 16, 32), DType::F32).is_err());
-        assert!(gemm_tc(&cost, &a, &b, TileDims::new(32, 1, 16), DType::F16).is_err());
-    }
-
-    #[test]
-    fn two_in_four_detection() {
-        let dense2of4 = Mask::from_fn(4, 8, |_, c| c % 4 < 2);
-        assert!(is_two_in_four(&dense2of4));
-        let dense3of4 = Mask::from_fn(4, 8, |_, c| c % 4 < 3);
-        assert!(!is_two_in_four(&dense3of4));
-    }
-
-    #[test]
-    fn sparse_tc_scales_with_fed_fraction() {
-        let cost = cost();
-        let tile = default_tile();
-        let all = sparse_tensor_core_cost(&cost, 4096, 4096, 4096, tile, 1.0);
-        let tenth = sparse_tensor_core_cost(&cost, 4096, 4096, 4096, tile, 0.1);
-        assert!(tenth.latency_s < all.latency_s);
-        // Feeding everything at 2:4 is ~2x faster than the dense TC GEMM.
-        let dense = gemm_tc_cost_only(&cost, 4096, 4096, 4096, tile);
-        assert!(all.latency_s < dense.latency_s);
+        assert!(!composable(TileDims::new(32, 1, 16)));
     }
 }

@@ -22,8 +22,10 @@
 //! [`StepShape`] describes one mixed iteration — which prompt lengths are
 //! being prefilled and which cached context lengths are being decoded —
 //! and [`run_step`] charges the full layer stack for it on an [`Engine`].
-//! The serving runtime (`pit_serve`) decides *what* goes into each step;
-//! this module only prices it.
+//! [`run_encoder_pass`] charges the same layers for the prefill serving
+//! runtime's forward pass, which keeps no KV cache. The serving runtimes
+//! (`pit_serve`) decide *what* goes into each step; this module only
+//! prices it.
 
 use crate::configs::ModelConfig;
 use crate::engine::{Engine, OpKind};
@@ -221,15 +223,15 @@ impl StepShape {
 }
 
 /// Charges one serving iteration of `cfg` — embeddings, every layer's
-/// attention + FFN over the step's mixed prefill/decode shape, and the LM
-/// head — to `eng`.
+/// attention + FFN over the step's mixed prefill/decode shape, each
+/// layer's KV append, and the LM head — to `eng`.
 ///
-/// Every layer of a step sees the same shape, so the layer's twelve
-/// kernels are priced once and [`Engine::charge_layers`] folds them
-/// `cfg.layers` times into the engine's ledger, in the order a
-/// layer-by-layer pass would charge them: the step's modelled seconds,
-/// category tally and GEMM time are bit-identical to pricing each layer
-/// afresh. The charges are typed [`OpKind`]s.
+/// Every layer of a step sees the same shape, so the layer's kernels are
+/// priced once and [`Engine::charge_layers`] folds them `cfg.layers` times
+/// into the engine's ledger, in the order a layer-by-layer pass would
+/// charge them: the step's modelled seconds, category tally and GEMM time
+/// are bit-identical to pricing each layer afresh. The charges are typed
+/// [`OpKind`]s.
 ///
 /// Decode attention is priced per slot as two `1 × a` GEMV-like products
 /// (scores and context, `a` = the slot's attended extent) whose arithmetic
@@ -245,8 +247,8 @@ impl StepShape {
 /// tokens, slack ≤ 31 rows per slot), while a padded layout has no gather
 /// and must stream each slot's whole *cached* context.
 ///
-/// The charges add to whatever `eng`'s ledger already holds. The decode
-/// runtime prices every step of a replay on one engine and takes the
+/// The charges add to whatever `eng`'s ledger already holds. The serving
+/// runtimes price every step of a replay on one engine and take the
 /// ledger after each ([`Engine::take_ledger`]), so each step reads as it
 /// would on a fresh engine.
 pub fn run_step(eng: &mut Engine, cfg: &ModelConfig, shape: &StepShape) {
@@ -254,7 +256,6 @@ pub fn run_step(eng: &mut Engine, cfg: &ModelConfig, shape: &StepShape) {
     if rows == 0 {
         return;
     }
-    let elem = eng.elem() as f64;
     // Decode K/V rows actually streamed: packed-attended under PIT,
     // whole-cached under padded layouts.
     let decode_kv = if eng.framework.is_pit() {
@@ -263,10 +264,46 @@ pub fn run_step(eng: &mut Engine, cfg: &ModelConfig, shape: &StepShape) {
         shape.cached_tokens()
     };
     let chunk_reads: usize = shape.chunks.iter().map(|&(c, ctx)| ctx - c).sum();
-    let kv_tokens = decode_kv + chunk_reads;
     let prefill_sq: f64 = shape.prefill_lens.iter().map(|&l| (l * l) as f64).sum();
     let chunk_sc: f64 = shape.chunks.iter().map(|&(c, ctx)| (c * ctx) as f64).sum();
-    let score_elems = prefill_sq + chunk_sc + decode_kv as f64;
+    charge_stack(
+        eng,
+        cfg,
+        rows,
+        prefill_sq + chunk_sc + decode_kv as f64,
+        decode_kv + chunk_reads,
+        shape.kv_write_tokens(),
+    );
+}
+
+/// Charges one encoder pass of `cfg` over sequences of the given
+/// processed lengths — the prefill serving runtime's forward pass, which
+/// keeps no KV cache — to `eng`: the layer stack of [`run_step`] over a
+/// pure-prefill step, without its KV appends. A padded batch passes its
+/// padded lengths and pays for every padded token.
+pub fn run_encoder_pass(eng: &mut Engine, cfg: &ModelConfig, lens: &[usize]) {
+    let rows: usize = lens.iter().sum();
+    if rows == 0 {
+        return;
+    }
+    let score_elems: f64 = lens.iter().map(|&l| (l * l) as f64).sum();
+    charge_stack(eng, cfg, rows, score_elems, 0, 0);
+}
+
+/// The layer stack both entry points charge: embeddings, `cfg.layers`
+/// layers over `rows` token rows, and the LM head. Attention computes
+/// `score_elems` score elements and streams `kv_tokens` cached K/V rows;
+/// each layer appends `kv_append_rows` tokens' K/V rows to the cache (none
+/// charged when 0).
+fn charge_stack(
+    eng: &mut Engine,
+    cfg: &ModelConfig,
+    rows: usize,
+    score_elems: f64,
+    kv_tokens: usize,
+    kv_append_rows: usize,
+) {
+    let elem = eng.elem() as f64;
     let (hidden, ffn) = (cfg.hidden, cfg.ffn);
     // Scores + context: quadratic for prefill sequences, linear in the
     // attended (PIT) or cached (padded) context for decode slots.
@@ -292,7 +329,7 @@ pub fn run_step(eng: &mut Engine, cfg: &ModelConfig, shape: &StepShape) {
         // chunks write every landed token's rows.
         (
             OpKind::KvAppend,
-            eng.price_elementwise(shape.kv_write_tokens() * 2 * hidden, 1),
+            eng.price_elementwise(kv_append_rows * 2 * hidden, 1),
         ),
     ];
     let embed = eng.price_elementwise(rows * hidden, 1);

@@ -44,18 +44,18 @@
 //! occupancy/fragmentation and preemption counts.
 
 use crate::metrics::{CacheStats, DecodeMetrics, DecodeReport};
-use crate::runtime::charge_shape_selection;
+use crate::step::{price_step, StepWork};
 use pit_core::jit::JitCache;
 use pit_gpusim::DeviceSpec;
 use pit_kv::{KvConfig, PagedKvCache};
-use pit_models::decode::{run_step, DecodeSlot, StepShape};
+use pit_models::decode::{DecodeSlot, StepShape};
 use pit_models::{Engine, Framework, ModelConfig};
 use pit_prefix::RadixPrefixIndex;
 use pit_swap::{plan_swap_out, PageDesc, RestoreQueue, SwapEngine};
 use pit_tensor::DType;
 use pit_trace::{
-    BlameBreakdown, ExemplarReservoir, ExemplarSet, LaneSpans, MetricsHub, StepSample, TraceEvent,
-    TraceRecord, TraceSink, WaitCause, DEVICE_LANE, RESERVED_LANES,
+    BlameBreakdown, ExemplarReservoir, ExemplarSet, LaneSpans, MetricsHub, TraceEvent, TraceRecord,
+    TraceSink, WaitCause, DEVICE_LANE, RESERVED_LANES,
 };
 use pit_workloads::DecodeTrace;
 use std::collections::{BTreeMap, VecDeque};
@@ -609,59 +609,6 @@ impl Seq {
     }
 }
 
-/// Prices one iteration into a ledger [`StepSample`] on the replay's one
-/// engine, whose ledger is empty on entry and on return.
-/// The step's charges are the shared JIT cache's selection charges, then
-/// [`run_step`]'s fold of one priced layer over the model's depth;
-/// [`Engine::take_ledger`] reads them and resets the ledger in one call,
-/// so each step prices exactly as on a fresh engine without paying for
-/// building one. `real_rows` is the number of non-padding rows
-/// (selection samples the step's token occupancy, and only cache misses
-/// pay the modelled Algorithm-1 search cost, as in the prefill runtime).
-/// The engine charges one fused attention kernel per layer, so its
-/// attention total is split prefill-vs-decode by the shape's score
-/// weighting ([`StepShape::prefill_attention_fraction`]).
-fn step_sample(
-    eng: &mut Engine,
-    cfg: &DecodeServeConfig,
-    shape: &StepShape,
-    real_rows: usize,
-    cache: &JitCache,
-) -> StepSample {
-    let rows = shape.rows();
-    if rows == 0 {
-        return StepSample::default();
-    }
-    let m = &cfg.model;
-    // Shared miss-cost policy with the prefill executor; the extra index
-    // items are the page-table gather PIT's SRead performs over the paged
-    // KV cache.
-    let (jit_searches, jit_search_measured_s) = charge_shape_selection(
-        eng,
-        cache,
-        "serve.decode_step",
-        m,
-        real_rows,
-        rows,
-        shape.decode_slots(),
-    );
-    run_step(eng, m, shape);
-    let ledger = eng.take_ledger();
-    let tally = ledger.tally;
-    let prefill_frac = shape.prefill_attention_fraction(eng.framework.is_pit());
-    StepSample {
-        gpu_s: ledger.latency_ms() / 1e3,
-        prefill_attention_s: tally.attention_s * prefill_frac,
-        decode_attention_s: tally.attention_s * (1.0 - prefill_frac),
-        sparse_conversion_s: tally.sparse_conversion_s,
-        jit_search_s: tally.jit_search_s,
-        flops_useful: tally.flops_useful,
-        flops_executed: tally.flops_executed,
-        jit_searches,
-        jit_search_measured_s,
-    }
-}
-
 /// Serves a [`DecodeTrace`] open-loop (requests admitted at their arrival
 /// timestamps) through the configured decode policy on a virtual clock.
 ///
@@ -902,14 +849,15 @@ struct Replay<'a> {
 }
 
 impl Replay<'_> {
-    /// Runs one step: prices `shape` ([`step_sample`]), advances the clock
-    /// by its GPU time, charges the ledger, records the step with its
-    /// `prefill_real` prompt rows and `decode_real` decode rows (the rest
-    /// of the shape's rows are padding) and puts a `Step` on the device
-    /// lane. The lane's `prefill_rows` are the shape's, padding included.
+    /// Runs one step: prices `shape` on the replay's engine
+    /// ([`price_step`]), advances the clock by its GPU time, charges the
+    /// ledger, records the step with its `prefill_real` prompt rows and
+    /// `decode_real` decode rows (the rest of the shape's rows are padding)
+    /// and puts a `Step` on the device lane. The lane's `prefill_rows` are
+    /// the shape's, padding included.
     fn step(&mut self, shape: &StepShape, prefill_real: usize, decode_real: usize) {
-        let real_rows = prefill_real + decode_real;
-        let sample = step_sample(&mut self.eng, self.cfg, shape, real_rows, &self.cache);
+        let work = StepWork::Decode(shape, prefill_real + decode_real);
+        let sample = price_step(&mut self.eng, &self.cache, &self.cfg.model, work);
         let gpu_s = sample.gpu_s;
         self.clock_s += gpu_s;
         self.metrics.charge(|l| l.charge_step(&sample));

@@ -11,7 +11,12 @@
 //! design: workers race on a bounded LRU cache of Algorithm-1 selections
 //! instead of re-searching per batch.
 //!
-//! The crate is std-only (no external runtime), in five layers:
+//! The crate is std-only (no external runtime), in five layers over one
+//! step pricer: every serving step — a decode-replay iteration, a
+//! virtual-clock prefill batch, a threaded worker's batch — charges its
+//! shape's JIT selection, then the layer stack (`pit_models::decode`), on
+//! an engine its replay or worker owns, and reads the engine's ledger into
+//! one `pit_trace::StepSample`.
 //!
 //! - [`queue`] — bounded MPMC admission queue; full queue = backpressure.
 //! - [`scheduler`] — [`BatchPolicy`]: padding-free token-budget packing
@@ -21,8 +26,9 @@
 //!   threaded open-loop replay ([`serve_trace_arrivals`]) that admits
 //!   requests at their `ArrivalTrace` timestamps, and its deterministic
 //!   virtual-clock twin ([`simulate_trace_arrivals`]; arrivals all at time
-//!   zero replay the closed-loop drain); workers drive
-//!   `pit_models::engine` per batch and share one `JitCache`.
+//!   zero replay the closed-loop drain). Each worker, and the virtual
+//!   clock, prices its batches on an engine of its own; the workers share
+//!   one `JitCache`.
 //! - [`decode`] — decode-phase continuous batching over `pit_kv`'s paged
 //!   KV cache: requests prefill once then rejoin the batch every
 //!   iteration, scheduled under a token budget *and* a KV-page budget,
@@ -74,6 +80,7 @@ pub mod metrics;
 pub mod queue;
 pub mod runtime;
 pub mod scheduler;
+mod step;
 
 pub use decode::{
     simulate_decode_trace, simulate_decode_trace_observed, simulate_decode_trace_traced,
@@ -83,7 +90,7 @@ pub use decode::{
 pub use metrics::{CacheStats, DecodeMetrics, DecodeReport, Metrics, Percentiles, ServingReport};
 pub use queue::BoundedQueue;
 pub use runtime::{
-    batch_step_sample, serve_trace, serve_trace_arrivals, serve_trace_arrivals_observed,
-    simulate_trace_arrivals, AdmissionMode, ServeConfig,
+    serve_trace, serve_trace_arrivals, serve_trace_arrivals_observed, simulate_trace_arrivals,
+    AdmissionMode, ServeConfig,
 };
 pub use scheduler::{BatchPolicy, FormedBatch};

@@ -313,7 +313,7 @@ impl ServingReport {
         if let Some(b) = &self.blame {
             blame_exposition(&mut out, b);
         }
-        ledger_exposition(&mut out, &self.ledger);
+        self.ledger.exposition_into(&mut out);
         out
     }
 }
@@ -336,13 +336,6 @@ fn blame_exposition(out: &mut Exposition, blame: &BlameSummary) {
             Some(c.requests),
         );
     }
-}
-
-/// Appends the device-time ledger's families to an exposition (shared by
-/// both report kinds; the family set lives on [`DeviceLedger`] so the
-/// live metrics hub emits the identical names).
-fn ledger_exposition(out: &mut Exposition, ledger: &DeviceLedger) {
-    ledger.exposition_into(out);
 }
 
 impl fmt::Display for ServingReport {
@@ -932,7 +925,7 @@ impl DecodeReport {
         if let Some(b) = &self.blame {
             blame_exposition(&mut out, b);
         }
-        ledger_exposition(&mut out, &self.ledger);
+        self.ledger.exposition_into(&mut out);
         out
     }
 }

@@ -9,19 +9,20 @@
 //! - one **scheduler** drains the admission queue, waits up to 2 ms per
 //!   missing request for a batch of 8, and forms batches under the
 //!   configured [`BatchPolicy`];
-//! - 2 **workers** pop formed batches and drive `pit_models::engine`
-//!   through a transformer forward pass over the batch's effective
-//!   lengths, sharing one bounded [`JitCache`] so per-shape Algorithm-1
-//!   selections are searched once and reused across workers (§5.6: shapes
-//!   repeat, patterns don't).
+//! - 2 **workers** pop formed batches and price each on their own engine
+//!   through the step pricer both runtimes share (`crate::step`): a
+//!   transformer forward pass over the batch's effective lengths. They
+//!   share one bounded [`JitCache`], so per-shape Algorithm-1 selections
+//!   are searched once and reused across workers (§5.6: shapes repeat,
+//!   patterns don't).
 //!
 //! [`serve_trace`] runs that threaded runtime and [`serve_trace_arrivals`]
 //! its open-loop variant, whose one submitter never waits for a
 //! completion, so its requests carry no channel;
-//! [`simulate_trace_arrivals`] runs the same scheduler and executor
-//! synchronously on a virtual clock for deterministic comparisons
-//! (benches, tests). A trace whose requests all arrive at time zero
-//! replays the closed-loop drain.
+//! [`simulate_trace_arrivals`] runs the same scheduler and pricer
+//! synchronously on a virtual clock, every batch on one engine, for
+//! deterministic comparisons (benches, tests). A trace whose requests all
+//! arrive at time zero replays the closed-loop drain.
 //! [`serve_trace_arrivals_observed`] publishes the open-loop run into a
 //! live `MetricsHub` as lifecycle events only, all on one clock: wall
 //! seconds since the run started.
@@ -29,15 +30,14 @@
 use crate::metrics::{CacheStats, Metrics, ServingReport};
 use crate::queue::{BoundedQueue, PopResult};
 use crate::scheduler::{BatchPolicy, FormedBatch};
-use pit_core::jit::{JitCache, KernelKey};
-use pit_core::select_kernel;
+use crate::step::{price_step, StepWork};
+use pit_core::jit::JitCache;
 use pit_gpusim::DeviceSpec;
-use pit_models::{Engine, ModelConfig, OpKind};
-use pit_sparse::Mask;
+use pit_models::{Engine, ModelConfig};
 use pit_tensor::DType;
 use pit_trace::{
-    BlameAggregate, BlameBreakdown, BlameCategory, MetricsHub, StepSample, TraceEvent,
-    WindowSeries, DEVICE_LANE,
+    BlameAggregate, BlameBreakdown, BlameCategory, MetricsHub, TraceEvent, WindowSeries,
+    DEVICE_LANE,
 };
 use pit_workloads::ArrivalTrace;
 use std::collections::VecDeque;
@@ -119,6 +119,12 @@ impl ServeConfig {
             arrival_window_s: None,
         }
     }
+
+    /// The engine a worker, or a virtual-clock replay, prices every one
+    /// of its batches on.
+    fn engine(&self) -> Engine {
+        Engine::new(DeviceSpec::a100_80gb(), DTYPE, self.policy.framework())
+    }
 }
 
 /// One admitted request travelling through the runtime.
@@ -138,153 +144,9 @@ struct WorkItem {
     requests: Vec<Request>,
 }
 
-/// Quantises a token count to micro-tile granularity for the JIT-cache
-/// key: PIT's (32,1) micro-tiles make every shape within the same 32-token
-/// class equivalent, which is what keeps the per-shape cache small and hot.
-pub(crate) fn shape_class(tokens: usize) -> usize {
-    tokens.div_ceil(32).max(1) * 32
-}
-
-/// Builds the token-occupancy sample for Algorithm-1: a row-granular mask
-/// with one row per (scaled) processed token, dense for real tokens and
-/// empty for padding. Permutation invariance means row *positions* are
-/// irrelevant, so real rows lead. Scaled to at most ~1k rows to keep the
-/// online search in the paper's µs–ms band.
-pub(crate) fn occupancy_mask(real_tokens: usize, padded_tokens: usize) -> Mask {
-    let scale = padded_tokens.div_ceil(1024).max(1);
-    let rows = (padded_tokens / scale).max(1);
-    let real_rows = (real_tokens / scale).min(rows);
-    let mut m = Mask::zeros(rows, 64);
-    m.fill_rows(0..real_rows);
-    m
-}
-
-/// Charges the shared per-shape Algorithm-1 selection (§5.6) for a step
-/// of `padded_rows` processed token rows, `real_rows` of them real, to
-/// `eng`: only a cache miss runs the search, and only a miss pays the
-/// *modelled* search cost (`SelectedKernel::modelled_search_s`, a
-/// deterministic function of the candidate count) — the measured wall
-/// time is returned as an annotation so replays stay bit-identical. On
-/// the PIT path it also charges the token-row micro-tile index build
-/// (the Figure-19 "Convert" sliver); `extra_index_items` covers
-/// additional gathers such as the decode runtime's KV page-table walk.
-/// Both the prefill executor and the decode step engine price their
-/// batches through this one helper so the miss-cost policy cannot drift
-/// between them.
-///
-/// Returns `(searches, measured_search_s)`: 1 and the measured wall time
-/// on a cache miss, zeros on a hit.
-pub(crate) fn charge_shape_selection(
-    eng: &mut Engine,
-    cache: &JitCache,
-    op: &'static str,
-    model: &ModelConfig,
-    real_rows: usize,
-    padded_rows: usize,
-    extra_index_items: usize,
-) -> (u64, f64) {
-    let key = KernelKey {
-        op,
-        dims: [shape_class(padded_rows), model.hidden, model.ffn],
-        dtype: eng.dtype,
-    };
-    let mut searched = false;
-    let selection = cache.get_or_select(key, || {
-        searched = true;
-        let sample = occupancy_mask(real_rows.min(padded_rows), padded_rows);
-        select_kernel(
-            eng.cost(),
-            &eng.db,
-            std::slice::from_ref(&sample),
-            model.hidden,
-            eng.dtype,
-        )
-    });
-    let mut annotation = (0u64, 0.0f64);
-    if searched {
-        eng.charge_host(OpKind::JitSearch, selection.modelled_search_s);
-        annotation = (1, selection.search_time.as_secs_f64());
-    }
-    if eng.framework.is_pit() {
-        let index_s = eng.cost().index_append(padded_rows)
-            + eng.cost().scan_pass((real_rows * 4) as f64)
-            + eng.cost().index_append(extra_index_items);
-        eng.charge_host(OpKind::PitIndex, index_s);
-    }
-    annotation
-}
-
-/// Executes one formed batch on the analytic engine and returns its
-/// modelled GPU time (seconds) with the ledger category split:
-/// attention/conversion/search attribution and the FLOP counters, read
-/// off the engine's ledger. This is the serving forward pass: a
-/// transformer stack over the batch's *effective* lengths, so a padded
-/// batch pays for every padded token while a padding-free batch pays only
-/// for real ones. The shared JIT cache memoises the per-shape kernel
-/// selection; a miss charges the modelled search cost to the batch. A
-/// serving forward pass is all prefill, so its attention lands in
-/// `prefill_attention_s`.
-pub fn batch_step_sample(cfg: &ServeConfig, formed: &FormedBatch, cache: &JitCache) -> StepSample {
-    let mut eng = Engine::new(DeviceSpec::a100_80gb(), DTYPE, cfg.policy.framework());
-    let m = &cfg.model;
-    let tokens = formed.padded_tokens;
-    if tokens == 0 {
-        return StepSample::default();
-    }
-    let (jit_searches, jit_search_measured_s) = charge_shape_selection(
-        &mut eng,
-        cache,
-        "serve.fwd",
-        m,
-        formed.real_tokens,
-        tokens,
-        0,
-    );
-
-    debug_assert_eq!(formed.effective_lens.iter().sum::<usize>(), tokens);
-    let sum_sq: f64 = formed.sum_sq_effective() as f64;
-    let elem = eng.elem() as f64;
-    let (hidden, ffn) = (m.hidden, m.ffn);
-    let score_flops = 2.0 * sum_sq * hidden as f64;
-    let score_bytes = sum_sq * m.heads as f64 * elem;
-    let attention = eng.price_gemm_flops(score_flops, score_bytes);
-    let softmax_rows = (sum_sq * m.heads as f64 / 64.0).ceil() as usize;
-    // Every layer sees the same batch: price it once, fold it per layer.
-    let layer = [
-        (OpKind::Qkv, eng.price_gemm(tokens, hidden, 3 * hidden)),
-        (OpKind::Scores, attention),
-        (OpKind::Softmax, eng.price_softmax(softmax_rows, 64)),
-        (OpKind::Context, attention),
-        (OpKind::Out, eng.price_gemm(tokens, hidden, hidden)),
-        (OpKind::AttnLn, eng.price_layernorm(tokens, hidden)),
-        (OpKind::Fc1, eng.price_gemm(tokens, hidden, ffn)),
-        (OpKind::Act, eng.price_elementwise(tokens * ffn, 1)),
-        (OpKind::Fc2, eng.price_gemm(tokens, ffn, hidden)),
-        (OpKind::FfnLn, eng.price_layernorm(tokens, hidden)),
-        (OpKind::Residual, eng.price_elementwise(tokens * hidden, 2)),
-    ];
-    let embed = eng.price_elementwise(tokens * hidden, 1);
-    let head = eng.price_gemm(tokens, hidden, m.vocab.min(4096));
-    eng.charge(OpKind::Embed, embed);
-    eng.charge_layers(&layer, m.layers);
-    eng.charge(OpKind::Head, head);
-    let tally = eng.cost_tally();
-    StepSample {
-        gpu_s: eng.latency_ms() / 1e3,
-        prefill_attention_s: tally.attention_s,
-        decode_attention_s: 0.0,
-        sparse_conversion_s: tally.sparse_conversion_s,
-        jit_search_s: tally.jit_search_s,
-        flops_useful: tally.flops_useful,
-        flops_executed: tally.flops_executed,
-        jit_searches,
-        jit_search_measured_s,
-    }
-}
-
 /// Worker-thread body shared by the closed- and open-loop runtimes: pops
-/// formed batches, prices them on the analytic engine, records metrics and
-/// completes every request in the batch.
+/// formed batches, prices each on the worker's one engine, records metrics
+/// and completes every request in the batch.
 fn worker_loop(
     cfg: &ServeConfig,
     batches: &BoundedQueue<WorkItem>,
@@ -293,8 +155,9 @@ fn worker_loop(
     hub: Option<&MetricsHub>,
     started: Instant,
 ) {
+    let mut eng = cfg.engine();
     while let Some(item) = batches.pop() {
-        let sample = batch_step_sample(cfg, &item.formed, cache);
+        let sample = price_step(&mut eng, cache, &cfg.model, StepWork::Prefill(&item.formed));
         metrics.record_batch(&item.formed, &sample);
         if let Some(h) = hub {
             let t_s = started.elapsed().as_secs_f64();
@@ -354,10 +217,8 @@ fn scheduler_loop(
         }
         admission.drain_into(&mut pending);
         while !pending.is_empty() {
-            let lens: Vec<usize> = pending.iter().map(|r| r.len).collect();
-            let take = cfg.policy.take_count(&lens);
-            let requests: Vec<Request> = pending.drain(..take).collect();
-            let formed = cfg.policy.form(lens[..take].to_vec());
+            let (formed, taken) = cfg.policy.take_batch(&mut pending, |r| r.len);
+            let requests = taken.collect();
             if batches.push(WorkItem { formed, requests }).is_err() {
                 break 'serve;
             }
@@ -572,14 +433,20 @@ pub fn serve_trace_arrivals_observed(
 /// [`serve_trace`].
 pub fn simulate_trace_arrivals(cfg: &ServeConfig, trace: &ArrivalTrace) -> ServingReport {
     let cache = JitCache::with_capacity(cfg.cache_capacity.max(1));
+    let mut eng = cfg.engine();
     let metrics = Metrics::new();
     let started = Instant::now();
     let mut clock_s = 0.0_f64;
     let mut next = 0usize;
-    // (len, arrival_s, blocked_s): `blocked_s` accumulates the modelled
-    // seconds the device spent on batches formed while this request was
-    // queued but not taken — blame's budget-blocking tile.
-    let mut pending: VecDeque<(usize, f64, f64)> = VecDeque::new();
+    // (len, arrival_s) of each queued request, FIFO.
+    let mut pending: VecDeque<(usize, f64)> = VecDeque::new();
+    // The queued requests grouped by the pass that admitted them, oldest
+    // first, as (requests, blocked_s): `blocked_s` accumulates the modelled
+    // seconds the device spent on batches formed while the group was
+    // queued but not taken — blame's budget-blocking tile. Requests
+    // admitted together wait through the same batches, so a batch adds its
+    // time once per group, not once per queued request.
+    let mut groups: VecDeque<(usize, f64)> = VecDeque::new();
     let mut high_water = 0usize;
     let mut blame = BlameAggregate::new();
     let mut windows = cfg.arrival_window_s.map(WindowSeries::new);
@@ -592,6 +459,7 @@ pub fn simulate_trace_arrivals(cfg: &ServeConfig, trace: &ArrivalTrace) -> Servi
                 clock_s = arrival;
             }
         }
+        let queued = pending.len();
         while next < trace.len() && trace.arrival_s[next] <= clock_s {
             // Reject-when-full sheds arrivals beyond the queue bound at
             // their arrival instant (the deterministic twin of the
@@ -606,29 +474,37 @@ pub fn simulate_trace_arrivals(cfg: &ServeConfig, trace: &ArrivalTrace) -> Servi
                     w.rejected(trace.arrival_s[next]);
                 }
             } else {
-                pending.push_back((trace.lens[next], trace.arrival_s[next], 0.0));
+                pending.push_back((trace.lens[next], trace.arrival_s[next]));
                 if let Some(w) = windows.as_mut() {
                     w.admitted(trace.arrival_s[next]);
                 }
             }
             next += 1;
         }
+        if pending.len() > queued {
+            groups.push_back((pending.len() - queued, 0.0));
+        }
         high_water = high_water.max(pending.len());
         if let Some(w) = windows.as_mut() {
             w.queue_depth(clock_s, pending.len());
         }
-        let lens: Vec<usize> = pending.iter().map(|&(l, _, _)| l).collect();
-        let take = cfg.policy.take_count(&lens);
-        let taken: Vec<(usize, f64, f64)> = pending.drain(..take).collect();
-        let formed = cfg.policy.form(lens[..take].to_vec());
-        let sample = batch_step_sample(cfg, &formed, &cache);
+        let (formed, taken) = cfg.policy.take_batch(&mut pending, |&(len, _)| len);
+        let sample = price_step(&mut eng, &cache, &cfg.model, StepWork::Prefill(&formed));
         clock_s += sample.gpu_s;
         metrics.record_batch(&formed, &sample);
-        for (_, arrival, blocked_s) in taken {
+        for (_, arrival) in taken {
+            let group = groups
+                .front_mut()
+                .expect("every queued request is in a group");
+            let blocked_s = group.1;
+            group.0 -= 1;
+            if group.0 == 0 {
+                groups.pop_front();
+            }
             metrics.record_latency(clock_s - arrival);
             blame.fold(&batch_blame(arrival, clock_s, blocked_s, sample.gpu_s));
         }
-        for (_, _, blocked_s) in pending.iter_mut() {
+        for (_, blocked_s) in groups.iter_mut() {
             *blocked_s += sample.gpu_s;
         }
     }
@@ -648,6 +524,8 @@ pub fn simulate_trace_arrivals(cfg: &ServeConfig, trace: &ArrivalTrace) -> Servi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::step::{occupancy_mask, shape_class};
+    use pit_sparse::Mask;
     use pit_workloads::DatasetSpec;
 
     fn small_cfg(policy: BatchPolicy) -> ServeConfig {

@@ -16,6 +16,7 @@
 
 use pit_models::Framework;
 use pit_workloads::Batch;
+use std::collections::vec_deque::{Drain, VecDeque};
 
 /// How the scheduler forms batches from the pending queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,16 +67,16 @@ impl BatchPolicy {
 
     /// How many of the pending requests (given as lengths, FIFO order) the
     /// next batch takes. Always at least 1 when `pending` is non-empty —
-    /// the scheduler never stalls on an oversized request.
-    pub fn take_count(&self, pending: &[usize]) -> usize {
-        if pending.is_empty() {
-            return 0;
-        }
+    /// the scheduler never stalls on an oversized request. Reads no
+    /// further than the batch's bound: padding-free stops at the first
+    /// length over the token budget, the padded policies after
+    /// `max_batch` lengths.
+    pub fn take_count(&self, pending: impl IntoIterator<Item = usize>) -> usize {
         match *self {
             BatchPolicy::PaddingFree { token_budget } => {
                 let mut tokens = 0usize;
                 let mut take = 0usize;
-                for &len in pending {
+                for len in pending {
                     if take > 0 && tokens + len > token_budget {
                         break;
                     }
@@ -85,8 +86,25 @@ impl BatchPolicy {
                 take
             }
             BatchPolicy::PaddedToLongest { max_batch }
-            | BatchPolicy::Bucketed { max_batch, .. } => pending.len().min(max_batch.max(1)),
+            | BatchPolicy::Bucketed { max_batch, .. } => {
+                pending.into_iter().take(max_batch.max(1)).count()
+            }
         }
+    }
+
+    /// Takes the next batch off the front of `pending`, whose requests'
+    /// lengths `len` reads: forms it ([`BatchPolicy::form`]) and drains
+    /// the requests it takes, in FIFO order. Only the taken requests and
+    /// the one after them are read, so draining a queue costs time linear
+    /// in its depth.
+    pub(crate) fn take_batch<'q, T>(
+        &self,
+        pending: &'q mut VecDeque<T>,
+        len: impl Fn(&T) -> usize,
+    ) -> (FormedBatch, Drain<'q, T>) {
+        let take = self.take_count(pending.iter().map(&len));
+        let formed = self.form(pending.iter().take(take).map(&len).collect());
+        (formed, pending.drain(..take))
     }
 
     /// Forms a batch from the taken requests (lengths in admission order).
@@ -145,12 +163,6 @@ impl FormedBatch {
     pub fn padding_waste(&self) -> f64 {
         pit_workloads::padding_waste(self.real_tokens, self.padded_tokens)
     }
-
-    /// Attention-score work (`Σ l²` over processed lengths) — what the
-    /// worker charges the quadratic terms with.
-    pub fn sum_sq_effective(&self) -> usize {
-        self.effective_lens.iter().map(|&l| l * l).sum()
-    }
 }
 
 #[cfg(test)]
@@ -160,8 +172,8 @@ mod tests {
     #[test]
     fn padding_free_packs_to_budget_without_exceeding() {
         let p = BatchPolicy::PaddingFree { token_budget: 100 };
-        let pending = vec![40, 30, 25, 50];
-        let take = p.take_count(&pending);
+        let pending = [40, 30, 25, 50];
+        let take = p.take_count(pending);
         assert_eq!(take, 3); // 40+30+25 = 95 <= 100; +50 would exceed
         let formed = p.form(pending[..take].to_vec());
         assert_eq!(formed.real_tokens, 95);
@@ -173,7 +185,7 @@ mod tests {
     #[test]
     fn oversized_request_forms_a_singleton_batch() {
         let p = BatchPolicy::PaddingFree { token_budget: 64 };
-        assert_eq!(p.take_count(&[500, 10]), 1);
+        assert_eq!(p.take_count([500, 10]), 1);
         let formed = p.form(vec![500]);
         assert_eq!(formed.real_tokens, 500);
         assert_eq!(formed.padding_waste(), 0.0);
@@ -182,7 +194,7 @@ mod tests {
     #[test]
     fn padded_policy_pays_for_the_rectangle() {
         let p = BatchPolicy::PaddedToLongest { max_batch: 4 };
-        assert_eq!(p.take_count(&[10, 20, 30, 40, 50]), 4);
+        assert_eq!(p.take_count([10, 20, 30, 40, 50]), 4);
         let formed = p.form(vec![10, 20, 30, 40]);
         assert_eq!(formed.padded_tokens, 4 * 40);
         assert_eq!(formed.real_tokens, 100);
@@ -219,21 +231,56 @@ mod tests {
                 buckets: 2,
             },
         ] {
-            assert_eq!(policy.take_count(&[]), 0);
-            let pending = vec![64, 64, 64, 64];
-            let take = policy.take_count(&pending);
-            assert!(take >= 1 && take <= pending.len());
+            assert_eq!(policy.take_count([]), 0);
+            let pending = [64; 10];
+            let take = policy.take_count(pending);
+            assert!(take >= 1 && take < pending.len());
             let formed = policy.form(pending[..take].to_vec());
             // The formed batch's lens are exactly the FIFO prefix.
             assert_eq!(formed.lens, pending[..take].to_vec());
+            // `take_batch` forms the same batch and drains exactly that
+            // prefix off the queue.
+            let mut queue: VecDeque<(usize, usize)> = pending.into_iter().enumerate().collect();
+            let (batch, taken) = policy.take_batch(&mut queue, |&(_, len)| len);
+            let ids: Vec<usize> = taken.map(|(id, _)| id).collect();
+            assert_eq!(ids, (0..take).collect::<Vec<_>>());
+            assert_eq!(batch, formed);
+            assert_eq!(queue.front(), Some(&(take, 64)));
         }
     }
 
     #[test]
     fn effective_work_ordering_holds_for_attention_too() {
+        // Attention-score work: `Σ l²` over the processed lengths.
+        let score_work = |b: &FormedBatch| b.effective_lens.iter().map(|&l| l * l).sum::<usize>();
         let lens = vec![16, 32, 64, 128];
         let free = BatchPolicy::PaddingFree { token_budget: 4096 }.form(lens.clone());
         let padded = BatchPolicy::PaddedToLongest { max_batch: 4 }.form(lens);
-        assert!(free.sum_sq_effective() < padded.sum_sq_effective());
+        assert!(score_work(&free) < score_work(&padded));
+    }
+
+    #[test]
+    fn take_count_reads_no_further_than_the_batch_bound() {
+        for (policy, want) in [
+            (BatchPolicy::PaddingFree { token_budget: 100 }, 3),
+            (BatchPolicy::PaddingFree { token_budget: 10 }, 1),
+            (BatchPolicy::PaddedToLongest { max_batch: 5 }, 5),
+            (
+                BatchPolicy::Bucketed {
+                    max_batch: 2,
+                    buckets: 2,
+                },
+                2,
+            ),
+        ] {
+            // An endless queue of 30-token requests: a policy that read
+            // every pending length would never return.
+            let mut asked = 0;
+            let lens = std::iter::repeat(30).inspect(|_| {
+                asked += 1;
+                assert!(asked <= want + 1, "{policy:?} read length {asked}");
+            });
+            assert_eq!(policy.take_count(lens), want);
+        }
     }
 }

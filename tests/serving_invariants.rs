@@ -75,7 +75,7 @@ proptest! {
     ) {
         let pending = lens_from_seed(n, max_len, seed);
         let policy = BatchPolicy::PaddingFree { token_budget: budget };
-        let take = policy.take_count(&pending);
+        let take = policy.take_count(pending.iter().copied());
         prop_assert!(take >= 1 && take <= pending.len());
         let packed: usize = pending[..take].iter().sum();
         prop_assert!(packed <= budget || take == 1,
@@ -84,7 +84,7 @@ proptest! {
         let mut rest = pending;
         let mut drained = 0usize;
         while !rest.is_empty() {
-            let t = policy.take_count(&rest);
+            let t = policy.take_count(rest.iter().copied());
             prop_assert!(t >= 1);
             drained += rest.drain(..t).sum::<usize>();
         }
@@ -109,7 +109,7 @@ proptest! {
             BatchPolicy::PaddedToLongest { max_batch },
             BatchPolicy::Bucketed { max_batch, buckets },
         ] {
-            let take = policy.take_count(&pending);
+            let take = policy.take_count(pending.iter().copied());
             let formed = policy.form(pending[..take].to_vec());
             prop_assert_eq!(formed.lens.as_slice(), &pending[..take]);
             prop_assert_eq!(formed.real_tokens,

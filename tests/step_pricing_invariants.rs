@@ -1,17 +1,20 @@
-//! Property tests: pricing a decode step's layer once and folding it over
-//! the model's depth is bit-identical to pricing every layer op by op,
-//! and a replay's one reused engine prices every step like a fresh one.
+//! Property tests: pricing a step's layer once and folding it over the
+//! model's depth is bit-identical to pricing every layer op by op, and a
+//! replay's one reused engine prices every step like a fresh one. Both
+//! entry points are covered: a decode step (`run_step`) and the prefill
+//! runtime's encoder pass (`run_encoder_pass`).
 //!
 //! The first oracle replays the per-layer, per-op loop `run_step` used to
 //! run, pricing every op through the engine's `price_*` methods into a
 //! local labelled record list, then sums the list in order, classifying
-//! labels by suffix the way the ledger used to. The second is a fresh
+//! labels by suffix the way the ledger used to; an encoder pass is a
+//! pure-prefill step with zero KV-append rows. The second is a fresh
 //! `Engine::new` per step. Every modelled number is
 //! compared by `to_bits()`: the fold must repeat each f64 addition in the
 //! same order, not merely agree within a tolerance.
 
 use pit::gpusim::{DeviceSpec, KernelStats};
-use pit::models::decode::{run_step, DecodeSlot, StepShape, KV_MICROTILE_ROWS};
+use pit::models::decode::{run_encoder_pass, run_step, DecodeSlot, StepShape, KV_MICROTILE_ROWS};
 use pit::models::{CostTally, Engine, Framework, ModelConfig, OpKind};
 use pit::tensor::DType;
 use proptest::prelude::*;
@@ -63,6 +66,44 @@ fn random_shape(rng: &mut Rng, parts: u8) -> StepShape {
     shape
 }
 
+/// One priced pass: a decode-replay step, or the prefill runtime's
+/// encoder pass over processed lengths.
+enum Pass {
+    Step(StepShape),
+    Encoder(Vec<usize>),
+}
+
+impl Pass {
+    /// A random step (see [`random_shape`]), or with `encoder` an encoder
+    /// pass over up to 8 lengths (none: the empty pass).
+    fn random(rng: &mut Rng, parts: u8, encoder: bool) -> Pass {
+        if encoder {
+            Pass::Encoder((0..rng.below(9)).map(|_| 1 + rng.below(1024)).collect())
+        } else {
+            Pass::Step(random_shape(rng, parts))
+        }
+    }
+
+    /// Charges the pass through its entry point.
+    fn charge(&self, eng: &mut Engine, cfg: &ModelConfig) {
+        match self {
+            Pass::Step(shape) => run_step(eng, cfg, shape),
+            Pass::Encoder(lens) => run_encoder_pass(eng, cfg, lens),
+        }
+    }
+
+    /// Prices the pass op by op: an encoder pass is a pure-prefill step
+    /// whose layers append no K/V rows.
+    fn oracle(&self, eng: &Engine, records: &mut Records, cfg: &ModelConfig) {
+        match self {
+            Pass::Step(shape) => oracle_step(eng, records, cfg, shape, shape.kv_write_tokens()),
+            Pass::Encoder(lens) => {
+                oracle_step(eng, records, cfg, &StepShape::prefill(lens.clone()), 0)
+            }
+        }
+    }
+}
+
 fn model(name: &str) -> ModelConfig {
     match name {
         "bert_base/2" => {
@@ -94,9 +135,16 @@ fn host(seconds: f64) -> Option<KernelStats> {
     })
 }
 
-/// The per-op loop the layer fold replaced: every layer priced op by op
-/// and recorded under a formatted label.
-fn oracle_step(eng: &Engine, records: &mut Records, cfg: &ModelConfig, shape: &StepShape) {
+/// The per-op loop the layer fold replaced: every layer priced op by op,
+/// each appending `kv_append_rows` tokens' K/V rows, and recorded under a
+/// formatted label.
+fn oracle_step(
+    eng: &Engine,
+    records: &mut Records,
+    cfg: &ModelConfig,
+    shape: &StepShape,
+    kv_append_rows: usize,
+) {
     let rows = shape.rows();
     if rows == 0 {
         return;
@@ -116,7 +164,7 @@ fn oracle_step(eng: &Engine, records: &mut Records, cfg: &ModelConfig, shape: &S
     let score_flops = 2.0 * score_elems * h as f64;
     let score_bytes = score_elems * cfg.heads as f64 * elem + (kv_tokens * h) as f64 * elem;
     let softmax_rows = (score_elems * cfg.heads as f64 / 64.0).ceil() as usize;
-    let kv_append = shape.kv_write_tokens() * 2 * h;
+    let kv_append = kv_append_rows * 2 * h;
     record(records, "embed", eng.price_elementwise(rows * h, 1));
     for layer in 0..cfg.layers {
         for (op, stats) in [
@@ -178,14 +226,16 @@ proptest! {
     /// For any step shape, framework, precision, device count and model,
     /// the fold's latency, GEMM time and every tally field equal the
     /// per-op oracle bit for bit — across consecutive steps on one engine
-    /// and with the serving path's selection charges in front, as
-    /// `step_sample` issues them.
+    /// (with `encoders`, a random mix of decode steps and encoder passes)
+    /// and with the serving path's selection charges in front, as the
+    /// serving step pricer charges them.
     #[test]
     fn layer_fold_matches_per_op_pricing_bit_for_bit(
         seed in 0u64..u64::MAX,
         parts in 0u8..8,
         steps in 1usize..3,
         selection in 0u8..4,
+        encoders in vec![false, true],
         framework in vec![Framework::Pit, Framework::PyTorch, Framework::DeepSpeed],
         dtype in vec![DType::F16, DType::F32],
         devices in vec![1usize, 4],
@@ -207,9 +257,10 @@ proptest! {
                 fold.charge_host(OpKind::PitIndex, s);
                 record(&mut records, "pit.index", host(s));
             }
-            let shape = random_shape(&mut rng, parts);
-            run_step(&mut fold, &cfg, &shape);
-            oracle_step(&pricer, &mut records, &cfg, &shape);
+            let encoder = encoders && rng.below(2) == 0;
+            let pass = Pass::random(&mut rng, parts, encoder);
+            pass.charge(&mut fold, &cfg);
+            pass.oracle(&pricer, &mut records, &cfg);
         }
         let (latency_ms, gemm_s, want) = oracle_ledger(&records);
         let got = fold.cost_tally();
@@ -234,12 +285,14 @@ proptest! {
     /// A replay prices all of its steps on one engine, taking the ledger
     /// after each; every step must read exactly as it does on a fresh
     /// `Engine::new`. Shapes repeat from a small pool, and some steps are
-    /// empty.
+    /// empty. With `encoders`, encoder passes alternate with decode steps
+    /// on the one engine.
     #[test]
     fn reused_engine_prices_each_step_like_a_fresh_one(
         seed in 0u64..u64::MAX,
         steps in 1usize..12,
         selection in 0u8..4,
+        encoders in vec![false, true],
         framework in vec![Framework::Pit, Framework::PyTorch, Framework::DeepSpeed],
         dtype in vec![DType::F16, DType::F32],
         devices in vec![1usize, 4],
@@ -248,15 +301,17 @@ proptest! {
         let cfg = model(model_name);
         let engine = || Engine::new(DeviceSpec::a100_80gb(), dtype, framework).with_devices(devices);
         let mut rng = Rng(seed);
-        let pool: Vec<StepShape> = (0..3)
-            .map(|_| {
+        // Three decode steps, then three encoder passes.
+        let pool: Vec<Pass> = (0..6)
+            .map(|i| {
                 let parts = rng.below(8) as u8;
-                random_shape(&mut rng, parts)
+                Pass::random(&mut rng, parts, i >= 3)
             })
             .collect();
         let mut reused = engine();
         for step in 0..steps {
-            let shape = &pool[rng.below(pool.len())];
+            let encoder = encoders && step % 2 == 1;
+            let pass = &pool[rng.below(3) + if encoder { 3 } else { 0 }];
             let search_s = 1e-6 * (1 + rng.below(500)) as f64;
             let index_s = 1e-7 * (1 + rng.below(500)) as f64;
             let price = |eng: &mut Engine| {
@@ -266,14 +321,14 @@ proptest! {
                 if selection & 2 != 0 {
                     eng.charge_host(OpKind::PitIndex, index_s);
                 }
-                run_step(eng, &cfg, shape);
+                pass.charge(eng, &cfg);
             };
             price(&mut reused);
             let got = reused.take_ledger();
             let mut fresh = engine();
             price(&mut fresh);
             let want = fresh.cost_tally();
-            // `gpu_s` as `step_sample` derives it from each ledger.
+            // `gpu_s` as the serving step pricer derives it from each ledger.
             for (field, g, w) in [
                 ("gpu_s", got.latency_ms() / 1e3, fresh.latency_ms() / 1e3),
                 ("gemm_time_s", got.gemm_time_s, fresh.gemm_time_s),
