@@ -521,10 +521,52 @@ impl PagedKvCache {
     /// `page_size` steps; a copy-on-write of a shared boundary page counts
     /// as one taken page). Fails atomically on page exhaustion.
     ///
+    /// A decode token usually lands in the last page of the sequence's
+    /// table, which it already holds alone. That case is inlined into the
+    /// caller: one table lookup raises the page's written extent and the
+    /// sequence's counts, with no integer division and no allocation.
+    /// Everything else (growth that starts below the last page or leaves
+    /// it, a shared tail page to copy, a swapped-out or unknown sequence)
+    /// takes the out-of-line general path, with the same result.
+    #[inline]
+    pub fn extend(&mut self, seq: SeqId, new_tokens: usize) -> Result<usize, KvError> {
+        let ps = self.cfg.page_size;
+        if let Some(s) = self.seqs.get_mut(&seq) {
+            if let Some(&last) = s.pages.last() {
+                let base = (s.pages.len() - 1) * ps;
+                let target = s.used_tokens + new_tokens;
+                if s.host_pages == 0
+                    && s.used_tokens >= base
+                    && target <= base + ps
+                    && self.refs[last as usize] == 1
+                {
+                    if target > s.reserved_tokens {
+                        self.reserved_tokens += target - s.reserved_tokens;
+                        s.reserved_tokens = target;
+                    }
+                    s.used_tokens = target;
+                    note_written(
+                        &mut self.written,
+                        &mut self.used_tokens,
+                        last,
+                        target - base,
+                    );
+                    return Ok(0);
+                }
+            }
+        }
+        self.extend_general(seq, new_tokens)
+    }
+
+    /// [`PagedKvCache::extend`] for any growth: copy-on-write of a shared
+    /// tail page, pages taken past the reservation, and every error.
+    ///
     /// One table lookup, no allocation and no page-table scan unless a
     /// page is taken: residency is the sequence's host-page count, and
     /// the written extents of the touched pages are raised in place.
-    pub fn extend(&mut self, seq: SeqId, new_tokens: usize) -> Result<usize, KvError> {
+    #[cold]
+    #[inline(never)]
+    fn extend_general(&mut self, seq: SeqId, new_tokens: usize) -> Result<usize, KvError> {
         let free_len = self.device_free();
         let ps = self.cfg.page_size;
         let s = self.seqs.get_mut(&seq).ok_or(KvError::UnknownSeq(seq))?;
@@ -762,6 +804,7 @@ impl PagedKvCache {
     }
 
     /// Cached context length of a live sequence.
+    #[inline]
     pub fn seq_tokens(&self, seq: SeqId) -> Option<usize> {
         self.seqs.get(&seq).map(|s| s.used_tokens)
     }
@@ -1734,5 +1777,136 @@ mod tests {
         assert_eq!(kv.seq_tokens(2), Some(20));
         assert_eq!(kv.stats().cow_copies, 0);
         kv.check_invariants().unwrap();
+    }
+
+    /// One operation of the twin-pool script.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Alloc(SeqId, usize),
+        /// `alloc_reserved(seq, used, reserved)`.
+        Reserve(SeqId, usize, usize),
+        /// `alloc_shared` of a new sequence onto another's pages and
+        /// written prefix.
+        Share(SeqId, SeqId, usize),
+        /// Allocates every free device page to a new sequence.
+        FillPool(SeqId),
+        SwapOut(SeqId),
+        SwapIn(SeqId),
+        Extend(SeqId, usize),
+        Free(SeqId),
+    }
+
+    /// Applies `op` to `kv`; with `general`, an extension takes the
+    /// general path only.
+    fn apply(kv: &mut PagedKvCache, op: Op, general: bool) -> Result<usize, KvError> {
+        match op {
+            Op::Alloc(seq, tokens) => kv.alloc(seq, tokens),
+            Op::Reserve(seq, used, reserved) => kv.alloc_reserved(seq, used, reserved),
+            Op::Share(seq, from, tokens) => {
+                let pages = kv.seq_pages(from).unwrap().to_vec();
+                kv.alloc_shared(seq, &pages, tokens)
+            }
+            Op::FillPool(seq) => {
+                let tokens = kv.free_pages() * kv.config().page_size;
+                kv.alloc(seq, tokens)
+            }
+            Op::SwapOut(seq) => {
+                let pages = kv.seq_pages(seq).unwrap().to_vec();
+                kv.swap_out(seq, &pages).map(|()| pages.len())
+            }
+            Op::SwapIn(seq) => kv.swap_in(seq),
+            Op::Extend(seq, tokens) if general => kv.extend_general(seq, tokens),
+            Op::Extend(seq, tokens) => kv.extend(seq, tokens),
+            Op::Free(seq) => kv.free(seq),
+        }
+    }
+
+    /// Every extension case at page size `ps`, in order.
+    fn twin_script(ps: usize) -> Vec<Op> {
+        use Op::*;
+        vec![
+            // Growth inside the tail page, then growth that exactly fills
+            // it (at `ps == 1` every token takes a page).
+            Alloc(1, 1),
+            Extend(1, 1),
+            Extend(1, ps - 2 % ps),
+            // Growth across pages, several tokens at once.
+            Extend(1, ps + 2),
+            Extend(1, 0),
+            // An unknown sequence.
+            Extend(99, 1),
+            Extend(99, 0),
+            // A shared, partially written tail page: the sharer copies it
+            // first, after which both tails are exclusive again.
+            Alloc(2, ps + 1),
+            Share(3, 2, ps + 1),
+            Extend(3, 1),
+            Extend(2, 1),
+            Extend(3, 1),
+            // A static reservation whose written end is below its last
+            // page, growing inside, to and past the reservation.
+            Reserve(4, 1, 3 * ps),
+            Extend(4, 1),
+            Extend(4, 2 * ps - 2),
+            Extend(4, 1),
+            Extend(4, 1),
+            // A reservation ending inside its tail page, outgrown there.
+            Reserve(5, ps + 1, ps + 2),
+            Extend(5, ps - 1),
+            // A swapped-out sequence cannot grow, not even by nothing.
+            SwapOut(5),
+            Extend(5, 1),
+            Extend(5, 0),
+            SwapIn(5),
+            Extend(5, 1),
+            // An exhausted pool: growth inside a tail page still succeeds,
+            // growth past it fails.
+            FillPool(6),
+            Extend(1, 1),
+            Extend(1, ps),
+            Free(1),
+            Free(2),
+            Free(3),
+            Free(4),
+            Free(5),
+            Free(6),
+        ]
+    }
+
+    /// Panics unless the two pools agree on every sequence, every page's
+    /// written slots, the counters and the invariants.
+    fn assert_twins(fast: &PagedKvCache, general: &PagedKvCache, at: &str) {
+        for seq in (0..8).chain([99]) {
+            assert_eq!(fast.seq_tokens(seq), general.seq_tokens(seq), "{at}");
+            assert_eq!(fast.seq_pages(seq), general.seq_pages(seq), "{at}");
+        }
+        for p in 0..fast.config().total_ids() as PageId {
+            assert_eq!(fast.page_written(p), general.page_written(p), "{at}");
+        }
+        assert_eq!(fast.stats(), general.stats(), "{at}");
+        assert_eq!(fast.check_invariants(), Ok(()), "{at}");
+        assert_eq!(general.check_invariants(), Ok(()), "{at}");
+    }
+
+    #[test]
+    fn extend_fast_path_matches_the_general_path() {
+        for ps in [1, 3, 16] {
+            let mut fast = tiered(ps, 64, 8);
+            let mut general = tiered(ps, 64, 8);
+            let mut results = Vec::new();
+            for (i, op) in twin_script(ps).into_iter().enumerate() {
+                let at = format!("page size {ps}, op {i}: {op:?}");
+                let got = apply(&mut fast, op, false);
+                assert_eq!(got, apply(&mut general, op, true), "{at}");
+                assert_twins(&fast, &general, &at);
+                results.push(got);
+            }
+            assert!(results.contains(&Err(KvError::UnknownSeq(99))));
+            assert!(results.contains(&Err(KvError::SwappedOut(5))));
+            assert!(results.contains(&Err(KvError::OutOfPages { needed: 1, free: 0 })));
+            let stats = fast.stats();
+            assert_eq!(stats.cow_copies, u64::from(ps > 1), "page size {ps}");
+            assert!(stats.conserved(), "page size {ps}");
+        }
     }
 }

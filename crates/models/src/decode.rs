@@ -28,7 +28,9 @@
 //! prices it.
 
 use crate::configs::ModelConfig;
-use crate::engine::{Engine, OpKind};
+use crate::engine::{Engine, Framework, OpKind};
+use pit_gpusim::KernelStats;
+use pit_tensor::DType;
 
 /// Rows of the K/V micro-tile PIT packs sparse attention reads into: the
 /// `(32, 1)` micro-tile of the paper's Table 3 (see
@@ -166,32 +168,9 @@ impl StepShape {
         self.decode.iter().map(|s| s.packed_rows(tile)).sum()
     }
 
-    /// Micro-tiles the packed decode gather touches — the SRead index
-    /// entries a PIT runtime builds per step.
-    pub fn decode_microtiles(&self, tile: usize) -> usize {
-        self.decode.iter().map(|s| s.attended.div_ceil(tile)).sum()
-    }
-
     /// True when the step carries no work.
     pub fn is_empty(&self) -> bool {
         self.prefill_lens.is_empty() && self.chunks.is_empty() && self.decode.is_empty()
-    }
-
-    /// Attention-score elements this step computes: `Σ l²` over whole
-    /// prefills, `Σ chunk·ctx` over chunks, `Σ attended` over decode slots
-    /// (scores are only computed against attended keys).
-    pub fn score_elems(&self) -> f64 {
-        let prefill: f64 = self.prefill_lens.iter().map(|&l| (l * l) as f64).sum();
-        let chunked: f64 = self.chunks.iter().map(|&(c, ctx)| (c * ctx) as f64).sum();
-        prefill + chunked + self.attended_tokens() as f64
-    }
-
-    /// Cached tokens this step streams from the KV cache: every decode
-    /// slot reads the context it attends; every chunk reads the tokens
-    /// cached *before* it (its own rows are still in registers/SMEM).
-    pub fn kv_read_tokens(&self) -> usize {
-        let chunked: usize = self.chunks.iter().map(|&(c, ctx)| ctx - c).sum();
-        self.attended_tokens() + chunked
     }
 
     /// New tokens whose K/V rows this step appends to the cache.
@@ -230,8 +209,12 @@ impl StepShape {
 /// priced once and [`Engine::charge_layers`] folds them `cfg.layers` times
 /// into the engine's ledger, in the order a layer-by-layer pass would
 /// charge them: the step's modelled seconds, category tally and GEMM time
-/// are bit-identical to pricing each layer afresh. The charges are typed
-/// [`OpKind`]s.
+/// are bit-identical to pricing each layer afresh. Only the attention
+/// products and the softmax depend on more than the step's row count;
+/// the other ops' prices (the projection, FFN and head GEMMs, the
+/// LayerNorms, the elementwise ops and the KV append) are kept in a
+/// table on the engine by row count, so a reused engine prices them once
+/// per row count. The charges are typed [`OpKind`]s.
 ///
 /// Decode attention is priced per slot as two `1 × a` GEMV-like products
 /// (scores and context, `a` = the slot's attended extent) whose arithmetic
@@ -290,11 +273,118 @@ pub fn run_encoder_pass(eng: &mut Engine, cfg: &ModelConfig, lens: &[usize]) {
     charge_stack(eng, cfg, rows, score_elems, 0, 0);
 }
 
+/// Row counts whose [`RowPrices`] an engine keeps: a step of more rows
+/// (a long prefill batch) prices them afresh. This bounds the table
+/// whatever the trace length.
+const ROW_TABLE_ROWS: usize = 512;
+
+/// Everything a layer's row-only prices read besides the row count: the
+/// model's widths, the K/V rows each layer appends, and the engine's
+/// public settings. The engine's cost model and tile database are fixed
+/// at construction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RowKey {
+    hidden: usize,
+    ffn: usize,
+    vocab: usize,
+    kv_append_rows: usize,
+    dtype: DType,
+    framework: Framework,
+    devices: usize,
+}
+
+/// The prices of the ops of [`charge_stack`] that read nothing of a step
+/// but its row count and [`RowKey`]: every op except the attention
+/// products and the softmax. Both LayerNorms are one price.
+#[derive(Debug, Clone, Copy)]
+struct RowPrices {
+    key: RowKey,
+    embed: Option<KernelStats>,
+    qkv: Option<KernelStats>,
+    out: Option<KernelStats>,
+    layernorm: Option<KernelStats>,
+    fc1: Option<KernelStats>,
+    act: Option<KernelStats>,
+    fc2: Option<KernelStats>,
+    residual: Option<KernelStats>,
+    kv_append: Option<KernelStats>,
+    head: Option<KernelStats>,
+}
+
+impl RowPrices {
+    fn price(eng: &Engine, key: RowKey, rows: usize) -> Self {
+        let RowKey {
+            hidden,
+            ffn,
+            vocab,
+            kv_append_rows,
+            ..
+        } = key;
+        RowPrices {
+            key,
+            embed: eng.price_elementwise(rows * hidden, 1),
+            qkv: eng.price_gemm(rows, hidden, 3 * hidden),
+            out: eng.price_gemm(rows, hidden, hidden),
+            layernorm: eng.price_layernorm(rows, hidden),
+            fc1: eng.price_gemm(rows, hidden, ffn),
+            act: eng.price_elementwise(rows * ffn, 1),
+            fc2: eng.price_gemm(rows, ffn, hidden),
+            residual: eng.price_elementwise(rows * hidden, 2),
+            // Each decode slot appends this layer's new K/V row; prefills
+            // and chunks write every landed token's rows.
+            kv_append: eng.price_elementwise(kv_append_rows * 2 * hidden, 1),
+            head: eng.price_gemm(rows, hidden, vocab.min(4096)),
+        }
+    }
+}
+
+/// An engine's [`RowPrices`] by row count, below [`ROW_TABLE_ROWS`].
+/// Filled as steps are priced, one entry per row count: an entry priced
+/// under another [`RowKey`] is priced again and replaced. Empty, and
+/// unallocated, on a fresh engine.
+#[derive(Debug, Default)]
+pub(crate) struct RowTable {
+    /// `slot[rows]` is the position in `entries` of the entry for `rows`;
+    /// empty until the first entry.
+    slot: Vec<Option<u16>>,
+    entries: Vec<RowPrices>,
+}
+
+impl RowTable {
+    fn get(&self, rows: usize, key: &RowKey) -> Option<RowPrices> {
+        let hit = self.entries[usize::from((*self.slot.get(rows)?)?)];
+        (hit.key == *key).then_some(hit)
+    }
+
+    fn keep(&mut self, rows: usize, prices: RowPrices) {
+        if rows >= ROW_TABLE_ROWS {
+            return;
+        }
+        if self.slot.is_empty() {
+            self.slot = vec![None; ROW_TABLE_ROWS];
+        }
+        match self.slot[rows] {
+            Some(at) => self.entries[usize::from(at)] = prices,
+            None => {
+                let at = u16::try_from(self.entries.len()).expect("one entry per row count");
+                self.slot[rows] = Some(at);
+                self.entries.push(prices);
+            }
+        }
+    }
+}
+
 /// The layer stack both entry points charge: embeddings, `cfg.layers`
 /// layers over `rows` token rows, and the LM head. Attention computes
 /// `score_elems` score elements and streams `kv_tokens` cached K/V rows;
 /// each layer appends `kv_append_rows` tokens' K/V rows to the cache (none
 /// charged when 0).
+///
+/// Only the attention products and the softmax read the step's shape, so
+/// only they are priced afresh. The other ops' prices depend on the row
+/// count and the [`RowKey`] alone; they come from the engine's
+/// [`RowTable`], priced there the first time a row count is seen. Either
+/// way each op's price is what pricing it now gives, bit for bit.
 fn charge_stack(
     eng: &mut Engine,
     cfg: &ModelConfig,
@@ -304,7 +394,7 @@ fn charge_stack(
     kv_append_rows: usize,
 ) {
     let elem = eng.elem() as f64;
-    let (hidden, ffn) = (cfg.hidden, cfg.ffn);
+    let hidden = cfg.hidden;
     // Scores + context: quadratic for prefill sequences, linear in the
     // attended (PIT) or cached (padded) context for decode slots.
     let score_flops = 2.0 * score_elems * hidden as f64;
@@ -313,30 +403,41 @@ fn charge_stack(
     let score_bytes = score_elems * cfg.heads as f64 * elem + (kv_tokens * hidden) as f64 * elem;
     let attention = eng.price_gemm_flops(score_flops, score_bytes);
     let softmax_rows = (score_elems * cfg.heads as f64 / 64.0).ceil() as usize;
+    let softmax = eng.price_softmax(softmax_rows, 64);
+    let key = RowKey {
+        hidden,
+        ffn: cfg.ffn,
+        vocab: cfg.vocab,
+        kv_append_rows,
+        dtype: eng.dtype,
+        framework: eng.framework,
+        devices: eng.devices,
+    };
+    let row = match eng.row_table.get(rows, &key) {
+        Some(row) => row,
+        None => {
+            let row = RowPrices::price(eng, key, rows);
+            eng.row_table.keep(rows, row);
+            row
+        }
+    };
     let layer = [
-        (OpKind::Qkv, eng.price_gemm(rows, hidden, 3 * hidden)),
+        (OpKind::Qkv, row.qkv),
         (OpKind::Scores, attention),
-        (OpKind::Softmax, eng.price_softmax(softmax_rows, 64)),
+        (OpKind::Softmax, softmax),
         (OpKind::Context, attention),
-        (OpKind::Out, eng.price_gemm(rows, hidden, hidden)),
-        (OpKind::AttnLn, eng.price_layernorm(rows, hidden)),
-        (OpKind::Fc1, eng.price_gemm(rows, hidden, ffn)),
-        (OpKind::Act, eng.price_elementwise(rows * ffn, 1)),
-        (OpKind::Fc2, eng.price_gemm(rows, ffn, hidden)),
-        (OpKind::FfnLn, eng.price_layernorm(rows, hidden)),
-        (OpKind::Residual, eng.price_elementwise(rows * hidden, 2)),
-        // Each decode slot appends this layer's new K/V row; prefills and
-        // chunks write every landed token's rows.
-        (
-            OpKind::KvAppend,
-            eng.price_elementwise(kv_append_rows * 2 * hidden, 1),
-        ),
+        (OpKind::Out, row.out),
+        (OpKind::AttnLn, row.layernorm),
+        (OpKind::Fc1, row.fc1),
+        (OpKind::Act, row.act),
+        (OpKind::Fc2, row.fc2),
+        (OpKind::FfnLn, row.layernorm),
+        (OpKind::Residual, row.residual),
+        (OpKind::KvAppend, row.kv_append),
     ];
-    let embed = eng.price_elementwise(rows * hidden, 1);
-    let head = eng.price_gemm(rows, hidden, cfg.vocab.min(4096));
-    eng.charge(OpKind::Embed, embed);
+    eng.charge(OpKind::Embed, row.embed);
     eng.charge_layers(&layer, cfg.layers);
-    eng.charge(OpKind::Head, head);
+    eng.charge(OpKind::Head, row.head);
 }
 
 #[cfg(test)]
@@ -378,12 +479,20 @@ mod tests {
         assert_eq!(s.decode_slots(), 3);
         assert_eq!(s.attended_tokens(), 171);
         assert_eq!(s.cached_tokens(), 171);
-        // Decode reads whole contexts; the chunk reads its 64 prior rows.
-        assert_eq!(s.kv_read_tokens(), 171 + 64);
+        // Dense slots still stream whole (32, 1) micro-tiles under PIT.
+        assert_eq!(s.packed_decode_tokens(32), 128 + 32 + 64);
         assert_eq!(s.kv_write_tokens(), 40 + 16 + 3);
+        // The priced attention work: whole prefills Σ l², the chunk
+        // 16 · 80, and the decode rows PIT (packed) or a padded layout
+        // (cached) streams.
+        let prefill_work = (900 + 100) as f64 + (16 * 80) as f64;
         assert_eq!(
-            s.score_elems(),
-            (900 + 100) as f64 + (16 * 80) as f64 + 171.0
+            s.prefill_attention_fraction(true),
+            prefill_work / (prefill_work + 224.0)
+        );
+        assert_eq!(
+            s.prefill_attention_fraction(false),
+            prefill_work / (prefill_work + 171.0)
         );
         assert!(StepShape::default().is_empty());
     }
@@ -398,14 +507,25 @@ mod tests {
         assert_eq!(s.rows(), 3);
         assert_eq!(s.attended_tokens(), 96 + 33 + 64);
         assert_eq!(s.cached_tokens(), 1024 + 512 + 64);
-        // Packing rounds each slot up to whole (32, 1) micro-tiles.
+        // Packing rounds each slot up to whole (32, 1) micro-tiles: 3 + 2
+        // + 2 of them.
         assert_eq!(s.packed_decode_tokens(32), 96 + 64 + 64);
-        assert_eq!(s.decode_microtiles(32), 3 + 2 + 2);
-        // Score elements follow attended, not cached.
-        assert_eq!(s.score_elems(), (96 + 33 + 64) as f64);
-        assert_eq!(s.kv_read_tokens(), 96 + 33 + 64);
+        assert_eq!(s.packed_decode_tokens(32), (3 + 2 + 2) * 32);
         // One append per slot regardless of sparsity.
         assert_eq!(s.kv_write_tokens(), 3);
+        // Next to an 8-token prefill, a slot attending 33 of 512 cached
+        // tokens weighs its 64 packed rows under PIT and all 512 cached
+        // rows under a padded layout, not the 33 it attends.
+        let mixed = StepShape {
+            prefill_lens: vec![8],
+            chunks: vec![],
+            decode: vec![DecodeSlot::sparse(33, 512)],
+        };
+        assert_eq!(mixed.prefill_attention_fraction(true), 64.0 / (64.0 + 64.0));
+        assert_eq!(
+            mixed.prefill_attention_fraction(false),
+            64.0 / (64.0 + 512.0)
+        );
     }
 
     #[test]
@@ -443,23 +563,28 @@ mod tests {
 
     #[test]
     fn chunked_prefill_sums_to_roughly_whole_prefill_attention() {
-        // Four 64-token chunks of a 256-token prompt cover more score
-        // elements than the causal triangle but stay within 2x of the
-        // whole-prompt square (the model uses full squares for whole
-        // prefills too).
-        let whole = StepShape::prefill(vec![256]).score_elems();
+        // Four 1024-token chunks of a 4096-token prompt are priced for
+        // more attention than the causal triangle but stay within 2x of
+        // the whole-prompt square (the model uses full squares for whole
+        // prefills too). Prompts this long keep the kernel launches,
+        // which every chunk pays again, out of the comparison.
+        let attention_s = |shape: &StepShape| {
+            let mut e = eng();
+            run_step(&mut e, &cfg(), shape);
+            e.cost_tally().attention_s
+        };
+        let whole = attention_s(&StepShape::prefill(vec![4096]));
         let chunked: f64 = (1..=4)
             .map(|i| {
-                StepShape {
+                attention_s(&StepShape {
                     prefill_lens: vec![],
-                    chunks: vec![(64, 64 * i)],
+                    chunks: vec![(1024, 1024 * i)],
                     decode: vec![],
-                }
-                .score_elems()
+                })
             })
             .sum();
-        assert!(chunked <= whole);
-        assert!(chunked >= whole * 0.5);
+        assert!(chunked <= whole, "chunked {chunked} vs whole {whole}");
+        assert!(chunked >= whole * 0.5, "chunked {chunked} vs whole {whole}");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The analytic execution engine: frameworks, typed operator charges,
 //! memory.
 
+use crate::decode::RowTable;
 use pit_gpusim::{CostModel, DeviceSpec, KernelStats, MemoryTracker};
 use pit_kernels::baselines::cublas;
 use pit_kernels::dense;
@@ -260,6 +261,39 @@ impl ChargeTotals {
     }
 }
 
+/// Up to `N` values one ledger sum receives from a layer's ops, in
+/// charge order.
+#[derive(Clone, Copy)]
+struct Run<T, const N: usize> {
+    values: [T; N],
+    len: usize,
+}
+
+impl<T: Copy + Default, const N: usize> Run<T, N> {
+    fn new() -> Self {
+        Run {
+            values: [T::default(); N],
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, value: T) {
+        self.values[self.len] = value;
+        self.len += 1;
+    }
+
+    fn values(&self) -> &[T] {
+        &self.values[..self.len]
+    }
+}
+
+impl<const N: usize> Run<f64, N> {
+    /// `sum` plus the run's values, added one at a time in order.
+    fn fold(&self, sum: f64) -> f64 {
+        self.values().iter().fold(sum, |sum, &v| sum + v)
+    }
+}
+
 /// The analytic execution engine for one run.
 ///
 /// Every charge is a typed [`OpKind`] over a `price_*` result
@@ -273,7 +307,10 @@ impl ChargeTotals {
 /// building one profiles the tile database and searches a 2048³
 /// reference tile. [`Engine::take_ledger`] closes a step, leaving the
 /// ledger as a fresh engine's, so every step's charges equal a fresh
-/// engine's bit for bit.
+/// engine's bit for bit. A reused engine also keeps the prices of a
+/// step's row-only layer ops by row count (see
+/// [`run_step`](crate::decode::run_step)), so a replay prices each row
+/// count's GEMMs once.
 #[derive(Debug)]
 pub struct Engine {
     /// The device's cost model.
@@ -302,6 +339,9 @@ pub struct Engine {
     /// Sustained throughput (FLOP/s) of the best tile on a 2048³ dense
     /// GEMM: the rate raw-FLOP GEMM work is priced at.
     reference_flops_per_s: f64,
+    /// A step's row-only layer prices by row count, kept by the layer
+    /// stack `crate::decode` charges.
+    pub(crate) row_table: RowTable,
 }
 
 impl Engine {
@@ -324,6 +364,7 @@ impl Engine {
             total_s: -0.0,
             tally: CostTally::default(),
             reference_flops_per_s: reference.flops_executed / reference.latency_s,
+            row_table: RowTable::default(),
         }
     }
 
@@ -492,16 +533,71 @@ impl Engine {
         self.charge(kind, Some(stats));
     }
 
-    /// Charges one priced layer `layers` times over, op by op in order.
-    /// Every ledger sum sees the same additions in the same order as
-    /// pricing and charging each layer afresh, so the result is
-    /// bit-identical at the cost of pricing the layer once.
-    pub fn charge_layers(&mut self, layer: &[(OpKind, Option<KernelStats>)], layers: usize) {
-        for _ in 0..layers {
-            for &(kind, stats) in layer {
-                self.charge(kind, stats);
+    /// Charges one priced layer `layers` times over, as `layers` passes of
+    /// [`Engine::charge`] over its ops in order would.
+    ///
+    /// The layer is first split into one run per ledger sum: the seconds
+    /// and FLOPs of every charged op, the seconds of each category's ops
+    /// and of the GEMM-class ones, each in the layer's op order (an empty
+    /// op is in no run). The sums are then held in locals and each adds
+    /// its run once per layer. Every sum sees the same additions in the
+    /// same order as charging op by op, so the ledger is bit-identical,
+    /// but a sum's chain of adds stays in a register instead of going
+    /// through the engine's fields once per op.
+    pub fn charge_layers<const N: usize>(
+        &mut self,
+        layer: &[(OpKind, Option<KernelStats>); N],
+        layers: usize,
+    ) {
+        let mut charged = Run::<(f64, f64, f64), N>::new();
+        let [mut attention, mut conversion, mut search, mut dense, mut gemm] =
+            [Run::<f64, N>::new(); 5];
+        for &(kind, stats) in layer {
+            let Some(stats) = stats else {
+                continue;
+            };
+            let s = stats.latency_s;
+            charged.push((s, stats.flops_useful, stats.flops_executed));
+            match kind.category() {
+                CostCategory::Attention => attention.push(s),
+                CostCategory::SparseConversion => conversion.push(s),
+                CostCategory::JitSearch => search.push(s),
+                CostCategory::DenseGemm => dense.push(s),
+            }
+            if kind.is_gemm() {
+                gemm.push(s);
             }
         }
+        let mut total_s = self.total_s;
+        let mut useful = self.tally.flops_useful;
+        let mut executed = self.tally.flops_executed;
+        let mut attention_s = self.tally.attention_s;
+        let mut conversion_s = self.tally.sparse_conversion_s;
+        let mut search_s = self.tally.jit_search_s;
+        let mut dense_s = self.tally.dense_s;
+        let mut gemm_s = self.gemm_time_s;
+        for _ in 0..layers {
+            for &(s, u, e) in charged.values() {
+                total_s += s;
+                useful += u;
+                executed += e;
+            }
+            attention_s = attention.fold(attention_s);
+            conversion_s = conversion.fold(conversion_s);
+            search_s = search.fold(search_s);
+            dense_s = dense.fold(dense_s);
+            gemm_s = gemm.fold(gemm_s);
+        }
+        self.total_s = total_s;
+        self.tally = CostTally {
+            attention_s,
+            sparse_conversion_s: conversion_s,
+            jit_search_s: search_s,
+            dense_s,
+            flops_useful: useful,
+            flops_executed: executed,
+        };
+        self.gemm_time_s = gemm_s;
     }
 
     /// Allocates persistent (whole-run) memory such as weights; divided

@@ -1357,7 +1357,6 @@ impl<'r, 'a> Continuous<'r, 'a> {
             // eviction shrinks the cache page-aligned, so the cadence is
             // the same, but the cached length is what `extend` sees.
             let kv = &mut self.r.kv;
-            let page = kv.config().page_size;
             let needed = self
                 .running
                 .iter()
@@ -1366,7 +1365,7 @@ impl<'r, 'a> Continuous<'r, 'a> {
                         && kv
                             .seq_tokens(s.id)
                             .expect("running seq holds pages")
-                            .is_multiple_of(page)
+                            .is_multiple_of(PAGE_SIZE)
                 })
                 .count();
             if needed <= kv.free_pages() {

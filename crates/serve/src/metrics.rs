@@ -397,9 +397,9 @@ impl fmt::Display for ServingReport {
             let busiest = w.iter().max_by_key(|s| s.admitted);
             write!(
                 f,
-                "\n  arrival windows: {} x {:.1}s; busiest admitted {} (peak queue depth {})",
+                "\n  arrival windows: {} x {:.1} ms; busiest admitted {} (peak queue depth {})",
                 w.len(),
-                width,
+                width * 1e3,
                 busiest.map_or(0, |s| s.admitted),
                 busiest.map_or(0, |s| s.peak_queue_depth),
             )?;

@@ -1,8 +1,10 @@
 //! Property tests: pricing a step's layer once and folding it over the
 //! model's depth is bit-identical to pricing every layer op by op, and a
-//! replay's one reused engine prices every step like a fresh one. Both
-//! entry points are covered: a decode step (`run_step`) and the prefill
-//! runtime's encoder pass (`run_encoder_pass`).
+//! replay's one reused engine prices every step like a fresh one, also
+//! when the model or the engine's settings change between steps under
+//! the engine's table of row-only prices. Both entry points are covered:
+//! a decode step (`run_step`) and the prefill runtime's encoder pass
+//! (`run_encoder_pass`).
 //!
 //! The first oracle replays the per-layer, per-op loop `run_step` used to
 //! run, pricing every op through the engine's `price_*` methods into a
@@ -345,6 +347,75 @@ proptest! {
             prop_assert_eq!(reused.latency_ms().to_bits(), (-0.0f64).to_bits());
             prop_assert_eq!(reused.cost_tally(), CostTally::default());
             prop_assert_eq!(reused.gemm_time_s.to_bits(), 0.0f64.to_bits());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// An engine keeps a step's row-only layer prices by row count, so
+    /// its table's key must cover everything those prices read. One
+    /// engine prices decode steps and encoder passes of both models, and
+    /// of variants that each change one width, at a few row counts, which
+    /// repeat, while its `framework`, `devices` and `dtype` flip between
+    /// passes; every pass must read exactly as it does on a fresh engine
+    /// with the same settings. (`dtype` is set on the fresh engine too:
+    /// the reference throughput stays the one of the engine's first
+    /// precision.)
+    #[test]
+    fn row_table_keys_cover_model_pass_and_settings(
+        seed in 0u64..u64::MAX,
+        dtype in vec![DType::F16, DType::F32],
+    ) {
+        let variant = |name: &str, set: fn(&mut ModelConfig)| {
+            let mut m = model(name);
+            set(&mut m);
+            m
+        };
+        let models = [
+            model("bert_base/2"),
+            model("opt-1.3B"),
+            variant("bert_base/2", |m| m.hidden = 1024),
+            variant("opt-1.3B", |m| m.ffn = 4096),
+            // Below the LM head's 4096-column cap, so the head narrows.
+            variant("opt-1.3B", |m| m.vocab = 2048),
+        ];
+        let frameworks = [Framework::Pit, Framework::PyTorch, Framework::DeepSpeed];
+        let mut rng = Rng(seed);
+        let mut shared = Engine::new(DeviceSpec::a100_80gb(), dtype, Framework::Pit);
+        for pass_no in 0..24 {
+            shared.framework = frameworks[rng.below(3)];
+            shared.devices = [1, 4][rng.below(2)];
+            shared.dtype = [DType::F16, DType::F32][rng.below(2)];
+            let cfg = &models[rng.below(models.len())];
+            let rows = [1, 2, 5, 33][rng.below(4)];
+            // A decode step of `rows` slots, or an encoder pass over
+            // lengths summing to `rows`: the same row count with and
+            // without KV appends.
+            let pass = if rng.below(2) == 0 {
+                Pass::Step(StepShape::decode((0..rows).map(|_| rng.below(2048)).collect()))
+            } else {
+                let first = 1 + rng.below(rows);
+                Pass::Encoder([first, rows - first].into_iter().filter(|&l| l > 0).collect())
+            };
+            pass.charge(&mut shared, cfg);
+            let got = shared.take_ledger();
+            let mut fresh = Engine::new(DeviceSpec::a100_80gb(), dtype, shared.framework)
+                .with_devices(shared.devices);
+            fresh.dtype = shared.dtype;
+            pass.charge(&mut fresh, cfg);
+            let want = fresh.take_ledger();
+            for (field, g, w) in [
+                ("total_s", got.total_s, want.total_s),
+                ("gemm_time_s", got.gemm_time_s, want.gemm_time_s),
+                ("attention_s", got.tally.attention_s, want.tally.attention_s),
+                ("dense_s", got.tally.dense_s, want.tally.dense_s),
+                ("flops_useful", got.tally.flops_useful, want.tally.flops_useful),
+                ("flops_executed", got.tally.flops_executed, want.tally.flops_executed),
+            ] {
+                prop_assert_eq!(g.to_bits(), w.to_bits(), "pass {}: {}: {} vs {}", pass_no, field, g, w);
+            }
         }
     }
 }
