@@ -24,7 +24,6 @@
 use crate::microtile::MicroTile;
 use pit_gpusim::{CostModel, KernelStats};
 use pit_sparse::Mask;
-use pit_tensor::Tensor;
 use std::ops::Range;
 use std::sync::{Mutex, OnceLock};
 
@@ -188,24 +187,6 @@ pub(crate) fn scan_strips(
     }
 }
 
-/// Detects non-zero micro-tiles directly from tensor *values* (the case
-/// where "the coordinates of sparse values in the tensors are unknown",
-/// §1) — e.g. a ReLU output. The modelled scan reads the full value buffer
-/// rather than a bitset.
-pub fn detect_tensor(
-    cost: &CostModel,
-    t: &Tensor,
-    micro: MicroTile,
-    threads: usize,
-) -> MicroTileIndex {
-    let mask = Mask::from_tensor(t);
-    let mut index = detect_mask(cost, &mask, micro, threads);
-    let scan_bytes = t.device_bytes() as f64;
-    index.stats.bytes_read = scan_bytes;
-    index.stats.latency_s = cost.scan_pass(scan_bytes) + cost.index_append(index.len());
-    index
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,18 +230,6 @@ mod tests {
         let idx = detect_mask(&cost, &mask, MicroTile::new(4, 4), 4);
         assert!(idx.is_empty());
         assert!(idx.stats.latency_s > 0.0);
-    }
-
-    #[test]
-    fn detect_tensor_matches_mask_path() {
-        let cost = cost();
-        let mask = generate::granular_random(64, 96, 1, 1, 0.8, 9);
-        let t = mask.apply(&Tensor::random([64, 96], 10));
-        let from_tensor = detect_tensor(&cost, &t, MicroTile::new(1, 8), 4);
-        let from_mask = detect_mask(&cost, &mask, MicroTile::new(1, 8), 4);
-        assert_eq!(from_tensor.sorted_coords(), from_mask.sorted_coords());
-        // Value scan reads more bytes than the bitset scan.
-        assert!(from_tensor.stats.bytes_read > from_mask.stats.bytes_read);
     }
 
     #[test]

@@ -604,6 +604,19 @@ mod tests {
     }
 
     #[test]
+    fn m_axis_rejects_row_out_of_bounds() {
+        let a = Tensor::random([16, 8], 30);
+        let b = Tensor::random([8, 8], 31);
+        let err = spmm_m_axis(&cost(), &a, &b, &[3, 16], tile(), DType::F32).unwrap_err();
+        let want = TensorError::IndexOutOfBounds {
+            index: 16,
+            extent: 16,
+            axis: 0,
+        };
+        assert_eq!(err, want);
+    }
+
+    #[test]
     fn k_axis_matches_reference() {
         let cost = cost();
         let mask = generate::granular_random(48, 64, 16, 1, 0.85, 5);

@@ -8,8 +8,10 @@
 //!
 //! Pipeline (paper Figure 5):
 //!
-//! 1. [`microtile`]: derive the feasible *(PIT-axis, micro-tile, dense
-//!    tile)* rules for an operator from its tensor expression.
+//! 1. [`microtile`]: the *(PIT-axis, micro-tile, dense tile)* rules of a
+//!    matmul. Theorem 1 makes its `m`, `k` and `n` axes PIT-axes; each
+//!    rule's micro-tile is 1 on its axis and spans the dense tile on the
+//!    other.
 //! 2. [`selection`]: Algorithm 1 — pick the rule with the lowest predicted
 //!    cost `num_covering_tiles × profiled_tile_cost`, with a seamless dense
 //!    fallback.
@@ -44,6 +46,6 @@ pub mod ops;
 mod primitives;
 pub mod selection;
 
-pub use detector::{detect_mask, detect_tensor, MicroTileIndex};
-pub use microtile::{MatmulAxis, MicroTile, PitRule, SparseLayout};
+pub use detector::{detect_mask, MicroTileIndex};
+pub use microtile::{MatmulAxis, MicroTile, PitRule};
 pub use selection::{select_kernel, SelectedKernel};

@@ -1,8 +1,35 @@
 //! Micro-tiles and PIT rules (paper §3.1–3.2).
+//!
+//! Theorem 1 of the paper: *an axis is a PIT-axis iff all computation on
+//! it is commutative and associative.* A spatial axis (one the output
+//! keeps) only permutes the output, which `SWrite` undoes; a reduction
+//! axis qualifies when its reduction is commutative and associative, as a
+//! sum is; an axis inside a derived index such as convolution's `x + i`
+//! never does. Table 1 of the paper applies it to common operators:
+//!
+//! | Operator      | Expression                                  | PIT-axes      |
+//! |---------------|---------------------------------------------|---------------|
+//! | ReduceSum     | `C[p] += A[p,l]`                            | `p, l`        |
+//! | Vector add    | `C[p] = A[p] + B[p]`                        | `p`           |
+//! | MatMul        | `C[m,n] += A[m,k] * B[k,n]`                 | `m, n, k`     |
+//! | BatchMatMul   | `C[b,m,n] += A[b,m,k] * B[b,k,n]`           | `b, m, n, k`  |
+//! | Convolution   | `C[n,f,x,y] += A[n,m,x+i,y+j] * B[f,m,i,j]` | `n, m, f`     |
+//!
+//! Every operator this reproduction runs is a matmul, so its PIT-axes are
+//! the three [`MatmulAxis`] variants. [`PitRule::derive`] gives each one's
+//! micro-tile for a dense tile `tile = (m, k, n)`:
+//!
+//! | Axis | Kind            | Micro-tile    | Merged by                          |
+//! |------|-----------------|---------------|------------------------------------|
+//! | `m`  | spatial         | `(1, tile.k)` | A-sparse selection (rows of `A`)   |
+//! | `k`  | reduction (sum) | `(tile.m, 1)` | A-sparse selection (cols of `A`)   |
+//! | `n`  | spatial         | `(tile.m, 1)` | nothing: `A[m,k]` has no `n` axis  |
+//!
+//! Algorithm 1 ([`crate::selection::select_kernel`]) sparsifies `A`, so it
+//! merges along `m` or `k` only; its row-segment candidate is a `k`-axis
+//! rule with a `(1, w)` micro-tile.
 
 use pit_gpusim::cost::TileDims;
-use pit_gpusim::DeviceSpec;
-use pit_tensor::expr::TensorExpr;
 
 /// A micro-tile: the minimum data unit PIT covers non-zeros with.
 ///
@@ -22,28 +49,12 @@ impl MicroTile {
     pub const fn new(h: usize, w: usize) -> Self {
         MicroTile { h, w }
     }
-
-    /// Elements covered by one micro-tile.
-    pub const fn area(&self) -> usize {
-        self.h * self.w
-    }
 }
 
 impl std::fmt::Display for MicroTile {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "({}, {})", self.h, self.w)
     }
-}
-
-/// Memory layout of the sparse operand, which determines the micro-tile
-/// shape a PIT-axis admits (§3.2 "Micro-tile and Kernel Selection").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SparseLayout {
-    /// Contiguous along the k-axis (C-order `[m, k]`).
-    RowMajor,
-    /// Contiguous along the m-axis (Fortran-order, or produced in a
-    /// piggy-backed layout change by the previous operator, §3.2).
-    ColMajor,
 }
 
 /// The PIT-axis of a (possibly batched) matrix multiplication
@@ -59,9 +70,6 @@ pub enum MatmulAxis {
 }
 
 impl MatmulAxis {
-    /// All single PIT-axes of MatMul, per Table 1.
-    pub const ALL: [MatmulAxis; 3] = [MatmulAxis::M, MatmulAxis::K, MatmulAxis::N];
-
     /// Axis name as used in the paper's tables.
     pub const fn name(self) -> &'static str {
         match self {
@@ -79,8 +87,8 @@ pub struct PitRule {
     /// The axis along which micro-tiles are merged.
     pub axis: MatmulAxis,
     /// The micro-tile shape on the sparse operand's `(m, k)` plane (for
-    /// `A`-sparse rules) or the output's `(m, n)` plane (for `N`-axis
-    /// output-sparse rules).
+    /// `A`-sparse rules) or the output's `(m, n)` plane (for output-sparse
+    /// rules).
     pub micro: MicroTile,
     /// The dense computation tile micro-tiles are merged into.
     pub tile: TileDims,
@@ -90,16 +98,8 @@ pub struct PitRule {
 
 impl PitRule {
     /// Derives the micro-tile for merging along `axis` with dense tile
-    /// `tile`, for a sparse `A` operand with the given memory layout.
-    ///
-    /// Following §3.2: the micro-tile is 1 on the PIT-axis and matches the
-    /// dense tile on the other axes **when the layout is non-contiguous on
-    /// the PIT-axis** (so parallel loads of micro-tiles saturate memory
-    /// transactions). When the layout *is* contiguous on the PIT-axis, PIT
-    /// first changes the layout (piggy-backed on the producing operator)
-    /// and then applies the same shape rule — so the micro-tile shape below
-    /// is what the kernel ultimately uses either way; the layout only
-    /// decides whether a piggy-backed transposition is scheduled.
+    /// `tile`. Following §3.2, the micro-tile is 1 on the PIT-axis and
+    /// matches the dense tile on the other axis of the sparse plane.
     pub fn derive(axis: MatmulAxis, tile: TileDims, tensor_core: bool) -> PitRule {
         let micro = match axis {
             // Merging rows: micro-tile is one row of a k-slice.
@@ -118,49 +118,11 @@ impl PitRule {
             tensor_core,
         }
     }
-
-    /// Whether applying this rule requires a piggy-backed layout change of
-    /// the sparse operand (§3.2: the sparse tensor must be non-contiguous
-    /// on the PIT-axis).
-    pub fn needs_layout_change(&self, layout: SparseLayout) -> bool {
-        match (self.axis, layout) {
-            // Row-major is contiguous on k: merging along k needs a change.
-            (MatmulAxis::K, SparseLayout::RowMajor) => true,
-            // Col-major is contiguous on m: merging along m needs a change.
-            (MatmulAxis::M, SparseLayout::ColMajor) => true,
-            _ => false,
-        }
-    }
-
-    /// Checks the micro-tile saturates the device's memory transaction
-    /// (§3.1), given the element size in bytes.
-    pub fn saturates_transaction(&self, device: &DeviceSpec, elem_bytes: usize) -> bool {
-        self.micro.area() >= device.min_microtile_elems(elem_bytes)
-    }
-}
-
-/// Returns the PIT-axes of a matmul-class expression as [`MatmulAxis`]
-/// values, cross-checking against the generic Theorem 1 classification.
-pub fn matmul_pit_axes() -> Vec<MatmulAxis> {
-    let expr = TensorExpr::matmul();
-    let names = expr.pit_axis_names();
-    MatmulAxis::ALL
-        .into_iter()
-        .filter(|a| names.iter().any(|n| n == a.name()))
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn theorem1_gives_all_three_axes() {
-        assert_eq!(
-            matmul_pit_axes(),
-            vec![MatmulAxis::M, MatmulAxis::K, MatmulAxis::N]
-        );
-    }
 
     #[test]
     fn m_axis_micro_is_row_slice() {
@@ -176,27 +138,5 @@ mod tests {
         assert_eq!(r.micro, MicroTile::new(16, 1));
         let r2 = PitRule::derive(MatmulAxis::K, TileDims::new(32, 64, 32), false);
         assert_eq!(r2.micro, MicroTile::new(32, 1));
-    }
-
-    #[test]
-    fn layout_change_rules() {
-        let k_rule = PitRule::derive(MatmulAxis::K, TileDims::new(16, 32, 128), false);
-        assert!(k_rule.needs_layout_change(SparseLayout::RowMajor));
-        assert!(!k_rule.needs_layout_change(SparseLayout::ColMajor));
-        let m_rule = PitRule::derive(MatmulAxis::M, TileDims::new(16, 32, 128), false);
-        assert!(!m_rule.needs_layout_change(SparseLayout::RowMajor));
-        assert!(m_rule.needs_layout_change(SparseLayout::ColMajor));
-    }
-
-    #[test]
-    fn transaction_saturation() {
-        let device = DeviceSpec::a100_80gb();
-        // (1, 64) micro-tile: 64 fp32 elements >= 8 needed. Saturates.
-        let m = PitRule::derive(MatmulAxis::M, TileDims::new(32, 64, 32), false);
-        assert!(m.saturates_transaction(&device, 4));
-        // (32, 1) micro-tile: 32 elements >= 8. Saturates too (they are
-        // contiguous in the column-major layout the rule requires).
-        let k = PitRule::derive(MatmulAxis::K, TileDims::new(32, 64, 32), false);
-        assert!(k.saturates_transaction(&device, 4));
     }
 }

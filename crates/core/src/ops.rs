@@ -12,7 +12,6 @@ use crate::jit::{JitCache, KernelKey};
 use crate::kernels::{moe_dims, moe_gemm, sdd_m_axis, spmm_k_axis, spmm_m_axis, spmm_row_segments};
 use crate::microtile::MatmulAxis;
 use crate::selection::{select_kernel, SelectedKernel};
-use pit_gpusim::cost::TileDims;
 use pit_gpusim::{CostModel, DeviceSpec, KernelStats};
 use pit_kernels::baselines::cublas;
 use pit_kernels::dense::matmul_dims;
@@ -168,7 +167,8 @@ impl Pit {
     }
 
     /// Sparse matmul where the sparsity is *unknown* until this call: the
-    /// mask is derived from `A`'s values (the dynamic-activation case).
+    /// mask is derived from `A`'s values (the dynamic-activation case). The
+    /// modelled detection scans `A`'s values at `dtype`'s element size.
     pub fn matmul_dyn_sparse(
         &self,
         a: &Tensor,
@@ -180,40 +180,13 @@ impl Pit {
         let mut exec = self.matmul_masked(a, &mask, b, dtype)?;
         // Detection scanned values, not mask bits: charge the value scan.
         if exec.detection.latency_s > 0.0 {
-            let scan = self.cost.scan_pass(a.device_bytes() as f64);
+            let value_bytes = (a.numel() * dtype.size_bytes()) as f64;
+            let scan = self.cost.scan_pass(value_bytes);
             let bit_scan = self.cost.scan_pass((mask.numel() / 8) as f64);
             exec.detection.latency_s += scan - bit_scan;
-            exec.detection.bytes_read = a.device_bytes() as f64;
+            exec.detection.bytes_read = value_bytes;
         }
         Ok(exec)
-    }
-
-    /// Row-sparse matmul with an explicit non-zero row list (dynamic
-    /// sequence length: the row list comes from the batch's lengths, no
-    /// detection pass needed).
-    ///
-    /// Returns [`TensorError::IndexOutOfBounds`] for a row past `A`'s last.
-    pub fn matmul_rows(
-        &self,
-        a: &Tensor,
-        rows: &[u32],
-        b: &Tensor,
-        tile: Option<TileDims>,
-        dtype: DType,
-    ) -> Result<KernelOutput, TensorError> {
-        let (_, k, n) = matmul_dims(a, b)?;
-        let tile = tile.unwrap_or_else(|| {
-            self.db
-                .best_dense_tile(
-                    &self.cost,
-                    rows.len().max(1),
-                    k,
-                    n,
-                    dtype.tensor_core_eligible(),
-                )
-                .dims
-        });
-        spmm_m_axis(&self.cost, a, b, rows, tile, dtype)
     }
 
     /// Output-sparse matmul `C = (A·B) ⊙ mask` (dynamic sparse attention
@@ -494,37 +467,5 @@ mod tests {
             rhs_inner: 12,
         };
         assert_eq!(err, want);
-    }
-
-    #[test]
-    fn matmul_rows_rejects_row_out_of_bounds() {
-        let pit = engine();
-        let a = Tensor::random([16, 8], 30);
-        let b = Tensor::random([8, 8], 31);
-        let err = pit
-            .matmul_rows(&a, &[3, 16], &b, None, DType::F32)
-            .unwrap_err();
-        let want = TensorError::IndexOutOfBounds {
-            index: 16,
-            extent: 16,
-            axis: 0,
-        };
-        assert_eq!(err, want);
-    }
-
-    #[test]
-    fn matmul_rows_uses_explicit_row_list() {
-        let pit = engine();
-        let a = Tensor::random([32, 32], 18);
-        let b = Tensor::random([32, 32], 19);
-        let rows: Vec<u32> = (0..16).collect();
-        let out = pit.matmul_rows(&a, &rows, &b, None, DType::F32).unwrap();
-        let reference = ops::matmul(&a, &b).unwrap();
-        for &r in &rows {
-            assert_eq!(
-                out.tensor.row(r as usize).unwrap(),
-                reference.row(r as usize).unwrap()
-            );
-        }
     }
 }

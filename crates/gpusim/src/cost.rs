@@ -102,12 +102,6 @@ impl TileDims {
     pub fn passes_over(&self, k_total: usize) -> usize {
         k_total.div_ceil(self.k).max(1)
     }
-
-    /// Shared-memory bytes needed to stage one pass of both inputs plus the
-    /// output accumulator.
-    pub const fn smem_bytes(&self, elem_bytes: usize) -> usize {
-        (self.m * self.k + self.k * self.n + self.m * self.n) * elem_bytes
-    }
 }
 
 impl std::fmt::Display for TileDims {

@@ -1,7 +1,7 @@
 //! Device specifications for the modelled GPUs.
 //!
 //! All numbers below are from NVIDIA's public datasheets for the A100
-//! (SXM4, 80 GB) and V100 (SXM2, 32 GB / 16 GB); none are fitted to the
+//! (SXM4, 80 GB) and V100 (SXM2, 32 GB); none are fitted to the
 //! paper's measurements.
 
 use serde::Serialize;
@@ -21,12 +21,6 @@ pub struct DeviceSpec {
     pub mem_bw_gbps: f64,
     /// Global memory capacity in bytes.
     pub global_mem_bytes: usize,
-    /// Shared memory per SM in bytes.
-    pub shared_mem_per_sm: usize,
-    /// Global-memory read/write transaction granularity in bytes (the
-    /// paper's micro-tile sizing rule: a micro-tile must saturate one
-    /// transaction, §3.1).
-    pub transaction_bytes: usize,
     /// Fixed cost of launching one kernel, in seconds.
     pub kernel_launch_s: f64,
     /// Fixed cost of one host<->device synchronisation, in seconds.
@@ -45,8 +39,6 @@ impl DeviceSpec {
             fp16_tc_tflops: 312.0,
             mem_bw_gbps: 2039.0,
             global_mem_bytes: 80 * (1 << 30),
-            shared_mem_per_sm: 164 * 1024,
-            transaction_bytes: 32,
             kernel_launch_s: 5.0e-6,
             host_sync_s: 10.0e-6,
             pcie_gbps: 32.0,
@@ -62,21 +54,9 @@ impl DeviceSpec {
             fp16_tc_tflops: 125.0,
             mem_bw_gbps: 900.0,
             global_mem_bytes: 32 * (1 << 30),
-            shared_mem_per_sm: 96 * 1024,
-            transaction_bytes: 32,
             kernel_launch_s: 5.0e-6,
             host_sync_s: 10.0e-6,
             pcie_gbps: 16.0,
-        }
-    }
-
-    /// NVIDIA V100 SXM2 16 GB — identical to the 32 GB part except capacity
-    /// (used by the paper's footnote 2 about index-construction parity).
-    pub fn v100_16gb() -> Self {
-        DeviceSpec {
-            global_mem_bytes: 16 * (1 << 30),
-            name: "V100-16GB",
-            ..Self::v100_32gb()
         }
     }
 
@@ -102,18 +82,6 @@ impl DeviceSpec {
     pub fn bw_total(&self) -> f64 {
         self.mem_bw_gbps * 1.0e9
     }
-
-    /// Number of waves needed to run `tiles` thread blocks.
-    pub fn waves(&self, tiles: usize) -> usize {
-        tiles.div_ceil(self.num_sms)
-    }
-
-    /// The minimum micro-tile element count for a dtype of `elem_bytes` that
-    /// still saturates one memory transaction (paper §3.1: 1×8 for f32 on a
-    /// 32-byte transaction).
-    pub fn min_microtile_elems(&self, elem_bytes: usize) -> usize {
-        (self.transaction_bytes / elem_bytes).max(1)
-    }
 }
 
 #[cfg(test)]
@@ -126,32 +94,5 @@ mod tests {
         // 19.5 TFLOPS over 108 SMs ≈ 180 GFLOPS/SM.
         assert!((d.flops_per_sm(false) - 180.6e9).abs() / 180.6e9 < 0.01);
         assert!(d.flops_per_sm(true) > d.flops_per_sm(false));
-    }
-
-    #[test]
-    fn waves_round_up() {
-        let d = DeviceSpec::a100_80gb();
-        assert_eq!(d.waves(1), 1);
-        assert_eq!(d.waves(108), 1);
-        assert_eq!(d.waves(109), 2);
-        assert_eq!(d.waves(0), 0);
-    }
-
-    #[test]
-    fn min_microtile_matches_paper() {
-        // Paper §3.1: 32-byte transactions => smallest micro-tile is 1x8
-        // for float32 (or 1x4 for float64).
-        let d = DeviceSpec::a100_80gb();
-        assert_eq!(d.min_microtile_elems(4), 8);
-        assert_eq!(d.min_microtile_elems(8), 4);
-    }
-
-    #[test]
-    fn v100_variants_differ_only_in_capacity() {
-        let a = DeviceSpec::v100_32gb();
-        let b = DeviceSpec::v100_16gb();
-        assert_eq!(a.num_sms, b.num_sms);
-        assert_eq!(a.fp32_tflops, b.fp32_tflops);
-        assert_eq!(a.global_mem_bytes, 2 * b.global_mem_bytes);
     }
 }

@@ -69,14 +69,6 @@ impl MemoryTracker {
         }
     }
 
-    /// Convenience: allocation that lives only for the duration of `f`.
-    pub fn scoped<R>(&mut self, bytes: usize, f: impl FnOnce(&mut Self) -> R) -> R {
-        let id = self.alloc(bytes);
-        let r = f(self);
-        self.free(id);
-        r
-    }
-
     /// Currently-allocated bytes.
     pub fn current_bytes(&self) -> usize {
         self.current
@@ -128,16 +120,6 @@ mod tests {
         t.free(a);
         assert!(t.oom());
         assert_eq!(t.current_bytes(), 0);
-    }
-
-    #[test]
-    fn scoped_frees_automatically() {
-        let mut t = MemoryTracker::with_capacity(1000);
-        t.scoped(500, |t| {
-            assert_eq!(t.current_bytes(), 500);
-        });
-        assert_eq!(t.current_bytes(), 0);
-        assert_eq!(t.peak_bytes(), 500);
     }
 
     #[test]

@@ -75,16 +75,6 @@ impl ModelConfig {
         total
     }
 
-    /// Number of MoE layers.
-    pub fn moe_layers(&self) -> usize {
-        match self.moe {
-            Some(moe) => (0..self.layers)
-                .filter(|l| l % moe.every == moe.every - 1)
-                .count(),
-            None => 0,
-        }
-    }
-
     /// Switch Transformer (Switch-Base encoder–decoder, §5.1 Figure 8)
     /// with the given expert count.
     pub fn switch_transformer(num_experts: usize) -> Self {
@@ -231,7 +221,14 @@ mod tests {
     #[test]
     fn switch_has_twelve_moe_layers() {
         let cfg = ModelConfig::switch_transformer(64);
-        assert_eq!(cfg.moe_layers(), 12);
+        let moe = cfg.moe.expect("Switch has MoE layers");
+        let dense = ModelConfig {
+            moe: None,
+            ..cfg.clone()
+        };
+        let per_moe_layer =
+            (moe.num_experts - 1) * 2 * cfg.hidden * cfg.ffn + cfg.hidden * moe.num_experts;
+        assert_eq!(cfg.num_params() - dense.num_params(), 12 * per_moe_layer);
         // 64 experts × 12 layers × 4.7M params each ≈ 3.6B + backbone.
         assert!(cfg.num_params() > 3_000_000_000);
     }

@@ -24,7 +24,8 @@
 //!   [`FormedBatch`] accounting both the metrics and the executor consume.
 //! - [`runtime`] — the threaded closed-loop runtime ([`serve_trace`]), the
 //!   threaded open-loop replay ([`serve_trace_arrivals`]) that admits
-//!   requests at their `ArrivalTrace` timestamps, and its deterministic
+//!   requests at their `ArrivalTrace` timestamps, optionally publishing
+//!   into a live `MetricsHub`, and its deterministic
 //!   virtual-clock twin ([`simulate_trace_arrivals`]; arrivals all at time
 //!   zero replay the closed-loop drain). Each worker, and the virtual
 //!   clock, prices its batches on an engine of its own; the workers share
@@ -90,7 +91,6 @@ pub use decode::{
 pub use metrics::{CacheStats, DecodeMetrics, DecodeReport, Metrics, Percentiles, ServingReport};
 pub use queue::BoundedQueue;
 pub use runtime::{
-    serve_trace, serve_trace_arrivals, serve_trace_arrivals_observed, simulate_trace_arrivals,
-    AdmissionMode, ServeConfig,
+    serve_trace, serve_trace_arrivals, simulate_trace_arrivals, AdmissionMode, ServeConfig,
 };
 pub use scheduler::{BatchPolicy, FormedBatch};

@@ -22,10 +22,10 @@
 //! [`simulate_trace_arrivals`] runs the same scheduler and pricer
 //! synchronously on a virtual clock, every batch on one engine, for
 //! deterministic comparisons (benches, tests). A trace whose requests all
-//! arrive at time zero replays the closed-loop drain.
-//! [`serve_trace_arrivals_observed`] publishes the open-loop run into a
-//! live `MetricsHub` as lifecycle events only, all on one clock: wall
-//! seconds since the run started.
+//! arrive at time zero replays the closed-loop drain. Given a live
+//! `MetricsHub`, [`serve_trace_arrivals`] publishes the open-loop run into
+//! it as lifecycle events only, all on one clock: wall seconds since the
+//! run started.
 
 use crate::metrics::{CacheStats, Metrics, ServingReport};
 use crate::queue::{BoundedQueue, PopResult};
@@ -319,25 +319,18 @@ fn batch_blame(arrival_s: f64, end_s: f64, blocked_s: f64, execute_s: f64) -> Bl
 /// clock from submission to batch completion, so queueing delay under the
 /// trace's real arrival pattern is measured rather than implied.
 ///
-/// This is the first step of the ROADMAP's async front-end item: arrivals
-/// are driven by the trace clock instead of closed-loop clients.
-pub fn serve_trace_arrivals(cfg: &ServeConfig, trace: &ArrivalTrace) -> ServingReport {
-    serve_trace_arrivals_observed(cfg, trace, None)
-}
-
-/// [`serve_trace_arrivals`] that additionally publishes live metrics into
-/// a [`MetricsHub`] while the threaded replay runs, as lifecycle events on
-/// one clock, wall seconds since the run started, with each request's
-/// trace index as its lane. The submitter publishes `Admitted` at the
-/// instant it submits a request (or `Rejected` at the instant it sheds
-/// one) and the queue depth; at batch completion a worker publishes the
-/// batch's ledger charge, a device `Step`, and each request's
-/// `PrefillChunk`, `FirstToken` and `Finished`. So the hub's TTFT and
-/// e2e are submission to completion, as the report measures them, and
-/// every admitted request's lane closes. The hub is write-only for every
-/// thread — no publisher reads it — so a concurrent scraper never
-/// perturbs scheduling decisions.
-pub fn serve_trace_arrivals_observed(
+/// With a `hub`, the run also publishes live metrics into that
+/// [`MetricsHub`] as lifecycle events on one clock, wall seconds since the
+/// run started, with each request's trace index as its lane. The
+/// submitter publishes `Admitted` at the instant it submits a request (or
+/// `Rejected` at the instant it sheds one) and the queue depth; at batch
+/// completion a worker publishes the batch's ledger charge, a device
+/// `Step`, and each request's `PrefillChunk`, `FirstToken` and
+/// `Finished`. So the hub's TTFT and e2e are submission to completion, as
+/// the report measures them, and every admitted request's lane closes.
+/// The hub is write-only for every thread — no publisher reads it — so a
+/// concurrent scraper never perturbs scheduling decisions.
+pub fn serve_trace_arrivals(
     cfg: &ServeConfig,
     trace: &ArrivalTrace,
     hub: Option<&MetricsHub>,
@@ -680,7 +673,7 @@ mod tests {
         let cfg = small_cfg(BatchPolicy::PaddingFree { token_budget: 1024 });
         // High rate so the replay finishes quickly in CI.
         let trace = ArrivalTrace::poisson(&DatasetSpec::mnli(), 48, 2000.0, 29);
-        let report = serve_trace_arrivals(&cfg, &trace);
+        let report = serve_trace_arrivals(&cfg, &trace, None);
         assert_eq!(report.requests, trace.len());
         assert_eq!(report.real_tokens, trace.total_tokens());
         assert_eq!(report.padding_waste(), 0.0);
@@ -752,7 +745,7 @@ mod tests {
         // High rate over a tiny queue: some rejections are likely, but
         // served + rejected must account for the whole trace either way.
         let trace = ArrivalTrace::poisson(&DatasetSpec::mnli(), 48, 5000.0, 29);
-        let report = serve_trace_arrivals(&cfg, &trace);
+        let report = serve_trace_arrivals(&cfg, &trace, None);
         assert_eq!(report.requests + report.rejected, trace.len());
         assert!(report.queue_high_water <= cfg.queue_capacity);
     }

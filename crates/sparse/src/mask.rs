@@ -271,100 +271,6 @@ impl Mask {
         acc
     }
 
-    /// Indices of columns that contain at least one set bit.
-    pub fn nonzero_cols(&self) -> Vec<usize> {
-        let mut any = vec![false; self.cols];
-        for r in 0..self.rows {
-            let base = r * self.words_per_row;
-            for (wi, &w) in self.bits[base..base + self.words_per_row]
-                .iter()
-                .enumerate()
-            {
-                let mut word = w;
-                while word != 0 {
-                    let b = word.trailing_zeros() as usize;
-                    let c = wi * 64 + b;
-                    if c < self.cols {
-                        any[c] = true;
-                    }
-                    word &= word - 1;
-                }
-            }
-        }
-        any.iter()
-            .enumerate()
-            .filter_map(|(c, &a)| a.then_some(c))
-            .collect()
-    }
-
-    /// Iterates over all set positions in row-major order.
-    pub fn iter_nonzero(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        (0..self.rows).flat_map(move |r| {
-            let base = r * self.words_per_row;
-            self.bits[base..base + self.words_per_row]
-                .iter()
-                .enumerate()
-                .flat_map(move |(wi, &w)| {
-                    let mut out = Vec::new();
-                    let mut word = w;
-                    while word != 0 {
-                        let b = word.trailing_zeros() as usize;
-                        let c = wi * 64 + b;
-                        if c < self.cols {
-                            out.push((r, c));
-                        }
-                        word &= word - 1;
-                    }
-                    out
-                })
-        })
-    }
-
-    /// Elementwise OR with another mask of the same shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn or(&self, other: &Mask) -> Mask {
-        assert_eq!(
-            (self.rows, self.cols),
-            (other.rows, other.cols),
-            "mask shape mismatch"
-        );
-        let mut out = self.clone();
-        for (a, b) in out.bits.iter_mut().zip(other.bits.iter()) {
-            *a |= b;
-        }
-        out
-    }
-
-    /// Elementwise AND with another mask of the same shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn and(&self, other: &Mask) -> Mask {
-        assert_eq!(
-            (self.rows, self.cols),
-            (other.rows, other.cols),
-            "mask shape mismatch"
-        );
-        let mut out = self.clone();
-        for (a, b) in out.bits.iter_mut().zip(other.bits.iter()) {
-            *a &= b;
-        }
-        out
-    }
-
-    /// Transposed copy of the mask.
-    pub fn transpose(&self) -> Mask {
-        let mut out = Mask::zeros(self.cols, self.rows);
-        for (r, c) in self.iter_nonzero() {
-            out.set(c, r, true);
-        }
-        out
-    }
-
     /// Applies the mask to a tensor: zeroes every element whose bit is 0.
     ///
     /// # Panics
@@ -501,7 +407,8 @@ mod tests {
         m.set(1, 3, true);
         m.set(4, 0, true);
         assert_eq!(m.nonzero_rows(), vec![1, 4]);
-        assert_eq!(m.nonzero_cols(), vec![0, 3]);
+        // One strip over every row: the count of non-zero columns.
+        assert_eq!(m.strip_col_counts(5), vec![2]);
     }
 
     #[test]
@@ -517,27 +424,6 @@ mod tests {
         assert_eq!(m.strip_or(3, 4, &mut acc), &[1 << 3, 0]);
         assert_eq!(m.strip_or(5, 2, &mut acc), &[0, 0]);
         assert_eq!(m.strip_col_counts(2), vec![2, 0, 1]);
-    }
-
-    #[test]
-    fn iter_nonzero_matches_get() {
-        let m = Mask::from_fn(17, 33, |r, c| (r * 31 + c * 7) % 5 == 0);
-        let from_iter: Vec<_> = m.iter_nonzero().collect();
-        let mut expected = Vec::new();
-        for r in 0..17 {
-            for c in 0..33 {
-                if m.get(r, c) {
-                    expected.push((r, c));
-                }
-            }
-        }
-        assert_eq!(from_iter, expected);
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let m = Mask::from_fn(9, 13, |r, c| (r + c) % 3 == 0);
-        assert_eq!(m.transpose().transpose(), m);
     }
 
     #[test]
@@ -564,13 +450,5 @@ mod tests {
         let a2 = Mask::from_fn(8, 8, |r, c| r == c);
         assert_eq!(a.pattern_hash(), a2.pattern_hash());
         assert_ne!(a.pattern_hash(), b.pattern_hash());
-    }
-
-    #[test]
-    fn or_and_work() {
-        let a = Mask::from_fn(4, 4, |r, _| r < 2);
-        let b = Mask::from_fn(4, 4, |_, c| c < 2);
-        assert_eq!(a.or(&b).nnz(), 12);
-        assert_eq!(a.and(&b).nnz(), 4);
     }
 }

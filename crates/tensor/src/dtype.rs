@@ -1,12 +1,13 @@
-//! Logical element types.
+//! Modelled element types.
 //!
 //! All arithmetic in this reproduction runs in `f32` on the host; the
-//! [`DType`] of a tensor describes the element type the *modelled GPU kernel*
-//! would use, which determines byte sizes in the performance model and
-//! whether Tensor-Core (`wmma`) tiles are eligible, exactly mirroring how the
-//! paper evaluates fp16 and fp32 variants of the same models (Figure 8).
+//! [`DType`] a kernel is called with describes the element type the
+//! *modelled GPU kernel* would use, which determines byte sizes in the
+//! performance model and whether Tensor-Core (`wmma`) tiles are eligible,
+//! exactly mirroring how the paper evaluates fp16 and fp32 variants of the
+//! same models (Figure 8).
 
-/// Logical element type of a tensor.
+/// Element type of a modelled kernel's operands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DType {
     /// IEEE-754 single precision (4 bytes).

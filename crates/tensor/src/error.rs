@@ -42,8 +42,6 @@ pub enum TensorError {
         /// Which axis the index addressed.
         axis: usize,
     },
-    /// A malformed einsum specification string.
-    BadEinsum(String),
 }
 
 impl fmt::Display for TensorError {
@@ -74,7 +72,6 @@ impl fmt::Display for TensorError {
                 f,
                 "index {index} out of bounds for axis {axis} of extent {extent}"
             ),
-            TensorError::BadEinsum(spec) => write!(f, "malformed einsum spec: {spec}"),
         }
     }
 }

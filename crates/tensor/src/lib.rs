@@ -1,25 +1,17 @@
-//! Dense tensors and the tensor-expression IR for the PIT reproduction.
+//! Dense tensors and their reference operations for the PIT reproduction.
 //!
 //! This crate provides the data substrate that everything else builds on:
 //!
-//! - [`Tensor`]: a contiguous, row-major dense `f32` tensor with a logical
-//!   [`DType`] (the dtype affects only the *performance model* upstream; all
-//!   arithmetic is carried out in `f32`, which is how the numerics of the
-//!   paper's fp16 kernels are validated as well).
+//! - [`Tensor`]: a contiguous, row-major dense `f32` tensor. All arithmetic
+//!   is carried out in `f32`, which is how the numerics of the paper's fp16
+//!   kernels are validated as well; the [`DType`] a kernel is called with
+//!   affects only the *performance model* upstream.
 //! - [`Shape`] and stride helpers.
-//! - [`expr`]: the tensor-expression IR (a generalised einsum that can
-//!   represent derived index expressions such as the `x + i` of convolution),
-//!   plus the axis classification that Theorem 1 of the paper is stated over.
-//!
-//! The expression IR is deliberately tiny: PIT only needs to know, for each
-//! axis of an operator, whether the axis is *spatial* (appears in the
-//! output), *reduction* (contracted away) or *derived* (participates in a
-//! composite index expression), and whether the reduction operation is
-//! commutative and associative.
+//! - [`ops`]: the reference operations (dense matmul, row gather and
+//!   scatter, ...) that the sparse kernels are tested against.
 
 pub mod dtype;
 pub mod error;
-pub mod expr;
 pub mod ops;
 pub mod shape;
 pub mod tensor;

@@ -1,9 +1,7 @@
 //! The dense tensor type.
 
-use crate::dtype::DType;
 use crate::error::TensorError;
 use crate::shape::Shape;
-use rand::distributions::Distribution;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -27,7 +25,6 @@ use rand::{Rng, SeedableRng};
 pub struct Tensor {
     data: Vec<f32>,
     shape: Shape,
-    dtype: DType,
 }
 
 impl Tensor {
@@ -40,11 +37,7 @@ impl Tensor {
                 actual: data.len(),
             });
         }
-        Ok(Tensor {
-            data,
-            shape,
-            dtype: DType::F32,
-        })
+        Ok(Tensor { data, shape })
     }
 
     /// Creates a zero-filled tensor.
@@ -53,7 +46,6 @@ impl Tensor {
         Tensor {
             data: vec![0.0; shape.numel()],
             shape,
-            dtype: DType::F32,
         }
     }
 
@@ -63,7 +55,6 @@ impl Tensor {
         Tensor {
             data: vec![value; shape.numel()],
             shape,
-            dtype: DType::F32,
         }
     }
 
@@ -74,47 +65,7 @@ impl Tensor {
         let data = (0..shape.numel())
             .map(|_| rng.gen_range(-1.0f32..1.0))
             .collect();
-        Tensor {
-            data,
-            shape,
-            dtype: DType::F32,
-        }
-    }
-
-    /// Creates a tensor with i.i.d. standard-normal values, seeded.
-    pub fn randn(shape: impl Into<Shape>, seed: u64) -> Self {
-        let shape = shape.into();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let normal = rand::distributions::Standard;
-        // Box-Muller on uniform pairs; avoids a statrs-style dependency.
-        let n = shape.numel();
-        let mut data = Vec::with_capacity(n);
-        while data.len() < n {
-            let u1: f32 = Distribution::<f32>::sample(&normal, &mut rng).max(1e-7);
-            let u2: f32 = Distribution::<f32>::sample(&normal, &mut rng);
-            let r = (-2.0 * u1.ln()).sqrt();
-            let theta = 2.0 * std::f32::consts::PI * u2;
-            data.push(r * theta.cos());
-            if data.len() < n {
-                data.push(r * theta.sin());
-            }
-        }
-        Tensor {
-            data,
-            shape,
-            dtype: DType::F32,
-        }
-    }
-
-    /// Overrides the logical dtype (storage stays `f32`).
-    pub fn with_dtype(mut self, dtype: DType) -> Self {
-        self.dtype = dtype;
-        self
-    }
-
-    /// Logical dtype of the tensor.
-    pub fn dtype(&self) -> DType {
-        self.dtype
+        Tensor { data, shape }
     }
 
     /// The shape.
@@ -130,11 +81,6 @@ impl Tensor {
     /// Total number of elements.
     pub fn numel(&self) -> usize {
         self.shape.numel()
-    }
-
-    /// Size in bytes on the modelled device (dtype-dependent).
-    pub fn device_bytes(&self) -> usize {
-        self.numel() * self.dtype.size_bytes()
     }
 
     /// Immutable view of the flat row-major buffer.
@@ -177,7 +123,6 @@ impl Tensor {
         Ok(Tensor {
             data: out,
             shape: Shape::matrix(c, r),
-            dtype: self.dtype,
         })
     }
 
@@ -200,25 +145,16 @@ impl Tensor {
         Ok(self.data[row * c..(row + 1) * c].to_vec())
     }
 
-    /// Maximum absolute difference between two tensors of identical shape.
-    pub fn max_abs_diff(&self, other: &Tensor) -> Result<f32, TensorError> {
-        if !self.shape.same_as(&other.shape) {
-            return Err(TensorError::ShapeMismatch {
-                lhs: self.shape.dims().to_vec(),
-                rhs: other.shape.dims().to_vec(),
-            });
-        }
-        Ok(self
-            .data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f32::max))
-    }
-
-    /// Returns true if every element differs from `other` by at most `tol`.
+    /// Returns true if the shapes match and every element pair is equal
+    /// or differs by at most `tol`. A NaN is close to nothing, not even
+    /// another NaN; equal infinities are close.
     pub fn allclose(&self, other: &Tensor, tol: f32) -> bool {
-        matches!(self.max_abs_diff(other), Ok(d) if d <= tol)
+        self.shape.same_as(&other.shape)
+            && self
+                .data
+                .iter()
+                .zip(&other.data)
+                .all(|(&a, &b)| a == b || (a - b).abs() <= tol)
     }
 
     /// Fraction of exactly-zero elements (the paper's "sparsity ratio").
@@ -285,17 +221,17 @@ mod tests {
     }
 
     #[test]
-    fn device_bytes_tracks_dtype() {
-        let t = Tensor::zeros([10, 10]);
-        assert_eq!(t.device_bytes(), 400);
-        assert_eq!(t.with_dtype(DType::F16).device_bytes(), 200);
-    }
-
-    #[test]
-    fn randn_has_roughly_zero_mean() {
-        let t = Tensor::randn([10_000], 7);
-        let mean: f32 = t.data().iter().sum::<f32>() / 10_000.0;
-        assert!(mean.abs() < 0.05, "mean {mean}");
+    fn allclose_rejects_nan_and_accepts_equal_infinities() {
+        let t = |v: Vec<f32>| Tensor::from_vec(v, [2]).unwrap();
+        let finite = t(vec![1.0, 1.0]);
+        assert!(!t(vec![f32::NAN, 1.0]).allclose(&finite, 0.0));
+        assert!(!finite.allclose(&t(vec![1.0, f32::NAN]), f32::INFINITY));
+        let nan = t(vec![f32::NAN, 1.0]);
+        assert!(!nan.allclose(&nan, 0.0));
+        let inf = t(vec![f32::INFINITY, f32::NEG_INFINITY]);
+        assert!(inf.allclose(&inf, 0.0));
+        assert!(!inf.allclose(&t(vec![f32::NEG_INFINITY, f32::NEG_INFINITY]), 0.0));
+        assert!(!finite.allclose(&Tensor::zeros([1, 2]), f32::INFINITY));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! This facade crate re-exports the workspace crates under one roof so that
 //! examples and downstream users can depend on a single `pit` crate:
 //!
-//! - [`tensor`] — dense tensors and the tensor-expression IR.
+//! - [`tensor`] — dense tensors and their reference operations.
 //! - [`gpusim`] — the analytical GPU performance model (A100/V100).
 //! - [`sparse`] — masks, sparsity generators and classic sparse formats.
 //! - [`kernels`] — dense tiled kernels, the tile database and the baseline

@@ -12,7 +12,7 @@ use pit::models::ModelConfig;
 use pit::serve::decode::{
     simulate_decode_trace_observed, simulate_decode_trace_traced, DecodePolicy, DecodeServeConfig,
 };
-use pit::serve::{serve_trace_arrivals_observed, AdmissionMode, BatchPolicy, ServeConfig};
+use pit::serve::{serve_trace_arrivals, AdmissionMode, BatchPolicy, ServeConfig};
 use pit::trace::{
     parse_exposition, DriftAlarm, DriftBaseline, DriftDetector, DriftKind, HubConfig, JsonValue,
     MetricsHub, ScrapeServer, SloMonitor, SloReport, SloTarget, TraceSink,
@@ -231,7 +231,7 @@ fn threaded_runtime_publishes_consistent_hub_totals() {
         // High rate so the replay finishes quickly in CI.
         let trace = ArrivalTrace::poisson(&DatasetSpec::mnli(), 48, 5000.0, 29);
         let hub = Arc::new(MetricsHub::with_defaults());
-        let report = serve_trace_arrivals_observed(&cfg, &trace, Some(&hub));
+        let report = serve_trace_arrivals(&cfg, &trace, Some(&hub));
         assert_eq!(report.requests + report.rejected, trace.len());
 
         let body = hub.render();

@@ -5,7 +5,7 @@
 
 use pit::core::detector::detect_mask;
 use pit::core::kernels::spmm_m_axis;
-use pit::core::microtile::MicroTile;
+use pit::core::microtile::{MatmulAxis, MicroTile};
 use pit::core::ops::Pit;
 use pit::gpusim::cost::TileDims;
 use pit::gpusim::{CostModel, DeviceSpec};
@@ -140,9 +140,10 @@ proptest! {
         }
     }
 
-    /// Every `Pit` entry point equals the dense oracle element for element
-    /// on random granular masks, whatever kernel Algorithm 1 picks and
-    /// however many threads the detector may use.
+    /// Every `Pit` entry point, and the m-axis kernel on explicit row
+    /// lists, equals the dense oracle element for element on random
+    /// granular masks, whatever kernel Algorithm 1 picks and however many
+    /// threads the detector may use.
     #[test]
     fn pipeline_matches_oracle(
         gh in 1usize..9,
@@ -158,10 +159,14 @@ proptest! {
         let reference = ops::matmul(&a, &b).unwrap();
         let exec = pit.matmul_masked(&a, &mask, &b, DType::F32).unwrap();
         prop_assert_eq!(&exec.output.tensor, &reference);
+        // A-sparse selection merges along m or k, never n.
+        prop_assert!(exec.selection.rule.is_none_or(|r| r.axis != MatmulAxis::N));
         let exec = pit.matmul_dyn_sparse(&a, &b, DType::F32).unwrap();
         prop_assert_eq!(&exec.output.tensor, &reference);
         let rows: Vec<u32> = mask.nonzero_rows().iter().map(|&r| r as u32).collect();
-        let out = pit.matmul_rows(&a, &rows, &b, None, DType::F32).unwrap();
+        // The tile sets only the modelled cost, not the product.
+        let tile = TileDims::new(16, 16, 16);
+        let out = spmm_m_axis(pit.cost(), &a, &b, &rows, tile, DType::F32).unwrap();
         prop_assert_eq!(&out.tensor, &reference);
         // A row listed twice in one group of four, and once more at the end.
         let mut repeated = rows.clone();
@@ -169,7 +174,7 @@ proptest! {
             repeated.insert(1, first);
             repeated.push(first);
         }
-        let out = pit.matmul_rows(&a, &repeated, &b, None, DType::F32).unwrap();
+        let out = spmm_m_axis(pit.cost(), &a, &b, &repeated, tile, DType::F32).unwrap();
         prop_assert_eq!(&out.tensor, &reference);
         let out_mask = generate::granular_random(96, 48, gh, gw, sparsity, seed ^ 3);
         let exec = pit.sdd(&a, &b, &out_mask, DType::F32).unwrap();
