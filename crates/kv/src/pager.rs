@@ -2,6 +2,13 @@
 //! lists over one free list, with reservation-aware accounting and
 //! conservation counters.
 //!
+//! Page ids are minted on first use: the pool keeps one record (refs,
+//! pins, written extent, tier) per id handed out so far, and takes the
+//! last freed id or, when none is free, mints the next, so ids come out
+//! 0, 1, 2, … and are recycled last-freed-first. Nothing is sized by the
+//! pool's capacity: [`PagedKvCache::check_invariants`] costs the pages a
+//! run has held.
+//!
 //! Pages are *refcounted*: a page normally has one owner, but prefix
 //! caching admits new sequences onto pages another sequence already wrote
 //! ([`PagedKvCache::alloc_shared`]) and lets an external index pin pages
@@ -139,6 +146,29 @@ pub enum PageLocation {
     Host,
 }
 
+/// One page id's record, minted the first time the id is handed out.
+#[derive(Debug)]
+struct Page {
+    /// Page-table occurrences plus pins; 0 = on the free list.
+    refs: u32,
+    /// External retains (a prefix index's pins); always `<= refs`.
+    pins: u32,
+    /// Written token slots, counted once however many sequences share it.
+    written: u32,
+    /// Tier the page occupies (free pages read `Device`).
+    location: PageLocation,
+}
+
+impl Page {
+    /// A free page, and what an id never handed out reads as.
+    const FREE: Page = Page {
+        refs: 0,
+        pins: 0,
+        written: 0,
+        location: PageLocation::Device,
+    };
+}
+
 /// Pages one live sequence holds.
 #[derive(Debug, Clone)]
 struct SeqPages {
@@ -158,7 +188,8 @@ struct SeqPages {
 }
 
 /// A paged KV cache: fixed-size token pages handed out from a free list,
-/// with per-page reference counts.
+/// with per-page reference counts. Page ids are minted on first use and
+/// recycled last-freed-first (see the [module docs](crate::pager)).
 ///
 /// Continuous batching allocates pages on demand (`alloc` the prompt, then
 /// `extend` by one token per decode step); static padded baselines reserve
@@ -171,22 +202,13 @@ struct SeqPages {
 #[derive(Debug)]
 pub struct PagedKvCache {
     cfg: KvConfig,
-    /// Free physical pages (LIFO — recently freed pages are reused first,
-    /// the cache-friendly order).
+    /// Freed page ids (LIFO — recently freed pages are reused first, the
+    /// cache-friendly order). A new id is minted only when it is empty.
     free: Vec<PageId>,
     /// Live sequences and their page tables.
     seqs: SeqMap,
-    /// Total references per page: occurrences in sequence page tables plus
-    /// external retains. 0 = on the free list.
-    refs: Vec<u32>,
-    /// External retains per page (a prefix index pinning prompt pages);
-    /// always `<= refs`.
-    ext_refs: Vec<u32>,
-    /// Written token slots per page — physical, counted once no matter how
-    /// many sequences share the page.
-    written: Vec<u32>,
-    /// Tier each page currently occupies (free pages read `Device`).
-    location: Vec<PageLocation>,
+    /// One record per id minted so far (`len() <= cfg.total_ids()`).
+    records: Vec<Page>,
     live_pages: usize,
     /// Live pages resident on the device tier (`<= cfg.num_pages`).
     device_live: usize,
@@ -212,8 +234,8 @@ pub struct PagedKvCache {
 /// never shrink another sharer's written slots), keeping `used_tokens` the
 /// page sum. This and [`mark_range`] take the two fields rather than the
 /// pool, so a caller holding a sequence's page table can mark it in place.
-fn note_written(written: &mut [u32], used_tokens: &mut usize, p: PageId, extent: usize) {
-    let w = &mut written[p as usize];
+fn note_written(records: &mut [Page], used_tokens: &mut usize, p: PageId, extent: usize) {
+    let w = &mut records[p as usize].written;
     if extent as u32 > *w {
         *used_tokens += extent - *w as usize;
         *w = extent as u32;
@@ -223,7 +245,7 @@ fn note_written(written: &mut [u32], used_tokens: &mut usize, p: PageId, extent:
 /// Marks token range `[from, to)` of a page table with `ps`-slot pages as
 /// written.
 fn mark_range(
-    written: &mut [u32],
+    records: &mut [Page],
     used_tokens: &mut usize,
     pages: &[PageId],
     ps: usize,
@@ -236,7 +258,7 @@ fn mark_range(
     let (first, last) = (from / ps, (to - 1) / ps);
     for (i, &p) in pages[first..=last].iter().enumerate() {
         let extent = (to - (first + i) * ps).min(ps);
-        note_written(written, used_tokens, p, extent);
+        note_written(records, used_tokens, p, extent);
     }
 }
 
@@ -273,19 +295,15 @@ fn table_positions(table: &[PageId], pages: &[PageId]) -> Option<Vec<usize>> {
 }
 
 impl PagedKvCache {
-    /// An empty pool with every page free. With a host tier configured,
+    /// An empty pool: no id minted, every frame free. With a host tier,
     /// page *ids* outnumber device frames by `host_pages` — ids are
     /// identities, frames are capacity, and swap is what separates them.
     pub fn new(cfg: KvConfig) -> Self {
-        let ids = cfg.total_ids();
         PagedKvCache {
             cfg,
-            free: (0..ids as PageId).rev().collect(),
+            free: Vec::new(),
             seqs: SeqMap::default(),
-            refs: vec![0; ids],
-            ext_refs: vec![0; ids],
-            written: vec![0; ids],
-            location: vec![PageLocation::Device; ids],
+            records: Vec::new(),
             live_pages: 0,
             device_live: 0,
             host_live: 0,
@@ -316,20 +334,27 @@ impl PagedKvCache {
         self.cfg.pages_for(tokens) <= self.device_free()
     }
 
-    /// Free *device* frames — the capacity new allocations draw on. Free
-    /// ids always cover this (ids = device frames + host frames), so a
-    /// free frame guarantees a poppable id.
+    /// Free *device* frames — the capacity new allocations draw on. Ids
+    /// always cover this (ids = device frames + host frames), so a free
+    /// frame guarantees a free or mintable id.
     fn device_free(&self) -> usize {
         self.cfg.num_pages - self.device_live
     }
 
-    /// Pops one free page onto the device tier and gives it its first
-    /// reference.
+    /// Id `p`'s record; an id never handed out reads as a free page.
+    fn record(&self, p: PageId) -> &Page {
+        self.records.get(p as usize).unwrap_or(&Page::FREE)
+    }
+
+    /// Hands out one page on the device tier with its first reference:
+    /// the last freed id, or a newly minted one when none is free.
     fn take_page(&mut self) -> PageId {
         debug_assert!(self.device_free() > 0, "caller checked the frame count");
-        let p = self.free.pop().expect("free ids cover free device frames");
-        self.refs[p as usize] = 1;
-        self.location[p as usize] = PageLocation::Device;
+        let p = self.free.pop().unwrap_or_else(|| {
+            self.records.push(Page::FREE);
+            (self.records.len() - 1) as PageId
+        });
+        self.records[p as usize].refs = 1;
         self.live_pages += 1;
         self.device_live += 1;
         self.allocated_total += 1;
@@ -340,23 +365,21 @@ impl PagedKvCache {
     /// list (from whichever tier held it). Returns whether the page was
     /// physically freed.
     fn drop_ref(&mut self, p: PageId) -> bool {
-        let i = p as usize;
-        self.refs[i] -= 1;
-        if self.refs[i] == 0 {
-            self.used_tokens -= self.written[i] as usize;
-            self.written[i] = 0;
-            match self.location[i] {
-                PageLocation::Device => self.device_live -= 1,
-                PageLocation::Host => self.host_live -= 1,
-            }
-            self.location[i] = PageLocation::Device;
-            self.free.push(p);
-            self.live_pages -= 1;
-            self.freed_total += 1;
-            true
-        } else {
-            false
+        let page = &mut self.records[p as usize];
+        page.refs -= 1;
+        if page.refs > 0 {
+            return false;
         }
+        self.used_tokens -= page.written as usize;
+        match page.location {
+            PageLocation::Device => self.device_live -= 1,
+            PageLocation::Host => self.host_live -= 1,
+        }
+        *page = Page::FREE;
+        self.free.push(p);
+        self.live_pages -= 1;
+        self.freed_total += 1;
+        true
     }
 
     /// Allocates pages for a new sequence holding `tokens` written slots.
@@ -389,7 +412,7 @@ impl PagedKvCache {
         let pages: Vec<PageId> = (0..needed).map(|_| self.take_page()).collect();
         let ps = self.cfg.page_size;
         mark_range(
-            &mut self.written,
+            &mut self.records,
             &mut self.used_tokens,
             &pages,
             ps,
@@ -442,16 +465,16 @@ impl PagedKvCache {
             || repeated
             || self.cfg.pages_for(prefix_tokens) != shared.len()
             || shared.iter().enumerate().any(|(i, &p)| {
-                (p as usize) >= self.cfg.total_ids()
-                    || self.refs[p as usize] == 0
-                    || self.location[p as usize] != PageLocation::Device
-                    || (self.written[p as usize] as usize) < (prefix_tokens - i * ps).min(ps)
+                let r = self.record(p);
+                r.refs == 0
+                    || r.location != PageLocation::Device
+                    || (r.written as usize) < (prefix_tokens - i * ps).min(ps)
             })
         {
             return Err(KvError::InvalidShare);
         }
         for &p in shared {
-            self.refs[p as usize] += 1;
+            self.records[p as usize].refs += 1;
         }
         pages.copy_from_slice(shared);
         self.reserved_tokens += prefix_tokens;
@@ -474,15 +497,15 @@ impl PagedKvCache {
     /// later admission could read.
     pub fn retain_pages(&mut self, pages: &[PageId]) -> Result<(), KvError> {
         if pages.iter().any(|&p| {
-            (p as usize) >= self.cfg.total_ids()
-                || self.refs[p as usize] == 0
-                || self.location[p as usize] != PageLocation::Device
+            let r = self.record(p);
+            r.refs == 0 || r.location != PageLocation::Device
         }) {
             return Err(KvError::InvalidShare);
         }
         for &p in pages {
-            self.refs[p as usize] += 1;
-            self.ext_refs[p as usize] += 1;
+            let r = &mut self.records[p as usize];
+            r.refs += 1;
+            r.pins += 1;
         }
         Ok(())
     }
@@ -496,11 +519,11 @@ impl PagedKvCache {
         // listed more often than it is pinned runs out of pins; the first
         // page without one puts the pins taken so far back.
         for (i, &p) in pages.iter().enumerate() {
-            match self.ext_refs.get_mut(p as usize) {
-                Some(pins) if *pins > 0 => *pins -= 1,
+            match self.records.get_mut(p as usize) {
+                Some(r) if r.pins > 0 => r.pins -= 1,
                 _ => {
                     for &q in &pages[..i] {
-                        self.ext_refs[q as usize] += 1;
+                        self.records[q as usize].pins += 1;
                     }
                     return Err(KvError::InvalidShare);
                 }
@@ -538,7 +561,7 @@ impl PagedKvCache {
                 if s.host_pages == 0
                     && s.used_tokens >= base
                     && target <= base + ps
-                    && self.refs[last as usize] == 1
+                    && self.records[last as usize].refs == 1
                 {
                     if target > s.reserved_tokens {
                         self.reserved_tokens += target - s.reserved_tokens;
@@ -546,7 +569,7 @@ impl PagedKvCache {
                     }
                     s.used_tokens = target;
                     note_written(
-                        &mut self.written,
+                        &mut self.records,
                         &mut self.used_tokens,
                         last,
                         target - base,
@@ -580,7 +603,7 @@ impl PagedKvCache {
         let used = s.used_tokens;
         let shared_boundary = (used % ps != 0)
             .then_some(used / ps)
-            .filter(|&bi| self.refs[s.pages[bi] as usize] > 1);
+            .filter(|&bi| self.records[s.pages[bi] as usize].refs > 1);
         let target_used = used + new_tokens;
         let target_reserved = s.reserved_tokens.max(target_used);
         let extra = self
@@ -600,7 +623,7 @@ impl PagedKvCache {
         s.reserved_tokens = target_reserved;
         if extra + cow == 0 {
             mark_range(
-                &mut self.written,
+                &mut self.records,
                 &mut self.used_tokens,
                 &s.pages,
                 ps,
@@ -617,8 +640,8 @@ impl PagedKvCache {
         // copy of its prefix slots first. The shared page is untouched.
         if let Some(bi) = shared_boundary {
             let fresh = self.take_page();
-            note_written(&mut self.written, &mut self.used_tokens, fresh, used % ps);
-            self.refs[pages[bi] as usize] -= 1; // other sharers keep it live
+            note_written(&mut self.records, &mut self.used_tokens, fresh, used % ps);
+            self.records[pages[bi] as usize].refs -= 1; // other sharers keep it live
             self.cow_copies += 1;
             pages[bi] = fresh;
         }
@@ -626,7 +649,7 @@ impl PagedKvCache {
             pages.push(self.take_page());
         }
         mark_range(
-            &mut self.written,
+            &mut self.records,
             &mut self.used_tokens,
             &pages,
             ps,
@@ -656,20 +679,18 @@ impl PagedKvCache {
         // O(seq pages + plan), nothing allocated; a refusal flips back.
         let mut flipped = 0;
         for &p in pages {
-            let i = p as usize;
-            if i >= self.location.len()
-                || self.refs[i] != 1
-                || self.location[i] != PageLocation::Device
-            {
-                break;
+            match self.records.get_mut(p as usize) {
+                Some(r) if r.refs == 1 && r.location == PageLocation::Device => {
+                    r.location = PageLocation::Host;
+                }
+                _ => break,
             }
-            self.location[i] = PageLocation::Host;
             flipped += 1;
         }
         let legal = flipped == pages.len()
             && s.pages
                 .iter()
-                .filter(|&&p| self.location[p as usize] == PageLocation::Host)
+                .filter(|&&p| self.records[p as usize].location == PageLocation::Host)
                 .count()
                 == s.host_pages + pages.len();
         let free_host = self.cfg.host_pages - self.host_live;
@@ -685,7 +706,7 @@ impl PagedKvCache {
         };
         if let Some(err) = refusal {
             for &p in &pages[..flipped] {
-                self.location[p as usize] = PageLocation::Device;
+                self.records[p as usize].location = PageLocation::Device;
             }
             return Err(err);
         }
@@ -716,7 +737,7 @@ impl PagedKvCache {
             });
         }
         for &p in &s.pages {
-            self.location[p as usize] = PageLocation::Device;
+            self.records[p as usize].location = PageLocation::Device;
         }
         s.host_pages = 0;
         self.host_live -= moved;
@@ -749,7 +770,7 @@ impl PagedKvCache {
         let at = table_positions(&s.pages, pages).ok_or(KvError::InvalidEvict)?;
         if at.iter().any(|&i| {
             (i + 1) * ps > s.used_tokens
-                || self.location[s.pages[i] as usize] != PageLocation::Device
+                || self.records[s.pages[i] as usize].location != PageLocation::Device
         }) {
             return Err(KvError::InvalidEvict);
         }
@@ -817,17 +838,17 @@ impl PagedKvCache {
     /// Total references to `page` (sequence holders + external retains);
     /// 0 means the page is free.
     pub fn page_refs(&self, page: PageId) -> u32 {
-        self.refs[page as usize]
+        self.record(page).refs
     }
 
     /// External (index-pin) references to `page`.
     pub fn page_ext_refs(&self, page: PageId) -> u32 {
-        self.ext_refs[page as usize]
+        self.record(page).pins
     }
 
     /// Tier `page` currently occupies (free pages read `Device`).
     pub fn page_location(&self, page: PageId) -> PageLocation {
-        self.location[page as usize]
+        self.record(page).location
     }
 
     /// Host-resident pages a live sequence holds (0 = fully resident).
@@ -861,7 +882,7 @@ impl PagedKvCache {
 
     /// Written token slots of `page`.
     pub fn page_written(&self, page: PageId) -> usize {
-        self.written[page as usize] as usize
+        self.record(page).written as usize
     }
 
     /// Number of live sequences.
@@ -875,8 +896,8 @@ impl PagedKvCache {
     }
 
     /// Device frames currently free — what admission and growth draw on.
-    /// (With a host tier, free page *ids* exceed this by the free host
-    /// frames; ids are identities, frames are capacity.)
+    /// Frames, not ids: ids are minted on first use and recycled
+    /// last-freed-first, and a host tier adds one id per host frame.
     pub fn free_pages(&self) -> usize {
         self.device_free()
     }
@@ -889,7 +910,7 @@ impl PagedKvCache {
 
     /// Pages currently referenced by more than one holder.
     pub fn shared_pages(&self) -> usize {
-        self.refs.iter().filter(|&&r| r > 1).count()
+        self.records.iter().filter(|r| r.refs > 1).count()
     }
 
     /// Fraction of the *device* tier's frames currently allocated (0..=1).
@@ -941,166 +962,142 @@ impl PagedKvCache {
 
     /// Checks the pool's conservation invariants; returns a description of
     /// the first violation. The proptest suite calls this after every
-    /// operation.
+    /// operation. It passes once over the sequences' page tables, once
+    /// over the free list and once over the minted records, so its cost
+    /// follows the pages the run has held, not the pool's capacity.
     pub fn check_invariants(&self) -> Result<(), String> {
-        if self.free.len() + self.live_pages != self.cfg.total_ids() {
-            return Err(format!(
-                "page leak: {} free + {} live != {} ids",
-                self.free.len(),
-                self.live_pages,
-                self.cfg.total_ids()
-            ));
+        // Fails the check with the formatted message unless `$ok` holds.
+        macro_rules! ensure {
+            ($ok:expr, $($msg:tt)+) => {
+                if !$ok {
+                    return Err(format!($($msg)+));
+                }
+            };
         }
+        let (minted, ids) = (self.records.len(), self.cfg.total_ids());
+        let (device, host, live) = (self.device_live, self.host_live, self.live_pages);
+        ensure!(
+            minted <= ids,
+            "{minted} page ids minted, the pool has {ids}"
+        );
+        ensure!(
+            self.free.len() + live == minted,
+            "page leak: {} free + {live} live != {minted} minted ids",
+            self.free.len()
+        );
         // Tier residency: every live page sits in exactly one tier, the
         // tier counters agree with the per-page locations, and neither
         // tier exceeds its frame capacity.
-        if self.device_live + self.host_live != self.live_pages {
-            return Err(format!(
-                "tier split: {} device + {} host != {} live",
-                self.device_live, self.host_live, self.live_pages
-            ));
-        }
-        if self.device_live > self.cfg.num_pages {
-            return Err(format!(
-                "device tier over capacity: {} live frames of {}",
-                self.device_live, self.cfg.num_pages
-            ));
-        }
-        if self.host_live > self.cfg.host_pages {
-            return Err(format!(
-                "host tier over capacity: {} live frames of {}",
-                self.host_live, self.cfg.host_pages
-            ));
-        }
-        let mut device_seen = 0usize;
-        let mut host_seen = 0usize;
-        for (i, &loc) in self.location.iter().enumerate() {
-            match (self.refs[i] > 0, loc) {
-                (true, PageLocation::Device) => device_seen += 1,
-                (true, PageLocation::Host) => {
-                    host_seen += 1;
-                    // A host page is frozen storage: exclusively held
-                    // (swap required refs == 1 and nothing can share or
-                    // pin it while swapped) and never index-pinned.
-                    if self.refs[i] != 1 || self.ext_refs[i] != 0 {
-                        return Err(format!(
-                            "host page {i} holds {} refs / {} pins (must be 1 / 0)",
-                            self.refs[i], self.ext_refs[i]
-                        ));
-                    }
-                }
-                (false, PageLocation::Device) => {}
-                (false, PageLocation::Host) => {
-                    return Err(format!("free page {i} marked host-resident"));
-                }
-            }
-        }
-        if device_seen != self.device_live || host_seen != self.host_live {
-            return Err(format!(
-                "tier counters drifted: counted {device_seen} device / {host_seen} host, \
-                 counters say {} / {}",
-                self.device_live, self.host_live
-            ));
-        }
-        if self.swapped_out_total < self.swapped_in_total {
-            return Err(format!(
-                "swapped in {} pages but only {} ever went out",
-                self.swapped_in_total, self.swapped_out_total
-            ));
-        }
-        if self.allocated_total != self.freed_total + self.live_pages as u64 {
-            return Err(format!(
-                "conservation: allocated {} != freed {} + live {}",
-                self.allocated_total, self.freed_total, self.live_pages
-            ));
-        }
-        // Reference counts must equal page-table occurrences plus external
-        // retains, page for page.
-        let mut counted = vec![0u32; self.cfg.total_ids()];
+        ensure!(
+            device + host == live,
+            "tier split: {device} device + {host} host != {live} live"
+        );
+        ensure!(
+            device <= self.cfg.num_pages,
+            "device tier over capacity: {device} live frames of {}",
+            self.cfg.num_pages
+        );
+        ensure!(
+            host <= self.cfg.host_pages,
+            "host tier over capacity: {host} live frames of {}",
+            self.cfg.host_pages
+        );
+        ensure!(
+            self.swapped_out_total >= self.swapped_in_total,
+            "swapped in {} pages but only {} ever went out",
+            self.swapped_in_total,
+            self.swapped_out_total
+        );
+        ensure!(
+            self.allocated_total == self.freed_total + live as u64,
+            "conservation: allocated {} != freed {} + live {live}",
+            self.allocated_total,
+            self.freed_total
+        );
+        // Page-table occurrences per id, for the refcount check below.
+        let mut held = vec![0u32; minted];
         for (id, s) in &self.seqs {
-            if s.pages.len() != self.cfg.pages_for(s.reserved_tokens) {
-                return Err(format!(
-                    "seq {id} holds {} pages for {} reserved tokens",
-                    s.pages.len(),
-                    s.reserved_tokens
-                ));
-            }
-            if s.used_tokens > s.reserved_tokens {
-                return Err(format!("seq {id} used > reserved"));
-            }
-            let mut host = 0;
+            let (used, reserved) = (s.used_tokens, s.reserved_tokens);
+            ensure!(
+                s.pages.len() == self.cfg.pages_for(reserved),
+                "seq {id} holds {} pages for {reserved} reserved tokens",
+                s.pages.len()
+            );
+            ensure!(used <= reserved, "seq {id} used > reserved");
+            let mut on_host = 0;
             for &p in &s.pages {
-                let i = p as usize;
-                if i >= self.cfg.total_ids() {
-                    return Err(format!("page id {i} out of range"));
-                }
-                counted[i] += 1;
-                host += usize::from(self.location[i] == PageLocation::Host);
+                ensure!((p as usize) < minted, "seq {id} holds unminted page {p}");
+                held[p as usize] += 1;
+                on_host += usize::from(self.records[p as usize].location == PageLocation::Host);
             }
-            if host != s.host_pages {
-                return Err(format!(
-                    "seq {id} counts {} host pages, its page table holds {host}",
-                    s.host_pages
-                ));
-            }
+            ensure!(
+                on_host == s.host_pages,
+                "seq {id} counts {} host pages, its page table holds {on_host}",
+                s.host_pages
+            );
         }
-        for (i, &e) in self.ext_refs.iter().enumerate() {
-            counted[i] += e;
-        }
-        for (i, (&expect, &actual)) in counted.iter().zip(&self.refs).enumerate() {
-            if expect != actual {
-                return Err(format!(
-                    "page {i} refcount {actual} != {expect} (page-table occurrences + external)"
-                ));
-            }
-        }
-        // The free list is exactly the zero-ref pages, each once, with no
-        // written slots still counted.
-        let mut on_free = vec![false; self.cfg.total_ids()];
+        let mut on_free = vec![false; minted];
         for &p in &self.free {
-            let i = p as usize;
-            if i >= self.cfg.total_ids() {
-                return Err(format!("free page id {i} out of range"));
-            }
-            if on_free[i] {
-                return Err(format!("page {i} on the free list twice"));
-            }
-            on_free[i] = true;
-            if self.refs[i] != 0 {
-                return Err(format!("page {i} free but holds {} refs", self.refs[i]));
-            }
-            if self.written[i] != 0 {
-                return Err(format!("free page {i} still marked written"));
-            }
+            ensure!((p as usize) < minted, "free page id {p} was never minted");
+            ensure!(!on_free[p as usize], "page {p} on the free list twice");
+            on_free[p as usize] = true;
         }
-        for (i, &r) in self.refs.iter().enumerate() {
-            if r == 0 && !on_free[i] {
-                return Err(format!("zero-ref page {i} not on the free list"));
-            }
-        }
-        // Written-slot conservation across tiers: the global counter is
-        // the page sum, split per tier and summed — a transfer must move
-        // slots between the tier sums without creating or losing any.
+        // One pass over the minted records: each refcount is the page's
+        // page-table occurrences plus its pins, the free list holds exactly
+        // the zero-ref pages, a host page is frozen storage (exclusively
+        // held — swap required refs == 1 and nothing can share or pin it
+        // while swapped), and the written slots, split per tier and
+        // summed, equal the global counter (a transfer moves slots between
+        // the tier sums without creating or losing any).
+        let (mut device_seen, mut host_seen) = (0usize, 0usize);
         let (mut device_written, mut host_written) = (0usize, 0usize);
-        for (i, &w) in self.written.iter().enumerate() {
-            match self.location[i] {
-                PageLocation::Device => device_written += w as usize,
-                PageLocation::Host => host_written += w as usize,
+        for (i, r) in self.records.iter().enumerate() {
+            let expect = held[i] + r.pins;
+            ensure!(
+                r.refs == expect,
+                "page {i} refcount {} != {expect} (page-table occurrences + external)",
+                r.refs
+            );
+            ensure!(
+                on_free[i] || r.refs > 0,
+                "zero-ref page {i} not on the free list"
+            );
+            ensure!(
+                r.written as usize <= self.cfg.page_size,
+                "page {i} written extent {} exceeds page size",
+                r.written
+            );
+            if on_free[i] {
+                ensure!(r.refs == 0, "page {i} free but holds {} refs", r.refs);
+                ensure!(r.written == 0, "free page {i} still marked written");
+                ensure!(
+                    r.location == PageLocation::Device,
+                    "free page {i} marked host-resident"
+                );
+            } else if r.location == PageLocation::Device {
+                device_seen += 1;
+                device_written += r.written as usize;
+            } else {
+                ensure!(
+                    r.refs == 1 && r.pins == 0,
+                    "host page {i} holds {} refs / {} pins (must be 1 / 0)",
+                    r.refs,
+                    r.pins
+                );
+                host_seen += 1;
+                host_written += r.written as usize;
             }
         }
-        if device_written + host_written != self.used_tokens {
-            return Err(format!(
-                "written slots: {device_written} device + {host_written} host != {} counted",
-                self.used_tokens
-            ));
-        }
-        if self
-            .written
-            .iter()
-            .any(|&w| w as usize > self.cfg.page_size)
-        {
-            return Err("page written extent exceeds page size".to_string());
-        }
+        ensure!(
+            device_seen == device && host_seen == host,
+            "tier counters drifted: counted {device_seen} device / {host_seen} host, \
+             counters say {device} / {host}"
+        );
+        ensure!(
+            device_written + host_written == self.used_tokens,
+            "written slots: {device_written} device + {host_written} host != {} counted",
+            self.used_tokens
+        );
         if self.occupancy() > 1.0 {
             return Err(format!("occupancy {} > 1", self.occupancy()));
         }
@@ -1907,6 +1904,96 @@ mod tests {
             let stats = fast.stats();
             assert_eq!(stats.cow_copies, u64::from(ps > 1), "page size {ps}");
             assert!(stats.conserved(), "page size {ps}");
+        }
+    }
+
+    #[test]
+    fn a_new_pool_mints_nothing_and_unminted_ids_read_free() {
+        let mut kv = tiered(16, 163_840, 16);
+        assert_eq!((kv.records.capacity(), kv.free.capacity()), (0, 0));
+        kv.alloc(1, 20).unwrap();
+        assert_eq!(kv.records.len(), 2, "one record per id handed out");
+        let last = kv.config().total_ids() as PageId - 1;
+        assert_eq!(kv.page_refs(last) + kv.page_ext_refs(last), 0);
+        assert_eq!(kv.page_written(last), 0);
+        assert_eq!(kv.page_location(last), PageLocation::Device);
+        kv.check_invariants().unwrap();
+    }
+
+    /// Allocates `tokens` slots to a new sequence; returns its page table.
+    fn alloc_table(kv: &mut PagedKvCache, seq: SeqId, tokens: usize) -> Vec<PageId> {
+        kv.alloc(seq, tokens).unwrap();
+        kv.seq_pages(seq).unwrap().to_vec()
+    }
+
+    /// A pool holding a page in every state the checker tells apart: a
+    /// shared page, an index-pinned page, a swapped-out page, a partially
+    /// written tail, recycled free ids and a live highest id. On the way
+    /// it pins the id order: ids are minted 0, 1, 2, …, and freed ids are
+    /// reused last-freed-first before a new id is minted.
+    fn every_state_pool() -> PagedKvCache {
+        let mut kv = tiered(4, 8, 4);
+        assert_eq!(alloc_table(&mut kv, 1, 8), [0, 1]);
+        assert_eq!(alloc_table(&mut kv, 2, 12), [2, 3, 4]);
+        assert_eq!(alloc_table(&mut kv, 3, 4), [5]);
+        kv.free(2).unwrap(); // 2, 3, 4 return in table order
+        assert_eq!(alloc_table(&mut kv, 4, 6), [4, 3], "last freed first");
+        assert_eq!(
+            alloc_table(&mut kv, 5, 8),
+            [2, 6],
+            "freed ids, then a new one"
+        );
+        assert_eq!(alloc_table(&mut kv, 6, 4), [7]);
+        kv.free(5).unwrap();
+        kv.alloc_shared(7, &[0], 4).unwrap();
+        kv.retain_pages(&[1]).unwrap();
+        kv.swap_out(3, &[5]).unwrap();
+        assert_eq!(kv.free, [2, 6], "recycled free ids");
+        assert_eq!(kv.records.len(), 8);
+        assert_eq!((kv.page_refs(0), kv.page_ext_refs(1)), (2, 1));
+        assert_eq!(kv.page_location(5), PageLocation::Host);
+        assert_eq!(kv.page_written(3), 2, "partially written tail");
+        kv
+    }
+
+    /// What a corruption breaks, and how.
+    type Corruption = (&'static str, fn(&mut PagedKvCache));
+
+    #[test]
+    fn check_invariants_catches_each_broken_condition() {
+        assert_eq!(every_state_pool().check_invariants(), Ok(()));
+        let corruptions: [Corruption; 13] = [
+            ("refcount of the highest id", |kv| kv.records[7].refs += 1),
+            ("pin", |kv| kv.records[1].pins += 1),
+            ("written extent on a free id", |kv| {
+                kv.records[6].written = 1
+            }),
+            ("written extent past the page", |kv| {
+                kv.records[3].written = 5
+            }),
+            ("free id on the host tier", |kv| {
+                kv.records[2].location = PageLocation::Host;
+            }),
+            ("highest id on the host tier", |kv| {
+                kv.records[7].location = PageLocation::Host;
+            }),
+            ("id twice on the free list", |kv| kv.free[1] = kv.free[0]),
+            ("sequence's host-page count", |kv| {
+                kv.seqs.get_mut(&3).unwrap().host_pages = 0;
+            }),
+            ("device tier counter", |kv| kv.device_live += 1),
+            ("host tier counter", |kv| kv.host_live -= 1),
+            ("a page moved between tier counters", |kv| {
+                kv.device_live += 1;
+                kv.host_live -= 1;
+            }),
+            ("live counter", |kv| kv.live_pages += 1),
+            ("used_tokens", |kv| kv.used_tokens += 1),
+        ];
+        for (what, corrupt) in corruptions {
+            let mut kv = every_state_pool();
+            corrupt(&mut kv);
+            assert!(kv.check_invariants().is_err(), "broken {what} passed");
         }
     }
 }

@@ -88,7 +88,7 @@ pub use decode::{
     ConfigError, DecodePolicy, DecodeServeConfig, DecodeServeConfigBuilder, KvSparsityPolicy,
     PreemptPolicy,
 };
-pub use metrics::{CacheStats, DecodeMetrics, DecodeReport, Metrics, Percentiles, ServingReport};
+pub use metrics::{CacheStats, DecodeReport, Percentiles, ServingReport};
 pub use queue::BoundedQueue;
 pub use runtime::{
     serve_trace, serve_trace_arrivals, simulate_trace_arrivals, AdmissionMode, ServeConfig,

@@ -112,7 +112,7 @@ impl CacheStats {
 /// Latencies stream into a [`LatencySketch`], so the collector's memory
 /// is bounded by the latency dynamic range — not by the request count.
 #[derive(Debug, Default)]
-pub struct Metrics {
+pub(crate) struct Metrics {
     latencies_s: Mutex<LatencySketch>,
     real_tokens: AtomicUsize,
     padded_tokens: AtomicUsize,
@@ -419,7 +419,7 @@ impl fmt::Display for ServingReport {
 /// gauge reach the hub in the same call, so its ledger mirrors the
 /// report's.
 #[derive(Debug, Default)]
-pub struct DecodeMetrics<'h> {
+pub(crate) struct DecodeMetrics<'h> {
     ttft_s: LatencySketch,
     ttft_hit_s: LatencySketch,
     ttft_miss_s: LatencySketch,
@@ -459,11 +459,6 @@ pub struct DecodeMetrics<'h> {
 }
 
 impl<'h> DecodeMetrics<'h> {
-    /// An empty collector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// An empty collector mirroring its charges into `hub`, if any.
     pub(crate) fn observed_by(hub: Option<&'h MetricsHub>) -> Self {
         DecodeMetrics {
@@ -1131,7 +1126,7 @@ mod tests {
 
     #[test]
     fn decode_collector_aggregates_steps() {
-        let mut m = DecodeMetrics::new();
+        let mut m = DecodeMetrics::default();
         m.record_step(100, 0, 160, 0.5, 0.2, 0.1); // prefill iteration
         m.record_step(0, 8, 16, 0.25, 0.4, 0.3); // decode iteration
         m.record_ttft(0.010, false);
@@ -1175,7 +1170,7 @@ mod tests {
 
     #[test]
     fn decode_collector_splits_ttft_by_prefix_outcome() {
-        let mut m = DecodeMetrics::new();
+        let mut m = DecodeMetrics::default();
         m.record_prefix_admission(320, true);
         m.record_prefix_admission(0, false);
         m.record_prefix_admission(128, true);
@@ -1207,7 +1202,7 @@ mod tests {
 
     #[test]
     fn decode_collector_aggregates_swap_accounting() {
-        let mut m = DecodeMetrics::new();
+        let mut m = DecodeMetrics::default();
         m.record_swap_preempt(120);
         m.record_swap_preempt(80);
         m.record_swap_fallback();
@@ -1242,7 +1237,7 @@ mod tests {
 
     #[test]
     fn decode_collector_aggregates_sparsity_and_serializes() {
-        let mut m = DecodeMetrics::new();
+        let mut m = DecodeMetrics::default();
         m.record_step(0, 4, 4, 0.1, 0.5, 0.0);
         m.record_attention(300, 1200);
         m.record_attention(280, 1100);
@@ -1276,7 +1271,7 @@ mod tests {
 
     #[test]
     fn dense_report_attends_everything_it_caches() {
-        let mut m = DecodeMetrics::new();
+        let mut m = DecodeMetrics::default();
         m.record_step(0, 2, 2, 0.1, 0.5, 0.0);
         m.record_attention(900, 900);
         m.record_e2e(0.05);
@@ -1294,7 +1289,7 @@ mod tests {
 
     #[test]
     fn decode_collector_ledger_conserves_and_exposes() {
-        let mut m = DecodeMetrics::new();
+        let mut m = DecodeMetrics::default();
         m.charge(|l| l.charge_idle(0.010));
         m.charge(|l| {
             l.charge_step(&StepSample {

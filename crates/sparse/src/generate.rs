@@ -52,19 +52,6 @@ pub fn relu_activation_mask(rows: usize, cols: usize, sparsity: f64, seed: u64) 
     granular_random(rows, cols, 1, 1, sparsity, seed)
 }
 
-/// Padding mask for a batch of variable-length sequences: bit `(i, t)` is
-/// set iff token `t` is a real (non-`[PAD]`) token of sequence `i`
-/// (Figure 2c).
-pub fn seq_padding_mask(lens: &[usize], max_len: usize) -> Mask {
-    let mut m = Mask::zeros(lens.len(), max_len);
-    for (i, &len) in lens.iter().enumerate() {
-        for t in 0..len.min(max_len) {
-            m.set(i, t, true);
-        }
-    }
-    m
-}
-
 /// Row mask over the flattened `[batch * max_len, hidden]` token matrix:
 /// rows of real tokens are fully dense, padded rows are all-zero. This is
 /// the shape in which dynamic sequence length appears to a GEMM.
@@ -189,25 +176,6 @@ pub fn longformer_mask(seq: usize, window: usize, global: &[usize]) -> Mask {
     m
 }
 
-/// Museformer-style fine/coarse attention (§5.1): tokens attend to their
-/// own bar (fine-grained, bars of `bar_len` tokens) plus the *summary*
-/// token of every previous bar (coarse-grained).
-pub fn museformer_mask(seq: usize, bar_len: usize, summary_offset: usize) -> Mask {
-    assert!(bar_len > 0, "bar_len must be positive");
-    Mask::from_fn(seq, seq, |r, c| {
-        if c > r {
-            return false; // Decoder-only: causal.
-        }
-        let bar_r = r / bar_len;
-        let bar_c = c / bar_len;
-        if bar_r == bar_c {
-            return true; // Fine-grained: own bar.
-        }
-        // Coarse-grained: the summary position of every earlier bar.
-        c % bar_len == summary_offset.min(bar_len - 1)
-    })
-}
-
 /// Magnitude pruning at block granularity (Figure 2d, §5.2): keeps the
 /// `1 - sparsity` fraction of `gran_h × gran_w` blocks with the largest L1
 /// magnitude and masks out the rest.
@@ -279,14 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn seq_padding_mask_marks_real_tokens() {
-        let m = seq_padding_mask(&[3, 1, 0], 4);
-        assert_eq!(m.row_nnz(0), 3);
-        assert_eq!(m.row_nnz(1), 1);
-        assert_eq!(m.row_nnz(2), 0);
-    }
-
-    #[test]
     fn token_row_mask_equals_the_per_bit_mask() {
         // Widths below, at and across a word boundary.
         for hidden in [1, 63, 64, 65, 128, 130] {
@@ -338,15 +298,6 @@ mod tests {
         assert!(!m.get(32, 2)); // Outside window...
         assert!(m.get(32, 0)); // ...but global column 0.
         assert!(m.get(0, 63)); // Global row 0.
-    }
-
-    #[test]
-    fn museformer_mask_is_causal_with_bar_structure() {
-        let m = museformer_mask(32, 8, 0);
-        assert!(!m.get(3, 5) || 5 <= 3, "causality violated");
-        assert!(m.get(10, 9)); // Same bar (bar 1 = tokens 8..16).
-        assert!(m.get(20, 8)); // Summary token of bar 1 (offset 0).
-        assert!(!m.get(20, 9)); // Non-summary token of an earlier bar.
     }
 
     #[test]

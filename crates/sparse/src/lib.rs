@@ -3,10 +3,9 @@
 //! The paper's four sources of dynamic sparsity (Figure 2) are all
 //! represented here:
 //!
-//! - **dynamic attention**: [`generate::longformer_mask`],
-//!   [`generate::museformer_mask`];
+//! - **dynamic attention**: [`generate::longformer_mask`];
 //! - **mixture-of-experts**: [`generate::RoutingPlan`];
-//! - **dynamic sequence length**: [`generate::seq_padding_mask`];
+//! - **dynamic sequence length**: [`generate::token_row_mask`];
 //! - **sparse training / activation sparsity**:
 //!   [`generate::magnitude_prune`], [`generate::granular_random`],
 //!   [`generate::relu_activation_mask`].

@@ -161,15 +161,6 @@ impl Mask {
         1.0 - self.sparsity()
     }
 
-    /// Number of set bits in row `r`.
-    pub fn row_nnz(&self, r: usize) -> usize {
-        let base = r * self.words_per_row;
-        self.bits[base..base + self.words_per_row]
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
-    }
-
     /// True if row `r` has any set bit.
     pub fn row_any(&self, r: usize) -> bool {
         let base = r * self.words_per_row;

@@ -81,19 +81,10 @@ impl WaitCause {
         WaitCause::SchedulerIdle,
     ];
 
-    /// Stable snake_case name (exposition family names, trace exports).
+    /// Stable snake_case name (exposition family names, trace exports):
+    /// its category's name.
     pub fn name(self) -> &'static str {
-        match self {
-            WaitCause::QueueBehindAdmission => "queue_behind_admission",
-            WaitCause::KvPoolExhausted => "kv_pool_exhausted",
-            WaitCause::TokenBudgetFull => "token_budget_full",
-            WaitCause::MaxLiveCap => "max_live_cap",
-            WaitCause::SwapLinkD2h => "swap_link_d2h",
-            WaitCause::SwapLinkH2d => "swap_link_h2d",
-            WaitCause::RestoreInFlight => "restore_in_flight",
-            WaitCause::HeadOfLinePrefill => "head_of_line_prefill",
-            WaitCause::SchedulerIdle => "scheduler_idle",
-        }
+        self.category().name()
     }
 
     /// The blame category this cause maps to (1:1 — causes are the wait
@@ -575,8 +566,10 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), BlameCategory::COUNT);
-        for w in WaitCause::ALL {
-            assert_eq!(w.name(), w.category().name());
+        // Causes are the wait half of the taxonomy, in the same order, so
+        // their names (their categories' names) are unique too.
+        for (i, w) in WaitCause::ALL.iter().enumerate() {
+            assert_eq!(w.category().index(), i);
         }
     }
 

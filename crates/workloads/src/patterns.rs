@@ -132,11 +132,6 @@ impl DecodeSpec {
         }
     }
 
-    /// Chat-style completions: mean 64 tokens, 1..=256.
-    pub fn chat() -> Self {
-        Self::geometric(64.0, 1, 256)
-    }
-
     /// Short classification-style generations: mean 8 tokens, 1..=32.
     pub fn short() -> Self {
         Self::geometric(8.0, 1, 32)
@@ -409,6 +404,11 @@ pub fn relu_study(
 mod tests {
     use super::*;
 
+    /// Chat-style completions: mean 64 tokens, 1..=256.
+    fn chat() -> DecodeSpec {
+        DecodeSpec::geometric(64.0, 1, 256)
+    }
+
     #[test]
     fn arrival_trace_is_deterministic_and_ordered() {
         let spec = DatasetSpec::mnli();
@@ -429,7 +429,7 @@ mod tests {
 
     #[test]
     fn decode_lengths_are_seeded_and_bounded() {
-        let spec = DecodeSpec::chat();
+        let spec = chat();
         let a = spec.sample_output_lens(512, 3);
         let b = spec.sample_output_lens(512, 3);
         assert_eq!(a, b);
@@ -480,7 +480,7 @@ mod tests {
 
     #[test]
     fn decode_trace_pairs_prompts_outputs_and_arrivals() {
-        let t = DecodeTrace::poisson(&DatasetSpec::mnli(), &DecodeSpec::chat(), 96, 100.0, 5);
+        let t = DecodeTrace::poisson(&DatasetSpec::mnli(), &chat(), 96, 100.0, 5);
         assert_eq!(t.len(), 96);
         assert_eq!(t.prompt_lens.len(), t.output_lens.len());
         assert_eq!(t.prompt_lens.len(), t.arrival_s.len());
@@ -544,7 +544,7 @@ mod tests {
     fn shared_prefix_decode_trace_pairs_ids_and_lens() {
         let spec = SharedPrefixSpec::assistants();
         let arrivals = ArrivalTrace::bursty(&DatasetSpec::mnli(), 64, 300.0, 0.2, 0.5, 9);
-        let t = spec.decode_trace(&DecodeSpec::chat(), arrivals.arrival_s.clone(), 9);
+        let t = spec.decode_trace(&chat(), arrivals.arrival_s.clone(), 9);
         assert_eq!(t.len(), 64);
         assert_eq!(t.prompt_ids.len(), t.len());
         for (ids, &len) in t.prompt_ids.iter().zip(&t.prompt_lens) {
@@ -553,7 +553,7 @@ mod tests {
         assert_eq!(t.arrival_s, arrivals.arrival_s);
         assert!(t.output_lens.iter().all(|&o| o >= 1));
         // Plain poisson traces carry no prompt content.
-        let plain = DecodeTrace::poisson(&DatasetSpec::mnli(), &DecodeSpec::chat(), 8, 10.0, 1);
+        let plain = DecodeTrace::poisson(&DatasetSpec::mnli(), &chat(), 8, 10.0, 1);
         assert!(plain.prompt_ids.is_empty());
     }
 
