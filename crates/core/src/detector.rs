@@ -7,15 +7,16 @@
 //! thread scheduling, exactly as on a GPU.
 //!
 //! The host scan reads the mask 64 bits at a time. For each strip of
-//! `micro.h` rows it ORs the rows' words together (the same strip OR that
-//! Algorithm 1's cover count uses) and then tests each micro-column at
-//! most once: a set bit marks its micro-column non-zero and the scan jumps
-//! to the next micro-column. Each worker scans a contiguous run of strips
-//! into a private buffer and appends the run to the index once — the
-//! block-aggregated form of the paper's `atomicadd` slot reservation, so
-//! a strip's micro-tiles stay in ascending column order. Small masks are
-//! scanned on the calling thread. The *modelled GPU cost* is one scan of
-//! the mask plus the appends (see `pit_gpusim::cost`).
+//! `micro.h` rows it ORs the rows' words together and then tests each
+//! micro-column at most once: a set bit marks its micro-column non-zero
+//! and the scan jumps to the next micro-column (the same strip OR and
+//! bit-scan as Algorithm 1's cover count). Each worker scans a
+//! contiguous run of strips into a private buffer and appends the run to
+//! the index once — the block-aggregated form of the paper's `atomicadd`
+//! slot reservation, so a strip's micro-tiles stay in ascending column
+//! order. Small masks are scanned on the calling thread. The *modelled
+//! GPU cost* is one scan of the mask plus the appends (see
+//! `pit_gpusim::cost`).
 //!
 //! The index is all the SRead side of a kernel needs: the kernels in
 //! [`crate::kernels`] turn its coordinates into offsets into the
@@ -23,6 +24,7 @@
 
 use crate::microtile::MicroTile;
 use pit_gpusim::{CostModel, KernelStats};
+use pit_sparse::cover::for_each_tile_col;
 use pit_sparse::Mask;
 use std::ops::Range;
 use std::sync::{Mutex, OnceLock};
@@ -166,24 +168,7 @@ pub(crate) fn scan_strips(
     let mut acc = Vec::new();
     for s in strips {
         let words = mask.strip_or(s * micro.h, micro.h, &mut acc);
-        // First column not yet covered by a found micro-tile.
-        let mut next = 0;
-        for (wi, &word) in words.iter().enumerate() {
-            let base = wi * 64;
-            if next >= base + 64 {
-                continue;
-            }
-            let mut bits = word & (u64::MAX << next.saturating_sub(base));
-            while bits != 0 {
-                let tc = (base + bits.trailing_zeros() as usize) / micro.w;
-                out.push((s as u32, tc as u32));
-                next = (tc + 1) * micro.w;
-                if next >= base + 64 {
-                    break;
-                }
-                bits &= u64::MAX << (next - base);
-            }
-        }
+        for_each_tile_col(words, micro.w, |tc| out.push((s as u32, tc as u32)));
     }
 }
 

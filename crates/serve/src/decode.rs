@@ -54,7 +54,7 @@ use pit_prefix::RadixPrefixIndex;
 use pit_swap::{plan_swap_out, PageDesc, RestoreQueue, SwapEngine};
 use pit_tensor::DType;
 use pit_trace::{
-    BlameBreakdown, ExemplarReservoir, ExemplarSet, LaneSpans, MetricsHub, TraceEvent, TraceRecord,
+    BlameBreakdown, ExemplarReservoir, ExemplarSet, LaneTable, MetricsHub, TraceEvent, TraceRecord,
     TraceSink, WaitCause, DEVICE_LANE, RESERVED_LANES,
 };
 use pit_workloads::DecodeTrace;
@@ -623,11 +623,12 @@ pub fn simulate_decode_trace(cfg: &DecodeServeConfig, trace: &DecodeTrace) -> De
 /// completion is recorded on the virtual clock and lands in `sink` in one
 /// batch when the replay ends (or unwinds from a panic). When the sink is
 /// enabled, the report additionally carries the per-request
-/// queue/prefill/decode/stall breakdown and causal blame, folded over the
-/// lanes the sink keeps as each event is recorded — equal to reducing the
-/// sink's records with [`pit_trace::blame_spans`] after the run. A
-/// disabled sink makes this identical to the untraced entry point (each
-/// record is one branch).
+/// queue/prefill/decode/stall breakdown and causal blame, folded as each
+/// event is recorded into a [`LaneTable`] with one slot per lane the sink
+/// keeps (`trace.len()` lanes, head-sampled by the sink's stride) — equal
+/// to reducing the sink's records with [`pit_trace::blame_spans`] after
+/// the run. A disabled sink allocates no table and makes this identical
+/// to the untraced entry point (each record is one branch).
 pub fn simulate_decode_trace_traced(
     cfg: &DecodeServeConfig,
     trace: &DecodeTrace,
@@ -683,7 +684,7 @@ pub fn simulate_decode_trace_observed(
         eng: Engine::new(cfg.device.clone(), DTYPE, cfg.policy.framework()),
         kv: PagedKvCache::new(cfg.kv_config()),
         metrics: DecodeMetrics::observed_by(hub),
-        rec: Recorder::new(sink, exemplar_k, hub),
+        rec: Recorder::new(sink, exemplar_k, hub, trace.len()),
         clock_s: 0.0,
     };
     match cfg.policy {
@@ -737,16 +738,17 @@ impl Drop for SinkBatch<'_> {
 
 /// Records lifecycle events for the trace sink, folds blame over the
 /// lanes the sink keeps as it records them, and keeps each live lane's
-/// full timeline for the tail-exemplar reservoir. The timelines are
-/// buffered independently of the sink, so exemplars survive a disabled or
-/// head-sampled sink; with a disabled sink and `k == 0` every `record` is
-/// a few branches.
+/// full timeline for the tail-exemplar reservoir. The blame fold is a
+/// slot update in a table with one slot per kept lane, allocated only for
+/// an enabled sink. The timelines are buffered independently of the
+/// sink, so exemplars survive a disabled or head-sampled sink; with a
+/// disabled sink and `k == 0` every `record` is a few branches.
 struct Recorder<'a> {
     batch: SinkBatch<'a>,
     /// Blame over the kept sequence lanes, folded online: the same spans
     /// [`blame_spans`](pit_trace::blame_spans) would reduce from the
-    /// sink's records after the run.
-    spans: LaneSpans,
+    /// sink's records after the run. Empty for a disabled sink.
+    blame: LaneTable,
     reservoir: ExemplarReservoir,
     timelines: BTreeMap<u64, Vec<TraceRecord>>,
     ord: u64,
@@ -756,13 +758,20 @@ struct Recorder<'a> {
 }
 
 impl<'a> Recorder<'a> {
-    fn new(sink: &'a TraceSink, exemplar_k: usize, hub: Option<&'a MetricsHub>) -> Self {
+    /// A recorder for a replay of `lanes` requests.
+    fn new(
+        sink: &'a TraceSink,
+        exemplar_k: usize,
+        hub: Option<&'a MetricsHub>,
+        lanes: usize,
+    ) -> Self {
+        let kept = if sink.is_enabled() { lanes } else { 0 };
         Recorder {
             batch: SinkBatch {
                 sink,
                 records: Vec::new(),
             },
-            spans: LaneSpans::new(),
+            blame: LaneTable::new(kept, sink.sample_every()),
             reservoir: ExemplarReservoir::new(exemplar_k),
             timelines: BTreeMap::new(),
             ord: 0,
@@ -789,7 +798,7 @@ impl<'a> Recorder<'a> {
             }
         }
         if self.batch.sink.keeps(lane) {
-            self.spans.observe(t_s, lane, &event);
+            self.blame.observe(t_s, lane, &event);
             let records = &mut self.batch.records;
             records.push(TraceRecord {
                 ord: records.len() as u64,
@@ -804,7 +813,7 @@ impl<'a> Recorder<'a> {
     /// kept lane's blame breakdown.
     fn finish(self) -> (ExemplarSet, BTreeMap<u64, BlameBreakdown>) {
         drop(self.batch);
-        (self.reservoir.finish(), self.spans.finish())
+        (self.reservoir.finish(), self.blame.finish())
     }
 }
 
@@ -2579,5 +2588,30 @@ mod tests {
         assert!(r.kv.conserved(), "leaked: {:?}", r.kv);
         assert_eq!(r.kv.host_live_pages, 0);
         assert!(r.sparsity_dropped_pages >= r.sparsity_freed_pages);
+    }
+
+    #[test]
+    fn blame_table_holds_one_slot_per_kept_lane() {
+        const N: usize = 100;
+        // A disabled sink allocates no table, and recording grows none.
+        let off = TraceSink::disabled();
+        let mut rec = Recorder::new(&off, 0, None, N);
+        for lane in 0..N as u64 {
+            rec.record(1.0, lane, TraceEvent::FirstToken);
+        }
+        assert_eq!(rec.blame.slots(), 0);
+        assert!(rec.finish().1.is_empty());
+        for (every, slots) in [(1, N), (3, 34), (7, 15)] {
+            let sink = TraceSink::enabled().with_sampling(every);
+            let mut rec = Recorder::new(&sink, 0, None, N);
+            assert_eq!(rec.blame.slots(), slots, "1-in-{every}");
+            for lane in 0..N as u64 {
+                rec.record(1.0, lane, TraceEvent::FirstToken);
+            }
+            assert_eq!(rec.blame.slots(), slots, "1-in-{every} grew");
+            let spans = rec.finish().1;
+            assert_eq!(spans.len(), slots);
+            assert!(spans.keys().all(|lane| lane % every == 0));
+        }
     }
 }

@@ -56,17 +56,15 @@ pub fn cover_count(mask: &Mask, tile_h: usize, tile_w: usize) -> CoverStats {
     let grid_c = mask.cols().div_ceil(tile_w);
     let mut nonzero_tiles = 0usize;
     let mut covered_elems = 0usize;
+    let mut acc = Vec::new();
     for tr in 0..grid_r {
-        for tc in 0..grid_c {
-            let r0 = tr * tile_h;
-            let c0 = tc * tile_w;
-            if mask.block_any(r0, c0, tile_h, tile_w) {
-                nonzero_tiles += 1;
-                let h = tile_h.min(mask.rows() - r0);
-                let w = tile_w.min(mask.cols() - c0);
-                covered_elems += h * w;
-            }
-        }
+        let r0 = tr * tile_h;
+        let h = tile_h.min(mask.rows() - r0);
+        let words = mask.strip_or(r0, tile_h, &mut acc);
+        for_each_tile_col(words, tile_w, |tc| {
+            nonzero_tiles += 1;
+            covered_elems += h * tile_w.min(mask.cols() - tc * tile_w);
+        });
     }
     CoverStats {
         tile_h,
@@ -75,6 +73,31 @@ pub fn cover_count(mask: &Mask, tile_h: usize, tile_w: usize) -> CoverStats {
         total_tiles: grid_r * grid_c,
         nnz: mask.nnz(),
         covered_elems,
+    }
+}
+
+/// Calls `hit` with each `tile_w`-wide tile column, in order, that holds
+/// a set bit of a strip's column-occupancy `words` ([`Mask::strip_or`]):
+/// one bit-scan that tests each tile column at most once. [`cover_count`]
+/// and the online detector both find a strip's non-zero tiles this way.
+pub fn for_each_tile_col(words: &[u64], tile_w: usize, mut hit: impl FnMut(usize)) {
+    // First column not yet covered by a found tile.
+    let mut next = 0;
+    for (wi, &word) in words.iter().enumerate() {
+        let base = wi * 64;
+        if next >= base + 64 {
+            continue;
+        }
+        let mut bits = word & (u64::MAX << next.saturating_sub(base));
+        while bits != 0 {
+            let tc = (base + bits.trailing_zeros() as usize) / tile_w;
+            hit(tc);
+            next = (tc + 1) * tile_w;
+            if next >= base + 64 {
+                break;
+            }
+            bits &= u64::MAX << (next - base);
+        }
     }
 }
 
@@ -150,9 +173,26 @@ mod tests {
 
     #[test]
     fn nonzero_tiles_matches_cover_count() {
-        let m = Mask::from_fn(32, 32, |r, c| (r * c) % 17 == 0);
-        let list = nonzero_tiles(&m, 4, 8);
-        let stats = cover_count(&m, 4, 8);
-        assert_eq!(list.len(), stats.nonzero_tiles);
+        // `nonzero_tiles` tests each tile with `block_any`: the independent
+        // reference for the strip scan, on masks a few words wide with
+        // ragged edges and tiles narrower and wider than a word.
+        let masks = [
+            Mask::from_fn(32, 32, |r, c| (r * c) % 17 == 0),
+            Mask::from_fn(70, 200, |r, c| (r * 31 + c * 17) % 23 == 0),
+            Mask::from_fn(45, 130, |r, c| c == 63 || c == 64 || (r == 44 && c == 129)),
+            Mask::zeros(9, 65),
+        ];
+        for m in &masks {
+            for (h, w) in [(1, 1), (4, 8), (2, 3), (3, 64), (5, 100), (8, 130), (16, 7)] {
+                let list = nonzero_tiles(m, h, w);
+                let stats = cover_count(m, h, w);
+                let covered: usize = list
+                    .iter()
+                    .map(|&(tr, tc)| (h.min(m.rows() - tr * h)) * (w.min(m.cols() - tc * w)))
+                    .sum();
+                assert_eq!(list.len(), stats.nonzero_tiles, "({h}, {w})");
+                assert_eq!(covered, stats.covered_elems, "({h}, {w})");
+            }
+        }
     }
 }

@@ -89,6 +89,7 @@ impl WaitCause {
 
     /// The blame category this cause maps to (1:1 — causes are the wait
     /// half of the category taxonomy).
+    #[inline]
     pub fn category(self) -> BlameCategory {
         match self {
             WaitCause::QueueBehindAdmission => BlameCategory::QueueBehindAdmission,
@@ -154,6 +155,7 @@ impl BlameCategory {
     ];
 
     /// The category's slot in the per-request arrays.
+    #[inline]
     pub fn index(self) -> usize {
         self as usize
     }
@@ -178,6 +180,7 @@ impl BlameCategory {
     /// The coarse phase the category folds into: admission-side waits
     /// are queue time, in-prefill waits are prefill time, memory and
     /// link pressure is stall time.
+    #[inline]
     pub fn phase(self) -> Phase {
         use BlameCategory::*;
         match self {
@@ -189,6 +192,7 @@ impl BlameCategory {
     }
 
     /// Which category a gap *ending* at `event` belongs to.
+    #[inline]
     pub fn of_event(event: &TraceEvent) -> BlameCategory {
         match event {
             TraceEvent::Admitted { .. } | TraceEvent::PrefixHit { .. } | TraceEvent::Rejected => {
@@ -285,6 +289,7 @@ impl BlameBreakdown {
 
     /// Attributes `seconds` to `category` (and its phase), counting them
     /// toward TTFT too when `in_ttft`.
+    #[inline]
     pub fn charge(&mut self, category: BlameCategory, seconds: f64, in_ttft: bool) {
         self.e2e_by_cause[category.index()] += seconds;
         if in_ttft {

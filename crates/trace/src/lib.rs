@@ -12,11 +12,13 @@
 //!   disabled) collector of typed request-lifecycle events stamped on the
 //!   virtual clock: one locked buffer, fed a record at a time or a whole
 //!   replay's batch at once;
-//! - [`LifecycleFold`] — the one per-lane lifecycle fold every stream
-//!   consumer below runs on: the arrival anchor, each inter-event gap's
-//!   [`BlameCategory`] tile and [`Phase`], and the TTFT / ITL / e2e
-//!   [`Latency`] observations; [`LaneSpans`] keeps each lane's breakdown
-//!   as it closes, which the decode replay folds online;
+//! - [`LifecycleFold`] / [`LaneTable`] — the per-lane lifecycle fold every
+//!   stream consumer below runs on, one lane transition over two holders:
+//!   the arrival anchor, each inter-event gap's [`BlameCategory`] tile and
+//!   [`Phase`], and the TTFT / ITL / e2e [`Latency`] observations. The
+//!   fold's map of open lanes serves the hub, the SLO monitor, the Chrome
+//!   export and after-the-run replays; the table's slot per lane holds
+//!   the decode replay's online blame;
 //! - [`chrome_trace_json`] — Chrome `trace_event` JSON export (device,
 //!   PCIe-link and per-sequence lanes), loadable in `chrome://tracing`
 //!   and Perfetto;
@@ -86,7 +88,7 @@ pub use http::{ScrapeServer, ShutdownHandle};
 pub use hub::{HubConfig, HubSeries, HubSeriesWindow, MetricsHub};
 pub use json::{JsonError, JsonErrorKind, JsonValue};
 pub use ledger::{DeviceLedger, StepSample, Utilization};
-pub use lifecycle::{LaneSpans, LaneStep, Latency, LatencySketches, LifecycleFold};
+pub use lifecycle::{LaneStep, LaneTable, Latency, LatencySketches, LifecycleFold};
 pub use sink::{
     TraceEvent, TraceRecord, TraceSink, DEVICE_LANE, LINK_D2H_LANE, LINK_H2D_LANE, RESERVED_LANES,
 };

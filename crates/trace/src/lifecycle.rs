@@ -3,30 +3,41 @@
 //!
 //! Every stream consumer — the blame reduction and its phase breakdown,
 //! the SLO monitor, the drift detector, the live hub, the exemplar
-//! reservoir and the Chrome exporter — feeds its records through a
-//! [`LifecycleFold`], so they all agree on one convention:
+//! reservoir, the Chrome exporter and the decode replay's online blame —
+//! runs its records through one lane transition, so they all agree on one
+//! convention:
 //!
-//! - the lane's first event anchors it: `Admitted` and `Waiting` carry
-//!   the true wait start, anything else starts the clock at itself;
+//! - the lane's first event anchors it: `Admitted` and `Waiting` carry the
+//!   true wait start, anything else starts the clock at itself;
 //! - every inter-event gap belongs to the *later* event's
 //!   [`BlameCategory`] (and through it to a coarse [`crate::Phase`]),
 //!   so the gaps tile `[arrival, last event]` exactly;
 //! - the first token event (`FirstToken` or `DecodeStep`) closes TTFT,
 //!   every later one — a re-admission `FirstToken` included — is an
 //!   inter-token gap, and `Finished` closes the end-to-end latency;
-//! - `Finished` and `Rejected` end the lane and release its state, so a
-//!   live fold holds only requests in flight.
+//! - `Finished` and `Rejected` end the lane; an event on an ended lane
+//!   opens a new lifecycle there.
 //!
-//! [`LaneSpans`] keeps each lane's breakdown as it closes. The decode
-//! replay folds online through it, event by event as it records them, so
-//! a traced run's blame and phase breakdown need no pass over the sink at
-//! the end; [`LifecycleFold::replay`] folds a recorded stream through the
-//! same collector after the fact.
+//! Two holders keep the lanes' state and run the transition on it:
+//!
+//! - [`LifecycleFold`] keeps the open lanes in a map keyed by lane id,
+//!   releases each as it ends, and hands the caller every event's
+//!   [`LaneStep`]. The hub, the SLO monitor and the Chrome exporter fold
+//!   on it, and so does [`LifecycleFold::replay`], the after-the-run pass
+//!   behind the blame reduction, the drift detector and the exemplar
+//!   reservoir: their lane ids are arbitrary, and they read the steps.
+//! - [`LaneTable`] keeps one slot per lane, indexed by lane (by
+//!   `lane / stride` under head sampling), and keeps each lane's breakdown
+//!   once it ends. The decode replay's lanes are trace indices, so it
+//!   sizes a table once and folds every event of a kept lane into it as it
+//!   records it: an event costs a slot update, with no map entry and no
+//!   [`LaneStep`].
 
 use crate::blame::{BlameBreakdown, BlameCategory};
 use crate::sink::{TraceEvent, TraceRecord, RESERVED_LANES};
 use crate::sketch::LatencySketch;
 use std::collections::BTreeMap;
+use std::num::NonZeroU64;
 
 /// One latency observation a lifecycle event closed (seconds).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,8 +98,9 @@ pub struct LaneStep {
     pub closed: Option<BlameBreakdown>,
 }
 
-/// One open lane: its tiles so far plus the two clocks the next event
-/// measures against.
+/// One lane's state: its tiles so far plus the two clocks the next event
+/// measures against. [`LaneState::open`] and [`LaneState::advance`] are
+/// the lane transition both holders run.
 #[derive(Debug, Clone, Copy)]
 struct LaneState {
     span: BlameBreakdown,
@@ -98,8 +110,68 @@ struct LaneState {
     last_token_s: Option<f64>,
 }
 
+impl LaneState {
+    /// Anchors a lane on its first event: `Admitted` and `Waiting` carry
+    /// the true wait start, anything else starts the clock at itself.
+    #[inline]
+    fn open(t_s: f64, event: &TraceEvent) -> Self {
+        let arrival_s = match *event {
+            TraceEvent::Admitted { arrival_s } => arrival_s,
+            TraceEvent::Waiting { since_s, .. } => since_s,
+            _ => t_s,
+        };
+        LaneState {
+            span: BlameBreakdown::new(arrival_s),
+            prev_s: arrival_s,
+            last_token_s: None,
+        }
+    }
+
+    /// Folds `event` at `t_s` into the lane: charges the gap since the
+    /// previous event to the event's category and closes TTFT, an ITL or
+    /// e2e. Returns where the gap began and the latency it closed. Whether
+    /// the event ends the lane is [`ends_lane`]'s call.
+    #[inline]
+    fn advance(&mut self, t_s: f64, event: &TraceEvent) -> (f64, Option<Latency>) {
+        let since_s = self.prev_s;
+        let in_ttft = self.span.first_token_s.is_none();
+        self.span.charge(
+            BlameCategory::of_event(event),
+            (t_s - since_s).max(0.0),
+            in_ttft,
+        );
+        self.prev_s = since_s.max(t_s);
+        self.span.end_s = self.span.end_s.max(t_s);
+        let latency = match event {
+            TraceEvent::FirstToken | TraceEvent::DecodeStep { .. } => {
+                let prev = self.last_token_s.replace(t_s);
+                Some(match prev {
+                    Some(prev) => Latency::Itl((t_s - prev).max(0.0)),
+                    None => {
+                        self.span.first_token_s = Some(t_s);
+                        Latency::Ttft(t_s - self.span.arrival_s)
+                    }
+                })
+            }
+            TraceEvent::Finished => {
+                self.span.finished = true;
+                Some(Latency::E2e(t_s - self.span.arrival_s))
+            }
+            _ => None,
+        };
+        (since_s, latency)
+    }
+}
+
+/// Whether `event` ends its lane.
+#[inline]
+fn ends_lane(event: &TraceEvent) -> bool {
+    matches!(event, TraceEvent::Finished | TraceEvent::Rejected)
+}
+
 /// The per-lane lifecycle state machine over every sequence lane of a
-/// stream (device and link lanes are ignored).
+/// stream (device and link lanes are ignored), holding the open lanes in
+/// a map.
 #[derive(Debug, Clone, Default)]
 pub struct LifecycleFold {
     lanes: BTreeMap<u64, LaneState>,
@@ -116,46 +188,13 @@ impl LifecycleFold {
         if lane >= RESERVED_LANES {
             return None;
         }
-        let st = self.lanes.entry(lane).or_insert_with(|| {
-            let arrival_s = match *event {
-                TraceEvent::Admitted { arrival_s } => arrival_s,
-                TraceEvent::Waiting { since_s, .. } => since_s,
-                _ => t_s,
-            };
-            LaneState {
-                span: BlameBreakdown::new(arrival_s),
-                prev_s: arrival_s,
-                last_token_s: None,
-            }
-        });
-        let since_s = st.prev_s;
-        let in_ttft = st.span.first_token_s.is_none();
-        st.span.charge(
-            BlameCategory::of_event(event),
-            (t_s - since_s).max(0.0),
-            in_ttft,
-        );
-        st.prev_s = since_s.max(t_s);
-        st.span.end_s = st.span.end_s.max(t_s);
-        let latency = match event {
-            TraceEvent::FirstToken | TraceEvent::DecodeStep { .. } => {
-                let prev = st.last_token_s.replace(t_s);
-                Some(match prev {
-                    Some(prev) => Latency::Itl((t_s - prev).max(0.0)),
-                    None => {
-                        st.span.first_token_s = Some(t_s);
-                        Latency::Ttft(t_s - st.span.arrival_s)
-                    }
-                })
-            }
-            TraceEvent::Finished => {
-                st.span.finished = true;
-                Some(Latency::E2e(t_s - st.span.arrival_s))
-            }
-            _ => None,
-        };
-        let closed = matches!(event, TraceEvent::Finished | TraceEvent::Rejected)
-            .then(|| self.lanes.remove(&lane).expect("lane observed above").span);
+        let (since_s, latency) = self
+            .lanes
+            .entry(lane)
+            .or_insert_with(|| LaneState::open(t_s, event))
+            .advance(t_s, event);
+        let closed =
+            ends_lane(event).then(|| self.lanes.remove(&lane).expect("lane observed above").span);
         Some(LaneStep {
             since_s,
             latency,
@@ -172,71 +211,111 @@ impl LifecycleFold {
     /// Folds a sorted record stream (as `TraceSink::drain`/`snapshot`
     /// return it) in one pass, handing every sequence-lane step to `each`,
     /// and returns each lane's breakdown — the ones the stream ended and
-    /// the ones still open when it stopped.
+    /// the ones still open when it stopped. A lane that reopens after it
+    /// ended reports its latest lifecycle.
     pub fn replay(
         records: &[TraceRecord],
         mut each: impl FnMut(&TraceRecord, &LaneStep),
     ) -> BTreeMap<u64, BlameBreakdown> {
-        let mut spans = LaneSpans::new();
+        let mut fold = LifecycleFold::new();
+        let mut spans = BTreeMap::new();
         for r in records {
-            if let Some(step) = spans.observe(r.t_s, r.lane, &r.event) {
+            if let Some(step) = fold.observe(r.t_s, r.lane, &r.event) {
+                if let Some(b) = step.closed {
+                    spans.insert(r.lane, b);
+                }
                 each(r, &step);
             }
         }
-        spans.finish()
+        spans.extend(fold.lanes.into_iter().map(|(lane, st)| (lane, st.span)));
+        spans
     }
 }
 
-/// A [`LifecycleFold`] that keeps every lane's [`BlameBreakdown`]: a
-/// lane's final breakdown is stored when `Finished` or `Rejected` closes
-/// it, and [`LaneSpans::finish`] adds the lanes still open. The one
-/// closed-lane collector: [`LifecycleFold::replay`] runs on it after a
-/// run, and the decode replay feeds it each event as it records it.
+/// The lifecycle fold over a dense lane range: one slot per sequence lane
+/// a 1-in-`stride` head sample keeps (lane `i * stride` in slot `i`),
+/// each holding the lane's latest lifecycle, open or ended. Lanes the
+/// stride skips and device and link lanes are ignored; a lane past the
+/// last slot grows the table.
 ///
-/// The fold keeps separate state per lane, so feeding events in emission
-/// order yields the same spans as feeding the time-sorted stream whenever
-/// each lane's times never decrease in emission order — true of the
-/// decode replay's lanes, and pinned by `tests/blame_invariants.rs`.
-#[derive(Debug, Clone, Default)]
-pub struct LaneSpans {
-    fold: LifecycleFold,
-    closed: BTreeMap<u64, BlameBreakdown>,
+/// Slots keep separate state per lane, so feeding events in emission
+/// order yields [`LifecycleFold::replay`]'s spans over the time-sorted
+/// stream whenever each lane's times never decrease in emission order —
+/// true of the decode replay's lanes, and pinned by
+/// `tests/blame_invariants.rs`.
+#[derive(Debug, Clone)]
+pub struct LaneTable {
+    stride: NonZeroU64,
+    slots: Vec<Slot>,
 }
 
-impl LaneSpans {
-    /// An empty collector.
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// One [`LaneTable`] slot.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    /// The lane's latest lifecycle; `None` before its first event.
+    state: Option<LaneState>,
+    /// Whether `Finished` or `Rejected` ended that lifecycle, so the
+    /// lane's next event opens a new one.
+    ended: bool,
+}
 
-    /// Folds one event ([`LifecycleFold::observe`]), storing the lane's
-    /// breakdown if the event closed it.
-    pub fn observe(&mut self, t_s: f64, lane: u64, event: &TraceEvent) -> Option<LaneStep> {
-        let step = self.fold.observe(t_s, lane, event)?;
-        if let Some(b) = step.closed {
-            self.closed.insert(lane, b);
+impl LaneTable {
+    /// A table for lanes `0..lanes` head-sampled 1-in-`stride` (`0` is
+    /// taken as 1): `lanes.div_ceil(stride)` slots, none for `lanes == 0`.
+    pub fn new(lanes: usize, stride: u64) -> Self {
+        let stride = NonZeroU64::new(stride).unwrap_or(NonZeroU64::MIN);
+        LaneTable {
+            stride,
+            slots: vec![Slot::default(); (lanes as u64).div_ceil(stride.get()) as usize],
         }
-        Some(step)
     }
 
-    /// Every lane's breakdown, by lane: the closed ones and those still
+    /// Slots the table holds.
+    pub fn slots(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Folds one event at `t_s` on `lane` into the lane's slot.
+    #[inline]
+    pub fn observe(&mut self, t_s: f64, lane: u64, event: &TraceEvent) {
+        if lane >= RESERVED_LANES || lane % self.stride != 0 {
+            return;
+        }
+        let i = (lane / self.stride) as usize;
+        if i >= self.slots.len() {
+            self.grow(i);
+        }
+        let slot = &mut self.slots[i];
+        let st = match &mut slot.state {
+            Some(st) if !slot.ended => st,
+            state => state.insert(LaneState::open(t_s, event)),
+        };
+        st.advance(t_s, event);
+        slot.ended = ends_lane(event);
+    }
+
+    /// Extends the table through slot `i`.
+    #[cold]
+    fn grow(&mut self, i: usize) {
+        self.slots.resize(i + 1, Slot::default());
+    }
+
+    /// Every lane's breakdown, by lane: the ended ones and those still
     /// open.
     pub fn finish(self) -> BTreeMap<u64, BlameBreakdown> {
-        let mut spans = self.closed;
-        spans.extend(
-            self.fold
-                .lanes
-                .into_iter()
-                .map(|(lane, st)| (lane, st.span)),
-        );
-        spans
+        let stride = self.stride.get();
+        self.slots
+            .into_iter()
+            .enumerate()
+            .filter_map(|(i, slot)| Some((i as u64 * stride, slot.state?.span)))
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::{TraceSink, DEVICE_LANE};
+    use crate::sink::{TraceSink, DEVICE_LANE, LINK_D2H_LANE, LINK_H2D_LANE};
 
     #[test]
     fn first_token_closes_ttft_and_later_tokens_are_gaps() {
@@ -346,5 +425,163 @@ mod tests {
             (1, 0, 1)
         );
         assert_eq!(latency.e2e.max(), 1.5);
+    }
+
+    /// Every field of every span as bits, by lane.
+    fn span_bits(spans: &BTreeMap<u64, BlameBreakdown>) -> Vec<(u64, bool, Option<u64>, Vec<u64>)> {
+        spans
+            .iter()
+            .map(|(&lane, b)| {
+                let times = [b.arrival_s, b.end_s]
+                    .iter()
+                    .chain(&b.ttft_by_cause)
+                    .chain(&b.e2e_by_cause)
+                    .chain(&b.phase_s)
+                    .map(|x| x.to_bits())
+                    .collect();
+                (lane, b.finished, b.first_token_s.map(f64::to_bits), times)
+            })
+            .collect()
+    }
+
+    /// A stream, in emission order, holding each lane shape the table must
+    /// fold as the map does: lane 0 finishes and reopens, lane 1 opens on
+    /// `Waiting`, lane 2 is rejected, lane 3 preempts and swaps while lane
+    /// 5 (which a 1-in-3 sample skips) comes and goes, lanes 5 and 9 are
+    /// past a 4-lane table's end, and device and link events interleave.
+    fn shaped_stream() -> Vec<(f64, u64, TraceEvent)> {
+        let cause = crate::blame::WaitCause::KvPoolExhausted;
+        let step = TraceEvent::Step {
+            prefill_rows: 3,
+            decode_slots: 2,
+            gpu_s: 0.1,
+        };
+        let decode = TraceEvent::DecodeStep {
+            attended: 8,
+            cached: 9,
+        };
+        vec![
+            (0.3, 0, TraceEvent::Admitted { arrival_s: 0.1 }),
+            (
+                0.3,
+                1,
+                TraceEvent::Waiting {
+                    cause,
+                    since_s: 0.2,
+                },
+            ),
+            (0.4, 0, TraceEvent::PrefillChunk { tokens: 3 }),
+            (0.4, DEVICE_LANE, step.clone()),
+            (0.5, 0, TraceEvent::FirstToken),
+            (0.5, 2, TraceEvent::Rejected),
+            (0.6, 1, TraceEvent::Admitted { arrival_s: 0.2 }),
+            (0.6, 3, TraceEvent::Admitted { arrival_s: 0.45 }),
+            (0.7, 0, decode.clone()),
+            (0.7, 3, TraceEvent::FirstToken),
+            (
+                0.8,
+                3,
+                TraceEvent::Preempted {
+                    policy: "swap-to-host",
+                },
+            ),
+            (
+                0.9,
+                LINK_D2H_LANE,
+                TraceEvent::SwapOut {
+                    pages: 2,
+                    initiated_s: 0.8,
+                    link_busy_until_s: 0.9,
+                },
+            ),
+            (
+                0.9,
+                3,
+                TraceEvent::SwapOut {
+                    pages: 2,
+                    initiated_s: 0.8,
+                    link_busy_until_s: 0.9,
+                },
+            ),
+            (0.9, 0, TraceEvent::Finished),
+            (0.95, 5, TraceEvent::Admitted { arrival_s: 0.9 }),
+            (1.0, 1, TraceEvent::PrefillChunk { tokens: 5 }),
+            (1.05, 5, TraceEvent::Rejected),
+            (1.1, 9, TraceEvent::Admitted { arrival_s: 1.05 }),
+            (1.1, 1, TraceEvent::FirstToken),
+            (
+                1.2,
+                LINK_H2D_LANE,
+                TraceEvent::SwapIn {
+                    pages: 2,
+                    initiated_s: 1.1,
+                    link_busy_until_s: 1.2,
+                },
+            ),
+            (
+                1.2,
+                3,
+                TraceEvent::SwapIn {
+                    pages: 2,
+                    initiated_s: 1.1,
+                    link_busy_until_s: 1.2,
+                },
+            ),
+            (1.3, 1, decode.clone()),
+            (1.3, 1, TraceEvent::Finished),
+            (1.3, 3, decode.clone()),
+            (
+                1.4,
+                0,
+                TraceEvent::Waiting {
+                    cause,
+                    since_s: 1.0,
+                },
+            ),
+            (1.5, 0, TraceEvent::Admitted { arrival_s: 1.0 }),
+            (1.6, 9, TraceEvent::FirstToken),
+            (1.7, 0, TraceEvent::FirstToken),
+            (1.7, DEVICE_LANE, step),
+            (1.8, 3, TraceEvent::Finished),
+        ]
+    }
+
+    #[test]
+    fn lane_table_folds_each_lane_shape_as_the_replay_does() {
+        let sink = TraceSink::enabled();
+        let mut table = LaneTable::new(4, 1);
+        for (t, lane, event) in shaped_stream() {
+            table.observe(t, lane, &event);
+            sink.record(t, lane, event);
+        }
+        assert_eq!(table.slots(), 10, "lane 9 grew the table");
+        let online = table.finish();
+        let replayed = LifecycleFold::replay(&sink.drain(), |_, _| {});
+        assert_eq!(
+            online.keys().copied().collect::<Vec<_>>(),
+            [0, 1, 2, 3, 5, 9]
+        );
+        assert_eq!(span_bits(&online), span_bits(&replayed));
+        // Lane 0 reports its reopened lifecycle, still open.
+        assert!(!online[&0].finished && online[&0].arrival_s == 1.0);
+        assert!(!online[&2].finished && online[&2].arrival_s == 0.5);
+        assert!(online[&1].finished && online[&1].arrival_s == 0.2);
+    }
+
+    #[test]
+    fn lane_table_keeps_the_head_sampled_lanes_in_one_slot_each() {
+        let sink = TraceSink::enabled().with_sampling(3);
+        let mut table = LaneTable::new(10, 3);
+        assert_eq!(table.slots(), 4, "lanes 0, 3, 6 and 9");
+        for (t, lane, event) in shaped_stream() {
+            table.observe(t, lane, &event);
+            sink.record(t, lane, event);
+        }
+        assert_eq!(table.slots(), 4);
+        let online = table.finish();
+        let replayed = LifecycleFold::replay(&sink.drain(), |_, _| {});
+        assert_eq!(online.keys().copied().collect::<Vec<_>>(), [0, 3, 9]);
+        assert_eq!(span_bits(&online), span_bits(&replayed));
+        assert_eq!(LaneTable::new(0, 3).slots(), 0);
     }
 }
