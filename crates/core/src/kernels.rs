@@ -33,9 +33,10 @@
 //! output element still accumulates its non-zero terms one `+=` at a
 //! time in ascending `k` (for [`spmm_k_axis`], in the index's
 //! within-strip order, which the detector emits ascending), with no
-//! fused multiply-add, and the AVX2 instance of the MAC that x86 CPUs run
-//! performs the same operations as the portable one. So each kernel's
-//! output equals `pit_tensor::ops::matmul` on the same operands exactly.
+//! fused multiply-add, and the AVX-512F and AVX2 instances of the MAC
+//! that x86 CPUs run perform the same operations as the portable one. So
+//! each kernel's output equals `pit_tensor::ops::matmul` on the same
+//! operands exactly.
 //! Modelled latency and waste are reported in [`KernelStats`].
 
 use crate::detector::{scan_strips, MicroTileIndex};

@@ -32,7 +32,8 @@
 //!    `pit_kernels::dense::mac_rows`: rows that share a term list (a
 //!    k-strip's rows, the listed rows, one expert's tokens) go four at a
 //!    time, each loaded element of `B` reused across them, and x86 CPUs
-//!    with AVX2 run the same code compiled for AVX2.
+//!    run the same code compiled for AVX-512F (16-lane chunks) or, without
+//!    it, for AVX2 (8-lane chunks), chosen at run time.
 //! 6. [`ops`]: high-level operator API (sparse linear layers, SDD/DSD
 //!    attention products, MoE expert GEMM) used by the model layer, with a
 //!    [`jit`] cache standing in for the paper's kernel database.

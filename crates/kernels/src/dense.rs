@@ -4,8 +4,10 @@
 //! tile runs, here and in `pit_core`'s sparse kernels: up to four output
 //! rows that share a term list at once, each element still summing its
 //! terms one `+=` at a time in order, so results stay bit-identical to
-//! `pit_tensor::ops::matmul`. x86 CPUs with AVX2 run the same body
-//! compiled for AVX2, chosen at run time.
+//! `pit_tensor::ops::matmul`. The body is compiled three times and the
+//! instance is chosen at run time: x86 CPUs with AVX-512F run it with
+//! 16-lane chunks, other x86 CPUs with AVX2 with 8-lane chunks, and the
+//! rest the portable instance (8-lane chunks, the build's baseline).
 
 use crate::KernelOutput;
 use pit_gpusim::cost::TileDims;
@@ -124,10 +126,16 @@ pub fn gemm_rows(
 /// their terms in ascending `p` are bit-identical to the reference
 /// product's rows.
 ///
-/// On x86 CPUs with AVX2 the same body runs compiled a second time with
-/// AVX2 enabled (chosen at run time): wider vectors over independent
-/// elements, the same operations on each element, so the results are
-/// bit-identical to the portable instance.
+/// The same body runs in one of three instances, chosen at run time: on
+/// x86 CPUs with AVX-512F compiled with it and 16 elements per chunk, on
+/// x86 CPUs with AVX2 (and no AVX-512F) compiled with AVX2 and 8 per
+/// chunk, elsewhere compiled for the build's baseline. The tile is bound
+/// by floating-point throughput — with no fused multiply-add, every term
+/// costs a multiply and an add — so the vector width is what pays, and
+/// AVX-512's 32 registers hold a block's 16 broadcast coefficients
+/// beside its four B chunks, which AVX2's 16 cannot. Wider chunks only
+/// apply the same operations to more independent elements at once, so
+/// all three instances are bit-identical.
 ///
 /// `R` is 1 to 32, checked at compile time.
 ///
@@ -142,14 +150,34 @@ pub fn mac_rows<const R: usize>(
     terms: impl IntoIterator<Item = (usize, [f32; R])>,
 ) {
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the running CPU supports AVX2, checked just above.
-        return unsafe { mac_rows_avx2(out, b, ldb, terms) };
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: the running CPU supports AVX-512F, checked just above.
+            return unsafe { mac_rows_avx512(out, b, ldb, terms) };
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the running CPU supports AVX2, checked just above.
+            return unsafe { mac_rows_avx2(out, b, ldb, terms) };
+        }
     }
-    mac_rows_body(out, b, ldb, terms)
+    mac_rows_body::<R, 8>(out, b, ldb, terms)
 }
 
-/// [`mac_rows`] compiled with AVX2 enabled.
+/// [`mac_rows`] compiled with AVX-512F enabled: 16-lane chunks, one
+/// `zmm` register each.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx512f")]
+fn mac_rows_avx512<const R: usize>(
+    out: [&mut [f32]; R],
+    b: &[f32],
+    ldb: usize,
+    terms: impl IntoIterator<Item = (usize, [f32; R])>,
+) {
+    mac_rows_body::<R, 16>(out, b, ldb, terms)
+}
+
+/// [`mac_rows`] compiled with AVX2 enabled: 8-lane chunks, one `ymm`
+/// register each.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 #[target_feature(enable = "avx2")]
 fn mac_rows_avx2<const R: usize>(
@@ -158,14 +186,16 @@ fn mac_rows_avx2<const R: usize>(
     ldb: usize,
     terms: impl IntoIterator<Item = (usize, [f32; R])>,
 ) {
-    mac_rows_body(out, b, ldb, terms)
+    mac_rows_body::<R, 8>(out, b, ldb, terms)
 }
 
-/// The body of [`mac_rows`]; it and its helpers are always inlined, so
-/// each caller compiles all of it with its own target features: the
-/// build's baseline in [`mac_rows`], AVX2 in `mac_rows_avx2`.
+/// The body of [`mac_rows`], applying terms in chunks of `LANES`
+/// elements. It and its helpers are always inlined, so each caller
+/// compiles all of it with its own target features: the build's baseline
+/// (8 lanes) in [`mac_rows`], AVX-512F (16 lanes) in `mac_rows_avx512`
+/// and AVX2 (8 lanes) in `mac_rows_avx2`.
 #[inline(always)]
-fn mac_rows_body<'b, const R: usize>(
+fn mac_rows_body<'b, const R: usize, const LANES: usize>(
     mut out: [&mut [f32]; R],
     b: &'b [f32],
     ldb: usize,
@@ -183,7 +213,7 @@ fn mac_rows_body<'b, const R: usize>(
     // Each row's own terms: earlier than the group's, not applied yet.
     let mut own: [[(&'b [f32], [f32; 1]); 4]; R] = [[(&[], [0.0]); 4]; R];
     let mut owned = [0usize; R];
-    let every_row = (1u32 << R) - 1;
+    let every_row = u32::MAX >> (32 - R);
     for (p, coefs) in terms {
         // Bit `r` set when the term applies to row `r`.
         let rows = (0..R).fold(0u32, |m, r| m | u32::from(coefs[r] != 0.0) << r);
@@ -199,7 +229,7 @@ fn mac_rows_body<'b, const R: usize>(
                     add_terms(row, &own[r][..owned[r]]);
                     owned[r] = 0;
                 }
-                mac_block(&mut out, &group);
+                mac_block::<R, LANES>(&mut out, &group);
                 grouped = 0;
             }
             continue;
@@ -209,7 +239,7 @@ fn mac_rows_body<'b, const R: usize>(
         // it applies to.
         for (r, row) in out.iter_mut().enumerate() {
             for &(x, a) in &group[..grouped] {
-                push_own(row, &mut own[r], &mut owned[r], (x, a[r]));
+                push_own::<LANES>(row, &mut own[r], &mut owned[r], (x, a[r]));
             }
         }
         grouped = 0;
@@ -217,7 +247,7 @@ fn mac_rows_body<'b, const R: usize>(
         while rest != 0 {
             let r = rest.trailing_zeros() as usize;
             rest &= rest - 1;
-            push_own(out[r], &mut own[r], &mut owned[r], (brow, coefs[r]));
+            push_own::<LANES>(out[r], &mut own[r], &mut owned[r], (brow, coefs[r]));
         }
     }
     for (r, row) in out.iter_mut().enumerate() {
@@ -231,7 +261,7 @@ fn mac_rows_body<'b, const R: usize>(
 /// Appends a term to one row's own batch of `len` terms, applying the
 /// batch once it holds four.
 #[inline(always)]
-fn push_own<'b>(
+fn push_own<'b, const LANES: usize>(
     row: &mut [f32],
     batch: &mut [(&'b [f32], [f32; 1]); 4],
     len: &mut usize,
@@ -240,7 +270,7 @@ fn push_own<'b>(
     batch[*len] = (x, [a]);
     *len += 1;
     if *len == batch.len() {
-        mac_block(&mut [row], batch);
+        mac_block::<1, LANES>(&mut [row], batch);
         *len = 0;
     }
 }
@@ -256,11 +286,14 @@ fn add_terms(row: &mut [f32], terms: &[(&[f32], [f32; 1])]) {
 }
 
 /// Applies four terms to `R` rows: `row[r][j] += a[r]·x[j]` for each term
-/// `(x, a)` in order. Elements go in register-sized chunks; a chunk of
-/// each term's `x` is loaded once and used for every row.
+/// `(x, a)` in order. Elements go in chunks of `LANES`, one vector
+/// register each; a chunk of each term's `x` is loaded once and used for
+/// every row.
 #[inline(always)]
-fn mac_block<const R: usize>(out: &mut [&mut [f32]; R], terms: &[(&[f32], [f32; R]); 4]) {
-    const LANES: usize = 8;
+fn mac_block<const R: usize, const LANES: usize>(
+    out: &mut [&mut [f32]; R],
+    terms: &[(&[f32], [f32; R]); 4],
+) {
     let w = out[0].len();
     let [(x0, a0), (x1, a1), (x2, a2), (x3, a3)] = *terms;
     let (x0, x1, x2, x3) = (&x0[..w], &x1[..w], &x2[..w], &x3[..w]);
@@ -473,10 +506,35 @@ mod tests {
         t
     }
 
-    /// `v` split into four rows of equal width.
-    fn four_rows(v: &mut [f32]) -> [&mut [f32]; 4] {
-        let mut rows = v.chunks_exact_mut(v.len() / 4);
-        std::array::from_fn(|_| rows.next().expect("four rows"))
+    /// `v` split into `R` rows of equal width.
+    fn split_rows<const R: usize>(v: &mut [f32]) -> [&mut [f32]; R] {
+        let mut rows = v.chunks_exact_mut(v.len() / R);
+        std::array::from_fn(|_| rows.next().expect("R rows"))
+    }
+
+    /// Runs `instance` and the portable instance on `R` rows of each width
+    /// around the 8- and 16-lane chunks, with the terms in a shuffled
+    /// order and coefficients that are zero or `-0.0` in some rows only,
+    /// and compares the results bit for bit.
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    fn assert_matches_portable<const R: usize>(
+        instance: impl Fn([&mut [f32]; R], &[f32], usize, &[(usize, [f32; R])]),
+    ) {
+        let (k, ldb) = (37, 48);
+        let b = values(k * ldb, 7);
+        for w in [1, 7, 8, 9, 15, 16, 17, 24, 31, 32, 33, 48] {
+            let a = values(R * k, w as u64);
+            let terms: Vec<(usize, [f32; R])> = (0..k)
+                .map(|i| (i * 17 + 5) % k)
+                .map(|p| (p, std::array::from_fn(|r| a[r * k + p])))
+                .collect();
+            let start = values(R * w, 99);
+            let (mut portable, mut wide) = (start.clone(), start);
+            mac_rows_body::<R, 8>(split_rows(&mut portable), &b, ldb, terms.iter().copied());
+            instance(split_rows(&mut wide), &b, ldb, &terms);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&portable), bits(&wide), "R = {R}, width {w}");
+        }
     }
 
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
@@ -485,23 +543,30 @@ mod tests {
         if !std::arch::is_x86_feature_detected!("avx2") {
             return;
         }
-        // Widths around the 8-lane chunk; terms in a shuffled order, with
-        // zero coefficients in some rows only.
-        let (k, ldb) = (37, 43);
-        let b = values(k * ldb, 7);
-        for w in [1, 7, 8, 9, 24, 43] {
-            let order: Vec<usize> = (0..k).map(|i| (i * 17 + 5) % k).collect();
-            let a = values(4 * k, w as u64);
-            let coef = |p: usize| std::array::from_fn::<f32, 4, _>(|r| a[r * k + p]);
-            let start = values(4 * w, 99);
-            let (mut portable, mut avx2) = (start.clone(), start);
-            let terms = order.iter().map(|&p| (p, coef(p)));
-            mac_rows_body(four_rows(&mut portable), &b, ldb, terms.clone());
-            // SAFETY: the CPU supports AVX2, checked above.
-            unsafe { mac_rows_avx2(four_rows(&mut avx2), &b, ldb, terms) };
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&portable), bits(&avx2), "width {w}");
+        // SAFETY: the CPU supports AVX2, checked above.
+        assert_matches_portable::<1>(|out, b, ldb, t| unsafe {
+            mac_rows_avx2(out, b, ldb, t.iter().copied())
+        });
+        // SAFETY: as above.
+        assert_matches_portable::<4>(|out, b, ldb, t| unsafe {
+            mac_rows_avx2(out, b, ldb, t.iter().copied())
+        });
+    }
+
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    #[test]
+    fn avx512_instance_is_bit_identical_to_portable() {
+        if !std::arch::is_x86_feature_detected!("avx512f") {
+            return;
         }
+        // SAFETY: the CPU supports AVX-512F, checked above.
+        assert_matches_portable::<1>(|out, b, ldb, t| unsafe {
+            mac_rows_avx512(out, b, ldb, t.iter().copied())
+        });
+        // SAFETY: as above.
+        assert_matches_portable::<4>(|out, b, ldb, t| unsafe {
+            mac_rows_avx512(out, b, ldb, t.iter().copied())
+        });
     }
 
     #[test]

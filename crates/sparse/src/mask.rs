@@ -79,7 +79,14 @@ impl Mask {
         m
     }
 
-    /// Builds a mask marking the non-zero elements of a rank-2 tensor.
+    /// Builds a mask marking the non-zero elements of a rank-2 tensor
+    /// (`-0.0` reads as zero, NaN as non-zero), a 64-bit word at a time.
+    ///
+    /// On x86-64 CPUs with AVX-512F each full word of a row is four 16-lane
+    /// compares against zero, whose predicate (not-equal, unordered) reads
+    /// `-0.0` and NaN as `v != 0.0` does; elsewhere, and for a row's
+    /// partial last word, a portable scan computes it. The two give the
+    /// same bits.
     ///
     /// # Panics
     ///
@@ -91,13 +98,54 @@ impl Mask {
         if cols == 0 {
             return m;
         }
-        let words = m.bits.chunks_exact_mut(m.words_per_row);
-        for (row, words) in t.data().chunks_exact(cols).zip(words) {
-            for (values, word) in row.chunks(64).zip(words) {
-                *word = nonzero_word(values);
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: the running CPU supports AVX-512F, checked just above.
+            unsafe { m.fill_nonzero_avx512(t.data()) };
+            return m;
+        }
+        m.fill_nonzero(t.data(), |values| nonzero_word(values));
+        m
+    }
+
+    /// Sets the bits of the non-zero values in `data`, the row-major
+    /// values of a tensor of this mask's shape: `full_word` turns each
+    /// run of 64 values of a row into its word, [`nonzero_word`] the
+    /// shorter run of a row's last word.
+    #[inline(always)]
+    fn fill_nonzero(&mut self, data: &[f32], full_word: impl Fn(&[f32; 64]) -> u64) {
+        let words = self.bits.chunks_exact_mut(self.words_per_row);
+        for (row, words) in data.chunks_exact(self.cols).zip(words) {
+            let full = row.chunks_exact(64);
+            let tail = full.remainder();
+            if !tail.is_empty() {
+                words[words.len() - 1] = nonzero_word(tail);
+            }
+            for (values, word) in full.zip(words) {
+                *word = full_word(values.try_into().expect("64 values"));
             }
         }
-        m
+    }
+
+    /// [`Mask::fill_nonzero`] compiled with AVX-512F enabled, each full
+    /// word built from four 16-lane compares against zero.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    fn fill_nonzero_avx512(&mut self, data: &[f32]) {
+        use std::arch::x86_64::{
+            _mm512_cmp_ps_mask, _mm512_loadu_ps, _mm512_setzero_ps, _CMP_NEQ_UQ,
+        };
+        self.fill_nonzero(data, |values| {
+            values
+                .chunks_exact(16)
+                .enumerate()
+                .fold(0, |word, (i, sixteen)| {
+                    // SAFETY: the unaligned load reads the 16 values of `sixteen`.
+                    let v = unsafe { _mm512_loadu_ps(sixteen.as_ptr()) };
+                    let flags = _mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(v, _mm512_setzero_ps());
+                    word | u64::from(flags) << (16 * i)
+                })
+        })
     }
 
     /// Number of rows.
@@ -432,6 +480,43 @@ mod tests {
         let m = Mask::from_tensor(&t);
         assert_eq!(m.nnz(), 2);
         assert!(m.apply(&t).allclose(&t, 0.0));
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx512_word_fill_equals_portable() {
+        if !std::arch::is_x86_feature_detected!("avx512f") {
+            return;
+        }
+        let specials = [
+            0.0,
+            -0.0,
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),
+            -f32::MIN_POSITIVE / 2.0,
+            1.0,
+            -2.5,
+        ];
+        let rows = 4;
+        for cols in [1, 63, 64, 65, 130] {
+            // Row 2 is all zeros of both signs; the others mix everything.
+            let data: Vec<f32> = (0..rows * cols)
+                .map(|i| match i / cols {
+                    2 => [0.0, -0.0][i % 2],
+                    _ => specials[((i * 2_654_435_761) >> 11) % specials.len()],
+                })
+                .collect();
+            let (mut portable, mut wide) = (Mask::zeros(rows, cols), Mask::zeros(rows, cols));
+            portable.fill_nonzero(&data, |values| nonzero_word(values));
+            // SAFETY: the CPU supports AVX-512F, checked above.
+            unsafe { wide.fill_nonzero_avx512(&data) };
+            assert_eq!(wide, portable, "cols {cols}");
+            let nonzero = Mask::from_fn(rows, cols, |r, c| data[r * cols + c] != 0.0);
+            assert_eq!(portable, nonzero, "cols {cols}");
+        }
     }
 
     #[test]

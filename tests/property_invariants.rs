@@ -195,7 +195,8 @@ proptest! {
     }
 
     /// The multi-row MAC applies each row's non-zero terms one `+=` at a
-    /// time in the given order, for every row count it is built for.
+    /// time in the given order, for every row count it is built for and
+    /// the largest it allows.
     #[test]
     fn mac_rows_matches_scalar_oracle(
         w in 1usize..40,
@@ -208,6 +209,7 @@ proptest! {
         check_mac_rows::<2>(w, pad, k, n_terms, seed ^ 2);
         check_mac_rows::<3>(w, pad, k, n_terms, seed ^ 3);
         check_mac_rows::<4>(w, pad, k, n_terms, seed ^ 4);
+        check_mac_rows::<32>(w, pad, k, n_terms, seed ^ 32);
     }
 
     /// The unordered detector finds exactly the non-zero micro-tiles, for
