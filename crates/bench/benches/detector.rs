@@ -5,9 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pit_core::detector::detect_mask;
 use pit_core::microtile::MicroTile;
 use pit_gpusim::{CostModel, DeviceSpec};
-use pit_sparse::formats::Csr;
 use pit_sparse::generate;
-use pit_tensor::Tensor;
 
 fn bench_detection(c: &mut Criterion) {
     let cost = CostModel::new(DeviceSpec::v100_32gb());
@@ -25,11 +23,6 @@ fn bench_detection(c: &mut Criterion) {
             );
         }
     }
-    // The ordered CSR construction every sparse library needs instead.
-    let dense = mask.apply(&Tensor::random([2048, 2048], 8));
-    group.bench_function("ordered_csr_reference", |bench| {
-        bench.iter(|| Csr::from_dense(&dense));
-    });
     group.finish();
 }
 

@@ -1,69 +1,21 @@
-//! Criterion benches over the *real* kernel implementations (Figure 16's
-//! micro-benchmark, executed with actual f32 arithmetic at a
-//! laptop-tractable size).
+//! Criterion benches over the host kernels PIT runs: the fused sparse
+//! kernels of `pit_core` and the tiled dense GEMM, timed on real `f32`
+//! operands at a laptop-tractable size.
 //!
-//! Wall-clock here tracks the work each algorithm actually performs —
-//! baselines that execute coverage waste pay for it in real time, so the
-//! relative shape of Figure 16 is visible without the device model.
+//! The baselines are priced by the device model only (their figures come
+//! from `run_all`), so nothing here times them.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use pit_core::detector::detect_mask;
 use pit_core::kernels::{moe_gemm, sdd_m_axis, spmm_k_axis, spmm_m_axis, spmm_row_segments};
 use pit_core::microtile::MicroTile;
 use pit_gpusim::cost::TileDims;
 use pit_gpusim::{CostModel, DeviceSpec};
-use pit_kernels::baselines::{blocksparse, cusparse, sputnik};
 use pit_kernels::tiles::TileDb;
-use pit_sparse::formats::{Bcsr, Csr};
 use pit_sparse::generate;
 use pit_tensor::{DType, Tensor};
 
 const SIZE: usize = 512;
-
-fn bench_fig16_spmm(c: &mut Criterion) {
-    let cost = CostModel::new(DeviceSpec::v100_32gb());
-    let mut group = c.benchmark_group("fig16_spmm_real");
-    group.sample_size(10);
-    for sparsity in [0.90, 0.99] {
-        let mask = generate::granular_random(SIZE, SIZE, 32, 1, sparsity, 1);
-        let a = mask.apply(&Tensor::random([SIZE, SIZE], 2));
-        let b = Tensor::random([SIZE, SIZE], 3);
-        let csr = Csr::from_dense(&a);
-        let bcsr = Bcsr::from_dense(&a, 32, 32);
-        let index = detect_mask(&cost, &mask, MicroTile::new(16, 1), 4);
-        let tile = TileDims::new(16, 16, 16);
-
-        group.bench_with_input(
-            BenchmarkId::new("cusparse", format!("{:.0}%", sparsity * 100.0)),
-            &sparsity,
-            |bench, _| {
-                bench.iter(|| cusparse::spmm(&cost, &csr, &b, DType::F32).unwrap());
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("sputnik", format!("{:.0}%", sparsity * 100.0)),
-            &sparsity,
-            |bench, _| {
-                bench.iter(|| sputnik::spmm(&cost, &csr, &b, DType::F32).unwrap());
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("openai_blocksparse", format!("{:.0}%", sparsity * 100.0)),
-            &sparsity,
-            |bench, _| {
-                bench.iter(|| blocksparse::spmm_dsd(&cost, &bcsr, &b, DType::F32).unwrap());
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("pit_k_axis", format!("{:.0}%", sparsity * 100.0)),
-            &sparsity,
-            |bench, _| {
-                bench.iter(|| spmm_k_axis(&cost, &a, &b, &index, tile, DType::F32).unwrap());
-            },
-        );
-    }
-    group.finish();
-}
 
 fn bench_row_sparse(c: &mut Criterion) {
     // The dynamic-sequence-length kernel (Figures 8/10/11's core op).
@@ -145,10 +97,5 @@ fn bench_pit_ops_sites(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_fig16_spmm,
-    bench_row_sparse,
-    bench_pit_ops_sites
-);
+criterion_group!(benches, bench_row_sparse, bench_pit_ops_sites);
 criterion_main!(benches);

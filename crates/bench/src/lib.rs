@@ -6,10 +6,10 @@
 //! `results/`: all of them, or only those it is given by name
 //! (`cargo run --release -p pit_bench --bin run_all -- fig08`).
 //!
-//! Absolute numbers come from the analytical device model (`DESIGN.md` §2)
+//! Absolute numbers come from the analytical device model (`pit_gpusim`)
 //! — the reproduction targets the *shape* of each result: orderings,
-//! rough factors and crossover locations. `EXPERIMENTS.md` records
-//! paper-vs-measured for every experiment.
+//! rough factors and crossover locations. The committed output of every
+//! modelled figure is in `bench/baselines/figures/`.
 
 pub mod figures;
 pub mod table;

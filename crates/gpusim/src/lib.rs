@@ -1,9 +1,8 @@
 //! Analytical GPU performance model for the PIT reproduction.
 //!
 //! The paper evaluates on NVIDIA A100-80GB and V100-32GB GPUs. Those are not
-//! available here, so this crate provides the substitution described in
-//! `DESIGN.md` §2: a deterministic, analytical model of a tile-based GPU
-//! that charges
+//! available here, so this crate substitutes a deterministic, analytical
+//! model of a tile-based GPU that charges
 //!
 //! 1. **compute time** per dense tile from a roofline over the device's peak
 //!    FLOP rate, degraded by a tile-shape efficiency factor (small tiles

@@ -2,86 +2,15 @@
 //!
 //! These kernels only support coarse block granularity (32×32 in Triton,
 //! 16×16 at best), so finer sparsity must be *padded up* to whole blocks —
-//! the coverage waste PIT's micro-tiles eliminate (§2.2, §6). Both the
-//! DSD (`sparse × dense → dense`) and SDD (`dense × dense → sparse`)
-//! variants used by sparse attention are provided.
+//! the coverage waste PIT's micro-tiles eliminate (§2.2, §6). The module
+//! prices the DSD (`sparse × dense → dense`) kernel from a count of
+//! non-zero blocks ([`dsd_cost_only`]) and the layout rebuild a changed
+//! pattern costs ([`layout_cost`]); it computes no product.
 
-use crate::KernelOutput;
 use pit_gpusim::cost::TileDims;
 use pit_gpusim::{CostModel, KernelStats};
-use pit_sparse::formats::{convert_cost, Bcsr};
-use pit_sparse::Mask;
-use pit_tensor::{DType, Tensor, TensorError};
-
-/// `C = A_bcsr × B` (DSD). Each non-zero `block_h × block_w` block of `A`
-/// contributes one k-pass to every output tile in its block-row.
-pub fn spmm_dsd(
-    cost: &CostModel,
-    a: &Bcsr,
-    b: &Tensor,
-    dtype: DType,
-) -> Result<KernelOutput, TensorError> {
-    if b.rank() != 2 {
-        return Err(TensorError::RankMismatch {
-            expected: 2,
-            actual: b.rank(),
-        });
-    }
-    if a.cols != b.shape().dim(0) {
-        return Err(TensorError::ContractionMismatch {
-            lhs_inner: a.cols,
-            rhs_inner: b.shape().dim(0),
-        });
-    }
-    let n = b.shape().dim(1);
-    let mut out = vec![0.0f32; a.rows * n];
-    let bsz = a.block_h * a.block_w;
-    let grid_r = a.rows.div_ceil(a.block_h);
-    let mut blk = 0usize;
-    for br in 0..grid_r {
-        for i in a.indptr[br]..a.indptr[br + 1] {
-            let bc = a.indices[i];
-            let payload = &a.blocks[blk * bsz..(blk + 1) * bsz];
-            for dr in 0..a.block_h {
-                let r = br * a.block_h + dr;
-                if r >= a.rows {
-                    break;
-                }
-                for dc in 0..a.block_w {
-                    let kk = bc * a.block_w + dc;
-                    if kk >= a.cols {
-                        break;
-                    }
-                    let v = payload[dr * a.block_w + dc];
-                    if v == 0.0 {
-                        continue;
-                    }
-                    let brow = &b.data()[kk * n..(kk + 1) * n];
-                    let orow = &mut out[r * n..(r + 1) * n];
-                    for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                        *o += v * bv;
-                    }
-                }
-            }
-            blk += 1;
-        }
-    }
-    let nnz: usize = a.blocks.iter().filter(|&&v| v != 0.0).count();
-    let stats = dsd_cost_only(
-        cost,
-        a.num_blocks(),
-        a.block_h,
-        a.block_w,
-        a.rows,
-        n,
-        nnz,
-        dtype,
-    );
-    Ok(KernelOutput {
-        tensor: Tensor::from_vec(out, [a.rows, n])?,
-        stats,
-    })
-}
+use pit_sparse::formats::convert_cost;
+use pit_tensor::DType;
 
 /// Analytic-only DSD cost: `nnz_blocks` blocks, each swept across the
 /// `n`-dimension in `block_w`-deep k-passes.
@@ -115,78 +44,6 @@ pub fn dsd_cost_only(
     }
 }
 
-/// `C = (A × B) ⊙ mask` (SDD): computes only the output blocks marked
-/// non-zero in the block `mask` (block granularity `block × block`), as in
-/// block-sparse attention scores.
-pub fn sdd(
-    cost: &CostModel,
-    a: &Tensor,
-    b: &Tensor,
-    mask: &Mask,
-    block: usize,
-    dtype: DType,
-) -> Result<KernelOutput, TensorError> {
-    let (m, k) = (a.shape().dim(0), a.shape().dim(1));
-    let (k2, n) = (b.shape().dim(0), b.shape().dim(1));
-    if k != k2 {
-        return Err(TensorError::ContractionMismatch {
-            lhs_inner: k,
-            rhs_inner: k2,
-        });
-    }
-    let mut out = vec![0.0f32; m * n];
-    let mut nnz_blocks = 0usize;
-    for br in 0..m.div_ceil(block) {
-        for bc in 0..n.div_ceil(block) {
-            if !mask.block_any(br * block, bc * block, block, block) {
-                continue;
-            }
-            nnz_blocks += 1;
-            let r1 = ((br + 1) * block).min(m);
-            let c1 = ((bc + 1) * block).min(n);
-            for r in br * block..r1 {
-                for c in bc * block..c1 {
-                    let mut acc = 0.0f32;
-                    for p in 0..k {
-                        acc += a.data()[r * k + p] * b.data()[p * n + c];
-                    }
-                    out[r * n + c] = acc;
-                }
-            }
-        }
-    }
-    let stats = sdd_cost_only(cost, nnz_blocks, block, k, mask.nnz(), dtype);
-    Ok(KernelOutput {
-        tensor: Tensor::from_vec(out, [m, n])?,
-        stats,
-    })
-}
-
-/// Analytic-only SDD cost: `nnz_blocks` output blocks each reducing over
-/// the full `k`.
-pub fn sdd_cost_only(
-    cost: &CostModel,
-    nnz_blocks: usize,
-    block: usize,
-    k: usize,
-    out_nnz: usize,
-    dtype: DType,
-) -> KernelStats {
-    let tensor_core = dtype.tensor_core_eligible();
-    let elem = dtype.size_bytes();
-    let tile = TileDims::new(block, block.min(32), block);
-    let latency = cost.tiled_gemm_latency(nnz_blocks, tile, k, elem, tensor_core);
-    let executed = 2.0 * (nnz_blocks * block * block * k) as f64;
-    KernelStats {
-        flops_useful: 2.0 * out_nnz as f64 * k as f64,
-        flops_executed: executed,
-        bytes_read: 2.0 * (nnz_blocks * block * k * elem) as f64,
-        bytes_written: (nnz_blocks * block * block * elem) as f64,
-        tiles_executed: nnz_blocks,
-        latency_s: latency,
-    }
-}
-
 /// Layout (index) construction cost — Triton's block-sparse kernels
 /// rebuild host-side layout metadata whenever the pattern changes.
 pub fn layout_cost(
@@ -212,48 +69,10 @@ pub fn layout_cost(
 mod tests {
     use super::*;
     use pit_gpusim::DeviceSpec;
-    use pit_sparse::generate;
-    use pit_tensor::ops;
+    use pit_sparse::{cover_count, generate};
 
     fn cost() -> CostModel {
         CostModel::new(DeviceSpec::v100_32gb())
-    }
-
-    #[test]
-    fn dsd_matches_dense_reference() {
-        let cost = cost();
-        let mask = generate::granular_random(64, 64, 16, 16, 0.7, 11);
-        let a = mask.apply(&Tensor::random([64, 64], 12));
-        let b = Tensor::random([64, 48], 13);
-        let out = spmm_dsd(&cost, &Bcsr::from_dense(&a, 16, 16), &b, DType::F32).unwrap();
-        assert!(out.tensor.allclose(&ops::matmul(&a, &b).unwrap(), 1e-4));
-    }
-
-    #[test]
-    fn sdd_matches_masked_reference() {
-        let cost = cost();
-        let a = Tensor::random([32, 40], 1);
-        let b = Tensor::random([40, 32], 2);
-        let mask = generate::granular_random(32, 32, 16, 16, 0.5, 3);
-        let out = sdd(&cost, &a, &b, &mask, 16, DType::F32).unwrap();
-        let full = ops::matmul(&a, &b).unwrap();
-        // Non-zero blocks must match the dense result exactly; outside
-        // blocks must be zero.
-        for br in 0..2 {
-            for bc in 0..2 {
-                let nz = mask.block_any(br * 16, bc * 16, 16, 16);
-                for r in br * 16..(br + 1) * 16 {
-                    for c in bc * 16..(bc + 1) * 16 {
-                        let got = out.tensor.get(&[r, c]).unwrap();
-                        if nz {
-                            assert!((got - full.get(&[r, c]).unwrap()).abs() < 1e-4);
-                        } else {
-                            assert_eq!(got, 0.0);
-                        }
-                    }
-                }
-            }
-        }
     }
 
     #[test]
@@ -262,11 +81,9 @@ mod tests {
         // useful FLOPs (the waste PIT eliminates).
         let cost = cost();
         let mask = generate::granular_random(256, 256, 1, 32, 0.9, 4);
-        let a = mask.apply(&Tensor::random([256, 256], 5));
-        let bcsr = Bcsr::from_dense(&a, 32, 32);
-        let b = Tensor::random([256, 64], 6);
-        let out = spmm_dsd(&cost, &bcsr, &b, DType::F32).unwrap();
-        assert!(out.stats.wasted_fraction() > 0.5);
+        let blocks = cover_count(&mask, 32, 32).nonzero_tiles;
+        let stats = dsd_cost_only(&cost, blocks, 32, 32, 256, 64, mask.nnz(), DType::F32);
+        assert!(stats.wasted_fraction() > 0.5);
     }
 
     #[test]

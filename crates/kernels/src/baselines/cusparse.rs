@@ -6,55 +6,15 @@
 //! Sputnik paper (SC '20) both report cuSPARSE at a few percent of dense
 //! GEMM throughput on deep-learning sparsity (unstructured, 70–99%).
 
-use crate::KernelOutput;
 use pit_gpusim::{CostModel, KernelStats};
-use pit_sparse::formats::{convert_cost, Csr};
-use pit_tensor::{DType, Tensor, TensorError};
+use pit_sparse::formats::convert_cost;
+use pit_tensor::DType;
 
 /// Fraction of peak FLOP rate a scalar CSR SpMM sustains on DL sparsity.
 pub const CUSPARSE_EFFICIENCY: f64 = 0.02;
 
 /// Effective reuse factor of `B` traffic through L2 for scalar CSR SpMM.
 pub const CUSPARSE_B_REUSE: f64 = 4.0;
-
-/// Computes `C = A_csr × B` with the cuSPARSE-style execution model.
-pub fn spmm(
-    cost: &CostModel,
-    a: &Csr,
-    b: &Tensor,
-    dtype: DType,
-) -> Result<KernelOutput, TensorError> {
-    if b.rank() != 2 {
-        return Err(TensorError::RankMismatch {
-            expected: 2,
-            actual: b.rank(),
-        });
-    }
-    if a.cols != b.shape().dim(0) {
-        return Err(TensorError::ContractionMismatch {
-            lhs_inner: a.cols,
-            rhs_inner: b.shape().dim(0),
-        });
-    }
-    let n = b.shape().dim(1);
-    let mut out = vec![0.0f32; a.rows * n];
-    for r in 0..a.rows {
-        for i in a.indptr[r]..a.indptr[r + 1] {
-            let col = a.indices[i];
-            let v = a.values[i];
-            let brow = &b.data()[col * n..(col + 1) * n];
-            let orow = &mut out[r * n..(r + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                *o += v * bv;
-            }
-        }
-    }
-    let stats = spmm_cost_only(cost, a.rows, a.cols, n, a.nnz(), dtype);
-    Ok(KernelOutput {
-        tensor: Tensor::from_vec(out, [a.rows, n])?,
-        stats,
-    })
-}
 
 /// Analytic-only SpMM cost for the cuSPARSE execution model.
 pub fn spmm_cost_only(
@@ -99,19 +59,6 @@ pub fn conversion_cost(
 mod tests {
     use super::*;
     use pit_gpusim::DeviceSpec;
-    use pit_sparse::generate;
-    use pit_tensor::ops;
-
-    #[test]
-    fn spmm_matches_dense_reference() {
-        let cost = CostModel::new(DeviceSpec::v100_32gb());
-        let mask = generate::granular_random(48, 64, 1, 1, 0.8, 1);
-        let a = mask.apply(&Tensor::random([48, 64], 2));
-        let b = Tensor::random([64, 32], 3);
-        let csr = Csr::from_dense(&a);
-        let out = spmm(&cost, &csr, &b, DType::F32).unwrap();
-        assert!(out.tensor.allclose(&ops::matmul(&a, &b).unwrap(), 1e-4));
-    }
 
     #[test]
     fn latency_scales_with_nnz() {
@@ -132,13 +79,5 @@ mod tests {
         let dense =
             crate::baselines::cublas::gemm_cost_only(&cost, &db, 4096, 4096, 4096, DType::F32);
         assert!(sparse.latency_s > dense.latency_s);
-    }
-
-    #[test]
-    fn shape_mismatch_is_error() {
-        let cost = CostModel::new(DeviceSpec::v100_32gb());
-        let a = Csr::from_dense(&Tensor::random([4, 5], 1));
-        let b = Tensor::random([6, 3], 2);
-        assert!(spmm(&cost, &a, &b, DType::F32).is_err());
     }
 }

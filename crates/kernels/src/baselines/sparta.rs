@@ -18,11 +18,10 @@
 //! whenever the pattern changes.
 
 use crate::tiles::CUDA_CORE_TILES;
-use crate::KernelOutput;
 use pit_gpusim::{CostModel, KernelStats};
 use pit_sparse::formats::convert_cost::SPARTA_COMPILE_S;
 use pit_sparse::{cover_count, Mask};
-use pit_tensor::{ops, DType, Tensor, TensorError};
+use pit_tensor::DType;
 
 /// Efficiency of SparTA's specialised fine-grained code path: above
 /// Sputnik's generic kernels (indices are compiled in) but far below dense
@@ -32,25 +31,6 @@ pub const SPARTA_FINE_EFFICIENCY: f64 = 0.12;
 /// One-off kernel specialisation latency (seconds).
 pub fn compile_cost() -> f64 {
     SPARTA_COMPILE_S
-}
-
-/// Executes `C = A × B` where `A = mask ⊙ a_dense`, using the better of
-/// SparTA's two specialised execution modes for this pattern.
-pub fn spmm(
-    cost: &CostModel,
-    a: &Tensor,
-    mask: &Mask,
-    b: &Tensor,
-    dtype: DType,
-) -> Result<KernelOutput, TensorError> {
-    let masked = mask.apply(a);
-    let result = ops::matmul(&masked, b)?;
-    let n = b.shape().dim(1);
-    let stats = spmm_cost_only(cost, mask, n, dtype);
-    Ok(KernelOutput {
-        tensor: result,
-        stats,
-    })
 }
 
 /// Analytic cost of SparTA's specialised kernel for `[M,K]` pattern `mask`
@@ -124,17 +104,6 @@ mod tests {
 
     fn cost() -> CostModel {
         CostModel::new(DeviceSpec::v100_32gb())
-    }
-
-    #[test]
-    fn spmm_matches_masked_reference() {
-        let cost = cost();
-        let a = Tensor::random([48, 32], 1);
-        let mask = generate::granular_random(48, 32, 4, 4, 0.6, 2);
-        let b = Tensor::random([32, 40], 3);
-        let out = spmm(&cost, &a, &mask, &b, DType::F32).unwrap();
-        let reference = ops::matmul(&mask.apply(&a), &b).unwrap();
-        assert!(out.tensor.allclose(&reference, 1e-4));
     }
 
     #[test]

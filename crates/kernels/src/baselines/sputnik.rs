@@ -5,55 +5,15 @@
 //! of peak than cuSPARSE on deep-learning sparsity, but still well below
 //! dense tiles because its computation granularity follows individual rows.
 
-use crate::KernelOutput;
 use pit_gpusim::{CostModel, KernelStats};
-use pit_sparse::formats::{convert_cost, Csr};
-use pit_tensor::{DType, Tensor, TensorError};
+use pit_sparse::formats::convert_cost;
+use pit_tensor::DType;
 
 /// Fraction of peak FLOP rate Sputnik sustains on DL sparsity.
 pub const SPUTNIK_EFFICIENCY: f64 = 0.08;
 
 /// Effective reuse factor of `B` traffic (vector loads + row swizzle).
 pub const SPUTNIK_B_REUSE: f64 = 16.0;
-
-/// Computes `C = A_csr × B` with the Sputnik execution model.
-pub fn spmm(
-    cost: &CostModel,
-    a: &Csr,
-    b: &Tensor,
-    dtype: DType,
-) -> Result<KernelOutput, TensorError> {
-    if b.rank() != 2 {
-        return Err(TensorError::RankMismatch {
-            expected: 2,
-            actual: b.rank(),
-        });
-    }
-    if a.cols != b.shape().dim(0) {
-        return Err(TensorError::ContractionMismatch {
-            lhs_inner: a.cols,
-            rhs_inner: b.shape().dim(0),
-        });
-    }
-    let n = b.shape().dim(1);
-    let mut out = vec![0.0f32; a.rows * n];
-    for r in 0..a.rows {
-        for i in a.indptr[r]..a.indptr[r + 1] {
-            let col = a.indices[i];
-            let v = a.values[i];
-            let brow = &b.data()[col * n..(col + 1) * n];
-            let orow = &mut out[r * n..(r + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                *o += v * bv;
-            }
-        }
-    }
-    let stats = spmm_cost_only(cost, a.rows, a.cols, n, a.nnz(), dtype);
-    Ok(KernelOutput {
-        tensor: Tensor::from_vec(out, [a.rows, n])?,
-        stats,
-    })
-}
 
 /// Analytic-only SpMM cost for the Sputnik execution model.
 pub fn spmm_cost_only(
@@ -97,18 +57,6 @@ pub fn conversion_cost(
 mod tests {
     use super::*;
     use pit_gpusim::DeviceSpec;
-    use pit_sparse::generate;
-    use pit_tensor::ops;
-
-    #[test]
-    fn spmm_matches_dense_reference() {
-        let cost = CostModel::new(DeviceSpec::v100_32gb());
-        let mask = generate::granular_random(32, 48, 1, 1, 0.9, 5);
-        let a = mask.apply(&Tensor::random([32, 48], 6));
-        let b = Tensor::random([48, 24], 7);
-        let out = spmm(&cost, &Csr::from_dense(&a), &b, DType::F32).unwrap();
-        assert!(out.tensor.allclose(&ops::matmul(&a, &b).unwrap(), 1e-4));
-    }
 
     #[test]
     fn sputnik_beats_cusparse() {

@@ -12,7 +12,7 @@
 use crate::KernelOutput;
 use pit_gpusim::cost::TileDims;
 use pit_gpusim::{CostModel, KernelStats};
-use pit_tensor::{ops, DType, Tensor, TensorError};
+use pit_tensor::{DType, Tensor, TensorError};
 
 /// Dense `[m,k]×[k,n]` GEMM with the given tile shape: the real product
 /// on the host, the modelled latency of the tiled device kernel.
@@ -417,18 +417,11 @@ pub fn layernorm_cost(cost: &CostModel, rows: usize, cols: usize, dtype: DType) 
     }
 }
 
-/// ReLU executed for real, with elementwise cost.
-pub fn relu(cost: &CostModel, a: &Tensor, dtype: DType) -> KernelOutput {
-    KernelOutput {
-        tensor: ops::relu(a),
-        stats: elementwise_cost(cost, a.numel(), dtype, 1),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pit_gpusim::DeviceSpec;
+    use pit_tensor::ops;
 
     fn cost() -> CostModel {
         CostModel::new(DeviceSpec::a100_80gb())
@@ -609,15 +602,6 @@ mod tests {
             DType::F32,
         );
         assert!(s16.latency_s < s32.latency_s);
-    }
-
-    #[test]
-    fn relu_output_and_cost() {
-        let cost = cost();
-        let a = Tensor::from_vec(vec![-1.0, 2.0], [1, 2]).unwrap();
-        let out = relu(&cost, &a, DType::F32);
-        assert_eq!(out.tensor.data(), &[0.0, 2.0]);
-        assert!(out.stats.latency_s > 0.0);
     }
 
     #[test]

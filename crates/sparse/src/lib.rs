@@ -12,9 +12,9 @@
 //!
 //! A [`Mask`] is a bitset over a 2-D tensor; sparse *values* always stay in
 //! their original dense buffer (this is what lets PIT's `SRead`/`SWrite`
-//! operate zero-copy, §3.3 of the paper). The formats the baselines read
-//! (CSR and BCSR) are in [`formats`] together with their modelled
-//! conversion costs, and [`cover`] implements the paper's `CoverAlgo`
+//! operate zero-copy, §3.3 of the paper). [`formats`] prices the
+//! conversions into the formats the baselines read (CSR, a BCSR-style
+//! block layout), and [`cover`] implements the paper's `CoverAlgo`
 //! (Algorithm 1, line 8).
 
 pub mod cover;

@@ -53,11 +53,6 @@ pub fn add(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
     zip_elementwise(a, b, |x, y| x + y)
 }
 
-/// Applies the rectified linear unit elementwise.
-pub fn relu(a: &Tensor) -> Tensor {
-    map(a, |x| x.max(0.0))
-}
-
 /// Row-wise softmax of a rank-2 tensor.
 pub fn softmax_rows(a: &Tensor) -> Result<Tensor, TensorError> {
     check_rank(a, 2)?;
@@ -159,11 +154,6 @@ fn zip_elementwise(
     )
 }
 
-fn map(a: &Tensor, f: impl Fn(f32) -> f32) -> Tensor {
-    let data = a.data().iter().map(|&x| f(x)).collect();
-    Tensor::from_vec(data, Shape::new(a.shape().dims().to_vec())).expect("same length")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,12 +186,6 @@ mod tests {
             let sum: f32 = s.row(i).unwrap().iter().sum();
             assert!((sum - 1.0).abs() < 1e-5);
         }
-    }
-
-    #[test]
-    fn relu_zeroes_negatives() {
-        let a = Tensor::from_vec(vec![-1.0, 2.0, -3.0], [3]).unwrap();
-        assert_eq!(relu(&a).data(), &[0.0, 2.0, 0.0]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! Multi-News, Alpaca, Arxiv, the Lakh MIDI dataset). Those datasets enter
 //! the experiments only through their *shape statistics* — sequence-length
 //! distributions, routing histograms, activation densities — so this crate
-//! substitutes seeded samplers with matching statistics (`DESIGN.md` §2).
+//! substitutes seeded samplers with matching statistics.
 //! Per-dataset parameters are documented on each [`datasets::DatasetSpec`].
 
 pub mod batching;

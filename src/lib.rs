@@ -8,9 +8,11 @@
 //!
 //! - [`tensor`] — dense tensors and their reference operations.
 //! - [`gpusim`] — the analytical GPU performance model (A100/V100).
-//! - [`sparse`] — masks, sparsity generators and classic sparse formats.
-//! - [`kernels`] — dense tiled kernels, the tile database and the baseline
-//!   sparse libraries (cuSPARSE-, Sputnik-, Triton-, SparTA-style).
+//! - [`sparse`] — masks, micro-tile covers, sparsity generators and the
+//!   baselines' format-conversion costs.
+//! - [`kernels`] — dense tiled kernels, the tile database and cost models
+//!   of the baseline sparse libraries (cuSPARSE-, Sputnik-, Triton-,
+//!   SparTA-style).
 //! - [`core`] — the paper's contribution: PIT rules, micro-tiles,
 //!   SRead/SWrite, the online sparsity detector and kernel selection.
 //! - [`models`] — transformer/MoE model simulations used in the evaluation.

@@ -36,6 +36,45 @@ fn pipeline_correct_across_sparsity_regimes() {
     }
 }
 
+/// `Pit`'s entry points on masks big enough for the detector to split
+/// its scan over several workers: 1024 rows of 16 words each are exactly
+/// the 2^14 words at which `detect_mask` fans out (on a host with more
+/// than one core). Each pattern gets a fresh engine, because the JIT
+/// cache keys a selection by shape alone. Every pattern must select a
+/// sparse rule, so the detector runs (row segments, k-axis strips, row
+/// lists), and both entry points must equal the dense product exactly.
+#[test]
+fn pit_entry_points_exact_on_multi_worker_scans() {
+    let side = 1024usize;
+    assert_eq!(side * side.div_ceil(64), 1 << 14);
+    let lens: Vec<usize> = (0..8).map(|i| 20 + i * 13).collect();
+    let masks = [
+        generate::granular_random(side, side, 1, 8, 0.9, 21),
+        generate::granular_random(side, side, 32, 1, 0.9, 22),
+        generate::granular_random(side, side, 8, 8, 0.95, 23),
+        generate::token_row_mask(&lens, side / lens.len(), side),
+    ];
+    let b = Tensor::random([side, 64], 20);
+    for (i, mask) in masks.iter().enumerate() {
+        let pit = engine();
+        let a = mask.apply(&Tensor::random([side, side], 30 + i as u64));
+        let reference = ops::matmul(&a, &b).unwrap();
+        for exec in [
+            pit.matmul_masked(&a, mask, &b, DType::F32).unwrap(),
+            pit.matmul_dyn_sparse(&a, &b, DType::F32).unwrap(),
+        ] {
+            assert!(
+                exec.selection.rule.is_some(),
+                "pattern {i} fell back to the dense kernel"
+            );
+            assert!(
+                exec.output.tensor == reference,
+                "pattern {i} differs from the dense product"
+            );
+        }
+    }
+}
+
 #[test]
 fn pipeline_correct_on_sequence_padding() {
     let pit = engine();

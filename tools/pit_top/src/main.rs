@@ -22,7 +22,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
 use std::time::Duration;
-use trace_explain::{Align, Table};
+use trace_explain::{summary_count, summary_quantile, Align, CauseSeconds, Table};
 
 const IO_TIMEOUT: Duration = Duration::from_millis(2000);
 const SPARK: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
@@ -72,38 +72,29 @@ fn http_get(addr: &str, path: &str) -> Result<String, String> {
 /// The dashboard's view of one `/metrics` scrape.
 #[derive(Default, Clone)]
 struct Snapshot {
+    /// Every counter family's total over its samples, by name.
     counters: BTreeMap<String, f64>,
     gauges: BTreeMap<String, f64>,
     /// `(family, count, p50, p95, p99)` rows, milliseconds.
     summaries: Vec<(String, f64, f64, f64, f64)>,
-    /// `(cause, seconds)` from `pit_hub_wait_seconds_total{cause=...}`.
+    /// Ranked `(cause, seconds)` from `pit_hub_wait_seconds_total{cause=...}`.
     waits: Vec<(String, f64)>,
-    /// `(cause, seconds)` from `pit_blame_*_seconds_total`.
+    /// Ranked `(cause, seconds)` from `pit_blame_*_seconds_total`.
     blame: Vec<(String, f64)>,
 }
 
 fn snapshot_from(expo: &Exposition) -> Snapshot {
-    let mut snap = Snapshot::default();
+    let CauseSeconds { blame, waits } = CauseSeconds::read(expo);
+    let mut snap = Snapshot {
+        waits,
+        blame,
+        ..Snapshot::default()
+    };
     for fam in expo.families() {
         match fam.kind {
             MetricKind::Counter => {
-                if fam.name == "pit_hub_wait_seconds_total" {
-                    for s in &fam.samples {
-                        if let Some((_, cause)) = s.labels.iter().find(|(k, _)| k == "cause") {
-                            snap.waits.push((cause.clone(), s.value));
-                        }
-                    }
-                } else if let Some(cause) = fam
-                    .name
-                    .strip_prefix("pit_blame_")
-                    .and_then(|n| n.strip_suffix("_seconds_total"))
-                {
-                    let total: f64 = fam.samples.iter().map(|s| s.value).sum();
-                    snap.blame.push((cause.to_string(), total));
-                } else {
-                    let total: f64 = fam.samples.iter().map(|s| s.value).sum();
-                    snap.counters.insert(fam.name.clone(), total);
-                }
+                let total: f64 = fam.samples.iter().map(|s| s.value).sum();
+                snap.counters.insert(fam.name.clone(), total);
             }
             MetricKind::Gauge => {
                 if let Some(s) = fam.samples.first() {
@@ -111,31 +102,14 @@ fn snapshot_from(expo: &Exposition) -> Snapshot {
                 }
             }
             MetricKind::Summary => {
-                let q = |want: &str| {
-                    fam.samples
-                        .iter()
-                        .find(|s| {
-                            s.suffix.is_empty()
-                                && s.labels.iter().any(|(k, v)| k == "quantile" && v == want)
-                        })
-                        .map(|s| s.value * 1e3)
-                        .unwrap_or(f64::NAN)
-                };
-                let count = fam
-                    .samples
-                    .iter()
-                    .find(|s| s.suffix == "_count")
-                    .map(|s| s.value)
-                    .unwrap_or(0.0);
+                let ms =
+                    |quantile: &str| summary_quantile(fam, quantile).map_or(f64::NAN, |s| s * 1e3);
+                let count = summary_count(fam).unwrap_or(0.0);
                 snap.summaries
-                    .push((fam.name.clone(), count, q("0.5"), q("0.95"), q("0.99")));
+                    .push((fam.name.clone(), count, ms("0.5"), ms("0.95"), ms("0.99")));
             }
         }
     }
-    snap.waits
-        .sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    snap.blame
-        .sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     snap
 }
 

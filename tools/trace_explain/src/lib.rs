@@ -1,7 +1,9 @@
 //! Explains where a serving run's time went.
 //!
 //! The library behind the `trace_explain` binary, also reused by
-//! `pit_top` for its table rendering. Three input shapes are understood:
+//! `pit_top` for its table rendering and its exposition readers
+//! ([`CauseSeconds`], [`summary_quantile`], [`summary_count`]). Three
+//! input shapes are understood:
 //!
 //! - Chrome `TRACE_*.json` exports (top-level JSON array) — per-request
 //!   cause seconds are re-derived from the rendered gap segments, the
@@ -13,7 +15,7 @@
 //!   latency summaries and the `pit_blame_*` / `pit_hub_wait_*` cause
 //!   counters are printed as ranked tables via [`pit_trace::parse_exposition`].
 
-use pit_trace::{parse_exposition, JsonValue, MetricKind};
+use pit_trace::{parse_exposition, Exposition, JsonValue, MetricFamily, MetricKind};
 use std::collections::BTreeMap;
 
 /// The latency percentiles each table reports, highest last.
@@ -318,6 +320,70 @@ fn blame_cause_name(family: &str) -> Option<&str> {
         .strip_suffix("_seconds_total")
 }
 
+/// The cause seconds an exposition's counters carry, in the two
+/// conventions the workspace writes them in. Each pool is ranked by
+/// seconds descending, then by name, the order every cause table prints.
+#[derive(Debug, Default)]
+pub struct CauseSeconds {
+    /// `(cause, seconds)` per `pit_blame_<cause>_seconds_total` family,
+    /// summed over its samples.
+    pub blame: Vec<(String, f64)>,
+    /// `(cause, seconds)` per sample of `pit_hub_wait_seconds_total`,
+    /// named by its `cause` label (`?` when it has none).
+    pub waits: Vec<(String, f64)>,
+}
+
+impl CauseSeconds {
+    /// Reads both pools from `expo`'s counter families.
+    pub fn read(expo: &Exposition) -> Self {
+        let mut causes = CauseSeconds::default();
+        for fam in expo.families() {
+            if fam.kind != MetricKind::Counter {
+                continue;
+            }
+            if let Some(cause) = blame_cause_name(&fam.name) {
+                let total: f64 = fam.samples.iter().map(|s| s.value).sum();
+                causes.blame.push((cause.to_string(), total));
+            } else if fam.name == "pit_hub_wait_seconds_total" {
+                for s in &fam.samples {
+                    let cause = s
+                        .labels
+                        .iter()
+                        .find(|(k, _)| k == "cause")
+                        .map_or("?", |(_, v)| v.as_str());
+                    causes.waits.push((cause.to_string(), s.value));
+                }
+            }
+        }
+        for pool in [&mut causes.blame, &mut causes.waits] {
+            pool.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        }
+        causes
+    }
+}
+
+/// A summary family's `{quantile="<quantile>"}` sample, as written
+/// (seconds for the latency summaries).
+pub fn summary_quantile(fam: &MetricFamily, quantile: &str) -> Option<f64> {
+    fam.samples
+        .iter()
+        .find(|s| {
+            s.suffix.is_empty()
+                && s.labels
+                    .iter()
+                    .any(|(k, v)| k == "quantile" && v == quantile)
+        })
+        .map(|s| s.value)
+}
+
+/// A summary family's `_count` sample.
+pub fn summary_count(fam: &MetricFamily) -> Option<f64> {
+    fam.samples
+        .iter()
+        .find(|s| s.suffix == "_count")
+        .map(|s| s.value)
+}
+
 /// Explains a Prometheus text exposition (`METRICS_*.prom` file or a
 /// `/metrics` scrape body): latency summaries as percentile rows, then
 /// the blame-cause and wait-cause counters ranked by seconds.
@@ -333,66 +399,38 @@ fn explain_exposition(path: &str, text: &str) -> Result<(), String> {
         ("p95_ms", Align::Right),
         ("p99_ms", Align::Right),
     ]);
-    // (cause, seconds) pools for the two cause-counter conventions.
-    let mut blame: Vec<(String, f64)> = Vec::new();
-    let mut waits: Vec<(String, f64)> = Vec::new();
-    for fam in expo.families() {
-        match fam.kind {
-            MetricKind::Summary => {
-                let q = |want: &str| {
-                    fam.samples
-                        .iter()
-                        .find(|s| {
-                            s.suffix.is_empty()
-                                && s.labels.iter().any(|(k, v)| k == "quantile" && v == want)
-                        })
-                        .map(|s| format!("{:.2}", s.value * 1e3))
-                        .unwrap_or_else(|| "-".to_string())
-                };
-                let count = fam
-                    .samples
-                    .iter()
-                    .find(|s| s.suffix == "_count")
-                    .map(|s| format!("{:.0}", s.value))
-                    .unwrap_or_else(|| "-".to_string());
-                latency.row(vec![
-                    fam.name.clone(),
-                    count,
-                    q("0.5"),
-                    q("0.9"),
-                    q("0.95"),
-                    q("0.99"),
-                ]);
-            }
-            MetricKind::Counter => {
-                if let Some(cause) = blame_cause_name(&fam.name) {
-                    let total: f64 = fam.samples.iter().map(|s| s.value).sum();
-                    blame.push((cause.to_string(), total));
-                } else if fam.name == "pit_hub_wait_seconds_total" {
-                    for s in &fam.samples {
-                        let cause = s
-                            .labels
-                            .iter()
-                            .find(|(k, _)| k == "cause")
-                            .map(|(_, v)| v.clone())
-                            .unwrap_or_else(|| "?".to_string());
-                        waits.push((cause, s.value));
-                    }
-                }
-            }
-            MetricKind::Gauge => {}
-        }
+    let summaries = expo
+        .families()
+        .iter()
+        .filter(|f| f.kind == MetricKind::Summary);
+    for fam in summaries {
+        let ms = |quantile: &str| {
+            summary_quantile(fam, quantile)
+                .map_or_else(|| "-".to_string(), |s| format!("{:.2}", s * 1e3))
+        };
+        let count = summary_count(fam).map_or_else(|| "-".to_string(), |c| format!("{c:.0}"));
+        latency.row(vec![
+            fam.name.clone(),
+            count,
+            ms("0.5"),
+            ms("0.9"),
+            ms("0.95"),
+            ms("0.99"),
+        ]);
     }
 
     if !latency.is_empty() {
         println!("  latency summaries:");
         print!("{}", latency.render("    "));
     }
-    for (label, mut pool) in [("blame summary", blame), ("wait causes", waits)] {
+    let causes = CauseSeconds::read(&expo);
+    for (label, pool) in [
+        ("blame summary", causes.blame),
+        ("wait causes", causes.waits),
+    ] {
         if pool.is_empty() {
             continue;
         }
-        pool.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         let total: f64 = pool.iter().map(|(_, s)| s).sum();
         let mut t = Table::new(&[
             ("cause", Align::Left),
@@ -507,6 +545,48 @@ mod tests {
         let p = path.to_str().expect("utf8 path");
         explain(p).expect("explains exposition");
         check(p).expect("checks exposition");
+    }
+
+    #[test]
+    fn exposition_readers_rank_causes_and_read_summaries() {
+        let mut e = Exposition::new();
+        e.counter("pit_blame_queue_behind_admission_seconds_total", "h", 1.5);
+        e.counter("pit_blame_decode_execute_seconds_total", "h", 3.5);
+        e.counter("pit_blame_kv_pool_full_seconds_total", "h", 1.5);
+        let wait = |cause: &str, value| pit_trace::Sample {
+            suffix: String::new(),
+            labels: vec![("cause".to_string(), cause.to_string())],
+            value,
+        };
+        let waits = vec![wait("kv_pool", 0.5), wait("max_live", 2.0)];
+        e.family(
+            "pit_hub_wait_seconds_total",
+            "h",
+            MetricKind::Counter,
+            waits,
+        );
+        let mut sk = pit_trace::LatencySketch::new();
+        for i in 1..=100 {
+            sk.record(i as f64 / 1000.0);
+        }
+        e.summary("pit_ttft_seconds", "h", &sk, &[0.5]);
+        let owned = |pairs: &[(&str, f64)]| -> Vec<(String, f64)> {
+            pairs.iter().map(|&(c, s)| (c.to_string(), s)).collect()
+        };
+        let causes = CauseSeconds::read(&e);
+        assert_eq!(
+            causes.blame,
+            owned(&[
+                ("decode_execute", 3.5),
+                ("kv_pool_full", 1.5),
+                ("queue_behind_admission", 1.5)
+            ])
+        );
+        assert_eq!(causes.waits, owned(&[("max_live", 2.0), ("kv_pool", 0.5)]));
+        let ttft = &e.families()[e.families().len() - 1];
+        assert_eq!(summary_count(ttft), Some(100.0));
+        assert!(summary_quantile(ttft, "0.5").is_some_and(|s| (s - 0.05).abs() < 0.002));
+        assert_eq!(summary_quantile(ttft, "0.9"), None);
     }
 
     #[test]
