@@ -44,7 +44,7 @@
 //! occupancy/fragmentation and preemption counts.
 
 use crate::metrics::{CacheStats, DecodeMetrics, DecodeReport};
-use crate::step::{price_step, StepWork};
+use crate::step::{price_step, StepWork, CACHE_CAPACITY};
 use pit_core::jit::JitCache;
 use pit_gpusim::DeviceSpec;
 use pit_kv::{KvConfig, PagedKvCache};
@@ -295,8 +295,6 @@ impl std::error::Error for ConfigError {}
 /// Precision of every decode replay: fp16, LLM-serving precision (decode
 /// steps are memory-bound, so K/V streaming is first-order).
 const DTYPE: DType = DType::F16;
-/// Entries of the replay's shared per-shape JIT cache.
-const CACHE_CAPACITY: usize = 256;
 /// Fraction of device memory the KV pool gets unless `kv_pages` is set.
 const KV_MEM_FRACTION: f64 = 0.25;
 /// Chunked-prefill cap: prompt tokens one request prefills per step.

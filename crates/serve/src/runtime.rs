@@ -30,7 +30,7 @@
 use crate::metrics::{CacheStats, Metrics, ServingReport};
 use crate::queue::{BoundedQueue, PopResult};
 use crate::scheduler::{BatchPolicy, FormedBatch};
-use crate::step::{price_step, StepWork};
+use crate::step::{price_step, StepWork, CACHE_CAPACITY};
 use pit_core::jit::JitCache;
 use pit_gpusim::DeviceSpec;
 use pit_models::{Engine, ModelConfig};
@@ -80,9 +80,10 @@ const DTYPE: DType = DType::F32;
 
 /// Configuration of one serving run.
 ///
-/// Every run serves on the modelled A100-80GB in fp32 with 2 workers;
-/// the scheduler waits up to 2 ms per missing request for a batch of 8,
-/// and the closed loop ([`serve_trace`]) runs 8 clients.
+/// Every run serves on the modelled A100-80GB in fp32 with 2 workers
+/// sharing a 256-entry JIT cache; the scheduler waits up to 2 ms per
+/// missing request for a batch of 8, and the closed loop
+/// ([`serve_trace`]) runs 8 clients.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Batch-formation policy.
@@ -93,9 +94,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// The model every request runs through.
     pub model: ModelConfig,
-    /// Shared JIT-cache bound (entries); keeps a long-running server's
-    /// selection cache from growing without limit.
-    pub cache_capacity: usize,
     /// When set, the open-loop replays bucket admitted/rejected counts
     /// (and, in the deterministic replay, peak queue depth) into windows
     /// this many seconds wide — [`ServingReport::windows`]. `None` (the
@@ -106,16 +104,15 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// A default serving setup for `policy`: BERT-base, blocking admission
-    /// behind a 64-request queue, a 256-entry JIT cache, no arrival
-    /// windows. Fixed for every run: the A100-80GB, fp32, 2 workers, 8
-    /// clients and a batch fill of 8 within 2 ms per missing request.
+    /// behind a 64-request queue, no arrival windows. Fixed for every run:
+    /// the A100-80GB, fp32, 2 workers, a 256-entry JIT cache, 8 clients
+    /// and a batch fill of 8 within 2 ms per missing request.
     pub fn new(policy: BatchPolicy) -> Self {
         ServeConfig {
             policy,
             admission: AdmissionMode::Block,
             queue_capacity: 64,
             model: ModelConfig::bert_base(),
-            cache_capacity: 256,
             arrival_window_s: None,
         }
     }
@@ -240,7 +237,7 @@ pub fn serve_trace(cfg: &ServeConfig, trace: &[usize]) -> ServingReport {
     let admission: BoundedQueue<Request> = BoundedQueue::new(cfg.queue_capacity.max(1));
     // Workers apply backpressure to the scheduler through a short queue.
     let batches: BoundedQueue<WorkItem> = BoundedQueue::new(WORKERS * 2);
-    let cache = JitCache::with_capacity(cfg.cache_capacity.max(1));
+    let cache = JitCache::with_capacity(CACHE_CAPACITY);
     let metrics = Metrics::new();
     let next = AtomicUsize::new(0);
     let started = Instant::now();
@@ -338,7 +335,7 @@ pub fn serve_trace_arrivals(
     let capacity = cfg.queue_capacity.max(1);
     let admission: BoundedQueue<Request> = BoundedQueue::new(capacity);
     let batches: BoundedQueue<WorkItem> = BoundedQueue::new(WORKERS * 2);
-    let cache = JitCache::with_capacity(cfg.cache_capacity.max(1));
+    let cache = JitCache::with_capacity(CACHE_CAPACITY);
     let metrics = Metrics::new();
     let started = Instant::now();
 
@@ -425,7 +422,7 @@ pub fn serve_trace_arrivals(
 /// front and drains it FIFO: the deterministic counterpart of
 /// [`serve_trace`].
 pub fn simulate_trace_arrivals(cfg: &ServeConfig, trace: &ArrivalTrace) -> ServingReport {
-    let cache = JitCache::with_capacity(cfg.cache_capacity.max(1));
+    let cache = JitCache::with_capacity(CACHE_CAPACITY);
     let mut eng = cfg.engine();
     let metrics = Metrics::new();
     let started = Instant::now();
@@ -622,16 +619,6 @@ mod tests {
         // selections are reused across batches once warm.
         assert!(report.cache.misses <= report.batches as u64);
         assert!(report.cache.evictions == 0, "capacity 256 is not exceeded");
-    }
-
-    #[test]
-    fn cache_bound_evicts_under_shape_churn() {
-        let mut cfg = small_cfg(BatchPolicy::PaddedToLongest { max_batch: 2 });
-        cfg.cache_capacity = 1;
-        // Wildly varying lengths force a new padded shape class per batch.
-        let t: Vec<usize> = (1..=24).map(|i| i * 37).collect();
-        let report = drain(&cfg, &t);
-        assert!(report.cache.evictions > 0);
     }
 
     #[test]

@@ -16,6 +16,11 @@ use pit_models::{Engine, ModelConfig, OpKind};
 use pit_sparse::Mask;
 use pit_trace::StepSample;
 
+/// Entries of the per-shape JIT cache every replay and threaded run
+/// shares across its steps: the bound that keeps a long-running server's
+/// selection cache from growing without limit.
+pub(crate) const CACHE_CAPACITY: usize = 256;
+
 /// Quantises a token count to micro-tile granularity for the JIT-cache
 /// key: PIT's (32,1) micro-tiles make every shape within the same 32-token
 /// class equivalent, which is what keeps the per-shape cache small and hot.

@@ -2,23 +2,27 @@
 //!
 //! The serving loops annotate every stall and deferral decision they
 //! already take with a typed [`WaitCause`] ([`crate::TraceEvent::Waiting`]),
-//! and [`blame_spans`] reduces the event stream — through the
-//! [`crate::LifecycleFold`] — into one [`BlameBreakdown`] per request
-//! whose causal categories **tile TTFT and end-to-end latency exactly**,
-//! the same discipline as the device-time ledger's conservation law.
+//! and the blame reduction turns each request's lane into one
+//! [`BlameBreakdown`] whose causal categories **tile TTFT and end-to-end
+//! latency exactly**, the same discipline as the device-time ledger's
+//! conservation law. Two holders run it, each pairing a lane's clock with
+//! its breakdown: the decode replay's online [`crate::LaneTable`], and
+//! [`blame_spans`] over a sorted record stream, the reference it is
+//! tested against.
 //!
-//! The attribution rule: every inter-event gap on a request's lane
-//! belongs to the *later* event's blame category. A gap ending in
-//! `Waiting { cause }` belongs to that cause; a gap ending in a prefill
-//! chunk was prefill execution; one ending in a swap-out landed on the
-//! d2h link; and so on. Because the gaps tile the `[arrival, last event]`
-//! interval by construction, the per-category times sum to the
-//! end-to-end latency to floating-point accuracy, and the prefix of gaps
-//! up to the first token sums to TTFT the same way — the invariant
-//! `tests/blame_invariants.rs` pins at 1e-9 s across the sparsity ×
-//! preemption × prefix-caching matrix. Each category also belongs to one
-//! coarse [`Phase`] (queue / prefill / decode / stall), accumulated in
-//! the same pass, so the phases tile the latency too.
+//! The attribution rule, [`BlameBreakdown::tile`]: every inter-event
+//! gap the lane's clock closes belongs to the *later* event's blame
+//! category. A gap ending in `Waiting { cause }` belongs to that cause;
+//! a gap ending in a prefill chunk was prefill execution; one ending in
+//! a swap-out landed on the d2h link; and so on. Because the gaps tile
+//! the `[arrival, last event]` interval by construction, the
+//! per-category times sum to the end-to-end latency to floating-point
+//! accuracy, and the prefix of gaps up to the first token sums to TTFT
+//! the same way — the invariant `tests/blame_invariants.rs` pins at
+//! 1e-9 s across the sparsity × preemption × prefix-caching matrix.
+//! Each category also belongs to one coarse [`Phase`] (queue / prefill
+//! / decode / stall), accumulated in the same pass, so the phases tile
+//! the latency too.
 //!
 //! Fleet-level aggregation folds per-request breakdowns into a
 //! [`BlameAggregate`] (per-cause totals plus per-cause
@@ -28,8 +32,8 @@
 //! Prometheus exposition carry, so "p99 TTFT is 71% KvPoolExhausted" is
 //! a one-line read; [`BreakdownSummary`] is the per-phase digest.
 
-use crate::lifecycle::LifecycleFold;
-use crate::sink::{TraceEvent, TraceRecord};
+use crate::lifecycle::{ends_lane, LaneClock, LaneStep, Latency};
+use crate::sink::{TraceEvent, TraceRecord, RESERVED_LANES};
 use crate::sketch::LatencySketch;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -298,6 +302,22 @@ impl BlameBreakdown {
         self.phase_s[category.phase() as usize] += seconds;
     }
 
+    /// The tile rule: charges the gap `step` closed at `t_s` to `event`'s
+    /// category (toward TTFT too before the first token), and marks the
+    /// first token and the finish the step closed.
+    #[inline]
+    pub(crate) fn tile(&mut self, t_s: f64, event: &TraceEvent, step: LaneStep) {
+        let in_ttft = self.first_token_s.is_none();
+        let gap_s = (t_s - step.since_s).max(0.0);
+        self.charge(BlameCategory::of_event(event), gap_s, in_ttft);
+        self.end_s = self.end_s.max(t_s);
+        match step.latency {
+            Some(Latency::Ttft(_)) => self.first_token_s = Some(t_s),
+            Some(Latency::E2e(_)) => self.finished = true,
+            _ => {}
+        }
+    }
+
     /// Sum of the TTFT categories — equals `first_token_s - arrival_s`
     /// exactly by construction (0 before the first token).
     pub fn ttft_total_s(&self) -> f64 {
@@ -323,10 +343,23 @@ impl BlameBreakdown {
 }
 
 /// Reduces a sorted record stream (as `TraceSink::drain`/`snapshot`
-/// return it) to one [`BlameBreakdown`] per sequence lane, in one pass of
-/// the [`LifecycleFold`]. Device and link lanes are skipped.
+/// return it) to one [`BlameBreakdown`] per sequence lane, ended or still
+/// open, keeping each open lane's clock and tiles in a map. A lane that
+/// reopens reports its latest lifecycle; device and link lanes are skipped.
 pub fn blame_spans(records: &[TraceRecord]) -> BTreeMap<u64, BlameBreakdown> {
-    LifecycleFold::replay(records, |_, _| {})
+    let mut open = BTreeMap::new();
+    let mut spans = BTreeMap::new();
+    for r in records.iter().filter(|r| r.lane < RESERVED_LANES) {
+        let (clock, span) = open
+            .entry(r.lane)
+            .or_insert_with(|| LaneClock::open_tiled(r.t_s, &r.event));
+        span.tile(r.t_s, &r.event, clock.advance(r.t_s, &r.event));
+        if ends_lane(&r.event) {
+            spans.insert(r.lane, open.remove(&r.lane).expect("lane opened above").1);
+        }
+    }
+    spans.extend(open.into_iter().map(|(lane, (_, span))| (lane, span)));
+    spans
 }
 
 /// Mean phase times across finished requests — the digest that lands in
@@ -633,6 +666,51 @@ mod tests {
         assert!((b.ttft_total_s() - 1.5).abs() < 1e-12);
         // The decode gap is e2e-only.
         assert_eq!(b.ttft_by_cause[BlameCategory::DecodeExecute.index()], 0.0);
+    }
+
+    #[test]
+    fn spans_hold_closed_open_and_rejected_lanes() {
+        let sink = TraceSink::enabled();
+        sink.record(0.5, 0, TraceEvent::Admitted { arrival_s: 0.0 });
+        sink.record(1.0, 0, TraceEvent::FirstToken);
+        sink.record(1.5, 0, TraceEvent::Finished);
+        sink.record(0.75, 1, TraceEvent::Admitted { arrival_s: 0.5 });
+        let cause = WaitCause::MaxLiveCap;
+        sink.record(
+            1.0,
+            2,
+            TraceEvent::Waiting {
+                cause,
+                since_s: 0.5,
+            },
+        );
+        sink.record(1.25, 2, TraceEvent::Rejected);
+        let records = sink.drain();
+        let spans = blame_spans(&records);
+        assert_eq!(spans.len(), 3);
+        assert!(spans[&0].finished && !spans[&1].finished);
+        assert_eq!(spans[&1].end_s, 0.75);
+        // The clock pass over the same stream closes what the tiles hold.
+        let mut latency = crate::LatencySketches::default();
+        let mut fold = crate::LifecycleFold::new();
+        for r in &records {
+            if let Some(l) = fold
+                .observe(r.t_s, r.lane, &r.event)
+                .and_then(|s| s.latency)
+            {
+                latency.record(l);
+            }
+        }
+        let counts = (latency.ttft.count(), latency.itl.count());
+        assert_eq!((counts, latency.e2e.count()), ((1, 0), 1));
+        assert_eq!(latency.e2e.max(), 1.5);
+        assert_eq!(spans[&0].e2e_total_s(), 1.5);
+        // Rejection ends the lane Waiting anchored, unfinished.
+        let b = spans[&2];
+        assert!(!b.finished);
+        assert_eq!(b.arrival_s, 0.5);
+        assert_eq!(b.ttft_by_cause[BlameCategory::MaxLiveCap.index()], 0.5);
+        assert_eq!(b.e2e_total_s(), 0.75);
     }
 
     #[test]

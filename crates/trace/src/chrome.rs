@@ -6,8 +6,8 @@
 //! iteration), tids 1 and 2 are the PCIe link directions (one complete
 //! event per transfer, spanning initiation to landing), and each
 //! sequence gets its own tid carrying its phase spans
-//! (queue/prefill/decode/stall segments over the gaps the
-//! [`crate::LifecycleFold`] attributes) plus instant markers for
+//! (queue/prefill/decode/stall segments over the gaps each lane's clock
+//! in the [`crate::LifecycleFold`] closes) plus instant markers for
 //! admissions, prefix hits, preemptions and sparsity evictions.
 //!
 //! Timestamps and durations are microseconds (the format's unit); all

@@ -12,7 +12,7 @@
 //! exact, so observations split across calls (or runs) alarm exactly as
 //! if they had been folded at once.
 
-use crate::blame::{BlameAggregate, BlameCategory, BlameSummary};
+use crate::blame::{blame_spans, BlameAggregate, BlameCategory, BlameSummary};
 use crate::lifecycle::{LatencySketches, LifecycleFold};
 use crate::sink::TraceRecord;
 use std::fmt;
@@ -99,17 +99,19 @@ fn cause_mix(summary: &BlameSummary) -> Option<CauseShares> {
     Some(shares)
 }
 
-/// A sorted record stream's latency sketches and blame cause mix, from
-/// one pass of the lifecycle fold.
+/// A sorted record stream's latency sketches, from a pass of the
+/// lifecycle fold, and blame cause mix, from [`blame_spans`].
 fn digest(records: &[TraceRecord]) -> (LatencySketches, Option<CauseShares>) {
     let mut latency = LatencySketches::default();
-    let spans = LifecycleFold::replay(records, |_, step| {
-        if let Some(l) = step.latency {
+    let mut fold = LifecycleFold::new();
+    for r in records {
+        let step = fold.observe(r.t_s, r.lane, &r.event);
+        if let Some(l) = step.and_then(|s| s.latency) {
             latency.record(l);
         }
-    });
+    }
     let mut agg = BlameAggregate::new();
-    agg.fold_spans(&spans);
+    agg.fold_spans(&blame_spans(records));
     (latency, cause_mix(&agg.summary()))
 }
 
@@ -190,7 +192,7 @@ impl DriftDetector {
 
     /// Folds a sorted record stream's latencies into the observed
     /// sketches and replaces the observed cause mix with the stream's
-    /// blame reduction — both from one pass.
+    /// blame reduction.
     pub fn observe(&mut self, records: &[TraceRecord]) {
         let (latency, mix) = digest(records);
         self.observed.merge(&latency);
@@ -298,7 +300,7 @@ mod tests {
         // The cause mix is replaced, not merged, per observation.
         split.observe_blame(&{
             let mut agg = BlameAggregate::new();
-            agg.fold_spans(&crate::blame::blame_spans(&shifted));
+            agg.fold_spans(&blame_spans(&shifted));
             agg.summary()
         });
         assert!(!whole.alarms().is_empty());

@@ -114,7 +114,7 @@ impl ExemplarReservoir {
 
     /// Offers one request's complete timeline. Only lifecycles closed by
     /// `Finished` rank (an unfinished lane's end is an artifact of where
-    /// the replay stopped); the metrics come from replaying the records
+    /// the replay stopped); the metrics come from folding the records
     /// through the lifecycle fold, so the reservoir needs no side channel.
     pub fn offer(&mut self, lane: u64, records: &[TraceRecord]) {
         let set = &mut self.set;
@@ -122,12 +122,16 @@ impl ExemplarReservoir {
             return;
         }
         let (mut ttft, mut max_itl, mut e2e) = (None, 0.0_f64, None);
-        LifecycleFold::replay(records, |_, step| match step.latency {
-            Some(Latency::Ttft(v)) => ttft = Some(v),
-            Some(Latency::Itl(v)) => max_itl = max_itl.max(v),
-            Some(Latency::E2e(v)) => e2e = Some(v),
-            None => {}
-        });
+        let mut fold = LifecycleFold::new();
+        for r in records {
+            let step = fold.observe(r.t_s, r.lane, &r.event);
+            match step.and_then(|s| s.latency) {
+                Some(Latency::Ttft(v)) => ttft = Some(v),
+                Some(Latency::Itl(v)) => max_itl = max_itl.max(v),
+                Some(Latency::E2e(v)) => e2e = Some(v),
+                None => {}
+            }
+        }
         let Some(e2e) = e2e else {
             return;
         };

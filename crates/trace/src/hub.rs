@@ -20,8 +20,10 @@
 //!    "tracing perturbs nothing" checks).
 //! 2. **Each signal is kept once, in typed fields behind one lock, in
 //!    memory the window ring bounds.** An event takes the lock once and
-//!    runs through the same [`LifecycleFold`] every post-hoc consumer
-//!    uses, which releases a lane when `Finished` or `Rejected` ends it.
+//!    advances its lane's 32-byte clock in the same [`LifecycleFold`] the
+//!    post-hoc latency readers use, released when `Finished` or
+//!    `Rejected` ends the lane. The hub reads no blame tiles, so it keeps
+//!    none; only the blame reduction's two holders do.
 //!    Counters, latency sketches and SLO attainment counts are kept for
 //!    the whole run and per window, in a ring of the newest 240 windows
 //!    on the publisher's clock; `/slo` shares [`crate::SloMonitor`]'s
@@ -297,7 +299,7 @@ impl Signals {
 /// Everything behind the hub's one lock.
 #[derive(Debug)]
 struct HubState {
-    /// The lifecycle fold; a lane's state lives while its request does.
+    /// The lifecycle fold: one lane clock per request in flight.
     fold: LifecycleFold,
     /// Whole-run signals: every counter, the `/metrics` latency
     /// summaries and the drift comparison's sketches.

@@ -13,12 +13,14 @@
 //!   virtual clock: one locked buffer, fed a record at a time or a whole
 //!   replay's batch at once;
 //! - [`LifecycleFold`] / [`LaneTable`] — the per-lane lifecycle fold every
-//!   stream consumer below runs on, one lane transition over two holders:
-//!   the arrival anchor, each inter-event gap's [`BlameCategory`] tile and
-//!   [`Phase`], and the TTFT / ITL / e2e [`Latency`] observations. The
-//!   fold's map of open lanes serves the hub, the SLO monitor, the Chrome
-//!   export and after-the-run replays; the table's slot per lane holds
-//!   the decode replay's online blame;
+//!   stream consumer below runs on: one lane clock (the arrival anchor,
+//!   the gap each event closes and the TTFT / ITL / e2e [`Latency`]
+//!   observations), kept per open lane in the fold's map by the hub, the
+//!   SLO monitor, the Chrome export, the drift detector and the exemplar
+//!   reservoir. Only blame reads each gap's [`BlameCategory`] tile and
+//!   [`Phase`], so only its two holders pair the clock with a
+//!   breakdown: the table's slot per lane holds the decode replay's online
+//!   blame, and [`blame_spans`] is the after-the-run reference;
 //! - [`chrome_trace_json`] — Chrome `trace_event` JSON export (device,
 //!   PCIe-link and per-sequence lanes), loadable in `chrome://tracing`
 //!   and Perfetto;

@@ -1,40 +1,37 @@
-//! The per-lane lifecycle fold: the one place a request's event stream
-//! becomes latencies and causal tiles.
+//! The per-lane lifecycle fold: the one clock a request's event stream
+//! runs through to become latencies and the gaps blame tiles.
 //!
-//! Every stream consumer — the blame reduction and its phase breakdown,
-//! the SLO monitor, the drift detector, the live hub, the exemplar
-//! reservoir, the Chrome exporter and the decode replay's online blame —
-//! runs its records through one lane transition, so they all agree on one
-//! convention:
+//! Every stream consumer — the live hub, the SLO monitor, the Chrome
+//! exporter, the drift detector, the exemplar reservoir and both blame
+//! holders — advances one [`LaneClock`] per lane, so they all agree on
+//! one convention:
 //!
 //! - the lane's first event anchors it: `Admitted` and `Waiting` carry the
 //!   true wait start, anything else starts the clock at itself;
-//! - every inter-event gap belongs to the *later* event's
-//!   [`BlameCategory`] (and through it to a coarse [`crate::Phase`]),
-//!   so the gaps tile `[arrival, last event]` exactly;
+//! - every event closes the gap since the lane's previous event, so the
+//!   gaps tile `[arrival, last event]` exactly;
 //! - the first token event (`FirstToken` or `DecodeStep`) closes TTFT,
 //!   every later one — a re-admission `FirstToken` included — is an
 //!   inter-token gap, and `Finished` closes the end-to-end latency;
 //! - `Finished` and `Rejected` end the lane; an event on an ended lane
 //!   opens a new lifecycle there.
 //!
-//! Two holders keep the lanes' state and run the transition on it:
+//! [`LifecycleFold`] keeps the open lanes' clocks in a map keyed by lane
+//! id and releases each as it ends; the consumers that read latencies and
+//! gaps fold on it. Only the blame reduction reads tiles, so only its two
+//! holders pair each clock with a [`BlameBreakdown`] and charge every gap
+//! by [`BlameBreakdown::tile`]'s rule (the gap belongs to the *later*
+//! event's [`crate::BlameCategory`]):
 //!
-//! - [`LifecycleFold`] keeps the open lanes in a map keyed by lane id,
-//!   releases each as it ends, and hands the caller every event's
-//!   [`LaneStep`]. The hub, the SLO monitor and the Chrome exporter fold
-//!   on it, and so does [`LifecycleFold::replay`], the after-the-run pass
-//!   behind the blame reduction, the drift detector and the exemplar
-//!   reservoir: their lane ids are arbitrary, and they read the steps.
 //! - [`LaneTable`] keeps one slot per lane, indexed by lane (by
-//!   `lane / stride` under head sampling), and keeps each lane's breakdown
-//!   once it ends. The decode replay's lanes are trace indices, so it
-//!   sizes a table once and folds every event of a kept lane into it as it
-//!   records it: an event costs a slot update, with no map entry and no
-//!   [`LaneStep`].
+//!   `lane / stride` under head sampling). The decode replay's lanes are
+//!   trace indices, so it sizes a table once and folds every event of a
+//!   kept lane into it as it records it: an event costs a slot update.
+//! - [`crate::blame_spans`] keeps a map of open lanes over a sorted record
+//!   stream: the after-the-run reduction the table is tested against.
 
-use crate::blame::{BlameBreakdown, BlameCategory};
-use crate::sink::{TraceEvent, TraceRecord, RESERVED_LANES};
+use crate::blame::BlameBreakdown;
+use crate::sink::{TraceEvent, RESERVED_LANES};
 use crate::sketch::LatencySketch;
 use std::collections::BTreeMap;
 use std::num::NonZeroU64;
@@ -84,33 +81,29 @@ impl LatencySketches {
     }
 }
 
-/// What one sequence-lane event did to its lane. The gap it closes is
-/// already charged to the lane's breakdown.
+/// What one sequence-lane event did to its lane's clock.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LaneStep {
-    /// Where that gap began: the lane's previous event, or its arrival
-    /// anchor.
+    /// Where the gap the event closes began: the lane's previous event,
+    /// or its arrival anchor.
     pub since_s: f64,
     /// The latency observation the event closed, if any.
     pub latency: Option<Latency>,
-    /// The lane's final breakdown when the event ended it (`Finished`, or
-    /// `Rejected` with `finished == false`).
-    pub closed: Option<BlameBreakdown>,
 }
 
-/// One lane's state: its tiles so far plus the two clocks the next event
-/// measures against. [`LaneState::open`] and [`LaneState::advance`] are
-/// the lane transition both holders run.
+/// One lane's clock: its arrival anchor plus the two times the next event
+/// measures against. [`LaneClock::open`] and [`LaneClock::advance`] are
+/// the lane transition every holder runs.
 #[derive(Debug, Clone, Copy)]
-struct LaneState {
-    span: BlameBreakdown,
+pub(crate) struct LaneClock {
+    arrival_s: f64,
     /// The latest event's time — where the next gap starts.
     prev_s: f64,
     /// The latest token event's time.
     last_token_s: Option<f64>,
 }
 
-impl LaneState {
+impl LaneClock {
     /// Anchors a lane on its first event: `Admitted` and `Waiting` carry
     /// the true wait start, anything else starts the clock at itself.
     #[inline]
@@ -120,61 +113,54 @@ impl LaneState {
             TraceEvent::Waiting { since_s, .. } => since_s,
             _ => t_s,
         };
-        LaneState {
-            span: BlameBreakdown::new(arrival_s),
+        LaneClock {
+            arrival_s,
             prev_s: arrival_s,
             last_token_s: None,
         }
     }
 
-    /// Folds `event` at `t_s` into the lane: charges the gap since the
-    /// previous event to the event's category and closes TTFT, an ITL or
-    /// e2e. Returns where the gap began and the latency it closed. Whether
-    /// the event ends the lane is [`ends_lane`]'s call.
+    /// A blame holder's lane state: the clock opened on `event` at `t_s`,
+    /// with empty tiles from its anchor.
     #[inline]
-    fn advance(&mut self, t_s: f64, event: &TraceEvent) -> (f64, Option<Latency>) {
+    pub(crate) fn open_tiled(t_s: f64, event: &TraceEvent) -> (Self, BlameBreakdown) {
+        let clock = Self::open(t_s, event);
+        (clock, BlameBreakdown::new(clock.arrival_s))
+    }
+
+    /// Moves the lane to `event` at `t_s`: returns where the gap it closes
+    /// began and the TTFT, ITL or e2e it closed. Whether the event ends
+    /// the lane is [`ends_lane`]'s call.
+    #[inline]
+    pub(crate) fn advance(&mut self, t_s: f64, event: &TraceEvent) -> LaneStep {
         let since_s = self.prev_s;
-        let in_ttft = self.span.first_token_s.is_none();
-        self.span.charge(
-            BlameCategory::of_event(event),
-            (t_s - since_s).max(0.0),
-            in_ttft,
-        );
         self.prev_s = since_s.max(t_s);
-        self.span.end_s = self.span.end_s.max(t_s);
         let latency = match event {
             TraceEvent::FirstToken | TraceEvent::DecodeStep { .. } => {
-                let prev = self.last_token_s.replace(t_s);
-                Some(match prev {
+                Some(match self.last_token_s.replace(t_s) {
                     Some(prev) => Latency::Itl((t_s - prev).max(0.0)),
-                    None => {
-                        self.span.first_token_s = Some(t_s);
-                        Latency::Ttft(t_s - self.span.arrival_s)
-                    }
+                    None => Latency::Ttft(t_s - self.arrival_s),
                 })
             }
-            TraceEvent::Finished => {
-                self.span.finished = true;
-                Some(Latency::E2e(t_s - self.span.arrival_s))
-            }
+            TraceEvent::Finished => Some(Latency::E2e(t_s - self.arrival_s)),
             _ => None,
         };
-        (since_s, latency)
+        LaneStep { since_s, latency }
     }
 }
 
 /// Whether `event` ends its lane.
 #[inline]
-fn ends_lane(event: &TraceEvent) -> bool {
+pub(crate) fn ends_lane(event: &TraceEvent) -> bool {
     matches!(event, TraceEvent::Finished | TraceEvent::Rejected)
 }
 
 /// The per-lane lifecycle state machine over every sequence lane of a
-/// stream (device and link lanes are ignored), holding the open lanes in
-/// a map.
+/// stream (device and link lanes are ignored), holding each open lane's
+/// clock in a map.
 #[derive(Debug, Clone, Default)]
 pub struct LifecycleFold {
-    lanes: BTreeMap<u64, LaneState>,
+    lanes: BTreeMap<u64, LaneClock>,
 }
 
 impl LifecycleFold {
@@ -188,18 +174,15 @@ impl LifecycleFold {
         if lane >= RESERVED_LANES {
             return None;
         }
-        let (since_s, latency) = self
+        let step = self
             .lanes
             .entry(lane)
-            .or_insert_with(|| LaneState::open(t_s, event))
+            .or_insert_with(|| LaneClock::open(t_s, event))
             .advance(t_s, event);
-        let closed =
-            ends_lane(event).then(|| self.lanes.remove(&lane).expect("lane observed above").span);
-        Some(LaneStep {
-            since_s,
-            latency,
-            closed,
-        })
+        if ends_lane(event) {
+            self.lanes.remove(&lane);
+        }
+        Some(step)
     }
 
     /// Lanes opened and not yet ended by `Finished` or `Rejected`.
@@ -207,42 +190,18 @@ impl LifecycleFold {
     pub(crate) fn open_lanes(&self) -> usize {
         self.lanes.len()
     }
-
-    /// Folds a sorted record stream (as `TraceSink::drain`/`snapshot`
-    /// return it) in one pass, handing every sequence-lane step to `each`,
-    /// and returns each lane's breakdown — the ones the stream ended and
-    /// the ones still open when it stopped. A lane that reopens after it
-    /// ended reports its latest lifecycle.
-    pub fn replay(
-        records: &[TraceRecord],
-        mut each: impl FnMut(&TraceRecord, &LaneStep),
-    ) -> BTreeMap<u64, BlameBreakdown> {
-        let mut fold = LifecycleFold::new();
-        let mut spans = BTreeMap::new();
-        for r in records {
-            if let Some(step) = fold.observe(r.t_s, r.lane, &r.event) {
-                if let Some(b) = step.closed {
-                    spans.insert(r.lane, b);
-                }
-                each(r, &step);
-            }
-        }
-        spans.extend(fold.lanes.into_iter().map(|(lane, st)| (lane, st.span)));
-        spans
-    }
 }
 
-/// The lifecycle fold over a dense lane range: one slot per sequence lane
+/// The blame fold over a dense lane range: one slot per sequence lane
 /// a 1-in-`stride` head sample keeps (lane `i * stride` in slot `i`),
 /// each holding the lane's latest lifecycle, open or ended. Lanes the
 /// stride skips and device and link lanes are ignored; a lane past the
 /// last slot grows the table.
 ///
 /// Slots keep separate state per lane, so feeding events in emission
-/// order yields [`LifecycleFold::replay`]'s spans over the time-sorted
-/// stream whenever each lane's times never decrease in emission order —
-/// true of the decode replay's lanes, and pinned by
-/// `tests/blame_invariants.rs`.
+/// order yields [`crate::blame_spans`] over the time-sorted stream
+/// whenever each lane's times never decrease in emission order — true of
+/// the decode replay's lanes, and pinned by `tests/blame_invariants.rs`.
 #[derive(Debug, Clone)]
 pub struct LaneTable {
     stride: NonZeroU64,
@@ -252,8 +211,9 @@ pub struct LaneTable {
 /// One [`LaneTable`] slot.
 #[derive(Debug, Clone, Copy, Default)]
 struct Slot {
-    /// The lane's latest lifecycle; `None` before its first event.
-    state: Option<LaneState>,
+    /// The lane's latest lifecycle, its clock and its tiles; `None`
+    /// before its first event.
+    state: Option<(LaneClock, BlameBreakdown)>,
     /// Whether `Finished` or `Rejected` ended that lifecycle, so the
     /// lane's next event opens a new one.
     ended: bool,
@@ -286,11 +246,11 @@ impl LaneTable {
             self.grow(i);
         }
         let slot = &mut self.slots[i];
-        let st = match &mut slot.state {
+        let (clock, span) = match &mut slot.state {
             Some(st) if !slot.ended => st,
-            state => state.insert(LaneState::open(t_s, event)),
+            state => state.insert(LaneClock::open_tiled(t_s, event)),
         };
-        st.advance(t_s, event);
+        span.tile(t_s, event, clock.advance(t_s, event));
         slot.ended = ends_lane(event);
     }
 
@@ -307,7 +267,7 @@ impl LaneTable {
         self.slots
             .into_iter()
             .enumerate()
-            .filter_map(|(i, slot)| Some((i as u64 * stride, slot.state?.span)))
+            .filter_map(|(i, slot)| Some((i as u64 * stride, slot.state?.1)))
             .collect()
     }
 }
@@ -315,6 +275,7 @@ impl LaneTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blame::blame_spans;
     use crate::sink::{TraceSink, DEVICE_LANE, LINK_D2H_LANE, LINK_H2D_LANE};
 
     #[test]
@@ -344,13 +305,6 @@ mod tests {
         ] {
             let step = fold.observe(t, 4, &event).expect("sequence lane");
             seen.extend(step.latency);
-            if matches!(event, TraceEvent::Finished) {
-                let b = step.closed.expect("Finished ends the lane");
-                assert!(b.finished);
-                assert_eq!(b.first_token_s, Some(1.0));
-            } else {
-                assert!(step.closed.is_none());
-            }
         }
         assert_eq!(
             seen,
@@ -382,11 +336,8 @@ mod tests {
         let rejected = fold
             .observe(1.25, 2, &TraceEvent::Rejected)
             .expect("sequence lane");
-        let b = rejected.closed.expect("Rejected ends the lane");
-        assert!(!b.finished);
-        assert_eq!(b.arrival_s, 0.5);
-        assert_eq!(b.ttft_by_cause[BlameCategory::MaxLiveCap.index()], 0.5);
-        assert_eq!(b.e2e_total_s(), 0.75);
+        assert_eq!((rejected.since_s, rejected.latency), (1.0, None));
+        assert_eq!(fold.open_lanes(), 0, "Rejected ends the lane");
         assert!(fold
             .observe(
                 1.0,
@@ -401,30 +352,11 @@ mod tests {
     }
 
     #[test]
-    fn replay_returns_closed_and_open_lanes() {
-        let sink = TraceSink::enabled();
-        sink.record(0.5, 0, TraceEvent::Admitted { arrival_s: 0.0 });
-        sink.record(1.0, 0, TraceEvent::FirstToken);
-        sink.record(1.5, 0, TraceEvent::Finished);
-        sink.record(0.75, 1, TraceEvent::Admitted { arrival_s: 0.5 });
-        let mut latency = LatencySketches::default();
-        let spans = LifecycleFold::replay(&sink.drain(), |_, step| {
-            if let Some(l) = step.latency {
-                latency.record(l);
-            }
-        });
-        assert_eq!(spans.len(), 2);
-        assert!(spans[&0].finished && !spans[&1].finished);
-        assert_eq!(spans[&1].end_s, 0.75);
-        assert_eq!(
-            (
-                latency.ttft.count(),
-                latency.itl.count(),
-                latency.e2e.count()
-            ),
-            (1, 0, 1)
-        );
-        assert_eq!(latency.e2e.max(), 1.5);
+    fn the_fold_keeps_one_clock_of_at_most_32_bytes_per_open_lane() {
+        fn value_bytes<V>(_: &BTreeMap<u64, V>) -> usize {
+            std::mem::size_of::<V>()
+        }
+        assert!(value_bytes(&LifecycleFold::new().lanes) <= 32);
     }
 
     /// Every field of every span as bits, by lane.
@@ -556,7 +488,7 @@ mod tests {
         }
         assert_eq!(table.slots(), 10, "lane 9 grew the table");
         let online = table.finish();
-        let replayed = LifecycleFold::replay(&sink.drain(), |_, _| {});
+        let replayed = blame_spans(&sink.drain());
         assert_eq!(
             online.keys().copied().collect::<Vec<_>>(),
             [0, 1, 2, 3, 5, 9]
@@ -579,7 +511,7 @@ mod tests {
         }
         assert_eq!(table.slots(), 4);
         let online = table.finish();
-        let replayed = LifecycleFold::replay(&sink.drain(), |_, _| {});
+        let replayed = blame_spans(&sink.drain());
         assert_eq!(online.keys().copied().collect::<Vec<_>>(), [0, 3, 9]);
         assert_eq!(span_bits(&online), span_bits(&replayed));
         assert_eq!(LaneTable::new(0, 3).slots(), 0);

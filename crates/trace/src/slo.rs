@@ -1,7 +1,7 @@
 //! Windowed SLO monitor: rolling TTFT/ITL attainment and burn rate.
 //!
-//! Folds per-request latency observations — recorded directly or
-//! replayed from a drained [`TraceRecord`] stream through the
+//! Folds per-request latency observations — recorded directly or read
+//! off a drained [`TraceRecord`] stream by the lane clocks of the
 //! [`crate::LifecycleFold`] — into fixed-width windows, and reports per-window
 //! and whole-run **SLO attainment** (fraction of observations within
 //! target) plus the **burn rate** familiar from SRE error budgets:

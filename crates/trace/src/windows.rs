@@ -16,7 +16,9 @@ use std::collections::VecDeque;
 /// included. An unbounded series ([`Windowed::new`]) starts at window 0;
 /// a ring ([`Windowed::ring`]) starts at the first timestamp it sees,
 /// keeps only the newest `capacity` windows (counting the evicted ones)
-/// and folds stragglers older than that into its oldest window.
+/// and folds stragglers older than that into its oldest window. A ring
+/// that jumps `capacity` windows or more is replaced in one step, so a
+/// jump costs the windows it keeps, not the ones it skips.
 #[derive(Debug, Clone)]
 pub(crate) struct Windowed<T> {
     width_s: f64,
@@ -55,9 +57,22 @@ impl<T> Windowed<T> {
     /// The window holding `t_s`, creating it (and any windows between it
     /// and the newest one) with `make(index)`.
     pub(crate) fn at(&mut self, t_s: f64, make: impl Fn(u64) -> T) -> &mut T {
-        let idx = (t_s.max(0.0) / self.width_s) as u64;
-        if self.windows.is_empty() && self.capacity.is_some() {
-            self.first = idx;
+        // Below `u64::MAX`, so an infinite or absurd timestamp cannot
+        // overflow `idx + 1` or the loop's `first + len`.
+        let idx = ((t_s.max(0.0) / self.width_s) as u64).min(u64::MAX - 1);
+        if let Some(capacity) = self.capacity.map(|c| c as u64) {
+            if self.windows.is_empty() {
+                self.first = idx;
+            }
+            // Windows the loop below would create, keeping the newest
+            // `capacity` of them and of those held now.
+            let fresh = (idx + 1).saturating_sub(self.first + self.windows.len() as u64);
+            if fresh >= capacity {
+                self.dropped += self.windows.len() as u64 + fresh - capacity;
+                self.first = idx + 1 - capacity;
+                self.windows.clear();
+                self.windows.extend((self.first..=idx).map(&make));
+            }
         }
         while self.first + self.windows.len() as u64 <= idx {
             self.windows
@@ -194,6 +209,38 @@ mod tests {
         let kept: Vec<(u64, u32)> = ring.iter().map(|(i, &n)| (i, n)).collect();
         assert_eq!(kept, vec![(6, 11), (7, 1), (8, 1)]);
         assert_eq!((ring.dropped(), ring.created()), (1, 4));
+    }
+
+    #[test]
+    fn a_ring_jump_skips_the_windows_it_would_evict() {
+        let state = |w: &Windowed<u64>| {
+            let kept: Vec<(u64, u64)> = w.iter().map(|(i, &n)| (i, n)).collect();
+            (kept, w.created(), w.dropped())
+        };
+        // 10^12 windows in one call: returns at once, counting them all.
+        let mut ring: Windowed<u64> = Windowed::ring(1.0, 4);
+        ring.at(0.0, |i| i);
+        ring.at(1e12, |i| i);
+        let newest = 1_000_000_000_000;
+        let kept = (newest - 3..=newest).map(|i| (i, i)).collect();
+        assert_eq!(state(&ring), (kept, newest + 1, newest - 3));
+        ring.at(f64::INFINITY, |i| i);
+        assert_eq!(ring.last_index(), Some(u64::MAX - 1));
+        // Any jump leaves the ring as creating its windows one by one does.
+        for jump in 0..12u32 {
+            let mut stepped: Windowed<u64> = Windowed::ring(1.0, 4);
+            for t in [5.5, 6.5] {
+                *stepped.at(t, |i| i) += 1;
+            }
+            let mut jumped = stepped.clone();
+            for w in 1..jump {
+                stepped.at(6.5 + f64::from(w), |i| i);
+            }
+            for ring in [&mut stepped, &mut jumped] {
+                *ring.at(6.5 + f64::from(jump), |i| i) += 10;
+            }
+            assert_eq!(state(&stepped), state(&jumped), "jump of {jump}");
+        }
     }
 
     #[test]

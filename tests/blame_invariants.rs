@@ -268,18 +268,21 @@ proptest! {
 
         let sink = TraceSink::enabled();
         let traced = simulate_decode_trace_traced(&cfg, &trace, &sink);
-        // One pass of the lifecycle fold: the blame spans, the latency
+        // The blame spans, and one pass of the lifecycle fold: the latency
         // sketches and each lane's token-event count.
+        let records = sink.snapshot();
+        let spans = blame_spans(&records);
         let mut latency = LatencySketches::default();
         let mut tokens: BTreeMap<u64, usize> = BTreeMap::new();
-        let spans = LifecycleFold::replay(&sink.snapshot(), |r, step| {
-            if let Some(l) = step.latency {
+        let mut fold = LifecycleFold::new();
+        for r in &records {
+            if let Some(l) = fold.observe(r.t_s, r.lane, &r.event).and_then(|s| s.latency) {
                 latency.record(l);
             }
             if matches!(r.event, TraceEvent::FirstToken | TraceEvent::DecodeStep { .. }) {
                 *tokens.entry(r.lane).or_default() += 1;
             }
-        });
+        }
 
         // Every request got a lifecycle and finished it.
         prop_assert_eq!(spans.len(), trace.len(), "{:?}: one span per request", scenario);
