@@ -20,6 +20,15 @@
 //!   conservation counters (`allocated_total == freed_total + live`) that
 //!   the workspace proptest suite pins down.
 //!
+//! Each live sequence holds one row of the pool's sequence table; rows
+//! freed by finished sequences are reused, so they number the peak of
+//! live sequences. The id API finds a row through an id → row map, and
+//! [`PagedKvCache::slot`] hands the row out as a [`SeqSlot`]: a decode
+//! step reads each running sequence's length (`slot_tokens`) and appends
+//! its token (`extend_slot`) by slot, indexing the row directly. A slot
+//! carries its sequence's id and is refused once that sequence is freed
+//! or preempted, even after another sequence takes the row.
+//!
 //! Page ids are minted on first use: the pool keeps one record (refs,
 //! pins, written extent, tier) per id handed out so far and reuses freed
 //! ids last-freed-first, so its bookkeeping, and the cost of
@@ -52,4 +61,4 @@ pub mod config;
 pub mod pager;
 
 pub use config::KvConfig;
-pub use pager::{KvError, KvStats, PageId, PageLocation, PagedKvCache, SeqId};
+pub use pager::{KvError, KvStats, PageId, PageLocation, PagedKvCache, SeqId, SeqSlot};

@@ -39,10 +39,10 @@ use std::hash::{BuildHasherDefault, Hasher};
 pub type SeqId = u64;
 
 /// Hashes a [`SeqId`] with one multiply (Fibonacci hashing), folding the
-/// well-mixed high half into the low bits the table indexes by. Decode
-/// looks a sequence up several times per slot per step, where SipHash
-/// costs more than the work it guards; ids are caller-chosen, not
-/// adversarial, and nothing depends on the table's iteration order.
+/// well-mixed high half into the low bits the table indexes by. Only the
+/// id API hashes, once per call to find a sequence's row; a [`SeqSlot`]
+/// skips the map. Ids are caller-chosen, not adversarial, and nothing
+/// depends on the map's iteration order.
 #[derive(Default)]
 struct SeqIdHasher(u64);
 
@@ -63,8 +63,20 @@ impl Hasher for SeqIdHasher {
     }
 }
 
-/// The sequence table's map type.
-type SeqMap = HashMap<SeqId, SeqPages, BuildHasherDefault<SeqIdHasher>>;
+/// The id → row map of the [`SeqTable`].
+type SeqIndex = HashMap<SeqId, u32, BuildHasherDefault<SeqIdHasher>>;
+
+/// A handle to one live sequence's row of a [`PagedKvCache`]: the row and
+/// the id it was issued for ([`PagedKvCache::slot`]). The slot methods
+/// index the row directly and check the id, so a slot that outlives its
+/// sequence (freed or preempted) is refused, also after another sequence
+/// has taken the row. A slot stays valid while its sequence holds the
+/// row: across growth, sparsity eviction, swap-out and swap-in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SeqSlot {
+    row: u32,
+    seq: SeqId,
+}
 
 /// Physical page identifier inside one pool.
 pub type PageId = u32;
@@ -169,9 +181,11 @@ impl Page {
     };
 }
 
-/// Pages one live sequence holds.
+/// Pages one live sequence holds: one row of the [`SeqTable`].
 #[derive(Debug, Clone)]
 struct SeqPages {
+    /// The sequence holding the row (what a [`SeqSlot`]'s id must match).
+    seq: SeqId,
     /// Physical page ids, in token order (the page table). Prefix pages
     /// may be shared with other sequences or with an external index. No
     /// page appears twice: new pages come off the free list, and
@@ -187,9 +201,107 @@ struct SeqPages {
     host_pages: usize,
 }
 
+/// The live sequences' page tables: rows of a `Vec`, with the id → row map
+/// beside them. A freed row goes on the vacant list and the next new
+/// sequence takes it, so the rows number the peak of live sequences,
+/// whatever the ids or the count of sequences served.
+#[derive(Debug, Default)]
+struct SeqTable {
+    /// One row per live sequence, `None` while vacant.
+    rows: Vec<Option<SeqPages>>,
+    /// Vacant rows, taken last-freed-first.
+    vacant: Vec<u32>,
+    /// The row of each live sequence.
+    index: SeqIndex,
+}
+
+impl SeqTable {
+    /// The slot of live sequence `seq`: one map lookup.
+    #[inline]
+    fn slot(&self, seq: SeqId) -> Option<SeqSlot> {
+        self.index.get(&seq).map(|&row| SeqSlot { row, seq })
+    }
+
+    /// The row `slot` names, while it still holds the slot's sequence.
+    #[inline]
+    fn at(&self, slot: SeqSlot) -> Option<&SeqPages> {
+        self.rows
+            .get(slot.row as usize)?
+            .as_ref()
+            .filter(|s| s.seq == slot.seq)
+    }
+
+    /// [`SeqTable::at`], mutably.
+    #[inline]
+    fn at_mut(&mut self, slot: SeqSlot) -> Option<&mut SeqPages> {
+        self.rows
+            .get_mut(slot.row as usize)?
+            .as_mut()
+            .filter(|s| s.seq == slot.seq)
+    }
+
+    /// The row of live sequence `seq`.
+    fn get(&self, seq: SeqId) -> Option<&SeqPages> {
+        self.at(self.slot(seq)?)
+    }
+
+    /// The row of live sequence `seq`, mutably.
+    fn get_mut(&mut self, seq: SeqId) -> Option<&mut SeqPages> {
+        let slot = self.slot(seq)?;
+        self.at_mut(slot)
+    }
+
+    /// Whether `seq` holds a row.
+    fn contains(&self, seq: SeqId) -> bool {
+        self.index.contains_key(&seq)
+    }
+
+    /// Gives `s`, whose sequence the table does not hold, a row: the last
+    /// vacated one, or a new one when none is vacant.
+    fn insert(&mut self, s: SeqPages) {
+        let seq = s.seq;
+        let row = match self.vacant.pop() {
+            Some(row) => {
+                self.rows[row as usize] = Some(s);
+                row
+            }
+            None => {
+                self.rows.push(Some(s));
+                u32::try_from(self.rows.len() - 1).expect("fewer than 2^32 live sequences")
+            }
+        };
+        self.index.insert(seq, row);
+    }
+
+    /// Takes `seq`'s row out of the table, leaving it vacant.
+    fn remove(&mut self, seq: SeqId) -> Option<SeqPages> {
+        let row = self.index.remove(&seq)?;
+        self.vacant.push(row);
+        self.rows[row as usize].take()
+    }
+
+    /// Number of live sequences.
+    fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// The live rows, in row order.
+    fn iter(&self) -> impl Iterator<Item = &SeqPages> {
+        self.rows.iter().flatten()
+    }
+}
+
 /// A paged KV cache: fixed-size token pages handed out from a free list,
 /// with per-page reference counts. Page ids are minted on first use and
 /// recycled last-freed-first (see the [module docs](crate::pager)).
+///
+/// Each live sequence holds one row of the pool's sequence table; a row a
+/// sequence frees is taken by the next, so the rows number the peak of
+/// live sequences. The id methods find a row through an id → row map,
+/// then run the same code as the slot methods: [`PagedKvCache::slot`]
+/// hands the row out as a [`SeqSlot`], and [`PagedKvCache::slot_tokens`]
+/// and [`PagedKvCache::extend_slot`] index it directly, which is how a
+/// decode step reads and grows each running sequence once.
 ///
 /// Continuous batching allocates pages on demand (`alloc` the prompt, then
 /// `extend` by one token per decode step); static padded baselines reserve
@@ -206,7 +318,7 @@ pub struct PagedKvCache {
     /// cache-friendly order). A new id is minted only when it is empty.
     free: Vec<PageId>,
     /// Live sequences and their page tables.
-    seqs: SeqMap,
+    seqs: SeqTable,
     /// One record per id minted so far (`len() <= cfg.total_ids()`).
     records: Vec<Page>,
     live_pages: usize,
@@ -302,7 +414,7 @@ impl PagedKvCache {
         PagedKvCache {
             cfg,
             free: Vec::new(),
-            seqs: SeqMap::default(),
+            seqs: SeqTable::default(),
             records: Vec::new(),
             live_pages: 0,
             device_live: 0,
@@ -398,7 +510,7 @@ impl PagedKvCache {
         reserved_tokens: usize,
     ) -> Result<usize, KvError> {
         let reserved_tokens = reserved_tokens.max(used_tokens);
-        if self.seqs.contains_key(&seq) {
+        if self.seqs.contains(seq) {
             return Err(KvError::AlreadyAllocated(seq));
         }
         let needed = self.cfg.pages_for(reserved_tokens);
@@ -421,15 +533,13 @@ impl PagedKvCache {
         );
         self.reserved_tokens += reserved_tokens;
         self.peak_live_pages = self.peak_live_pages.max(self.live_pages);
-        self.seqs.insert(
+        self.seqs.insert(SeqPages {
             seq,
-            SeqPages {
-                pages,
-                used_tokens,
-                reserved_tokens,
-                host_pages: 0,
-            },
-        );
+            pages,
+            used_tokens,
+            reserved_tokens,
+            host_pages: 0,
+        });
         Ok(needed)
     }
 
@@ -454,7 +564,7 @@ impl PagedKvCache {
         shared: &[PageId],
         prefix_tokens: usize,
     ) -> Result<usize, KvError> {
-        if self.seqs.contains_key(&seq) {
+        if self.seqs.contains(seq) {
             return Err(KvError::AlreadyAllocated(seq));
         }
         let ps = self.cfg.page_size;
@@ -479,15 +589,13 @@ impl PagedKvCache {
         pages.copy_from_slice(shared);
         self.reserved_tokens += prefix_tokens;
         self.shared_admits += 1;
-        self.seqs.insert(
+        self.seqs.insert(SeqPages {
             seq,
-            SeqPages {
-                pages,
-                used_tokens: prefix_tokens,
-                reserved_tokens: prefix_tokens,
-                host_pages: 0,
-            },
-        );
+            pages,
+            used_tokens: prefix_tokens,
+            reserved_tokens: prefix_tokens,
+            host_pages: 0,
+        });
         Ok(shared.len())
     }
 
@@ -544,17 +652,28 @@ impl PagedKvCache {
     /// `page_size` steps; a copy-on-write of a shared boundary page counts
     /// as one taken page). Fails atomically on page exhaustion.
     ///
-    /// A decode token usually lands in the last page of the sequence's
-    /// table, which it already holds alone. That case is inlined into the
-    /// caller: one table lookup raises the page's written extent and the
-    /// sequence's counts, with no integer division and no allocation.
-    /// Everything else (growth that starts below the last page or leaves
-    /// it, a shared tail page to copy, a swapped-out or unknown sequence)
-    /// takes the out-of-line general path, with the same result.
+    /// The sequence's row lookup, then [`PagedKvCache::extend_slot`].
     #[inline]
     pub fn extend(&mut self, seq: SeqId, new_tokens: usize) -> Result<usize, KvError> {
+        let slot = self.slot(seq).ok_or(KvError::UnknownSeq(seq))?;
+        self.extend_slot(slot, new_tokens)
+    }
+
+    /// [`PagedKvCache::extend`] of the sequence `slot` names, indexing its
+    /// row directly. A slot whose sequence no longer holds the row fails
+    /// with [`KvError::UnknownSeq`] and changes nothing.
+    ///
+    /// A decode token usually lands in the last page of the sequence's
+    /// table, which it already holds alone. That case is inlined into the
+    /// caller: it raises the page's written extent and the sequence's
+    /// counts, with no integer division and no allocation. Everything else
+    /// (growth that starts below the last page or leaves it, a shared tail
+    /// page to copy, a swapped-out sequence, a stale slot) takes the
+    /// out-of-line general path, with the same result.
+    #[inline]
+    pub fn extend_slot(&mut self, slot: SeqSlot, new_tokens: usize) -> Result<usize, KvError> {
         let ps = self.cfg.page_size;
-        if let Some(s) = self.seqs.get_mut(&seq) {
+        if let Some(s) = self.seqs.at_mut(slot) {
             if let Some(&last) = s.pages.last() {
                 let base = (s.pages.len() - 1) * ps;
                 let target = s.used_tokens + new_tokens;
@@ -578,21 +697,23 @@ impl PagedKvCache {
                 }
             }
         }
-        self.extend_general(seq, new_tokens)
+        self.extend_general(slot, new_tokens)
     }
 
-    /// [`PagedKvCache::extend`] for any growth: copy-on-write of a shared
-    /// tail page, pages taken past the reservation, and every error.
+    /// [`PagedKvCache::extend_slot`] for any growth: copy-on-write of a
+    /// shared tail page, pages taken past the reservation, and every
+    /// error.
     ///
-    /// One table lookup, no allocation and no page-table scan unless a
-    /// page is taken: residency is the sequence's host-page count, and
-    /// the written extents of the touched pages are raised in place.
+    /// No allocation and no page-table scan unless a page is taken:
+    /// residency is the sequence's host-page count, and the written
+    /// extents of the touched pages are raised in place.
     #[cold]
     #[inline(never)]
-    fn extend_general(&mut self, seq: SeqId, new_tokens: usize) -> Result<usize, KvError> {
+    fn extend_general(&mut self, slot: SeqSlot, new_tokens: usize) -> Result<usize, KvError> {
         let free_len = self.device_free();
         let ps = self.cfg.page_size;
-        let s = self.seqs.get_mut(&seq).ok_or(KvError::UnknownSeq(seq))?;
+        let seq = slot.seq;
+        let s = self.seqs.at_mut(slot).ok_or(KvError::UnknownSeq(seq))?;
         if s.host_pages > 0 {
             // Swapped-out KV is storage, not cache: restore first.
             return Err(KvError::SwappedOut(seq));
@@ -633,7 +754,7 @@ impl PagedKvCache {
             return Ok(0);
         }
         // Taking pages needs the whole pool, so the table is lifted out of
-        // the map for the duration and put back once.
+        // the row for the duration and put back once.
         let mut pages = std::mem::take(&mut s.pages);
         // Copy-on-write: the sequence is about to write into a partially
         // filled page other holders also reference, so it gets a private
@@ -656,7 +777,7 @@ impl PagedKvCache {
             used,
             target_used,
         );
-        self.seqs.get_mut(&seq).expect("checked above").pages = pages;
+        self.seqs.at_mut(slot).expect("checked above").pages = pages;
         self.peak_live_pages = self.peak_live_pages.max(self.live_pages);
         Ok(extra + cow)
     }
@@ -672,7 +793,7 @@ impl PagedKvCache {
     /// prefix-pinned page's other holders still read it every iteration;
     /// the swap planner (`pit_swap::plan_swap_out`) never offers those.
     pub fn swap_out(&mut self, seq: SeqId, pages: &[PageId]) -> Result<(), KvError> {
-        let s = self.seqs.get_mut(&seq).ok_or(KvError::UnknownSeq(seq))?;
+        let s = self.seqs.get_mut(seq).ok_or(KvError::UnknownSeq(seq))?;
         // Each legal page flips to `Host` as it is checked, so a duplicate
         // fails the residency test; one pass over the page table then
         // counts the flips, and a foreign page is flipped but not counted.
@@ -724,7 +845,7 @@ impl PagedKvCache {
     /// [`KvError::OutOfPages`] when the device tier lacks the frames.
     pub fn swap_in(&mut self, seq: SeqId) -> Result<usize, KvError> {
         let free = self.device_free();
-        let s = self.seqs.get_mut(&seq).ok_or(KvError::UnknownSeq(seq))?;
+        let s = self.seqs.get_mut(seq).ok_or(KvError::UnknownSeq(seq))?;
         let moved = s.host_pages;
         if moved == 0 {
             return Ok(0);
@@ -766,7 +887,8 @@ impl PagedKvCache {
             return Ok(0);
         }
         let ps = self.cfg.page_size;
-        let s = self.seqs.get_mut(&seq).ok_or(KvError::UnknownSeq(seq))?;
+        let slot = self.slot(seq).ok_or(KvError::UnknownSeq(seq))?;
+        let s = self.seqs.at_mut(slot).expect("the map names live rows");
         let at = table_positions(&s.pages, pages).ok_or(KvError::InvalidEvict)?;
         if at.iter().any(|&i| {
             (i + 1) * ps > s.used_tokens
@@ -781,7 +903,7 @@ impl PagedKvCache {
         s.used_tokens -= evicted * ps;
         s.reserved_tokens -= evicted * ps;
         self.reserved_tokens -= evicted * ps;
-        // The table leaves the map while its evicted pages drop their
+        // The table leaves its row while its evicted pages drop their
         // references (in table order), and goes back compacted.
         let mut table = std::mem::take(&mut s.pages);
         let (mut pos, mut next, mut freed) = (0, 0, 0);
@@ -794,7 +916,7 @@ impl PagedKvCache {
             }
             !evict
         });
-        self.seqs.get_mut(&seq).expect("checked above").pages = table;
+        self.seqs.at_mut(slot).expect("checked above").pages = table;
         self.sparsity_evicted += evicted as u64;
         Ok(freed)
     }
@@ -804,7 +926,7 @@ impl PagedKvCache {
     /// Returns the pages physically freed; a second `free` of the same
     /// sequence is a double-free and fails with [`KvError::UnknownSeq`].
     pub fn free(&mut self, seq: SeqId) -> Result<usize, KvError> {
-        let s = self.seqs.remove(&seq).ok_or(KvError::UnknownSeq(seq))?;
+        let s = self.seqs.remove(seq).ok_or(KvError::UnknownSeq(seq))?;
         let mut freed = 0;
         for &p in &s.pages {
             if self.drop_ref(p) {
@@ -824,15 +946,31 @@ impl PagedKvCache {
         Ok(n)
     }
 
-    /// Cached context length of a live sequence.
+    /// The slot of a live sequence: a handle to its row for
+    /// [`PagedKvCache::slot_tokens`] and [`PagedKvCache::extend_slot`],
+    /// valid until the sequence is freed or preempted.
+    #[inline]
+    pub fn slot(&self, seq: SeqId) -> Option<SeqSlot> {
+        self.seqs.slot(seq)
+    }
+
+    /// Cached context length of the sequence `slot` names; `None` once
+    /// that sequence no longer holds the row.
+    #[inline]
+    pub fn slot_tokens(&self, slot: SeqSlot) -> Option<usize> {
+        self.seqs.at(slot).map(|s| s.used_tokens)
+    }
+
+    /// Cached context length of a live sequence: its row lookup, then
+    /// [`PagedKvCache::slot_tokens`].
     #[inline]
     pub fn seq_tokens(&self, seq: SeqId) -> Option<usize> {
-        self.seqs.get(&seq).map(|s| s.used_tokens)
+        self.slot_tokens(self.slot(seq)?)
     }
 
     /// The page table of a live sequence, in token order.
     pub fn seq_pages(&self, seq: SeqId) -> Option<&[PageId]> {
-        self.seqs.get(&seq).map(|s| s.pages.as_slice())
+        self.seqs.get(seq).map(|s| s.pages.as_slice())
     }
 
     /// Total references to `page` (sequence holders + external retains);
@@ -853,13 +991,13 @@ impl PagedKvCache {
 
     /// Host-resident pages a live sequence holds (0 = fully resident).
     pub fn seq_host_pages(&self, seq: SeqId) -> usize {
-        self.seqs.get(&seq).map_or(0, |s| s.host_pages)
+        self.seqs.get(seq).map_or(0, |s| s.host_pages)
     }
 
     /// Whether every page of a live sequence is device-resident — the
     /// precondition for it to appear in a decode step.
     pub fn seq_resident(&self, seq: SeqId) -> Option<bool> {
-        self.seqs.get(&seq).map(|s| s.host_pages == 0)
+        self.seqs.get(seq).map(|s| s.host_pages == 0)
     }
 
     /// Live pages resident on the host tier.
@@ -962,9 +1100,10 @@ impl PagedKvCache {
 
     /// Checks the pool's conservation invariants; returns a description of
     /// the first violation. The proptest suite calls this after every
-    /// operation. It passes once over the sequences' page tables, once
-    /// over the free list and once over the minted records, so its cost
-    /// follows the pages the run has held, not the pool's capacity.
+    /// operation. It passes once over the id map and the vacant rows, once
+    /// over the sequences' page tables, once over the free list and once
+    /// over the minted records, so its cost follows the sequences and the
+    /// pages the run has held, not the pool's capacity.
     pub fn check_invariants(&self) -> Result<(), String> {
         // Fails the check with the formatted message unless `$ok` holds.
         macro_rules! ensure {
@@ -1014,10 +1153,42 @@ impl PagedKvCache {
             self.allocated_total,
             self.freed_total
         );
+        // The id map and the rows agree: each map entry names a row that
+        // holds its id, and every other row is vacant and listed once.
+        let SeqTable {
+            rows,
+            vacant,
+            index,
+        } = &self.seqs;
+        for (&id, &row) in index {
+            let holder = rows.get(row as usize).and_then(Option::as_ref);
+            ensure!(
+                holder.is_some_and(|s| s.seq == id),
+                "seq {id} maps to row {row}, which holds {:?}",
+                holder.map(|s| s.seq)
+            );
+        }
+        let mut listed = vec![false; rows.len()];
+        for &row in vacant {
+            let row = row as usize;
+            ensure!(
+                rows.get(row).is_some_and(Option::is_none),
+                "row {row} is on the vacant list but not vacant"
+            );
+            ensure!(!listed[row], "row {row} on the vacant list twice");
+            listed[row] = true;
+        }
+        ensure!(
+            vacant.len() + index.len() == rows.len(),
+            "{} vacant + {} live rows != {} rows",
+            vacant.len(),
+            index.len(),
+            rows.len()
+        );
         // Page-table occurrences per id, for the refcount check below.
         let mut held = vec![0u32; minted];
-        for (id, s) in &self.seqs {
-            let (used, reserved) = (s.used_tokens, s.reserved_tokens);
+        for s in self.seqs.iter() {
+            let (id, used, reserved) = (s.seq, s.used_tokens, s.reserved_tokens);
             ensure!(
                 s.pages.len() == self.cfg.pages_for(reserved),
                 "seq {id} holds {} pages for {reserved} reserved tokens",
@@ -1208,6 +1379,7 @@ impl fmt::Display for KvStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn pool(page_size: usize, pages: usize) -> PagedKvCache {
         PagedKvCache::new(KvConfig::new(page_size, pages))
@@ -1793,10 +1965,29 @@ mod tests {
         Free(SeqId),
     }
 
-    /// Applies `op` to `kv`; with `general`, an extension takes the
-    /// general path only.
-    fn apply(kv: &mut PagedKvCache, op: Op, general: bool) -> Result<usize, KvError> {
-        match op {
+    /// How the twin script grows a sequence.
+    #[derive(Debug, Clone, Copy)]
+    enum Path {
+        /// `extend` by id.
+        Id,
+        /// `extend_slot` with the slot taken when the sequence was
+        /// allocated.
+        Slot,
+        /// The general path alone, by the same slot.
+        General,
+    }
+
+    /// Applies `op` to `kv`, growing sequences along `path`. `slots`
+    /// holds each allocated sequence's slot, taken at allocation; a
+    /// sequence never allocated grows by a slot naming row 0, another
+    /// sequence's row, under its own id.
+    fn apply(
+        kv: &mut PagedKvCache,
+        op: Op,
+        path: Path,
+        slots: &mut BTreeMap<SeqId, SeqSlot>,
+    ) -> Result<usize, KvError> {
+        let got = match op {
             Op::Alloc(seq, tokens) => kv.alloc(seq, tokens),
             Op::Reserve(seq, used, reserved) => kv.alloc_reserved(seq, used, reserved),
             Op::Share(seq, from, tokens) => {
@@ -1812,10 +2003,22 @@ mod tests {
                 kv.swap_out(seq, &pages).map(|()| pages.len())
             }
             Op::SwapIn(seq) => kv.swap_in(seq),
-            Op::Extend(seq, tokens) if general => kv.extend_general(seq, tokens),
-            Op::Extend(seq, tokens) => kv.extend(seq, tokens),
+            Op::Extend(seq, tokens) => {
+                let slot = slots.get(&seq).copied().unwrap_or(SeqSlot { row: 0, seq });
+                match path {
+                    Path::Id => kv.extend(seq, tokens),
+                    Path::Slot => kv.extend_slot(slot, tokens),
+                    Path::General => kv.extend_general(slot, tokens),
+                }
+            }
             Op::Free(seq) => kv.free(seq),
+        };
+        if let Op::Alloc(seq, _) | Op::Reserve(seq, ..) | Op::Share(seq, ..) | Op::FillPool(seq) =
+            op
+        {
+            slots.extend(kv.slot(seq).map(|slot| (seq, slot)));
         }
+        got
     }
 
     /// Every extension case at page size `ps`, in order.
@@ -1872,29 +2075,39 @@ mod tests {
 
     /// Panics unless the two pools agree on every sequence, every page's
     /// written slots, the counters and the invariants.
-    fn assert_twins(fast: &PagedKvCache, general: &PagedKvCache, at: &str) {
+    fn assert_twins(fast: &PagedKvCache, twin: &PagedKvCache, at: &str) {
         for seq in (0..8).chain([99]) {
-            assert_eq!(fast.seq_tokens(seq), general.seq_tokens(seq), "{at}");
-            assert_eq!(fast.seq_pages(seq), general.seq_pages(seq), "{at}");
+            assert_eq!(fast.seq_tokens(seq), twin.seq_tokens(seq), "{at}");
+            assert_eq!(fast.seq_pages(seq), twin.seq_pages(seq), "{at}");
         }
         for p in 0..fast.config().total_ids() as PageId {
-            assert_eq!(fast.page_written(p), general.page_written(p), "{at}");
+            assert_eq!(fast.page_written(p), twin.page_written(p), "{at}");
         }
-        assert_eq!(fast.stats(), general.stats(), "{at}");
+        assert_eq!(fast.stats(), twin.stats(), "{at}");
         assert_eq!(fast.check_invariants(), Ok(()), "{at}");
-        assert_eq!(general.check_invariants(), Ok(()), "{at}");
+        assert_eq!(twin.check_invariants(), Ok(()), "{at}");
     }
 
     #[test]
     fn extend_fast_path_matches_the_general_path() {
         for ps in [1, 3, 16] {
-            let mut fast = tiered(ps, 64, 8);
-            let mut general = tiered(ps, 64, 8);
+            let [mut fast, mut by_slot, mut general] = [(); 3].map(|()| tiered(ps, 64, 8));
+            let mut slots = [(); 3].map(|()| BTreeMap::new());
             let mut results = Vec::new();
             for (i, op) in twin_script(ps).into_iter().enumerate() {
                 let at = format!("page size {ps}, op {i}: {op:?}");
-                let got = apply(&mut fast, op, false);
-                assert_eq!(got, apply(&mut general, op, true), "{at}");
+                let got = apply(&mut fast, op, Path::Id, &mut slots[0]);
+                assert_eq!(
+                    got,
+                    apply(&mut by_slot, op, Path::Slot, &mut slots[1]),
+                    "{at}"
+                );
+                assert_eq!(
+                    got,
+                    apply(&mut general, op, Path::General, &mut slots[2]),
+                    "{at}"
+                );
+                assert_twins(&fast, &by_slot, &at);
                 assert_twins(&fast, &general, &at);
                 results.push(got);
             }
@@ -1905,6 +2118,44 @@ mod tests {
             assert_eq!(stats.cow_copies, u64::from(ps > 1), "page size {ps}");
             assert!(stats.conserved(), "page size {ps}");
         }
+    }
+
+    #[test]
+    fn a_slot_is_refused_once_its_sequence_is_gone() {
+        let mut kv = pool(16, 8);
+        kv.alloc(1, 20).unwrap();
+        kv.alloc(2, 4).unwrap();
+        let gone = [(kv.slot(1).unwrap(), 1), (kv.slot(2).unwrap(), 2)];
+        assert_eq!(kv.slot_tokens(gone[0].0), Some(20));
+        assert_eq!(kv.extend_slot(gone[0].0, 1), Ok(0));
+        assert_eq!(kv.seq_tokens(1), Some(21));
+        kv.free(1).unwrap();
+        kv.preempt(2).unwrap();
+        let refused = |kv: &mut PagedKvCache| {
+            for (slot, seq) in gone {
+                assert_eq!(kv.slot_tokens(slot), None, "seq {seq}");
+                assert_eq!(kv.extend_slot(slot, 1), Err(KvError::UnknownSeq(seq)));
+            }
+            kv.check_invariants().unwrap();
+        };
+        refused(&mut kv);
+        assert_eq!((kv.slot(1), kv.slot(2)), (None, None));
+        // Two other ids take both rows; the old slots read nothing of them
+        // and grow neither.
+        kv.alloc(3, 5).unwrap();
+        kv.alloc(4, 6).unwrap();
+        let mut rows = [kv.slot(3).unwrap().row, kv.slot(4).unwrap().row];
+        rows.sort_unstable();
+        assert_eq!(rows, [gone[0].0.row, gone[1].0.row]);
+        refused(&mut kv);
+        assert_eq!((kv.seq_tokens(3), kv.seq_tokens(4)), (Some(5), Some(6)));
+        // Rows follow the peak of live sequences, not the ids served.
+        for seq in 5..1_000 {
+            kv.alloc(seq, 1).unwrap();
+            kv.free(seq).unwrap();
+        }
+        assert_eq!(kv.seqs.rows.len(), 3);
+        kv.check_invariants().unwrap();
     }
 
     #[test]
@@ -1928,9 +2179,10 @@ mod tests {
 
     /// A pool holding a page in every state the checker tells apart: a
     /// shared page, an index-pinned page, a swapped-out page, a partially
-    /// written tail, recycled free ids and a live highest id. On the way
-    /// it pins the id order: ids are minted 0, 1, 2, …, and freed ids are
-    /// reused last-freed-first before a new id is minted.
+    /// written tail, recycled free ids and a live highest id; and a vacant
+    /// sequence row. On the way it pins the id order: ids are minted 0, 1,
+    /// 2, …, and freed ids are reused last-freed-first before a new id is
+    /// minted.
     fn every_state_pool() -> PagedKvCache {
         let mut kv = tiered(4, 8, 4);
         assert_eq!(alloc_table(&mut kv, 1, 8), [0, 1]);
@@ -1944,8 +2196,8 @@ mod tests {
             "freed ids, then a new one"
         );
         assert_eq!(alloc_table(&mut kv, 6, 4), [7]);
-        kv.free(5).unwrap();
         kv.alloc_shared(7, &[0], 4).unwrap();
+        kv.free(5).unwrap();
         kv.retain_pages(&[1]).unwrap();
         kv.swap_out(3, &[5]).unwrap();
         assert_eq!(kv.free, [2, 6], "recycled free ids");
@@ -1953,6 +2205,7 @@ mod tests {
         assert_eq!((kv.page_refs(0), kv.page_ext_refs(1)), (2, 1));
         assert_eq!(kv.page_location(5), PageLocation::Host);
         assert_eq!(kv.page_written(3), 2, "partially written tail");
+        assert_eq!((kv.seqs.rows.len(), kv.seqs.vacant.len()), (6, 1));
         kv
     }
 
@@ -1962,7 +2215,7 @@ mod tests {
     #[test]
     fn check_invariants_catches_each_broken_condition() {
         assert_eq!(every_state_pool().check_invariants(), Ok(()));
-        let corruptions: [Corruption; 13] = [
+        let corruptions: [Corruption; 15] = [
             ("refcount of the highest id", |kv| kv.records[7].refs += 1),
             ("pin", |kv| kv.records[1].pins += 1),
             ("written extent on a free id", |kv| {
@@ -1979,7 +2232,15 @@ mod tests {
             }),
             ("id twice on the free list", |kv| kv.free[1] = kv.free[0]),
             ("sequence's host-page count", |kv| {
-                kv.seqs.get_mut(&3).unwrap().host_pages = 0;
+                kv.seqs.get_mut(3).unwrap().host_pages = 0;
+            }),
+            ("id map entry naming a vacant row", |kv| {
+                let row = kv.seqs.vacant[0];
+                kv.seqs.index.insert(3, row);
+            }),
+            ("id map entry naming another id's row", |kv| {
+                let row = kv.seqs.index[&4];
+                kv.seqs.index.insert(3, row);
             }),
             ("device tier counter", |kv| kv.device_live += 1),
             ("host tier counter", |kv| kv.host_live -= 1),

@@ -177,28 +177,6 @@ impl StepShape {
     pub fn kv_write_tokens(&self) -> usize {
         self.prefill_tokens() + self.chunk_tokens() + self.decode_slots()
     }
-
-    /// Fraction of this step's attention work attributable to prefill
-    /// (whole prompts plus chunk landings), mirroring [`run_step`]'s score
-    /// weighting exactly: decode slots contribute their *streamed* K/V
-    /// rows — micro-tile-packed attended rows under PIT, whole cached
-    /// contexts under padded layouts. A pure-decode step returns 0, a
-    /// pure-prefill step 1, an empty step 0.
-    pub fn prefill_attention_fraction(&self, pit: bool) -> f64 {
-        let decode_kv = if pit {
-            self.packed_decode_tokens(KV_MICROTILE_ROWS)
-        } else {
-            self.cached_tokens()
-        };
-        let prefill_sq: f64 = self.prefill_lens.iter().map(|&l| (l * l) as f64).sum();
-        let chunk_sc: f64 = self.chunks.iter().map(|&(c, ctx)| (c * ctx) as f64).sum();
-        let total = prefill_sq + chunk_sc + decode_kv as f64;
-        if total <= 0.0 {
-            0.0
-        } else {
-            (prefill_sq + chunk_sc) / total
-        }
-    }
 }
 
 /// Charges one serving iteration of `cfg` — embeddings, every layer's
@@ -234,10 +212,18 @@ impl StepShape {
 /// runtimes price every step of a replay on one engine and take the
 /// ledger after each ([`Engine::take_ledger`]), so each step reads as it
 /// would on a fresh engine.
-pub fn run_step(eng: &mut Engine, cfg: &ModelConfig, shape: &StepShape) {
+///
+/// Returns the share of the step's attention work that is prefill (whole
+/// prompts plus chunk landings), from the same score weighting: decode
+/// slots weigh their *streamed* K/V rows, micro-tile-packed attended rows
+/// under PIT and whole cached contexts under padded layouts. The engine
+/// charges one fused attention kernel per layer, and this share is how a
+/// caller splits it. A pure-decode step returns 0, a pure-prefill step 1,
+/// an empty step 0.
+pub fn run_step(eng: &mut Engine, cfg: &ModelConfig, shape: &StepShape) -> f64 {
     let rows = shape.rows();
     if rows == 0 {
-        return;
+        return 0.0;
     }
     // Decode K/V rows actually streamed: packed-attended under PIT,
     // whole-cached under padded layouts.
@@ -249,14 +235,20 @@ pub fn run_step(eng: &mut Engine, cfg: &ModelConfig, shape: &StepShape) {
     let chunk_reads: usize = shape.chunks.iter().map(|&(c, ctx)| ctx - c).sum();
     let prefill_sq: f64 = shape.prefill_lens.iter().map(|&l| (l * l) as f64).sum();
     let chunk_sc: f64 = shape.chunks.iter().map(|&(c, ctx)| (c * ctx) as f64).sum();
+    let score_elems = prefill_sq + chunk_sc + decode_kv as f64;
     charge_stack(
         eng,
         cfg,
         rows,
-        prefill_sq + chunk_sc + decode_kv as f64,
+        score_elems,
         decode_kv + chunk_reads,
         shape.kv_write_tokens(),
     );
+    if score_elems <= 0.0 {
+        0.0
+    } else {
+        (prefill_sq + chunk_sc) / score_elems
+    }
 }
 
 /// Charges one encoder pass of `cfg` over sequences of the given
@@ -463,6 +455,13 @@ mod tests {
         e.latency_ms()
     }
 
+    /// [`run_step`]'s prefill attention share of `shape` on a fresh engine
+    /// of `framework`.
+    fn prefill_share(shape: &StepShape, framework: Framework) -> f64 {
+        let mut e = Engine::new(DeviceSpec::a100_80gb(), DType::F32, framework);
+        run_step(&mut e, &cfg(), shape)
+    }
+
     #[test]
     fn shape_accounting() {
         let s = StepShape {
@@ -487,11 +486,11 @@ mod tests {
         // (cached) streams.
         let prefill_work = (900 + 100) as f64 + (16 * 80) as f64;
         assert_eq!(
-            s.prefill_attention_fraction(true),
+            prefill_share(&s, Framework::Pit),
             prefill_work / (prefill_work + 224.0)
         );
         assert_eq!(
-            s.prefill_attention_fraction(false),
+            prefill_share(&s, Framework::PyTorch),
             prefill_work / (prefill_work + 171.0)
         );
         assert!(StepShape::default().is_empty());
@@ -521,9 +520,9 @@ mod tests {
             chunks: vec![],
             decode: vec![DecodeSlot::sparse(33, 512)],
         };
-        assert_eq!(mixed.prefill_attention_fraction(true), 64.0 / (64.0 + 64.0));
+        assert_eq!(prefill_share(&mixed, Framework::Pit), 64.0 / (64.0 + 64.0));
         assert_eq!(
-            mixed.prefill_attention_fraction(false),
+            prefill_share(&mixed, Framework::PyTorch),
             64.0 / (64.0 + 512.0)
         );
     }
@@ -536,13 +535,13 @@ mod tests {
 
     #[test]
     fn prefill_attention_fraction_matches_score_weighting() {
-        assert_eq!(StepShape::default().prefill_attention_fraction(true), 0.0);
+        assert_eq!(prefill_share(&StepShape::default(), Framework::Pit), 0.0);
         assert_eq!(
-            StepShape::decode(vec![512; 4]).prefill_attention_fraction(true),
+            prefill_share(&StepShape::decode(vec![512; 4]), Framework::Pit),
             0.0
         );
         assert_eq!(
-            StepShape::prefill(vec![128]).prefill_attention_fraction(false),
+            prefill_share(&StepShape::prefill(vec![128]), Framework::PyTorch),
             1.0
         );
         let mixed = StepShape {
@@ -554,8 +553,8 @@ mod tests {
         // padded layout streams all 1000 cached rows — so the prefill
         // share is higher under PIT.
         let prefill_work = (64.0f64 * 64.0) + (16.0 * 80.0);
-        let pit = mixed.prefill_attention_fraction(true);
-        let padded = mixed.prefill_attention_fraction(false);
+        let pit = prefill_share(&mixed, Framework::Pit);
+        let padded = prefill_share(&mixed, Framework::PyTorch);
         assert!((pit - prefill_work / (prefill_work + 128.0)).abs() < 1e-12);
         assert!((padded - prefill_work / (prefill_work + 1000.0)).abs() < 1e-12);
         assert!(pit > padded);

@@ -47,7 +47,7 @@ use crate::metrics::{CacheStats, DecodeMetrics, DecodeReport};
 use crate::step::{price_step, StepWork, CACHE_CAPACITY};
 use pit_core::jit::JitCache;
 use pit_gpusim::DeviceSpec;
-use pit_kv::{KvConfig, PagedKvCache};
+use pit_kv::{KvConfig, PagedKvCache, SeqSlot};
 use pit_models::decode::{DecodeSlot, StepShape};
 use pit_models::{Engine, Framework, ModelConfig};
 use pit_prefix::RadixPrefixIndex;
@@ -568,7 +568,7 @@ impl DecodeServeConfigBuilder {
 }
 
 /// One request moving through the decode runtime.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Seq {
     id: u64,
     arrival_s: f64,
@@ -592,6 +592,12 @@ struct Seq {
     last_token_s: f64,
     /// Whether the latest admission hit the prompt-prefix cache.
     prefix_hit: bool,
+    /// The sequence's row of the KV pool, set when it joins `running`:
+    /// each step reads and grows a running sequence by it, without
+    /// hashing its id. Kept across swap-out and swap-in (the sequence
+    /// holds its row throughout); a recompute requeue, which frees the
+    /// row, clears it.
+    slot: Option<SeqSlot>,
 }
 
 impl Seq {
@@ -604,6 +610,11 @@ impl Seq {
     /// True once the target output length is reached.
     fn done(&self) -> bool {
         self.generated >= self.target
+    }
+
+    /// The slot of a running sequence.
+    fn running_slot(&self) -> SeqSlot {
+        self.slot.expect("a running sequence carries its slot")
     }
 }
 
@@ -626,7 +637,8 @@ pub fn simulate_decode_trace(cfg: &DecodeServeConfig, trace: &DecodeTrace) -> De
 /// keeps (`trace.len()` lanes, head-sampled by the sink's stride) — equal
 /// to reducing the sink's records with [`pit_trace::blame_spans`] after
 /// the run. A disabled sink allocates no table and makes this identical
-/// to the untraced entry point (each record is one branch).
+/// to the untraced entry point, which attaches no observer: its recorder
+/// returns before any record is built.
 pub fn simulate_decode_trace_traced(
     cfg: &DecodeServeConfig,
     trace: &DecodeTrace,
@@ -674,6 +686,7 @@ pub fn simulate_decode_trace_observed(
             rework: 0,
             last_token_s: arrival_s,
             prefix_hit: false,
+            slot: None,
         })
         .collect();
     let mut r = Replay {
@@ -739,9 +752,11 @@ impl Drop for SinkBatch<'_> {
 /// full timeline for the tail-exemplar reservoir. The blame fold is a
 /// slot update in a table with one slot per kept lane, allocated only for
 /// an enabled sink. The timelines are buffered independently of the
-/// sink, so exemplars survive a disabled or head-sampled sink; with a
-/// disabled sink and `k == 0` every `record` is a few branches.
+/// sink, so exemplars survive a disabled or head-sampled sink. With no
+/// enabled sink, no hub and `k == 0`, `record` is an inlined early return.
 struct Recorder<'a> {
+    /// Whether an enabled sink, a hub or a reservoir is attached.
+    observed: bool,
     batch: SinkBatch<'a>,
     /// Blame over the kept sequence lanes, folded online: the same spans
     /// [`blame_spans`](pit_trace::blame_spans) would reduce from the
@@ -764,20 +779,33 @@ impl<'a> Recorder<'a> {
         lanes: usize,
     ) -> Self {
         let kept = if sink.is_enabled() { lanes } else { 0 };
+        let reservoir = ExemplarReservoir::new(exemplar_k);
         Recorder {
+            observed: sink.is_enabled() || hub.is_some() || reservoir.is_enabled(),
             batch: SinkBatch {
                 sink,
                 records: Vec::new(),
             },
             blame: LaneTable::new(kept, sink.sample_every()),
-            reservoir: ExemplarReservoir::new(exemplar_k),
+            reservoir,
             timelines: BTreeMap::new(),
             ord: 0,
             hub,
         }
     }
 
+    /// Records `event` on `lane` at `t_s` for every attached observer.
+    #[inline]
     fn record(&mut self, t_s: f64, lane: u64, event: TraceEvent) {
+        if self.observed {
+            self.observe(t_s, lane, event);
+        }
+    }
+
+    /// [`Recorder::record`]'s work for the attached observers, kept out of
+    /// line so that the check inlines alone at every call site.
+    #[inline(never)]
+    fn observe(&mut self, t_s: f64, lane: u64, event: TraceEvent) {
         if let Some(h) = self.hub {
             h.on_record(t_s, lane, &event);
         }
@@ -1057,20 +1085,23 @@ impl Replay<'_> {
 ///    (KV admission signal), matching each prompt against the prefix
 ///    index first when prefix caching is on — matched pages are shared,
 ///    not re-prefilled;
-/// 4. [`decode_headroom`](Self::decode_headroom): reserve the pages
-///    decode growth needs, evicting prefix-index LRU leaves and then
+/// 4. [`decode_headroom`](Self::decode_headroom): one pass over the
+///    decoding sequences reads each cached length by slot, builds the
+///    step's decode slots and counts the pages decode growth needs; it
+///    reserves them, evicting prefix-index LRU leaves and then
 ///    preempting latest-arrival requests (partial prefills first —
-///    cheapest to recompute); under [`PreemptPolicy::SwapToHost`] a
-///    victim's exclusively-held pages move to the host tier instead
-///    (eviction DMA gates the reclaiming step), with per-victim
-///    recompute fallback;
+///    cheapest to recompute) and passing again; under
+///    [`PreemptPolicy::SwapToHost`] a victim's exclusively-held pages
+///    move to the host tier instead (eviction DMA gates the reclaiming
+///    step), with per-victim recompute fallback;
 /// 5. [`plan_chunks`](Self::plan_chunks): this iteration's prefill
 ///    chunks, FIFO under the token budget and the remaining free pages;
 /// 6. [`unstall`](Self::unstall) when nothing can run, or else
-///    [`execute`](Self::execute): one mixed step; every decode slot emits
-///    a token, every chunk advances its prompt, completed prefills
-///    publish their whole-page prompt pages to the index, emit their
-///    first token and join the decode set.
+///    [`execute`](Self::execute): one mixed step over the built shape;
+///    every decode slot emits a token and grows by slot, every chunk
+///    advances its prompt, completed prefills publish their whole-page
+///    prompt pages to the index, emit their first token and join the
+///    decode set. The queues are updated in place.
 struct Continuous<'r, 'a> {
     r: &'r mut Replay<'a>,
     prompts: &'r [Vec<u32>],
@@ -1091,6 +1122,13 @@ struct Continuous<'r, 'a> {
     /// ends); an iteration that re-plans without stepping drops them and
     /// re-observes next time around.
     deferrals: Vec<(u64, WaitCause, f64)>,
+    /// The iteration's step: `decode_headroom` writes its decode slots,
+    /// one per `running` sequence in order, and `execute` its chunks.
+    /// Reused across iterations, as is `planned`.
+    shape: StepShape,
+    /// Each prefilling request's planned chunk (0 = none), its pages
+    /// already allocated.
+    planned: Vec<usize>,
 }
 
 impl<'r, 'a> Continuous<'r, 'a> {
@@ -1114,6 +1152,8 @@ impl<'r, 'a> Continuous<'r, 'a> {
             swapped: VecDeque::new(),
             restoring: RestoreQueue::new(),
             deferrals: Vec::new(),
+            shape: StepShape::default(),
+            planned: Vec::new(),
         }
     }
 
@@ -1132,11 +1172,11 @@ impl<'r, 'a> Continuous<'r, 'a> {
             self.compact();
             self.admit();
             let headroom = self.decode_headroom();
-            let planned = self.plan_chunks(headroom);
-            if self.running.is_empty() && planned.iter().all(|&c| c == 0) {
+            self.plan_chunks(headroom);
+            if self.running.is_empty() && self.planned.iter().all(|&c| c == 0) {
                 self.unstall();
             } else {
-                self.execute(planned);
+                self.execute();
             }
         }
         self.finish();
@@ -1242,7 +1282,9 @@ impl<'r, 'a> Continuous<'r, 'a> {
             return;
         }
         for s in &self.running {
-            let len = r.kv.seq_tokens(s.id).expect("running seq holds pages");
+            let len =
+                r.kv.slot_tokens(s.running_slot())
+                    .expect("running seq holds pages");
             let evict = sparsity.evict_positions(len, PAGE_SIZE);
             if evict.is_empty() {
                 continue;
@@ -1351,30 +1393,36 @@ impl<'r, 'a> Continuous<'r, 'a> {
         }
     }
 
-    /// Decode headroom: every decode slot continuing past this step whose
-    /// context sits on a page boundary needs one fresh page. Evicts
-    /// prefix-index leaves, then preempts until the pool can honour the
-    /// step: partial prefills first, then the latest-arrival decoding
-    /// request — cached-but-cold prefixes are always cheaper to give up
-    /// than live progress. Returns the pages reserved.
+    /// Decode headroom and the step's decode slots, in one pass over
+    /// `running`: each sequence's cached length, read by slot, gives its
+    /// [`DecodeSlot`] in the step's shape, and every slot continuing past
+    /// this step whose context sits on a page boundary needs one fresh
+    /// page. Evicts prefix-index leaves, then preempts until the pool can
+    /// honour the step, passing again after each preemption: partial
+    /// prefills first, then the latest-arrival decoding request —
+    /// cached-but-cold prefixes are always cheaper to give up than live
+    /// progress. Returns the pages reserved.
     fn decode_headroom(&mut self) -> usize {
+        let sparsity = self.r.cfg.kv_sparsity;
         loop {
             // Page-boundary test on the *cached* length (what the pool
             // holds after sparsity eviction), not the logical context —
             // eviction shrinks the cache page-aligned, so the cadence is
-            // the same, but the cached length is what `extend` sees.
+            // the same, but the cached length is what `extend_slot` sees.
             let kv = &mut self.r.kv;
-            let needed = self
-                .running
-                .iter()
-                .filter(|s| {
-                    !will_finish(s)
-                        && kv
-                            .seq_tokens(s.id)
-                            .expect("running seq holds pages")
-                            .is_multiple_of(PAGE_SIZE)
-                })
-                .count();
+            let decode = &mut self.shape.decode;
+            decode.clear();
+            let mut needed = 0;
+            for s in &self.running {
+                let cached = kv
+                    .slot_tokens(s.running_slot())
+                    .expect("running seq holds pages");
+                needed += usize::from(!will_finish(s) && cached.is_multiple_of(PAGE_SIZE));
+                decode.push(DecodeSlot {
+                    attended: sparsity.attended(cached, PAGE_SIZE),
+                    cached,
+                });
+            }
             if needed <= kv.free_pages() {
                 return needed;
             }
@@ -1400,14 +1448,17 @@ impl<'r, 'a> Continuous<'r, 'a> {
     /// not reserved as decode headroom. A chunk that completes a prompt
     /// also reserves the page its first generated token may need. Chunks
     /// shrink to what the pages allow; the head of the queue stalls
-    /// rather than being overtaken (FIFO fairness). Returns each prefilling
-    /// request's planned chunk (0 = none), its pages already allocated.
-    fn plan_chunks(&mut self, decode_headroom: usize) -> Vec<usize> {
+    /// rather than being overtaken (FIFO fairness). Writes each prefilling
+    /// request's planned chunk (0 = none) into `planned`, its pages
+    /// already allocated.
+    fn plan_chunks(&mut self, decode_headroom: usize) {
         let kv = &mut self.r.kv;
         let page = kv.config().page_size;
         let mut virtual_free = kv.free_pages() - decode_headroom;
         let mut rows = self.running.len();
-        let mut planned: Vec<usize> = vec![0; self.prefilling.len()];
+        let planned = &mut self.planned;
+        planned.clear();
+        planned.resize(self.prefilling.len(), 0);
         for (i, s) in self.prefilling.iter().enumerate() {
             // Never stall the whole system on a budget smaller than one
             // chunk: an oversized head chunk runs alone.
@@ -1458,7 +1509,6 @@ impl<'r, 'a> Continuous<'r, 'a> {
                 break;
             }
         }
-        planned
     }
 
     /// Stalled with no decode work: reclaims prefix-cache pages, then
@@ -1545,31 +1595,20 @@ impl<'r, 'a> Continuous<'r, 'a> {
     /// attention read set is the retained pages only, micro-tile packed
     /// by the engine, so the step's cost scales with attended rather than
     /// cached tokens. Then every decode slot emits a token and every
-    /// planned chunk lands.
-    fn execute(&mut self, planned: Vec<usize>) {
+    /// planned chunk lands. The shape's decode slots come from
+    /// [`decode_headroom`](Self::decode_headroom); this adds the chunks.
+    fn execute(&mut self) {
         let r = &mut *self.r;
         let page = PAGE_SIZE;
-        let shape = StepShape {
-            prefill_lens: Vec::new(),
-            chunks: self
-                .prefilling
-                .iter()
-                .zip(&planned)
-                .filter(|&(_, &c)| c > 0)
-                .map(|(s, &c)| (c, s.prefilled + c))
-                .collect(),
-            decode: self
-                .running
-                .iter()
-                .map(|s| {
-                    let cached = r.kv.seq_tokens(s.id).expect("running seq holds pages");
-                    DecodeSlot {
-                        attended: r.cfg.kv_sparsity.attended(cached, page),
-                        cached,
-                    }
-                })
-                .collect(),
-        };
+        let chunks = self
+            .prefilling
+            .iter()
+            .zip(&self.planned)
+            .filter(|&(_, &c)| c > 0)
+            .map(|(s, &c)| (c, s.prefilled + c));
+        self.shape.chunks.clear();
+        self.shape.chunks.extend(chunks);
+        let shape = &self.shape;
         if r.cfg.verify_invariants {
             // The safety property of tiering: a decode step must never
             // read KV that currently lives across the link.
@@ -1582,7 +1621,7 @@ impl<'r, 'a> Continuous<'r, 'a> {
                 );
             }
         }
-        r.step(&shape, shape.chunk_tokens(), shape.decode_slots());
+        r.step(shape, shape.chunk_tokens(), shape.decode_slots());
         // The waits observed while planning this step end at its boundary:
         // flush them here so the gap each one explains telescopes exactly
         // into the blame tiling.
@@ -1596,7 +1635,7 @@ impl<'r, 'a> Continuous<'r, 'a> {
         let rework_rows: usize = self
             .prefilling
             .iter_mut()
-            .zip(&planned)
+            .zip(&self.planned)
             .map(|(s, &c)| {
                 let re = c.min(s.rework);
                 s.rework -= re;
@@ -1610,37 +1649,39 @@ impl<'r, 'a> Continuous<'r, 'a> {
             r.metrics.record_host_occupancy(r.kv.host_occupancy());
         }
 
-        // Decode slots each emitted one token.
+        // Decode slots each emitted one token; the survivors grow by it in
+        // place.
         let mut itl = ItlRun::default();
-        let mut still_running: Vec<Seq> =
-            Vec::with_capacity(self.running.len() + self.prefilling.len());
-        for (slot, mut s) in shape.decode.iter().zip(self.running.drain(..)) {
+        let mut slots = shape.decode.iter();
+        self.running.retain_mut(|s| {
+            let slot = slots.next().expect("one decode slot per running seq");
             let event = TraceEvent::DecodeStep {
                 attended: slot.attended,
                 cached: slot.cached,
             };
-            if r.emit(&mut s, &mut itl, event) {
+            if r.emit(s, &mut itl, event) {
                 r.kv.free(s.id).expect("completed request held pages");
-            } else {
-                r.kv.extend(s.id, 1).expect("headroom reserved before step");
-                still_running.push(s);
+                return false;
             }
-        }
+            r.kv.extend_slot(s.running_slot(), 1)
+                .expect("headroom reserved before step");
+            true
+        });
         // Chunks landed; completed prefills publish their whole-page
         // prompt pages to the prefix index (before any free — published
         // pages outlive the request via the index's retains), emit their
         // first token and join the decode set (in FIFO order, after the
         // older survivors).
-        let mut still_prefilling: VecDeque<Seq> = VecDeque::with_capacity(self.prefilling.len());
-        for (mut s, c) in self.prefilling.drain(..).zip(planned) {
+        let mut planned = self.planned.iter();
+        self.prefilling.retain_mut(|s| {
+            let c = *planned.next().expect("one plan per prefilling seq");
             if c > 0 {
                 r.rec
                     .record(r.clock_s, s.id, TraceEvent::PrefillChunk { tokens: c });
             }
             s.prefilled += c;
             if s.prefilled < s.ctx().max(1) {
-                still_prefilling.push_back(s);
-                continue;
+                return true;
             }
             if let Some(ix) = self.index.as_mut() {
                 let full = s.prompt / page;
@@ -1655,17 +1696,18 @@ impl<'r, 'a> Continuous<'r, 'a> {
                     }
                 }
             }
-            if r.emit(&mut s, &mut itl, TraceEvent::FirstToken) {
+            if r.emit(s, &mut itl, TraceEvent::FirstToken) {
                 r.kv.free(s.id).expect("completed request held pages");
             } else {
-                r.kv.extend(s.id, 1)
+                let slot = r.kv.slot(s.id).expect("prefilled seq holds pages");
+                r.kv.extend_slot(slot, 1)
                     .expect("carry page reserved at planning");
-                still_running.push(s);
+                s.slot = Some(slot);
+                self.running.push(*s);
             }
-        }
+            false
+        });
         itl.flush(&mut r.metrics);
-        self.running = still_running;
-        self.prefilling = still_prefilling;
 
         if r.cfg.verify_invariants {
             r.kv.check_invariants()
@@ -1753,6 +1795,7 @@ impl<'r, 'a> Continuous<'r, 'a> {
     /// served work.
     fn requeue(&mut self, mut victim: Seq, was_decoding: bool) {
         self.r.kv.preempt(victim.id).expect("victim held pages");
+        victim.slot = None;
         victim.rework += if was_decoding {
             // The final re-prefill row doubles as the next decode step —
             // its logits emit a fresh token — so it stays served work.

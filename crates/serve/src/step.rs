@@ -115,7 +115,7 @@ pub(crate) enum StepWork<'a> {
 ///
 /// The engine charges one fused attention kernel per layer, so a decode
 /// step's attention total is split prefill-vs-decode by the shape's score
-/// weighting ([`StepShape::prefill_attention_fraction`]).
+/// weighting, the prefill share [`run_step`] returns.
 pub(crate) fn price_step(
     eng: &mut Engine,
     cache: &JitCache,
@@ -140,10 +140,7 @@ pub(crate) fn price_step(
     let (jit_searches, jit_search_measured_s) =
         charge_shape_selection(eng, cache, op, model, real_rows, rows, gathers);
     let prefill_frac = match work {
-        StepWork::Decode(shape, _) => {
-            run_step(eng, model, shape);
-            shape.prefill_attention_fraction(eng.framework.is_pit())
-        }
+        StepWork::Decode(shape, _) => run_step(eng, model, shape),
         StepWork::Prefill(batch) => {
             run_encoder_pass(eng, model, &batch.effective_lens);
             1.0

@@ -213,10 +213,14 @@ impl TraceSink {
     /// Whether this sink keeps events on `lane`: it is enabled, and the
     /// lane is a reserved device/link lane or a sampled sequence lane.
     /// The one head-sampling predicate — [`TraceSink::record`] and
-    /// [`TraceSink::append`] drop exactly the lanes it refuses.
+    /// [`TraceSink::append`] drop exactly the lanes it refuses. An
+    /// unsampled sink (stride 1) keeps every lane without dividing.
     #[inline]
     pub fn keeps(&self, lane: u64) -> bool {
-        self.buffer.is_some() && (lane >= RESERVED_LANES || lane.is_multiple_of(self.sample_every))
+        self.buffer.is_some()
+            && (self.sample_every == 1
+                || lane >= RESERVED_LANES
+                || lane.is_multiple_of(self.sample_every))
     }
 
     /// The buffer, for an enabled sink. A panic never leaves a record
@@ -250,16 +254,22 @@ impl TraceSink {
     /// [`TraceSink::record`]ed in turn: sampled-out lanes are dropped and
     /// the kept records get the sink's next ordinals, so a batch numbered
     /// from 0 by position keeps its numbering, shifted by what the sink
-    /// already holds. Into an empty sink the batch's buffer moves as is.
+    /// already holds. One pass filters and numbers the batch; into an
+    /// empty sink its buffer then moves as is.
     pub fn append(&self, mut records: Vec<TraceRecord>) {
         let Some(mut buf) = self.buffer() else {
             return;
         };
-        records.retain(|r| self.keeps(r.lane));
-        for r in &mut records {
-            r.ord = buf.next_ord;
-            buf.next_ord += 1;
-        }
+        let mut next_ord = buf.next_ord;
+        records.retain_mut(|r| {
+            let keep = self.keeps(r.lane);
+            if keep {
+                r.ord = next_ord;
+                next_ord += 1;
+            }
+            keep
+        });
+        buf.next_ord = next_ord;
         if buf.records.is_empty() {
             buf.records = records;
         } else {

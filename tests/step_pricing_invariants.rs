@@ -89,7 +89,9 @@ impl Pass {
     /// Charges the pass through its entry point.
     fn charge(&self, eng: &mut Engine, cfg: &ModelConfig) {
         match self {
-            Pass::Step(shape) => run_step(eng, cfg, shape),
+            Pass::Step(shape) => {
+                run_step(eng, cfg, shape);
+            }
             Pass::Encoder(lens) => run_encoder_pass(eng, cfg, lens),
         }
     }
