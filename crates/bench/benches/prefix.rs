@@ -1,12 +1,16 @@
 //! Prefix-cache bench: radix-index microbenches (lookup/insert/evict on a
-//! populated tree) plus a hit-rate sweep over the workload's share ratio.
+//! populated tree) plus a hit-rate sweep over the workload's share ratio,
+//! and the cost of generating the shared-prefix prompts themselves.
 //!
 //! The wall-clock numbers measure host-side index cost — the per-request
 //! overhead prefix caching adds to admission; the sweep (printed once,
 //! outside the timing loops) shows how the prefix hit rate and the
 //! prefill tokens served from cache scale with how concentrated the
 //! system-prompt pool is, so `cargo bench --bench prefix` doubles as the
-//! prefix-caching ablation table.
+//! prefix-caching ablation table. `workloads/assistants_prompts_4000`
+//! times one `SharedPrefixSpec::assistants().prompts(4000, _)` call, the
+//! size of each trace a shared-prefix replay benchmark generates before
+//! cutting it to its token budget.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use pit_prefix::RadixPrefixIndex;
@@ -112,6 +116,18 @@ fn bench_prefix(c: &mut Criterion) {
     );
     group.finish();
     let _ = ix.drain_all();
+
+    let mut group = c.benchmark_group("workloads");
+    group.sample_size(20);
+    let assistants = SharedPrefixSpec::assistants();
+    group.bench_function("assistants_prompts_4000", |b| {
+        let mut seed = 0;
+        b.iter(|| {
+            seed += 1;
+            black_box(assistants.prompts(4000, seed))
+        });
+    });
+    group.finish();
 }
 
 criterion_group!(benches, bench_prefix);

@@ -376,9 +376,10 @@ fn mark_range(
 
 /// The positions of `pages` in `table`, ascending, or `None` when a page
 /// is not in the table or is listed twice. Pages listed in table order,
-/// as sparsity compaction lists them, are found by one merge walk; any
-/// other order is looked up in the table sorted by page. A table holds
-/// each page at most once, so a page has one position.
+/// as a caller picking them by `evict_positions` lists them, are found by
+/// one merge walk; any other order is looked up in the table sorted by
+/// page. A table holds each page at most once, so a page has one
+/// position.
 fn table_positions(table: &[PageId], pages: &[PageId]) -> Option<Vec<usize>> {
     let mut at = Vec::with_capacity(pages.len());
     let mut from = 0;
@@ -886,17 +887,41 @@ impl PagedKvCache {
         if pages.is_empty() {
             return Ok(0);
         }
-        let ps = self.cfg.page_size;
         let slot = self.slot(seq).ok_or(KvError::UnknownSeq(seq))?;
-        let s = self.seqs.at_mut(slot).expect("the map names live rows");
-        let at = table_positions(&s.pages, pages).ok_or(KvError::InvalidEvict)?;
-        if at.iter().any(|&i| {
-            (i + 1) * ps > s.used_tokens
-                || self.records[s.pages[i] as usize].location != PageLocation::Device
-        }) {
+        let table = &self.seqs.at(slot).expect("the map names live rows").pages;
+        let at = table_positions(table, pages).ok_or(KvError::InvalidEvict)?;
+        self.release_slot_positions(slot, &at)
+    }
+
+    /// [`PagedKvCache::release_seq_pages`] for the sequence `slot` names,
+    /// with the pages given by their positions in its page table, strictly
+    /// ascending: the same checks and the same release, with no page
+    /// lookup and nothing allocated. Fails atomically with
+    /// [`KvError::InvalidEvict`] when a position is repeated, out of order
+    /// or names no fully written device-resident page, and with
+    /// [`KvError::UnknownSeq`] once that sequence no longer holds the row.
+    pub fn release_slot_positions(
+        &mut self,
+        slot: SeqSlot,
+        at: &[usize],
+    ) -> Result<usize, KvError> {
+        if at.is_empty() {
+            return Ok(0);
+        }
+        let ps = self.cfg.page_size;
+        let s = self
+            .seqs
+            .at_mut(slot)
+            .ok_or(KvError::UnknownSeq(slot.seq))?;
+        let full = s.used_tokens / ps;
+        if at.windows(2).any(|w| w[0] >= w[1])
+            || at.iter().any(|&i| {
+                i >= full || self.records[s.pages[i] as usize].location != PageLocation::Device
+            })
+        {
             return Err(KvError::InvalidEvict);
         }
-        let evicted = pages.len();
+        let evicted = at.len();
         // Each evicted page held exactly `page_size` of the sequence's
         // cached (and reserved) slots, so both extents shrink page-aligned
         // and the tail page's partial fill is untouched.
@@ -947,8 +972,9 @@ impl PagedKvCache {
     }
 
     /// The slot of a live sequence: a handle to its row for
-    /// [`PagedKvCache::slot_tokens`] and [`PagedKvCache::extend_slot`],
-    /// valid until the sequence is freed or preempted.
+    /// [`PagedKvCache::slot_tokens`], [`PagedKvCache::extend_slot`] and
+    /// [`PagedKvCache::release_slot_positions`], valid until the sequence
+    /// is freed or preempted.
     #[inline]
     pub fn slot(&self, seq: SeqId) -> Option<SeqSlot> {
         self.seqs.slot(seq)
@@ -2135,6 +2161,10 @@ mod tests {
             for (slot, seq) in gone {
                 assert_eq!(kv.slot_tokens(slot), None, "seq {seq}");
                 assert_eq!(kv.extend_slot(slot, 1), Err(KvError::UnknownSeq(seq)));
+                assert_eq!(
+                    kv.release_slot_positions(slot, &[0]),
+                    Err(KvError::UnknownSeq(seq))
+                );
             }
             kv.check_invariants().unwrap();
         };

@@ -23,12 +23,12 @@
 //! a StreamingLLM-style sink + sliding window, or H2O-style heavy-hitter
 //! retention on top of it. Pages falling wholly outside the retained set
 //! are evicted from the sequence's page table
-//! ([`pit_kv::PagedKvCache::release_seq_pages`]) — their frames return to
-//! the pool unless a prefix pin or shared-prefix sibling still holds them
-//! — and each step's attention cost scales with the *attended* context
-//! (micro-tile packed per PIT Algorithm 1) rather than the cached
-//! context. The smaller footprint converts directly into fewer
-//! preemptions at equal KV budget.
+//! ([`pit_kv::PagedKvCache::release_slot_positions`]) — their frames
+//! return to the pool unless a prefix pin or shared-prefix sibling still
+//! holds them — and each step's attention cost scales with the
+//! *attended* context (micro-tile packed per PIT Algorithm 1) rather
+//! than the cached context. The smaller footprint converts directly into
+//! fewer preemptions at equal KV budget.
 //!
 //! The baseline is **static padded batching**: requests are batched once,
 //! prompts padded to the batch maximum, KV reserved contiguously for the
@@ -194,8 +194,23 @@ impl KvSparsityPolicy {
     ///
     /// [`Dense`]: KvSparsityPolicy::Dense
     pub fn evict_positions(&self, len: usize, page_size: usize) -> Vec<usize> {
+        let mut evict = Vec::new();
+        self.evict_positions_into(len, page_size, &mut evict);
+        evict
+    }
+
+    /// [`evict_positions`](Self::evict_positions) written into `evict`,
+    /// which it clears first, so that a scheduler reuses one buffer for
+    /// every compaction.
+    pub(crate) fn evict_positions_into(
+        &self,
+        len: usize,
+        page_size: usize,
+        evict: &mut Vec<usize>,
+    ) {
+        evict.clear();
         let (recent, heavy) = match *self {
-            KvSparsityPolicy::Dense => return Vec::new(),
+            KvSparsityPolicy::Dense => return,
             KvSparsityPolicy::SlidingWindow { recent } => (recent, 0),
             KvSparsityPolicy::HeavyHitter { recent, heavy } => (recent, heavy),
         };
@@ -213,9 +228,9 @@ impl KvSparsityPolicy {
         // because hh <= middle.
         let hh = heavy.div_ceil(ps).min(middle);
         if hh == middle {
-            return Vec::new();
+            return;
         }
-        let mut evict = Vec::with_capacity(middle - hh);
+        evict.reserve(middle - hh);
         let mut kept = 0;
         for i in 0..middle {
             if kept < hh && i == kept * middle / hh {
@@ -224,7 +239,6 @@ impl KvSparsityPolicy {
                 evict.push(i + 1);
             }
         }
-        evict
     }
 }
 
@@ -1129,6 +1143,9 @@ struct Continuous<'r, 'a> {
     /// Each prefilling request's planned chunk (0 = none), its pages
     /// already allocated.
     planned: Vec<usize>,
+    /// The page-table positions `compact` evicts from one sequence,
+    /// reused for every sequence and iteration.
+    evict: Vec<usize>,
 }
 
 impl<'r, 'a> Continuous<'r, 'a> {
@@ -1154,6 +1171,7 @@ impl<'r, 'a> Continuous<'r, 'a> {
             deferrals: Vec::new(),
             shape: StepShape::default(),
             planned: Vec::new(),
+            evict: Vec::new(),
         }
     }
 
@@ -1281,26 +1299,22 @@ impl<'r, 'a> Continuous<'r, 'a> {
         if sparsity.is_dense() {
             return;
         }
+        let evict = &mut self.evict;
         for s in &self.running {
-            let len =
-                r.kv.slot_tokens(s.running_slot())
-                    .expect("running seq holds pages");
-            let evict = sparsity.evict_positions(len, PAGE_SIZE);
+            let slot = s.running_slot();
+            let len = r.kv.slot_tokens(slot).expect("running seq holds pages");
+            sparsity.evict_positions_into(len, PAGE_SIZE, evict);
             if evict.is_empty() {
                 continue;
             }
-            let pages: Vec<pit_kv::PageId> = {
-                let table = r.kv.seq_pages(s.id).expect("running seq holds pages");
-                evict.iter().map(|&pos| table[pos]).collect()
-            };
             let freed =
-                r.kv.release_seq_pages(s.id, &pages)
+                r.kv.release_slot_positions(slot, evict)
                     .expect("retained-set eviction picks legal pages");
-            r.metrics.record_sparsity_eviction(pages.len(), freed);
+            r.metrics.record_sparsity_eviction(evict.len(), freed);
             r.rec.record(
                 r.clock_s,
                 s.id,
-                TraceEvent::SparsityEvict { pages: pages.len() },
+                TraceEvent::SparsityEvict { pages: evict.len() },
             );
         }
     }

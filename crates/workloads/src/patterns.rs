@@ -10,7 +10,7 @@ use crate::datasets::DatasetSpec;
 use pit_sparse::generate;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// A request arrival trace for serving experiments: per-request prompt
 /// lengths drawn from a dataset's length distribution, plus Poisson
@@ -244,6 +244,13 @@ impl DecodeTrace {
 /// first-order model of production chat traffic, where a handful of
 /// system prompts and few-shot templates front nearly every request.
 /// This is the cross-request redundancy prefix caching harvests.
+///
+/// Generation pays for what repeats once: within one
+/// [`prompts`](Self::prompts) call each pool stream is drawn at its first
+/// pick and copied into every later prompt that picks it, and each pool's
+/// Zipf table is built once. The ids do not depend on that sharing: a
+/// pool stream comes from its own seeded generator, and the per-request
+/// draws come from one main generator in a fixed order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SharedPrefixSpec {
     /// Vocabulary size token IDs are drawn from.
@@ -291,44 +298,47 @@ impl SharedPrefixSpec {
         (0..len).map(|_| rng.gen_range(0..self.vocab)).collect()
     }
 
-    /// Samples a pool index with probability `∝ 1/(rank+1)^zipf_exponent`.
-    fn zipf_pick(&self, pool: usize, rng: &mut StdRng) -> usize {
-        let weights: Vec<f64> = (0..pool)
-            .map(|k| 1.0 / ((k + 1) as f64).powf(self.zipf_exponent))
-            .collect();
-        let total: f64 = weights.iter().sum();
-        let mut u = rng.gen_range(0.0..1.0) * total;
-        for (k, w) in weights.iter().enumerate() {
-            if u < *w {
-                return k;
-            }
-            u -= w;
-        }
-        pool - 1
-    }
-
     /// Generates `n` prompts (token IDs), deterministic per seed.
+    ///
+    /// A call builds the two pools' Zipf tables once, and draws each system
+    /// prompt's stream and each (system prompt, template) stream once, at
+    /// its first pick; every prompt that picks a stream gets a copy. Each
+    /// prompt is allocated once at its final length, and only its unique
+    /// tail is drawn per request. Nothing outlives the call.
     pub fn prompts(&self, n: usize, seed: u64) -> Vec<Vec<u32>> {
         assert!(self.vocab >= 2, "need a non-trivial vocabulary");
         assert!(self.num_system_prompts >= 1 && self.num_templates >= 1);
         assert!(self.unique_max >= self.unique_min);
+        let system_zipf = Zipf::new(self.num_system_prompts, self.zipf_exponent);
+        let template_zipf = Zipf::new(self.num_templates, self.zipf_exponent);
+        // Templates are per-system-prompt so template reuse only pays off
+        // behind a shared system prefix (page-granular matching cannot
+        // reuse a template under a different prefix anyway): a template
+        // stream is keyed by both picks, as `pool_tokens` seeds it. The
+        // map holds the pairs drawn, at most one per prompt, rather than
+        // a slot for every pair the two pools can form.
+        let mut systems: Vec<Option<Vec<u32>>> = vec![None; self.num_system_prompts];
+        let pairs = self.num_system_prompts.saturating_mul(self.num_templates);
+        let mut templates: HashMap<(usize, usize), Vec<u32>> = HashMap::with_capacity(n.min(pairs));
         let mut rng = StdRng::seed_from_u64(seed ^ 0x6c62_272e_07bb_0142);
         (0..n)
             .map(|_| {
-                let sys = self.zipf_pick(self.num_system_prompts, &mut rng);
-                let tpl = self.zipf_pick(self.num_templates, &mut rng);
+                let sys = system_zipf.pick(&mut rng);
+                let tpl = template_zipf.pick(&mut rng);
                 let tail_len = rng.gen_range(self.unique_min..self.unique_max + 1);
-                let mut prompt = self.pool_tokens(seed, 0x5359, sys, self.system_tokens);
-                // Templates are per-system-prompt so template reuse only
-                // pays off behind a shared system prefix (page-granular
-                // matching cannot reuse a template under a different
-                // prefix anyway).
-                prompt.extend(self.pool_tokens(
-                    seed,
-                    0x54504c ^ (sys as u64) << 32,
-                    tpl,
-                    self.template_tokens,
-                ));
+                let system = systems[sys]
+                    .get_or_insert_with(|| self.pool_tokens(seed, 0x5359, sys, self.system_tokens));
+                let template = templates.entry((sys, tpl)).or_insert_with(|| {
+                    self.pool_tokens(
+                        seed,
+                        0x54504c ^ (sys as u64) << 32,
+                        tpl,
+                        self.template_tokens,
+                    )
+                });
+                let mut prompt = Vec::with_capacity(system.len() + template.len() + tail_len);
+                prompt.extend_from_slice(system);
+                prompt.extend_from_slice(template);
                 prompt.extend((0..tail_len).map(|_| rng.gen_range(0..self.vocab)));
                 prompt
             })
@@ -338,6 +348,9 @@ impl SharedPrefixSpec {
     /// Builds a [`DecodeTrace`] with prompt content: prompts from this
     /// spec, output lengths from `decode`, and the caller's arrival
     /// timestamps (e.g. [`ArrivalTrace::bursty`]). Deterministic per seed.
+    /// The prompts come from one [`prompts`](Self::prompts) call, so the
+    /// trace's pool streams and Zipf tables are built once and shared by
+    /// copy.
     pub fn decode_trace(&self, decode: &DecodeSpec, arrival_s: Vec<f64>, seed: u64) -> DecodeTrace {
         let n = arrival_s.len();
         let prompt_ids = self.prompts(n, seed);
@@ -347,6 +360,36 @@ impl SharedPrefixSpec {
             arrival_s,
             prompt_ids,
         }
+    }
+}
+
+/// A pool's Zipf popularity table: entry `k` weighs
+/// `1/(k+1)^exponent`. [`SharedPrefixSpec::prompts`] builds one per pool
+/// per call.
+struct Zipf {
+    weights: Vec<f64>,
+    total: f64,
+}
+
+impl Zipf {
+    fn new(pool: usize, exponent: f64) -> Self {
+        let weights: Vec<f64> = (0..pool)
+            .map(|k| 1.0 / ((k + 1) as f64).powf(exponent))
+            .collect();
+        let total: f64 = weights.iter().sum();
+        Zipf { weights, total }
+    }
+
+    /// Samples a pool index with probability `∝ 1/(rank+1)^exponent`.
+    fn pick(&self, rng: &mut StdRng) -> usize {
+        let mut u = rng.gen_range(0.0..1.0) * self.total;
+        for (k, w) in self.weights.iter().enumerate() {
+            if u < *w {
+                return k;
+            }
+            u -= w;
+        }
+        self.weights.len() - 1
     }
 }
 
@@ -403,10 +446,115 @@ pub fn relu_study(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Chat-style completions: mean 64 tokens, 1..=256.
     fn chat() -> DecodeSpec {
         DecodeSpec::geometric(64.0, 1, 256)
+    }
+
+    /// The generator as it was before a `prompts` call shared its pool
+    /// streams and Zipf tables: every request redraws its system prompt
+    /// and template from their seeds and rebuilds the Zipf weights for
+    /// each pick. The exactness reference for `prompts`.
+    impl SharedPrefixSpec {
+        /// Samples a pool index with probability `∝ 1/(rank+1)^zipf_exponent`.
+        fn zipf_pick(&self, pool: usize, rng: &mut StdRng) -> usize {
+            let weights: Vec<f64> = (0..pool)
+                .map(|k| 1.0 / ((k + 1) as f64).powf(self.zipf_exponent))
+                .collect();
+            let total: f64 = weights.iter().sum();
+            let mut u = rng.gen_range(0.0..1.0) * total;
+            for (k, w) in weights.iter().enumerate() {
+                if u < *w {
+                    return k;
+                }
+                u -= w;
+            }
+            pool - 1
+        }
+
+        /// Generates `n` prompts (token IDs), deterministic per seed.
+        fn reference_prompts(&self, n: usize, seed: u64) -> Vec<Vec<u32>> {
+            assert!(self.vocab >= 2, "need a non-trivial vocabulary");
+            assert!(self.num_system_prompts >= 1 && self.num_templates >= 1);
+            assert!(self.unique_max >= self.unique_min);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x6c62_272e_07bb_0142);
+            (0..n)
+                .map(|_| {
+                    let sys = self.zipf_pick(self.num_system_prompts, &mut rng);
+                    let tpl = self.zipf_pick(self.num_templates, &mut rng);
+                    let tail_len = rng.gen_range(self.unique_min..self.unique_max + 1);
+                    let mut prompt = self.pool_tokens(seed, 0x5359, sys, self.system_tokens);
+                    // Templates are per-system-prompt so template reuse only
+                    // pays off behind a shared system prefix (page-granular
+                    // matching cannot reuse a template under a different
+                    // prefix anyway).
+                    prompt.extend(self.pool_tokens(
+                        seed,
+                        0x54504c ^ (sys as u64) << 32,
+                        tpl,
+                        self.template_tokens,
+                    ));
+                    prompt.extend((0..tail_len).map(|_| rng.gen_range(0..self.vocab)));
+                    prompt
+                })
+                .collect()
+        }
+    }
+
+    #[test]
+    fn assistants_prompts_equal_the_per_request_reference() {
+        let spec = SharedPrefixSpec::assistants();
+        // 64 and 1856: the first `decode_pressure` trace of hostbench's
+        // seeds 1 and 29.
+        for seed in [1, 64, 1856] {
+            let got = spec.prompts(4000, seed);
+            assert!(got == spec.reference_prompts(4000, seed), "seed {seed}");
+            let arrivals = ArrivalTrace::bursty(&DatasetSpec::mnli(), 4000, 300.0, 0.1, 0.1, seed);
+            let t = spec.decode_trace(&DecodeSpec::summarization(), arrivals.arrival_s, seed);
+            assert!(t.prompt_ids == got, "decode_trace, seed {seed}");
+            assert!(t.prompt_lens.iter().copied().eq(got.iter().map(Vec::len)));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Small pools, so that one call picks most streams many times
+        /// and two system prompts share template indices: a memo keyed on
+        /// anything less than what seeds a stream diverges here.
+        #[test]
+        fn prompts_equal_the_per_request_reference_on_small_specs(
+            num_system_prompts in 1usize..=5,
+            num_templates in 1usize..=5,
+            system_tokens in 0usize..=40,
+            template_tokens in 0usize..=40,
+            tail_a in 0usize..=40,
+            tail_b in 0usize..=40,
+            equal_tails in 0u8..4,
+            zipf_exponent in 0.0f64..=2.0,
+            vocab in vec![2u32, 7, 32_000],
+            n in 0usize..=48,
+            seed in 0u64..=u64::MAX,
+        ) {
+            let (unique_min, unique_max) = if equal_tails == 0 {
+                (tail_a, tail_a)
+            } else {
+                (tail_a.min(tail_b), tail_a.max(tail_b))
+            };
+            let spec = SharedPrefixSpec {
+                vocab,
+                num_system_prompts,
+                system_tokens,
+                num_templates,
+                template_tokens,
+                unique_min,
+                unique_max,
+                zipf_exponent,
+            };
+            prop_assert!(spec.prompts(n, seed) == spec.reference_prompts(n, seed), "{spec:?}");
+        }
     }
 
     #[test]

@@ -779,6 +779,21 @@ fn documented_evict(kv: &PagedKvCache, seq: u64, pages: &[u32]) -> Result<usize,
     Ok(pages.iter().filter(|&&p| kv.page_refs(p) == 1).count())
 }
 
+/// `release_slot_positions` as its doc comment states it: positions
+/// strictly ascending, each naming a page of the table that
+/// `documented_evict` accepts.
+fn documented_evict_at(kv: &PagedKvCache, seq: u64, at: &[usize]) -> Result<usize, KvError> {
+    if at.is_empty() {
+        return Ok(0);
+    }
+    let table = kv.seq_pages(seq).ok_or(KvError::UnknownSeq(seq))?;
+    if at.windows(2).any(|w| w[0] >= w[1]) || at.iter().any(|&i| i >= table.len()) {
+        return Err(KvError::InvalidEvict);
+    }
+    let pages: Vec<u32> = at.iter().map(|&i| table[i]).collect();
+    documented_evict(kv, seq, &pages)
+}
+
 /// `release_pages` as its doc comment states it: one external reference
 /// dropped per listed page, so a page listed `n` times needs `n` pins;
 /// the result is the pages whose last reference dropped.
@@ -832,9 +847,10 @@ proptest! {
     /// The sparsity and index release paths keep their documented rules
     /// for page lists in table order, reversed, rotated, repeated, with
     /// foreign, free, out-of-range, tail, host-resident and unpinned
-    /// pages: the same `Ok(freed)` or `KvError` as the rules give, the
-    /// survivors' table order on success, and no change at all on
-    /// failure.
+    /// pages, and for position lists ascending, descending, repeated,
+    /// past the table and at the tail: the same `Ok(freed)` or `KvError`
+    /// as the rules give, the survivors' table order on success, and no
+    /// change at all on failure.
     #[test]
     fn release_paths_keep_the_documented_rules(seed in 1u64..=1_000_000, pick in 0u64..=u64::MAX) {
         let kv = release_fixture(seed);
@@ -908,6 +924,49 @@ proptest! {
             .0,
             kv.stats()
         );
+        // The same release by slot and table positions, as sparsity
+        // compaction calls it.
+        let positions: Vec<usize> = (0..table.len()).filter(|i| pick >> (i % 64) & 1 == 1).collect();
+        let legal_at: Vec<usize> = (0..table.len()).filter(|&i| legal.contains(&table[i])).collect();
+        let with_at = |extra: usize| {
+            let mut l = positions.clone();
+            l.push(extra);
+            l
+        };
+        let position_lists: Vec<(&str, Vec<usize>)> = vec![
+            ("ascending", positions.clone()),
+            ("descending", positions.iter().rev().copied().collect()),
+            ("repeated", with_at(positions.first().copied().unwrap_or(0))),
+            ("tail", with_at(table.len() - 1)),
+            ("past the table", with_at(table.len())),
+            ("far past the table", with_at(usize::MAX)),
+            ("every position", (0..table.len()).collect()),
+            ("every legal position", legal_at.clone()),
+        ];
+        for (what, at) in &position_lists {
+            let what = format!("release_slot_positions, {what}: {at:?} of {table:?}");
+            let after = check_release(
+                seed,
+                &what,
+                |kv| documented_evict_at(kv, 1, at),
+                |kv| {
+                    let slot = kv.slot(1).expect("seq 1 is live");
+                    kv.release_slot_positions(slot, at)
+                },
+            );
+            if documented_evict_at(&kv, 1, at).is_ok() {
+                let survivors: Vec<u32> = (0..table.len())
+                    .filter(|i| !at.contains(i))
+                    .map(|i| table[i])
+                    .collect();
+                prop_assert_eq!(after.1[0].0.as_deref(), Some(&survivors[..]), "{}", what);
+                // The same pages released by id leave the same pool.
+                let mut by_id = release_fixture(seed);
+                let pages: Vec<u32> = at.iter().map(|&i| table[i]).collect();
+                by_id.release_seq_pages(1, &pages).expect("the same legal release");
+                prop_assert_eq!(pool_state(&by_id), after, "{}", what);
+            }
+        }
 
         let pinned: Vec<u32> = table.iter().copied().filter(|&p| kv.page_ext_refs(p) > 0).collect();
         let every_pin: Vec<u32> = pinned
